@@ -69,18 +69,23 @@ def _family(cfg: dict) -> PerturbationFamily:
         raise ConfigError(f"field 'family': {exc}") from exc
 
 
-def _domain(cfg: dict) -> DomainModel:
+def _disk_domain(cfg: dict, command: str) -> DomainModel:
+    """The scenario domain, refused unless it is the unit disk: Lambda_g,
+    the subcritical solver and the test functions are radial."""
     try:
-        return DomainModel.from_json(cfg.get("domain", {}))
+        dom = DomainModel.from_json(cfg.get("domain", {}))
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"field 'domain': {exc}") from exc
+    if dom.shape is not Shape.UNIT_DISK:
+        raise ConfigError(f"field 'domain': {command} supports only the unit disk "
+                          f"(got {dom.shape.value})")
+    return dom
 
 
 def _write_report(out_dir: str, name: str, payload: dict, cfg: dict) -> str:
     payload = dict(payload)
     payload["config_hash"] = _config_hash(cfg)
     payload["version"] = __version__
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
@@ -94,7 +99,7 @@ def _write_report(out_dir: str, name: str, payload: dict, cfg: dict) -> str:
 
 def cmd_criterion(cfg: dict, args) -> int:
     fam = _family(cfg)
-    dom = _domain(cfg)
+    dom = _disk_domain(cfg, "criterion")
     grid = cfg.get("gamma_grid", list(DEFAULT_GAMMA_GRID))
     if list(grid) != sorted(grid) or len(grid) < 3:
         raise ConfigError("field 'gamma_grid': need >= 3 increasing values")
@@ -183,7 +188,7 @@ def cmd_bubble(cfg: dict, args) -> int:
 
 def cmd_extremal(cfg: dict, args) -> int:
     fam = _family(cfg)
-    dom = _domain(cfg)
+    dom = _disk_domain(cfg, "extremal")
     N = int(cfg.get("N", 1))
     fracs = cfg.get("alpha_ladder", [0.7, 0.8, 0.9, 0.95])
     alphas = [f * 4.0 * math.pi for f in fracs]
@@ -336,6 +341,7 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = _load_config(args.config)
+        os.makedirs(args.out, exist_ok=True)
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

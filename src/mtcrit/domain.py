@@ -61,7 +61,6 @@ class DomainModel:
     width: float = 1.0
     height: float = 1.0
     quad_order: int = 64
-    image_layers: int = 64
 
     def __post_init__(self):
         if self.shape is Shape.RECTANGLE and (self.width <= 0 or self.height <= 0):
@@ -117,7 +116,6 @@ class DomainModel:
             "width": self.width,
             "height": self.height,
             "quad_order": self.quad_order,
-            "image_layers": self.image_layers,
         }
 
     @staticmethod
@@ -129,7 +127,6 @@ class DomainModel:
             width=obj.get("width", 1.0),
             height=obj.get("height", 1.0),
             quad_order=obj.get("quad_order", 64),
-            image_layers=obj.get("image_layers", 64),
         )
 
 
@@ -150,41 +147,62 @@ def _green_disk(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (1.0 / (4.0 * math.pi)) * np.log(num / d2)
 
 
-def _strip_green4pi(a: float, u, v, u0: float, v0: float):
+# Images with |dv| >= _CLIP contribute ~exp(-_CLIP) relative to the nearest
+# ones: below double precision long before cosh overflows.  The strip
+# kernel returns exactly 0.0 for them, which also bounds the image sum.
+_CLIP = 35.0
+
+
+def _strip_green4pi(a: float, u, v, u0, v0):
     """4 pi times the Green function of the strip 0 < u < a (Dirichlet).
 
     Closed form obtained by summing the image lattice in the u-direction:
-    the images at 2ma +/- u0 collapse to the cosh/cos kernel below.
+    the images at 2ma +/- u0 collapse to the cosh/cos kernel below.  All
+    arguments broadcast against each other.
     """
     u = np.asarray(u, dtype=float)
     dv = math.pi * (np.asarray(v, dtype=float) - v0) / a
-    # distant images contribute ~ exp(-|dv|): below double precision long
-    # before cosh overflows, so clip them to zero
-    safe = np.abs(dv) < 35.0
+    safe = np.abs(dv) < _CLIP
     ch = np.cosh(np.where(safe, dv, 0.0))
     num = ch - np.cos(math.pi * (u + u0) / a)
     den = np.where(safe, ch - np.cos(math.pi * (u - u0) / a), 1.0)
     return np.where(safe, np.log(np.where(safe, num, 1.0) / den), 0.0)
 
 
-def _rect_green4pi(dom: DomainModel, x: np.ndarray, y: np.ndarray, layers: int) -> np.ndarray:
-    """4 pi G on the rectangle: strip kernel reflected across the far walls.
+def _strip_frame(dom: DomainModel, p: np.ndarray):
+    """Strip width a, period half-length b and strip coordinates (u, v) of
+    the points p (..., 2).
 
-    The strip runs across the shorter side so each reflection gains a
-    factor exp(-2 pi * long/short); truncation at `layers` reflections is
-    far below double precision for any sane aspect ratio.
+    The strip runs across the shorter side (a <= b), so each reflection
+    across the far walls gains a factor exp(-2 pi b / a).
     """
-    w, h = dom.width, dom.height
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if w <= h:
-        a, b = w, h
-        u0, v0 = float(x[0]), float(x[1])
-        u, v = y[:, 0], y[:, 1]
-    else:
-        a, b = h, w
-        u0, v0 = float(x[1]), float(x[0])
-        u, v = y[:, 1], y[:, 0]
-    total = np.zeros(y.shape[0])
+    if dom.width <= dom.height:
+        return dom.width, dom.height, p[..., 0], p[..., 1]
+    return dom.height, dom.width, p[..., 1], p[..., 0]
+
+
+def _image_layers(a: float, b: float) -> int:
+    """Reflection layers that can be nonzero anywhere in the rectangle.
+
+    Every image of layer n lies at least (2|n| - 2) b away in v from every
+    point with 0 <= v <= b, so |dv| >= pi (2|n| - 2) b / a.  Beyond the
+    bound below (one layer spare for rounding) all image terms reach
+    _CLIP and are exactly 0.0, so summing more layers changes nothing.
+    """
+    return int(_CLIP * a / (2.0 * math.pi * b)) + 2
+
+
+def _rect_green4pi(dom: DomainModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """4 pi G_x(y) on the rectangle for y (n,2): the strip kernel reflected
+    across the far walls.
+
+    Layers are summed one at a time, each vectorized over the points, so
+    that memory stays linear in the number of points.
+    """
+    a, b, u0, v0 = _strip_frame(dom, x)
+    _, _, u, v = _strip_frame(dom, y)
+    layers = _image_layers(a, b)
+    total = np.zeros(u.shape[0])
     for n in range(-layers, layers + 1):
         total += _strip_green4pi(a, u, v, u0, v0 + 2.0 * n * b)
         total -= _strip_green4pi(a, u, v, u0, -v0 + 2.0 * n * b)
@@ -201,8 +219,25 @@ def green(dom: DomainModel, x, y) -> np.ndarray | float:
     if dom.shape is Shape.UNIT_DISK:
         out = _green_disk(x, y2)
     else:
-        out = _rect_green4pi(dom, x, y2, dom.image_layers) / (4.0 * math.pi)
+        out = _rect_green4pi(dom, x, y2) / (4.0 * math.pi)
     return float(out[0]) if y_in.ndim == 1 else out
+
+
+def _robin_array(dom: DomainModel, p: np.ndarray) -> np.ndarray:
+    """Robin function at interior points p (n,2), broadcast over layers x points."""
+    if dom.shape is Shape.UNIT_DISK:
+        return 2.0 * np.log1p(-np.sum(p * p, axis=1))
+    # diagonal limit of 4 pi G + log|x-y|^2: the n=0 source strip term
+    # contributes its regular part in closed form, every image term is
+    # evaluated directly at y = x
+    a, b, u0, v0 = _strip_frame(dom, p)
+    layers = _image_layers(a, b)
+    n = np.arange(-layers, layers + 1)
+    shift = 2.0 * b * n[:, None]
+    total = np.log((1.0 - np.cos(2.0 * math.pi * u0 / a)) * 2.0 * a * a / math.pi**2)
+    total += np.sum(_strip_green4pi(a, u0, v0, u0, v0 + shift[n != 0]), axis=0)
+    total -= np.sum(_strip_green4pi(a, u0, v0, u0, -v0 + shift), axis=0)
+    return total
 
 
 def robin(dom: DomainModel, x) -> float:
@@ -210,25 +245,7 @@ def robin(dom: DomainModel, x) -> float:
     x = np.asarray(x, dtype=float)
     if not dom.contains(x):
         raise ValueError("x must be interior")
-    if dom.shape is Shape.UNIT_DISK:
-        r2 = float(np.dot(x, x))
-        return 2.0 * math.log1p(-r2)
-    # diagonal limit of 4 pi G + log|x-y|^2: the n=0 source strip term
-    # contributes its regular part in closed form, every image term is
-    # evaluated directly at y = x
-    w, h = dom.width, dom.height
-    if w <= h:
-        a, b = w, h
-        u0, v0 = float(x[0]), float(x[1])
-    else:
-        a, b = h, w
-        u0, v0 = float(x[1]), float(x[0])
-    total = math.log((1.0 - math.cos(2.0 * math.pi * u0 / a)) * 2.0 * a * a / math.pi**2)
-    for n in range(-dom.image_layers, dom.image_layers + 1):
-        if n != 0:
-            total += float(_strip_green4pi(a, u0, v0, u0, v0 + 2.0 * n * b))
-        total -= float(_strip_green4pi(a, u0, v0, u0, -v0 + 2.0 * n * b))
-    return total
+    return float(_robin_array(dom, x[None, :])[0])
 
 
 def first_bessel_zero() -> float:
@@ -284,19 +301,19 @@ def first_eigenfunction(dom: DomainModel) -> RadialEigenfunction:
 # -- singularity-aware integration over the domain ---------------------------
 
 
-def _ray_length(dom: DomainModel, z: np.ndarray, theta: float) -> float:
-    """Distance from z to the boundary along direction theta."""
-    c, s = math.cos(theta), math.sin(theta)
+def _ray_lengths(dom: DomainModel, z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Distances from z to the boundary along the directions thetas."""
+    c, s = np.cos(thetas), np.sin(thetas)
     if dom.shape is Shape.UNIT_DISK:
         b = z[0] * c + z[1] * s
-        return -b + math.sqrt(b * b + 1.0 - z[0] ** 2 - z[1] ** 2)
-    best = math.inf
-    for comp, d, lim in ((z[0], c, dom.width), (z[1], s, dom.height)):
-        if d > 1e-15:
-            best = min(best, (lim - comp) / d)
-        elif d < -1e-15:
-            best = min(best, -comp / d)
+        return -b + np.sqrt(b * b + 1.0 - z[0] ** 2 - z[1] ** 2)
+    best = np.full(thetas.shape, math.inf)
+    with np.errstate(divide="ignore"):
+        for comp, d, lim in ((z[0], c, dom.width), (z[1], s, dom.height)):
+            best = np.minimum(best, np.where(d > 1e-15, (lim - comp) / d, math.inf))
+            best = np.minimum(best, np.where(d < -1e-15, -comp / d, math.inf))
     return best
+
 
 def _corner_angles(dom: DomainModel, z: np.ndarray) -> list[float]:
     if dom.shape is Shape.UNIT_DISK:
@@ -325,6 +342,8 @@ def integrate_around_pole(
     z = np.asarray(z, dtype=float)
     xg, wg = leggauss(n_r)
     tg, twg = leggauss(n_theta)
+    # geometric panels [R q^(k+1), R q^k], q = 1/2, the innermost one down to 0
+    edges = np.append(0.5 ** np.arange(n_panels + 1), 0.0)[None, :, None]
     segs = [0.0] + _corner_angles(dom, z) + [2.0 * math.pi]
     segs = sorted(set(s % (2.0 * math.pi) if s > 0 else s for s in segs))
     if segs[-1] < 2.0 * math.pi:
@@ -335,19 +354,18 @@ def integrate_around_pole(
             continue
         thetas = 0.5 * (a1 - a0) * (tg + 1.0) + a0
         wth = 0.5 * (a1 - a0) * twg
-        for theta, wt in zip(thetas, wth):
-            R = _ray_length(dom, z, theta)
-            if not np.isfinite(R) or R <= 0:
-                continue
-            # geometric panels [R q^(k+1), R q^k], q = 1/2, innermost to 0
-            edges = R * 0.5 ** np.arange(n_panels + 1)
-            edges = np.append(edges, 0.0)
-            c, s = math.cos(theta), math.sin(theta)
-            for r_hi, r_lo in zip(edges[:-1], edges[1:]):
-                r = 0.5 * (r_hi - r_lo) * (xg + 1.0) + r_lo
-                wr = 0.5 * (r_hi - r_lo) * wg
-                pts = z[None, :] + r[:, None] * np.array([c, s])[None, :]
-                total += wt * float(np.sum(wr * r * f(r, pts)))
+        R = _ray_lengths(dom, z, thetas)
+        ok = np.isfinite(R) & (R > 0)
+        thetas, wth, R = thetas[ok], wth[ok], R[ok]
+        # all nodes of the segment in one array, shaped (theta, panel, r)
+        R = R[:, None, None]
+        half = 0.5 * R * (edges[:, :-1] - edges[:, 1:])
+        r = half * (xg + 1.0) + R * edges[:, 1:]
+        wr = half * wg
+        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+        pts = z + r[..., None] * dirs[:, None, None, :]
+        vals = np.asarray(f(r.ravel(), pts.reshape(-1, 2))).reshape(r.shape)
+        total += float(np.sum(wth[:, None, None] * wr * r * vals))
     return total
 
 
@@ -390,17 +408,14 @@ def robin_report(
     else:
         xs = np.linspace(boundary_margin * dom.width, (1 - boundary_margin) * dom.width, grid_n)
         ys = np.linspace(boundary_margin * dom.height, (1 - boundary_margin) * dom.height, grid_n)
-    cands = []
-    for x in xs:
-        for y in ys:
-            p = np.array([x, y])
-            if dom.contains(p, margin=boundary_margin * 0.5):
-                cands.append((robin(dom, p), p))
-    cands.sort(key=lambda t: -t[0])
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    grid = np.column_stack([X.ravel(), Y.ravel()])
+    grid = grid[[dom.contains(p, margin=boundary_margin * 0.5) for p in grid]]
+    vals = _robin_array(dom, grid)
     # refine the top candidates
     refined = []
     seen: list[np.ndarray] = []
-    for val, p in cands[:8]:
+    for p in grid[np.argsort(-vals, kind="stable")[:8]]:
         res = minimize(lambda q: -robin(dom, q), p, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
         q = res.x

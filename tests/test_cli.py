@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from mtcrit import cli
 from mtcrit.cli import main
 
 
@@ -99,6 +100,32 @@ def test_extremal_empty_starts(tmp_path, capsys):
     rc = main(["extremal", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "starts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["criterion", "extremal"])
+def test_rectangle_refused_before_solving(tmp_path, capsys, monkeypatch, cmd):
+    solves = []
+    for name in ("robin_report", "lambda_g_report", "solve_subcritical"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: solves.append(_n))
+    cfg = _write(tmp_path, "cfg.json", {"domain": {"shape": "Rectangle",
+                                                   "width": 2.0, "height": 1.0}})
+    rc = main([cmd, "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "domain" in err and "unit disk" in err
+    assert solves == []
+
+
+@pytest.mark.parametrize("cmd,payload", [
+    ("profiles", {"indices": [0]}),
+    ("extremal", {"alpha_ladder": [0.7], "starts": ["flat"]}),
+])
+def test_missing_out_dir_is_created(tmp_path, cmd, payload):
+    cfg = _write(tmp_path, "cfg.json", payload)
+    out = tmp_path / "missing" / "nested"
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / f"{cmd}.json").exists()
+    assert list(out.glob("*.csv"))
 
 
 def test_verify(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,10 +13,13 @@ from mtcrit import (
     first_bessel_zero,
     first_eigenfunction,
     lambda1,
+    robin_report,
 )
-from mtcrit.domain import green, integrate_around_pole, robin
+from mtcrit.domain import _strip_green4pi, green, integrate_around_pole, robin
 
 RECT = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
+RECTS = {f"{w:g}x{h:g}": DomainModel(shape=Shape.RECTANGLE, width=w, height=h)
+         for w, h in ((2.0, 1.0), (1.0, 2.0), (1.0, 1.0), (6.0, 1.0))}
 
 
 def _random_interior(dom, rng):
@@ -127,3 +131,85 @@ def test_robin_report_disk(robin0):
 
 def test_domain_json_round_trip():
     assert DomainModel.from_json(RECT.to_json()) == RECT
+
+
+# -- rectangle image sums against an explicit 64-layer reference -----------
+
+
+def _strip_coords(dom, p):
+    p = np.asarray(p, dtype=float)
+    if dom.width <= dom.height:
+        return dom.width, dom.height, p[..., 0], p[..., 1]
+    return dom.height, dom.width, p[..., 1], p[..., 0]
+
+
+def _green4pi_64(dom, x, y):
+    a, b, u0, v0 = _strip_coords(dom, x)
+    _, _, u, v = _strip_coords(dom, y)
+    total = np.zeros(len(u))
+    for n in range(-64, 65):
+        total += _strip_green4pi(a, u, v, u0, v0 + 2.0 * n * b)
+        total -= _strip_green4pi(a, u, v, u0, -v0 + 2.0 * n * b)
+    return total
+
+
+def _robin_64(dom, x):
+    a, b, u0, v0 = _strip_coords(dom, x)
+    total = math.log((1.0 - math.cos(2.0 * math.pi * u0 / a)) * 2.0 * a * a / math.pi**2)
+    for n in range(-64, 65):
+        if n != 0:
+            total += float(_strip_green4pi(a, u0, v0, u0, v0 + 2.0 * n * b))
+        total -= float(_strip_green4pi(a, u0, v0, u0, -v0 + 2.0 * n * b))
+    return total
+
+
+def _probe_points(dom, rng):
+    """Random interior points plus points 1e-3 from each wall and corner."""
+    w, h, d = dom.width, dom.height, 1e-3
+    inner = rng.uniform(0.02, 0.98, size=(20, 2)) * [w, h]
+    walls = [[d, h / 3], [w - d, h / 2], [w / 4, d], [w / 2, h - d],
+             [d, d], [w - d, d], [d, h - d], [w - d, h - d]]
+    return np.vstack([inner, walls])
+
+
+@pytest.mark.parametrize("name", list(RECTS))
+def test_rect_image_sum_matches_64_layers(name):
+    dom = RECTS[name]
+    rng = np.random.default_rng(11)
+    pts = _probe_points(dom, rng)
+    for x in pts[::3]:
+        ys = pts[np.hypot(*(pts - x).T) > 1e-9]
+        want = _green4pi_64(dom, x, ys) / (4.0 * math.pi)
+        np.testing.assert_allclose(green(dom, x, ys), want, rtol=1e-14, atol=1e-14)
+    for p in pts:
+        assert robin(dom, p) == pytest.approx(_robin_64(dom, p), rel=1e-14, abs=1e-14)
+
+
+@pytest.fixture(scope="module")
+def rect_reports(data0):
+    return {name: robin_report(RECTS[name], data0.F) for name in ("2x1", "1x2", "1x1")}
+
+
+def test_square_robin_max_closed_form(rect_reports):
+    rep = rect_reports["1x1"]
+    M_ref = 2 * mpmath.log(4 * mpmath.sqrt(mpmath.pi) / mpmath.gamma(0.25) ** 2)
+    assert rep.M == pytest.approx(float(M_ref), abs=1e-10)
+    assert len(rep.K) == 1
+    assert rep.K[0] == pytest.approx((0.5, 0.5), abs=1e-6)
+
+
+def test_rect_report_invariant_under_transpose(rect_reports):
+    wide, tall = rect_reports["2x1"], rect_reports["1x2"]
+    assert wide.M == pytest.approx(tall.M, abs=1e-12)
+    assert wide.S == pytest.approx(tall.S, rel=1e-10)
+    assert len(wide.K) == len(tall.K) == 1
+    assert wide.K[0] == pytest.approx((1.0, 0.5), abs=1e-6)
+    assert wide.K[0] == pytest.approx(tall.K[0][::-1], abs=1e-6)
+
+
+@pytest.mark.parametrize("name", list(RECTS))
+def test_integrate_around_pole_measures_rect_area(name):
+    dom = RECTS[name]
+    z = np.array([0.3 * dom.width, 0.7 * dom.height])
+    val = integrate_around_pole(dom, z, lambda r, pts: np.ones_like(r))
+    assert val == pytest.approx(dom.width * dom.height, rel=1e-12)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtcrit import (
@@ -85,11 +85,14 @@ def test_log_phi_consistency():
 
 
 @given(st.integers(min_value=0, max_value=30), st.floats(min_value=0.01, max_value=50.0))
+@example(N=30, t=0.01)
 @settings(max_examples=60, deadline=None)
 def test_phi_recurrence(N, t):
-    # phi_{N+1}(t) = phi_N(t) - t^{N+1}/(N+1)!
-    lhs = phi_N(N + 1, t)
-    rhs = phi_N(N, t) - t ** (N + 1) / math.factorial(N + 1)
+    # phi_N(t) = phi_{N+1}(t) + t^{N+1}/(N+1)!, written as a sum of two
+    # positive terms: the difference form phi_N - t^{N+1}/(N+1)! cancels
+    # most digits when t is small against N
+    lhs = phi_N(N, t)
+    rhs = phi_N(N + 1, t) + t ** (N + 1) / math.factorial(N + 1)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-290)
 
 
