@@ -71,7 +71,6 @@ from .variational import (
     RootFailError,
     moser_functional,
     solve_subcritical,
-    lambda_g,
     lambda_g_report,
     step1_testfun,
     model_testfun_energy,
@@ -97,7 +96,7 @@ __all__ = [
     "cor2_classifier", "nonasympt_condition", "ratio_curve_csv",
     "DEFAULT_GAMMA_GRID",
     "ExtremalRun", "GridFunction", "StallError", "RootFailError",
-    "moser_functional", "solve_subcritical", "lambda_g", "lambda_g_report",
+    "moser_functional", "solve_subcritical", "lambda_g_report",
     "step1_testfun", "model_testfun_energy",
     "__version__",
 ]

@@ -13,7 +13,6 @@ profiles S0, S1, S2.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .perturbation import PerturbationFamily, eval_H, eval_psi_N, log_phi_N, xi
-from .profiles import RadialProfile, StepFailureError, laplacian_profile, s0_explicit
+from .profiles import StepFailureError, laplacian_profile, s0_explicit
 
 __all__ = [
     "BlowDownError",

@@ -22,7 +22,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -127,11 +126,11 @@ def cmd_criterion(cfg: dict, args) -> int:
 
 def cmd_profiles(cfg: dict, args) -> int:
     r_max = float(cfg.get("r_max", 2000.0))
-    if r_max < 100.0:
-        raise ConfigError("field 'r_max': must be >= 100 for the log tail fit")
+    if r_max < 1000.0:
+        raise ConfigError("field 'r_max': must be >= 1000 for the Laplacian "
+                          "integral truncation")
     indices = cfg.get("indices", [0, 1, 2])
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        profs = list(pool.map(lambda i: solve_profile(i, r_max=r_max), indices))
+    profs = [solve_profile(i, r_max=r_max) for i in indices]
     constants = {}
     for i, P in zip(indices, profs):
         P.to_csv(os.path.join(args.out, f"profile_S{i}.csv"))
@@ -157,9 +156,6 @@ def cmd_bubble(cfg: dict, args) -> int:
     M = float(cfg.get("robin_max", 0.0))
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
         raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
-    lam_override = cfg.get("lam")
-    if lam_override is not None and lam_override <= 0:
-        raise ConfigError("field 'lam': must be positive")
     data = asymptotic_data(fam)
     profiles = {i: solve_profile(i) for i in range(3)}
     out = ladder_reports(fam, N, gammas, M=M, eps0=eps0,
@@ -198,9 +194,7 @@ def cmd_extremal(cfg: dict, args) -> int:
     if not starts:
         raise ConfigError("field 'starts': must be nonempty")
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        runs = list(pool.map(lambda a: solve_subcritical(fam, N, a, starts=starts),
-                             alphas))
+    runs = [solve_subcritical(fam, N, a, starts=starts) for a in alphas]
     payload = {"runs": [r.to_json() for r in runs]}
     for r in runs:
         r.u.to_csv(os.path.join(args.out, f"extremal_alpha{r.alpha:.4f}.csv"))
@@ -326,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", default=None, help="JSON scenario file")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
         sp.add_argument("--tolerance-scale", type=float, default=1.0,
                         help="multiply verification tolerances")

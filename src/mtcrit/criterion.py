@@ -14,12 +14,9 @@ perturbations admit no extremal when l < 0 and Lambda_g < pi e^{1+M}.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily
 

@@ -38,7 +38,6 @@ __all__ = [
     "phi_N",
     "log_phi_N",
     "eval_psi_N",
-    "psi_prime",
     "g_N",
     "xi",
     "asymptotic_data",
@@ -138,26 +137,36 @@ class PerturbationFamily:
             raise NonAdmissibleError("near-zero branch dips to g <= -1")
 
     def _blend_coeffs(self) -> tuple[float, ...]:
-        """Quintic Hermite data for the blend region [1/R', R'].
+        """Quintic Hermite coefficients for the blend region [1/R', R'].
 
         The near-zero branch is undefined past t = 1 (log(1/t) changes
         sign), so a pointwise smoothstep mix of the two branches cannot be
         used across the whole gap.  Instead we take the unique quintic in
         x = log t matching value, slope and curvature of each branch at the
         two knots; this is the smoothstep construction applied to the C^2
-        jet data and keeps the blend C^2.
+        jet data and keeps the blend C^2.  Returns h0, h1, h2, c3, c4, c5,
+        the coefficients of x^0..x^5 in the unit variable
+        (log t + log R') / (2 log R').
         """
         t1, t2 = 1.0 / self.R_prime, self.R_prime
         h = 1e-6
-        out = []
+        jet = []
         for t, branch in ((t1, self._g_zero_branch), (t2, self._g_inf_branch)):
             v, d = branch(np.asarray(t))
             _, dp = branch(np.asarray(t * (1 + h)))
             _, dm = branch(np.asarray(t / (1 + h)))
-            d2 = (dp - dm) / (t * (1 + h) - t / (1 + h))
+            dd = (dp - dm) / (t * (1 + h) - t / (1 + h))
             # x = log t: dg/dx = t g', d2g/dx2 = t g' + t^2 g''
-            out.extend([float(v), float(t * d), float(t * d + t * t * d2)])
-        return tuple(out)
+            jet.extend([float(v), float(t * d), float(t * d + t * t * dd)])
+        v1, d1, s1, v2, d2, s2 = jet
+        L = 2.0 * math.log(self.R_prime)  # x2 - x1 for the knots x = -+log R'
+        h0, h1, h2 = v1, d1 * L, s1 * L * L / 2.0
+        A = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
+        rhs = np.array(
+            [v2 - (h0 + h1 + h2), d2 * L - (h1 + 2 * h2), s2 * L * L - 2 * h2]
+        )
+        c3, c4, c5 = (float(c) for c in np.linalg.solve(A, rhs))
+        return (h0, h1, h2, c3, c4, c5)
 
     # -- serialization ----------------------------------------------------
 
@@ -212,6 +221,7 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_power_log(fam: PerturbationFamily, t: np.ndarray):
+    """Each branch is evaluated on its own points only."""
     g = np.empty_like(t)
     dg = np.empty_like(t)
     t1, t2 = 1.0 / fam.R_prime, fam.R_prime
@@ -219,32 +229,18 @@ def _eval_power_log(fam: PerturbationFamily, t: np.ndarray):
     high = t >= t2
     mid = ~(low | high)
     at0 = t == 0.0
-    if np.any(low):
-        tl = np.where(low & ~at0, t, 0.5 * t1)
-        gv, gd = fam._g_zero_branch(tl)
-        g[low], dg[low] = gv[low], gd[low]
-        g[at0] = fam.g0
-        dg[at0] = 0.0
-    if np.any(high):
-        gv, gd = fam._g_inf_branch(np.where(high, t, 2.0 * t2))
-        g[high], dg[high] = gv[high], gd[high]
-    if np.any(mid):
-        gv, gd = _hermite_eval(fam, t[mid])
-        g[mid], dg[mid] = gv, gd
+    g[at0], dg[at0] = fam.g0, 0.0
+    for mask, branch in ((low & ~at0, fam._g_zero_branch), (high, fam._g_inf_branch),
+                         (mid, lambda tm: _hermite_eval(fam, tm))):
+        if mask.any():
+            g[mask], dg[mask] = branch(t[mask])
     return g, dg
 
 
 def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
-    x1, x2 = -math.log(fam.R_prime), math.log(fam.R_prime)
-    v1, d1, s1, v2, d2, s2 = fam._hermite
-    L = x2 - x1
-    x = (np.log(t) - x1) / L
-    h0, h1, h2 = v1, d1 * L, s1 * L * L / 2.0
-    A = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
-    rhs = np.array(
-        [v2 - (h0 + h1 + h2), d2 * L - (h1 + 2 * h2), s2 * L * L - 2 * h2]
-    )
-    c3, c4, c5 = np.linalg.solve(A, rhs)
+    h0, h1, h2, c3, c4, c5 = fam._hermite
+    L = 2.0 * math.log(fam.R_prime)
+    x = (np.log(t) + 0.5 * L) / L
     q = h0 + h1 * x + h2 * x**2 + c3 * x**3 + c4 * x**4 + c5 * x**5
     dqdx = h1 + 2 * h2 * x + 3 * c3 * x**2 + 4 * c4 * x**3 + 5 * c5 * x**4
     return q, dqdx / (L * t)
@@ -353,11 +349,6 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
     if np.asarray(t).ndim == 0:
         return float(psi), float(dpsi)
     return psi, dpsi
-
-
-def psi_prime(fam: PerturbationFamily, N: int, t):
-    """Convenience accessor for Psi_N'."""
-    return eval_psi_N(fam, N, t)[1]
 
 
 def xi(N: int, gamma: float) -> float:

@@ -13,7 +13,6 @@ formula, used as the oracle for the integrator.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 

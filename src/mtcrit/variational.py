@@ -10,19 +10,17 @@ weights 2 pi int phi_j r dr, exact for linear integrands.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
 
-from .domain import DomainModel, Shape, first_eigenfunction, green
-from .perturbation import (AsymptoticData, PerturbationFamily, eval_g, eval_psi_N,
-                           eval_tH)
-from .profiles import B0_CONSTANT, RadialProfile, s0_explicit
+from .domain import DomainModel, Shape, first_eigenfunction
+from .perturbation import AsymptoticData, PerturbationFamily, eval_g, eval_psi_N
+from .profiles import B0_CONSTANT, RadialProfile
 
 __all__ = [
     "GridFunction",
@@ -32,7 +30,6 @@ __all__ = [
     "make_grid",
     "moser_functional",
     "solve_subcritical",
-    "lambda_g",
     "lambda_g_report",
     "step1_testfun",
     "model_testfun_energy",
@@ -138,12 +135,15 @@ def _project(u: np.ndarray, ab: np.ndarray, alpha: float) -> np.ndarray:
     return u
 
 
-def _ascend(value, grad, u0: np.ndarray, r: np.ndarray, alpha: float,
+def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float,
             max_iter: int = 4000, rtol: float = 1e-12):
     """Projected gradient ascent in the H^1_0 metric with BB steps.
 
-    value/grad take and return nodal vectors (boundary node fixed at 0).
-    The ascent direction is the H^1 Riesz representative K^{-1} grad.
+    value_grad takes a nodal vector (boundary node fixed at 0) and returns
+    the functional and its nodal gradient from one evaluation, so every
+    line-search trial costs one call and the accepted trial's gradient
+    feeds the next direction.  The ascent direction is the H^1 Riesz
+    representative K^{-1} grad.  Returns (u, J, grad at u, iterations).
     """
     ab = _stiffness(r)
     ab_int = ab[:, :-1].copy()  # Dirichlet: drop the boundary node
@@ -154,8 +154,8 @@ def _ascend(value, grad, u0: np.ndarray, r: np.ndarray, alpha: float,
         return d
 
     u = _project(u0.copy(), ab, alpha)
-    J = value(u)
-    d = riesz(grad(u))
+    J, G = value_grad(u)
+    d = riesz(G)
     step = 0.1 * math.sqrt(alpha / max(float(np.sum(-ab[0, 1:] * (d[1:] - d[:-1]) ** 2)), 1e-300))
     stall = 0
     it = 0
@@ -164,7 +164,7 @@ def _ascend(value, grad, u0: np.ndarray, r: np.ndarray, alpha: float,
         s = step
         for _ in range(40):
             u_try = _project(np.maximum(u + s * d, 0.0), ab, alpha)
-            J_try = value(u_try)
+            J_try, G_try = value_grad(u_try)
             if J_try > J:
                 accepted = True
                 break
@@ -172,8 +172,8 @@ def _ascend(value, grad, u0: np.ndarray, r: np.ndarray, alpha: float,
         if not accepted:
             break
         du = u_try - u
-        u, J_prev, J = u_try, J, J_try
-        d_new = riesz(grad(u))
+        u, J_prev, J, G = u_try, J, J_try, G_try
+        d_new = riesz(G)
         dd = d_new - d
         denom = float(np.dot(du, -_apply_K(ab, dd)))
         num = float(np.dot(du, _apply_K(ab, du)))
@@ -183,7 +183,7 @@ def _ascend(value, grad, u0: np.ndarray, r: np.ndarray, alpha: float,
         stall = stall + 1 if rel < rtol else 0
         if stall >= 3:
             break
-    return u, J, it
+    return u, J, G, it
 
 
 def _apply_K(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,23 +227,19 @@ def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
     w = _load_weights(r)
     ab = _stiffness(r)
 
-    def value(u):
-        psi, _ = eval_psi_N(fam, N, u)
-        return float(np.dot(w, psi))
-
-    def gradient(u):
-        _, psi_p = eval_psi_N(fam, N, u)
-        return w * psi_p
+    def value_grad(u):
+        psi, psi_p = eval_psi_N(fam, N, u)
+        return float(np.dot(w, psi)), w * psi_p
 
     best = None
     for name, u0 in _make_starts(r, alpha, starts):
-        u, J, it = _ascend(value, gradient, u0, r, alpha)
+        u, J, F, it = _ascend(value_grad, u0, r, alpha)
         if best is None or J > best[1]:
-            best = (u, J, name, it)
-    u, J, name, it = best
+            best = (u, J, F, name, it)
+    u, J, F, name, it = best
     gf = GridFunction(r, u)
     e = gf.energy()
-    F = gradient(u)  # nodal weak form of u H(u) e^{u^2} times... (Psi'_N/2 = uHe^{u^2} up to trunc.)
+    # F is the nodal weak form of Psi'_N(u), i.e. 2 u H(u) e^{u^2} up to truncation
     Ku = _apply_K(ab, u)
     denom = float(np.dot(F[:-1], u[:-1]))
     lam = 2.0 * float(np.dot(Ku[:-1], u[:-1])) / denom if denom != 0.0 else 0.0
@@ -267,28 +263,21 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
     w = _load_weights(r)
     g00, _ = eval_g(fam, 0.0)
 
-    def value(u):
-        gu, _ = eval_g(fam, u)
-        return float(np.dot(w, (1.0 + gu) * (1.0 + u * u) - (1.0 + g00)))
-
-    def gradient(u):
+    def value_grad(u):
         gu, gpu = eval_g(fam, u)
-        return w * (gpu * (1.0 + u * u) + 2.0 * u * (1.0 + gu))
+        return (float(np.dot(w, (1.0 + gu) * (1.0 + u * u) - (1.0 + g00))),
+                w * (gpu * (1.0 + u * u) + 2.0 * u * (1.0 + gu)))
 
     alpha = 4.0 * math.pi
     results = []
     for name, u0 in _make_starts(r, alpha, ("eigen", "bubble", "flat")):
-        u, Q, it = _ascend(value, gradient, u0, r, alpha)
+        u, Q, _, _ = _ascend(value_grad, u0, r, alpha)
         results.append((Q, name, u))
     results.sort(reverse=True, key=lambda t: t[0])
     best = results[0][0]
     gap = max(1e-12, best - results[-1][0]) if len(results) > 1 else 1e-9
     return {"lambda_g": best, "gap": min(gap, 0.02 * abs(best)),
             "start": results[0][1], "u": GridFunction(r, results[0][2])}
-
-
-def lambda_g(fam: PerturbationFamily, dom: DomainModel | None = None) -> float:
-    return lambda_g_report(fam, dom)["lambda_g"]
 
 
 def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float,

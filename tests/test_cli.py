@@ -80,6 +80,21 @@ def test_profiles_rmax_validation(tmp_path, capsys):
     assert "r_max" in capsys.readouterr().err
 
 
+def test_profiles_rmax_below_integral_bound_refused_before_solving(tmp_path, capsys,
+                                                                  monkeypatch):
+    # profile_integrals needs r_max >= 1000; the command must refuse such a
+    # radius up front, not after solving all three profile ODEs.
+    solves = []
+    monkeypatch.setattr(cli, "solve_profile", lambda *a, **k: solves.append(a))
+    cfg = _write(tmp_path, "cfg.json", {"r_max": 500})
+    rc = main(["profiles", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "r_max" in err and "1000" in err
+    assert "ValueError" not in err
+    assert solves == []
+
+
 def test_bubble_bad_eps0(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "Zero"}, "eps0": 0.2})
     rc = main(["bubble", "--config", cfg, "--out", str(tmp_path)])

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import mtcrit.variational as variational
 from mtcrit import (
+    FamilyKind,
     GridFunction,
+    PerturbationFamily,
+    eval_g,
+    lambda_g_report,
     model_testfun_energy,
     moser_functional,
     solve_subcritical,
@@ -14,6 +19,10 @@ from mtcrit import (
 )
 from mtcrit.domain import DomainModel, Shape
 from mtcrit.variational import _load_weights, _make_starts, _project, _stiffness, make_grid
+
+# Infinity-branch-only PowerLog family of the disk-verdict benchmark.
+POWER_LOG = PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.256171,
+                               a_prime=2.593292, b_prime=0.682198)
 
 
 def test_functional_at_zero_is_area(fam0):
@@ -105,8 +114,6 @@ def test_lambda_g_zero_family(lambda_g0):
 
 def test_lambda_g_non_disk(fam0):
     rect = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
-    from mtcrit import lambda_g_report
-
     with pytest.raises(NotImplementedError):
         lambda_g_report(fam0, rect)
 
@@ -141,3 +148,76 @@ def test_level_trend(fam0):
             for f in (0.5, 0.7, 0.9)]
     assert vals == sorted(vals)
     assert all(v - math.pi < math.pi * math.e + 0.6 for v in vals)
+
+
+# Golden values of the ascent at the default grid, recorded before value and
+# gradient were fused into one evaluation: the fused ascent must take the
+# same path, float for float.
+@pytest.mark.parametrize("fam,J,start,lam_g", [
+    (PerturbationFamily(), 9.504416349231679, "eigen", 2.1729163833204144),
+    (POWER_LOG, 9.586747468252343, "flat", 2.2139101101297127),
+], ids=["Zero", "PowerLog"])
+def test_ascent_golden_values(fam, J, start, lam_g):
+    run = solve_subcritical(fam, 1, 0.9 * 4.0 * math.pi)
+    assert run.J_value == J
+    assert run.iterations == 127
+    assert run.start == start
+    assert lambda_g_report(fam)["lambda_g"] == lam_g
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(variational, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(variational, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fam", [PerturbationFamily(), POWER_LOG], ids=["Zero", "PowerLog"])
+def test_one_evaluation_per_trial(monkeypatch, fam):
+    # Every line-search trial is one projection and at most one evaluation;
+    # the gradient at an accepted point is never recomputed.
+    psi = _count_calls(monkeypatch, "eval_psi_N")
+    g = _count_calls(monkeypatch, "eval_g")
+    proj = _count_calls(monkeypatch, "_project")
+    solve_subcritical(fam, 1, 0.8 * 4.0 * math.pi, n_grid=400)
+    assert 0 < len(psi) <= len(proj) + 1
+    psi.clear()
+    proj.clear()
+    lambda_g_report(fam, n_grid=400)
+    assert psi == []
+    assert 0 < len(g) <= len(proj) + 1  # plus the scalar g(0)
+
+
+BLENDED = [
+    PerturbationFamily(kind=FamilyKind.POWER_LOG, c=0.5, a=1.0, b=0.0,
+                       c_prime=-0.25, a_prime=2.0, b_prime=0.0, R_prime=10.0),
+    PerturbationFamily(kind=FamilyKind.POWER_LOG, c=-0.3, a=0.4, b=0.7, g0=0.2,
+                       c_prime=1.5, a_prime=0.5, b_prime=1.2, R_prime=3.0),
+]
+
+
+@pytest.mark.parametrize("fam", BLENDED)
+def test_hermite_blend_needs_no_solve(monkeypatch, fam):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called while evaluating g")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    t = np.geomspace(1.0 / fam.R_prime, fam.R_prime, 101)[1:-1]
+    g, dg = eval_g(fam, t)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(dg))
+    eval_g(fam, float(t[50]))
+
+
+@pytest.mark.parametrize("fam", BLENDED)
+def test_hermite_blend_is_c1_at_knots(fam):
+    # Each knot belongs to its branch; the next float inward is in the blend.
+    for knot, inward in ((1.0 / fam.R_prime, math.inf), (fam.R_prime, 0.0)):
+        branch_g, branch_dg = eval_g(fam, knot)
+        blend_g, blend_dg = eval_g(fam, math.nextafter(knot, inward))
+        assert blend_g == pytest.approx(branch_g, rel=1e-9)
+        assert blend_dg == pytest.approx(branch_dg, rel=1e-9)
