@@ -67,7 +67,6 @@ from .criterion import (
 from .variational import (
     ExtremalRun,
     GridFunction,
-    StallError,
     RootFailError,
     moser_functional,
     solve_subcritical,
@@ -95,7 +94,7 @@ __all__ = [
     "NoLimitError", "ratio_value", "closed_form_l", "limit_l", "classify",
     "cor2_classifier", "nonasympt_condition", "ratio_curve_csv",
     "DEFAULT_GAMMA_GRID",
-    "ExtremalRun", "GridFunction", "StallError", "RootFailError",
+    "ExtremalRun", "GridFunction", "RootFailError",
     "moser_functional", "solve_subcritical", "lambda_g_report",
     "step1_testfun", "model_testfun_energy",
     "__version__",

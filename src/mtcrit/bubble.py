@@ -223,7 +223,7 @@ def verify_source_expansion(sol: BubbleSolution, data, profiles: dict,
     lhs = 0.5 * sol.lam * psi_p
     base = 4.0 * np.exp(-2.0 * t) / (sol.mu**2 * g)
     w = 0.25 * np.exp(2.0 * t)
-    rhs = base * (1.0 + w * laplacian_profile(0, y) / g**2
+    rhs = base * (1.0 + w * laplacian_profile(0, y, s0_explicit) / g**2
                   + w * laplacian_profile(1, y, profiles[1]) / g**4
                   + (A - 2.0 * x) * w * laplacian_profile(2, y, profiles[2]))
     weighted = float(np.max(np.abs(lhs - rhs) / (base * zeta * np.exp(delta0_tilde * t))))
@@ -236,21 +236,18 @@ def verify_source_expansion(sol: BubbleSolution, data, profiles: dict,
                            r0_gap=r0_gap, details={"zeta": zeta, "A": A, "xi": x})
 
 
-def ladder_reports(fam: PerturbationFamily, N: int, gammas, M: float = 0.0,
-                   eps0: float = 0.75, profiles: dict | None = None,
-                   data=None) -> dict:
+def ladder_reports(fam: PerturbationFamily, N: int, gammas, profiles: dict,
+                   M: float = 0.0, eps0: float = 0.75, data=None) -> dict:
     """Run a gamma ladder and report both verification trends.
 
-    The per-gamma sups are taken over a window common to the whole ladder
-    (0.8 of the smallest bubble's range, resp. the smallest gamma for the
-    source check): the expansion residual is claimed uniformly on a
-    gamma-dependent region, and comparing sups over nested regions of
-    different sizes would conflate window growth with convergence.
+    profiles maps {1: S1, 2: S2}, solved once by the caller for the whole
+    ladder.  The per-gamma sups are taken over a window common to the
+    whole ladder (0.8 of the smallest bubble's range, resp. the smallest
+    gamma for the source check): the expansion residual is claimed
+    uniformly on a gamma-dependent region, and comparing sups over nested
+    regions of different sizes would conflate window growth with
+    convergence.
     """
-    from .profiles import solve_profile
-
-    if profiles is None:
-        profiles = {1: solve_profile(1), 2: solve_profile(2)}
     gammas = sorted(gammas)
     cap_exp = 0.8 * (1.0 - eps0) * gammas[0] ** 2
     cap_src = float(gammas[0])

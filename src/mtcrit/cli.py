@@ -107,7 +107,7 @@ def cmd_criterion(cfg: dict, args) -> int:
     rep_robin = robin_report(dom, data.F)
     lam_rep = lambda_g_report(fam, dom)
     l_closed = closed_form_l(fam, rep_robin.M, rep_robin.S)
-    l_grid, conf = limit_l(data, rep_robin.M, rep_robin.S, gamma_grid=grid, fam=fam)
+    l_grid, conf = limit_l(data, rep_robin.M, rep_robin.S, gamma_grid=grid)
     report = classify(rep_robin.M, rep_robin.S, lam_rep["lambda_g"], l_grid, conf,
                       l_closed=l_closed, lambda_gap=lam_rep["gap"],
                       diagnostics={"gamma_grid": list(map(float, grid)),
@@ -116,7 +116,7 @@ def cmd_criterion(cfg: dict, args) -> int:
     ratio_curve_csv(os.path.join(args.out, "ratio_curve.csv"),
                     data, rep_robin.M, rep_robin.S, gamma_grid=grid)
     print(f"verdict: {report.verdict.value}  l_grid={l_grid:.6f} "
-          f"(+-{conf:.2g})  Lambda_g={lam_rep['lambda_g']:.6f}")
+          f"(+-{report.l_confidence:.2g})  Lambda_g={lam_rep['lambda_g']:.6f}")
     return 2 if report.verdict is Verdict.INCONCLUSIVE else 0
 
 
@@ -129,17 +129,16 @@ def cmd_profiles(cfg: dict, args) -> int:
     if r_max < 1000.0:
         raise ConfigError("field 'r_max': must be >= 1000 for the Laplacian "
                           "integral truncation")
-    indices = cfg.get("indices", [0, 1, 2])
-    profs = [solve_profile(i, r_max=r_max) for i in indices]
+    profiles = {i: solve_profile(i, r_max=r_max) for i in range(3)}
     constants = {}
-    for i, P in zip(indices, profs):
+    for i, P in profiles.items():
         P.to_csv(os.path.join(args.out, f"profile_S{i}.csv"))
         constants[f"S{i}"] = P.metadata()
-    ints = profile_integrals(r_max=r_max)
+    ints = profile_integrals(profiles)
     payload = {"constants": constants, "integrals": ints,
                "reference": {"A": list(A_CONSTANTS), "B0": B0_CONSTANT}}
     _write_report(args.out, "profiles.json", payload, cfg)
-    for i in indices:
+    for i in profiles:
         print(f"S{i}: A={constants[f'S{i}']['A']:.8f} B={constants[f'S{i}']['B']:.8f}")
     return 0
 
@@ -157,9 +156,9 @@ def cmd_bubble(cfg: dict, args) -> int:
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
         raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
     data = asymptotic_data(fam)
-    profiles = {i: solve_profile(i) for i in range(3)}
-    out = ladder_reports(fam, N, gammas, M=M, eps0=eps0,
-                         profiles=profiles, data=data)
+    # both bubble checks use the explicit S0, so only S1 and S2 are solved
+    profiles = {i: solve_profile(i) for i in (1, 2)}
+    out = ladder_reports(fam, N, gammas, profiles, M=M, eps0=eps0, data=data)
     payload = {
         "gammas": out["gammas"],
         "expansion": [r.to_json() for r in out["expansion"]],
@@ -271,16 +270,16 @@ def _verify_rows(seed: int, tol_scale: float) -> list:
     row("Green S integral disk", abs(rr.S - 0.5) < 1e-4 * tol_scale, f"S={rr.S:.8f}")
 
     # Profile constants ("NoteSi A_i" are the Laplacian integrals).
-    ints = profile_integrals()
+    profiles = {i: solve_profile(i) for i in range(3)}
+    ints = profile_integrals(profiles)
     for i, (got, want) in enumerate(zip(ints["A_check"], A_CONSTANTS)):
         row(f"NoteSi A_{i}", abs(got - want) < 5e-3 * want * tol_scale,
             f"{got:.6f} vs {want:.6f}")
     row("I_S0 = 0", abs(ints["I_S0"]) < 1e-6 * tol_scale, f"{ints['I_S0']:.2e}")
     row("I_T0sq = 2 pi", abs(ints["I_T0sq"] - 2 * math.pi) < 1e-6 * tol_scale,
         f"{ints['I_T0sq']:.9f}")
-    P0 = solve_profile(0)
     rprobe = np.geomspace(1e-3, 100.0, 500)
-    gap = float(np.max(np.abs(P0(rprobe) - s0_explicit(rprobe))))
+    gap = float(np.max(np.abs(profiles[0](rprobe) - s0_explicit(rprobe))))
     row("S0 ODE vs explicit", gap < 1e-7 * tol_scale, f"sup={gap:.2e}")
     return rows
 

@@ -114,7 +114,7 @@ def closed_form_l(fam: PerturbationFamily, M: float, S: float) -> float | None:
 
 
 def limit_l(data: AsymptoticData, M: float, S: float,
-            gamma_grid=DEFAULT_GAMMA_GRID, fam: PerturbationFamily | None = None,
+            gamma_grid=DEFAULT_GAMMA_GRID,
             spread_threshold: float = 0.25) -> tuple[float, float]:
     """Extrapolate the ratio over a log-spaced gamma grid.
 
@@ -137,10 +137,6 @@ def limit_l(data: AsymptoticData, M: float, S: float,
     confidence = max(tail) - min(tail)
     if confidence > spread_threshold:
         raise NoLimitError(f"ratio grid oscillates: spread {confidence:.3g}")
-    if fam is not None:
-        closed = closed_form_l(fam, M, S)
-        if closed is not None:
-            return closed, max(confidence, abs(closed - l_grid))
     return l_grid, confidence
 
 
@@ -170,13 +166,19 @@ def classify(M: float, S: float, lambda_g: float, l: float, l_confidence: float,
              diagnostics: dict | None = None) -> CriterionReport:
     """Assemble the existence verdict from the computed quantities.
 
+    l is the grid extrapolant of limit_l and l_confidence its spread.  When
+    the closed form l_closed exists it decides the sign, and its distance
+    to the grid value widens the reported confidence.
     lambda_gap is the reported optimization gap of the Lambda_g solve;
     comparisons within the gap are treated as undecided.  For the
     no-extremal branch the conclusion applies to the truncations g_N for
     all N large (the statement is asymptotic in the truncation order).
     """
     level = math.pi * math.exp(1.0 + M)
-    decided = l_closed if l_closed is not None else l
+    decided = l
+    if l_closed is not None:
+        decided = l_closed
+        l_confidence = max(l_confidence, abs(l_closed - l))
     diag = dict(diagnostics or {})
     if decided > l_confidence:
         verdict = Verdict.EXISTS_L

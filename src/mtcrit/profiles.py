@@ -147,7 +147,7 @@ def _richardson(seq):
     return seq[2]
 
 
-def solve_profile(i: int, r_max: float = 2000.0, rhs_scale: float = 1.0) -> RadialProfile:
+def solve_profile(i: int, r_max: float = 2000.0) -> RadialProfile:
     """Integrate the correction-profile ODE for i in {0, 1, 2}.
 
     The equation is singular at r=0; integration starts at r0 = 1e-6 from
@@ -161,11 +161,11 @@ def solve_profile(i: int, r_max: float = 2000.0, rhs_scale: float = 1.0) -> Radi
     def odes(r, y):
         S, dS = y
         T = math.log1p(r * r)
-        rhs = rhs_scale * float(_rhs(i, r))
+        rhs = float(_rhs(i, r))
         return [dS, -dS / r - 8.0 * math.exp(-2.0 * T) * S - rhs]
 
     r0 = 1e-6
-    rhs0 = rhs_scale * float(_rhs(i, 0.0))
+    rhs0 = float(_rhs(i, 0.0))
     y0 = [-rhs0 * r0 * r0 / 4.0, -rhs0 * r0 / 2.0]
     probe = [250.0, 500.0, 1000.0] if r_max >= 1000.0 else [r_max / 4, r_max / 2, r_max]
     grid = np.unique(np.concatenate([[0.0], np.geomspace(r0, r_max, 4000), probe]))
@@ -187,22 +187,27 @@ def solve_profile(i: int, r_max: float = 2000.0, rhs_scale: float = 1.0) -> Radi
                          asym_slope=float(slope), asym_intercept=float(intercept))
 
 
-def laplacian_profile(i: int, r, profile: RadialProfile | None = None):
-    """-(S_i'' + S_i'/r) evaluated from the ODE: RHS_i + 8 e^{-2T0} S_i."""
+def laplacian_profile(i: int, r, profile):
+    """-(S_i'' + S_i'/r) evaluated from the ODE: RHS_i + 8 e^{-2T0} S_i.
+
+    `profile` is S_i itself (a solved RadialProfile, or s0_explicit for i = 0).
+    """
     r = np.asarray(r, dtype=float)
-    S = profile(r) if profile is not None else (
-        s0_explicit(r) if i == 0 else solve_profile(i)(r))
-    out = _rhs(i, r) + 8.0 * np.exp(-2.0 * np.log1p(r * r)) * S
+    out = _rhs(i, r) + 8.0 * np.exp(-2.0 * np.log1p(r * r)) * profile(r)
     return float(out) if out.ndim == 0 else out
 
 
-def profile_integrals(r_max: float = 2000.0) -> dict:
+def profile_integrals(profiles: dict) -> dict:
     """Plane integrals fixing the energy-expansion constants.
 
-    Returns I_S0 = int e^{-2T0} S0, I_T0sq = int e^{-2T0} T0^2 and
-    A_check[i] = int of the distributional Laplacian of S_i, all over R^2
-    (radial quadrature, 2 pi r dr measure, analytic log-power tails).
+    `profiles` maps {0: S0, 1: S1, 2: S2} to solved profiles; the radial
+    quadrature is truncated at the shortest of their grids.  Returns
+    I_S0 = int e^{-2T0} S0, I_T0sq = int e^{-2T0} T0^2 and A_check[i] =
+    int of the distributional Laplacian of S_i, all over R^2 (radial
+    quadrature, 2 pi r dr measure, analytic log-power tails).
     """
+    profs = [profiles[k] for k in range(3)]
+    r_max = min(float(pr.grid[-1]) for pr in profs)
     if r_max < 1000.0:
         raise ValueError("r_max must be at least 1000")
 
@@ -221,7 +226,6 @@ def profile_integrals(r_max: float = 2000.0) -> dict:
     I_T0sq += 2.0 * math.pi * quad(
         lambda r: (math.log1p(r * r) ** 2 / (1.0 + r * r) ** 2) * r, r_max, np.inf, limit=200)[0]
 
-    profs = [solve_profile(k, r_max=r_max) for k in range(3)]
     A_check = []
     for k, pr in enumerate(profs):
         val = radial(lambda r, k=k, pr=pr: float(_rhs(k, r)) +

@@ -25,7 +25,6 @@ from .profiles import B0_CONSTANT, RadialProfile
 __all__ = [
     "GridFunction",
     "ExtremalRun",
-    "StallError",
     "RootFailError",
     "make_grid",
     "moser_functional",
@@ -34,10 +33,6 @@ __all__ = [
     "step1_testfun",
     "model_testfun_energy",
 ]
-
-
-class StallError(RuntimeError):
-    """Ascent step collapsed before reaching tolerance."""
 
 
 class RootFailError(RuntimeError):
@@ -310,24 +305,23 @@ def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float,
     return {"norm_sq": norm_sq, "J": val, "f_norm_sq": 4.0 * math.pi}
 
 
-def _q_green_source(dom: DomainModel, fam: PerturbationFamily, data: AsymptoticData,
-                    r: np.ndarray) -> np.ndarray:
-    """q(r) = int_Omega G_x(y) F(4 pi G_0(y)) dy for radial x on the disk.
+def _green_source(data: AsymptoticData):
+    """q(0) and q' for q(x) = int_Omega G_x(y) F(4 pi G_0(y)) dy, x radial.
 
-    Solved as the radial Poisson problem q'' + q'/r = -F(4 pi G_0),
-    q'(0) = 0, q(1) = 0, by cumulative trapezoid quadrature.
+    On the disk q solves the radial Poisson problem q'' + q'/r = -F(4 pi G_0),
+    q'(0) = 0, q(1) = 0; one cumulative trapezoid quadrature gives both.
+    q' is returned as a function of the radius, because the radii where
+    the model test function needs it depend on a scale fixed by q(0).
     """
-    rr = np.unique(np.concatenate([np.geomspace(1e-10, 1.0, 4000), r[r > 0]]))
+    rr = np.geomspace(1e-10, 1.0, 4000)
     Fsrc = data.F(2.0 * np.log(1.0 / rr))
     # q'(rho) = -(1/rho) int_0^rho F s ds
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (Fsrc[1:] * rr[1:] + Fsrc[:-1] * rr[:-1])
                                            * np.diff(rr))])
     qp = -cum / rr
-    # q(r) = int_r^1 -q'(rho) drho
-    dq = 0.5 * (qp[1:] + qp[:-1]) * np.diff(rr)
-    q_from_0 = np.concatenate([[0.0], np.cumsum(dq)])
-    q = q_from_0 - q_from_0[-1]
-    return np.interp(r, rr, q)
+    # q(0) = -int_0^1 q'(rho) drho
+    q0 = -float(np.cumsum(0.5 * (qp[1:] + qp[:-1]) * np.diff(rr))[-1])
+    return q0, lambda r: np.interp(r, rr, qp)
 
 
 def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
@@ -347,7 +341,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     Bc = float(data.B(g))
     S0, S1v, S2v = profiles[0], profiles[1], profiles[2]
     robin_z = 0.0  # disk center
-    S_int = _q_green_source(dom, fam, data, np.array([0.0]))[0]
+    S_int, q_prime = _green_source(data)
     coef_q = 4.0 * Bc / (g * g * math.exp(1.0 + robin_z))
 
     def height(L):
@@ -387,8 +381,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     dUdr += S0.derivative(r / mu) / (mu * g**3)
     dUdr += S1v.derivative(r / mu) / (mu * g**5)
     dUdr += A / g * S2v.derivative(r / mu) / mu
-    qp = _q_prime(dom, fam, data, r)
-    dUdr += coef_q * qp
+    dUdr += coef_q * q_prime(r)
     integrand = dUdr**2 * (r2 + mu2)  # times r dr = (r^2+mu^2)/2 dt
     norm_sq = 2.0 * math.pi * 0.5 * np.trapezoid(integrand, t)
 
@@ -413,12 +406,3 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
 def _bracket_const(P: RadialProfile, inv_mu: float, L: float) -> float:
     """Constant harmonic correction zeroing S_i(r/mu)+(A_i/4pi)(L+H)-B_i at r=1."""
     return 4.0 * math.pi / P.A * (P.B - P(inv_mu)) - L
-
-
-def _q_prime(dom, fam, data, r: np.ndarray) -> np.ndarray:
-    rr = np.geomspace(1e-10, 1.0, 4000)
-    Fsrc = data.F(2.0 * np.log(1.0 / rr))
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (Fsrc[1:] * rr[1:] + Fsrc[:-1] * rr[:-1])
-                                           * np.diff(rr))])
-    qp = -cum / rr
-    return np.interp(r, rr, qp)

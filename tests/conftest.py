@@ -37,8 +37,8 @@ def profiles():
 
 
 @pytest.fixture(scope="session")
-def integrals():
-    return profile_integrals()
+def integrals(profiles):
+    return profile_integrals(profiles)
 
 
 @pytest.fixture(scope="session")

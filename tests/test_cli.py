@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line front end (mtcrit.cli.main)."""
 
+import inspect
 import json
 import math
 
 import pytest
 
 from mtcrit import cli
+from mtcrit import profiles as profiles_module
 from mtcrit.cli import main
 
 
@@ -48,6 +50,22 @@ def test_criterion_inconclusive_exit_2(tmp_path, robin0):
     assert rc == 2
     rep = json.loads((tmp_path / "criterion.json").read_text())
     assert rep["verdict"] == "Inconclusive"
+
+
+def test_criterion_reports_the_grid_extrapolant(tmp_path, capsys):
+    # Slow decay a' = 1 with c' < 0: the closed form is exactly -1/2, while
+    # the grid extrapolant keeps a visible 1/log(gamma) remainder.  The
+    # report must carry the grid value, not a copy of the closed form.
+    cfg = _write(tmp_path, "cfg.json", {
+        "family": {"kind": "PowerLog", "c_prime": -1.0, "a_prime": 1.0, "b_prime": 0.0}})
+    assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "criterion.json").read_text())
+    assert rep["l_closed"] == pytest.approx(-0.5, abs=1e-12)
+    assert rep["l_grid"] == pytest.approx(-0.51009, abs=1e-5)
+    assert rep["l_confidence"] >= abs(rep["l_closed"] - rep["l_grid"])
+    assert rep["verdict"] == "NoExtremal_Truncations"
+    out = capsys.readouterr().out
+    assert f"l_grid={rep['l_grid']:.6f} (+-{rep['l_confidence']:.2g})" in out
 
 
 def test_malformed_config_names_field(tmp_path, capsys):
@@ -132,7 +150,7 @@ def test_rectangle_refused_before_solving(tmp_path, capsys, monkeypatch, cmd):
 
 
 @pytest.mark.parametrize("cmd,payload", [
-    ("profiles", {"indices": [0]}),
+    ("profiles", {}),
     ("extremal", {"alpha_ladder": [0.7], "starts": ["flat"]}),
 ])
 def test_missing_out_dir_is_created(tmp_path, cmd, payload):
@@ -141,6 +159,33 @@ def test_missing_out_dir_is_created(tmp_path, cmd, payload):
     assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
     assert (out / f"{cmd}.json").exists()
     assert list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("cmd,payload,expected", [
+    ("bubble", {"family": {"kind": "Zero"}}, 2),
+    ("profiles", {}, 3),
+    ("verify", {}, 3),
+    ("extremal", {"alpha_ladder": [0.7], "starts": ["flat"]}, 3),
+])
+def test_each_profile_is_solved_once(tmp_path, monkeypatch, cmd, payload, expected):
+    # A command solves each profile it reads once and passes it down; no
+    # layer below the command solves it again.
+    original = profiles_module.solve_profile
+    signature = inspect.signature(original)
+    solves = []
+
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        solves.append((bound.arguments["i"], bound.arguments["r_max"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_profile", counting)
+    monkeypatch.setattr(profiles_module, "solve_profile", counting)
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(solves) == expected, solves
+    assert len(set(solves)) == len(solves), solves
 
 
 def test_verify(tmp_path, capsys):

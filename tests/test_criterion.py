@@ -31,8 +31,8 @@ def test_closed_form_zero_family(fam0):
     assert closed_form_l(fam0, M0, S0) == pytest.approx(L_ZERO, abs=1e-12)
 
 
-def test_grid_limit_matches_closed_form(fam0, data0):
-    l, conf = limit_l(data0, M0, S0, fam=fam0)
+def test_grid_limit_matches_closed_form(data0):
+    l, conf = limit_l(data0, M0, S0)
     assert l == pytest.approx(L_ZERO, abs=1e-6)
     assert conf < 1e-6
 
@@ -63,7 +63,7 @@ def test_negative_limit_family():
                              c_prime=-1.0, a_prime=1.0, b_prime=0.0)
     assert closed_form_l(fam, M0, S0) == pytest.approx(-0.5, abs=1e-12)
     data = asymptotic_data(fam)
-    l, conf = limit_l(data, M0, S0, fam=fam)
+    l, conf = limit_l(data, M0, S0)
     rep = classify(M0, S0, lambda_g=2.17, l=l, l_confidence=conf, l_closed=-0.5)
     assert rep.verdict is Verdict.NO_EXTREMAL
     assert "truncated" in rep.diagnostics["note"]

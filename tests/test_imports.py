@@ -1,14 +1,18 @@
-"""Every top-level import in the package is used or re-exported.
+"""Every top-level import in the package is used or re-exported, and
+every exported exception is raised somewhere.
 
-No linter ships with the toolkit, so this AST scan keeps unused imports
+No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
-somewhere in the module or be listed in its ``__all__``.
+somewhere in the module or be listed in its ``__all__``, and an
+exception class in ``mtcrit.__all__`` must appear in a ``raise``.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import mtcrit
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mtcrit"
 MODULES = sorted(SRC.glob("*.py"))
@@ -57,3 +61,33 @@ def test_scan_catches_an_unused_import():
                      "__all__ = ['z']\nprint(math.pi)\n")
     used = _used_names(tree) | _exported(tree)
     assert [n for n in _imported_names(tree) if n not in used] == ["json"]
+
+
+def _raised_names(tree: ast.Module) -> set:
+    """Names of the exceptions in `raise X`, `raise X(...)`, `raise m.X(...)`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                out.add(exc.attr)
+    return out
+
+
+def test_every_exported_exception_is_raised():
+    raised = set().union(*(_raised_names(ast.parse(p.read_text(), filename=str(p)))
+                           for p in MODULES))
+    exported = [name for name in mtcrit.__all__
+                if isinstance(getattr(mtcrit, name), type)
+                and issubclass(getattr(mtcrit, name), BaseException)]
+    assert exported
+    never = sorted(set(exported) - raised)
+    assert not never, f"exported but never raised: {never}"
+
+
+def test_raise_scan_reads_every_form():
+    tree = ast.parse("raise A\nraise B('x')\nraise m.C('y') from None\n"
+                     "try:\n    pass\nexcept D:\n    raise\n")
+    assert _raised_names(tree) == {"A", "B", "C"}

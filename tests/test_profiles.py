@@ -97,6 +97,12 @@ def test_laplacian_profile_consistency(profiles, i):
         assert val == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
+def test_laplacian_profile_requires_profile():
+    # The profile is passed in; laplacian_profile never solves one itself.
+    with pytest.raises(TypeError):
+        laplacian_profile(1, np.array([1.0]))
+
+
 def test_rhs_signs():
     # RHS0 = 4 e^{-2T0}(T^2 - T) is negative for small r (T < 1), positive later
     assert float(_rhs(0, np.array([0.5]))[0]) < 0.0
@@ -112,8 +118,9 @@ def test_profile_integrals_identities(integrals):
 
 
 def test_profile_integrals_rejects_short_range():
+    short = {i: solve_profile(i, r_max=500.0) for i in range(3)}
     with pytest.raises(ValueError):
-        profile_integrals(r_max=500.0)
+        profile_integrals(short)
 
 
 def test_solve_profile_rejects_bad_index():
