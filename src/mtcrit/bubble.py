@@ -38,6 +38,12 @@ class BlowDownError(RuntimeError):
     """The shot solution hit zero before the concentration radius."""
 
 
+# Both expansion checks take their sups over y >= _Y_FLOOR; the source
+# check weights its residual by e^{_DELTA0_TILDE t}.
+_Y_FLOOR = 0.25
+_DELTA0_TILDE = 0.75
+
+
 def lambda_from_level(gamma: float, M: float) -> float:
     """Leading-order multiplier 4 / (gamma^2 e^{1+M}) used to seed shooting."""
     if gamma <= 0:
@@ -163,12 +169,12 @@ def _A_and_xi(sol: BubbleSolution, data) -> tuple[float, float]:
 
 
 def verify_expansion(sol: BubbleSolution, data, profiles: dict,
-                     y_floor: float = 0.25, t_cap: float | None = None) -> ExpansionReport:
+                     t_cap: float | None = None) -> ExpansionReport:
     """Compare the shot bubble to its profile expansion on (0, rho].
 
     profiles maps {1: S1, 2: S2} (S0 uses its explicit formula).  The
     residual is normalized by t * (gamma^-5 + (|A| + xi)/gamma), the
-    paper-scale remainder bound.  Below y_floor the normalization t -> 0
+    paper-scale remainder bound.  Below _Y_FLOOR the normalization t -> 0
     amplifies integrator round-off, so the sup excludes that core (the
     quadratic vanishing there is reported separately as r0_gap).  t_cap
     restricts the window further; ladder comparisons use the smallest
@@ -186,18 +192,17 @@ def verify_expansion(sol: BubbleSolution, data, profiles: dict,
     model = (g - t_all / g + s0_explicit(y) / g**3 + profiles[1](y) / g**5
              + (A - 2.0 * x) * profiles[2](y) / g)
     R = B - model
-    m = mask & (y >= y_floor)
+    m = mask & (y >= _Y_FLOOR)
     norm = t_all[m] * (g**-5 + (abs(A) + x) / g)
     sup_norm = float(np.max(np.abs(R[m]) / norm))
     lead = float(np.max(np.abs(B[m] - (g - t_all[m] / g)) * g / t_all[m]))
-    core = mask & (y >= 0.01) & (y < y_floor)
+    core = mask & (y >= 0.01) & (y < _Y_FLOOR)
     near0 = float(np.max(np.abs(R[core]) / y[core] ** 2)) if np.any(core) else 0.0
     return ExpansionReport(gamma=g, sup_normalized=sup_norm, leading_sup=lead,
                            r0_gap=near0, details={"A": A, "xi": x, "t_cap": cap})
 
 
 def verify_source_expansion(sol: BubbleSolution, data, profiles: dict,
-                            delta0_tilde: float = 0.75, y_floor: float = 0.25,
                             t_cap: float | None = None) -> ExpansionReport:
     """Check the source identity lambda Psi'(B)/2 against its expansion.
 
@@ -206,14 +211,14 @@ def verify_source_expansion(sol: BubbleSolution, data, profiles: dict,
     (Lap read off the profile ODEs; the e^{2t}/4 factor undoes the source
     weight each Lap(S_i) carries, which is what the expansion of Psi'
     around gamma produces order by order).  The sup residual is weighted
-    by zeta e^{delta0_tilde t} relative to the local source size; the
-    same y_floor/t_cap windowing as verify_expansion applies.
+    by zeta e^{_DELTA0_TILDE t} relative to the local source size; the
+    same _Y_FLOOR/t_cap windowing as verify_expansion applies.
     """
     g = sol.gamma
     y = sol.y_grid[1:]
     t = np.log1p(y * y)
     cap = g if t_cap is None else t_cap
-    mask = (t <= cap) & (y >= y_floor)
+    mask = (t <= cap) & (y >= _Y_FLOOR)
     y, t = y[mask], t[mask]
     B = sol.values[1:][mask]
     A, x = _A_and_xi(sol, data)
@@ -226,7 +231,7 @@ def verify_source_expansion(sol: BubbleSolution, data, profiles: dict,
     rhs = base * (1.0 + w * laplacian_profile(0, y, s0_explicit) / g**2
                   + w * laplacian_profile(1, y, profiles[1]) / g**4
                   + (A - 2.0 * x) * w * laplacian_profile(2, y, profiles[2]))
-    weighted = float(np.max(np.abs(lhs - rhs) / (base * zeta * np.exp(delta0_tilde * t))))
+    weighted = float(np.max(np.abs(lhs - rhs) / (base * zeta * np.exp(_DELTA0_TILDE * t))))
 
     _, psi_p0 = eval_psi_N(sol.fam, sol.N, g)
     lhs0 = 0.5 * sol.lam * psi_p0

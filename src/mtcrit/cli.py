@@ -100,8 +100,10 @@ def cmd_criterion(cfg: dict, args) -> int:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "criterion")
     grid = cfg.get("gamma_grid", list(DEFAULT_GAMMA_GRID))
-    if list(grid) != sorted(grid) or len(grid) < 3:
-        raise ConfigError("field 'gamma_grid': need >= 3 increasing values")
+    # limit_l extrapolates in 1/log(gamma) over the last three grid steps
+    if len(grid) < 4 or grid[0] <= 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("field 'gamma_grid': need >= 4 strictly increasing values, "
+                          "all > 1")
     data = asymptotic_data(fam)
 
     rep_robin = robin_report(dom, data.F)

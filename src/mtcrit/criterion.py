@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily
+from .perturbation import AsymptoticData, PerturbationFamily
 
 __all__ = [
     "Verdict",
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_GAMMA_GRID = tuple(math.exp(k) for k in range(2, 9))
+# Largest spread of the last three grid extrapolants that still counts as a limit.
+_SPREAD_THRESHOLD = 0.25
 
 
 class ZeroDenominatorError(ArithmeticError):
@@ -76,36 +78,33 @@ def _powerlog_pieces(fam: PerturbationFamily, M: float, S: float):
 
     Returns (numerator pieces, denominator pieces).  The B-coefficient
     contributes two pieces (constant part from g(0), power-log part from
-    the zero behavior); only leading pieces matter for the limit.
+    the zero behavior); only leading pieces matter for the limit.  A Zero
+    family has c = c' = 0 and g0 = 0, so only the gamma^-4 pieces remain.
     """
     cS = 4.0 * S * math.exp(-1.0 - M)
     num = [(1.0, 4.0, 0.0), (cS * (1.0 + fam.g0), 4.0, 0.0)]
     den = [(1.0, 4.0, 0.0), (1.0 + fam.g0, 4.0, 0.0)]
-    if fam.kind is FamilyKind.POWER_LOG:
-        if fam.c_prime != 0.0:
-            if fam.a_prime > 0.0:
-                piece = (fam.c_prime * fam.a_prime, fam.a_prime + 2.0, fam.b_prime)
-            else:
-                piece = (fam.c_prime * fam.b_prime, 2.0, fam.b_prime + 1.0)
-            num.append((0.5 * piece[0], piece[1], piece[2]))
-            den.append((abs(piece[0]), piece[1], piece[2]))
-        if fam.c != 0.0:
-            coeff = 0.5 * fam.c * (fam.a + 1.0)
-            num.append((cS * coeff, 3.0 + fam.a, fam.b))
-            den.append((abs(coeff), 3.0 + fam.a, fam.b))
+    if fam.c_prime != 0.0:
+        if fam.a_prime > 0.0:
+            piece = (fam.c_prime * fam.a_prime, fam.a_prime + 2.0, fam.b_prime)
+        else:
+            piece = (fam.c_prime * fam.b_prime, 2.0, fam.b_prime + 1.0)
+        num.append((0.5 * piece[0], piece[1], piece[2]))
+        den.append((abs(piece[0]), piece[1], piece[2]))
+    if fam.c != 0.0:
+        coeff = 0.5 * fam.c * (fam.a + 1.0)
+        num.append((cS * coeff, 3.0 + fam.a, fam.b))
+        den.append((abs(coeff), 3.0 + fam.a, fam.b))
     return num, den
 
 
-def closed_form_l(fam: PerturbationFamily, M: float, S: float) -> float | None:
+def closed_form_l(fam: PerturbationFamily, M: float, S: float) -> float:
     """Limit of the ratio by exponent bookkeeping (PowerLog/zero families).
 
     Every term decays like gamma^-p (log gamma)^-q; the limit is the
     coefficient sum of the lexicographically slowest-decaying (p, q) in
-    the numerator over the same in the denominator.  Returns None for
-    tabulated families (no closed form).
+    the numerator over the same in the denominator.
     """
-    if fam.kind is FamilyKind.TABULATED:
-        return None
     num, den = _powerlog_pieces(fam, M, S)
     key = min((p, q) for _, p, q in den)
     den_sum = sum(c for c, p, q in den if (p, q) == key)
@@ -114,15 +113,13 @@ def closed_form_l(fam: PerturbationFamily, M: float, S: float) -> float | None:
 
 
 def limit_l(data: AsymptoticData, M: float, S: float,
-            gamma_grid=DEFAULT_GAMMA_GRID,
-            spread_threshold: float = 0.25) -> tuple[float, float]:
+            gamma_grid=DEFAULT_GAMMA_GRID) -> tuple[float, float]:
     """Extrapolate the ratio over a log-spaced gamma grid.
 
     Returns (l, confidence).  The grid values carry 1/log(gamma)-scale
     corrections, so one Richardson step in 1/log(gamma) is applied and
     the spread of the extrapolants is the confidence width.  Raises
-    NoLimit when the raw values oscillate by more than spread_threshold
-    after extrapolation.
+    NoLimitError when the extrapolants spread by more than _SPREAD_THRESHOLD.
     """
     grid = sorted(gamma_grid)
     if len(grid) < 4:
@@ -135,7 +132,7 @@ def limit_l(data: AsymptoticData, M: float, S: float,
     tail = extr[-3:]
     l_grid = tail[-1]
     confidence = max(tail) - min(tail)
-    if confidence > spread_threshold:
+    if confidence > _SPREAD_THRESHOLD:
         raise NoLimitError(f"ratio grid oscillates: spread {confidence:.3g}")
     return l_grid, confidence
 
@@ -146,7 +143,7 @@ class CriterionReport:
     S: float
     lambda_g: float
     pi_e_level: float
-    l_closed: float | None
+    l_closed: float
     l_grid: float
     l_confidence: float
     verdict: Verdict
@@ -162,29 +159,26 @@ class CriterionReport:
 
 
 def classify(M: float, S: float, lambda_g: float, l: float, l_confidence: float,
-             l_closed: float | None = None, lambda_gap: float = 0.0,
+             l_closed: float, lambda_gap: float = 0.0,
              diagnostics: dict | None = None) -> CriterionReport:
     """Assemble the existence verdict from the computed quantities.
 
-    l is the grid extrapolant of limit_l and l_confidence its spread.  When
-    the closed form l_closed exists it decides the sign, and its distance
-    to the grid value widens the reported confidence.
+    l is the grid extrapolant of limit_l and l_confidence its spread.  The
+    closed form l_closed decides the sign, and its distance to the grid
+    value widens the reported confidence.
     lambda_gap is the reported optimization gap of the Lambda_g solve;
     comparisons within the gap are treated as undecided.  For the
     no-extremal branch the conclusion applies to the truncations g_N for
     all N large (the statement is asymptotic in the truncation order).
     """
     level = math.pi * math.exp(1.0 + M)
-    decided = l
-    if l_closed is not None:
-        decided = l_closed
-        l_confidence = max(l_confidence, abs(l_closed - l))
+    l_confidence = max(l_confidence, abs(l_closed - l))
     diag = dict(diagnostics or {})
-    if decided > l_confidence:
+    if l_closed > l_confidence:
         verdict = Verdict.EXISTS_L
     elif lambda_g - lambda_gap >= level:
         verdict = Verdict.EXISTS_LAMBDA
-    elif decided < -l_confidence and lambda_g + lambda_gap < level:
+    elif l_closed < -l_confidence and lambda_g + lambda_gap < level:
         verdict = Verdict.NO_EXTREMAL
         diag["note"] = ("no extremal for the truncated perturbations g_N, "
                         "N large; the truncation threshold is non-constructive")

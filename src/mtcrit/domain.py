@@ -1,5 +1,5 @@
 """Planar domain models: Green function, Robin function, first Dirichlet
-eigenvalue, area and singularity-aware quadrature.
+eigenvalue and singularity-aware quadrature.
 
 Sign convention throughout: the Laplacian is -d_xx - d_yy, so the Green
 function is written
@@ -60,17 +60,10 @@ class DomainModel:
     shape: Shape = Shape.UNIT_DISK
     width: float = 1.0
     height: float = 1.0
-    quad_order: int = 64
 
     def __post_init__(self):
         if self.shape is Shape.RECTANGLE and (self.width <= 0 or self.height <= 0):
             raise ValueError("rectangle sides must be positive")
-
-    @property
-    def area(self) -> float:
-        if self.shape is Shape.UNIT_DISK:
-            return math.pi
-        return self.width * self.height
 
     def contains(self, p, margin: float = 0.0) -> bool:
         x, y = float(p[0]), float(p[1])
@@ -84,38 +77,11 @@ class DomainModel:
             return 1.0 - math.hypot(x, y)
         return min(x, self.width - x, y, self.height - y)
 
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Global rule (nodes (n,2), weights (n,)); weights sum to |Omega|."""
-        n = self.quad_order
-        xg, wg = leggauss(n)
-        if self.shape is Shape.UNIT_DISK:
-            # tensor rule in (r, theta); r-nodes from Gauss on [0,1] with
-            # the r dr Jacobian
-            r = 0.5 * (xg + 1.0)
-            wr = 0.5 * wg * r
-            theta = math.pi * (xg + 1.0)
-            wt = math.pi * wg
-            R, T = np.meshgrid(r, theta, indexing="ij")
-            WR, WT = np.meshgrid(wr, wt, indexing="ij")
-            pts = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
-            w = (WR * WT).ravel()
-        else:
-            x = 0.5 * self.width * (xg + 1.0)
-            y = 0.5 * self.height * (xg + 1.0)
-            wx = 0.5 * self.width * wg
-            wy = 0.5 * self.height * wg
-            X, Y = np.meshgrid(x, y, indexing="ij")
-            WX, WY = np.meshgrid(wx, wy, indexing="ij")
-            pts = np.column_stack([X.ravel(), Y.ravel()])
-            w = (WX * WY).ravel()
-        return pts, w
-
     def to_json(self) -> dict:
         return {
             "shape": self.shape.value,
             "width": self.width,
             "height": self.height,
-            "quad_order": self.quad_order,
         }
 
     @staticmethod
@@ -126,7 +92,6 @@ class DomainModel:
             shape=Shape(obj.get("shape", "UnitDisk")),
             width=obj.get("width", 1.0),
             height=obj.get("height", 1.0),
-            quad_order=obj.get("quad_order", 64),
         )
 
 
@@ -300,6 +265,12 @@ def first_eigenfunction(dom: DomainModel) -> RadialEigenfunction:
 
 # -- singularity-aware integration over the domain ---------------------------
 
+# Gauss nodes per angular segment and per radial panel, and the number of
+# geometric radial panels (ratio 1/2) graded toward the pole.
+_N_THETA = 48
+_N_R = 48
+_N_PANELS = 14
+
 
 def _ray_lengths(dom: DomainModel, z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Distances from z to the boundary along the directions thetas."""
@@ -329,9 +300,6 @@ def integrate_around_pole(
     dom: DomainModel,
     z,
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    n_theta: int = 48,
-    n_r: int = 48,
-    n_panels: int = 14,
 ) -> float:
     """Integrate f(r, points) over the domain in polar coordinates around z.
 
@@ -340,10 +308,10 @@ def integrate_around_pole(
     that log-power singularities of Green-type integrands are resolved.
     """
     z = np.asarray(z, dtype=float)
-    xg, wg = leggauss(n_r)
-    tg, twg = leggauss(n_theta)
+    xg, wg = leggauss(_N_R)
+    tg, twg = leggauss(_N_THETA)
     # geometric panels [R q^(k+1), R q^k], q = 1/2, the innermost one down to 0
-    edges = np.append(0.5 ** np.arange(n_panels + 1), 0.0)[None, :, None]
+    edges = np.append(0.5 ** np.arange(_N_PANELS + 1), 0.0)[None, :, None]
     segs = [0.0] + _corner_angles(dom, z) + [2.0 * math.pi]
     segs = sorted(set(s % (2.0 * math.pi) if s > 0 else s for s in segs))
     if segs[-1] < 2.0 * math.pi:
@@ -371,6 +339,12 @@ def integrate_around_pole(
 
 # -- Robin report -------------------------------------------------------------
 
+# Maximizers within _TOL_K of the maximum form K.  The search scans a
+# _GRID_N x _GRID_N grid kept _BOUNDARY_MARGIN (relative) inside the domain.
+_TOL_K = 1e-8
+_GRID_N = 41
+_BOUNDARY_MARGIN = 0.05
+
 
 @dataclass
 class RobinReport:
@@ -393,24 +367,22 @@ class RobinReport:
 def robin_report(
     dom: DomainModel,
     F: Callable[[np.ndarray], np.ndarray],
-    tol_K: float = 1e-8,
-    grid_n: int = 41,
-    boundary_margin: float = 0.05,
 ) -> RobinReport:
     """Maximize the Robin function and evaluate the concentration integral.
 
-    Returns M = max Robin, the maximizer set K (within tol_K after local
+    Returns M = max Robin, the maximizer set K (within _TOL_K after local
     refinement) and S = max over K of int_Omega G_z F(4 pi G_z).
     """
+    m = _BOUNDARY_MARGIN
     if dom.shape is Shape.UNIT_DISK:
-        xs = np.linspace(-1.0 + boundary_margin, 1.0 - boundary_margin, grid_n)
+        xs = np.linspace(-1.0 + m, 1.0 - m, _GRID_N)
         ys = xs
     else:
-        xs = np.linspace(boundary_margin * dom.width, (1 - boundary_margin) * dom.width, grid_n)
-        ys = np.linspace(boundary_margin * dom.height, (1 - boundary_margin) * dom.height, grid_n)
+        xs = np.linspace(m * dom.width, (1 - m) * dom.width, _GRID_N)
+        ys = np.linspace(m * dom.height, (1 - m) * dom.height, _GRID_N)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     grid = np.column_stack([X.ravel(), Y.ravel()])
-    grid = grid[[dom.contains(p, margin=boundary_margin * 0.5) for p in grid]]
+    grid = grid[[dom.contains(p, margin=m * 0.5) for p in grid]]
     vals = _robin_array(dom, grid)
     # refine the top candidates
     refined = []
@@ -426,9 +398,9 @@ def robin_report(
         seen.append(q)
         refined.append((-res.fun, q))
     M = max(v for v, _ in refined)
-    if dom.boundary_distance(refined[0][1]) < boundary_margin * 0.5:
+    if dom.boundary_distance(refined[0][1]) < m * 0.5:
         raise DegenerateMaxError("Robin maximizer hit the boundary margin")
-    K = [q for v, q in refined if abs(v - M) <= tol_K]
+    K = [q for v, q in refined if abs(v - M) <= _TOL_K]
 
     best_S, best_z = -math.inf, K[0]
     for zk in K:
@@ -440,4 +412,4 @@ def robin_report(
         if Sk > best_S:
             best_S, best_z = Sk, zk
     return RobinReport(M=float(M), K=[tuple(map(float, q)) for q in K],
-                       S=float(best_S), argmax_S=tuple(map(float, best_z)), tol_K=tol_K)
+                       S=float(best_S), argmax_S=tuple(map(float, best_z)), tol_K=_TOL_K)

@@ -4,7 +4,7 @@ The toolkit works with integrands of the form (1 + g(u)) * exp(u^2) where g
 is an even C^1 perturbation with g > -1 and g -> 0 at infinity.  This module
 provides:
 
-* the perturbation families (zero, power-log branches, tabulated knots),
+* the perturbation families (zero, power-log branches),
 * the derived functions H, g_N, Psi_N, phi_N and the truncation weight xi,
 * the asymptotic data (A, B, F, kappa) attached to a family,
 * a numerical validator for the asymptotic hypotheses.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -56,7 +56,6 @@ class ExponentBudgetError(OverflowError):
 class FamilyKind(str, Enum):
     ZERO = "Zero"
     POWER_LOG = "PowerLog"
-    TABULATED = "Tabulated"
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,8 @@ class PerturbationFamily:
         g(t) = g0 + c * t^(a+1) * log(1/t)^(-b)        for t <= 1/R'
         g(t) = c' * t^(-a') * (log t)^(-b')            for t >= R'
 
-    joined on [1/R', R'] by a quintic C^1 Hermite blend (see `_blend`).
-    kind = Tabulated interpolates user-supplied (t, g, g') knots.
+    joined on [1/R', R'] by a quintic C^1 Hermite blend (see `_blend_coeffs`).
+    A Zero family leaves every PowerLog field at its default.
     """
 
     kind: FamilyKind = FamilyKind.ZERO
@@ -82,12 +81,16 @@ class PerturbationFamily:
     b_prime: float = 0.0
     R_prime: float = 10.0
     g0: float = 0.0
-    knots: tuple[tuple[float, float, float], ...] = ()
     _hermite: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", FamilyKind(self.kind))
-        if self.kind is FamilyKind.POWER_LOG:
+        if self.kind is FamilyKind.ZERO:
+            given = [f.name for f in fields(self) if f.name not in ("kind", "_hermite")
+                     and getattr(self, f.name) != f.default]
+            if given:
+                raise ValueError(f"a Zero family takes no other field (got {', '.join(given)})")
+        else:
             if self.R_prime <= 1.0:
                 raise ValueError("R_prime must exceed 1")
             for (cc, aa, bb), tag in (
@@ -98,11 +101,6 @@ class PerturbationFamily:
                     raise ValueError(f"{tag} must lie in E: a >= 0 and b > 0 if a = 0")
             self._check_admissible_tail()
             object.__setattr__(self, "_hermite", self._blend_coeffs())
-        elif self.kind is FamilyKind.TABULATED:
-            if len(self.knots) < 2:
-                raise ValueError("Tabulated family needs at least two knots")
-        if self.kind is not FamilyKind.POWER_LOG and self.g0 <= -1.0:
-            raise NonAdmissibleError("g(0) <= -1")
 
     # -- PowerLog branches ------------------------------------------------
 
@@ -209,8 +207,6 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
     if fam.kind is FamilyKind.ZERO:
         g = np.zeros_like(t)
         dg = np.zeros_like(t)
-    elif fam.kind is FamilyKind.TABULATED:
-        g, dg = _eval_tabulated(fam, t)
     else:
         g, dg = _eval_power_log(fam, t)
     if np.any(g <= -1.0):
@@ -244,21 +240,6 @@ def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
     q = h0 + h1 * x + h2 * x**2 + c3 * x**3 + c4 * x**4 + c5 * x**5
     dqdx = h1 + 2 * h2 * x + 3 * c3 * x**2 + 4 * c4 * x**3 + 5 * c5 * x**4
     return q, dqdx / (L * t)
-
-
-def _eval_tabulated(fam: PerturbationFamily, t: np.ndarray):
-    from scipy.interpolate import CubicHermiteSpline
-
-    ts = np.array([k[0] for k in fam.knots])
-    gs = np.array([k[1] for k in fam.knots])
-    ds = np.array([k[2] for k in fam.knots])
-    spl = CubicHermiteSpline(ts, gs, ds)
-    tcl = np.clip(t, ts[0], ts[-1])
-    g = spl(tcl)
-    dg = spl.derivative()(tcl)
-    dg[(t < ts[0]) | (t > ts[-1])] = 0.0
-    g[t > ts[-1]] = gs[-1]
-    return g, dg
 
 
 def eval_H(fam: PerturbationFamily, t) -> np.ndarray | float:
@@ -367,23 +348,18 @@ def xi(N: int, gamma: float) -> float:
 @dataclass(frozen=True)
 class AsymptoticData:
     """Closed-form decay data of a family: infinity-side coefficient A,
-    zero-side coefficient B, profile F(t) = eps0 * t^kappa."""
+    zero-side coefficient B, profile F(t) = t^kappa."""
 
     A: Callable[[np.ndarray], np.ndarray]
     B: Callable[[np.ndarray], np.ndarray]
     kappa: float
-    eps_tilde0: int = 1
-    delta0: float = 0.5
-    delta0_prime: float = 0.5
 
     def F(self, t):
-        return self.eps_tilde0 * np.asarray(t, dtype=float) ** self.kappa
+        return np.asarray(t, dtype=float) ** self.kappa
 
 
 def asymptotic_data(fam: PerturbationFamily) -> AsymptoticData:
     """Closed-form A, B, F, kappa for the Zero and PowerLog families."""
-    if fam.kind is FamilyKind.TABULATED:
-        raise ValueError("asymptotic data must be supplied by the user for Tabulated")
     if fam.kind is FamilyKind.ZERO:
         return AsymptoticData(
             A=lambda gam: np.zeros_like(np.asarray(gam, dtype=float)),

@@ -228,8 +228,7 @@ def profile_integrals(profiles: dict) -> dict:
 
     A_check = []
     for k, pr in enumerate(profs):
-        val = radial(lambda r, k=k, pr=pr: float(_rhs(k, r)) +
-                     8.0 * math.exp(-2.0 * math.log1p(r * r)) * float(pr(r)))
+        val = radial(lambda r, k=k, pr=pr: laplacian_profile(k, r, pr))
         A_check.append(val)
     return {"I_S0": I_S0, "I_T0sq": I_T0sq, "A_check": A_check,
             "B": [pr.B for pr in profs], "A": [pr.A for pr in profs]}

@@ -39,10 +39,18 @@ class RootFailError(RuntimeError):
     """The height equation for the model scale has no bracketed root."""
 
 
-def make_grid(n: int = 2000, kappa: float = 3.0) -> np.ndarray:
+# sinh grading of the radial grid toward r = 0 and r = 1
+_GRID_KAPPA = 3.0
+# _ascend stops after _MAX_ITER steps, or once the relative gain of three
+# steps in a row falls below _RTOL
+_MAX_ITER = 4000
+_RTOL = 1e-12
+
+
+def make_grid(n: int = 2000) -> np.ndarray:
     """Radial grid on [0,1], sinh-graded toward both endpoints."""
     x = np.linspace(-1.0, 1.0, n)
-    r = 0.5 * (1.0 + np.sinh(kappa * x) / math.sinh(kappa))
+    r = 0.5 * (1.0 + np.sinh(_GRID_KAPPA * x) / math.sinh(_GRID_KAPPA))
     r[0], r[-1] = 0.0, 1.0
     return r
 
@@ -57,6 +65,13 @@ def _stiffness(r: np.ndarray) -> np.ndarray:
     ab[1, 1:] += k
     ab[0, 1:] = -k
     return ab
+
+
+def _energy(ab: np.ndarray, u: np.ndarray) -> float:
+    """Dirichlet energy of nodal values u, trapezoid-on-gradient form of
+    the stiffness band ab."""
+    k = ab[0, 1:]
+    return float(np.sum(-k * (u[1:] - u[:-1]) ** 2))
 
 
 def _load_weights(r: np.ndarray) -> np.ndarray:
@@ -84,9 +99,7 @@ class GridFunction:
 
     def energy(self) -> float:
         """Dirichlet energy via the trapezoid-on-gradient (stiffness) form."""
-        u = self.values
-        k = self._ab[0, 1:]
-        return float(np.sum(-k * (u[1:] - u[:-1]) ** 2))
+        return _energy(self._ab, self.values)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -123,15 +136,13 @@ class ExtremalRun:
 
 
 def _project(u: np.ndarray, ab: np.ndarray, alpha: float) -> np.ndarray:
-    k = ab[0, 1:]
-    e = float(np.sum(-k * (u[1:] - u[:-1]) ** 2))
+    e = _energy(ab, u)
     if e > alpha:
         u = u * math.sqrt(alpha / e)
     return u
 
 
-def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float,
-            max_iter: int = 4000, rtol: float = 1e-12):
+def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float):
     """Projected gradient ascent in the H^1_0 metric with BB steps.
 
     value_grad takes a nodal vector (boundary node fixed at 0) and returns
@@ -151,10 +162,10 @@ def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float,
     u = _project(u0.copy(), ab, alpha)
     J, G = value_grad(u)
     d = riesz(G)
-    step = 0.1 * math.sqrt(alpha / max(float(np.sum(-ab[0, 1:] * (d[1:] - d[:-1]) ** 2)), 1e-300))
+    step = 0.1 * math.sqrt(alpha / max(_energy(ab, d), 1e-300))
     stall = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         accepted = False
         s = step
         for _ in range(40):
@@ -175,7 +186,7 @@ def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float,
         step = abs(num / denom) if denom * num != 0.0 else 2.0 * s
         d = d_new
         rel = abs(J - J_prev) / max(abs(J), 1e-300)
-        stall = stall + 1 if rel < rtol else 0
+        stall = stall + 1 if rel < _RTOL else 0
         if stall >= 3:
             break
     return u, J, G, it
@@ -275,8 +286,7 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
             "start": results[0][1], "u": GridFunction(r, results[0][2])}
 
 
-def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float,
-                  z=(0.0, 0.0)) -> dict:
+def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict:
     """Truncated-log test function at the disk center.
 
     v(r) = log((1+eps^2)/(eps^2+r^2)) vanishes on the boundary; it is
@@ -284,7 +294,7 @@ def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float,
     evaluated with the substitution s = log(eps^2 + r^2), which resolves
     the eps-scale concentration.
     """
-    if dom.shape is not Shape.UNIT_DISK or abs(z[0]) + abs(z[1]) > 0:
+    if dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("step1_testfun is radial at the disk center")
     if not 0.0 < eps <= 0.2:
         raise ValueError("eps must lie in (0, 0.2]")
@@ -325,8 +335,7 @@ def _green_source(data: AsymptoticData):
 
 
 def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
-                         data: AsymptoticData, profiles: dict, gamma: float,
-                         z=(0.0, 0.0)) -> dict:
+                         data: AsymptoticData, profiles: dict, gamma: float) -> dict:
     """Energy of the model concentration profile at the disk center.
 
     Builds the four-bracket test function (log core, S0/S1 corrections,
@@ -334,7 +343,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     condition U(0) = gamma for the core scale mu~, and reports the
     normalized energy gap (||U||^2/4pi - 1 - I_0(gamma)) / zeta-check.
     """
-    if dom.shape is not Shape.UNIT_DISK or abs(z[0]) + abs(z[1]) > 0:
+    if dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("model test function is radial at the disk center")
     g = gamma
     A = float(data.A(g))

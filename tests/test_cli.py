@@ -149,6 +149,24 @@ def test_rectangle_refused_before_solving(tmp_path, capsys, monkeypatch, cmd):
     assert solves == []
 
 
+@pytest.mark.parametrize("payload,field", [
+    ({"family": {"kind": "Tabulated"}}, "family"),
+    ({"family": {"kind": "Zero", "g0": 0.5}}, "family"),
+    ({"gamma_grid": [7.0, 20.0, 55.0]}, "gamma_grid"),
+    ({"gamma_grid": [7.0, 20.0, 20.0, 55.0, 150.0]}, "gamma_grid"),
+    ({"gamma_grid": [1.0, 7.0, 20.0, 55.0]}, "gamma_grid"),
+], ids=["tabulated", "zero-with-g0", "three-values", "repeated", "gamma-1"])
+def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
+                                                 payload, field):
+    solves = []
+    for name in ("robin_report", "lambda_g_report"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: solves.append(_n))
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert solves == []
+
+
 @pytest.mark.parametrize("cmd,payload", [
     ("profiles", {}),
     ("extremal", {"alpha_ladder": [0.7], "starts": ["flat"]}),

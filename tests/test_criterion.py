@@ -72,13 +72,14 @@ def test_negative_limit_family():
 def test_classify_branches():
     level = math.pi * math.e
     # l decisively positive.
-    assert classify(0.0, 0.5, 2.0, 0.8, 1e-9).verdict is Verdict.EXISTS_L
+    assert classify(0.0, 0.5, 2.0, 0.8, 1e-9, l_closed=0.8).verdict is Verdict.EXISTS_L
     # l negative but Lambda_g above the level.
-    assert classify(0.0, 0.5, level + 0.1, -0.5, 1e-9).verdict is Verdict.EXISTS_LAMBDA
+    assert classify(0.0, 0.5, level + 0.1, -0.5, 1e-9,
+                    l_closed=-0.5).verdict is Verdict.EXISTS_LAMBDA
     # l negative and Lambda_g below the level.
-    assert classify(0.0, 0.5, 2.0, -0.5, 1e-9).verdict is Verdict.NO_EXTREMAL
+    assert classify(0.0, 0.5, 2.0, -0.5, 1e-9, l_closed=-0.5).verdict is Verdict.NO_EXTREMAL
     # l within its own confidence band and Lambda_g below: undecided.
-    assert classify(0.0, 0.5, 2.0, 0.0, 0.1).verdict is Verdict.INCONCLUSIVE
+    assert classify(0.0, 0.5, 2.0, 0.0, 0.1, l_closed=0.0).verdict is Verdict.INCONCLUSIVE
 
 
 def test_cor2_classifier():
@@ -129,12 +130,6 @@ def test_zero_denominator():
 
     with pytest.raises(ZeroDenominatorError):
         ratio_value(Tiny(), M0, S0, 1e100)
-
-
-def test_tabulated_has_no_closed_form():
-    fam = PerturbationFamily(kind=FamilyKind.TABULATED,
-                             knots=((0.0, 0.0, 0.0), (1.0, 0.1, 0.0)))
-    assert closed_form_l(fam, M0, S0) is None
 
 
 def test_ratio_curve_csv(tmp_path, data0):

@@ -1,10 +1,12 @@
-"""Every top-level import in the package is used or re-exported, and
-every exported exception is raised somewhere.
+"""Every top-level import in the package is used or re-exported, every
+definition is read, and every exported exception is raised somewhere.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
-somewhere in the module or be listed in its ``__all__``, and an
-exception class in ``mtcrit.__all__`` must appear in a ``raise``.
+somewhere in the module or be listed in its ``__all__``; a function,
+class, method or annotated class field must be read somewhere in the
+package or be listed in an ``__all__``; and an exception class in
+``mtcrit.__all__`` must appear in a ``raise``.
 """
 
 import ast
@@ -61,6 +63,61 @@ def test_scan_catches_an_unused_import():
                      "__all__ = ['z']\nprint(math.pi)\n")
     used = _used_names(tree) | _exported(tree)
     assert [n for n in _imported_names(tree) if n not in used] == ["json"]
+
+
+def _definitions(tree: ast.Module) -> list:
+    """(name, line) of every function, class, method and annotated class
+    field, dunders excepted."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            out.extend((item.target.id, item.lineno) for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+    return [(name, line) for name, line in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _read_names(tree: ast.Module) -> set:
+    """Names read as a variable or an attribute, or passed as a keyword."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            out.add(node.arg)
+    return out
+
+
+def _unread(trees: dict) -> list:
+    read = set().union(*(_read_names(t) | _exported(t) for t in trees.values()))
+    return [f"{mod}:{line} {name}" for mod, line, name in sorted(
+        (mod, line, name) for mod, tree in trees.items()
+        for name, line in _definitions(tree) if name not in read)]
+
+
+def test_every_definition_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    unread = _unread(trees)
+    assert not unread, f"defined but never read: {unread}"
+
+
+def test_definition_scan_catches_an_unread_name():
+    tree = ast.parse(
+        "__all__ = ['api']\n"
+        "def api(): return helper()\n"
+        "def helper(): return Box(size=1).width\n"
+        "def dead(): pass\n"
+        "class Box:\n"
+        "    size: int\n"
+        "    width: int = 0\n"
+        "    depth: int = 0\n"
+        "    def __init__(self, size): self.size = size\n"
+        "    def unused(self): pass\n")
+    assert _unread({"m.py": tree}) == ["m.py:4 dead", "m.py:8 depth", "m.py:10 unused"]
 
 
 def _raised_names(tree: ast.Module) -> set:

@@ -53,7 +53,7 @@ def test_blend_is_c1_at_junctions():
 
 def test_non_admissible_raises():
     with pytest.raises(NonAdmissibleError):
-        PerturbationFamily(g0=-1.0)
+        PerturbationFamily(kind=FamilyKind.POWER_LOG, g0=-1.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -112,7 +112,7 @@ def test_psi_full_exponential_for_zero_family():
 
 def test_g_N_tends_to_untruncated_quadratic():
     # phi_N(u^2) -> 0 on bounded u, so the truncation approaches (1+g)(1+u^2)
-    fam = PerturbationFamily(g0=0.5)
+    fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, g0=0.5)
     u = np.linspace(0.0, 2.0, 9)
     vals = np.asarray(g_N(fam, 40, u))
     target = np.asarray(g_N(fam, 200, u))

@@ -128,7 +128,7 @@ def test_step1_testfun(disk, fam0):
     with pytest.raises(ValueError):
         step1_testfun(disk, fam0, 0.5)
     with pytest.raises(NotImplementedError):
-        step1_testfun(disk, fam0, 0.01, z=(0.3, 0.0))
+        step1_testfun(DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0), fam0, 0.01)
 
 
 def test_model_testfun_sanity(disk, fam0, data0, profiles):
