@@ -41,6 +41,12 @@ class ConfigError(ValueError):
     """Malformed or missing configuration field."""
 
 
+# The top-level keys a scenario config may carry (README, "Command line").
+CONFIG_KEYS = frozenset({"family", "domain", "gamma_grid", "gamma_ladder",
+                         "alpha_ladder", "starts", "step1_eps", "model_gamma",
+                         "r_max", "eps0", "N", "robin_max"})
+
+
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -54,11 +60,17 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}): {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object ({path})")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"field {', '.join(map(repr, unknown))}: unknown config key")
+    return cfg
 
 
 def _family(cfg: dict) -> PerturbationFamily:
@@ -66,6 +78,14 @@ def _family(cfg: dict) -> PerturbationFamily:
         return PerturbationFamily.from_json(cfg.get("family", {}))
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"field 'family': {exc}") from exc
+
+
+def _order(cfg: dict) -> int:
+    """The truncation order N: an integer >= 1 (N = 1 is the full exponential)."""
+    N = cfg.get("N", 1)
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+        raise ConfigError(f"field 'N': must be an integer >= 1 (got {N!r})")
+    return N
 
 
 def _disk_domain(cfg: dict, command: str) -> DomainModel:
@@ -151,8 +171,10 @@ def cmd_profiles(cfg: dict, args) -> int:
 
 def cmd_bubble(cfg: dict, args) -> int:
     fam = _family(cfg)
-    N = int(cfg.get("N", 1))
+    N = _order(cfg)
     gammas = cfg.get("gamma_ladder", [3.0, 4.0, 5.0])
+    if not gammas or any(g <= 0 for g in gammas):
+        raise ConfigError("field 'gamma_ladder': need >= 1 value, all > 0")
     eps0 = float(cfg.get("eps0", 0.75))
     M = float(cfg.get("robin_max", 0.0))
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
@@ -186,11 +208,12 @@ def cmd_bubble(cfg: dict, args) -> int:
 def cmd_extremal(cfg: dict, args) -> int:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "extremal")
-    N = int(cfg.get("N", 1))
+    N = _order(cfg)
     fracs = cfg.get("alpha_ladder", [0.7, 0.8, 0.9, 0.95])
     alphas = [f * 4.0 * math.pi for f in fracs]
-    if any(a >= 4.0 * math.pi for a in alphas):
-        raise ConfigError("field 'alpha_ladder': alpha must stay below 4 pi")
+    if not alphas or any(not 0.0 < a < 4.0 * math.pi for a in alphas):
+        raise ConfigError("field 'alpha_ladder': need >= 1 value; alpha must lie "
+                          "in (0, 4 pi)")
     starts = tuple(cfg.get("starts", ["flat", "bubble", "eigen"]))
     if not starts:
         raise ConfigError("field 'starts': must be nonempty")

@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+# Keys of older configs that no longer configure anything: the quadrature
+# order and the image-layer count are fixed by the code now.
+RETIRED_DOMAIN_KEYS = frozenset({"quad_order", "image_layers"})
+
+
 class PoleCoincidenceError(ValueError):
     """Green function requested at coincident points."""
 
@@ -86,8 +91,15 @@ class DomainModel:
 
     @staticmethod
     def from_json(obj: dict | str) -> "DomainModel":
+        """Read the keys of `to_json`; an absent key takes its default, a
+        retired key is ignored and any other key is refused."""
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError("must be a JSON object")
+        unknown = sorted(set(obj) - {"shape", "width", "height"} - RETIRED_DOMAIN_KEYS)
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
         return DomainModel(
             shape=Shape(obj.get("shape", "UnitDisk")),
             width=obj.get("width", 1.0),

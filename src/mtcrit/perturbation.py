@@ -183,20 +183,17 @@ class PerturbationFamily:
 
     @staticmethod
     def from_json(obj: dict | str) -> "PerturbationFamily":
+        """Read the keys of `to_json`; an absent key takes its default and
+        an unknown key is refused."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        kind = FamilyKind(obj.get("kind", "Zero"))
-        return PerturbationFamily(
-            kind=kind,
-            c=obj.get("c", 0.0),
-            a=obj.get("a", 0.0),
-            b=obj.get("b", 0.0),
-            c_prime=obj.get("c_prime", 0.0),
-            a_prime=obj.get("a_prime", 0.0),
-            b_prime=obj.get("b_prime", 0.0),
-            R_prime=obj.get("R_prime", 10.0),
-            g0=obj.get("g0", 0.0),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("must be a JSON object")
+        keys = {f.name for f in fields(PerturbationFamily)} - {"_hermite"}
+        unknown = sorted(set(obj) - keys)
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
+        return PerturbationFamily(**obj)
 
 
 def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +234,9 @@ def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
     h0, h1, h2, c3, c4, c5 = fam._hermite
     L = 2.0 * math.log(fam.R_prime)
     x = (np.log(t) + 0.5 * L) / L
-    q = h0 + h1 * x + h2 * x**2 + c3 * x**3 + c4 * x**4 + c5 * x**5
-    dqdx = h1 + 2 * h2 * x + 3 * c3 * x**2 + 4 * c4 * x**3 + 5 * c5 * x**4
+    # Horner's rule for the quintic and its derivative
+    q = h0 + x * (h1 + x * (h2 + x * (c3 + x * (c4 + x * c5))))
+    dqdx = h1 + x * (2.0 * h2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
     return q, dqdx / (L * t)
 
 
@@ -312,6 +310,13 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
 
     Psi_N  = (1 + g(t)) (1 + t^2 + phi_N(t^2))
     Psi_N' = 2 t H(t) phi_N(t^2) + 2 t (1 + t^(2N)/N!) (1 + g) + g' (1 + t^2)
+
+    For N = 1, 1 + T + phi_1(T) = 1 + phi_0(T) = e^T with T = t^2, so
+
+    Psi_1  = (1 + g) e^T
+    Psi_1' = (2 t (1 + g) + g') e^T
+
+    is evaluated in closed form; N >= 2 goes through the incomplete gamma.
     """
     if N < 1:
         raise ValueError("N >= 1 required")
@@ -320,13 +325,20 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
     if np.any(T > EXP_BUDGET):
         raise ExponentBudgetError("t^2 exceeds the exponent budget")
     g, dg = eval_g(fam, t_arr)
-    ph = phi_N(N, T)
-    psi = (1.0 + g) * (1.0 + T + ph)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pow = np.where(T > 0, N * np.log(np.maximum(T, 1e-300)), -np.inf) - gammaln(N + 1)
-    powterm = np.where(T > 0, np.exp(log_pow), 0.0)
-    tH = np.where(t_arr > 0, t_arr + t_arr * g + dg / 2.0, 0.0)
-    dpsi = 2.0 * tH * ph + 2.0 * t_arr * (1.0 + powterm) * (1.0 + g) + dg * (1.0 + T)
+    if N == 1:
+        eT = np.exp(T)
+        psi = (1.0 + g) * eT
+        dpsi = (2.0 * t_arr * (1.0 + g) + dg) * eT
+    else:
+        ph = phi_N(N, T)
+        psi = (1.0 + g) * (1.0 + T + ph)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_pow = (np.where(T > 0, N * np.log(np.maximum(T, 1e-300)), -np.inf)
+                       - gammaln(N + 1))
+        powterm = np.where(T > 0, np.exp(log_pow), 0.0)
+        tH = np.where(t_arr > 0, t_arr + t_arr * g + dg / 2.0, 0.0)
+        dpsi = (2.0 * tH * ph + 2.0 * t_arr * (1.0 + powterm) * (1.0 + g)
+                + dg * (1.0 + T))
     if np.asarray(t).ndim == 0:
         return float(psi), float(dpsi)
     return psi, dpsi

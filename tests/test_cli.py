@@ -167,6 +167,90 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     assert solves == []
 
 
+@pytest.mark.parametrize("cmd,payload,field,named", [
+    ("bubble", {"N": 1.7}, "N", "1.7"),
+    ("extremal", {"N": 1.7}, "N", "1.7"),
+    ("bubble", {"N": 0}, "N", "0"),
+    ("extremal", {"N": True}, "N", "True"),
+    ("bubble", {"N": "1"}, "N", "'1'"),
+    ("bubble", {"gamma_ladder": []}, "gamma_ladder", "gamma_ladder"),
+    ("bubble", {"gamma_ladder": [3.0, 0.0]}, "gamma_ladder", "> 0"),
+    ("extremal", {"alpha_ladder": []}, "alpha_ladder", "alpha_ladder"),
+    ("extremal", {"alpha_ladder": [0.0, 0.9]}, "alpha_ladder", "(0, 4 pi)"),
+    ("criterion", {"gamma_grdi": [7.0, 20.0, 55.0, 150.0]}, "gamma_grdi", "unknown"),
+    ("bubble", {"family": {"kind": "PowerLog", "cprime": -1.0, "a_prime": 1.0}},
+     "family", "'cprime'"),
+    ("extremal", {"domain": {"shape": "UnitDisk", "radius": 2.0}}, "domain", "'radius'"),
+    ("criterion", {"domain": {"shape": "Rectangle", "widht": 3.0}}, "domain", "'widht'"),
+], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
+        "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
+        "alpha-ladder-zero", "top-level-key", "family-key", "domain-key",
+        "rectangle-key"])
+def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
+                                       field, named):
+    solves = []
+    for name in ("robin_report", "lambda_g_report", "solve_profile",
+                 "solve_subcritical", "ladder_reports", "step1_testfun"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: solves.append(_n))
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"field '{field}'" in err and named in err
+    assert "Error:" not in err  # a ConfigError message, not a bare exception
+    assert solves == []
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", [{"family": {"kind": "Zero"}}])
+    assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+# extremal.json at alpha = 0.9 * 4 pi, recorded before Psi_1 was evaluated in
+# closed form and the Hermite blend by Horner's rule.  The ascent must take
+# the same path (start, iterations, saturated exact); the floats may move in
+# their last digits, by at most the stated tolerance (about 100x the drift
+# measured when those two rewrites landed).
+EXTREMAL_RECORDED = {
+    "Zero": ({"kind": "Zero"}, {
+        "run": {"J": 9.504416349231679, "gamma": 2.3931477978342195,
+                "lambda": 0.4833439433139619, "el_residual": 1.3521311665251593e-06,
+                "start": "eigen", "iterations": 127, "saturated": True},
+        "step1_J": 13.70631733457586,
+        "model_testfun": {"normalized_gap": -1.1031703715039232, "mu": 6.0807003660391904e-06,
+                          "log_inv_mu2": 24.020781353675, "I_z": 0.002777207706990744},
+    }),
+    "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
+                  "b_prime": 0.682198}, {
+        "run": {"J": 9.586747468252343, "gamma": 2.3920231322531276,
+                "lambda": 0.4781814668785175, "el_residual": 1.4206786957103141e-06,
+                "start": "flat", "iterations": 127, "saturated": True},
+        "step1_J": 13.823925495572142,
+        "model_testfun": {"normalized_gap": -1.141519713931089, "mu": 6.1293018691968325e-06,
+                          "log_inv_mu2": 24.004859404143367, "I_z": 0.0035021511296146734},
+    }),
+}
+RUN_TOLERANCE = {"J": {"rel": 1e-15, "abs": 0.0}, "gamma": {"rel": 1e-15, "abs": 0.0},
+                 "lambda": {"rel": 8e-12, "abs": 0.0}, "el_residual": {"abs": 5e-12}}
+
+
+@pytest.mark.parametrize("name", list(EXTREMAL_RECORDED))
+def test_extremal_within_tolerance_of_recorded(tmp_path, name):
+    family, want = EXTREMAL_RECORDED[name]
+    cfg = _write(tmp_path, "cfg.json", {"family": family, "alpha_ladder": [0.9]})
+    assert main(["extremal", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "extremal.json").read_text())
+    (run,) = rep["runs"]
+    assert run["alpha"] == 0.9 * 4.0 * math.pi
+    for key in ("start", "iterations", "saturated"):
+        assert run[key] == want["run"][key], key
+    for key, tol in RUN_TOLERANCE.items():
+        assert run[key] == pytest.approx(want["run"][key], **tol), key
+    assert rep["step1"]["J"] == pytest.approx(want["step1_J"], rel=3e-16, abs=0.0)
+    for key, value in want["model_testfun"].items():
+        assert rep["model_testfun"][key] == pytest.approx(value, rel=1e-15, abs=0.0), key
+
+
 @pytest.mark.parametrize("cmd,payload", [
     ("profiles", {}),
     ("extremal", {"alpha_ladder": [0.7], "starts": ["flat"]}),

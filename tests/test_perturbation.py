@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mtcrit import perturbation
 from mtcrit import (
     FamilyKind,
     NonAdmissibleError,
@@ -145,3 +147,91 @@ def test_validate_hypotheses_powerlog():
     data = asymptotic_data(fam)
     rep = validate_hypotheses(fam, data, [math.exp(k) for k in range(3, 8)])
     assert rep.all_ok
+
+
+# -- Psi_1 in closed form ---------------------------------------------------
+
+# A PowerLog family with both branches active; t in [0, sqrt(700)] samples
+# its near-zero branch, the Hermite blend on [1/3, 3] and its infinity branch.
+BLENDED = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=-0.3, a=0.4, b=0.7, g0=0.2,
+                             c_prime=1.5, a_prime=0.5, b_prime=1.2, R_prime=3.0)
+PSI_FAMILIES = [PerturbationFamily(), BLENDED]
+T_MAX = math.sqrt(700.0)
+
+
+@pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
+def test_psi_1_needs_no_incomplete_gamma(monkeypatch, fam):
+    def no_gammainc(*args, **kwargs):
+        raise AssertionError("gammainc called while evaluating Psi_1")
+
+    monkeypatch.setattr(perturbation, "gammainc", no_gammainc)
+    t = np.linspace(0.0, T_MAX, 201)
+    psi, dpsi = eval_psi_N(fam, 1, t)
+    assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
+    for s in (0.0, 0.5, 2.0, float(t[-1])):
+        psi_s, dpsi_s = eval_psi_N(fam, 1, s)
+        assert isinstance(psi_s, float) and isinstance(dpsi_s, float)
+
+
+@pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
+@given(t=st.floats(min_value=0.0, max_value=T_MAX, allow_subnormal=False))
+@example(t=0.0)
+@example(t=0.5)
+@example(t=2.0)
+@example(t=T_MAX)
+@settings(max_examples=80, deadline=None)
+def test_psi_1_matches_mpmath(fam, t):
+    # Against (1 + g) e^T and (2 t (1 + g) + g') e^T in 40 digits, on the
+    # same float g, g' and T: a few ulp, scaled by 1 + T.  Psi_1' is bounded
+    # against the sum of its two terms' sizes, since g' may be negative.
+    psi, dpsi = eval_psi_N(fam, 1, t)
+    g, dg = eval_g(fam, t)
+    T = t * t
+    with mpmath.workdps(40):
+        eT = mpmath.exp(mpmath.mpf(T))
+        ref = (1 + mpmath.mpf(g)) * eT
+        dref = (2 * mpmath.mpf(t) * (1 + mpmath.mpf(g)) + mpmath.mpf(dg)) * eT
+        dscale = (abs(2 * mpmath.mpf(t) * (1 + mpmath.mpf(g))) + abs(mpmath.mpf(dg))) * eT
+        bound = 4.0 * np.finfo(float).eps * (1.0 + T)
+        assert abs(psi - ref) <= bound * ref
+        assert abs(dpsi - dref) <= bound * dscale
+
+
+@pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
+@given(t=st.floats(min_value=0.0, max_value=T_MAX, allow_subnormal=False))
+@example(t=1e-3)
+@settings(max_examples=80, deadline=None)
+def test_psi_1_and_psi_2_agree(fam, t):
+    # phi_1(T) = phi_2(T) + T^2/2 joins the closed form N = 1 to the
+    # incomplete-gamma path N >= 2; each side is a sum of positive terms
+    # (g' may be negative, so Psi' is bounded against its terms' sizes).
+    psi1, dpsi1 = eval_psi_N(fam, 1, t)
+    psi2, dpsi2 = eval_psi_N(fam, 2, t)
+    g, dg = eval_g(fam, t)
+    T = t * t
+    assert psi1 == pytest.approx(psi2 + (1.0 + g) * T * T / 2.0, rel=1e-13, abs=0.0)
+    scale = (2.0 * t * (1.0 + g) + abs(dg)) * math.exp(T)
+    rhs = dpsi2 + 2.0 * t**3 * (1.0 + g) + dg * t**4 / 2.0
+    assert abs(dpsi1 - rhs) <= 1e-13 * scale
+
+
+def _blend_power_form(fam, t):
+    """The quintic blend and its derivative summed term by term in powers."""
+    h0, h1, h2, c3, c4, c5 = fam._hermite
+    L = 2.0 * math.log(fam.R_prime)
+    x = (np.log(t) + 0.5 * L) / L
+    terms = [h0, h1 * x, h2 * x**2, c3 * x**3, c4 * x**4, c5 * x**5]
+    dterms = [h1, 2 * h2 * x, 3 * c3 * x**2, 4 * c4 * x**3, 5 * c5 * x**4]
+    return (sum(terms), sum(dterms) / (L * t),
+            sum(np.abs(v) for v in terms), sum(np.abs(v) for v in dterms) / (L * t))
+
+
+@pytest.mark.parametrize("fam", [BLENDED, PerturbationFamily(
+    kind=FamilyKind.POWER_LOG, c_prime=1.256171, a_prime=2.593292, b_prime=0.682198)],
+    ids=["both-branches", "infinity-branch"])
+def test_horner_blend_matches_power_form(fam):
+    t = np.geomspace(1.0 / fam.R_prime, fam.R_prime, 403)[1:-1]
+    g, dg = eval_g(fam, t)
+    q, dq, q_scale, dq_scale = _blend_power_form(fam, t)
+    assert np.all(np.abs(g - q) <= 1e-13 * q_scale)
+    assert np.all(np.abs(dg - dq) <= 1e-13 * dq_scale)
