@@ -12,13 +12,13 @@ profiles S0, S1, S2.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .csvout import write_csv
 from .perturbation import PerturbationFamily, eval_H, eval_psi_N, log_phi_N, xi
 from .profiles import StepFailureError, laplacian_profile, s0_explicit
 
@@ -81,18 +81,10 @@ class BubbleSolution:
         out = np.log1p(y * y)
         return float(out) if out.ndim == 0 else out
 
-    def to_csv(self, path: str, extra: dict | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = ["r", "B", "dB_dr", "t"]
-            cols = [self.y_grid * self.mu, self.values, self.derivs / self.mu,
-                    np.log1p(self.y_grid**2)]
-            if extra:
-                header += list(extra)
-                cols += [np.asarray(v) for v in extra.values()]
-            w.writerow(header)
-            for row in zip(*cols):
-                w.writerow([f"{v:.17g}" for v in row])
+    def to_csv(self, path: str) -> None:
+        write_csv(path, ["r", "B", "dB_dr", "t"],
+                  [self.y_grid * self.mu, self.values, self.derivs / self.mu,
+                   np.log1p(self.y_grid**2)])
 
 
 def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float, lam: float) -> float:
@@ -152,7 +144,7 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float, lam: float,
 class ExpansionReport:
     gamma: float
     sup_normalized: float
-    leading_sup: float
+    leading_sup: float | None  # None on source reports, which have no leading term
     r0_gap: float
     details: dict = field(default_factory=dict)
 
@@ -237,7 +229,7 @@ def verify_source_expansion(sol: BubbleSolution, data, profiles: dict,
     lhs0 = 0.5 * sol.lam * psi_p0
     rhs0 = 4.0 / (sol.mu**2 * g)
     r0_gap = abs(lhs0 - rhs0) / abs(lhs0)
-    return ExpansionReport(gamma=g, sup_normalized=weighted, leading_sup=float("nan"),
+    return ExpansionReport(gamma=g, sup_normalized=weighted, leading_sup=None,
                            r0_gap=r0_gap, details={"zeta": zeta, "A": A, "xi": x})
 
 

@@ -107,7 +107,7 @@ def _write_report(out_dir: str, name: str, payload: dict, cfg: dict) -> str:
     payload["version"] = __version__
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
+        fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
         fh.write("\n")
     return path
 

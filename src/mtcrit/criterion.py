@@ -13,11 +13,11 @@ perturbations admit no extremal when l < 0 and Lambda_g < pi e^{1+M}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .csvout import write_csv
 from .perturbation import AsymptoticData, PerturbationFamily
 
 __all__ = [
@@ -215,8 +215,5 @@ def nonasympt_condition(lambda1: float, M: float, A_bar: float) -> bool:
 def ratio_curve_csv(path: str, data: AsymptoticData, M: float, S: float,
                     gamma_grid=DEFAULT_GAMMA_GRID) -> None:
     """Emit the (gamma, ratio) curve for plotting."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gamma", "ratio"])
-        for g in sorted(gamma_grid):
-            w.writerow([f"{g:.17g}", f"{ratio_value(data, M, S, g):.17g}"])
+    gammas = sorted(gamma_grid)
+    write_csv(path, ["gamma", "ratio"], [gammas, [ratio_value(data, M, S, g) for g in gammas]])

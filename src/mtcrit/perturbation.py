@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Sequence
@@ -197,7 +198,28 @@ class PerturbationFamily:
 
 
 def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (g(t), g'(t)) at |t|; works on scalars and arrays."""
+    """Evaluate (g(t), g'(t)) at |t|; works on scalars and arrays.
+
+    A float t (np.float64 included) takes the scalar path: plain
+    comparisons pick its branch and the result is a pair of Python floats.
+    Arrays, 0-d arrays and ints pick each point's branch by masks.  Both
+    paths evaluate the same branch functions.
+    """
+    if isinstance(t, float):
+        t = abs(t)
+        if fam.kind is FamilyKind.ZERO:
+            return 0.0, 0.0
+        if t == 0.0:
+            g, dg = fam.g0, 0.0
+        elif t <= 1.0 / fam.R_prime:
+            g, dg = fam._g_zero_branch(t)
+        elif t >= fam.R_prime:
+            g, dg = fam._g_inf_branch(t)
+        else:
+            g, dg = _hermite_eval(fam, t)
+        if g <= -1.0:
+            raise NonAdmissibleError("g(t) <= -1 encountered")
+        return float(g), float(dg)
     t = np.abs(np.asarray(t, dtype=float))
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -214,7 +236,8 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_power_log(fam: PerturbationFamily, t: np.ndarray):
-    """Each branch is evaluated on its own points only."""
+    """Each branch is evaluated on its own points only; `eval_g`'s scalar
+    path makes the same choice by comparisons."""
     g = np.empty_like(t)
     dg = np.empty_like(t)
     t1, t2 = 1.0 / fam.R_prime, fam.R_prime
@@ -241,8 +264,9 @@ def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
 
 
 def eval_H(fam: PerturbationFamily, t) -> np.ndarray | float:
-    """H(t) = 1 + g(t) + g'(t) / (2 t), defined for t > 0."""
-    t_arr = np.asarray(t, dtype=float)
+    """H(t) = 1 + g(t) + g'(t) / (2 t), defined for t > 0.  A float t
+    takes `eval_g`'s scalar path and gives a Python float."""
+    t_arr = t if isinstance(t, float) else np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError("eval_H requires t > 0; use eval_tH at t = 0")
     g, dg = eval_g(fam, t_arr)
@@ -262,9 +286,18 @@ def eval_tH(fam: PerturbationFamily, t) -> np.ndarray | float:
 # -- exponential series tail ----------------------------------------------
 
 
+def _check_order(N, least: int = 1) -> None:
+    """Refuse an order N that is a bool, not an integer, or below `least`.
+    A plain int skips the slower `numbers.Integral` test."""
+    if ((type(N) is not int and (isinstance(N, bool) or not isinstance(N, numbers.Integral)))
+            or N < least):
+        raise ValueError(f"N must be an integer >= {least} (got {N!r})")
+
+
 def log_phi_N(N: int, T) -> np.ndarray | float:
     """log of phi_N(T) = sum_{k>N} T^k / k!, via the regularized lower
-    incomplete gamma: phi_N(T) = exp(T) * P(N+1, T)."""
+    incomplete gamma: phi_N(T) = exp(T) * P(N+1, T)  (N >= 0)."""
+    _check_order(N, least=0)
     T_in = np.asarray(T, dtype=float)
     if np.any(T_in < 0):
         raise ValueError("T must be nonnegative")
@@ -284,7 +317,8 @@ def log_phi_N(N: int, T) -> np.ndarray | float:
 
 
 def phi_N(N: int, T) -> np.ndarray | float:
-    """Tail of the exponential series, sum_{k>N} T^k / k! (N >= 0)."""
+    """Tail of the exponential series, sum_{k>N} T^k / k! (N >= 0, checked
+    by `log_phi_N`)."""
     lp = log_phi_N(N, T)
     lp_arr = np.asarray(lp)
     if np.any(lp_arr > EXP_BUDGET):
@@ -296,7 +330,8 @@ def phi_N(N: int, T) -> np.ndarray | float:
 
 def g_N(fam: PerturbationFamily, N: int, t) -> np.ndarray | float:
     """Truncation g_N, defined through
-    (1 + g_N) exp(t^2) = (1 + g) (1 + t^2 + phi_N(t^2))."""
+    (1 + g_N) exp(t^2) = (1 + g) (1 + t^2 + phi_N(t^2))  (N >= 1)."""
+    _check_order(N)
     t_arr = np.asarray(t, dtype=float)
     g, _ = eval_g(fam, t_arr)
     T = t_arr * t_arr
@@ -317,16 +352,20 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
     Psi_1' = (2 t (1 + g) + g') e^T
 
     is evaluated in closed form; N >= 2 goes through the incomplete gamma.
+
+    A float t (np.float64 included, as an ODE solver passes it) takes the
+    scalar path of `eval_g` and, for N = 1, `math.exp`; arrays, 0-d arrays
+    and ints take the array path.  A scalar t gives Python floats.
     """
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    t_arr = np.abs(np.asarray(t, dtype=float))
+    _check_order(N)
+    scalar = isinstance(t, float)
+    t_arr = abs(t) if scalar else np.abs(np.asarray(t, dtype=float))
     T = t_arr * t_arr
-    if np.any(T > EXP_BUDGET):
+    if (T > EXP_BUDGET) if scalar else np.any(T > EXP_BUDGET):
         raise ExponentBudgetError("t^2 exceeds the exponent budget")
     g, dg = eval_g(fam, t_arr)
     if N == 1:
-        eT = np.exp(T)
+        eT = math.exp(T) if scalar else np.exp(T)
         psi = (1.0 + g) * eT
         dpsi = (2.0 * t_arr * (1.0 + g) + dg) * eT
     else:
@@ -339,17 +378,16 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
         tH = np.where(t_arr > 0, t_arr + t_arr * g + dg / 2.0, 0.0)
         dpsi = (2.0 * tH * ph + 2.0 * t_arr * (1.0 + powterm) * (1.0 + g)
                 + dg * (1.0 + T))
-    if np.asarray(t).ndim == 0:
+    if scalar or np.ndim(t) == 0:
         return float(psi), float(dpsi)
     return psi, dpsi
 
 
 def xi(N: int, gamma: float) -> float:
     """Truncation weight gamma^(2(N-1)) / (phi_{N-1}(gamma^2) (N-1)!)."""
+    _check_order(N)
     if gamma <= 0:
         raise ValueError("gamma > 0 required")
-    if N < 1:
-        raise ValueError("N >= 1 required")
     log_xi = 2.0 * (N - 1) * math.log(gamma) - log_phi_N(N - 1, gamma * gamma) - gammaln(N)
     return math.exp(log_xi)
 

@@ -12,7 +12,6 @@ formula, used as the oracle for the integrator.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,8 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import spence
+
+from .csvout import write_csv
 
 __all__ = [
     "StepFailureError",
@@ -117,11 +118,7 @@ class RadialProfile:
         return self.asym_intercept
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "S", "dS_dr"])
-            for row in zip(self.grid, self.values, self.derivs):
-                w.writerow([f"{v:.17g}" for v in row])
+        write_csv(path, ["r", "S", "dS_dr"], [self.grid, self.values, self.derivs])
 
     def metadata(self) -> dict:
         return {

@@ -9,7 +9,6 @@ weights 2 pi int phi_j r dr, exact for linear integrands.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ from scipy.integrate import quad
 from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
 
+from .csvout import write_csv
 from .domain import DomainModel, Shape, first_eigenfunction
 from .perturbation import AsymptoticData, PerturbationFamily, eval_g, eval_psi_N
 from .profiles import B0_CONSTANT, RadialProfile
@@ -102,11 +102,7 @@ class GridFunction:
         return _energy(self._ab, self.values)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "u"])
-            for row in zip(self.grid, self.values):
-                w.writerow([f"{v:.17g}" for v in row])
+        write_csv(path, ["r", "u"], [self.grid, self.values])
 
 
 def moser_functional(fam: PerturbationFamily, u: GridFunction, N: int = 1) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mtcrit import perturbation
 from mtcrit import (
     BlowDownError,
     PerturbationFamily,
@@ -108,3 +109,18 @@ def test_powerlog_family_shoots():
     sol = shoot_bubble(fam, 1, g, lambda_from_level(g, 0.0))
     assert sol.values[0] == pytest.approx(g)
     assert np.all(sol.values > 0)
+
+
+def test_powerlog_shot_takes_the_scalar_path(monkeypatch):
+    # RK45 passes B to the right-hand side as an np.float64: each call must
+    # pick its branch by plain comparisons, never by the array masks.
+    def no_masks(*args, **kwargs):
+        raise AssertionError("the mask path of eval_g was taken")
+
+    monkeypatch.setattr(perturbation, "_eval_power_log", no_masks)
+    fam = PerturbationFamily(kind="PowerLog", c=-0.3, a=0.4, b=0.7, g0=0.2,
+                             c_prime=1.5, a_prime=0.5, b_prime=1.2, R_prime=3.0)
+    # past rho the shot sweeps B from gamma > R' down through the blend
+    # into the near-zero branch, below 1/R'
+    sol = shoot_bubble(fam, 1, 4.0, lambda_from_level(4.0, 0.0), y_extra=1000.0)
+    assert sol.values[0] == 4.0 and sol.values[-1] < 1.0 / fam.R_prime

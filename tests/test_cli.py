@@ -206,6 +206,31 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def _assert_within(got, want, tolerances):
+    """Compare a report with a recorded one, walking the keys of `want`.
+
+    A float whose dotted key path (list indices left out) is in
+    `tolerances` must match to those pytest.approx bounds; every other
+    value, floats included, must match exactly.
+    """
+    def walk(g, w, path):
+        key = ".".join(p for p in path if not isinstance(p, int))
+        if isinstance(w, dict):
+            for k, v in w.items():
+                assert k in g, f"{'.'.join(map(str, path + (k,)))} missing"
+                walk(g[k], v, path + (k,))
+        elif isinstance(w, list):
+            assert len(g) == len(w), key
+            for i, (gi, wi) in enumerate(zip(g, w)):
+                walk(gi, wi, path + (i,))
+        elif isinstance(w, float) and key in tolerances:
+            assert g == pytest.approx(w, **tolerances[key]), ".".join(map(str, path))
+        else:
+            assert g == w and type(g) is type(w), ".".join(map(str, path))
+
+    walk(got, want, ())
+
+
 # extremal.json at alpha = 0.9 * 4 pi, recorded before Psi_1 was evaluated in
 # closed form and the Hermite blend by Horner's rule.  The ascent must take
 # the same path (start, iterations, saturated exact); the floats may move in
@@ -216,7 +241,7 @@ EXTREMAL_RECORDED = {
         "run": {"J": 9.504416349231679, "gamma": 2.3931477978342195,
                 "lambda": 0.4833439433139619, "el_residual": 1.3521311665251593e-06,
                 "start": "eigen", "iterations": 127, "saturated": True},
-        "step1_J": 13.70631733457586,
+        "step1": {"J": 13.70631733457586},
         "model_testfun": {"normalized_gap": -1.1031703715039232, "mu": 6.0807003660391904e-06,
                           "log_inv_mu2": 24.020781353675, "I_z": 0.002777207706990744},
     }),
@@ -225,13 +250,18 @@ EXTREMAL_RECORDED = {
         "run": {"J": 9.586747468252343, "gamma": 2.3920231322531276,
                 "lambda": 0.4781814668785175, "el_residual": 1.4206786957103141e-06,
                 "start": "flat", "iterations": 127, "saturated": True},
-        "step1_J": 13.823925495572142,
+        "step1": {"J": 13.823925495572142},
         "model_testfun": {"normalized_gap": -1.141519713931089, "mu": 6.1293018691968325e-06,
                           "log_inv_mu2": 24.004859404143367, "I_z": 0.0035021511296146734},
     }),
 }
-RUN_TOLERANCE = {"J": {"rel": 1e-15, "abs": 0.0}, "gamma": {"rel": 1e-15, "abs": 0.0},
-                 "lambda": {"rel": 8e-12, "abs": 0.0}, "el_residual": {"abs": 5e-12}}
+EXTREMAL_TOLERANCE = {
+    "run.J": {"rel": 1e-15, "abs": 0.0}, "run.gamma": {"rel": 1e-15, "abs": 0.0},
+    "run.lambda": {"rel": 8e-12, "abs": 0.0}, "run.el_residual": {"abs": 5e-12},
+    "step1.J": {"rel": 3e-16, "abs": 0.0},
+    **{f"model_testfun.{key}": {"rel": 1e-15, "abs": 0.0}
+       for key in ("normalized_gap", "mu", "log_inv_mu2", "I_z")},
+}
 
 
 @pytest.mark.parametrize("name", list(EXTREMAL_RECORDED))
@@ -242,13 +272,74 @@ def test_extremal_within_tolerance_of_recorded(tmp_path, name):
     rep = json.loads((tmp_path / "extremal.json").read_text())
     (run,) = rep["runs"]
     assert run["alpha"] == 0.9 * 4.0 * math.pi
-    for key in ("start", "iterations", "saturated"):
-        assert run[key] == want["run"][key], key
-    for key, tol in RUN_TOLERANCE.items():
-        assert run[key] == pytest.approx(want["run"][key], **tol), key
-    assert rep["step1"]["J"] == pytest.approx(want["step1_J"], rel=3e-16, abs=0.0)
-    for key, value in want["model_testfun"].items():
-        assert rep["model_testfun"][key] == pytest.approx(value, rel=1e-15, abs=0.0), key
+    _assert_within({"run": run, "step1": rep["step1"], "model_testfun": rep["model_testfun"]},
+                   want, EXTREMAL_TOLERANCE)
+
+
+def _rung(gamma, sup, lead, gap, A, xi, extra):
+    return {"gamma": gamma, "sup_normalized": sup, "leading_sup": lead, "r0_gap": gap,
+            "details": {"A": A, "xi": xi, **extra}}
+
+
+XI_LADDER = (0.000123425035946185, 1.125351873834261e-07, 1.388794386515689e-11)
+
+
+def _ladder(expansion, source, A, zeta):
+    """bubble.json for the default ladder 3, 4, 5: (sup, leading_sup, r0_gap)
+    per expansion rung, (sup, r0_gap) per source rung."""
+    return {
+        "gammas": [3.0, 4.0, 5.0],
+        "expansion": [_rung(g, *e, a, x, {"t_cap": 1.8})
+                      for g, e, a, x in zip((3.0, 4.0, 5.0), expansion, A, XI_LADDER)],
+        "source": [_rung(g, s[0], None, s[1], a, x, {"zeta": z})
+                   for g, s, a, x, z in zip((3.0, 4.0, 5.0), source, A, XI_LADDER, zeta)],
+        "expansion_nonincreasing": True,
+        "source_nonincreasing": True,
+    }
+
+
+# bubble.json for the default ladder, recorded before the bubble shots' right-hand
+# side took the scalar path of eval_psi_N (math.exp and libm pow in place of
+# NumPy's array loops).  The flags, gammas and closed-form details must match
+# exactly; the source reports' leading_sup is null.  Each residual may move by
+# at most its tolerance, about 6-10x the drift measured when the scalar path
+# landed: expansion sup 1.8e-10 and source sup 9.7e-12 relative, leading_sup
+# 1.1e-12 relative, r0_gap 6.8e-13 (expansion) and 1.8e-16 (source) absolute.
+BUBBLE_RECORDED = {
+    "Zero": ({"kind": "Zero"}, _ladder(
+        expansion=[(0.009868067341776041, 0.011684832715588279, 4.113922125440955e-05),
+                   (0.005201319923001137, 0.006505698679206147, 2.852313193499195e-08),
+                   (0.00327797571125979, 0.0041328318571733375, 2.7521706182222284e-10)],
+        source=[(0.1775138268408696, 0.00012340980408660697),
+                (0.08519640150337586, 1.1253517452680622e-07),
+                (0.05038755176479231, 1.3887419924139958e-11)],
+        A=(0.0, 0.0, 0.0), zeta=(0.012345679012345678, 0.00390625, 0.0016))),
+    "PowerLog": (EXTREMAL_RECORDED["PowerLog"][0], _ladder(
+        expansion=[(0.1598791091835029, 0.011596713262062585, 5.208059875488158e-05),
+                   (0.13196854680237108, 0.006430850990611723, 1.4438280563244152e-05),
+                   (0.10068523447456569, 0.004076067750578136, 3.2572624458673395e-06)],
+        source=[(0.2999574793818911, 0.0001234098040858464),
+                (0.27962862153506685, 1.1253517417220217e-07),
+                (0.21695734707206782, 1.3888202109731046e-11)],
+        A=(0.01965526652224097, 0.004473931525130763, 0.001449886845247858),
+        zeta=(0.01965526652224097, 0.004473931525130763, 0.0016))),
+}
+BUBBLE_TOLERANCE = {
+    "expansion.sup_normalized": {"rel": 1e-9, "abs": 0.0},
+    "source.sup_normalized": {"rel": 1e-10, "abs": 0.0},
+    "expansion.leading_sup": {"rel": 1e-11, "abs": 0.0},
+    "expansion.r0_gap": {"rel": 0.0, "abs": 5e-12},
+    "source.r0_gap": {"rel": 0.0, "abs": 1.5e-15},
+}
+
+
+@pytest.mark.parametrize("name", list(BUBBLE_RECORDED))
+def test_bubble_within_tolerance_of_recorded(tmp_path, name):
+    family, want = BUBBLE_RECORDED[name]
+    cfg = _write(tmp_path, "cfg.json", {"family": family})
+    assert main(["bubble", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _assert_within(json.loads((tmp_path / "bubble.json").read_text()), want,
+                   BUBBLE_TOLERANCE)
 
 
 @pytest.mark.parametrize("cmd,payload", [

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtcrit import perturbation
+from mtcrit.perturbation import EXP_BUDGET
 from mtcrit import (
+    ExponentBudgetError,
     FamilyKind,
     NonAdmissibleError,
     PerturbationFamily,
@@ -235,3 +237,87 @@ def test_horner_blend_matches_power_form(fam):
     q, dq, q_scale, dq_scale = _blend_power_form(fam, t)
     assert np.all(np.abs(g - q) <= 1e-13 * q_scale)
     assert np.all(np.abs(dg - dq) <= 1e-13 * dq_scale)
+
+
+# -- the scalar path of eval_g and eval_psi_N --------------------------------
+
+R = BLENDED.R_prime
+
+
+def _term_sizes(fam, t):
+    """Sizes of the terms that g(t) and g'(t) sum on the branch of t."""
+    if fam.kind is FamilyKind.ZERO or t == 0.0:
+        return abs(fam.g0), 0.0
+    if t <= 1.0 / fam.R_prime:
+        p, L = fam.a + 1.0, math.log(1.0 / t)
+        lead = abs(fam.c) * t ** (p - 1.0)
+        return (abs(fam.g0) + lead * t * L ** -fam.b,
+                lead * (p * L ** -fam.b + abs(fam.b) * L ** (-fam.b - 1.0)))
+    if t >= fam.R_prime:
+        g, dg = fam._g_inf_branch(t)
+        return abs(float(g)), abs(float(dg))
+    _, _, q_scale, dq_scale = _blend_power_form(fam, t)
+    return float(q_scale), float(dq_scale)
+
+
+@pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
+@given(t=st.one_of(st.floats(min_value=0.0, max_value=1.0 / R, allow_subnormal=False),
+                   st.floats(min_value=1.0 / R, max_value=R),
+                   st.floats(min_value=R, max_value=T_MAX)))
+@example(t=0.0)
+@example(t=1.0 / R)
+@example(t=R)
+@example(t=T_MAX)
+@settings(max_examples=150, deadline=None)
+def test_scalar_path_matches_array_path(fam, t):
+    # A float takes plain comparisons and math.exp, an array masks and
+    # np.exp; both evaluate the same branch functions, so they agree to a
+    # few ulp of the terms each value sums.
+    g, dg = eval_g(fam, t)
+    g_arr, dg_arr = eval_g(fam, np.array([t]))
+    psi, dpsi = eval_psi_N(fam, 1, t)
+    psi_arr, dpsi_arr = eval_psi_N(fam, 1, np.array([t]))
+    assert all(type(v) is float for v in (g, dg, psi, dpsi))
+    g_size, dg_size = _term_sizes(fam, t)
+    eT = math.exp(t * t)
+    ulp4 = 4.0 * np.finfo(float).eps
+    assert abs(g - g_arr[0]) <= ulp4 * g_size
+    assert abs(dg - dg_arr[0]) <= ulp4 * dg_size
+    assert abs(psi - psi_arr[0]) <= ulp4 * (1.0 + g_size) * eT
+    assert abs(dpsi - dpsi_arr[0]) <= ulp4 * (2.0 * t * (1.0 + g_size) + dg_size) * eT
+
+
+# g0 = -0.3 and c' = -0.65 pass the branch checks, but the blend between the
+# knots 1/2.4 and 2.4 dips to about -1.23 near t = 0.84.
+DIPPING = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=-0.93, a=0.5, b=1.6, g0=-0.3,
+                             c_prime=-0.65, a_prime=1.6, b_prime=1.4, R_prime=2.4)
+
+
+@pytest.mark.parametrize("make", [float, np.float64, np.array, lambda v: np.array([0.4, v])],
+                         ids=["float", "float64", "0-d", "array"])
+def test_scalar_and_array_refuse_alike(make):
+    with pytest.raises(NonAdmissibleError):
+        eval_g(DIPPING, make(0.8))
+    with pytest.raises(NonAdmissibleError):
+        eval_psi_N(DIPPING, 1, make(0.8))
+    with pytest.raises(ExponentBudgetError):
+        eval_psi_N(BLENDED, 1, make(-1.001 * math.sqrt(EXP_BUDGET)))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda N: eval_psi_N(BLENDED, N, 0.5),
+    lambda N: g_N(BLENDED, N, 0.5),
+    lambda N: xi(N, 3.0),
+], ids=["eval_psi_N", "g_N", "xi"])
+@pytest.mark.parametrize("N", [True, 1.7, 1.0, "1", 0, -2])
+def test_order_must_be_an_integer_at_least_1(fn, N):
+    with pytest.raises(ValueError, match="N must be an integer >= 1"):
+        fn(N)
+
+
+@pytest.mark.parametrize("fn", [phi_N, log_phi_N], ids=["phi_N", "log_phi_N"])
+@pytest.mark.parametrize("N", [False, 0.5, 2.0, -1])
+def test_series_order_must_be_an_integer_at_least_0(fn, N):
+    with pytest.raises(ValueError, match="N must be an integer >= 0"):
+        fn(N, 2.0)
+    assert fn(np.int64(2), 2.0) == fn(2, 2.0)
