@@ -15,9 +15,7 @@ from .perturbation import (
     eval_psi_N,
     phi_N,
     log_phi_N,
-    g_N,
     xi,
-    validate_hypotheses,
 )
 from .domain import (
     DomainModel,
@@ -47,7 +45,6 @@ from .bubble import (
     verify_expansion,
     verify_source_expansion,
     ladder_reports,
-    energy_localization,
 )
 from .criterion import (
     CriterionReport,
@@ -60,7 +57,6 @@ from .criterion import (
     limit_l,
     classify,
     cor2_classifier,
-    nonasympt_condition,
     ratio_curve_csv,
     DEFAULT_GAMMA_GRID,
 )
@@ -68,7 +64,6 @@ from .variational import (
     ExtremalRun,
     GridFunction,
     RootFailError,
-    moser_functional,
     solve_subcritical,
     lambda_g_report,
     step1_testfun,
@@ -80,8 +75,7 @@ __version__ = "1.0.0"
 __all__ = [
     "PerturbationFamily", "FamilyKind", "AsymptoticData",
     "NonAdmissibleError", "ExponentBudgetError", "asymptotic_data",
-    "eval_g", "eval_H", "eval_psi_N", "phi_N", "log_phi_N", "g_N", "xi",
-    "validate_hypotheses",
+    "eval_g", "eval_H", "eval_psi_N", "phi_N", "log_phi_N", "xi",
     "DomainModel", "Shape", "RobinReport", "PoleCoincidenceError",
     "DegenerateMaxError", "first_bessel_zero", "first_eigenfunction",
     "lambda1", "robin_report",
@@ -89,13 +83,13 @@ __all__ = [
     "laplacian_profile", "profile_integrals", "s0_explicit",
     "BubbleSolution", "ExpansionReport", "BlowDownError", "shoot_bubble",
     "lambda_from_level", "verify_expansion", "verify_source_expansion",
-    "ladder_reports", "energy_localization",
+    "ladder_reports",
     "CriterionReport", "Verdict", "Cor2Class", "ZeroDenominatorError",
     "NoLimitError", "ratio_value", "closed_form_l", "limit_l", "classify",
-    "cor2_classifier", "nonasympt_condition", "ratio_curve_csv",
+    "cor2_classifier", "ratio_curve_csv",
     "DEFAULT_GAMMA_GRID",
     "ExtremalRun", "GridFunction", "RootFailError",
-    "moser_functional", "solve_subcritical", "lambda_g_report",
+    "solve_subcritical", "lambda_g_report",
     "step1_testfun", "model_testfun_energy",
     "__version__",
 ]

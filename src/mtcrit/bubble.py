@@ -19,7 +19,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .csvout import write_csv
-from .perturbation import PerturbationFamily, eval_H, eval_psi_N, log_phi_N, xi
+from .perturbation import (PerturbationFamily, asymptotic_data, eval_H, eval_psi_N,
+                           log_phi_N, xi)
 from .profiles import StepFailureError, laplacian_profile, s0_explicit
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "shoot_bubble",
     "verify_expansion",
     "verify_source_expansion",
-    "energy_localization",
 ]
 
 
@@ -101,8 +101,9 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float, lam: float,
                  eps0: float = 0.75, y_extra: float = 0.0) -> BubbleSolution:
     """Integrate the bubble ODE in the core variable y = r/mu.
 
-    `y_extra` extends the integration range beyond rho/mu (used by the
-    energy-localization check).
+    The integration ends at rho/mu or at `y_extra`, whichever is larger:
+    a `y_extra` past rho/mu follows the solution beyond the concentration
+    radius.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -154,32 +155,30 @@ class ExpansionReport:
                 "details": self.details}
 
 
-def _A_and_xi(sol: BubbleSolution, data) -> tuple[float, float]:
-    A = float(data.A(sol.gamma)) if data is not None else 0.0
-    x = xi(sol.N, sol.gamma)
-    return A, x
+def _A_and_xi(sol: BubbleSolution) -> tuple[float, float]:
+    """The decay coefficient A(gamma) of the shot family and xi(N, gamma)."""
+    return float(asymptotic_data(sol.fam).A(sol.gamma)), xi(sol.N, sol.gamma)
 
 
-def verify_expansion(sol: BubbleSolution, data, profiles: dict,
-                     t_cap: float | None = None) -> ExpansionReport:
-    """Compare the shot bubble to its profile expansion on (0, rho].
+def verify_expansion(sol: BubbleSolution, profiles: dict, t_cap: float) -> ExpansionReport:
+    """Compare the shot bubble to its profile expansion on {t <= t_cap}.
 
-    profiles maps {1: S1, 2: S2} (S0 uses its explicit formula).  The
-    residual is normalized by t * (gamma^-5 + (|A| + xi)/gamma), the
-    paper-scale remainder bound.  Below _Y_FLOOR the normalization t -> 0
-    amplifies integrator round-off, so the sup excludes that core (the
-    quadratic vanishing there is reported separately as r0_gap).  t_cap
-    restricts the window further; ladder comparisons use the smallest
-    rho-window of the ladder so the sups are taken over a common region.
+    profiles maps {1: S1, 2: S2} (S0 uses its explicit formula), and A is
+    the decay coefficient of the shot family.  The residual is normalized
+    by t * (gamma^-5 + (|A| + xi)/gamma), the paper-scale remainder bound.
+    Below _Y_FLOOR the normalization t -> 0 amplifies integrator
+    round-off, so the sup excludes that core (the quadratic vanishing
+    there is reported separately as r0_gap).  Ladder comparisons pass a
+    t_cap inside the smallest rho-window of the ladder, so the sups are
+    taken over a common region.
     """
     g = sol.gamma
     y = sol.y_grid[1:]
     t_all = np.log1p(y * y)
-    cap = (1.0 - sol.eps0) * g * g if t_cap is None else t_cap
-    mask = t_all <= cap
+    mask = t_all <= t_cap
     if profiles[1].grid[-1] < y[mask][-1] or profiles[2].grid[-1] < y[mask][-1]:
         raise ValueError("profile range is short for this bubble (grid mismatch)")
-    A, x = _A_and_xi(sol, data)
+    A, x = _A_and_xi(sol)
     B = sol.values[1:]
     model = (g - t_all / g + s0_explicit(y) / g**3 + profiles[1](y) / g**5
              + (A - 2.0 * x) * profiles[2](y) / g)
@@ -191,14 +190,14 @@ def verify_expansion(sol: BubbleSolution, data, profiles: dict,
     core = mask & (y >= 0.01) & (y < _Y_FLOOR)
     near0 = float(np.max(np.abs(R[core]) / y[core] ** 2)) if np.any(core) else 0.0
     return ExpansionReport(gamma=g, sup_normalized=sup_norm, leading_sup=lead,
-                           r0_gap=near0, details={"A": A, "xi": x, "t_cap": cap})
+                           r0_gap=near0, details={"A": A, "xi": x, "t_cap": t_cap})
 
 
-def verify_source_expansion(sol: BubbleSolution, data, profiles: dict,
-                            t_cap: float | None = None) -> ExpansionReport:
+def verify_source_expansion(sol: BubbleSolution, profiles: dict,
+                            t_cap: float) -> ExpansionReport:
     """Check the source identity lambda Psi'(B)/2 against its expansion.
 
-    On {t <= gamma} the right side is the leading source 4 e^{-2t} /
+    On {t <= t_cap} the right side is the leading source 4 e^{-2t} /
     (mu^2 gamma) times a bracket of relative corrections e^{2t} Lap(S_i)/4
     (Lap read off the profile ODEs; the e^{2t}/4 factor undoes the source
     weight each Lap(S_i) carries, which is what the expansion of Psi'
@@ -209,11 +208,10 @@ def verify_source_expansion(sol: BubbleSolution, data, profiles: dict,
     g = sol.gamma
     y = sol.y_grid[1:]
     t = np.log1p(y * y)
-    cap = g if t_cap is None else t_cap
-    mask = (t <= cap) & (y >= _Y_FLOOR)
+    mask = (t <= t_cap) & (y >= _Y_FLOOR)
     y, t = y[mask], t[mask]
     B = sol.values[1:][mask]
-    A, x = _A_and_xi(sol, data)
+    A, x = _A_and_xi(sol)
     zeta = max(g**-4.0, abs(A), x)
 
     _, psi_p = eval_psi_N(sol.fam, sol.N, B)
@@ -234,7 +232,7 @@ def verify_source_expansion(sol: BubbleSolution, data, profiles: dict,
 
 
 def ladder_reports(fam: PerturbationFamily, N: int, gammas, profiles: dict,
-                   M: float = 0.0, eps0: float = 0.75, data=None) -> dict:
+                   M: float = 0.0, eps0: float = 0.75) -> dict:
     """Run a gamma ladder and report both verification trends.
 
     profiles maps {1: S1, 2: S2}, solved once by the caller for the whole
@@ -252,23 +250,10 @@ def ladder_reports(fam: PerturbationFamily, N: int, gammas, profiles: dict,
     for g in gammas:
         sol = shoot_bubble(fam, N, g, lambda_from_level(g, M), eps0=eps0)
         out["solutions"].append(sol)
-        out["expansion"].append(verify_expansion(sol, data, profiles, t_cap=cap_exp))
-        out["source"].append(verify_source_expansion(sol, data, profiles, t_cap=cap_src))
+        out["expansion"].append(verify_expansion(sol, profiles, t_cap=cap_exp))
+        out["source"].append(verify_source_expansion(sol, profiles, t_cap=cap_src))
     exp_sups = [r.sup_normalized for r in out["expansion"]]
     src_sups = [r.sup_normalized for r in out["source"]]
     out["expansion_nonincreasing"] = all(a >= b for a, b in zip(exp_sups, exp_sups[1:]))
     out["source_nonincreasing"] = all(a >= b for a, b in zip(src_sups, src_sups[1:]))
     return out
-
-
-def energy_localization(sol: BubbleSolution, R: float = 30.0) -> float:
-    """(lambda/2) int_{B(R mu)} B Psi_N'(B) dx, which approaches 4 pi."""
-    if sol.y_grid[-1] < R:
-        raise ValueError("bubble not integrated out to R; pass y_extra >= R")
-    y = sol.y_grid
-    mask = y <= R
-    y, B = y[mask], sol.values[mask]
-    _, psi_p = eval_psi_N(sol.fam, sol.N, B)
-    integrand = B * psi_p * y
-    total = np.trapezoid(integrand, y)
-    return float(0.5 * sol.lam * sol.mu**2 * 2.0 * math.pi * total)

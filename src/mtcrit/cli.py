@@ -179,10 +179,9 @@ def cmd_bubble(cfg: dict, args) -> int:
     M = float(cfg.get("robin_max", 0.0))
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
         raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
-    data = asymptotic_data(fam)
     # both bubble checks use the explicit S0, so only S1 and S2 are solved
     profiles = {i: solve_profile(i) for i in (1, 2)}
-    out = ladder_reports(fam, N, gammas, profiles, M=M, eps0=eps0, data=data)
+    out = ladder_reports(fam, N, gammas, profiles, M=M, eps0=eps0)
     payload = {
         "gammas": out["gammas"],
         "expansion": [r.to_json() for r in out["expansion"]],
@@ -310,6 +309,8 @@ def _verify_rows(seed: int, tol_scale: float) -> list:
 
 
 def cmd_verify(cfg: dict, args) -> int:
+    if args.tolerance_scale <= 0:
+        raise ConfigError("--tolerance-scale must be positive")
     rows = _verify_rows(args.seed, args.tolerance_scale)
     width = max(len(name) for name, _, _ in rows)
     all_ok = True
@@ -344,18 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", default=None, help="JSON scenario file")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument("--tolerance-scale", type=float, default=1.0,
-                        help="multiply verification tolerances")
         sp.set_defaults(func=fn)
+        if name == "verify":  # the only subcommand that draws random cases
+            sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+            sp.add_argument("--tolerance-scale", type=float, default=1.0,
+                            help="multiply verification tolerances")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tolerance_scale <= 0:
-        print("error: --tolerance-scale must be positive", file=sys.stderr)
-        return 1
     try:
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)

@@ -31,7 +31,6 @@ __all__ = [
     "limit_l",
     "classify",
     "cor2_classifier",
-    "nonasympt_condition",
     "DEFAULT_GAMMA_GRID",
 ]
 
@@ -168,8 +167,8 @@ def classify(M: float, S: float, lambda_g: float, l: float, l_confidence: float,
     value widens the reported confidence.
     lambda_gap is the reported optimization gap of the Lambda_g solve;
     comparisons within the gap are treated as undecided.  For the
-    no-extremal branch the conclusion applies to the truncations g_N for
-    all N large (the statement is asymptotic in the truncation order).
+    no-extremal branch the conclusion applies to the truncations of g at
+    every order N large enough (the statement is asymptotic in N).
     """
     level = math.pi * math.exp(1.0 + M)
     l_confidence = max(l_confidence, abs(l_closed - l))
@@ -205,11 +204,6 @@ def cor2_classifier(a_prime: float, b_prime: float, c_prime: float) -> Cor2Class
     if a_prime < 2.0:
         return Cor2Class.NOT_EXISTS
     return Cor2Class.BORDER
-
-
-def nonasympt_condition(lambda1: float, M: float, A_bar: float) -> bool:
-    """Sufficient non-asymptotic existence test 4(1+A_bar) > lambda1 e^{1+M}."""
-    return 4.0 * (1.0 + A_bar) > lambda1 * math.exp(1.0 + M)
 
 
 def ratio_curve_csv(path: str, data: AsymptoticData, M: float, S: float,

@@ -4,10 +4,10 @@ The toolkit works with integrands of the form (1 + g(u)) * exp(u^2) where g
 is an even C^1 perturbation with g > -1 and g -> 0 at infinity.  This module
 provides:
 
-* the perturbation families (zero, power-log branches),
-* the derived functions H, g_N, Psi_N, phi_N and the truncation weight xi,
-* the asymptotic data (A, B, F, kappa) attached to a family,
-* a numerical validator for the asymptotic hypotheses.
+* the perturbation families (zero, power-log branches), refused when g
+  dips to -1 or below on either branch or on the blend between them,
+* the derived functions H, Psi_N, phi_N and the truncation weight xi,
+* the asymptotic data (A, B, F, kappa) attached to a family.
 
 Large arguments are handled in log-scale with an explicit exponent budget.
 """
@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -32,17 +32,13 @@ __all__ = [
     "FamilyKind",
     "PerturbationFamily",
     "AsymptoticData",
-    "HypothesisReport",
     "eval_g",
     "eval_H",
-    "eval_tH",
     "phi_N",
     "log_phi_N",
     "eval_psi_N",
-    "g_N",
     "xi",
     "asymptotic_data",
-    "validate_hypotheses",
 ]
 
 
@@ -70,7 +66,9 @@ class PerturbationFamily:
         g(t) = c' * t^(-a') * (log t)^(-b')            for t >= R'
 
     joined on [1/R', R'] by a quintic C^1 Hermite blend (see `_blend_coeffs`).
-    A Zero family leaves every PowerLog field at its default.
+    A PowerLog family whose g reaches -1 on any of the three pieces is
+    refused with NonAdmissibleError.  A Zero family leaves every PowerLog
+    field at its default.
     """
 
     kind: FamilyKind = FamilyKind.ZERO
@@ -100,8 +98,8 @@ class PerturbationFamily:
             ):
                 if cc != 0.0 and (aa < 0 or (aa == 0 and bb <= 0)):
                     raise ValueError(f"{tag} must lie in E: a >= 0 and b > 0 if a = 0")
-            self._check_admissible_tail()
             object.__setattr__(self, "_hermite", self._blend_coeffs())
+            self._check_admissible()
 
     # -- PowerLog branches ------------------------------------------------
 
@@ -125,15 +123,18 @@ class PerturbationFamily:
         )
         return val, dval
 
-    def _check_admissible_tail(self) -> None:
-        t = np.geomspace(self.R_prime, self.R_prime * 1e6, 4096)
-        g_inf, _ = self._g_inf_branch(t)
-        if np.min(g_inf) <= -1.0 + 1e-9:
-            raise NonAdmissibleError("infinity branch dips to g <= -1")
-        t0 = np.geomspace(1e-12, 1.0 / self.R_prime, 4096)
-        g0v, _ = self._g_zero_branch(t0)
-        if np.min(g0v) <= -1.0 + 1e-9:
-            raise NonAdmissibleError("near-zero branch dips to g <= -1")
+    def _check_admissible(self) -> None:
+        """Refuse g <= -1 (with a 1e-9 margin) on 4096 log-spaced samples of
+        each piece: both branches and the blend between them."""
+        r = self.R_prime
+        for name, piece, lo, hi in (
+            ("infinity branch", self._g_inf_branch, r, r * 1e6),
+            ("near-zero branch", self._g_zero_branch, 1e-12, 1.0 / r),
+            ("Hermite blend", lambda t: _hermite_eval(self, t), 1.0 / r, r),
+        ):
+            g, _ = piece(np.geomspace(lo, hi, 4096))
+            if np.min(g) <= -1.0 + 1e-9:
+                raise NonAdmissibleError(f"{name} dips to g <= -1")
 
     def _blend_coeffs(self) -> tuple[float, ...]:
         """Quintic Hermite coefficients for the blend region [1/R', R'].
@@ -268,19 +269,9 @@ def eval_H(fam: PerturbationFamily, t) -> np.ndarray | float:
     takes `eval_g`'s scalar path and gives a Python float."""
     t_arr = t if isinstance(t, float) else np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
-        raise ValueError("eval_H requires t > 0; use eval_tH at t = 0")
+        raise ValueError("eval_H requires t > 0")
     g, dg = eval_g(fam, t_arr)
     return 1.0 + g + dg / (2.0 * t_arr)
-
-
-def eval_tH(fam: PerturbationFamily, t) -> np.ndarray | float:
-    """t * H(t), extended by continuity to 0 at t = 0."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t_arr)
-    pos = t_arr > 0
-    if np.any(pos):
-        out[pos] = t_arr[pos] * np.asarray(eval_H(fam, t_arr[pos]))
-    return float(out[0]) if np.asarray(t).ndim == 0 else out
 
 
 # -- exponential series tail ----------------------------------------------
@@ -328,20 +319,8 @@ def phi_N(N: int, T) -> np.ndarray | float:
     return float(out) if np.asarray(T).ndim == 0 else out
 
 
-def g_N(fam: PerturbationFamily, N: int, t) -> np.ndarray | float:
-    """Truncation g_N, defined through
-    (1 + g_N) exp(t^2) = (1 + g) (1 + t^2 + phi_N(t^2))  (N >= 1)."""
-    _check_order(N)
-    t_arr = np.asarray(t, dtype=float)
-    g, _ = eval_g(fam, t_arr)
-    T = t_arr * t_arr
-    if np.any(T > EXP_BUDGET):
-        raise ExponentBudgetError("t^2 exceeds the exponent budget")
-    return (1.0 + g) * (1.0 + T + phi_N(N, T)) * np.exp(-T) - 1.0
-
-
 def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
-    """Psi_N(t) = (1 + g_N(t)) exp(t^2) and its derivative.
+    """Psi_N(t), the integrand truncated at order N, and its derivative.
 
     Psi_N  = (1 + g(t)) (1 + t^2 + phi_N(t^2))
     Psi_N' = 2 t H(t) phi_N(t^2) + 2 t (1 + t^(2N)/N!) (1 + g) + g' (1 + t^2)
@@ -432,85 +411,3 @@ def asymptotic_data(fam: PerturbationFamily) -> AsymptoticData:
 
     kappa = min(a, 1.0) if c != 0.0 else 1.0
     return AsymptoticData(A=A, B=B, kappa=kappa)
-
-
-@dataclass
-class HypothesisReport:
-    """Measured residuals for the decay hypotheses on a gamma grid."""
-
-    infinity_ok: bool
-    zero_ok: bool
-    growth_ok: bool
-    infinity_residuals: list
-    zero_residuals: list
-    measured_delta0: float
-    measured_delta0_prime: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.infinity_ok and self.zero_ok and self.growth_ok
-
-
-def validate_hypotheses(
-    fam: PerturbationFamily,
-    data: AsymptoticData,
-    gamma_grid: Sequence[float],
-) -> HypothesisReport:
-    """Numerically check the decay hypotheses on a grid of gamma values.
-
-    (i)  H(gamma - t/gamma) / H(gamma) - 1 ~ A(gamma) t,   t in [0, 5]
-    (ii) (t/gamma) H(t/gamma) ~ B(gamma) F(t),             t in [1, 5]
-    (iii) exponential growth bounds with measured admissible exponents.
-    Report-only: failures are recorded, not raised.
-    """
-    gammas = np.asarray(sorted(gamma_grid), dtype=float)
-    t_inf = np.linspace(0.0, 5.0, 21)
-    t_zero = np.linspace(1.0, 5.0, 17)
-    inf_res, zero_res = [], []
-    for gam in gammas:
-        Hg = float(np.asarray(eval_H(fam, gam)))
-        Hshift = np.asarray(eval_H(fam, np.maximum(gam - t_inf / gam, 1e-12)))
-        lhs = Hshift / Hg - 1.0
-        Ag = float(np.asarray(data.A(gam)))
-        inf_res.append(float(np.max(np.abs(lhs - Ag * t_inf))))
-        tH = np.asarray(eval_tH(fam, t_zero / gam))
-        Bg = float(np.asarray(data.B(gam)))
-        zero_res.append(float(np.max(np.abs(tH - Bg * data.F(t_zero)))))
-
-    def scale_inf(gam):
-        return abs(float(np.asarray(data.A(gam)))) + gam**-4.0
-
-    def scale_zero(gam):
-        return abs(float(np.asarray(data.B(gam)))) + 1.0 / gam
-
-    # residual = o(scale): the normalized residual must shrink along the grid
-    norm_inf = [r / scale_inf(g) for r, g in zip(inf_res, gammas)]
-    norm_zero = [r / scale_zero(g) for r, g in zip(zero_res, gammas)]
-    tiny = 1e-12
-    infinity_ok = norm_inf[-1] <= max(norm_inf[0], tiny) + tiny
-    zero_ok = norm_zero[-1] <= max(norm_zero[0], tiny) + tiny
-
-    # growth bound b): measure the smallest workable delta0 on t <= gamma^2
-    gam = gammas[-1]
-    t_wide = np.linspace(0.5, min(gam * gam, 25.0), 200)
-    Hg = float(np.asarray(eval_H(fam, gam)))
-    diff = np.abs(np.asarray(eval_H(fam, np.maximum(gam - t_wide / gam, 1e-12))) - Hg)
-    denom = abs(Hg) * scale_inf(gam)
-    with np.errstate(divide="ignore"):
-        need = np.log(np.maximum(diff / denom, tiny)) / t_wide
-    measured_delta0 = float(np.clip(np.max(need), 0.0, 1.0))
-    tHw = np.abs(np.asarray(eval_tH(fam, t_wide / gam)))
-    with np.errstate(divide="ignore"):
-        need2 = np.log(np.maximum(tHw / scale_zero(gam), tiny)) / t_wide
-    measured_delta0_prime = float(np.clip(np.max(need2), 0.0, 1.0))
-    growth_ok = measured_delta0 < 1.0 and measured_delta0_prime < 1.0
-
-    return HypothesisReport(
-        infinity_ok=bool(infinity_ok),
-        zero_ok=bool(zero_ok),
-        growth_ok=bool(growth_ok),
-        infinity_residuals=inf_res,
-        zero_residuals=zero_res,
-        measured_delta0=measured_delta0,
-        measured_delta0_prime=measured_delta0_prime,
-    )

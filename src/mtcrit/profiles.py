@@ -40,6 +40,9 @@ class StepFailureError(RuntimeError):
 
 A_CONSTANTS = (4.0 * math.pi, 4.0 * math.pi * (3.0 + math.pi**2 / 6.0), 2.0 * math.pi)
 B0_CONSTANT = math.pi**2 / 6.0 + 2.0
+# Tolerances of the profile ODE solve, also reported by RadialProfile.metadata.
+_RTOL = 1e-10
+_ATOL = 1e-10
 
 
 def t0(r):
@@ -125,8 +128,8 @@ class RadialProfile:
             "A": self.A,
             "B": self.B,
             "r_max": float(self.grid[-1]),
-            "rtol": 1e-10,
-            "atol": 1e-10,
+            "rtol": _RTOL,
+            "atol": _ATOL,
         }
 
 
@@ -166,7 +169,7 @@ def solve_profile(i: int, r_max: float = 2000.0) -> RadialProfile:
     y0 = [-rhs0 * r0 * r0 / 4.0, -rhs0 * r0 / 2.0]
     probe = [250.0, 500.0, 1000.0] if r_max >= 1000.0 else [r_max / 4, r_max / 2, r_max]
     grid = np.unique(np.concatenate([[0.0], np.geomspace(r0, r_max, 4000), probe]))
-    sol = solve_ivp(odes, (r0, r_max), y0, method="RK45", rtol=1e-10, atol=1e-10,
+    sol = solve_ivp(odes, (r0, r_max), y0, method="RK45", rtol=_RTOL, atol=_ATOL,
                     t_eval=grid[1:], dense_output=False)
     if not sol.success:
         raise StepFailureError(sol.message)

@@ -9,7 +9,6 @@ from mtcrit import perturbation
 from mtcrit import (
     BlowDownError,
     PerturbationFamily,
-    energy_localization,
     eval_psi_N,
     lambda_from_level,
     phi_N,
@@ -83,15 +82,6 @@ def test_ladder_trends(ladder0):
     for rep in ladder0["expansion"]:
         assert np.isfinite(rep.leading_sup)
         assert rep.r0_gap < 1e-4
-
-
-def test_energy_localization(fam0):
-    g = 5.0
-    sol = shoot_bubble(fam0, 1, g, lambda_from_level(g, 0.0), y_extra=30.0)
-    e = energy_localization(sol, R=30.0)
-    assert e == pytest.approx(4.0 * math.pi, rel=5e-3)
-    with pytest.raises(ValueError):
-        energy_localization(sol, R=100.0)
 
 
 def test_to_csv_roundtrip(tmp_path, fam0):

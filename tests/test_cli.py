@@ -180,12 +180,17 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     ("criterion", {"gamma_grdi": [7.0, 20.0, 55.0, 150.0]}, "gamma_grdi", "unknown"),
     ("bubble", {"family": {"kind": "PowerLog", "cprime": -1.0, "a_prime": 1.0}},
      "family", "'cprime'"),
+    # test_perturbation.DIPPING: both branches pass, the blend dips to -1.23
+    ("criterion", {"family": {"kind": "PowerLog", "c": -0.93, "a": 0.5, "b": 1.6,
+                              "g0": -0.3, "c_prime": -0.65, "a_prime": 1.6,
+                              "b_prime": 1.4, "R_prime": 2.4}},
+     "family", "Hermite blend dips"),
     ("extremal", {"domain": {"shape": "UnitDisk", "radius": 2.0}}, "domain", "'radius'"),
     ("criterion", {"domain": {"shape": "Rectangle", "widht": 3.0}}, "domain", "'widht'"),
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
-        "alpha-ladder-zero", "top-level-key", "family-key", "domain-key",
-        "rectangle-key"])
+        "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
+        "domain-key", "rectangle-key"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):
     solves = []
@@ -395,6 +400,17 @@ def test_tolerance_scale_validation(tmp_path, capsys):
     rc = main(["verify", "--out", str(tmp_path), "--tolerance-scale", "0"])
     assert rc == 1
     assert "tolerance-scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--tolerance-scale", "3"]],
+                         ids=["seed", "tolerance-scale"])
+@pytest.mark.parametrize("cmd", ["criterion", "profiles", "bubble", "extremal"])
+def test_only_verify_takes_seed_and_tolerance_scale(tmp_path, capsys, cmd, flag):
+    # the other subcommands draw nothing at random and check no tolerance
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--out", str(tmp_path)] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_version(capsys):

@@ -18,7 +18,6 @@ from mtcrit import (
     closed_form_l,
     cor2_classifier,
     limit_l,
-    nonasympt_condition,
     ratio_curve_csv,
     ratio_value,
 )
@@ -102,11 +101,6 @@ def test_cor2_agrees_with_sign_of_l():
     assert cor2_classifier(3.0, 0.0, -1.0) is Cor2Class.EXISTS
     assert closed_form_l(fam, M0, S0) > 0.0
 
-
-def test_nonasympt_condition():
-    lam1 = 5.783185962946783
-    assert nonasympt_condition(lam1, 0.0, 3.0)  # 16 > lambda1 e ~ 15.72
-    assert not nonasympt_condition(lam1, 0.0, 0.0)
 
 
 def test_limit_grid_validation(data0):

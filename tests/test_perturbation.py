@@ -19,10 +19,8 @@ from mtcrit import (
     eval_g,
     eval_H,
     eval_psi_N,
-    g_N,
     log_phi_N,
     phi_N,
-    validate_hypotheses,
     xi,
 )
 
@@ -114,15 +112,6 @@ def test_psi_full_exponential_for_zero_family():
     np.testing.assert_allclose(psi_p, 2.0 * u * np.exp(u * u), rtol=1e-13)
 
 
-def test_g_N_tends_to_untruncated_quadratic():
-    # phi_N(u^2) -> 0 on bounded u, so the truncation approaches (1+g)(1+u^2)
-    fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, g0=0.5)
-    u = np.linspace(0.0, 2.0, 9)
-    vals = np.asarray(g_N(fam, 40, u))
-    target = np.asarray(g_N(fam, 200, u))
-    np.testing.assert_allclose(vals, target, atol=1e-12)
-
-
 def test_xi_closed_form_n1():
     for gam in (2.0, 3.0, 5.0):
         assert xi(1, gam) == pytest.approx(1.0 / math.expm1(gam * gam), rel=1e-12)
@@ -142,13 +131,6 @@ def test_asymptotic_data_zero_family():
     assert float(data.B(5.0)) == pytest.approx(0.2, rel=1e-14)
     assert float(data.F(3.0)) == pytest.approx(3.0, rel=1e-14)
 
-
-def test_validate_hypotheses_powerlog():
-    fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=0.2, a=1.0, b=0.0,
-                             c_prime=-0.5, a_prime=2.0, b_prime=0.0)
-    data = asymptotic_data(fam)
-    rep = validate_hypotheses(fam, data, [math.exp(k) for k in range(3, 8)])
-    assert rep.all_ok
 
 
 # -- Psi_1 in closed form ---------------------------------------------------
@@ -289,26 +271,38 @@ def test_scalar_path_matches_array_path(fam, t):
 
 # g0 = -0.3 and c' = -0.65 pass the branch checks, but the blend between the
 # knots 1/2.4 and 2.4 dips to about -1.23 near t = 0.84.
-DIPPING = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=-0.93, a=0.5, b=1.6, g0=-0.3,
-                             c_prime=-0.65, a_prime=1.6, b_prime=1.4, R_prime=2.4)
+DIPPING = {"kind": "PowerLog", "c": -0.93, "a": 0.5, "b": 1.6, "g0": -0.3,
+           "c_prime": -0.65, "a_prime": 1.6, "b_prime": 1.4, "R_prime": 2.4}
+
+
+def test_dipping_blend_is_refused():
+    with pytest.raises(NonAdmissibleError, match="Hermite blend"):
+        PerturbationFamily(**DIPPING)
+
+
+@pytest.fixture
+def dipping(monkeypatch):
+    """DIPPING built with the admissibility check switched off, so that
+    eval_g itself meets the dip."""
+    monkeypatch.setattr(PerturbationFamily, "_check_admissible", lambda self: None)
+    return PerturbationFamily(**DIPPING)
 
 
 @pytest.mark.parametrize("make", [float, np.float64, np.array, lambda v: np.array([0.4, v])],
                          ids=["float", "float64", "0-d", "array"])
-def test_scalar_and_array_refuse_alike(make):
+def test_scalar_and_array_refuse_alike(make, dipping):
     with pytest.raises(NonAdmissibleError):
-        eval_g(DIPPING, make(0.8))
+        eval_g(dipping, make(0.8))
     with pytest.raises(NonAdmissibleError):
-        eval_psi_N(DIPPING, 1, make(0.8))
+        eval_psi_N(dipping, 1, make(0.8))
     with pytest.raises(ExponentBudgetError):
         eval_psi_N(BLENDED, 1, make(-1.001 * math.sqrt(EXP_BUDGET)))
 
 
 @pytest.mark.parametrize("fn", [
     lambda N: eval_psi_N(BLENDED, N, 0.5),
-    lambda N: g_N(BLENDED, N, 0.5),
     lambda N: xi(N, 3.0),
-], ids=["eval_psi_N", "g_N", "xi"])
+], ids=["eval_psi_N", "xi"])
 @pytest.mark.parametrize("N", [True, 1.7, 1.0, "1", 0, -2])
 def test_order_must_be_an_integer_at_least_1(fn, N):
     with pytest.raises(ValueError, match="N must be an integer >= 1"):

@@ -11,9 +11,9 @@ from mtcrit import (
     GridFunction,
     PerturbationFamily,
     eval_g,
+    eval_psi_N,
     lambda_g_report,
     model_testfun_energy,
-    moser_functional,
     solve_subcritical,
     step1_testfun,
 )
@@ -26,9 +26,10 @@ POWER_LOG = PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.256171,
 
 
 def test_functional_at_zero_is_area(fam0):
+    # the discrete functional that solve_subcritical's value_grad evaluates
     r = make_grid()
-    u = GridFunction(r, np.zeros_like(r))
-    assert moser_functional(fam0, u) == pytest.approx(math.pi, rel=1e-10)
+    J = float(np.dot(_load_weights(r), eval_psi_N(fam0, 1, np.zeros_like(r))[0]))
+    assert J == pytest.approx(math.pi, rel=1e-10)
 
 
 def test_boundary_value_enforced():
@@ -70,9 +71,7 @@ def test_gradient_consistency(fam0):
     d[-1] = 0.0
 
     def value(vec):
-        return moser_functional(fam0, GridFunction(r, vec))
-
-    from mtcrit.perturbation import eval_psi_N
+        return float(np.dot(w, eval_psi_N(fam0, 1, vec)[0]))
 
     _, psi_p = eval_psi_N(fam0, 1, u)
     grad = w * psi_p
