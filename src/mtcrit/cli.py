@@ -70,6 +70,11 @@ def _load_config(path: str | None) -> dict:
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"field {', '.join(map(repr, unknown))}: unknown config key")
+    for key, value in cfg.items():
+        try:  # json.load reads NaN, Infinity and overflowing literals as floats
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise ConfigError(f"field '{key}': must not hold NaN or Infinity") from None
     return cfg
 
 
@@ -216,6 +221,12 @@ def cmd_extremal(cfg: dict, args) -> int:
     starts = tuple(cfg.get("starts", ["flat", "bubble", "eigen"]))
     if not starts:
         raise ConfigError("field 'starts': must be nonempty")
+    eps = float(cfg.get("step1_eps", 0.005))
+    if not 0.0 < eps <= 0.2:
+        raise ConfigError(f"field 'step1_eps': must lie in (0, 0.2] (got {eps!r})")
+    gam = float(cfg.get("model_gamma", 5.0))
+    if gam <= 1.0:  # A and B carry log(gamma)
+        raise ConfigError(f"field 'model_gamma': must be > 1 (got {gam!r})")
 
     runs = [solve_subcritical(fam, N, a, starts=starts) for a in alphas]
     payload = {"runs": [r.to_json() for r in runs]}
@@ -224,13 +235,11 @@ def cmd_extremal(cfg: dict, args) -> int:
         print(f"alpha={r.alpha:.4f}: J={r.J_value:.6f} saturated={r.saturated} "
               f"lambda={r.lam:.6f} el_residual={r.el_residual:.2e}")
 
-    eps = float(cfg.get("step1_eps", 0.005))
     s1 = step1_testfun(dom, fam, eps)
     payload["step1"] = {"eps": eps, **{k: float(v) for k, v in s1.items()}}
     print(f"step1 eps={eps}: J={s1['J']:.6f} (blow-up level "
           f"{math.pi + math.pi * math.e:.6f})")
 
-    gam = float(cfg.get("model_gamma", 5.0))
     data = asymptotic_data(fam)
     profiles = {i: solve_profile(i) for i in range(3)}
     mt = model_testfun_energy(dom, fam, data, profiles, gam)

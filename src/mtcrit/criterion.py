@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .csvout import write_csv
-from .perturbation import AsymptoticData, PerturbationFamily
+from .perturbation import AsymptoticData, PerturbationFamily, asymptotic_data
 
 __all__ = [
     "Verdict",
@@ -72,43 +72,33 @@ def ratio_value(data: AsymptoticData, M: float, S: float, gamma: float) -> float
     return num / den
 
 
-def _powerlog_pieces(fam: PerturbationFamily, M: float, S: float):
-    """Each ratio term as (coefficient, p, q) for C*gamma^-p*(log gamma)^-q.
-
-    Returns (numerator pieces, denominator pieces).  The B-coefficient
-    contributes two pieces (constant part from g(0), power-log part from
-    the zero behavior); only leading pieces matter for the limit.  A Zero
-    family has c = c' = 0 and g0 = 0, so only the gamma^-4 pieces remain.
-    """
-    cS = 4.0 * S * math.exp(-1.0 - M)
-    num = [(1.0, 4.0, 0.0), (cS * (1.0 + fam.g0), 4.0, 0.0)]
-    den = [(1.0, 4.0, 0.0), (1.0 + fam.g0, 4.0, 0.0)]
-    if fam.c_prime != 0.0:
-        if fam.a_prime > 0.0:
-            piece = (fam.c_prime * fam.a_prime, fam.a_prime + 2.0, fam.b_prime)
-        else:
-            piece = (fam.c_prime * fam.b_prime, 2.0, fam.b_prime + 1.0)
-        num.append((0.5 * piece[0], piece[1], piece[2]))
-        den.append((abs(piece[0]), piece[1], piece[2]))
-    if fam.c != 0.0:
-        coeff = 0.5 * fam.c * (fam.a + 1.0)
-        num.append((cS * coeff, 3.0 + fam.a, fam.b))
-        den.append((abs(coeff), 3.0 + fam.a, fam.b))
-    return num, den
+def _merged(pieces) -> dict:
+    """{(p, q): summed coefficient} in piece order, without sums that cancel."""
+    out = {}
+    for coef, p, q in pieces:
+        out[p, q] = out.get((p, q), 0.0) + coef
+    return {key: coef for key, coef in out.items() if coef != 0.0}
 
 
 def closed_form_l(fam: PerturbationFamily, M: float, S: float) -> float:
-    """Limit of the ratio by exponent bookkeeping (PowerLog/zero families).
+    """Limit of the ratio by exponent bookkeeping on the pieces of A and B.
 
-    Every term decays like gamma^-p (log gamma)^-q; the limit is the
-    coefficient sum of the lexicographically slowest-decaying (p, q) in
-    the numerator over the same in the denominator.
+    The ratio's three terms gamma^-4, gamma^-3 B and A are each a sum of
+    pieces C*gamma^-p*(log gamma)^-q; a term's pieces with equal (p, q) are
+    merged first, since |B| of two tied pieces is the modulus of their
+    sum.  The limit is the numerator's coefficient over the denominator's
+    at the lexicographically slowest-decaying (p, q) of all terms.
     """
-    num, den = _powerlog_pieces(fam, M, S)
-    key = min((p, q) for _, p, q in den)
-    den_sum = sum(c for c, p, q in den if (p, q) == key)
-    num_sum = sum(c for c, p, q in num if (p, q) == key)
-    return num_sum / den_sum
+    data = asymptotic_data(fam)
+    cS = 4.0 * S * math.exp(-1.0 - M)
+    # (numerator weight, merged pieces), summed in this order
+    terms = [(1.0, {(4.0, 0.0): 1.0}),
+             (cS, _merged((coef, p + 3.0, q) for coef, p, q in data.B_pieces)),
+             (0.5, _merged(data.A_pieces))]
+    key = min(min(pieces) for _, pieces in terms if pieces)
+    num = sum(w * pieces[key] for w, pieces in terms if key in pieces)
+    den = sum(abs(pieces[key]) for _, pieces in terms if key in pieces)
+    return num / den
 
 
 def limit_l(data: AsymptoticData, M: float, S: float,

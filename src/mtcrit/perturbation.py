@@ -19,7 +19,6 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -373,41 +372,48 @@ def xi(N: int, gamma: float) -> float:
 
 # -- asymptotic data --------------------------------------------------------
 
+# A power-log piece (coef, p, q) stands for coef * gamma^-p * (log gamma)^-q.
+Piece = tuple[float, float, float]
+
+
+def _eval_pieces(pieces: tuple[Piece, ...], gam):
+    """Sum of the pieces at gamma > 1, in their order."""
+    gam = np.asarray(gam, dtype=float)
+    return sum((coef * gam ** (-p) * np.log(gam) ** (-q) for coef, p, q in pieces),
+               np.zeros_like(gam))
+
 
 @dataclass(frozen=True)
 class AsymptoticData:
-    """Closed-form decay data of a family: infinity-side coefficient A,
-    zero-side coefficient B, profile F(t) = t^kappa."""
+    """Closed-form decay data of a family: the infinity-side coefficient
+    A(gamma) and the zero-side coefficient B(gamma), each a sum of
+    power-log pieces, and the profile F(t) = t^kappa."""
 
-    A: Callable[[np.ndarray], np.ndarray]
-    B: Callable[[np.ndarray], np.ndarray]
+    A_pieces: tuple[Piece, ...]
+    B_pieces: tuple[Piece, ...]
     kappa: float
+
+    def A(self, gam):
+        return _eval_pieces(self.A_pieces, gam)
+
+    def B(self, gam):
+        return _eval_pieces(self.B_pieces, gam)
 
     def F(self, t):
         return np.asarray(t, dtype=float) ** self.kappa
 
 
 def asymptotic_data(fam: PerturbationFamily) -> AsymptoticData:
-    """Closed-form A, B, F, kappa for the Zero and PowerLog families."""
-    if fam.kind is FamilyKind.ZERO:
-        return AsymptoticData(
-            A=lambda gam: np.zeros_like(np.asarray(gam, dtype=float)),
-            B=lambda gam: 1.0 / np.asarray(gam, dtype=float),
-            kappa=1.0,
-        )
-    c, a, b = fam.c, fam.a, fam.b
+    """A, B, F, kappa of a family.  A Zero family is the PowerLog one with
+    c = c' = g0 = 0; pieces with a zero coefficient are left out.
+
+        A(gamma) = c' a' gamma^-(a'+2) (log gamma)^-b'        (a' > 0)
+                 = c' b' gamma^-2 (log gamma)^-(b'+1)          (a' = 0)
+        B(gamma) = (1 + g0) gamma^-1 + c (a+1)/2 gamma^-a (log gamma)^-b
+    """
     cp, ap, bp = fam.c_prime, fam.a_prime, fam.b_prime
-    g0 = fam.g0
-
-    def A(gam):
-        gam = np.asarray(gam, dtype=float)
-        if ap > 0:
-            return cp * ap * gam ** (-(ap + 2.0)) * np.log(gam) ** (-bp)
-        return cp * bp * gam**-2.0 * np.log(gam) ** (-(bp + 1.0))
-
-    def B(gam):
-        gam = np.asarray(gam, dtype=float)
-        return (1.0 + g0) / gam + 0.5 * c * (a + 1.0) * gam ** (-a) * np.log(gam) ** (-b)
-
-    kappa = min(a, 1.0) if c != 0.0 else 1.0
-    return AsymptoticData(A=A, B=B, kappa=kappa)
+    A = ((cp * ap, ap + 2.0, bp) if ap > 0 else (cp * bp, 2.0, bp + 1.0),)
+    B = ((1.0 + fam.g0, 1.0, 0.0), (0.5 * fam.c * (fam.a + 1.0), fam.a, fam.b))
+    return AsymptoticData(A_pieces=tuple(pc for pc in A if pc[0] != 0.0),
+                          B_pieces=tuple(pc for pc in B if pc[0] != 0.0),
+                          kappa=min(fam.a, 1.0) if fam.c != 0.0 else 1.0)

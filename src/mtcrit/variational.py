@@ -247,9 +247,8 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
                     n_grid: int = 2000) -> dict:
     """Maximize int ((1+g(u))(1+u^2) - (1+g(0))) over the 4 pi ball.
 
-    Returns the value with an optimization gap estimate: the spread of
-    the three starts' values, at least 1e-12 and at most 2% of the value.
-    Disk-radial only.
+    Returns {"lambda_g": value, "gap": spread of the three starts' values,
+    at least 1e-12 and at most 2% of the value}.  Disk-radial only.
     """
     if dom is not None and dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("lambda_g is computed on the radial disk")
@@ -263,15 +262,11 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
                 w * (gpu * (1.0 + u * u) + 2.0 * u * (1.0 + gu)))
 
     alpha = 4.0 * math.pi
-    results = []
-    for name, u0 in _make_starts(r, alpha, ("eigen", "bubble", "flat")):
-        u, Q, _, _ = _ascend(value_grad, u0, r, alpha)
-        results.append((Q, name, u))
-    results.sort(reverse=True, key=lambda t: t[0])
-    best = results[0][0]
-    gap = max(1e-12, best - results[-1][0])
-    return {"lambda_g": best, "gap": min(gap, 0.02 * abs(best)),
-            "start": results[0][1], "u": GridFunction(r, results[0][2])}
+    values = [_ascend(value_grad, u0, r, alpha)[1]
+              for _, u0 in _make_starts(r, alpha, ("eigen", "bubble", "flat"))]
+    best = max(values)
+    gap = max(1e-12, best - min(values))
+    return {"lambda_g": best, "gap": min(gap, 0.02 * abs(best))}
 
 
 def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict:

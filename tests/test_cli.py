@@ -68,6 +68,19 @@ def test_criterion_reports_the_grid_extrapolant(tmp_path, capsys):
     assert f"l_grid={rep['l_grid']:.6f} (+-{rep['l_confidence']:.2g})" in out
 
 
+def test_criterion_tied_B_pieces(tmp_path, capsys):
+    # a = 1, b = 0: the two B pieces share gamma^-1 and nearly cancel
+    # (1 + c = 0.2); the closed form and the grid now agree.
+    cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "PowerLog", "c": -0.8,
+                                                   "a": 1.0, "b": 0.0}})
+    assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "criterion.json").read_text())
+    assert rep["verdict"] == "ExtremalExists_l"
+    want = (1.0 + 4.0 * rep["S"] * math.exp(-1.0 - rep["M"]) * 0.2) / 1.2
+    assert rep["l_closed"] == pytest.approx(want, rel=1e-15)
+    assert rep["l_grid"] == pytest.approx(rep["l_closed"], abs=1e-12)
+
+
 def test_malformed_config_names_field(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "PowerLog",
                                                    "c": 1.0, "a": -2.0}})
@@ -187,10 +200,23 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
      "family", "Hermite blend dips"),
     ("extremal", {"domain": {"shape": "UnitDisk", "radius": 2.0}}, "domain", "'radius'"),
     ("criterion", {"domain": {"shape": "Rectangle", "widht": 3.0}}, "domain", "'widht'"),
+    ("criterion", {"gamma_grid": [7.0, 20.0, math.nan, 55.0, 150.0]}, "gamma_grid",
+     "NaN or Infinity"),
+    ("bubble", {"gamma_ladder": [3.0, math.nan]}, "gamma_ladder", "NaN or Infinity"),
+    ("bubble", {"robin_max": math.inf}, "robin_max", "NaN or Infinity"),
+    ("criterion", {"family": {"kind": "PowerLog", "c_prime": -math.inf, "a_prime": 1.0}},
+     "family", "NaN or Infinity"),
+    ("extremal", {"model_gamma": -1.0}, "model_gamma", "> 1"),
+    ("extremal", {"model_gamma": 0.0}, "model_gamma", "> 1"),
+    ("extremal", {"model_gamma": 1.0}, "model_gamma", "> 1"),
+    ("extremal", {"step1_eps": 0.0}, "step1_eps", "(0, 0.2]"),
+    ("extremal", {"step1_eps": 0.3}, "step1_eps", "(0, 0.2]"),
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
         "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
-        "domain-key", "rectangle-key"])
+        "domain-key", "rectangle-key", "gamma-grid-nan", "gamma-ladder-nan",
+        "robin-max-infinity", "family-minus-infinity", "model-gamma-negative",
+        "model-gamma-zero", "model-gamma-one", "step1-eps-zero", "step1-eps-large"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):
     solves = []

@@ -56,6 +56,18 @@ def test_threshold_root():
     assert root == pytest.approx(-(1.0 + 2.0 / math.e), abs=1e-3)
 
 
+@pytest.mark.parametrize("c", [-0.8, -0.5, 0.5])
+def test_tied_B_pieces_are_merged(c):
+    # a = 1, b = 0: both B pieces decay like 1/gamma, so |B| ~ |1 + g0 + c|/gamma,
+    # not (|1 + g0| + |c|)/gamma.
+    fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=c, a=1.0, b=0.0)
+    tied = 1.0 + c
+    want = (1.0 + 4.0 * S0 * math.exp(-1.0 - M0) * tied) / (1.0 + abs(tied))
+    assert closed_form_l(fam, M0, S0) == pytest.approx(want, rel=1e-15)
+    l, _ = limit_l(asymptotic_data(fam), M0, S0)
+    assert l == pytest.approx(want, abs=1e-12)
+
+
 def test_negative_limit_family():
     # Slow decay a' = 1 with c' < 0 dominates everything: l = -1/2.
     fam = PerturbationFamily(kind=FamilyKind.POWER_LOG,

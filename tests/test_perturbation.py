@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mtcrit import perturbation
@@ -127,10 +127,53 @@ def test_xi_validation():
 def test_asymptotic_data_zero_family():
     data = asymptotic_data(PerturbationFamily())
     # A vanishes, B(gamma) = (1+g(0))/gamma, F(t) = t
+    assert data.A_pieces == () and data.B_pieces == ((1.0, 1.0, 0.0),)
     assert float(data.A(5.0)) == 0.0
     assert float(data.B(5.0)) == pytest.approx(0.2, rel=1e-14)
     assert float(data.F(3.0)) == pytest.approx(3.0, rel=1e-14)
 
+
+
+# The closed forms of A and B as written before they became pieces, kept as
+# the reference for the pieces' evaluation.
+def _reference_A(cp, ap, bp, gam):
+    if ap > 0:
+        return cp * ap * gam ** (-(ap + 2.0)) * np.log(gam) ** (-bp)
+    return cp * bp * gam**-2.0 * np.log(gam) ** (-(bp + 1.0))
+
+
+def _reference_B(c, a, b, g0, gam):
+    return (1.0 + g0) / gam + 0.5 * c * (a + 1.0) * gam ** (-a) * np.log(gam) ** (-b)
+
+
+REFERENCE_GAMMAS = [np.geomspace(1.01, 1e6, 97), 7.38905609893065, 1096.6331584284585]
+
+
+@given(c=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), a=st.floats(0.0, 3.0),
+       b=st.floats(0.1, 2.0), g0=st.one_of(st.just(0.0), st.floats(-0.5, 1.0)),
+       cp=st.one_of(st.just(0.0), st.floats(-1.0, 2.0)),
+       ap=st.one_of(st.just(0.0), st.floats(0.0, 4.0)), bp=st.floats(0.1, 2.0),
+       R=st.floats(1.5, 20.0))
+@settings(max_examples=200, deadline=None)
+def test_pieces_match_reference_closed_forms(c, a, b, g0, cp, ap, bp, R):
+    try:
+        fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=c, a=a, b=b, g0=g0,
+                                 c_prime=cp, a_prime=ap, b_prime=bp, R_prime=R)
+    except NonAdmissibleError:
+        assume(False)
+    data = asymptotic_data(fam)
+    for gam in REFERENCE_GAMMAS:
+        gam_arr = np.asarray(gam)
+        A, B = data.A(gam), data.B(gam)
+        assert np.array_equal(A, _reference_A(cp, ap, bp, gam_arr))
+        B_ref = _reference_B(c, a, b, g0, gam_arr)
+        if g0 == 0.0:
+            assert np.array_equal(B, B_ref)
+        else:
+            # (1 + g0) gamma^-1 is rounded once more than (1 + g0) / gamma:
+            # a few ulp of the two terms, which may cancel in the sum
+            scale = (1.0 + g0) / gam_arr + np.abs(B_ref - (1.0 + g0) / gam_arr)
+            assert np.all(np.abs(B - B_ref) <= 4.0 * np.finfo(float).eps * scale)
 
 
 # -- Psi_1 in closed form ---------------------------------------------------

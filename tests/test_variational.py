@@ -166,7 +166,9 @@ def test_ascent_golden_values(fam, J, J_fused, start, lam_g):
     assert run.J_value == pytest.approx(J_fused, rel=2e-15, abs=0.0)
     assert run.iterations == 127
     assert run.start == start
-    assert lambda_g_report(fam)["lambda_g"] == lam_g
+    rep = lambda_g_report(fam)
+    assert rep["lambda_g"] == lam_g
+    assert set(rep) == {"lambda_g", "gap"}
 
 
 def _count_calls(monkeypatch, name):
