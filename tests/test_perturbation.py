@@ -264,6 +264,53 @@ def test_horner_blend_matches_power_form(fam):
     assert np.all(np.abs(dg - dq) <= 1e-13 * dq_scale)
 
 
+def _blend_nested(fam, t):
+    """The blend by the nested Horner expression that `_hermite_eval`
+    evaluates in place."""
+    h0, h1, h2, c3, c4, c5 = fam._hermite
+    L = 2.0 * math.log(fam.R_prime)
+    x = (np.log(t) + 0.5 * L) / L
+    q = h0 + x * (h1 + x * (h2 + x * (c3 + x * (c4 + x * c5))))
+    dqdx = h1 + x * (2.0 * h2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
+    return q, dqdx / (L * t)
+
+
+@pytest.mark.parametrize("fam", [BLENDED, PerturbationFamily(
+    kind=FamilyKind.POWER_LOG, c_prime=1.256171, a_prime=2.593292, b_prime=0.682198)],
+    ids=["both-branches", "infinity-branch"])
+@given(s=st.floats(min_value=-1.0, max_value=1.0))
+@example(s=-1.0)
+@example(s=0.0)
+@example(s=1.0)
+@settings(max_examples=100, deadline=None)
+def test_inplace_horner_equals_nested_expression(fam, s):
+    # Same operations in the same order: equal bit for bit, t = R'^s
+    t = fam.R_prime ** s
+    grid = np.geomspace(1.0 / fam.R_prime, fam.R_prime, 97)
+    for arg in (t, np.float64(t), np.array([t]), grid * fam.R_prime ** (s / 2.0)):
+        q, dq = perturbation._hermite_eval(fam, arg)
+        q_ref, dq_ref = _blend_nested(fam, arg)
+        assert np.array_equal(q, q_ref) and np.array_equal(dq, dq_ref)
+        assert np.shape(q) == np.shape(q_ref)
+
+
+@given(g0=st.one_of(st.just(0.0), st.floats(-0.9, 2.0)), a=st.floats(0.0, 3.0),
+       b=st.floats(0.1, 2.0), t=st.floats(min_value=1e-300, max_value=0.1))
+# with c = 0, (a, b) is not checked; t**p would overflow here
+@example(g0=0.3, a=-5.0, b=1.0, t=1e-300)
+@settings(max_examples=100, deadline=None)
+def test_zero_coefficient_branch_is_g0(g0, a, b, t):
+    fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=0.0, a=a, b=b, g0=g0,
+                             c_prime=0.7, a_prime=1.1, b_prime=0.4)
+    g, dg = fam._g_zero_branch(t)
+    assert type(g) is float and type(dg) is float
+    assert g == g0 and dg == 0.0
+    arr = np.array([t, 0.5 * t, 0.1])
+    g, dg = fam._g_zero_branch(arr)
+    assert np.array_equal(g, np.full_like(arr, g0))
+    assert np.array_equal(dg, np.zeros_like(arr))
+
+
 # -- the scalar path of eval_g and eval_psi_N --------------------------------
 
 R = BLENDED.R_prime

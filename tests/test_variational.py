@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtcrit.variational as variational
 from mtcrit import (
@@ -47,6 +50,37 @@ def test_eigen_start_energy():
         assert e <= alpha * (1.0 + 1e-9), name
     # The eigen start saturates the ball exactly.
     assert GridFunction(r, starts["eigen"]).energy() == pytest.approx(alpha, rel=1e-9)
+
+
+@given(n_grid=st.integers(min_value=50, max_value=4000),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       scale=st.floats(min_value=-8.0, max_value=8.0),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+@settings(max_examples=60, deadline=None)
+def test_riesz_solve_matches_scipy(n_grid, seed, scale, bad):
+    # The ascent factors K once (?pttrf) and solves by ?pttrs, the two
+    # halves of the ?ptsv that scipy.linalg.solveh_banded runs: equal bit
+    # for bit, with scipy's finiteness check on b.
+    ab = _stiffness(make_grid(n_grid))[:, :-1]
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(n_grid - 1) * 10.0**scale
+    factor = variational._factor(ab)
+    assert np.array_equal(variational.solveh_banded(factor, b),
+                          scipy.linalg.solveh_banded(ab, b))
+    b[rng.integers(n_grid - 1)] = bad
+    with pytest.raises(ValueError):
+        scipy.linalg.solveh_banded(ab, b)
+    with pytest.raises(ValueError):
+        variational.solveh_banded(factor, b)
+
+
+def test_riesz_factor_refuses_indefinite_band():
+    ab = _stiffness(make_grid(200))[:, :-1].copy()
+    ab[1, 7] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.solveh_banded(ab, np.ones(ab.shape[1]))
+    with pytest.raises(np.linalg.LinAlgError, match="8th leading minor"):
+        variational._factor(ab)
 
 
 def test_project_shrinks_energy():
