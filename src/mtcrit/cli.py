@@ -33,7 +33,7 @@ from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, profile_integrals,
                        s0_explicit, solve_profile)
 from .bubble import ladder_reports
-from .variational import (lambda_g_report, model_testfun_energy,
+from .variational import (START_NAMES, lambda_g_report, model_testfun_energy,
                           solve_subcritical, step1_testfun)
 
 
@@ -60,7 +60,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_int=_parse_int)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -71,11 +71,21 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise ConfigError(f"field {', '.join(map(repr, unknown))}: unknown config key")
     for key, value in cfg.items():
-        try:  # json.load reads NaN, Infinity and overflowing literals as floats
+        # json.load reads NaN, Infinity and overflowing literals as floats, the
+        # integer ones through _parse_int
+        try:
             json.dumps(value, allow_nan=False)
         except ValueError:
-            raise ConfigError(f"field '{key}': must not hold NaN or Infinity") from None
+            raise ConfigError(f"field '{key}': must not hold NaN or Infinity (nor a "
+                              f"number too large for a double)") from None
     return cfg
+
+
+def _parse_int(text: str):
+    """json's integer hook: an int, or Infinity when a double cannot hold the
+    literal, so _load_config refuses it with NaN and Infinity and int()
+    never parses a literal past its digit limit."""
+    return int(text) if math.isfinite(float(text)) else math.inf
 
 
 def _is_number(value) -> bool:
@@ -238,9 +248,12 @@ def cmd_extremal(cfg: dict, args) -> int:
     if not alphas or any(not 0.0 < a < 4.0 * math.pi for a in alphas):
         raise ConfigError("field 'alpha_ladder': need >= 1 value; alpha must lie "
                           "in (0, 4 pi)")
-    starts = cfg.get("starts", ["flat", "bubble", "eigen"])
-    if not isinstance(starts, list) or not starts or not all(isinstance(x, str) for x in starts):
-        raise ConfigError(f"field 'starts': must be a nonempty list of start names "
+    starts = cfg.get("starts", list(START_NAMES))
+    if (not isinstance(starts, list) or not starts
+            or not all(isinstance(x, str) and x in START_NAMES for x in starts)
+            or len(set(starts)) < len(starts)):
+        raise ConfigError(f"field 'starts': must be a nonempty list of start names, each "
+                          f"one of {', '.join(START_NAMES)} and none repeated "
                           f"(got {starts!r})")
     eps = _number(cfg, "step1_eps", 0.005)
     if not 0.0 < eps <= 0.2:

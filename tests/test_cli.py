@@ -223,6 +223,11 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     ("criterion", {"gamma_grid": [7.0, 20.0, True, 150.0]}, "gamma_grid", "True"),
     ("extremal", {"starts": "flat"}, "starts", "'flat'"),
     ("extremal", {"starts": ["flat", 1]}, "starts", "list of start names"),
+    ("extremal", {"starts": ["flat", "nope"]}, "starts", "'nope'"),
+    ("extremal", {"starts": ["flat", "flat"]}, "starts", "repeated"),
+    ("profiles", {"r_max": 10**400}, "r_max", "too large for a double"),
+    ("extremal", {"N": 10**400}, "N", "too large for a double"),
+    ("bubble", {"gamma_ladder": [10**400]}, "gamma_ladder", "too large for a double"),
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
         "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
@@ -232,7 +237,8 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
         "eps0-string", "robin-max-bool", "r-max-string", "step1-eps-bool",
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
         "gamma-ladder-number", "gamma-grid-string", "gamma-grid-bool", "starts-string",
-        "starts-number-item"])
+        "starts-number-item", "starts-unknown", "starts-repeated", "r-max-huge-int",
+        "N-huge-int", "gamma-ladder-huge-int"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):
     solves = []
@@ -278,25 +284,28 @@ def _assert_within(got, want, tolerances):
     walk(got, want, ())
 
 
-# extremal.json at alpha = 0.9 * 4 pi, recorded before Psi_1 was evaluated in
-# closed form and the Hermite blend by Horner's rule.  The ascent must take
-# the same path (start, iterations, saturated exact); the floats may move in
-# their last digits, by at most the stated tolerance (about 100x the drift
-# measured when those two rewrites landed).
+# extremal.json at alpha = 0.9 * 4 pi.  The `run` blocks were recorded from
+# the conditional-gradient ascent, `step1` and `model_testfun` before Psi_1
+# was evaluated in closed form and the Hermite blend by Horner's rule.  The
+# ascent must take the same path (start, iterations, saturated exact); the
+# floats may move in their last digits, by at most the stated tolerance
+# (about 100x the drift measured when those two rewrites landed).
 EXTREMAL_RECORDED = {
     "Zero": ({"kind": "Zero"}, {
-        "run": {"J": 9.504416349231679, "gamma": 2.3931477978342195,
-                "lambda": 0.4833439433139619, "el_residual": 1.3521311665251593e-06,
-                "start": "eigen", "iterations": 127, "saturated": True},
+        "run": {"J": 9.504416349250366, "gamma": 2.3931493232958676,
+                "lambda": 0.4833434601937889, "el_residual": 7.267327531899832e-07,
+                "start": "flat", "iterations": 70, "saturated": True,
+                "termination": "rtol"},
         "step1": {"J": 13.70631733457586},
         "model_testfun": {"normalized_gap": -1.1031703715039232, "mu": 6.0807003660391904e-06,
                           "log_inv_mu2": 24.020781353675, "I_z": 0.002777207706990744},
     }),
     "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
                   "b_prime": 0.682198}, {
-        "run": {"J": 9.586747468252343, "gamma": 2.3920231322531276,
-                "lambda": 0.4781814668785175, "el_residual": 1.4206786957103141e-06,
-                "start": "flat", "iterations": 127, "saturated": True},
+        "run": {"J": 9.586747468271152, "gamma": 2.39202452351381,
+                "lambda": 0.4781810309219897, "el_residual": 8.4938289548419e-07,
+                "start": "flat", "iterations": 69, "saturated": True,
+                "termination": "rtol"},
         "step1": {"J": 13.823925495572142},
         "model_testfun": {"normalized_gap": -1.141519713931089, "mu": 6.1293018691968325e-06,
                           "log_inv_mu2": 24.004859404143367, "I_z": 0.0035021511296146734},
