@@ -24,7 +24,6 @@ from .domain import (
     PoleCoincidenceError,
     DegenerateMaxError,
     first_bessel_zero,
-    first_eigenfunction,
     lambda1,
     robin_report,
 )
@@ -77,8 +76,7 @@ __all__ = [
     "NonAdmissibleError", "ExponentBudgetError", "asymptotic_data",
     "eval_g", "eval_H", "eval_psi_N", "phi_N", "log_phi_N", "xi",
     "DomainModel", "Shape", "RobinReport", "PoleCoincidenceError",
-    "DegenerateMaxError", "first_bessel_zero", "first_eigenfunction",
-    "lambda1", "robin_report",
+    "DegenerateMaxError", "first_bessel_zero", "lambda1", "robin_report",
     "RadialProfile", "StepFailureError", "solve_profile",
     "laplacian_profile", "profile_integrals", "s0_explicit",
     "BubbleSolution", "ExpansionReport", "BlowDownError", "shoot_bubble",

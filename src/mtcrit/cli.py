@@ -33,8 +33,8 @@ from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, profile_integrals,
                        s0_explicit, solve_profile)
 from .bubble import ladder_reports
-from .variational import (START_NAMES, lambda_g_report, model_testfun_energy,
-                          solve_subcritical, step1_testfun)
+from .variational import (lambda_g_report, model_testfun_energy, solve_subcritical,
+                          step1_testfun)
 
 
 class ConfigError(ValueError):
@@ -43,8 +43,11 @@ class ConfigError(ValueError):
 
 # The top-level keys a scenario config may carry (README, "Command line").
 CONFIG_KEYS = frozenset({"family", "domain", "gamma_grid", "gamma_ladder",
-                         "alpha_ladder", "starts", "step1_eps", "model_gamma",
+                         "alpha_ladder", "step1_eps", "model_gamma",
                          "r_max", "eps0", "N", "robin_max"})
+# Keys of older configs that no longer configure anything: `extremal` ascends
+# from one start now.  They are dropped on reading, so they change no report.
+RETIRED_CONFIG_KEYS = frozenset({"starts"})
 
 
 def _canonical(obj) -> str:
@@ -67,9 +70,10 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON ({path}): {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object ({path})")
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    unknown = sorted(set(cfg) - CONFIG_KEYS - RETIRED_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"field {', '.join(map(repr, unknown))}: unknown config key")
+    cfg = {key: value for key, value in cfg.items() if key not in RETIRED_CONFIG_KEYS}
     for key, value in cfg.items():
         # json.load reads NaN, Infinity and overflowing literals as floats, the
         # integer ones through _parse_int
@@ -248,13 +252,6 @@ def cmd_extremal(cfg: dict, args) -> int:
     if not alphas or any(not 0.0 < a < 4.0 * math.pi for a in alphas):
         raise ConfigError("field 'alpha_ladder': need >= 1 value; alpha must lie "
                           "in (0, 4 pi)")
-    starts = cfg.get("starts", list(START_NAMES))
-    if (not isinstance(starts, list) or not starts
-            or not all(isinstance(x, str) and x in START_NAMES for x in starts)
-            or len(set(starts)) < len(starts)):
-        raise ConfigError(f"field 'starts': must be a nonempty list of start names, each "
-                          f"one of {', '.join(START_NAMES)} and none repeated "
-                          f"(got {starts!r})")
     eps = _number(cfg, "step1_eps", 0.005)
     if not 0.0 < eps <= 0.2:
         raise ConfigError(f"field 'step1_eps': must lie in (0, 0.2] (got {eps!r})")
@@ -262,7 +259,7 @@ def cmd_extremal(cfg: dict, args) -> int:
     if gam <= 1.0:  # A and B carry log(gamma)
         raise ConfigError(f"field 'model_gamma': must be > 1 (got {gam!r})")
 
-    runs = [solve_subcritical(fam, N, a, starts=starts) for a in alphas]
+    runs = [solve_subcritical(fam, N, a) for a in alphas]
     payload = {"runs": [r.to_json() for r in runs]}
     for r in runs:
         r.u.to_csv(os.path.join(args.out, f"extremal_alpha{r.alpha:.4f}.csv"))

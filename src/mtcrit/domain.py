@@ -7,7 +7,7 @@ function is written
     G_x(y) = (1/4 pi) * ( log(1/|x-y|^2) + H_x(y) ),
 
 with H_x harmonic and equal to -log(1/|x-.|^2) on the boundary.  The Robin
-function is x -> H_x(x); its maximum M, maximizer set K and the associated
+function is x -> H_x(x); its maximum M, its maximizer K and the associated
 integral S drive the existence criterion.
 """
 
@@ -34,7 +34,6 @@ __all__ = [
     "robin",
     "robin_report",
     "lambda1",
-    "first_eigenfunction",
     "first_bessel_zero",
     "integrate_around_pole",
 ]
@@ -250,31 +249,6 @@ def lambda1(dom: DomainModel) -> float:
     return math.pi**2 * (1.0 / dom.width**2 + 1.0 / dom.height**2)
 
 
-@dataclass(frozen=True)
-class RadialEigenfunction:
-    """First disk eigenfunction v(r) = c J0(j01 r), H^1_0-normalized."""
-
-    scale: float
-    j01: float
-
-    def __call__(self, r):
-        return self.scale * j0(self.j01 * np.asarray(r, dtype=float))
-
-    def derivative(self, r):
-        return -self.scale * self.j01 * j1(self.j01 * np.asarray(r, dtype=float))
-
-
-def first_eigenfunction(dom: DomainModel) -> RadialEigenfunction:
-    """First eigenfunction normalized to Dirichlet energy 4 pi (disk only)."""
-    if dom.shape is not Shape.UNIT_DISK:
-        raise NotImplementedError("first_eigenfunction is provided for the disk")
-    k = first_bessel_zero()
-    # ||grad v||^2 = 2 pi k^2 int_0^1 J1(k r)^2 r dr = pi k^2 J1(k)^2
-    # (Bessel norm with J0(k) = 0)
-    energy_unit = math.pi * k * k * j1(k) ** 2
-    return RadialEigenfunction(scale=math.sqrt(4.0 * math.pi / energy_unit), j01=k)
-
-
 # -- singularity-aware integration over the domain ---------------------------
 
 # Gauss nodes per angular segment and per radial panel, and the number of
@@ -351,9 +325,8 @@ def integrate_around_pole(
 
 # -- Robin report -------------------------------------------------------------
 
-# Maximizers within _TOL_K of the maximum form K.  The search scans a
-# _GRID_N x _GRID_N grid kept _BOUNDARY_MARGIN (relative) inside the domain.
-_TOL_K = 1e-8
+# The search scans a _GRID_N x _GRID_N grid kept _BOUNDARY_MARGIN (relative)
+# inside the domain and refines its best node.
 _GRID_N = 41
 _BOUNDARY_MARGIN = 0.05
 
@@ -363,17 +336,9 @@ class RobinReport:
     M: float
     K: list
     S: float
-    argmax_S: tuple
-    tol_K: float
 
     def to_json(self) -> dict:
-        return {
-            "M": self.M,
-            "K": [list(map(float, p)) for p in self.K],
-            "S": self.S,
-            "argmax_S": list(map(float, self.argmax_S)),
-            "tol_K": self.tol_K,
-        }
+        return {"M": self.M, "K": [list(map(float, p)) for p in self.K], "S": self.S}
 
 
 def robin_report(
@@ -382,8 +347,12 @@ def robin_report(
 ) -> RobinReport:
     """Maximize the Robin function and evaluate the concentration integral.
 
-    Returns M = max Robin, the maximizer set K (within _TOL_K after local
-    refinement) and S = max over K of int_Omega G_z F(4 pi G_z).
+    The best node of the scan is refined by one Nelder-Mead search.  On a
+    convex domain the Robin function has one critical point (Caffarelli-
+    Friedman, Duke Math. J. 1985), so that refine finds the maximizer.
+    Returns M = max Robin, K = [the maximizer z] and S = int_Omega G_z
+    F(4 pi G_z).  Raises DegenerateMaxError if z lies within half the scan
+    margin of the boundary.
     """
     m = _BOUNDARY_MARGIN
     if dom.shape is Shape.UNIT_DISK:
@@ -396,32 +365,15 @@ def robin_report(
     grid = np.column_stack([X.ravel(), Y.ravel()])
     grid = grid[[dom.contains(p, margin=m * 0.5) for p in grid]]
     vals = _robin_array(dom, grid)
-    # refine the top candidates
-    refined = []
-    seen: list[np.ndarray] = []
-    for p in grid[np.argsort(-vals, kind="stable")[:8]]:
-        res = minimize(lambda q: -robin(dom, q), p, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-        q = res.x
-        if not dom.contains(q, margin=1e-6):
-            raise DegenerateMaxError("Robin maximizer hit the boundary margin")
-        if any(np.linalg.norm(q - s) < 1e-6 for s in seen):
-            continue
-        seen.append(q)
-        refined.append((-res.fun, q))
-    M = max(v for v, _ in refined)
-    if dom.boundary_distance(refined[0][1]) < m * 0.5:
+    res = minimize(lambda q: -robin(dom, q), grid[np.argmax(vals)], method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
+    z = res.x
+    if dom.boundary_distance(z) < m * 0.5:
         raise DegenerateMaxError("Robin maximizer hit the boundary margin")
-    K = [q for v, q in refined if abs(v - M) <= _TOL_K]
 
-    best_S, best_z = -math.inf, K[0]
-    for zk in K:
-        def integrand(r, pts, _z=zk):
-            Gv = np.asarray(green(dom, _z, pts))
-            return Gv * np.asarray(F(4.0 * math.pi * Gv))
+    def integrand(r, pts):
+        Gv = np.asarray(green(dom, z, pts))
+        return Gv * np.asarray(F(4.0 * math.pi * Gv))
 
-        Sk = integrate_around_pole(dom, zk, integrand)
-        if Sk > best_S:
-            best_S, best_z = Sk, zk
-    return RobinReport(M=float(M), K=[tuple(map(float, q)) for q in K],
-                       S=float(best_S), argmax_S=tuple(map(float, best_z)), tol_K=_TOL_K)
+    S = integrate_around_pole(dom, z, integrand)
+    return RobinReport(M=float(-res.fun), K=[tuple(map(float, z))], S=float(S))

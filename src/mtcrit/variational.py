@@ -7,11 +7,13 @@ Dirichlet energy is the quadratic form of the radial P1 stiffness matrix
 weights 2 pi int phi_j r dr, exact for linear integrands.
 
 Both maximisations over the energy ball {E(u) <= alpha} run one
-conditional-gradient (Frank-Wolfe) ascent, `_ascend`: each step moves
-toward the maximiser of the linearised functional on the ball, the
-H^1_0 Riesz representative of the gradient scaled to energy alpha.  It
-ends on "rtol", "no_ascent_step" or "max_iter", and solve_subcritical
-reports the reason with its run.
+conditional-gradient (Frank-Wolfe) ascent, `_ascend`, from one start,
+`_start`: each step moves toward the maximiser of the linearised
+functional on the ball, the H^1_0 Riesz representative of the gradient
+scaled to energy alpha.  It ends on "rtol", "no_ascent_step" or
+"max_iter"; solve_subcritical reports the reason with its run, and
+lambda_g_report widens its gap to inf unless both its ascents end on
+"rtol".
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 
 from .csvout import write_csv
-from .domain import DomainModel, Shape, first_eigenfunction
+from .domain import DomainModel, Shape
 from .perturbation import AsymptoticData, PerturbationFamily, eval_g, eval_psi_N
 from .profiles import B0_CONSTANT, RadialProfile
 
@@ -46,8 +48,6 @@ class RootFailError(RuntimeError):
     """The height equation for the model scale has no bracketed root."""
 
 
-# the initial profiles solve_subcritical and lambda_g_report ascend from
-START_NAMES = ("flat", "bubble", "eigen")
 # sinh grading of the radial grid toward r = 0 and r = 1
 _GRID_KAPPA = 3.0
 # _ascend stops after _MAX_ITER steps, or once a full step, or each of three
@@ -145,15 +145,14 @@ class ExtremalRun:
     lam: float
     el_residual: float
     saturated: bool
-    start: str = ""
     iterations: int = 0
     termination: str = ""
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha, "J": self.J_value, "gamma": self.gamma,
                 "lambda": self.lam, "el_residual": self.el_residual,
-                "saturated": self.saturated, "start": self.start,
-                "iterations": self.iterations, "termination": self.termination}
+                "saturated": self.saturated, "iterations": self.iterations,
+                "termination": self.termination}
 
 
 def _project(u: np.ndarray, ab: np.ndarray, alpha: float) -> np.ndarray:
@@ -216,33 +215,17 @@ def _apply_K(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _make_starts(r: np.ndarray, alpha: float, which) -> list:
-    for name in which:
-        if name not in START_NAMES:
-            raise ValueError(f"unknown start {name!r}")
-    eig = first_eigenfunction(DomainModel())
-    out = []
-    for name in which:
-        if name == "flat":
-            u = 0.3 * (1.0 - r * r)
-        elif name == "bubble":
-            eps = 0.1
-            u = np.log((1.0 + eps**2) / (eps**2 + r * r))
-        else:
-            u = eig(r)
-        u[-1] = 0.0
-        e = GridFunction(r, u).energy()
-        out.append((name, u * math.sqrt(alpha / e)))
-    return out
+def _start(r: np.ndarray, alpha: float) -> np.ndarray:
+    """The profile both ascents start from: 1 - r^2 scaled to energy alpha."""
+    u = 0.3 * (1.0 - r * r)
+    return u * math.sqrt(alpha / _energy(_stiffness(r), u))
 
 
 def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
-                      starts=START_NAMES, n_grid: int = 2000) -> ExtremalRun:
-    """Maximize the Moser functional over the H^1_0 ball of radius^2 alpha.
+                      n_grid: int = 2000) -> ExtremalRun:
+    """Maximize the Moser functional over the H^1_0 ball of radius^2 alpha
+    by one conditional-gradient ascent from `_start`.
 
-    Runs the conditional-gradient ascent from each start and keeps the
-    best: the earliest start, unless a later one ends higher by more than
-    _RTOL relative.
     Reports the Lagrange multiplier of Delta u = lambda u H(u) e^{u^2}
     (Rayleigh quotient at the constrained maximizer) and the relative
     discrete Euler-Lagrange residual.
@@ -257,13 +240,7 @@ def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
         psi, psi_p = eval_psi_N(fam, N, u)
         return float(np.dot(w, psi)), w * psi_p
 
-    best = None
-    for name, u0 in _make_starts(r, alpha, starts):
-        u, J, F, it, why = _ascend(value_grad, u0, r, alpha)
-        # the starts agree to roundoff, so a roundoff win must not pick the start
-        if best is None or J - best[1] > _RTOL * abs(best[1]):
-            best = (u, J, F, name, it, why)
-    u, J, F, name, it, why = best
+    u, J, F, it, why = _ascend(value_grad, _start(r, alpha), r, alpha)
     gf = GridFunction(r, u)
     e = gf.energy()
     # F is the nodal weak form of Psi'_N(u), i.e. 2 u H(u) e^{u^2} up to truncation
@@ -274,7 +251,7 @@ def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
     el_res = float(np.linalg.norm(resid_vec) / max(np.linalg.norm(Ku[:-1]), 1e-300))
     return ExtremalRun(alpha=alpha, u=gf, J_value=J, gamma=float(np.max(u)),
                        lam=lam, el_residual=el_res,
-                       saturated=abs(e - alpha) < 1e-6, start=name, iterations=it,
+                       saturated=abs(e - alpha) < 1e-6, iterations=it,
                        termination=why)
 
 
@@ -282,26 +259,33 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
                     n_grid: int = 2000) -> dict:
     """Maximize int ((1+g(u))(1+u^2) - (1+g(0))) over the 4 pi ball.
 
-    Returns {"lambda_g": value, "gap": spread of the three starts' values,
-    at least 1e-12 and at most 2% of the value}.  Disk-radial only.
+    Returns {"lambda_g": value on the n_grid grid, "gap": |value - value on
+    the n_grid // 2 grid|}.  The discretisation error is O(n_grid^-2), so
+    the half-grid difference (about three times that error) bounds it.  If
+    either ascent ends on anything but "rtol", its value is not a maximum
+    and the gap is inf.  Disk-radial only.
     """
     if dom is not None and dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("lambda_g is computed on the radial disk")
-    r = make_grid(n_grid)
-    w = _load_weights(r)
     g00, _ = eval_g(fam, 0.0)
-
-    def value_grad(u):
-        gu, gpu = eval_g(fam, u)
-        return (float(np.dot(w, (1.0 + gu) * (1.0 + u * u) - (1.0 + g00))),
-                w * (gpu * (1.0 + u * u) + 2.0 * u * (1.0 + gu)))
-
     alpha = 4.0 * math.pi
-    values = [_ascend(value_grad, u0, r, alpha)[1]
-              for _, u0 in _make_starts(r, alpha, ("eigen", "bubble", "flat"))]
-    best = max(values)
-    gap = max(1e-12, best - min(values))
-    return {"lambda_g": best, "gap": min(gap, 0.02 * abs(best))}
+
+    def ascend(n):
+        r = make_grid(n)
+        w = _load_weights(r)
+
+        def value_grad(u):
+            gu, gpu = eval_g(fam, u)
+            return (float(np.dot(w, (1.0 + gu) * (1.0 + u * u) - (1.0 + g00))),
+                    w * (gpu * (1.0 + u * u) + 2.0 * u * (1.0 + gu)))
+
+        _, J, _, _, why = _ascend(value_grad, _start(r, alpha), r, alpha)
+        return J, why
+
+    value, why = ascend(n_grid)
+    half, why_half = ascend(n_grid // 2)
+    converged = why == why_half == "rtol"
+    return {"lambda_g": value, "gap": abs(value - half) if converged else math.inf}
 
 
 def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict:

@@ -3,11 +3,14 @@
 import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from mtcrit import cli
 from mtcrit import profiles as profiles_module
+from mtcrit import variational
 from mtcrit.cli import main
 
 
@@ -81,6 +84,19 @@ def test_criterion_tied_B_pieces(tmp_path, capsys):
     assert rep["l_grid"] == pytest.approx(rep["l_closed"], abs=1e-12)
 
 
+def test_criterion_unconverged_lambda_g_is_inconclusive(tmp_path, monkeypatch):
+    # l = -1/2 would say no extremal if Lambda_g sat below pi e^{1+M}; an
+    # ascent cut off after three steps bounds nothing, so its gap is inf and
+    # the verdict is Inconclusive.
+    monkeypatch.setattr(variational, "_MAX_ITER", 3)
+    cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "PowerLog", "c_prime": -0.7,
+                                                   "a_prime": 0.25, "b_prime": 0.8}})
+    assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 2
+    rep = json.loads((tmp_path / "criterion.json").read_text())
+    assert rep["verdict"] == "Inconclusive"
+    assert rep["l_closed"] == pytest.approx(-0.5, abs=1e-12)
+
+
 def test_malformed_config_names_field(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "PowerLog",
                                                    "c": 1.0, "a": -2.0}})
@@ -141,11 +157,30 @@ def test_extremal_bad_alpha(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def test_extremal_empty_starts(tmp_path, capsys):
-    cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "Zero"}, "starts": []})
-    rc = main(["extremal", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == 1
-    assert "starts" in capsys.readouterr().err
+def test_extremal_empty_starts(tmp_path):
+    # `starts` is retired: every ascent runs from one start, and a config that
+    # still names starts, even none, writes the report of one that does not.
+    reports = []
+    for k, starts in enumerate([None, [], ["eigen", "bubble"]]):
+        payload = {"family": {"kind": "Zero"}, "alpha_ladder": [0.7]}
+        if starts is not None:
+            payload["starts"] = starts
+        out = tmp_path / str(k)
+        assert main(["extremal", "--config", _write(tmp_path, f"cfg{k}.json", payload),
+                     "--out", str(out)]) == 0
+        reports.append((out / "extremal.json").read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert "start" not in json.loads(reports[0])["runs"][0]
+
+
+def test_readme_lists_every_config_key():
+    # The README names each top-level key once, in its key list or as retired.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = text.split("A scenario config is a JSON object with the optional keys")[1]
+    listed = listed.split(".")[0]
+    retired = text.split("The retired top-level key")[1].split(".")[0]
+    assert set(re.findall(r"`(\w+)`", listed)) == cli.CONFIG_KEYS
+    assert set(re.findall(r"`(\w+)`", retired)) == cli.RETIRED_CONFIG_KEYS
 
 
 @pytest.mark.parametrize("cmd", ["criterion", "extremal"])
@@ -221,10 +256,6 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     ("bubble", {"gamma_ladder": 3.0}, "gamma_ladder", "list of numbers"),
     ("criterion", {"gamma_grid": [7.0, 20.0, "55", 150.0]}, "gamma_grid", "'55'"),
     ("criterion", {"gamma_grid": [7.0, 20.0, True, 150.0]}, "gamma_grid", "True"),
-    ("extremal", {"starts": "flat"}, "starts", "'flat'"),
-    ("extremal", {"starts": ["flat", 1]}, "starts", "list of start names"),
-    ("extremal", {"starts": ["flat", "nope"]}, "starts", "'nope'"),
-    ("extremal", {"starts": ["flat", "flat"]}, "starts", "repeated"),
     ("profiles", {"r_max": 10**400}, "r_max", "too large for a double"),
     ("extremal", {"N": 10**400}, "N", "too large for a double"),
     ("bubble", {"gamma_ladder": [10**400]}, "gamma_ladder", "too large for a double"),
@@ -236,8 +267,7 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
         "model-gamma-zero", "model-gamma-one", "step1-eps-zero", "step1-eps-large",
         "eps0-string", "robin-max-bool", "r-max-string", "step1-eps-bool",
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
-        "gamma-ladder-number", "gamma-grid-string", "gamma-grid-bool", "starts-string",
-        "starts-number-item", "starts-unknown", "starts-repeated", "r-max-huge-int",
+        "gamma-ladder-number", "gamma-grid-string", "gamma-grid-bool", "r-max-huge-int",
         "N-huge-int", "gamma-ladder-huge-int"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):
@@ -287,14 +317,14 @@ def _assert_within(got, want, tolerances):
 # extremal.json at alpha = 0.9 * 4 pi.  The `run` blocks were recorded from
 # the conditional-gradient ascent, `step1` and `model_testfun` before Psi_1
 # was evaluated in closed form and the Hermite blend by Horner's rule.  The
-# ascent must take the same path (start, iterations, saturated exact); the
+# ascent must take the same path (iterations, saturated exact); the
 # floats may move in their last digits, by at most the stated tolerance
 # (about 100x the drift measured when those two rewrites landed).
 EXTREMAL_RECORDED = {
     "Zero": ({"kind": "Zero"}, {
         "run": {"J": 9.504416349250366, "gamma": 2.3931493232958676,
                 "lambda": 0.4833434601937889, "el_residual": 7.267327531899832e-07,
-                "start": "flat", "iterations": 70, "saturated": True,
+                "iterations": 70, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.70631733457586},
         "model_testfun": {"normalized_gap": -1.1031703715039232, "mu": 6.0807003660391904e-06,
@@ -304,7 +334,7 @@ EXTREMAL_RECORDED = {
                   "b_prime": 0.682198}, {
         "run": {"J": 9.586747468271152, "gamma": 2.39202452351381,
                 "lambda": 0.4781810309219897, "el_residual": 8.4938289548419e-07,
-                "start": "flat", "iterations": 69, "saturated": True,
+                "iterations": 69, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.823925495572142},
         "model_testfun": {"normalized_gap": -1.141519713931089, "mu": 6.1293018691968325e-06,
@@ -400,7 +430,7 @@ def test_bubble_within_tolerance_of_recorded(tmp_path, name):
 
 @pytest.mark.parametrize("cmd,payload", [
     ("profiles", {}),
-    ("extremal", {"alpha_ladder": [0.7], "starts": ["flat"]}),
+    ("extremal", {"alpha_ladder": [0.7]}),
 ])
 def test_missing_out_dir_is_created(tmp_path, cmd, payload):
     cfg = _write(tmp_path, "cfg.json", payload)
@@ -414,7 +444,7 @@ def test_missing_out_dir_is_created(tmp_path, cmd, payload):
     ("bubble", {"family": {"kind": "Zero"}}, 2),
     ("profiles", {}, 3),
     ("verify", {}, 3),
-    ("extremal", {"alpha_ladder": [0.7], "starts": ["flat"]}, 3),
+    ("extremal", {"alpha_ladder": [0.7]}, 3),
 ])
 def test_each_profile_is_solved_once(tmp_path, monkeypatch, cmd, payload, expected):
     # A command solves each profile it reads once and passes it down; no

@@ -21,7 +21,7 @@ from mtcrit import (
     step1_testfun,
 )
 from mtcrit.domain import DomainModel, Shape
-from mtcrit.variational import _load_weights, _make_starts, _project, _stiffness, make_grid
+from mtcrit.variational import _load_weights, _project, _start, _stiffness, make_grid
 
 # Infinity-branch-only PowerLog family of the disk-verdict benchmark.
 POWER_LOG = PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.256171,
@@ -41,15 +41,13 @@ def test_boundary_value_enforced():
         GridFunction(r, np.ones_like(r))
 
 
-def test_eigen_start_energy():
+def test_start_saturates_ball():
+    # Every ascent starts on the sphere E(u) = alpha, nonnegative and zero at r = 1.
     r = make_grid()
-    alpha = 4.0 * math.pi
-    starts = dict(_make_starts(r, alpha, ("eigen", "flat", "bubble")))
-    for name, u0 in starts.items():
-        e = GridFunction(r, u0).energy()
-        assert e <= alpha * (1.0 + 1e-9), name
-    # The eigen start saturates the ball exactly.
-    assert GridFunction(r, starts["eigen"]).energy() == pytest.approx(alpha, rel=1e-9)
+    for alpha in (0.5, 0.9 * 4.0 * math.pi, 4.0 * math.pi):
+        u0 = _start(r, alpha)
+        assert GridFunction(r, u0).energy() == pytest.approx(alpha, rel=1e-12)
+        assert np.all(u0 >= 0.0) and u0[-1] == 0.0
 
 
 @given(n_grid=st.integers(min_value=50, max_value=4000),
@@ -120,7 +118,6 @@ def test_solve_subcritical_basic(fam0):
     assert run.el_residual < 1e-4
     assert run.J_value > math.pi
     assert run.gamma > 0 and run.lam > 0
-    # The maximizer beats every individual start's projected profile.
     assert run.iterations > 0
 
 
@@ -131,11 +128,6 @@ def test_alpha_validation(fam0):
         solve_subcritical(fam0, 1, 0.0)
 
 
-def test_unknown_start(fam0):
-    with pytest.raises(ValueError):
-        solve_subcritical(fam0, 1, 1.0, starts=("nope",))
-
-
 def test_lambda_g_zero_family(lambda_g0):
     # For g = 0 the maximizer is the first eigenfunction scaled to the
     # ball boundary: Lambda_0 = 4 pi / lambda_1.
@@ -143,6 +135,21 @@ def test_lambda_g_zero_family(lambda_g0):
     assert lambda_g0["lambda_g"] == pytest.approx(target, rel=0.01)
     assert lambda_g0["lambda_g"] < math.pi * math.e
     assert lambda_g0["gap"] < 0.05
+
+
+@pytest.mark.parametrize("n_grid", [1000, 2000, 4000])
+def test_lambda_g_gap_bounds_the_error(fam0, n_grid):
+    # The half-grid difference bounds the O(n^-2) discretisation error of
+    # Lambda_0 = 4 pi / j01^2.
+    rep = lambda_g_report(fam0, n_grid=n_grid)
+    err = abs(rep["lambda_g"] - 4.0 * math.pi / 5.783185962946783)
+    assert err <= rep["gap"] < 10.0 * err
+
+
+def test_lambda_g_gap_is_inf_unless_converged(monkeypatch):
+    monkeypatch.setattr(variational, "_MAX_ITER", 3)
+    rep = lambda_g_report(POWER_LOG, n_grid=400)
+    assert math.isfinite(rep["lambda_g"]) and rep["gap"] == math.inf
 
 
 def test_lambda_g_non_disk(fam0):
@@ -184,46 +191,26 @@ def test_level_trend(fam0):
 
 
 # Golden values of the conditional-gradient ascent at the default grid,
-# pinned float for float: `J`, iterations, start and Lambda_g are compared
-# with `==`.  Against the projected Barzilai-Borwein ascent it replaced
-# (`J_bb`, 127 iterations, `lam_g_bb`), `J` may only rise and by at most
-# 1e-11 relative, the iterations must be fewer and Lambda_g must agree to
-# 1e-12 relative.
-@pytest.mark.parametrize("fam,J,J_bb,iterations,start,lam_g,lam_g_bb", [
-    (PerturbationFamily(), 9.504416349250366, 9.504416349231686, 70, "flat",
-     2.172916383320414, 2.1729163833204144),
-    (POWER_LOG, 9.586747468271152, 9.58674746825234, 69, "flat",
-     2.213910110129713, 2.2139101101297127),
+# pinned float for float: `J`, iterations and Lambda_g are compared with
+# `==`.  Against the projected Barzilai-Borwein ascent it replaced (`J_bb`,
+# 127 iterations, `lam_g_bb`), `J` may only rise and by at most 1e-11
+# relative, the iterations must be fewer and Lambda_g must agree to 1e-12
+# relative.
+@pytest.mark.parametrize("fam,J,J_bb,iterations,lam_g,lam_g_bb", [
+    (PerturbationFamily(), 9.504416349250366, 9.504416349231686, 70,
+     2.172916383320413, 2.1729163833204144),
+    (POWER_LOG, 9.586747468271152, 9.58674746825234, 69,
+     2.2139101101297127, 2.2139101101297127),
 ], ids=["Zero", "PowerLog"])
-def test_ascent_golden_values(fam, J, J_bb, iterations, start, lam_g, lam_g_bb):
+def test_ascent_golden_values(fam, J, J_bb, iterations, lam_g, lam_g_bb):
     run = solve_subcritical(fam, 1, 0.9 * 4.0 * math.pi)
     assert run.J_value == J
     assert J_bb <= run.J_value <= J_bb * (1.0 + 1e-11)
     assert run.iterations == iterations < 127
-    assert run.start == start
     rep = lambda_g_report(fam)
     assert rep["lambda_g"] == lam_g
     assert rep["lambda_g"] == pytest.approx(lam_g_bb, rel=1e-12, abs=0.0)
     assert set(rep) == {"lambda_g", "gap"}
-
-
-@pytest.mark.parametrize("gains,start", [
-    ((0.0, 0.5, 0.9), "flat"),
-    ((0.0, 0.5, 2.0), "eigen"),
-], ids=["within-rtol", "beyond-rtol"])
-def test_near_tied_starts_keep_the_earlier(monkeypatch, fam0, gains, start):
-    # The starts reach the same maximum to roundoff; a later start is
-    # reported only if its J beats the best so far by more than _RTOL relative.
-    ascend = variational._ascend
-    J_of = iter(10.0 * (1.0 + g * variational._RTOL) for g in gains)
-
-    def near_tie(*args):
-        u, _, *rest = ascend(*args)
-        return (u, next(J_of), *rest)
-
-    monkeypatch.setattr(variational, "_ascend", near_tie)
-    run = solve_subcritical(fam0, 1, 0.5 * 4.0 * math.pi, n_grid=400)
-    assert run.start == start
 
 
 def test_ascent_termination_reasons(monkeypatch, fam0):
@@ -232,7 +219,7 @@ def test_ascent_termination_reasons(monkeypatch, fam0):
     r = make_grid(400)
     w = _load_weights(r)
     alpha = 0.5 * 4.0 * math.pi
-    ((_, u0),) = _make_starts(r, alpha, ("flat",))
+    u0 = _start(r, alpha)
 
     def value_grad(u):
         psi, psi_p = eval_psi_N(fam0, 1, u)
@@ -278,7 +265,7 @@ def test_convex_runs_take_full_steps(monkeypatch, fam):
     monkeypatch.setattr(variational, "_ascend", counted)
     for frac in (0.7, 0.8, 0.9, 0.95):  # the extremal default ladder
         solve_subcritical(fam, 1, frac * 4.0 * math.pi)
-    assert len(seen) == 12
+    assert len(seen) == 4
     assert all(evals == it + 1 and why == "rtol" for evals, it, why in seen), seen
 
 
