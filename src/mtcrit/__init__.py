@@ -50,7 +50,6 @@ from .criterion import (
     Verdict,
     Cor2Class,
     ZeroDenominatorError,
-    NoLimitError,
     ratio_value,
     closed_form_l,
     limit_l,
@@ -83,7 +82,7 @@ __all__ = [
     "lambda_from_level", "verify_expansion", "verify_source_expansion",
     "ladder_reports",
     "CriterionReport", "Verdict", "Cor2Class", "ZeroDenominatorError",
-    "NoLimitError", "ratio_value", "closed_form_l", "limit_l", "classify",
+    "ratio_value", "closed_form_l", "limit_l", "classify",
     "cor2_classifier", "ratio_curve_csv",
     "DEFAULT_GAMMA_GRID",
     "ExtremalRun", "GridFunction", "RootFailError",

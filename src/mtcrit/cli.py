@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         DEFAULT_GAMMA_GRID, Verdict)
-from .domain import DomainModel, Shape, lambda1, robin_report
+from .domain import RETIRED_DOMAIN_KEYS, DomainModel, Shape, lambda1, robin_report
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, profile_integrals,
                        s0_explicit, solve_profile)
@@ -74,6 +74,11 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise ConfigError(f"field {', '.join(map(repr, unknown))}: unknown config key")
     cfg = {key: value for key, value in cfg.items() if key not in RETIRED_CONFIG_KEYS}
+    if isinstance(cfg.get("domain"), dict):
+        # a domain object that held only retired keys is no domain object
+        domain = {k: v for k, v in cfg.pop("domain").items() if k not in RETIRED_DOMAIN_KEYS}
+        if domain:
+            cfg["domain"] = domain
     for key, value in cfg.items():
         # json.load reads NaN, Infinity and overflowing literals as floats, the
         # integer ones through _parse_int

@@ -25,7 +25,6 @@ __all__ = [
     "Cor2Class",
     "CriterionReport",
     "ZeroDenominatorError",
-    "NoLimitError",
     "ratio_value",
     "closed_form_l",
     "limit_l",
@@ -35,16 +34,10 @@ __all__ = [
 ]
 
 DEFAULT_GAMMA_GRID = tuple(math.exp(k) for k in range(2, 9))
-# Largest spread of the last three grid extrapolants that still counts as a limit.
-_SPREAD_THRESHOLD = 0.25
 
 
 class ZeroDenominatorError(ArithmeticError):
     """All three denominator terms of the ratio underflowed."""
-
-
-class NoLimitError(RuntimeError):
-    """Grid values oscillate beyond the spread threshold."""
 
 
 class Verdict(str, Enum):
@@ -107,8 +100,8 @@ def limit_l(data: AsymptoticData, M: float, S: float,
 
     Returns (l, confidence).  The grid values carry 1/log(gamma)-scale
     corrections, so one Richardson step in 1/log(gamma) is applied and
-    the spread of the extrapolants is the confidence width.  Raises
-    NoLimitError when the extrapolants spread by more than _SPREAD_THRESHOLD.
+    the spread of the last three extrapolants, however wide, is the
+    confidence width.
     """
     grid = sorted(gamma_grid)
     if len(grid) < 4:
@@ -119,11 +112,7 @@ def limit_l(data: AsymptoticData, M: float, S: float,
     extr = [(ks[j] * vals[j] - ks[j - 1] * vals[j - 1]) / (ks[j] - ks[j - 1])
             for j in range(1, len(vals))]
     tail = extr[-3:]
-    l_grid = tail[-1]
-    confidence = max(tail) - min(tail)
-    if confidence > _SPREAD_THRESHOLD:
-        raise NoLimitError(f"ratio grid oscillates: spread {confidence:.3g}")
-    return l_grid, confidence
+    return tail[-1], max(tail) - min(tail)
 
 
 @dataclass
@@ -131,6 +120,7 @@ class CriterionReport:
     M: float
     S: float
     lambda_g: float
+    lambda_gap: float
     pi_e_level: float
     l_closed: float
     l_grid: float
@@ -141,6 +131,8 @@ class CriterionReport:
     def to_json(self) -> dict:
         return {
             "M": self.M, "S": self.S, "lambda_g": self.lambda_g,
+            # strict JSON: an ascent that did not end on rtol has an inf gap
+            "lambda_gap": self.lambda_gap if math.isfinite(self.lambda_gap) else None,
             "pi_e_level": self.pi_e_level, "l_closed": self.l_closed,
             "l_grid": self.l_grid, "l_confidence": self.l_confidence,
             "verdict": self.verdict.value, "diagnostics": self.diagnostics,
@@ -173,9 +165,9 @@ def classify(M: float, S: float, lambda_g: float, l: float, l_confidence: float,
                         "N large; the truncation threshold is non-constructive")
     else:
         verdict = Verdict.INCONCLUSIVE
-    return CriterionReport(M=M, S=S, lambda_g=lambda_g, pi_e_level=level,
-                           l_closed=l_closed, l_grid=l, l_confidence=l_confidence,
-                           verdict=verdict, diagnostics=diag)
+    return CriterionReport(M=M, S=S, lambda_g=lambda_g, lambda_gap=lambda_gap,
+                           pi_e_level=level, l_closed=l_closed, l_grid=l,
+                           l_confidence=l_confidence, verdict=verdict, diagnostics=diag)
 
 
 def cor2_classifier(a_prime: float, b_prime: float, c_prime: float) -> Cor2Class:

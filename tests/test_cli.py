@@ -29,6 +29,8 @@ def test_criterion_zero_family(tmp_path, capsys):
     rep = json.loads((tmp_path / "criterion.json").read_text())
     assert rep["verdict"] == "ExtremalExists_l"
     assert rep["l_closed"] == pytest.approx(0.5 * (1 + 2 / math.e), abs=1e-9)
+    # |Lambda(n) - Lambda(n/2)| at the default n_grid = 2000
+    assert rep["lambda_gap"] == pytest.approx(4.6e-6, rel=0.05)
     assert "config_hash" in rep and "version" in rep
     assert (tmp_path / "ratio_curve.csv").exists()
 
@@ -95,6 +97,40 @@ def test_criterion_unconverged_lambda_g_is_inconclusive(tmp_path, monkeypatch):
     rep = json.loads((tmp_path / "criterion.json").read_text())
     assert rep["verdict"] == "Inconclusive"
     assert rep["l_closed"] == pytest.approx(-0.5, abs=1e-12)
+    assert rep["lambda_gap"] is None
+
+
+@pytest.mark.parametrize("c_prime,verdict,code", [
+    (-0.441379, "NoExtremal_Truncations", 0),
+    (-0.136207, "Inconclusive", 2),
+    (0.067241, "ExtremalExists_l", 0),
+])
+def test_criterion_wide_grid_spread_still_classifies(tmp_path, c_prime, verdict, code):
+    # a' = 0.05: the gamma grid is far from the limit, and the extrapolants
+    # spread by more than 0.25.  The spread widens l_confidence; the verdict
+    # is decided where l_closed clears it and Inconclusive where it does not.
+    cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "PowerLog", "c_prime": c_prime,
+                                                   "a_prime": 0.05, "b_prime": 1.5}})
+    assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == code
+    rep = json.loads((tmp_path / "criterion.json").read_text())
+    assert rep["verdict"] == verdict
+    assert rep["l_confidence"] > 0.25
+
+
+def test_retired_domain_keys_change_no_report(tmp_path):
+    # Retired domain keys are dropped before the config is hashed, and a
+    # domain object left empty by that is dropped with them.
+    def report(name, payload):
+        argv = ["criterion", "--out", str(tmp_path / name)]
+        if payload is not None:
+            argv += ["--config", _write(tmp_path, f"{name}.json", payload)]
+        assert main(argv) == 0
+        return (tmp_path / name / "criterion.json").read_bytes()
+
+    assert report("a", {"domain": {"quad_order": 64}}) == report("b", None)
+    disk = {"shape": "UnitDisk"}
+    assert (report("c", {"domain": {**disk, "quad_order": 64, "image_layers": 3}})
+            == report("d", {"domain": disk}))
 
 
 def test_malformed_config_names_field(tmp_path, capsys):

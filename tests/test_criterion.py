@@ -9,7 +9,6 @@ from scipy.optimize import brentq
 from mtcrit import (
     Cor2Class,
     FamilyKind,
-    NoLimitError,
     PerturbationFamily,
     Verdict,
     ZeroDenominatorError,
@@ -120,13 +119,18 @@ def test_limit_grid_validation(data0):
         limit_l(data0, M0, S0, gamma_grid=(2.0, 3.0))
 
 
-def test_no_limit_on_oscillation(fam0):
+def test_no_limit_on_oscillation():
+    # A grid that does not settle is no error: limit_l returns its spread,
+    # however wide, and classify widens l_confidence by it.
     class Osc:
         A = staticmethod(lambda g: 0.0)
         B = staticmethod(lambda g: math.cos(10.0 * math.log(g)))
 
-    with pytest.raises(NoLimitError):
-        limit_l(Osc(), M0, S0)
+    l, conf = limit_l(Osc(), M0, S0)
+    assert math.isfinite(l) and conf > 0.25
+    rep = classify(M0, S0, lambda_g=2.17, l=l, l_confidence=conf, l_closed=0.0)
+    assert rep.l_confidence == max(conf, abs(l))
+    assert rep.verdict is Verdict.INCONCLUSIVE
 
 
 def test_zero_denominator():

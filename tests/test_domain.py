@@ -14,7 +14,7 @@ from mtcrit import (
     lambda1,
     robin_report,
 )
-from mtcrit.domain import _strip_green4pi, green, integrate_around_pole, robin
+from mtcrit.domain import _robin_array, _strip_green4pi, green, integrate_around_pole, robin
 
 RECT = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
 RECTS = {f"{w:g}x{h:g}": DomainModel(shape=Shape.RECTANGLE, width=w, height=h)
@@ -27,12 +27,14 @@ def _random_interior(dom, rng):
             p = rng.uniform(-0.95, 0.95, size=2)
         else:
             p = rng.uniform(0.05, 0.95, size=2) * [dom.width, dom.height]
-        if dom.contains(p, margin=0.02):
+        if dom.boundary_distance(p) > 0.02:
             return p
 
 
 def test_first_bessel_zero():
-    assert first_bessel_zero() == pytest.approx(2.404825557695773, abs=1e-12)
+    with mpmath.workdps(30):
+        j01 = float(mpmath.besseljzero(0, 1))
+    assert abs(first_bessel_zero() - j01) <= math.ulp(j01)
 
 
 def test_lambda1_disk(disk):
@@ -197,13 +199,47 @@ def test_rect_report_invariant_under_transpose(rect_reports):
                          ids=["3x1", "6x1", "1x6", "10x1"])
 def test_elongated_rect_has_one_maximizer(data0, w, h):
     # The Robin function of a convex domain has one critical point, here the
-    # centre.  Along the long axis it is flat to rounding, so refines from
-    # several scan nodes stop at several points of equal value.
+    # centre.  Along the long axis it is flat to rounding, so a search that
+    # started off the centre could stop anywhere along it.
     dom = DomainModel(shape=Shape.RECTANGLE, width=w, height=h)
     rep = robin_report(dom, data0.F)
     centre = np.array([w / 2, h / 2])
     assert len(rep.K) == 1
     assert np.hypot(*(np.array(rep.K[0]) - centre)) < 1e-6
+    assert rep.M == pytest.approx(robin(dom, centre), rel=0.0, abs=1e-12)
+
+
+def _scan_max(dom):
+    """Largest Robin value on the 41x41 grid kept 5% inside the domain (the
+    scan robin_report once started from), nodes within half that margin of
+    the boundary, relative to the inradius, left out."""
+    m = 0.05
+    if dom.shape is Shape.UNIT_DISK:
+        xs = ys = np.linspace(-1.0 + m, 1.0 - m, 41)
+    else:
+        xs = np.linspace(m * dom.width, (1 - m) * dom.width, 41)
+        ys = np.linspace(m * dom.height, (1 - m) * dom.height, 41)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    grid = np.column_stack([X.ravel(), Y.ravel()])
+    inradius = dom.boundary_distance(dom.centre())
+    grid = grid[[dom.boundary_distance(p) > 0.5 * m * inradius for p in grid]]
+    return float(np.max(_robin_array(dom, grid)))
+
+
+@pytest.mark.parametrize("w,h", [(None, None), (1.0, 0.02), (0.04, 0.04), (2.0, 0.049),
+                                 (0.001, 0.002), (50.0, 1.0), (1000.0, 500.0)],
+                         ids=["disk", "1x0.02", "0.04x0.04", "2x0.049", "0.001x0.002",
+                              "50x1", "1000x500"])
+def test_robin_report_matches_scan_oracle(data0, w, h):
+    # Sides under 0.05, where an absolute 0.025 margin leaves no grid node,
+    # and sides far above 1.
+    dom = DomainModel() if w is None else DomainModel(shape=Shape.RECTANGLE,
+                                                      width=w, height=h)
+    rep = robin_report(dom, data0.F)
+    centre = dom.centre()
+    assert rep.M >= _scan_max(dom)
+    assert len(rep.K) == 1
+    assert np.hypot(*(np.array(rep.K[0]) - centre)) <= 1e-6 * dom.boundary_distance(centre)
     assert rep.M == pytest.approx(robin(dom, centre), rel=0.0, abs=1e-12)
 
 
