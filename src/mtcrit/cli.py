@@ -178,7 +178,8 @@ def cmd_criterion(cfg: dict, args) -> int:
                       l_closed=l_closed, lambda_gap=lam_rep["gap"],
                       diagnostics={"gamma_grid": list(map(float, grid)),
                                    "lambda_1": lambda1(dom)})
-    _write_report(args.out, "criterion.json", report.to_json(), cfg)
+    _write_report(args.out, "criterion.json",
+                  {**report.to_json(), "lambda_termination": lam_rep["termination"]}, cfg)
     ratio_curve_csv(os.path.join(args.out, "ratio_curve.csv"),
                     data, rep_robin.M, rep_robin.S, gamma_grid=grid)
     print(f"verdict: {report.verdict.value}  l_grid={l_grid:.6f} "
@@ -273,8 +274,7 @@ def cmd_extremal(cfg: dict, args) -> int:
 
     s1 = step1_testfun(dom, fam, eps)
     payload["step1"] = {"eps": eps, **{k: float(v) for k, v in s1.items()}}
-    print(f"step1 eps={eps}: J={s1['J']:.6f} (blow-up level "
-          f"{math.pi + math.pi * math.e:.6f})")
+    print(f"step1 eps={eps}: J={s1['J']:.6f} (blow-up level {s1['blowup_level']:.6f})")
 
     data = asymptotic_data(fam)
     profiles = {i: solve_profile(i) for i in range(3)}

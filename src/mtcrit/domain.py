@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -65,6 +66,11 @@ class DomainModel:
     height: float = 1.0
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            side = getattr(self, name)
+            if (isinstance(side, bool) or not isinstance(side, numbers.Real)
+                    or not math.isfinite(side)):
+                raise ValueError(f"{name} must be a finite number (got {side!r})")
         if self.shape is Shape.RECTANGLE and (self.width <= 0 or self.height <= 0):
             raise ValueError("rectangle sides must be positive")
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 
 from .csvout import write_csv
@@ -65,45 +63,26 @@ def make_grid(n: int = 2000) -> np.ndarray:
 
 
 def _stiffness(r: np.ndarray) -> np.ndarray:
-    """Banded (upper) radial P1 stiffness: 2 pi int u' v' rho drho."""
+    """Element conductances k_e = pi (r_e + r_{e+1}) / h_e of the radial P1
+    stiffness 2 pi int u' v' rho drho: E(u) = sum_e k_e (u_e - u_{e+1})^2."""
     h = np.diff(r)
-    k = 2.0 * math.pi * 0.5 * (r[:-1] + r[1:]) / h
-    n = r.size
-    ab = np.zeros((2, n))
-    ab[1, :-1] += k
-    ab[1, 1:] += k
-    ab[0, 1:] = -k
-    return ab
+    return math.pi * (r[:-1] + r[1:]) / h
 
 
-def _energy(ab: np.ndarray, u: np.ndarray) -> float:
-    """Dirichlet energy of nodal values u, trapezoid-on-gradient form of
-    the stiffness band ab."""
-    k = ab[0, 1:]
-    return float(np.sum(-k * (u[1:] - u[:-1]) ** 2))
+def _energy(k: np.ndarray, u: np.ndarray) -> float:
+    """Dirichlet energy of nodal values u on the chain of conductances k."""
+    return float(np.sum(k * (u[1:] - u[:-1]) ** 2))
 
 
-def _factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L D L^T factor of the positive definite tridiagonal matrix whose
-    upper band is ab, by LAPACK ?pttrf: the first half of the ?ptsv that
-    scipy.linalg.solveh_banded runs on a two-row band."""
-    d, e, info = dpttrf(ab[1], ab[0, 1:])
-    if info > 0:
-        raise LinAlgError(f"{info}th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal pttrf")
-    return d, e
-
-
-def solveh_banded(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve K x = b from the `_factor` of K by LAPACK ?pttrs, the second
-    half of ?ptsv, so x equals scipy.linalg.solveh_banded(ab, b) bit for
-    bit.  As there, a NaN or Inf in b raises ValueError.  The name is the
-    binding perfbench/tracing.py counts as one Riesz solve."""
-    x, info = dpttrs(*factor, np.asarray_chkfinite(b))
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal pttrs")
-    return x
+def solveh_banded(k: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve K x = b for the stiffness K of the conductances k with the
+    last node held at 0.  The flux k_e (x_e - x_{e+1}) through element e
+    is the load on the nodes inside it, so one cumulative sum gives the
+    fluxes and a reverse one the values.  A NaN or Inf in b raises
+    ValueError, as in scipy.linalg.solveh_banded.  The name is the binding
+    perfbench/tracing.py counts as one Riesz solve."""
+    flux = np.cumsum(np.asarray_chkfinite(b))
+    return np.cumsum((flux / k)[::-1])[::-1]
 
 
 def _load_weights(r: np.ndarray) -> np.ndarray:
@@ -126,11 +105,11 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=float)
         if self.values[-1] != 0.0:
             raise ValueError("boundary value u(1) must vanish")
-        self._ab = _stiffness(self.grid)
+        self._k = _stiffness(self.grid)
 
     def energy(self) -> float:
         """Dirichlet energy via the trapezoid-on-gradient (stiffness) form."""
-        return _energy(self._ab, self.values)
+        return _energy(self._k, self.values)
 
     def to_csv(self, path: str) -> None:
         write_csv(path, ["r", "u"], [self.grid, self.values])
@@ -155,8 +134,8 @@ class ExtremalRun:
                 "termination": self.termination}
 
 
-def _project(u: np.ndarray, ab: np.ndarray, alpha: float) -> np.ndarray:
-    e = _energy(ab, u)
+def _project(u: np.ndarray, k: np.ndarray, alpha: float) -> np.ndarray:
+    e = _energy(k, u)
     if e > alpha:
         u = u * math.sqrt(alpha / e)
     return u
@@ -169,8 +148,8 @@ def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float):
     value_grad takes a nodal vector (boundary node fixed at 0) and returns
     the functional and its nodal gradient from one evaluation, so every
     trial costs one call and the accepted trial's gradient feeds the next
-    step.  Each step solves d = K^{-1} grad with K factored once per
-    ascent; v = d sqrt(alpha / E(d)) maximises the linearised functional
+    step.  Each step solves d = K^{-1} grad by `solveh_banded`;
+    v = d sqrt(alpha / E(d)) maximises the linearised functional
     on the ball, and the trial is u + s (v - u) with s = 1, halved only
     while J does not rise (J convex along the step never falls at s = 1).
     Returns (u, J, grad at u, iterations, termination), where termination
@@ -178,20 +157,18 @@ def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float):
     accepted steps in a row did), "no_ascent_step" (40 halvings found no
     rise) or "max_iter".
     """
-    ab = _stiffness(r)
-    factor = _factor(ab[:, :-1])  # Dirichlet: drop the boundary node
-
-    u = _project(u0.copy(), ab, alpha)
+    k = _stiffness(r)
+    u = _project(u0.copy(), k, alpha)
     J, G = value_grad(u)
     stall = 0
     it = 0
     for it in range(1, _MAX_ITER + 1):
         d = np.zeros_like(G)
-        d[:-1] = solveh_banded(factor, G[:-1])
-        v = d * math.sqrt(alpha / max(_energy(ab, d), 1e-300))
+        d[:-1] = solveh_banded(k, G[:-1])  # Dirichlet: the boundary node stays 0
+        v = d * math.sqrt(alpha / max(_energy(k, d), 1e-300))
         s = 1.0
         for _ in range(40):
-            u_try = _project(np.maximum(u + s * (v - u), 0.0), ab, alpha)
+            u_try = _project(np.maximum(u + s * (v - u), 0.0), k, alpha)
             J_try, G_try = value_grad(u_try)
             if J_try > J:
                 break
@@ -208,11 +185,9 @@ def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float):
     return u, J, G, it, "max_iter"
 
 
-def _apply_K(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = ab[1] * v
-    out[:-1] += ab[0, 1:] * v[1:]
-    out[1:] += ab[0, 1:] * v[:-1]
-    return out
+def _apply_K(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K v: the net flux out of each node."""
+    return np.diff(k * (v[:-1] - v[1:]), prepend=0.0, append=0.0)
 
 
 def _start(r: np.ndarray, alpha: float) -> np.ndarray:
@@ -232,9 +207,10 @@ def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
     """
     if not 0.0 < alpha < 4.0 * math.pi:
         raise ValueError("alpha must lie in (0, 4 pi)")
+    if n_grid < 3:
+        raise ValueError(f"n_grid must be >= 3 (got {n_grid})")
     r = make_grid(n_grid)
     w = _load_weights(r)
-    ab = _stiffness(r)
 
     def value_grad(u):
         psi, psi_p = eval_psi_N(fam, N, u)
@@ -243,10 +219,11 @@ def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
     u, J, F, it, why = _ascend(value_grad, _start(r, alpha), r, alpha)
     gf = GridFunction(r, u)
     e = gf.energy()
-    # F is the nodal weak form of Psi'_N(u), i.e. 2 u H(u) e^{u^2} up to truncation
-    Ku = _apply_K(ab, u)
+    # F is the nodal weak form of Psi'_N(u), i.e. 2 u H(u) e^{u^2} up to
+    # truncation; <K u, u> = E(u) since u(1) = 0
     denom = float(np.dot(F[:-1], u[:-1]))
-    lam = 2.0 * float(np.dot(Ku[:-1], u[:-1])) / denom if denom != 0.0 else 0.0
+    lam = 2.0 * e / denom if denom != 0.0 else 0.0
+    Ku = _apply_K(_stiffness(r), u)
     resid_vec = Ku[:-1] - 0.5 * lam * F[:-1]
     el_res = float(np.linalg.norm(resid_vec) / max(np.linalg.norm(Ku[:-1]), 1e-300))
     return ExtremalRun(alpha=alpha, u=gf, J_value=J, gamma=float(np.max(u)),
@@ -260,13 +237,17 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
     """Maximize int ((1+g(u))(1+u^2) - (1+g(0))) over the 4 pi ball.
 
     Returns {"lambda_g": value on the n_grid grid, "gap": |value - value on
-    the n_grid // 2 grid|}.  The discretisation error is O(n_grid^-2), so
-    the half-grid difference (about three times that error) bounds it.  If
+    the n_grid // 2 grid|, "termination": [reason on n_grid, reason on
+    n_grid // 2]}.  The discretisation error is O(n_grid^-2), so the
+    half-grid difference (about three times that error) bounds it.  If
     either ascent ends on anything but "rtol", its value is not a maximum
     and the gap is inf.  Disk-radial only.
     """
     if dom is not None and dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("lambda_g is computed on the radial disk")
+    if n_grid // 2 < 3:
+        raise ValueError(f"n_grid must be >= 6, so that its half grid has 3 nodes "
+                         f"(got {n_grid})")
     g00, _ = eval_g(fam, 0.0)
     alpha = 4.0 * math.pi
 
@@ -285,7 +266,8 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
     value, why = ascend(n_grid)
     half, why_half = ascend(n_grid // 2)
     converged = why == why_half == "rtol"
-    return {"lambda_g": value, "gap": abs(value - half) if converged else math.inf}
+    return {"lambda_g": value, "gap": abs(value - half) if converged else math.inf,
+            "termination": [why, why_half]}
 
 
 def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict:
@@ -294,7 +276,10 @@ def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict
     v(r) = log((1+eps^2)/(eps^2+r^2)) vanishes on the boundary; it is
     rescaled to f with ||f||^2 = 4 pi exactly and the functional is
     evaluated with the substitution s = log(eps^2 + r^2), which resolves
-    the eps-scale concentration.
+    the eps-scale concentration.  J is compared with the family's blow-up
+    level (1 + g(0)) |Omega| + pi e^{1+M}, the limit of the functional
+    along sequences concentrating at a point; on the unit disk |Omega| = pi
+    and M = 0.  It is returned as "blowup_level".
     """
     if dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("step1_testfun is radial at the disk center")
@@ -314,7 +299,9 @@ def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict
 
     lo, hi = math.log(e2), math.log1p(e2)
     val = quad(integrand, lo, hi, limit=400)[0]
-    return {"norm_sq": norm_sq, "J": val, "f_norm_sq": 4.0 * math.pi}
+    level = (1.0 + eval_g(fam, 0.0)[0]) * math.pi + math.pi * math.e
+    return {"norm_sq": norm_sq, "J": val, "f_norm_sq": 4.0 * math.pi,
+            "blowup_level": level}
 
 
 def _green_source(data: AsymptoticData):

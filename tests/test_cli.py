@@ -31,6 +31,7 @@ def test_criterion_zero_family(tmp_path, capsys):
     assert rep["l_closed"] == pytest.approx(0.5 * (1 + 2 / math.e), abs=1e-9)
     # |Lambda(n) - Lambda(n/2)| at the default n_grid = 2000
     assert rep["lambda_gap"] == pytest.approx(4.6e-6, rel=0.05)
+    assert rep["lambda_termination"] == ["rtol", "rtol"]
     assert "config_hash" in rep and "version" in rep
     assert (tmp_path / "ratio_curve.csv").exists()
 
@@ -98,6 +99,7 @@ def test_criterion_unconverged_lambda_g_is_inconclusive(tmp_path, monkeypatch):
     assert rep["verdict"] == "Inconclusive"
     assert rep["l_closed"] == pytest.approx(-0.5, abs=1e-12)
     assert rep["lambda_gap"] is None
+    assert rep["lambda_termination"] == ["max_iter", "max_iter"]
 
 
 @pytest.mark.parametrize("c_prime,verdict,code", [
@@ -209,6 +211,22 @@ def test_extremal_empty_starts(tmp_path):
     assert "start" not in json.loads(reports[0])["runs"][0]
 
 
+@pytest.mark.parametrize("family,level", [
+    ({"kind": "Zero"}, "11.681327"),
+    ({"kind": "PowerLog", "g0": 0.5}, "13.252123"),
+], ids=["Zero", "g0-0.5"])
+def test_extremal_reports_the_blowup_level(tmp_path, capsys, family, level):
+    # The level (1 + g(0)) pi + pi e^{1+M} of the unit disk (M = 0) that the
+    # truncated-log test function is compared with.
+    cfg = _write(tmp_path, "cfg.json", {"family": family, "alpha_ladder": [0.7]})
+    assert main(["extremal", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert f"(blow-up level {level})" in capsys.readouterr().out
+    step1 = json.loads((tmp_path / "extremal.json").read_text())["step1"]
+    g0 = family.get("g0", 0.0)
+    assert step1["blowup_level"] == pytest.approx((1.0 + g0) * math.pi + math.pi * math.e,
+                                                  rel=1e-15)
+
+
 def test_readme_lists_every_config_key():
     # The README names each top-level key once, in its key list or as retired.
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -295,6 +313,9 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     ("profiles", {"r_max": 10**400}, "r_max", "too large for a double"),
     ("extremal", {"N": 10**400}, "N", "too large for a double"),
     ("bubble", {"gamma_ladder": [10**400]}, "gamma_ladder", "too large for a double"),
+    ("criterion", {"domain": {"shape": "Rectangle", "width": "2"}}, "domain", "'2'"),
+    ("extremal", {"domain": {"shape": "UnitDisk", "width": "2"}}, "domain", "'2'"),
+    ("criterion", {"domain": {"height": True}}, "domain", "True"),
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
         "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
@@ -304,7 +325,8 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
         "eps0-string", "robin-max-bool", "r-max-string", "step1-eps-bool",
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
         "gamma-ladder-number", "gamma-grid-string", "gamma-grid-bool", "r-max-huge-int",
-        "N-huge-int", "gamma-ladder-huge-int"])
+        "N-huge-int", "gamma-ladder-huge-int", "rectangle-width-string",
+        "disk-width-string", "disk-height-bool"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):
     solves = []
@@ -356,9 +378,11 @@ def _assert_within(got, want, tolerances):
 # ascent must take the same path (iterations, saturated exact); the
 # floats may move in their last digits, by at most the stated tolerance
 # (about 100x the drift measured when those two rewrites landed).
+# `run.gamma` was re-recorded when the Riesz map became two cumulative sums:
+# the solve's last bits move the maximiser's peak by 2e-12 relative.
 EXTREMAL_RECORDED = {
     "Zero": ({"kind": "Zero"}, {
-        "run": {"J": 9.504416349250366, "gamma": 2.3931493232958676,
+        "run": {"J": 9.504416349250366, "gamma": 2.3931493233007206,
                 "lambda": 0.4833434601937889, "el_residual": 7.267327531899832e-07,
                 "iterations": 70, "saturated": True,
                 "termination": "rtol"},
@@ -368,7 +392,7 @@ EXTREMAL_RECORDED = {
     }),
     "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
                   "b_prime": 0.682198}, {
-        "run": {"J": 9.586747468271152, "gamma": 2.39202452351381,
+        "run": {"J": 9.586747468271152, "gamma": 2.3920245235186464,
                 "lambda": 0.4781810309219897, "el_residual": 8.4938289548419e-07,
                 "iterations": 69, "saturated": True,
                 "termination": "rtol"},

@@ -121,6 +121,18 @@ def test_domain_json_round_trip():
                                   "image_layers": 64}) == RECT
 
 
+@pytest.mark.parametrize("shape", list(Shape))
+@pytest.mark.parametrize("side,value", [
+    ("width", "2"), ("width", True), ("height", None), ("width", math.nan),
+    ("height", math.inf), ("width", -math.inf)])
+def test_domain_refuses_a_side_that_is_no_finite_number(shape, side, value):
+    # both shapes carry both sides, so both check them
+    with pytest.raises(ValueError, match=f"{side} must be a finite number"):
+        DomainModel(shape=shape, **{side: value})
+    with pytest.raises(ValueError, match=f"{side} must be a finite number"):
+        DomainModel.from_json({"shape": shape.value, side: value})
+
+
 # -- rectangle image sums against an explicit 64-layer reference -----------
 
 

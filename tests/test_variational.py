@@ -56,40 +56,34 @@ def test_start_saturates_ball():
        bad=st.sampled_from([math.nan, math.inf, -math.inf]))
 @settings(max_examples=60, deadline=None)
 def test_riesz_solve_matches_scipy(n_grid, seed, scale, bad):
-    # The ascent factors K once (?pttrf) and solves by ?pttrs, the two
-    # halves of the ?ptsv that scipy.linalg.solveh_banded runs: equal bit
-    # for bit, with scipy's finiteness check on b.
-    ab = _stiffness(make_grid(n_grid))[:, :-1]
+    # The cumulative-sum Riesz solve against scipy's banded Cholesky solve
+    # of the same tridiagonal K (boundary node dropped), with scipy's
+    # finiteness check on b.
+    k = _stiffness(make_grid(n_grid))
+    ab = np.zeros((2, n_grid - 1))
+    ab[1] = k
+    ab[1, 1:] += k[:-1]
+    ab[0, 1:] = -k[:-1]
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n_grid - 1) * 10.0**scale
-    factor = variational._factor(ab)
-    assert np.array_equal(variational.solveh_banded(factor, b),
-                          scipy.linalg.solveh_banded(ab, b))
+    x, want = variational.solveh_banded(k, b), scipy.linalg.solveh_banded(ab, b)
+    assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
     b[rng.integers(n_grid - 1)] = bad
     with pytest.raises(ValueError):
         scipy.linalg.solveh_banded(ab, b)
     with pytest.raises(ValueError):
-        variational.solveh_banded(factor, b)
-
-
-def test_riesz_factor_refuses_indefinite_band():
-    ab = _stiffness(make_grid(200))[:, :-1].copy()
-    ab[1, 7] = -1.0
-    with pytest.raises(np.linalg.LinAlgError):
-        scipy.linalg.solveh_banded(ab, np.ones(ab.shape[1]))
-    with pytest.raises(np.linalg.LinAlgError, match="8th leading minor"):
-        variational._factor(ab)
+        variational.solveh_banded(k, b)
 
 
 def test_project_shrinks_energy():
     r = make_grid(400)
-    ab = _stiffness(r)
+    k = _stiffness(r)
     u = 3.0 * (1.0 - r * r)
     alpha = 1.0
-    v = _project(u, ab, alpha)
+    v = _project(u, k, alpha)
     assert GridFunction(r, v).energy() == pytest.approx(alpha, rel=1e-12)
     # Already-feasible input is returned unchanged.
-    w = _project(v, ab, 10.0)
+    w = _project(v, k, 10.0)
     assert np.array_equal(w, v)
 
 
@@ -152,6 +146,19 @@ def test_lambda_g_gap_is_inf_unless_converged(monkeypatch):
     assert math.isfinite(rep["lambda_g"]) and rep["gap"] == math.inf
 
 
+def test_grid_too_small_refused(fam0):
+    # every grid an ascent runs on needs 3 nodes: n_grid for the subcritical
+    # solve, n_grid and n_grid // 2 for Lambda_g
+    for n_grid in (1, 2):
+        with pytest.raises(ValueError, match="n_grid"):
+            solve_subcritical(fam0, 1, 0.5, n_grid=n_grid)
+    for n_grid in (3, 5):
+        with pytest.raises(ValueError, match="n_grid"):
+            lambda_g_report(fam0, n_grid=n_grid)
+    assert solve_subcritical(fam0, 1, 0.5, n_grid=3).termination == "rtol"
+    assert lambda_g_report(fam0, n_grid=6)["termination"] == ["rtol", "rtol"]
+
+
 def test_lambda_g_non_disk(fam0):
     rect = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
     with pytest.raises(NotImplementedError):
@@ -198,8 +205,8 @@ def test_level_trend(fam0):
 # relative.
 @pytest.mark.parametrize("fam,J,J_bb,iterations,lam_g,lam_g_bb", [
     (PerturbationFamily(), 9.504416349250366, 9.504416349231686, 70,
-     2.172916383320413, 2.1729163833204144),
-    (POWER_LOG, 9.586747468271152, 9.58674746825234, 69,
+     2.1729163833204135, 2.1729163833204144),
+    (POWER_LOG, 9.586747468271156, 9.58674746825234, 69,
      2.2139101101297127, 2.2139101101297127),
 ], ids=["Zero", "PowerLog"])
 def test_ascent_golden_values(fam, J, J_bb, iterations, lam_g, lam_g_bb):
@@ -210,7 +217,7 @@ def test_ascent_golden_values(fam, J, J_bb, iterations, lam_g, lam_g_bb):
     rep = lambda_g_report(fam)
     assert rep["lambda_g"] == lam_g
     assert rep["lambda_g"] == pytest.approx(lam_g_bb, rel=1e-12, abs=0.0)
-    assert set(rep) == {"lambda_g", "gap"}
+    assert set(rep) == {"lambda_g", "gap", "termination"}
 
 
 def test_ascent_termination_reasons(monkeypatch, fam0):
