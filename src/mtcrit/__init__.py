@@ -49,14 +49,13 @@ from .criterion import (
     CriterionReport,
     Verdict,
     Cor2Class,
-    ZeroDenominatorError,
     ratio_value,
     closed_form_l,
     limit_l,
     classify,
     cor2_classifier,
     ratio_curve_csv,
-    DEFAULT_GAMMA_GRID,
+    LOG_GAMMA_GRID,
 )
 from .variational import (
     ExtremalRun,
@@ -81,10 +80,10 @@ __all__ = [
     "BubbleSolution", "ExpansionReport", "BlowDownError", "shoot_bubble",
     "lambda_from_level", "verify_expansion", "verify_source_expansion",
     "ladder_reports",
-    "CriterionReport", "Verdict", "Cor2Class", "ZeroDenominatorError",
+    "CriterionReport", "Verdict", "Cor2Class",
     "ratio_value", "closed_form_l", "limit_l", "classify",
     "cor2_classifier", "ratio_curve_csv",
-    "DEFAULT_GAMMA_GRID",
+    "LOG_GAMMA_GRID",
     "ExtremalRun", "GridFunction", "RootFailError",
     "solve_subcritical", "lambda_g_report",
     "step1_testfun", "model_testfun_energy",

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
-                        DEFAULT_GAMMA_GRID, Verdict)
+                        LOG_GAMMA_GRID, Verdict)
 from .domain import RETIRED_DOMAIN_KEYS, DomainModel, Shape, lambda1, robin_report
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, profile_integrals,
@@ -42,12 +42,13 @@ class ConfigError(ValueError):
 
 
 # The top-level keys a scenario config may carry (README, "Command line").
-CONFIG_KEYS = frozenset({"family", "domain", "gamma_grid", "gamma_ladder",
-                         "alpha_ladder", "step1_eps", "model_gamma",
-                         "r_max", "eps0", "N", "robin_max"})
+CONFIG_KEYS = frozenset({"family", "domain", "gamma_ladder", "alpha_ladder",
+                         "step1_eps", "model_gamma", "r_max", "eps0", "N",
+                         "robin_max"})
 # Keys of older configs that no longer configure anything: `extremal` ascends
-# from one start now.  They are dropped on reading, so they change no report.
-RETIRED_CONFIG_KEYS = frozenset({"starts"})
+# from one start, and `criterion` checks l on the fixed LOG_GAMMA_GRID.  They
+# are dropped on reading, so they change no report.
+RETIRED_CONFIG_KEYS = frozenset({"starts", "gamma_grid"})
 
 
 def _canonical(obj) -> str:
@@ -163,25 +164,20 @@ def _write_report(out_dir: str, name: str, payload: dict, cfg: dict) -> str:
 def cmd_criterion(cfg: dict, args) -> int:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "criterion")
-    grid = _numbers(cfg, "gamma_grid", list(DEFAULT_GAMMA_GRID))
-    # limit_l extrapolates in 1/log(gamma) over the last three grid steps
-    if len(grid) < 4 or grid[0] <= 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("field 'gamma_grid': need >= 4 strictly increasing values, "
-                          "all > 1")
     data = asymptotic_data(fam)
 
     rep_robin = robin_report(dom, data.F)
     lam_rep = lambda_g_report(fam, dom)
     l_closed = closed_form_l(fam, rep_robin.M, rep_robin.S)
-    l_grid, conf = limit_l(data, rep_robin.M, rep_robin.S, gamma_grid=grid)
+    l_grid, conf = limit_l(data, rep_robin.M, rep_robin.S)
     report = classify(rep_robin.M, rep_robin.S, lam_rep["lambda_g"], l_grid, conf,
                       l_closed=l_closed, lambda_gap=lam_rep["gap"],
-                      diagnostics={"gamma_grid": list(map(float, grid)),
+                      diagnostics={"log_gamma_grid": list(LOG_GAMMA_GRID),
                                    "lambda_1": lambda1(dom)})
     _write_report(args.out, "criterion.json",
                   {**report.to_json(), "lambda_termination": lam_rep["termination"]}, cfg)
     ratio_curve_csv(os.path.join(args.out, "ratio_curve.csv"),
-                    data, rep_robin.M, rep_robin.S, gamma_grid=grid)
+                    data, rep_robin.M, rep_robin.S)
     print(f"verdict: {report.verdict.value}  l_grid={l_grid:.6f} "
           f"(+-{report.l_confidence:.2g})  Lambda_g={lam_rep['lambda_g']:.6f}")
     return 2 if report.verdict is Verdict.INCONCLUSIVE else 0
@@ -279,9 +275,7 @@ def cmd_extremal(cfg: dict, args) -> int:
     data = asymptotic_data(fam)
     profiles = {i: solve_profile(i) for i in range(3)}
     mt = model_testfun_energy(dom, fam, data, profiles, gam)
-    payload["model_testfun"] = {
-        k: (float(v) if not isinstance(v, list) else [float(x) for x in v])
-        for k, v in mt.items()}
+    payload["model_testfun"] = mt
     print(f"model gamma={gam:g}: normalized gap={mt['normalized_gap']:+.4f}")
     _write_report(args.out, "extremal.json", payload, cfg)
     return 0

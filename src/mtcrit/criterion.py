@@ -24,20 +24,17 @@ __all__ = [
     "Verdict",
     "Cor2Class",
     "CriterionReport",
-    "ZeroDenominatorError",
     "ratio_value",
     "closed_form_l",
     "limit_l",
     "classify",
     "cor2_classifier",
-    "DEFAULT_GAMMA_GRID",
+    "LOG_GAMMA_GRID",
 ]
 
-DEFAULT_GAMMA_GRID = tuple(math.exp(k) for k in range(2, 9))
-
-
-class ZeroDenominatorError(ArithmeticError):
-    """All three denominator terms of the ratio underflowed."""
+# k = log(gamma) for the grid check of l: gamma = e^65536 is no double, so
+# the ratio is evaluated in k
+LOG_GAMMA_GRID = tuple(2.0**j for j in range(6, 17))
 
 
 class Verdict(str, Enum):
@@ -53,16 +50,25 @@ class Cor2Class(str, Enum):
     BORDER = "Border"
 
 
-def ratio_value(data: AsymptoticData, M: float, S: float, gamma: float) -> float:
-    """Evaluate the criterion ratio at a single height gamma."""
-    A = float(data.A(gamma))
-    B = float(data.B(gamma))
-    g4 = gamma**-4.0
-    den = g4 + abs(A) + abs(B) / gamma**3
-    if den == 0.0:
-        raise ZeroDenominatorError("all denominator terms underflowed")
-    num = g4 + 0.5 * A + 4.0 * B * S * math.exp(-1.0 - M) / gamma**3
-    return num / den
+def ratio_value(data: AsymptoticData, M: float, S: float, k: float) -> float:
+    """Evaluate the criterion ratio at the height gamma = e^k.
+
+    The terms gamma^-4, A and gamma^-3 B are sums of pieces
+    C*e^{-pk}*k^{-q}.  Each piece is scaled by e^m, m the smallest exponent
+    pk + q log k of all pieces, so none underflows and the slowest has
+    size |C| > 0.
+    """
+    logk = math.log(k)
+    g4 = ((1.0, 4.0, 0.0),)
+    B = tuple((coef, p + 3.0, q) for coef, p, q in data.B_pieces)
+    m = min(p * k + q * logk for _, p, q in g4 + data.A_pieces + B)
+
+    def total(pieces):
+        return sum(coef * math.exp(m - p * k - q * logk) for coef, p, q in pieces)
+
+    s4, sA, sB = total(g4), total(data.A_pieces), total(B)
+    num = s4 + 0.5 * sA + 4.0 * S * math.exp(-1.0 - M) * sB
+    return num / (s4 + abs(sA) + abs(sB))
 
 
 def _merged(pieces) -> dict:
@@ -94,20 +100,16 @@ def closed_form_l(fam: PerturbationFamily, M: float, S: float) -> float:
     return num / den
 
 
-def limit_l(data: AsymptoticData, M: float, S: float,
-            gamma_grid=DEFAULT_GAMMA_GRID) -> tuple[float, float]:
-    """Extrapolate the ratio over a log-spaced gamma grid.
+def limit_l(data: AsymptoticData, M: float, S: float) -> tuple[float, float]:
+    """Extrapolate the ratio over LOG_GAMMA_GRID.
 
     Returns (l, confidence).  The grid values carry 1/log(gamma)-scale
     corrections, so one Richardson step in 1/log(gamma) is applied and
     the spread of the last three extrapolants, however wide, is the
     confidence width.
     """
-    grid = sorted(gamma_grid)
-    if len(grid) < 4:
-        raise ValueError("need at least 4 grid points")
-    vals = [ratio_value(data, M, S, g) for g in grid]
-    ks = [math.log(g) for g in grid]
+    ks = LOG_GAMMA_GRID
+    vals = [ratio_value(data, M, S, k) for k in ks]
     # Richardson in 1/log gamma: eliminate the c/k term pairwise
     extr = [(ks[j] * vals[j] - ks[j - 1] * vals[j - 1]) / (ks[j] - ks[j - 1])
             for j in range(1, len(vals))]
@@ -188,8 +190,7 @@ def cor2_classifier(a_prime: float, b_prime: float, c_prime: float) -> Cor2Class
     return Cor2Class.BORDER
 
 
-def ratio_curve_csv(path: str, data: AsymptoticData, M: float, S: float,
-                    gamma_grid=DEFAULT_GAMMA_GRID) -> None:
-    """Emit the (gamma, ratio) curve for plotting."""
-    gammas = sorted(gamma_grid)
-    write_csv(path, ["gamma", "ratio"], [gammas, [ratio_value(data, M, S, g) for g in gammas]])
+def ratio_curve_csv(path: str, data: AsymptoticData, M: float, S: float) -> None:
+    """Emit the (log gamma, ratio) curve on LOG_GAMMA_GRID for plotting."""
+    write_csv(path, ["log_gamma", "ratio"],
+              [LOG_GAMMA_GRID, [ratio_value(data, M, S, k) for k in LOG_GAMMA_GRID]])

@@ -66,6 +66,7 @@ class DomainModel:
     height: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "shape", Shape(self.shape))
         for name in ("width", "height"):
             side = getattr(self, name)
             if (isinstance(side, bool) or not isinstance(side, numbers.Real)
@@ -111,7 +112,7 @@ class DomainModel:
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
         return DomainModel(
-            shape=Shape(obj.get("shape", "UnitDisk")),
+            shape=obj.get("shape", "UnitDisk"),
             width=obj.get("width", 1.0),
             height=obj.get("height", 1.0),
         )

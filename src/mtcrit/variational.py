@@ -308,9 +308,11 @@ def _green_source(data: AsymptoticData):
     """q(0) and q' for q(x) = int_Omega G_x(y) F(4 pi G_0(y)) dy, x radial.
 
     On the disk q solves the radial Poisson problem q'' + q'/r = -F(4 pi G_0),
-    q'(0) = 0, q(1) = 0; one cumulative trapezoid quadrature gives both.
-    q' is returned as a function of the radius, because the radii where
-    the model test function needs it depend on a scale fixed by q(0).
+    q'(0) = 0, q(1) = 0.  With F(t) = t^kappa and s = log(1/|y|),
+    q(0) = int_0^inf s (2s)^kappa e^{-2s} ds = Gamma(2 + kappa)/4, the
+    concentration integral S; q' is one cumulative trapezoid quadrature,
+    returned as a function of the radius, because the radii where the model
+    test function needs it depend on a scale fixed by q(0).
     """
     rr = np.geomspace(1e-10, 1.0, 4000)
     Fsrc = data.F(2.0 * np.log(1.0 / rr))
@@ -318,9 +320,7 @@ def _green_source(data: AsymptoticData):
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (Fsrc[1:] * rr[1:] + Fsrc[:-1] * rr[:-1])
                                            * np.diff(rr))])
     qp = -cum / rr
-    # q(0) = -int_0^1 q'(rho) drho
-    q0 = -float(np.cumsum(0.5 * (qp[1:] + qp[:-1]) * np.diff(rr))[-1])
-    return q0, lambda r: np.interp(r, rr, qp)
+    return math.gamma(2.0 + data.kappa) / 4.0, lambda r: np.interp(r, rr, qp)
 
 
 def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
@@ -331,6 +331,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     A-weighted S2 correction, Green-convolution tail), solves the height
     condition U(0) = gamma for the core scale mu~, and reports the
     normalized energy gap (||U||^2/4pi - 1 - I_0(gamma)) / zeta-check.
+    log_inv_mu2_closed is None where its closed form has no value.
     """
     if dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("model test function is radial at the disk center")
@@ -356,9 +357,10 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
         tot += coef_q * S_int
         return tot - g
 
-    # closed-form seed for the root bracket
-    L_seed = g * g - 1.0 - robin_z + math.log1p(
-        max(-0.9, -g * g * A / 2.0 - 4.0 * Bc * S_int / (g * math.exp(1.0 + robin_z))))
+    # log(1/mu~^2) in closed form is g^2 - 1 - robin_z + log1p(x); it does not
+    # exist for x <= -1, where it only seeds the root bracket from x = -0.9
+    x = -g * g * A / 2.0 - 4.0 * Bc * S_int / (g * math.exp(1.0 + robin_z))
+    L_seed = g * g - 1.0 - robin_z + math.log1p(max(-0.9, x))
     try:
         L = brentq(height, L_seed - 5.0, L_seed + 5.0, xtol=1e-12)
     except ValueError as exc:
@@ -386,8 +388,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     I_z = g**-4.0 + 0.5 * A + 4.0 * Bc * S_int / (g**3 * math.exp(1.0 + robin_z))
     zeta_check = max(g**-4.0, abs(A), abs(Bc) / g**3)
     gap = (norm_sq / (4.0 * math.pi) - 1.0 - I_z) / zeta_check
-    L_closed = g * g - 1.0 - robin_z + math.log1p(
-        -g * g * A / 2.0 - 4.0 * Bc * S_int / (g * math.exp(1.0 + robin_z)))
+    L_closed = g * g - 1.0 - robin_z + math.log1p(x) if x > -1.0 else None
     # Height condition with the curvature constants (B_i terms) dropped, the
     # truncation from which the closed form above is derived; the full root
     # carries an extra B_1/gamma^4 that the closed form absorbs in O(gamma^-4).

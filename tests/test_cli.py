@@ -29,6 +29,8 @@ def test_criterion_zero_family(tmp_path, capsys):
     rep = json.loads((tmp_path / "criterion.json").read_text())
     assert rep["verdict"] == "ExtremalExists_l"
     assert rep["l_closed"] == pytest.approx(0.5 * (1 + 2 / math.e), abs=1e-9)
+    assert rep["l_grid"] == pytest.approx(0.5 * (1 + 2 / math.e), abs=1e-12)
+    assert rep["diagnostics"]["log_gamma_grid"] == [2.0**j for j in range(6, 17)]
     # |Lambda(n) - Lambda(n/2)| at the default n_grid = 2000
     assert rep["lambda_gap"] == pytest.approx(4.6e-6, rel=0.05)
     assert rep["lambda_termination"] == ["rtol", "rtol"]
@@ -59,17 +61,18 @@ def test_criterion_inconclusive_exit_2(tmp_path, robin0):
 
 
 def test_criterion_reports_the_grid_extrapolant(tmp_path, capsys):
-    # Slow decay a' = 1 with c' < 0: the closed form is exactly -1/2, while
-    # the grid extrapolant keeps a visible 1/log(gamma) remainder.  The
-    # report must carry the grid value, not a copy of the closed form.
+    # a = 1, b = 1/2: the two B pieces tie in gamma^-1 and part only by
+    # (log gamma)^-1/2, so the grid extrapolant keeps a visible remainder
+    # while the closed form is exact.  The report must carry the grid value,
+    # not a copy of the closed form.
     cfg = _write(tmp_path, "cfg.json", {
-        "family": {"kind": "PowerLog", "c_prime": -1.0, "a_prime": 1.0, "b_prime": 0.0}})
+        "family": {"kind": "PowerLog", "c": -0.5, "a": 1.0, "b": 0.5}})
     assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "criterion.json").read_text())
-    assert rep["l_closed"] == pytest.approx(-0.5, abs=1e-12)
-    assert rep["l_grid"] == pytest.approx(-0.51009, abs=1e-5)
+    assert rep["l_closed"] == pytest.approx(0.5 * (1 + 2 / math.e), abs=1e-12)
+    assert rep["l_grid"] == pytest.approx(0.8679550, abs=1e-7)
     assert rep["l_confidence"] >= abs(rep["l_closed"] - rep["l_grid"])
-    assert rep["verdict"] == "NoExtremal_Truncations"
+    assert rep["verdict"] == "ExtremalExists_l"
     out = capsys.readouterr().out
     assert f"l_grid={rep['l_grid']:.6f} (+-{rep['l_confidence']:.2g})" in out
 
@@ -104,19 +107,20 @@ def test_criterion_unconverged_lambda_g_is_inconclusive(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("c_prime,verdict,code", [
     (-0.441379, "NoExtremal_Truncations", 0),
-    (-0.136207, "Inconclusive", 2),
+    (-0.136207, "NoExtremal_Truncations", 0),
     (0.067241, "ExtremalExists_l", 0),
 ])
 def test_criterion_wide_grid_spread_still_classifies(tmp_path, c_prime, verdict, code):
-    # a' = 0.05: the gamma grid is far from the limit, and the extrapolants
-    # spread by more than 0.25.  The spread widens l_confidence; the verdict
-    # is decided where l_closed clears it and Inconclusive where it does not.
+    # a' = 0.05: A's piece decays slowest and rules the ratio from k = 2^6
+    # on, so every grid value is the limit sign(c')/2 and the extrapolants do
+    # not spread.  Each verdict is Cor. 2's.
     cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "PowerLog", "c_prime": c_prime,
                                                    "a_prime": 0.05, "b_prime": 1.5}})
     assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == code
     rep = json.loads((tmp_path / "criterion.json").read_text())
     assert rep["verdict"] == verdict
-    assert rep["l_confidence"] > 0.25
+    assert rep["l_grid"] == rep["l_closed"] == math.copysign(0.5, c_prime)
+    assert rep["l_confidence"] == 0.0
 
 
 def test_retired_domain_keys_change_no_report(tmp_path):
@@ -133,6 +137,24 @@ def test_retired_domain_keys_change_no_report(tmp_path):
     disk = {"shape": "UnitDisk"}
     assert (report("c", {"domain": {**disk, "quad_order": 64, "image_layers": 3}})
             == report("d", {"domain": disk}))
+
+
+def test_retired_gamma_grid_changes_no_report(tmp_path):
+    # gamma_grid is retired: l is checked on the fixed LOG_GAMMA_GRID, and a
+    # config that still sets a grid, even a malformed one, writes the report
+    # of one that does not.
+    family = {"kind": "PowerLog", "c_prime": -0.7, "a_prime": 0.25, "b_prime": 0.8}
+    reports = []
+    for k, grid in enumerate([None, [7.0, 20.0, 55.0, 150.0], [1.0, "55", True, math.nan]]):
+        payload = {"family": family}
+        if grid is not None:
+            payload["gamma_grid"] = grid
+        out = tmp_path / str(k)
+        assert main(["criterion", "--config", _write(tmp_path, f"cfg{k}.json", payload),
+                     "--out", str(out)]) == 0
+        reports.append(((out / "criterion.json").read_bytes(),
+                        (out / "ratio_curve.csv").read_bytes()))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_malformed_config_names_field(tmp_path, capsys):
@@ -227,6 +249,20 @@ def test_extremal_reports_the_blowup_level(tmp_path, capsys, family, level):
                                                   rel=1e-15)
 
 
+def test_extremal_closed_form_height_may_not_exist(tmp_path):
+    # c' = 30, a' = 1/2: gamma^2 A/2 = 2.64 at gamma = 5, so the closed-form
+    # log(1/mu~^2) = gamma^2 - 1 + log1p(x) has x <= -1 and no value.  The
+    # report writes null for it; the root and the truncated form exist.
+    cfg = _write(tmp_path, "cfg.json", {
+        "family": {"kind": "PowerLog", "c_prime": 30, "a_prime": 0.5, "b_prime": 0.5},
+        "alpha_ladder": [0.7]})
+    assert main(["extremal", "--config", cfg, "--out", str(tmp_path)]) == 0
+    mt = json.loads((tmp_path / "extremal.json").read_text())["model_testfun"]
+    assert mt["log_inv_mu2_closed"] is None
+    assert mt["log_inv_mu2"] == pytest.approx(21.91, abs=0.01)
+    assert mt["log_inv_mu2_truncated"] == pytest.approx(21.78, abs=0.01)
+
+
 def test_readme_lists_every_config_key():
     # The README names each top-level key once, in its key list or as retired.
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -254,10 +290,7 @@ def test_rectangle_refused_before_solving(tmp_path, capsys, monkeypatch, cmd):
 @pytest.mark.parametrize("payload,field", [
     ({"family": {"kind": "Tabulated"}}, "family"),
     ({"family": {"kind": "Zero", "g0": 0.5}}, "family"),
-    ({"gamma_grid": [7.0, 20.0, 55.0]}, "gamma_grid"),
-    ({"gamma_grid": [7.0, 20.0, 20.0, 55.0, 150.0]}, "gamma_grid"),
-    ({"gamma_grid": [1.0, 7.0, 20.0, 55.0]}, "gamma_grid"),
-], ids=["tabulated", "zero-with-g0", "three-values", "repeated", "gamma-1"])
+], ids=["tabulated", "zero-with-g0"])
 def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
                                                  payload, field):
     solves = []
@@ -289,8 +322,6 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
      "family", "Hermite blend dips"),
     ("extremal", {"domain": {"shape": "UnitDisk", "radius": 2.0}}, "domain", "'radius'"),
     ("criterion", {"domain": {"shape": "Rectangle", "widht": 3.0}}, "domain", "'widht'"),
-    ("criterion", {"gamma_grid": [7.0, 20.0, math.nan, 55.0, 150.0]}, "gamma_grid",
-     "NaN or Infinity"),
     ("bubble", {"gamma_ladder": [3.0, math.nan]}, "gamma_ladder", "NaN or Infinity"),
     ("bubble", {"robin_max": math.inf}, "robin_max", "NaN or Infinity"),
     ("criterion", {"family": {"kind": "PowerLog", "c_prime": -math.inf, "a_prime": 1.0}},
@@ -308,8 +339,6 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     ("extremal", {"alpha_ladder": [0.7, "0.8"]}, "alpha_ladder", "'0.8'"),
     ("bubble", {"gamma_ladder": ["3"]}, "gamma_ladder", "'3'"),
     ("bubble", {"gamma_ladder": 3.0}, "gamma_ladder", "list of numbers"),
-    ("criterion", {"gamma_grid": [7.0, 20.0, "55", 150.0]}, "gamma_grid", "'55'"),
-    ("criterion", {"gamma_grid": [7.0, 20.0, True, 150.0]}, "gamma_grid", "True"),
     ("profiles", {"r_max": 10**400}, "r_max", "too large for a double"),
     ("extremal", {"N": 10**400}, "N", "too large for a double"),
     ("bubble", {"gamma_ladder": [10**400]}, "gamma_ladder", "too large for a double"),
@@ -319,12 +348,12 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
         "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
-        "domain-key", "rectangle-key", "gamma-grid-nan", "gamma-ladder-nan",
+        "domain-key", "rectangle-key", "gamma-ladder-nan",
         "robin-max-infinity", "family-minus-infinity", "model-gamma-negative",
         "model-gamma-zero", "model-gamma-one", "step1-eps-zero", "step1-eps-large",
         "eps0-string", "robin-max-bool", "r-max-string", "step1-eps-bool",
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
-        "gamma-ladder-number", "gamma-grid-string", "gamma-grid-bool", "r-max-huge-int",
+        "gamma-ladder-number", "r-max-huge-int",
         "N-huge-int", "gamma-ladder-huge-int", "rectangle-width-string",
         "disk-width-string", "disk-height-bool"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
@@ -380,6 +409,8 @@ def _assert_within(got, want, tolerances):
 # (about 100x the drift measured when those two rewrites landed).
 # `run.gamma` was re-recorded when the Riesz map became two cumulative sums:
 # the solve's last bits move the maximiser's peak by 2e-12 relative.
+# `model_testfun` was re-recorded when its S became the exact Gamma(2 + kappa)/4
+# in place of a nested trapezoid sum (normalized_gap moved by 7.5e-6 relative).
 EXTREMAL_RECORDED = {
     "Zero": ({"kind": "Zero"}, {
         "run": {"J": 9.504416349250366, "gamma": 2.3931493233007206,
@@ -387,8 +418,8 @@ EXTREMAL_RECORDED = {
                 "iterations": 70, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.70631733457586},
-        "model_testfun": {"normalized_gap": -1.1031703715039232, "mu": 6.0807003660391904e-06,
-                          "log_inv_mu2": 24.020781353675, "I_z": 0.002777207706990744},
+        "model_testfun": {"normalized_gap": -1.103178695215938, "mu": 6.080700838066708e-06,
+                          "log_inv_mu2": 24.020781198420682, "I_z": 0.0027772142117486152},
     }),
     "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
                   "b_prime": 0.682198}, {
@@ -397,8 +428,8 @@ EXTREMAL_RECORDED = {
                 "iterations": 69, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.823925495572142},
-        "model_testfun": {"normalized_gap": -1.141519713931089, "mu": 6.1293018691968325e-06,
-                          "log_inv_mu2": 24.004859404143367, "I_z": 0.0035021511296146734},
+        "model_testfun": {"normalized_gap": -1.141528040590746, "mu": 6.129302344668095e-06,
+                          "log_inv_mu2": 24.004859248996418, "I_z": 0.0035021576343725446},
     }),
 }
 EXTREMAL_TOLERANCE = {

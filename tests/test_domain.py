@@ -133,6 +133,21 @@ def test_domain_refuses_a_side_that_is_no_finite_number(shape, side, value):
         DomainModel.from_json({"shape": shape.value, side: value})
 
 
+def test_domain_shape_is_converted():
+    # a valid shape name is the Shape it names, and the side checks apply
+    assert DomainModel(shape="UnitDisk").shape is Shape.UNIT_DISK
+    assert DomainModel(shape="UnitDisk").centre().tolist() == [0.0, 0.0]
+    assert DomainModel(shape="Rectangle", width=2.0) == DomainModel(Shape.RECTANGLE, 2.0)
+    with pytest.raises(ValueError, match="sides must be positive"):
+        DomainModel(shape="Rectangle", width=-1.0)
+
+
+@pytest.mark.parametrize("shape", ["Ellipse", "unitdisk", None, 0])
+def test_domain_refuses_an_unknown_shape(shape):
+    with pytest.raises(ValueError, match="not a valid Shape"):
+        DomainModel(shape=shape)
+
+
 # -- rectangle image sums against an explicit 64-layer reference -----------
 
 

@@ -53,6 +53,35 @@ def test_s0_explicit_solves_ode_high_precision():
         assert abs(resid) < 1e-8
 
 
+def _s2_closed(r):
+    """S2(r) = r^2/(2(1+r^2)) - log(1+r^2)/2, so A2 = 2 pi and B2 = 1/2."""
+    return r * r / (2 * (1 + r * r)) - np.log1p(r * r) / 2
+
+
+def test_s2_closed_form_solves_ode():
+    """Residual of S'' + S'/r + 8 e^{-2T0} S = -4 e^{-2T0} T0 via mpmath."""
+    mp.mp.dps = 40
+
+    def S2(r):
+        return r * r / (2 * (1 + r * r)) - mp.log1p(r * r) / 2
+
+    for r in (0.3, 1.0, 2.7, 10.0, 40.0):
+        r = mp.mpf(r)
+        T = mp.log1p(r * r)
+        w = mp.e**(-2 * T)
+        resid = mp.diff(S2, r, 2) + mp.diff(S2, r) / r + 8 * w * S2(r) + 4 * w * T
+        assert abs(resid) < 1e-20
+
+
+def test_s2_ode_matches_closed_form(profiles):
+    # measured: 4.8e-10 on the profile, 1.4e-9 relative on A, 1.0e-8 on B
+    P = profiles[2]
+    r = np.geomspace(1e-3, 1500.0, 4000)
+    assert np.max(np.abs(P(r) - _s2_closed(r))) < 2e-9
+    assert P.A == pytest.approx(2.0 * math.pi, rel=6e-9)
+    assert P.B == pytest.approx(0.5, abs=4e-8)
+
+
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_profile_constants(profiles, i):
     P = profiles[i]
