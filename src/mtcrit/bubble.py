@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .csvout import write_csv
+from .numerics import solve_ivp
 from .perturbation import (PerturbationFamily, asymptotic_data, eval_H, eval_psi_N,
                            log_phi_N, xi)
 from .profiles import StepFailureError, laplacian_profile, s0_explicit
@@ -129,12 +129,11 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float, lam: float,
     _, psi_p0 = eval_psi_N(fam, N, gamma)
     seed = [gamma - c * psi_p0 * y0 * y0 / 4.0, -c * psi_p0 * y0 / 2.0]
     grid = np.concatenate([[0.0], np.geomspace(y0, y_end, 3000)])
-    sol = solve_ivp(odes, (y0, y_end), seed, method="RK45", rtol=1e-11, atol=1e-12,
-                    t_eval=grid[1:])
+    sol = solve_ivp(odes, (y0, y_end), seed, t_eval=grid[1:], rtol=1e-11, atol=1e-12)
     if hit_zero["flag"] or np.any(sol.y[0] <= 0.0):
         raise BlowDownError("bubble reached zero before rho; lambda too large")
     if not sol.success:
-        raise StepFailureError(sol.message)
+        raise StepFailureError(f"{sol.message} ({sol.nfev} evaluations)")
     values = np.concatenate([[gamma], sol.y[0]])
     derivs = np.concatenate([[0.0], sol.y[1]])
     return BubbleSolution(fam=fam, N=N, gamma=gamma, lam=lam, mu=mu, eps0=eps0,

@@ -33,8 +33,8 @@ from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, profile_integrals,
                        s0_explicit, solve_profile)
 from .bubble import ladder_reports
-from .variational import (lambda_g_report, model_testfun_energy, solve_subcritical,
-                          step1_testfun)
+from .variational import (height_seed, lambda_g_report, model_testfun_energy,
+                          solve_subcritical, step1_testfun)
 
 
 class ConfigError(ValueError):
@@ -260,6 +260,11 @@ def cmd_extremal(cfg: dict, args) -> int:
     gam = _number(cfg, "model_gamma", 5.0)
     if gam <= 1.0:  # A and B carry log(gamma)
         raise ConfigError(f"field 'model_gamma': must be > 1 (got {gam!r})")
+    data = asymptotic_data(fam)
+    try:
+        height_seed(data, gam)
+    except ValueError as exc:
+        raise ConfigError(f"field 'model_gamma': {exc}") from None
 
     runs = [solve_subcritical(fam, N, a) for a in alphas]
     payload = {"runs": [r.to_json() for r in runs]}
@@ -272,7 +277,6 @@ def cmd_extremal(cfg: dict, args) -> int:
     payload["step1"] = {"eps": eps, **{k: float(v) for k, v in s1.items()}}
     print(f"step1 eps={eps}: J={s1['J']:.6f} (blow-up level {s1['blowup_level']:.6f})")
 
-    data = asymptotic_data(fam)
     profiles = {i: solve_profile(i) for i in range(3)}
     mt = model_testfun_energy(dom, fam, data, profiles, gam)
     payload["model_testfun"] = mt

@@ -22,7 +22,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize
+
+from .numerics import minimize
 
 __all__ = [
     "Shape",
@@ -49,7 +50,8 @@ class PoleCoincidenceError(ValueError):
 
 
 class DegenerateMaxError(RuntimeError):
-    """Robin maximizer escaped to the boundary margin."""
+    """The Robin search stalled, or its maximizer escaped to the boundary
+    margin."""
 
 
 class Shape(str, Enum):
@@ -237,8 +239,8 @@ def robin(dom: DomainModel, x) -> float:
 
 
 def first_bessel_zero() -> float:
-    """First zero j_{0,1} of J0, within one ulp (scipy's jn_zeros gives the
-    same double, but its first call costs 0.3 MB of resident memory)."""
+    """First zero j_{0,1} of J0, the double nearest to it (held to
+    mpmath.besseljzero by the tests)."""
     return 2.4048255576957724
 
 
@@ -350,12 +352,15 @@ def robin_report(
     domain the Robin function has one critical point (Caffarelli-Friedman,
     Duke Math. J. 1985), so by symmetry the maximizer is the centre.
     Returns M = max Robin, K = [the maximizer z] and S = int_Omega G_z
-    F(4 pi G_z).  Raises DegenerateMaxError if z lies closer to the
-    boundary than half the margin fraction of the centre's distance.
+    F(4 pi G_z).  Raises DegenerateMaxError if the search does not converge
+    in 400 iterations, or if z lies closer to the boundary than half the
+    margin fraction of the centre's distance.
     """
     centre = dom.centre()
-    res = minimize(lambda q: -robin(dom, q), centre, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
+    res = minimize(lambda q: -robin(dom, q), centre, xatol=1e-10, fatol=1e-12, maxiter=400)
+    if not res.success:
+        raise DegenerateMaxError(f"Robin search did not converge in {res.nit} iterations "
+                                 f"({res.nfev} evaluations)")
     z = res.x
     if dom.boundary_distance(z) < 0.5 * _BOUNDARY_MARGIN * dom.boundary_distance(centre):
         raise DegenerateMaxError("Robin maximizer hit the boundary margin")

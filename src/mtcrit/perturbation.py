@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+
+from .numerics import log_series_tail, power_term, series_tail, term_over_tail
 
 EXP_BUDGET = 700.0
 
@@ -307,37 +308,48 @@ def _check_order(N, least: int = 1) -> None:
 
 
 def log_phi_N(N: int, T) -> np.ndarray | float:
-    """log of phi_N(T) = sum_{k>N} T^k / k!, via the regularized lower
-    incomplete gamma: phi_N(T) = exp(T) * P(N+1, T)  (N >= 0)."""
+    """log of phi_N(T) = sum_{k>N} T^k / k! (N >= 0, T >= 0; -inf at T = 0).
+
+    A float T (np.float64 included) gives a Python float from
+    `log_series_tail`'s float path; arrays, 0-d arrays and ints take its
+    array path.
+    """
     _check_order(N, least=0)
+    if isinstance(T, float):
+        T = float(T)
+        if T < 0:
+            raise ValueError("T must be nonnegative")
+        return log_series_tail(N, T) if T > 0 else -math.inf
     T_in = np.asarray(T, dtype=float)
     if np.any(T_in < 0):
         raise ValueError("T must be nonnegative")
     T_arr = np.atleast_1d(T_in)
     out = np.full_like(T_arr, -np.inf)
     pos = T_arr > 0
-    P = gammainc(N + 1, np.where(pos, T_arr, 1.0))
-    ok = pos & (P > 0)
-    with np.errstate(divide="ignore"):
-        out[ok] = T_arr[ok] + np.log(P[ok])
-    under = pos & (P == 0)  # T << N: take the first series terms directly
-    if np.any(under):
-        Tb = T_arr[under]
-        lead = (N + 1) * np.log(Tb) - gammaln(N + 2)
-        out[under] = lead + np.log1p(Tb / (N + 2) + Tb**2 / ((N + 2) * (N + 3)))
+    out[pos] = log_series_tail(N, T_arr[pos])
     return float(out[0]) if T_in.ndim == 0 else out
 
 
 def phi_N(N: int, T) -> np.ndarray | float:
-    """Tail of the exponential series, sum_{k>N} T^k / k! (N >= 0, checked
-    by `log_phi_N`)."""
-    lp = log_phi_N(N, T)
-    lp_arr = np.asarray(lp)
-    if np.any(lp_arr > EXP_BUDGET):
-        raise ExponentBudgetError("phi_N would exceed the exponent budget; use log_phi_N")
-    with np.errstate(over="ignore"):
-        out = np.exp(lp_arr)
-    return float(out) if np.asarray(T).ndim == 0 else out
+    """Tail of the exponential series, sum_{k>N} T^k / k! (N >= 0, T >= 0).
+
+    Up to T = EXP_BUDGET it is summed in doubles by `series_tail`
+    (phi_N < e^T); beyond, it is e^(log phi_N), refused with
+    ExponentBudgetError past the budget.  A float T gives a Python float.
+    """
+    _check_order(N, least=0)
+    scalar = isinstance(T, float)
+    T_arr = float(T) if scalar else np.asarray(T, dtype=float)
+    if (T_arr < 0) if scalar else np.any(T_arr < 0):
+        raise ValueError("T must be nonnegative")
+    if (T_arr <= EXP_BUDGET) if scalar else np.all(T_arr <= EXP_BUDGET):
+        out = series_tail(N, T_arr)
+    else:
+        lp = log_phi_N(N, T_arr)
+        if np.any(lp > EXP_BUDGET):
+            raise ExponentBudgetError("phi_N would exceed the exponent budget; use log_phi_N")
+        out = np.exp(lp)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
@@ -351,11 +363,11 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
     Psi_1  = (1 + g) e^T
     Psi_1' = (2 t (1 + g) + g') e^T
 
-    is evaluated in closed form; N >= 2 goes through the incomplete gamma.
+    is evaluated in closed form; N >= 2 goes through the series tail phi_N.
 
     A float t (np.float64 included, as an ODE solver passes it) takes the
-    scalar path of `eval_g` and, for N = 1, `math.exp`; arrays, 0-d arrays
-    and ints take the array path.  A scalar t gives Python floats.
+    scalar path of `eval_g`, `phi_N` and `math`; arrays, 0-d arrays and
+    ints take the array path.  A scalar t gives Python floats.
     """
     _check_order(N)
     scalar = isinstance(t, float)
@@ -371,12 +383,9 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
     else:
         ph = phi_N(N, T)
         psi = (1.0 + g) * (1.0 + T + ph)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_pow = (np.where(T > 0, N * np.log(np.maximum(T, 1e-300)), -np.inf)
-                       - gammaln(N + 1))
-        powterm = np.where(T > 0, np.exp(log_pow), 0.0)
-        tH = np.where(t_arr > 0, t_arr + t_arr * g + dg / 2.0, 0.0)
-        dpsi = (2.0 * tH * ph + 2.0 * t_arr * (1.0 + powterm) * (1.0 + g)
+        # g'(0) = 0, so t H(t) = t + t g + g'/2 is 0 at t = 0
+        tH = t_arr + t_arr * g + dg / 2.0
+        dpsi = (2.0 * tH * ph + 2.0 * t_arr * (1.0 + power_term(N, T)) * (1.0 + g)
                 + dg * (1.0 + T))
     if scalar or np.ndim(t) == 0:
         return float(psi), float(dpsi)
@@ -388,8 +397,8 @@ def xi(N: int, gamma: float) -> float:
     _check_order(N)
     if gamma <= 0:
         raise ValueError("gamma > 0 required")
-    log_xi = 2.0 * (N - 1) * math.log(gamma) - log_phi_N(N - 1, gamma * gamma) - gammaln(N)
-    return math.exp(log_xi)
+    T = float(gamma) * float(gamma)
+    return term_over_tail(N - 1, T)
 
 
 # -- asymptotic data --------------------------------------------------------

@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicHermiteSpline
-from scipy.special import spence
 
 from .csvout import write_csv
+from .numerics import CubicHermite, gauss_legendre, li2_neg, solve_ivp
 
 __all__ = [
     "StepFailureError",
@@ -43,6 +41,10 @@ B0_CONSTANT = math.pi**2 / 6.0 + 2.0
 # Tolerances of the profile ODE solve, also reported by RadialProfile.metadata.
 _RTOL = 1e-10
 _ATOL = 1e-10
+# Gauss-Legendre nodes per panel of profile_integrals, and the tail panels
+# in s = r_max / r: [0, 2^-40] and then [2^-k, 2^(1-k)] up to 1.
+_GL_ORDER = 4
+_TAIL_EDGES = np.append(0.0, 0.5 ** np.arange(40, -1, -1))
 
 
 def t0(r):
@@ -52,29 +54,30 @@ def t0(r):
     return float(out) if out.ndim == 0 else out
 
 
-def _dilog_tail(r2):
-    """int_1^{1+r^2} log(t)/(1-t) dt, vectorized.
-
-    scipy's spence(z) is exactly int_1^z log(t)/(1-t) dt for z >= 0.
-    """
-    return spence(1.0 + np.asarray(r2, dtype=float))
+def _float_or_array(r):
+    """(math, r) for a float r, which then stays a Python float; else
+    (numpy, r as a float array)."""
+    return (math, r) if isinstance(r, float) else (np, np.asarray(r, dtype=float))
 
 
 def s0_explicit(r):
-    """Closed form for S0: combination of rational, log^2 and dilog terms."""
-    r = np.asarray(r, dtype=float)
+    """Closed form for S0: combination of rational, log^2 and dilog terms.
+    A float r is evaluated with `math` (the profile ODE calls it one radius
+    at a time)."""
+    xp, r = _float_or_array(r)
     r2 = r * r
-    T = np.log1p(r2)
+    T = xp.log1p(r2)
     val = -T + 2.0 * r2 / (1.0 + r2) - 0.5 * T * T
-    val += (1.0 - r2) / (1.0 + r2) * _dilog_tail(r2)
-    return float(val) if val.ndim == 0 else val
+    # Li2(-r^2) = int_1^{1+r^2} log(t)/(1-t) dt
+    val += (1.0 - r2) / (1.0 + r2) * li2_neg(r2)
+    return float(val) if np.ndim(val) == 0 else val
 
 
-def _rhs(i: int, r: np.ndarray) -> np.ndarray:
+def _rhs(i: int, r):
     """Source terms of the linearized equation (all carry exp(-2 T0))."""
-    r = np.asarray(r, dtype=float)
-    T = np.log1p(r * r)
-    w = np.exp(-2.0 * T)
+    xp, r = _float_or_array(r)
+    T = xp.log1p(r * r)
+    w = xp.exp(-2.0 * T)
     if i == 0:
         return 4.0 * w * (T * T - T)
     if i == 2:
@@ -94,7 +97,7 @@ class RadialProfile:
     asym_intercept: float
 
     def __post_init__(self):
-        self._spline = CubicHermiteSpline(self.grid, self.values, self.derivs)
+        self._spline = CubicHermite(self.grid, self.values, self.derivs)
 
     def __call__(self, r):
         """Evaluate via the stored samples, log asymptote beyond the grid."""
@@ -106,7 +109,7 @@ class RadialProfile:
 
     def derivative(self, r):
         r = np.asarray(r, dtype=float)
-        inside = self._spline.derivative()(np.minimum(r, self.grid[-1]))
+        inside = self._spline.derivative(np.minimum(r, self.grid[-1]))
         tail = 2.0 * self.asym_slope / np.maximum(r, 1.0)
         out = np.where(r <= self.grid[-1], inside, tail)
         return float(out) if out.ndim == 0 else out
@@ -161,18 +164,16 @@ def solve_profile(i: int, r_max: float = 2000.0) -> RadialProfile:
     def odes(r, y):
         S, dS = y
         T = math.log1p(r * r)
-        rhs = float(_rhs(i, r))
-        return [dS, -dS / r - 8.0 * math.exp(-2.0 * T) * S - rhs]
+        return [dS, -dS / r - 8.0 * math.exp(-2.0 * T) * S - _rhs(i, r)]
 
     r0 = 1e-6
     rhs0 = float(_rhs(i, 0.0))
     y0 = [-rhs0 * r0 * r0 / 4.0, -rhs0 * r0 / 2.0]
     probe = [250.0, 500.0, 1000.0] if r_max >= 1000.0 else [r_max / 4, r_max / 2, r_max]
     grid = np.unique(np.concatenate([[0.0], np.geomspace(r0, r_max, 4000), probe]))
-    sol = solve_ivp(odes, (r0, r_max), y0, method="RK45", rtol=_RTOL, atol=_ATOL,
-                    t_eval=grid[1:], dense_output=False)
+    sol = solve_ivp(odes, (r0, r_max), y0, t_eval=grid[1:], rtol=_RTOL, atol=_ATOL)
     if not sol.success:
-        raise StepFailureError(sol.message)
+        raise StepFailureError(f"{sol.message} ({sol.nfev} evaluations)")
     values = np.concatenate([[0.0], sol.y[0]])
     derivs = np.concatenate([[0.0], sol.y[1]])
 
@@ -203,32 +204,27 @@ def profile_integrals(profiles: dict) -> dict:
     `profiles` maps {0: S0, 1: S1, 2: S2} to solved profiles; the radial
     quadrature is truncated at the shortest of their grids.  Returns
     I_S0 = int e^{-2T0} S0, I_T0sq = int e^{-2T0} T0^2 and A_check[i] =
-    int of the distributional Laplacian of S_i, all over R^2 (radial
-    quadrature, 2 pi r dr measure, analytic log-power tails).
+    int of the distributional Laplacian of S_i, all over R^2 (2 pi r dr
+    measure).  Each interval of the shortest grid, where a solved profile
+    is one cubic, is a Gauss-Legendre panel; the tails of I_S0 and I_T0sq
+    past r_max map to s = r_max / r on panels halving toward s = 0.
     """
     profs = [profiles[k] for k in range(3)]
-    r_max = min(float(pr.grid[-1]) for pr in profs)
+    edges = min((pr.grid for pr in profs), key=lambda g: g[-1])
+    r_max = float(edges[-1])
     if r_max < 1000.0:
         raise ValueError("r_max must be at least 1000")
 
-    def radial(f, split=(1.0, 10.0, 100.0)):
-        pts = (0.0,) + split + (r_max,)
-        total = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            total += quad(lambda r: f(r) * r, lo, hi, limit=200)[0]
-        return 2.0 * math.pi * total
+    def plane(f):
+        """int over R^2 of the radial f, the part past r_max by r = r_max / s."""
+        return 2.0 * math.pi * (
+            gauss_legendre(lambda r: f(r) * r, edges, _GL_ORDER)
+            + gauss_legendre(lambda s: f(r_max / s) * r_max**2 / s**3, _TAIL_EDGES, _GL_ORDER))
 
-    I_S0 = radial(lambda r: math.exp(-2.0 * math.log1p(r * r)) * s0_explicit(r))
-    # tail of e^{-2T0} S0 ~ (-log r^2 + B0)/r^4: integrate analytically
-    I_S0 += 2.0 * math.pi * quad(
-        lambda r: (s0_explicit(r) / (1.0 + r * r) ** 2) * r, r_max, np.inf, limit=200)[0]
-    I_T0sq = radial(lambda r: math.exp(-2.0 * math.log1p(r * r)) * math.log1p(r * r) ** 2)
-    I_T0sq += 2.0 * math.pi * quad(
-        lambda r: (math.log1p(r * r) ** 2 / (1.0 + r * r) ** 2) * r, r_max, np.inf, limit=200)[0]
-
-    A_check = []
-    for k, pr in enumerate(profs):
-        val = radial(lambda r, k=k, pr=pr: laplacian_profile(k, r, pr))
-        A_check.append(val)
+    I_S0 = plane(lambda r: s0_explicit(r) / (1.0 + r * r) ** 2)
+    I_T0sq = plane(lambda r: np.log1p(r * r) ** 2 / (1.0 + r * r) ** 2)
+    A_check = [2.0 * math.pi * gauss_legendre(
+        lambda r, k=k, pr=pr: laplacian_profile(k, r, pr) * r, edges, _GL_ORDER)
+        for k, pr in enumerate(profs)]
     return {"I_S0": I_S0, "I_T0sq": I_T0sq, "A_check": A_check,
             "B": [pr.B for pr in profs], "A": [pr.A for pr in profs]}

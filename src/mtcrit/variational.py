@@ -19,15 +19,15 @@ lambda_g_report widens its gap to inf unless both its ascents end on
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .csvout import write_csv
 from .domain import DomainModel, Shape
-from .perturbation import AsymptoticData, PerturbationFamily, eval_g, eval_psi_N
+from .numerics import brentq, gauss_legendre
+from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily, eval_g, eval_psi_N
 from .profiles import B0_CONSTANT, RadialProfile
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "solve_subcritical",
     "lambda_g_report",
     "step1_testfun",
+    "height_seed",
     "model_testfun_energy",
 ]
 
@@ -52,6 +53,13 @@ _GRID_KAPPA = 3.0
 # accepted steps in a row, changes J by less than _RTOL relative
 _MAX_ITER = 4000
 _RTOL = 1e-12
+# step1_testfun: Gauss-Legendre panels between the knots of g, nodes per panel
+_STEP1_PANELS = 8
+_STEP1_ORDER = 20
+# model_testfun_energy brackets L = log(1/mu~^2) by L_seed -+ _HEIGHT_BRACKET;
+# past _MAX_LOG_INV_MU2, e^-L is below the smallest normal double
+_HEIGHT_BRACKET = 5.0
+_MAX_LOG_INV_MU2 = -math.log(sys.float_info.min)
 
 
 def make_grid(n: int = 2000) -> np.ndarray:
@@ -292,27 +300,36 @@ def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict
 
     def integrand(s):
         # s = log(e2 + r^2), r dr = e^s ds / 2
-        v = math.log1p(e2) - s
-        f = scale * v
+        f = scale * (math.log1p(e2) - s)
         gval, _ = eval_g(fam, f)
-        return (1.0 + gval) * math.exp(f * f) * math.exp(s) * math.pi
+        return (1.0 + gval) * np.exp(f * f) * np.exp(s) * math.pi
 
     lo, hi = math.log(e2), math.log1p(e2)
-    val = quad(integrand, lo, hi, limit=400)[0]
+    # g is only C^1 at its blend knots f = 1/R', R': panels end there
+    knots = [] if fam.kind is FamilyKind.ZERO else [1.0 / fam.R_prime, fam.R_prime]
+    cuts = sorted(hi - f / scale for f in knots if lo < hi - f / scale < hi)
+    edges = np.concatenate([np.linspace(a, b, _STEP1_PANELS + 1)[:-1]
+                            for a, b in zip([lo] + cuts, cuts + [hi])] + [[hi]])
+    val = gauss_legendre(integrand, edges, _STEP1_ORDER)
     level = (1.0 + eval_g(fam, 0.0)[0]) * math.pi + math.pi * math.e
     return {"norm_sq": norm_sq, "J": val, "f_norm_sq": 4.0 * math.pi,
             "blowup_level": level}
+
+
+def _concentration_integral(data: AsymptoticData) -> float:
+    """The concentration integral S at the disk centre: with F(t) = t^kappa
+    and s = log(1/|y|), int_0^inf s (2s)^kappa e^{-2s} ds = Gamma(2 + kappa)/4."""
+    return math.gamma(2.0 + data.kappa) / 4.0
 
 
 def _green_source(data: AsymptoticData):
     """q(0) and q' for q(x) = int_Omega G_x(y) F(4 pi G_0(y)) dy, x radial.
 
     On the disk q solves the radial Poisson problem q'' + q'/r = -F(4 pi G_0),
-    q'(0) = 0, q(1) = 0.  With F(t) = t^kappa and s = log(1/|y|),
-    q(0) = int_0^inf s (2s)^kappa e^{-2s} ds = Gamma(2 + kappa)/4, the
-    concentration integral S; q' is one cumulative trapezoid quadrature,
-    returned as a function of the radius, because the radii where the model
-    test function needs it depend on a scale fixed by q(0).
+    q'(0) = 0, q(1) = 0.  q(0) is `_concentration_integral`; q' is one
+    cumulative trapezoid quadrature, returned as a function of the radius,
+    because the radii where the model test function needs it depend on a
+    scale fixed by q(0).
     """
     rr = np.geomspace(1e-10, 1.0, 4000)
     Fsrc = data.F(2.0 * np.log(1.0 / rr))
@@ -320,7 +337,28 @@ def _green_source(data: AsymptoticData):
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (Fsrc[1:] * rr[1:] + Fsrc[:-1] * rr[:-1])
                                            * np.diff(rr))])
     qp = -cum / rr
-    return math.gamma(2.0 + data.kappa) / 4.0, lambda r: np.interp(r, rr, qp)
+    return _concentration_integral(data), lambda r: np.interp(r, rr, qp)
+
+
+def height_seed(data: AsymptoticData, gamma: float) -> tuple[float, float]:
+    """(x, L_seed) of the height equation of `model_testfun_energy` at the
+    disk centre (Robin value 0).
+
+    log(1/mu~^2) = gamma^2 - 1 + log1p(x) in closed form, which has no value
+    for x <= -1; L_seed is that form with x raised to at least -0.9, the
+    centre of the root bracket L_seed -+ _HEIGHT_BRACKET.  Raises ValueError
+    when the bracket's top passes _MAX_LOG_INV_MU2, where mu~^2 = e^-L
+    is no longer a normal double (gamma >= 27 for the Zero family).
+    """
+    g = gamma
+    A, Bc = float(data.A(g)), float(data.B(g))
+    x = -g * g * A / 2.0 - 4.0 * Bc * _concentration_integral(data) / (g * math.e)
+    L_seed = g * g - 1.0 + math.log1p(max(-0.9, x))
+    if L_seed + _HEIGHT_BRACKET > _MAX_LOG_INV_MU2:
+        raise ValueError(f"gamma = {g:g} puts the height bracket at log(1/mu~^2) up to "
+                         f"{L_seed + _HEIGHT_BRACKET:.1f}, past {_MAX_LOG_INV_MU2:.1f}, "
+                         f"where mu~^2 underflows")
+    return x, L_seed
 
 
 def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
@@ -357,12 +395,9 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
         tot += coef_q * S_int
         return tot - g
 
-    # log(1/mu~^2) in closed form is g^2 - 1 - robin_z + log1p(x); it does not
-    # exist for x <= -1, where it only seeds the root bracket from x = -0.9
-    x = -g * g * A / 2.0 - 4.0 * Bc * S_int / (g * math.exp(1.0 + robin_z))
-    L_seed = g * g - 1.0 - robin_z + math.log1p(max(-0.9, x))
+    x, L_seed = height_seed(data, g)
     try:
-        L = brentq(height, L_seed - 5.0, L_seed + 5.0, xtol=1e-12)
+        L = brentq(height, L_seed - _HEIGHT_BRACKET, L_seed + _HEIGHT_BRACKET, xtol=1e-12)
     except ValueError as exc:
         raise RootFailError("height equation has no root in the bracket") from exc
     mu2 = math.exp(-L)

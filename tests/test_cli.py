@@ -329,6 +329,7 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     ("extremal", {"model_gamma": -1.0}, "model_gamma", "> 1"),
     ("extremal", {"model_gamma": 0.0}, "model_gamma", "> 1"),
     ("extremal", {"model_gamma": 1.0}, "model_gamma", "> 1"),
+    ("extremal", {"model_gamma": 27.0}, "model_gamma", "underflows"),
     ("extremal", {"step1_eps": 0.0}, "step1_eps", "(0, 0.2]"),
     ("extremal", {"step1_eps": 0.3}, "step1_eps", "(0, 0.2]"),
     ("bubble", {"eps0": "0.75"}, "eps0", "'0.75'"),
@@ -350,7 +351,7 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
         "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
         "domain-key", "rectangle-key", "gamma-ladder-nan",
         "robin-max-infinity", "family-minus-infinity", "model-gamma-negative",
-        "model-gamma-zero", "model-gamma-one", "step1-eps-zero", "step1-eps-large",
+        "model-gamma-zero", "model-gamma-one", "model-gamma-27", "step1-eps-zero", "step1-eps-large",
         "eps0-string", "robin-max-bool", "r-max-string", "step1-eps-bool",
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
         "gamma-ladder-number", "r-max-huge-int",
@@ -374,6 +375,26 @@ def test_config_must_be_an_object(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", [{"family": {"kind": "Zero"}}])
     assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", [26, 27, 1000])
+def test_model_gamma_is_refused_where_the_height_bracket_underflows(tmp_path, capsys, gamma):
+    # The height bracket reaches log(1/mu~^2) = L_seed + 5 with L_seed about
+    # gamma^2 - 1; past -log(smallest normal double) = 708.4 (gamma >= 27),
+    # extremal is refused before the alpha ladder runs, where it used to end
+    # in RootFailError (27) or OverflowError (1000) after it.
+    cfg = _write(tmp_path, "cfg.json", {"alpha_ladder": [0.7], "model_gamma": gamma})
+    code = main(["extremal", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    csvs = list(tmp_path.glob("extremal_alpha*.csv"))
+    if gamma == 26:
+        assert code == 0 and len(csvs) == 1
+        mt = json.loads((tmp_path / "extremal.json").read_text())["model_testfun"]
+        assert mt["log_inv_mu2"] == pytest.approx(26.0**2 - 1.0, abs=0.1)
+    else:
+        assert code == 1 and csvs == []
+        assert "field 'model_gamma'" in err and "underflows" in err
+        assert "Error:" not in err
 
 
 def _assert_within(got, want, tolerances):
@@ -411,14 +432,20 @@ def _assert_within(got, want, tolerances):
 # the solve's last bits move the maximiser's peak by 2e-12 relative.
 # `model_testfun` was re-recorded when its S became the exact Gamma(2 + kappa)/4
 # in place of a nested trapezoid sum (normalized_gap moved by 7.5e-6 relative).
+# `step1.J` was re-recorded when its quadrature became composite Gauss-Legendre
+# with panels ending at the blend knots of g, in place of adaptive quadrature:
+# 6.5e-16 relative (Zero) and 6.9e-10 (PowerLog, whose old value was off by
+# that much against a 30-digit reference; the new one is within 4e-16).  The
+# Zero `normalized_gap` was re-recorded with the profile solves moved off
+# scipy (1.3e-13 relative).
 EXTREMAL_RECORDED = {
     "Zero": ({"kind": "Zero"}, {
         "run": {"J": 9.504416349250366, "gamma": 2.3931493233007206,
                 "lambda": 0.4833434601937889, "el_residual": 7.267327531899832e-07,
                 "iterations": 70, "saturated": True,
                 "termination": "rtol"},
-        "step1": {"J": 13.70631733457586},
-        "model_testfun": {"normalized_gap": -1.103178695215938, "mu": 6.080700838066708e-06,
+        "step1": {"J": 13.706317334575852},
+        "model_testfun": {"normalized_gap": -1.1031786952160767, "mu": 6.080700838066708e-06,
                           "log_inv_mu2": 24.020781198420682, "I_z": 0.0027772142117486152},
     }),
     "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
@@ -427,7 +454,7 @@ EXTREMAL_RECORDED = {
                 "lambda": 0.4781810309219897, "el_residual": 8.4938289548419e-07,
                 "iterations": 69, "saturated": True,
                 "termination": "rtol"},
-        "step1": {"J": 13.823925495572142},
+        "step1": {"J": 13.823925505070326},
         "model_testfun": {"normalized_gap": -1.141528040590746, "mu": 6.129302344668095e-06,
                           "log_inv_mu2": 24.004859248996418, "I_z": 0.0035021576343725446},
     }),
@@ -458,7 +485,10 @@ def _rung(gamma, sup, lead, gap, A, xi, extra):
             "details": {"A": A, "xi": xi, **extra}}
 
 
-XI_LADDER = (0.000123425035946185, 1.125351873834261e-07, 1.388794386515689e-11)
+# xi(1, gamma) = 1/(e^(gamma^2) - 1), re-recorded when it became e^-T/(1 - e^-T)
+# in place of exp(-log(e^T P(1, T))): 6.6e-16 and 3.5e-16 relative at gamma = 3
+# and 5, each now within 1.7e-16 of the 40-digit value (was 5e-16).
+XI_LADDER = (0.00012342503594618508, 1.125351873834261e-07, 1.3887943865156895e-11)
 
 
 def _ladder(expansion, source, A, zeta):

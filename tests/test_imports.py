@@ -1,5 +1,6 @@
 """Every top-level import in the package is used or re-exported, every
 definition is read, and every exported exception is raised somewhere.
+No subcommand loads scipy, which is a test dependency only.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
@@ -10,6 +11,9 @@ package or be listed in an ``__all__``; and an exception class in
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,3 +152,62 @@ def test_raise_scan_reads_every_form():
     tree = ast.parse("raise A\nraise B('x')\nraise m.C('y') from None\n"
                      "try:\n    pass\nexcept D:\n    raise\n")
     assert _raised_names(tree) == {"A", "B", "C"}
+
+
+# -- scipy stays out of the runtime -------------------------------------------
+
+
+def _cli(cmd: str, config: dict) -> str:
+    """Code that runs `mtcrit cmd` on config, writing into the directory
+    given as the first argument."""
+    return ("import json, os, sys\n"
+            "from mtcrit.cli import main\n"
+            "out = sys.argv[1]\n"
+            "cfg = os.path.join(out, 'cfg.json')\n"
+            "with open(cfg, 'w') as fh:\n"
+            f"    json.dump({config!r}, fh)\n"
+            f"assert main([{cmd!r}, '--config', cfg, '--out', out]) in (0, 2)\n")
+
+
+# perfbench/op.py's rectangle operation: the public API, not the CLI
+_RECTANGLE = """
+import mtcrit.cli
+from mtcrit import criterion, domain
+from mtcrit.perturbation import PerturbationFamily, asymptotic_data
+dom = domain.DomainModel(shape="Rectangle", width=2.0, height=1.0)
+fam = PerturbationFamily()
+data = asymptotic_data(fam)
+rep = domain.robin_report(dom, data.F)
+criterion.closed_form_l(fam, rep.M, rep.S)
+criterion.limit_l(data, rep.M, rep.S)
+domain.lambda1(dom)
+"""
+
+RUNTIME_PATHS = {
+    "import": "import mtcrit.cli\n",
+    "criterion": _cli("criterion", {}),
+    "profiles": _cli("profiles", {"r_max": 1000}),
+    "bubble": _cli("bubble", {}),
+    "extremal": _cli("extremal", {"alpha_ladder": [0.9]}),
+    "verify": _cli("verify", {}),
+    "rectangle": _RECTANGLE,
+}
+
+
+def _scipy_modules_after(code: str, out_dir) -> list:
+    """Run code in a fresh interpreter; the scipy modules it left loaded."""
+    probe = code + "\nimport sys\nprint(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    proc = subprocess.run([sys.executable, "-c", probe, str(out_dir)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", RUNTIME_PATHS)
+def test_runtime_loads_no_scipy(tmp_path, name):
+    assert _scipy_modules_after(RUNTIME_PATHS[name], tmp_path) == []
+
+
+def test_scipy_probe_sees_scipy(tmp_path):
+    assert "scipy.special" in _scipy_modules_after("import scipy.special\n", tmp_path)

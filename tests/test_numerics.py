@@ -1,0 +1,276 @@
+"""The kernels of mtcrit.numerics against their oracles: scipy for the
+integrator, Nelder-Mead, Brent's method, Gauss-Legendre and the Hermite
+spline; mpmath for the dilogarithm and the exponential-series terms.
+scipy and mpmath are test dependencies only."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+import scipy.integrate
+import scipy.interpolate
+import scipy.optimize
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mtcrit import bubble, numerics, profiles
+from mtcrit.domain import DomainModel, robin
+from mtcrit.perturbation import PerturbationFamily
+
+EPS = np.finfo(float).eps
+
+
+# -- Dormand-Prince against scipy's RK45 --------------------------------------
+
+
+def _scipy_rk45(fun, t_span, y0, t_eval, rtol, atol):
+    return scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", t_eval=t_eval,
+                                     rtol=rtol, atol=atol)
+
+
+def _both(monkeypatch, module, run):
+    """run() once with the module's own integrator and once with scipy's
+    RK45 bound in its place; returns both results and both solver outputs."""
+    outs = {}
+    for name, solver in (("ours", numerics.solve_ivp), ("scipy", _scipy_rk45)):
+        seen = []
+
+        def recording(*args, solver=solver, seen=seen, **kwargs):
+            seen.append(solver(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(module, "solve_ivp", recording)
+        outs[name] = (run(), seen)
+    return outs
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_profile_ode_takes_scipys_steps(monkeypatch, i):
+    # S1 and S2 at the profiles' tolerances: the same evaluation count (so
+    # the same accepted and rejected steps), values within 1e-12 of the
+    # largest |S| (measured: 1.5e-15).
+    outs = _both(monkeypatch, profiles, lambda: profiles.solve_profile(i))
+    (ours, (sol,)), (ref, (ref_sol,)) = outs["ours"], outs["scipy"]
+    assert sol.nfev == ref_sol.nfev
+    assert sol.success and ref_sol.success
+    scale = np.max(np.abs(ref.values))
+    assert np.max(np.abs(ours.values - ref.values)) <= 1e-12 * scale
+    assert np.max(np.abs(ours.derivs - ref.derivs)) <= 1e-12 * np.max(np.abs(ref.derivs))
+
+
+@pytest.mark.parametrize("gamma", [3.0, 5.0])
+def test_bubble_shot_takes_scipys_steps(monkeypatch, gamma):
+    fam = PerturbationFamily.from_json({"kind": "PowerLog", "c_prime": 1.256171,
+                                        "a_prime": 2.593292, "b_prime": 0.682198})
+    lam = bubble.lambda_from_level(gamma, 0.0)
+    outs = _both(monkeypatch, bubble, lambda: bubble.shoot_bubble(fam, 1, gamma, lam))
+    (ours, (sol,)), (ref, (ref_sol,)) = outs["ours"], outs["scipy"]
+    assert sol.nfev == ref_sol.nfev
+    np.testing.assert_allclose(ours.values, ref.values, rtol=1e-13, atol=0.0)
+
+
+def test_dense_output_and_evaluation_count_on_a_linear_system():
+    # y'' = -y from (1, 0): t_eval on step ends and inside steps alike
+    def fun(t, y):
+        return [y[1], -y[0]]
+
+    t_eval = np.linspace(0.0, 10.0, 57)
+    ours = numerics.solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], t_eval, 1e-8, 1e-10)
+    ref = _scipy_rk45(fun, (0.0, 10.0), [1.0, 0.0], t_eval, 1e-8, 1e-10)
+    assert ours.nfev == ref.nfev and ours.success
+    np.testing.assert_allclose(ours.y, ref.y, rtol=0.0, atol=1e-14)
+    assert np.max(np.abs(ours.y[0] - np.cos(t_eval))) < 1e-7
+
+
+def test_failed_integration_says_so():
+    # a right-hand side that turns NaN past t = 0.5 rejects every step from
+    # there until the step size passes below the spacing of the doubles, as
+    # in scipy; the points before the failure are reported.  The evaluation
+    # counts differ here: y' = -y makes the error estimate a sum that cancels
+    # to 1e-8 of its terms, whose order (BLAS in scipy) moves the step sizes
+    # by 1e-9 relative and with them the number of halvings down to 0.5.
+    def fun(t, y):
+        return [math.nan if t > 0.5 else -y[0]]
+
+    t_eval = [0.1, 0.3, 0.9]
+    ours = numerics.solve_ivp(fun, (0.0, 1.0), [1.0], t_eval, 1e-6, 1e-9)
+    ref = _scipy_rk45(fun, (0.0, 1.0), [1.0], t_eval, 1e-6, 1e-9)
+    assert not ours.success and ref.status == -1
+    assert ours.message == ref.message
+    np.testing.assert_allclose(ours.y, ref.y, rtol=1e-12, atol=0.0)
+    # NaN from the start fails at once (scipy's RK45 would never end)
+    bad = numerics.solve_ivp(lambda t, y: [math.nan], (0.0, 1.0), [1.0], t_eval, 1e-6, 1e-9)
+    assert not bad.success and bad.y.shape == (1, 0)
+
+
+# -- Nelder-Mead against scipy --------------------------------------------------
+
+
+@pytest.mark.parametrize("shape,width,height", [("Rectangle", 2.0, 1.0),
+                                                ("Rectangle", 1.0, 1.0),
+                                                ("UnitDisk", 1.0, 1.0)])
+def test_robin_search_matches_scipy_nelder_mead(shape, width, height):
+    dom = DomainModel(shape=shape, width=width, height=height)
+
+    def f(q):
+        return -robin(dom, q)
+
+    ours = numerics.minimize(f, dom.centre(), xatol=1e-10, fatol=1e-12, maxiter=400)
+    ref = scipy.optimize.minimize(f, dom.centre(), method="Nelder-Mead",
+                                  options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
+    assert ours.nfev == ref.nfev and ours.nit == ref.nit and ours.success == ref.success
+    assert np.max(np.abs(ours.x - ref.x)) <= 1e-12
+    assert ours.fun == pytest.approx(ref.fun, rel=1e-15, abs=1e-300)
+
+
+@pytest.mark.parametrize("x0,maxiter", [([-1.2, 1.0], 400), ([0.0, 0.0], 400),
+                                        ([-1.2, 1.0], 30)])
+def test_nelder_mead_on_rosenbrock_matches_scipy(x0, maxiter):
+    def rosen(x):
+        return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+    ours = numerics.minimize(rosen, x0, xatol=1e-8, fatol=1e-10, maxiter=maxiter)
+    ref = scipy.optimize.minimize(rosen, x0, method="Nelder-Mead",
+                                  options={"xatol": 1e-8, "fatol": 1e-10,
+                                           "maxiter": maxiter})
+    assert ours.nfev == ref.nfev and ours.nit == ref.nit
+    assert ours.success == ref.success == (maxiter == 400)
+    assert np.max(np.abs(ours.x - ref.x)) <= 1e-12
+
+
+# -- Brent ----------------------------------------------------------------------
+
+BRENT_CASES = [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e5, 0.0, 50.0),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 2.0),
+    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
+    (lambda x: (x - 1.0) ** 5, 0.0, 3.0),  # 100 iterations do not converge
+]
+
+
+@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+@pytest.mark.parametrize("xtol", [1e-12, 1e-6])
+def test_brent_matches_scipy(case, xtol):
+    # both stop within xtol + 4 eps |x| of a root; the iterations are the
+    # same, so the two roots agree to that bound as well, and a case that
+    # does not converge in 100 iterations fails in both
+    f, a, b = BRENT_CASES[case]
+    try:
+        ref = scipy.optimize.brentq(f, a, b, xtol=xtol)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="no convergence in 100 iterations"):
+            numerics.brentq(f, a, b, xtol=xtol)
+        return
+    ours = numerics.brentq(f, a, b, xtol=xtol)
+    assert abs(ours - ref) <= xtol + 4.0 * EPS * abs(ref)
+
+
+def test_brent_refuses_a_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        numerics.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+    assert numerics.brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
+
+
+# -- Gauss-Legendre -------------------------------------------------------------
+
+
+def test_gauss_legendre_is_exact_on_polynomials():
+    # order n integrates degree 2n - 1 exactly on each panel
+    for n in (2, 4, 7):
+        coef = np.arange(1.0, 2 * n + 1.0)
+
+        def poly(x, coef=coef):
+            return np.polynomial.polynomial.polyval(x, coef)
+
+        exact = np.polynomial.polynomial.polyval(
+            2.0, np.polynomial.polynomial.polyint(coef)) - np.polynomial.polynomial.polyval(
+            -1.0, np.polynomial.polynomial.polyint(coef))
+        got = numerics.gauss_legendre(poly, [-1.0, 0.5, 2.0], n)
+        assert got == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("f,edges", [
+    (np.exp, np.linspace(0.0, 3.0, 33)),
+    (lambda x: 1.0 / (1.0 + x * x), np.linspace(-5.0, 5.0, 33)),
+    # a pole at x = -1: panels grow geometrically away from it
+    (lambda x: np.log1p(x) ** 2 / (1.0 + x) ** 2, np.append(0.0, np.geomspace(1e-3, 100.0, 32))),
+])
+def test_gauss_legendre_matches_quad(f, edges):
+    # 32 panels of 8 nodes on analytic integrands: within 1e-13 relative,
+    # quad's own requested accuracy
+    ref, err = scipy.integrate.quad(f, edges[0], edges[-1], epsabs=0.0, epsrel=1e-13,
+                                    limit=200)
+    got = numerics.gauss_legendre(f, edges, 8)
+    assert got == pytest.approx(ref, rel=1e-13)
+
+
+def test_gauss_legendre_calls_the_integrand_once():
+    calls = []
+    numerics.gauss_legendre(lambda x: calls.append(x.shape) or x, [0.0, 1.0, 2.0], 5)
+    assert calls == [(10,)]
+
+
+# -- exponential series ---------------------------------------------------------
+
+
+@given(k=st.integers(0, 250), T=st.floats(1e-300, 1e3))
+@example(k=19, T=19.0)
+@example(k=20, T=20.0)
+@example(k=203, T=203.0)
+@settings(max_examples=150, deadline=None)
+def test_log_power_term_matches_mpmath(k, T):
+    # absolute in the log (relative in T^k/k!): 1e-13 plus the rounding of
+    # a log of size |ref|
+    with mpmath.workdps(40):
+        ref = k * mpmath.log(T) - mpmath.loggamma(k + 1)
+        assert abs(numerics.log_power_term(k, T) - ref) <= 1e-13 + 2 * EPS * abs(ref)
+
+
+# -- dilogarithm ----------------------------------------------------------------
+
+
+@given(x=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1e12), st.floats(0.0, 1e-10)))
+@example(x=0.0)
+@example(x=1.0)
+@example(x=math.nextafter(1.0, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_li2_matches_mpmath(x):
+    # within 4 eps relative of Li2(-x) (measured: 3.3e-16 over [1e-8, 1e8]),
+    # on floats and on arrays (math and NumPy logs may differ by an ulp)
+    ours = numerics.li2_neg(x)
+    on_array = numerics.li2_neg(np.array([x]))[0]
+    with mpmath.workdps(30):
+        ref = float(mpmath.polylog(2, -mpmath.mpf(x)))
+    assert abs(ours - ref) <= 4.0 * EPS * abs(ref)
+    assert abs(on_array - ref) <= 4.0 * EPS * abs(ref)
+
+
+def test_li2_is_the_spence_integral():
+    # profiles' S0 used scipy's spence(1 + x) = int_1^{1+x} log t/(1-t) dt.
+    # Rounding 1 + x moves spence by up to (1 + x) log(1 + x)/x eps/2, which
+    # dominates for small x; the bound is 4 eps times that plus |Li2|
+    x = np.geomspace(1e-6, 1e6, 301)
+    ref = scipy.special.spence(1.0 + x)
+    bound = 4.0 * EPS * (np.abs(ref) + (1.0 + x) * np.log1p(x) / x)
+    assert np.all(np.abs(numerics.li2_neg(x) - ref) <= bound)
+
+
+# -- cubic Hermite --------------------------------------------------------------
+
+
+def test_hermite_matches_scipy_spline():
+    # values and slopes within 2 ulp of the largest |value| and |slope|
+    # (measured: bit-identical, with the same operations in the same order)
+    rng = np.random.default_rng(5)
+    x = np.unique(np.concatenate([[0.0], np.geomspace(1e-6, 2000.0, 4000)]))
+    y, dy = np.sin(x) * np.log1p(x), np.cos(x) * np.log1p(x) + np.sin(x) / (1.0 + x)
+    ours = numerics.CubicHermite(x, y, dy)
+    ref = scipy.interpolate.CubicHermiteSpline(x, y, dy)
+    r = np.concatenate([rng.uniform(0.0, 2000.0, 5000), x, [-1.0, 2001.0]])
+    assert np.max(np.abs(ours(r) - ref(r))) <= 2 * EPS * np.max(np.abs(y))
+    slope = ref.derivative()(r)
+    assert np.max(np.abs(ours.derivative(r) - slope)) <= 2 * EPS * np.max(np.abs(slope))

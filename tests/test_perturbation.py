@@ -188,16 +188,24 @@ T_MAX = math.sqrt(700.0)
 
 @pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
 def test_psi_1_needs_no_incomplete_gamma(monkeypatch, fam):
-    def no_gammainc(*args, **kwargs):
-        raise AssertionError("gammainc called while evaluating Psi_1")
+    # phi_N(T) = e^T P(N + 1, T), the regularized incomplete gamma, is the
+    # series tail of numerics.series_tail (and log_series_tail past the
+    # exponent budget); Psi_1 is e^T in closed form and never reaches it,
+    # while N = 2 does
+    def no_tail(*args, **kwargs):
+        raise AssertionError("series_tail called while evaluating Psi_1")
 
-    monkeypatch.setattr(perturbation, "gammainc", no_gammainc)
+    monkeypatch.setattr(perturbation, "series_tail", no_tail)
+    monkeypatch.setattr(perturbation, "log_series_tail", no_tail)
     t = np.linspace(0.0, T_MAX, 201)
     psi, dpsi = eval_psi_N(fam, 1, t)
     assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
     for s in (0.0, 0.5, 2.0, float(t[-1])):
         psi_s, dpsi_s = eval_psi_N(fam, 1, s)
         assert isinstance(psi_s, float) and isinstance(dpsi_s, float)
+    for arg in (0.5, t):
+        with pytest.raises(AssertionError, match="series_tail"):
+            eval_psi_N(fam, 2, arg)
 
 
 @pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
@@ -405,3 +413,156 @@ def test_series_order_must_be_an_integer_at_least_0(fn, N):
     with pytest.raises(ValueError, match="N must be an integer >= 0"):
         fn(N, 2.0)
     assert fn(np.int64(2), 2.0) == fn(2, 2.0)
+
+
+# -- the series tail, xi and Psi_N against mpmath ----------------------------
+#
+# phi_N(T) = e^T P(N + 1, T) in 40 digits, for N in [0, 203] and T in
+# [0, 700]: the range of `verify`'s AlgRelat and FormulaPhi rows (N <= 203,
+# T <= 400) and of Psi_N below the exponent budget.  Bounds are 1e-13
+# relative.  On log phi_N the bound is 1e-13 max(1, |log phi_N|): where the
+# log is near 0 (phi_N near 1), an error of 1e-13 in it is one of 1e-13
+# relative in phi_N.  phi_N below the normal doubles is only checked to be
+# below them.
+
+SERIES_N = st.integers(min_value=0, max_value=203)
+SERIES_T = st.floats(min_value=0.0, max_value=700.0)
+SERIES_GRID_T = np.array([0.0, 1e-300, 1e-8, 0.5, 1.0, 2.0, 3.0, 19.0, 20.0, 21.0, 22.0,
+                          50.0, 100.0, 150.0, 202.0, 203.0, 204.0, 205.0, 400.0, 699.0,
+                          700.0])
+
+
+def _phi_ref(N, T):
+    return mpmath.exp(T) * mpmath.gammainc(N + 1, 0, T, regularized=True)
+
+
+def _check_phi(N, T, log_got, got):
+    with mpmath.workdps(40):
+        ref = _phi_ref(N, mpmath.mpf(T))
+        if T == 0.0:
+            assert log_got == -math.inf and got == 0.0
+            return
+        log_ref = mpmath.log(ref)
+        assert abs(log_got - log_ref) <= 1e-13 * max(1.0, abs(log_ref))
+        if ref > 1e-290:
+            assert abs(got - ref) <= 1e-13 * ref
+        else:
+            assert 0.0 <= got <= 1e-289
+
+
+@given(N=SERIES_N, T=SERIES_T)
+@example(N=0, T=0.0)
+@example(N=0, T=math.log(2.0))
+@example(N=19, T=20.0)
+@example(N=20, T=21.0)
+@example(N=203, T=math.nextafter(204.0, 0.0))
+@example(N=203, T=204.0)
+@example(N=203, T=700.0)
+@example(N=203, T=1e-300)
+@settings(max_examples=300, deadline=None)
+def test_phi_N_matches_mpmath_on_floats(N, T):
+    log_got, got = log_phi_N(N, T), phi_N(N, T)
+    assert type(log_got) is float and type(got) is float
+    _check_phi(N, T, log_got, got)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 19, 20, 21, 100, 202, 203])
+def test_phi_N_matches_mpmath_on_arrays(N):
+    log_got, got = log_phi_N(N, SERIES_GRID_T), phi_N(N, SERIES_GRID_T)
+    for T, lg, g in zip(SERIES_GRID_T, log_got, got):
+        _check_phi(N, float(T), float(lg), float(g))
+
+
+@given(N=st.integers(min_value=1, max_value=204),
+       T=st.floats(min_value=1e-6, max_value=700.0))
+@example(N=1, T=700.0)
+@example(N=21, T=20.0)
+@example(N=204, T=203.0)
+@settings(max_examples=200, deadline=None)
+def test_xi_matches_mpmath(N, T):
+    # xi squares its float gamma; the reference takes that same rounded
+    # square, so the bound measures xi and not the rounding of gamma^2
+    gamma = math.sqrt(T)
+    T_used = gamma * gamma
+    with mpmath.workdps(40):
+        Tm = mpmath.mpf(T_used)
+        ref = Tm ** (N - 1) / (_phi_ref(N - 1, Tm) * mpmath.factorial(N - 1))
+        assert abs(xi(N, gamma) - ref) <= 1e-13 * ref
+
+
+def _psi_ref(fam, N, t):
+    """Psi_N, Psi_N' and the sum of the sizes of Psi_N''s terms, in 40
+    digits, on the float g, g' and T = t * t the implementation uses."""
+    g, dg = eval_g(fam, t)
+    with mpmath.workdps(40):
+        tm, T = mpmath.mpf(t), mpmath.mpf(t * t)
+        g, dg = mpmath.mpf(g), mpmath.mpf(dg)
+        ph = _phi_ref(N, T)
+        psi = (1 + g) * (1 + T + ph)
+        terms = [2 * (tm * (1 + g) + dg / 2) * ph, 2 * tm * (1 + T ** N / mpmath.factorial(N)) * (1 + g),
+                 dg * (1 + T)]
+        return psi, sum(terms), sum(abs(x) for x in terms)
+
+
+@pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
+@given(N=st.integers(min_value=2, max_value=203),
+       t=st.floats(min_value=0.0, max_value=T_MAX, allow_subnormal=False))
+@example(N=2, t=0.0)
+@example(N=2, t=3.0)
+@example(N=203, t=T_MAX)
+@settings(max_examples=100, deadline=None)
+def test_psi_N_matches_mpmath(fam, N, t):
+    # Psi_N to 1e-13 relative; Psi_N' to 1e-13 of its terms' sizes, since
+    # g' may be negative.  A float t gives Python floats
+    psi, dpsi = eval_psi_N(fam, N, t)
+    assert type(psi) is float and type(dpsi) is float
+    ref, dref, dscale = _psi_ref(fam, N, t)
+    assert abs(psi - ref) <= 1e-13 * ref
+    assert abs(dpsi - dref) <= 1e-13 * dscale
+
+
+@pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
+@pytest.mark.parametrize("N", [2, 3, 20, 203])
+def test_psi_N_matches_mpmath_on_arrays(fam, N):
+    t = np.sqrt(SERIES_GRID_T)
+    psi, dpsi = eval_psi_N(fam, N, t)
+    for ti, p, dp in zip(t, psi, dpsi):
+        ref, dref, dscale = _psi_ref(fam, N, float(ti))
+        assert abs(p - ref) <= 1e-13 * ref
+        assert abs(dp - dref) <= 1e-13 * dscale
+
+
+# -- the blend knots ----------------------------------------------------------
+
+
+@given(c=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), a=st.floats(0.0, 3.0),
+       b=st.floats(0.1, 2.0), g0=st.one_of(st.just(0.0), st.floats(-0.5, 1.0)),
+       cp=st.one_of(st.just(0.0), st.floats(-1.0, 2.0)),
+       ap=st.one_of(st.just(0.0), st.floats(0.0, 4.0)), bp=st.floats(0.1, 2.0),
+       log_R=st.floats(math.log(1.01), math.log(1000.0)))
+@example(c=0.5, a=1.0, b=0.1, g0=0.0, cp=-0.25, ap=2.0, bp=0.1, log_R=math.log(10.0))
+@settings(max_examples=300, deadline=None)
+def test_eval_g_is_c1_across_both_knots(c, a, b, g0, cp, ap, bp, log_R):
+    # At t* = 1/R' and t* = R', eval_g takes the branch at t* and the quintic
+    # blend one float inside.  The blend matches the branch's value and slope
+    # there, so the two sides differ by the rounding of the blend's sums:
+    # |dg| <= 16 eps sum|h_k| and |dg'| <= 16 eps sum k|h_k| / (2 log R' t*),
+    # h_k its coefficients (measured worst: 1.7 and 2.9 eps, 20000 families),
+    # plus 1e-300 for coefficients in the subnormal range, where a bound
+    # relative to them underflows.  Extends test_blend_is_c1_at_junctions to
+    # random admissible families.
+    try:
+        fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=c, a=a, b=b, g0=g0,
+                                 c_prime=cp, a_prime=ap, b_prime=bp,
+                                 R_prime=math.exp(log_R))
+    except NonAdmissibleError:
+        assume(False)
+    R_prime = fam.R_prime
+    eps = np.finfo(float).eps
+    g_scale = sum(abs(h) for h in fam._hermite)
+    dg_scale = sum(k * abs(h) for k, h in enumerate(fam._hermite)) / (2.0 * math.log(R_prime))
+    for t_star, inward in ((1.0 / R_prime, math.inf), (R_prime, 0.0)):
+        g_branch, dg_branch = eval_g(fam, t_star)
+        g_blend, dg_blend = eval_g(fam, math.nextafter(t_star, inward))
+        assert abs(g_branch - g_blend) <= 16.0 * eps * g_scale + 1e-300
+        assert abs(dg_branch - dg_blend) <= 16.0 * eps * dg_scale / t_star + 1e-300
