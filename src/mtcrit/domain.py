@@ -139,24 +139,37 @@ def _green_disk(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 # Images with |dv| >= _CLIP contribute ~exp(-_CLIP) relative to the nearest
 # ones: below double precision long before cosh overflows.  The strip
-# kernel returns exactly 0.0 for them, which also bounds the image sum.
+# kernel makes them exactly 0.0, which also bounds the image sum.
 _CLIP = 35.0
 
 
-def _strip_green4pi(a: float, u, v, u0, v0):
-    """4 pi times the Green function of the strip 0 < u < a (Dirichlet).
+def _strip_green4pi(dv: np.ndarray, cp, cm, tmp: np.ndarray) -> np.ndarray | None:
+    """4 pi times the Green function of the strip 0 < u < a (Dirichlet),
+    computed in place.
 
     Closed form obtained by summing the image lattice in the u-direction:
-    the images at 2ma +/- u0 collapse to the cosh/cos kernel below.  All
-    arguments broadcast against each other.
+    the images at 2ma +/- u0 collapse to the cosh/cos kernel
+
+        log((cosh dv - cos(pi (u + u0) / a)) / (cosh dv - cos(pi (u - u0) / a))),
+
+    with dv = pi (v - v0) / a.  dv is overwritten with the kernel and
+    returned; cp and cm are the two cosines, which do not depend on v0, and
+    tmp is a scratch array shaped like dv.  Returns None, leaving dv as it
+    is, when every |dv| >= _CLIP: those terms are exactly 0.0.  Only when
+    some terms are clipped and some are not does the kernel need a mask.
     """
-    u = np.asarray(u, dtype=float)
-    dv = math.pi * (np.asarray(v, dtype=float) - v0) / a
-    safe = np.abs(dv) < _CLIP
-    ch = np.cosh(np.where(safe, dv, 0.0))
-    num = ch - np.cos(math.pi * (u + u0) / a)
-    den = np.where(safe, ch - np.cos(math.pi * (u - u0) / a), 1.0)
-    return np.where(safe, np.log(np.where(safe, num, 1.0) / den), 0.0)
+    lo, hi = dv.min(), dv.max()
+    if lo >= _CLIP or hi <= -_CLIP:
+        return None
+    keep = True if -_CLIP < lo and hi < _CLIP else np.abs(dv) < _CLIP
+    np.cosh(dv, out=dv, where=keep)
+    np.subtract(dv, cm, out=tmp, where=keep)
+    np.subtract(dv, cp, out=dv, where=keep)
+    np.divide(dv, tmp, out=dv, where=keep)
+    np.log(dv, out=dv, where=keep)
+    if keep is not True:
+        dv[~keep] = 0.0
+    return dv
 
 
 def _strip_frame(dom: DomainModel, p: np.ndarray):
@@ -186,16 +199,26 @@ def _rect_green4pi(dom: DomainModel, x: np.ndarray, y: np.ndarray) -> np.ndarray
     """4 pi G_x(y) on the rectangle for y (n,2): the strip kernel reflected
     across the far walls.
 
-    Layers are summed one at a time, each vectorized over the points, so
-    that memory stays linear in the number of points.
+    Layers are summed one at a time, each vectorized over the points, in
+    two buffers reused across layers, so that memory stays linear in the
+    number of points.
     """
     a, b, u0, v0 = _strip_frame(dom, x)
     _, _, u, v = _strip_frame(dom, y)
+    cp = np.cos(math.pi * (u + u0) / a)
+    cm = np.cos(math.pi * (u - u0) / a)
+    dv = np.empty(u.shape[0])
+    tmp = np.empty_like(dv)
     layers = _image_layers(a, b)
     total = np.zeros(u.shape[0])
     for n in range(-layers, layers + 1):
-        total += _strip_green4pi(a, u, v, u0, v0 + 2.0 * n * b)
-        total -= _strip_green4pi(a, u, v, u0, -v0 + 2.0 * n * b)
+        for centre, accumulate in ((v0 + 2.0 * n * b, np.add), (-v0 + 2.0 * n * b, np.subtract)):
+            np.subtract(v, centre, out=dv)
+            dv *= math.pi
+            dv /= a
+            term = _strip_green4pi(dv, cp, cm, tmp)
+            if term is not None:
+                accumulate(total, term, out=total)
     return total
 
 
@@ -224,9 +247,14 @@ def _robin_array(dom: DomainModel, p: np.ndarray) -> np.ndarray:
     layers = _image_layers(a, b)
     n = np.arange(-layers, layers + 1)
     shift = 2.0 * b * n[:, None]
+    cp = np.cos(math.pi * (u0 + u0) / a)
+    cm = np.cos(math.pi * (u0 - u0) / a)
     total = np.log((1.0 - np.cos(2.0 * math.pi * u0 / a)) * 2.0 * a * a / math.pi**2)
-    total += np.sum(_strip_green4pi(a, u0, v0, u0, v0 + shift[n != 0]), axis=0)
-    total -= np.sum(_strip_green4pi(a, u0, v0, u0, -v0 + shift), axis=0)
+    for centres, accumulate in ((v0 + shift[n != 0], np.add), (-v0 + shift, np.subtract)):
+        dv = math.pi * (v0 - centres) / a
+        term = _strip_green4pi(dv, cp, cm, np.empty_like(dv))
+        if term is not None:
+            accumulate(total, np.sum(term, axis=0), out=total)
     return total
 
 
@@ -258,6 +286,10 @@ def lambda1(dom: DomainModel) -> float:
 _N_THETA = 48
 _N_R = 48
 _N_PANELS = 14
+# Largest number of nodes handed to the integrand at once: a segment has
+# _N_THETA * (_N_PANELS + 1) * _N_R nodes, and the integrand's temporaries
+# stay small and warm in chunks of this size.
+_CHUNK = 8192
 
 
 def _ray_lengths(dom: DomainModel, z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -291,9 +323,10 @@ def integrate_around_pole(
 ) -> float:
     """Integrate f(r, points) over the domain in polar coordinates around z.
 
-    f receives radii (n,) and the corresponding points (n,2) and must be
-    vectorized.  Radial panels are geometrically graded toward the pole so
-    that log-power singularities of Green-type integrands are resolved.
+    f receives radii (n,) and the corresponding points (n,2), at most
+    _CHUNK of them per call, and must be vectorized.  Radial panels are
+    geometrically graded toward the pole so that log-power singularities
+    of Green-type integrands are resolved.
     """
     z = np.asarray(z, dtype=float)
     xg, wg = leggauss(_N_R)
@@ -319,9 +352,13 @@ def integrate_around_pole(
         r = half * (xg + 1.0) + R * edges[:, 1:]
         wr = half * wg
         dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-        pts = z + r[..., None] * dirs[:, None, None, :]
-        vals = np.asarray(f(r.ravel(), pts.reshape(-1, 2))).reshape(r.shape)
-        total += float(np.sum(wth[:, None, None] * wr * r * vals))
+        pts = (r[..., None] * dirs[:, None, None, :]).reshape(-1, 2)
+        pts += z
+        r_flat = r.ravel()
+        vals = np.empty(r_flat.size)
+        for lo in range(0, vals.size, _CHUNK):
+            vals[lo:lo + _CHUNK] = f(r_flat[lo:lo + _CHUNK], pts[lo:lo + _CHUNK])
+        total += float(np.sum(wth[:, None, None] * wr * r * vals.reshape(r.shape)))
     return total
 
 

@@ -1,6 +1,7 @@
 """Green/Robin geometry on the disk and the rectangle."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,7 +15,8 @@ from mtcrit import (
     lambda1,
     robin_report,
 )
-from mtcrit.domain import _robin_array, _strip_green4pi, green, integrate_around_pole, robin
+import mtcrit.domain as domain
+from mtcrit.domain import _image_layers, _robin_array, green, integrate_around_pole, robin
 
 RECT = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
 RECTS = {f"{w:g}x{h:g}": DomainModel(shape=Shape.RECTANGLE, width=w, height=h)
@@ -148,7 +150,19 @@ def test_domain_refuses_an_unknown_shape(shape):
         DomainModel(shape=shape)
 
 
-# -- rectangle image sums against an explicit 64-layer reference -----------
+# -- rectangle image sums against a plain per-layer reference ---------------
+
+
+def _plain_strip4pi(a, u, v, u0, v0):
+    """4 pi G of the strip 0 < u < a: the cosh/cos kernel with both cosines
+    taken afresh and every term beyond |dv| = 35 masked to 0.0."""
+    u = np.asarray(u, dtype=float)
+    dv = math.pi * (np.asarray(v, dtype=float) - v0) / a
+    safe = np.abs(dv) < 35.0
+    ch = np.cosh(np.where(safe, dv, 0.0))
+    num = ch - np.cos(math.pi * (u + u0) / a)
+    den = np.where(safe, ch - np.cos(math.pi * (u - u0) / a), 1.0)
+    return np.where(safe, np.log(np.where(safe, num, 1.0) / den), 0.0)
 
 
 def _strip_coords(dom, p):
@@ -158,13 +172,13 @@ def _strip_coords(dom, p):
     return dom.height, dom.width, p[..., 1], p[..., 0]
 
 
-def _green4pi_64(dom, x, y):
+def _plain_green4pi(dom, x, y, layers):
     a, b, u0, v0 = _strip_coords(dom, x)
     _, _, u, v = _strip_coords(dom, y)
     total = np.zeros(len(u))
-    for n in range(-64, 65):
-        total += _strip_green4pi(a, u, v, u0, v0 + 2.0 * n * b)
-        total -= _strip_green4pi(a, u, v, u0, -v0 + 2.0 * n * b)
+    for n in range(-layers, layers + 1):
+        total += _plain_strip4pi(a, u, v, u0, v0 + 2.0 * n * b)
+        total -= _plain_strip4pi(a, u, v, u0, -v0 + 2.0 * n * b)
     return total
 
 
@@ -173,8 +187,21 @@ def _robin_64(dom, x):
     total = math.log((1.0 - math.cos(2.0 * math.pi * u0 / a)) * 2.0 * a * a / math.pi**2)
     for n in range(-64, 65):
         if n != 0:
-            total += float(_strip_green4pi(a, u0, v0, u0, v0 + 2.0 * n * b))
-        total -= float(_strip_green4pi(a, u0, v0, u0, -v0 + 2.0 * n * b))
+            total += float(_plain_strip4pi(a, u0, v0, u0, v0 + 2.0 * n * b))
+        total -= float(_plain_strip4pi(a, u0, v0, u0, -v0 + 2.0 * n * b))
+    return total
+
+
+def _plain_robin(dom, p):
+    """The Robin function with every layer of one sign in one broadcast
+    array, summed over the layers by np.sum."""
+    a, b, u0, v0 = _strip_coords(dom, p)
+    layers = _image_layers(a, b)
+    n = np.arange(-layers, layers + 1)
+    shift = 2.0 * b * n[:, None]
+    total = np.log((1.0 - np.cos(2.0 * math.pi * u0 / a)) * 2.0 * a * a / math.pi**2)
+    total += np.sum(_plain_strip4pi(a, u0, v0, u0, v0 + shift[n != 0]), axis=0)
+    total -= np.sum(_plain_strip4pi(a, u0, v0, u0, -v0 + shift), axis=0)
     return total
 
 
@@ -194,10 +221,73 @@ def test_rect_image_sum_matches_64_layers(name):
     pts = _probe_points(dom, rng)
     for x in pts[::3]:
         ys = pts[np.hypot(*(pts - x).T) > 1e-9]
-        want = _green4pi_64(dom, x, ys) / (4.0 * math.pi)
-        np.testing.assert_allclose(green(dom, x, ys), want, rtol=1e-14, atol=1e-14)
+        # layers past _image_layers add exact zeros, so the sums agree to the bit
+        want = _plain_green4pi(dom, x, ys, 64) / (4.0 * math.pi)
+        assert np.array_equal(green(dom, x, ys), want)
     for p in pts:
+        # summed in another order than _robin_array's np.sum over layers
         assert robin(dom, p) == pytest.approx(_robin_64(dom, p), rel=1e-14, abs=1e-14)
+
+
+def test_rect_kernel_is_bit_identical_to_plain_layer_sum(monkeypatch):
+    # the in-place kernel with its three branches (every term clipped, none
+    # clipped, some clipped) against the masked kernel on every layer
+    branches = set()
+    kernel = domain._strip_green4pi
+
+    def spy(dv, cp, cm, tmp):
+        lo, hi = dv.min(), dv.max()
+        branches.add("clipped" if lo >= 35.0 or hi <= -35.0 else
+                     "inside" if -35.0 < lo and hi < 35.0 else "mixed")
+        return kernel(dv, cp, cm, tmp)
+
+    monkeypatch.setattr(domain, "_strip_green4pi", spy)
+    rng = np.random.default_rng(23)
+    for w, h in ((2.0, 1.0), (1.0, 1.0), (50.0, 1.0), (0.04, 0.04)):
+        dom = DomainModel(shape=Shape.RECTANGLE, width=w, height=h)
+        a, b, _, _ = _strip_coords(dom, np.zeros(2))
+        pts = _probe_points(dom, rng)
+        for x in pts[::4]:
+            ys = pts[np.hypot(*(pts - x).T) > 1e-9]
+            want = _plain_green4pi(dom, x, ys, _image_layers(a, b)) / (4.0 * math.pi)
+            assert np.array_equal(green(dom, x, ys), want)
+            assert green(dom, x, ys[0]) == want[0]
+        assert np.array_equal(_robin_array(dom, pts), _plain_robin(dom, pts))
+        for p in pts[::5]:
+            assert _robin_array(dom, p[None, :])[0] == _plain_robin(dom, p[None, :])[0]
+    assert branches == {"clipped", "inside", "mixed"}
+
+
+@pytest.mark.parametrize("dom", [DomainModel(), RECT], ids=["disk", "2x1"])
+def test_integrate_around_pole_chunks_are_bit_identical(monkeypatch, data0, dom):
+    z = dom.centre()
+    sizes = []
+
+    def integrand(r, pts):
+        sizes.append(len(r))
+        assert pts.shape == (len(r), 2)
+        Gv = green(dom, z, pts)
+        return Gv * data0.F(4.0 * math.pi * Gv)
+
+    chunked = integrate_around_pole(dom, z, integrand)
+    assert max(sizes) <= domain._CHUNK < sum(sizes)
+    segment = domain._N_THETA * (domain._N_PANELS + 1) * domain._N_R
+    monkeypatch.setattr(domain, "_CHUNK", segment + 1)
+    sizes.clear()
+    assert integrate_around_pole(dom, z, integrand) == chunked
+    assert max(sizes) == segment
+
+
+def test_rect_robin_report_peak_memory(data0):
+    # allocation sizes are deterministic; the per-segment image sums of the
+    # unchunked kernel peaked at 3.38 MB here
+    tracemalloc.start()
+    try:
+        robin_report(RECT, data0.F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0e6
 
 
 @pytest.fixture(scope="module")
