@@ -19,14 +19,15 @@ import numpy as np
 
 from .csvout import write_csv
 from .numerics import solve_ivp
-from .perturbation import (PerturbationFamily, asymptotic_data, eval_H, eval_psi_N,
-                           log_phi_N, xi)
+from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
+                           eval_psi_N, log_phi_N, xi)
 from .profiles import StepFailureError, laplacian_profile, s0_explicit
 
 __all__ = [
     "BlowDownError",
     "BubbleSolution",
     "ExpansionReport",
+    "check_ladder",
     "lambda_from_level",
     "shoot_bubble",
     "verify_expansion",
@@ -42,6 +43,8 @@ class BlowDownError(RuntimeError):
 # check weights its residual by e^{_DELTA0_TILDE t}.
 _Y_FLOOR = 0.25
 _DELTA0_TILDE = 0.75
+# Every shot starts from its series seed at y = _Y0.
+_Y0 = 1e-8
 
 
 def lambda_from_level(gamma: float, M: float) -> float:
@@ -93,8 +96,15 @@ def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float, lam: float) 
     if H <= 0:
         raise ValueError("H(gamma) must be positive")
     log_mu2 = (math.log(4.0) - math.log(lam) - math.log(H)
-               - 2.0 * math.log(gamma) - float(log_phi_N(N - 1, gamma * gamma)))
+               - 2.0 * math.log(gamma) - log_phi_N(N - 1, gamma * gamma))
     return math.exp(0.5 * log_mu2)
+
+
+def _shot_grid(gamma: float, eps0: float, y_extra: float = 0.0):
+    """rho/mu and a shot's y grid: 0, then 3000 geometric nodes from _Y0 to
+    rho/mu or `y_extra`, whichever is larger."""
+    y_rho = math.sqrt(math.expm1((1.0 - eps0) * gamma * gamma))
+    return y_rho, np.concatenate([[0.0], np.geomspace(_Y0, max(y_rho, y_extra), 3000)])
 
 
 def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float, lam: float,
@@ -110,9 +120,7 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float, lam: float,
     if not (1.0 / math.sqrt(math.e) < eps0 < 1.0):
         raise ValueError("eps0 must lie in (1/sqrt(e), 1)")
     mu = _mu_from_scaling(fam, N, gamma, lam)
-    y_rho = math.sqrt(math.expm1((1.0 - eps0) * gamma * gamma))
-    rho = mu * y_rho
-    y_end = max(y_rho, y_extra)
+    y_rho, grid = _shot_grid(gamma, eps0, y_extra)
     c = 0.5 * lam * mu * mu
 
     hit_zero = {"flag": False}
@@ -125,11 +133,9 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float, lam: float,
         _, psi_p = eval_psi_N(fam, N, B)
         return [dB, -dB / y - c * psi_p]
 
-    y0 = 1e-8
     _, psi_p0 = eval_psi_N(fam, N, gamma)
-    seed = [gamma - c * psi_p0 * y0 * y0 / 4.0, -c * psi_p0 * y0 / 2.0]
-    grid = np.concatenate([[0.0], np.geomspace(y0, y_end, 3000)])
-    sol = solve_ivp(odes, (y0, y_end), seed, t_eval=grid[1:], rtol=1e-11, atol=1e-12)
+    seed = [gamma - c * psi_p0 * _Y0 * _Y0 / 4.0, -c * psi_p0 * _Y0 / 2.0]
+    sol = solve_ivp(odes, (_Y0, grid[-1]), seed, t_eval=grid[1:], rtol=1e-11, atol=1e-12)
     if hit_zero["flag"] or np.any(sol.y[0] <= 0.0):
         raise BlowDownError("bubble reached zero before rho; lambda too large")
     if not sol.success:
@@ -137,7 +143,7 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float, lam: float,
     values = np.concatenate([[gamma], sol.y[0]])
     derivs = np.concatenate([[0.0], sol.y[1]])
     return BubbleSolution(fam=fam, N=N, gamma=gamma, lam=lam, mu=mu, eps0=eps0,
-                          rho=rho, y_grid=grid, values=values, derivs=derivs)
+                          rho=mu * y_rho, y_grid=grid, values=values, derivs=derivs)
 
 
 @dataclass
@@ -230,6 +236,35 @@ def verify_source_expansion(sol: BubbleSolution, profiles: dict,
                            r0_gap=r0_gap, details={"zeta": zeta, "A": A, "xi": x})
 
 
+def _ladder_window(gammas, eps0: float) -> tuple[float, float]:
+    """The window t <= 0.8 (1 - eps0) gamma_min^2 common to a ladder's
+    expansion checks, and the largest y = r/mu at which they read S1 and S2
+    in it: the last node of any shot's grid inside."""
+    cap = 0.8 * (1.0 - eps0) * min(gammas) ** 2
+    reach = 0.0
+    for g in gammas:
+        y = _shot_grid(g, eps0)[1]
+        # t = log1p(y^2) rises along the grid, so the window is a prefix of it
+        reach = max(reach, float(y[np.searchsorted(np.log1p(y * y), cap, side="right") - 1]))
+    return cap, reach
+
+
+def check_ladder(gammas, eps0: float, r_max: float) -> None:
+    """Refuse with ValueError, before any solve, a ladder that
+    `ladder_reports` cannot finish on profiles solved out to r_max: a
+    gamma^2 past EXP_BUDGET (eval_psi_N refuses it), or an expansion window
+    that reads the profiles past r_max (verify_expansion refuses it)."""
+    top = max(gammas)
+    if top * top > EXP_BUDGET:
+        raise ValueError(f"gamma = {top:g} is past the exponent budget of Psi_N "
+                         f"(gamma^2 <= {EXP_BUDGET:g})")
+    _, reach = _ladder_window(gammas, eps0)
+    if reach > r_max:
+        raise ValueError(f"with eps0 = {eps0:g} the expansion window of gamma = "
+                         f"{min(gammas):g} reads the profiles out to {reach:.10g}, past "
+                         f"their r_max = {r_max:g}; lower the smallest gamma or raise eps0")
+
+
 def ladder_reports(fam: PerturbationFamily, N: int, gammas, profiles: dict,
                    M: float = 0.0, eps0: float = 0.75) -> dict:
     """Run a gamma ladder and report both verification trends.
@@ -243,7 +278,7 @@ def ladder_reports(fam: PerturbationFamily, N: int, gammas, profiles: dict,
     convergence.
     """
     gammas = sorted(gammas)
-    cap_exp = 0.8 * (1.0 - eps0) * gammas[0] ** 2
+    cap_exp, _ = _ladder_window(gammas, eps0)
     cap_src = float(gammas[0])
     out = {"gammas": list(gammas), "expansion": [], "source": [], "solutions": []}
     for g in gammas:

@@ -30,9 +30,9 @@ from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
 from .domain import RETIRED_DOMAIN_KEYS, DomainModel, Shape, lambda1, robin_report
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
-from .profiles import (A_CONSTANTS, B0_CONSTANT, profile_integrals,
+from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, profile_integrals,
                        s0_explicit, solve_profile)
-from .bubble import ladder_reports
+from .bubble import check_ladder, ladder_reports
 from .variational import (height_seed, lambda_g_report, model_testfun_energy,
                           solve_subcritical, step1_testfun)
 
@@ -49,6 +49,8 @@ CONFIG_KEYS = frozenset({"family", "domain", "gamma_ladder", "alpha_ladder",
 # from one start, and `criterion` checks l on the fixed LOG_GAMMA_GRID.  They
 # are dropped on reading, so they change no report.
 RETIRED_CONFIG_KEYS = frozenset({"starts", "gamma_grid"})
+# The curve file of each rung of the bubble and extremal ladders.
+_BUBBLE_CSV, _EXTREMAL_CSV = "bubble_gamma{:g}.csv", "extremal_alpha{:.4f}.csv"
 
 
 def _canonical(obj) -> str:
@@ -111,11 +113,20 @@ def _number(cfg: dict, key: str, default: float) -> float:
 
 
 def _numbers(cfg: dict, key: str, default: list) -> list:
-    """A ladder field: a JSON list of numbers, returned as given."""
+    """A ladder field: a JSON list of numbers, returned as floats."""
     value = cfg.get(key, default)
     if not isinstance(value, list) or not all(map(_is_number, value)):
         raise ConfigError(f"field '{key}': must be a list of numbers (got {value!r})")
-    return value
+    return [float(v) for v in value]
+
+
+def _distinct_files(key: str, values: list, names) -> None:
+    """Refuse two rungs of a ladder whose curve files would share a name."""
+    seen = {}
+    for v, name in zip(values, names):
+        if name in seen:
+            raise ConfigError(f"field '{key}': {seen[name]!r} and {v!r} would both write {name}")
+        seen[name] = v
 
 
 def _family(cfg: dict) -> PerturbationFamily:
@@ -188,7 +199,7 @@ def cmd_criterion(cfg: dict, args) -> int:
 
 
 def cmd_profiles(cfg: dict, args) -> int:
-    r_max = _number(cfg, "r_max", 2000.0)
+    r_max = _number(cfg, "r_max", R_MAX)
     if r_max < 1000.0:
         raise ConfigError("field 'r_max': must be >= 1000 for the Laplacian "
                           "integral truncation")
@@ -216,10 +227,15 @@ def cmd_bubble(cfg: dict, args) -> int:
     gammas = _numbers(cfg, "gamma_ladder", [3.0, 4.0, 5.0])
     if not gammas or any(g <= 0 for g in gammas):
         raise ConfigError("field 'gamma_ladder': need >= 1 value, all > 0")
+    _distinct_files("gamma_ladder", gammas, map(_BUBBLE_CSV.format, gammas))
     eps0 = _number(cfg, "eps0", 0.75)
     M = _number(cfg, "robin_max", 0.0)
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
         raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
+    try:
+        check_ladder(gammas, eps0, R_MAX)
+    except ValueError as exc:
+        raise ConfigError(f"field 'gamma_ladder': {exc}") from None
     # both bubble checks use the explicit S0, so only S1 and S2 are solved
     profiles = {i: solve_profile(i) for i in (1, 2)}
     out = ladder_reports(fam, N, gammas, profiles, M=M, eps0=eps0)
@@ -232,7 +248,7 @@ def cmd_bubble(cfg: dict, args) -> int:
     }
     _write_report(args.out, "bubble.json", payload, cfg)
     for sol in out["solutions"]:
-        sol.to_csv(os.path.join(args.out, f"bubble_gamma{sol.gamma:g}.csv"))
+        sol.to_csv(os.path.join(args.out, _BUBBLE_CSV.format(sol.gamma)))
     for g, e, s in zip(out["gammas"], out["expansion"], out["source"]):
         print(f"gamma={g:g}: expansion sup={e.sup_normalized:.6f} "
               f"source sup={s.sup_normalized:.6f}")
@@ -254,6 +270,7 @@ def cmd_extremal(cfg: dict, args) -> int:
     if not alphas or any(not 0.0 < a < 4.0 * math.pi for a in alphas):
         raise ConfigError("field 'alpha_ladder': need >= 1 value; alpha must lie "
                           "in (0, 4 pi)")
+    _distinct_files("alpha_ladder", fracs, map(_EXTREMAL_CSV.format, alphas))
     eps = _number(cfg, "step1_eps", 0.005)
     if not 0.0 < eps <= 0.2:
         raise ConfigError(f"field 'step1_eps': must lie in (0, 0.2] (got {eps!r})")
@@ -269,7 +286,7 @@ def cmd_extremal(cfg: dict, args) -> int:
     runs = [solve_subcritical(fam, N, a) for a in alphas]
     payload = {"runs": [r.to_json() for r in runs]}
     for r in runs:
-        r.u.to_csv(os.path.join(args.out, f"extremal_alpha{r.alpha:.4f}.csv"))
+        r.u.to_csv(os.path.join(args.out, _EXTREMAL_CSV.format(r.alpha)))
         print(f"alpha={r.alpha:.4f}: J={r.J_value:.6f} saturated={r.saturated} "
               f"lambda={r.lam:.6f} el_residual={r.el_residual:.2e}")
 

@@ -10,10 +10,14 @@
 * `gauss_legendre`: composite Gauss-Legendre quadrature, the integrand
   evaluated once on the array of all nodes.
 * `series_tail`, `power_term`, their logs and `term_over_tail`:
-  sum_{k>N} T^k/k!, T^k/k! and the ratio of the two, for integer orders,
-  on floats and arrays.
+  sum_{k>N} T^k/k!, T^k/k! and the ratio of the two, for integer orders;
+  `series_tail` and `power_term` on floats and arrays, the logs and the
+  ratio on floats.
 * `li2_neg`: the dilogarithm Li2(-x), x >= 0.
 * `CubicHermite`: piecewise cubic Hermite interpolation and its slope.
+
+A kernel takes a float or an array with at least one axis; callers make
+any other number with no axes a float first.
 
 tests/test_numerics.py holds each kernel to scipy or mpmath.
 """
@@ -334,8 +338,8 @@ def power_term(k: int, T):
     return p
 
 
-def log_power_term(k: int, T):
-    """log(T^k / k!) for an integer k >= 0 and T >= 0 (float or array).
+def log_power_term(k: int, T: float) -> float:
+    """log(T^k / k!) for an integer k >= 0 and a float T > 0.
 
     Below _STIRLING_MIN, k log T - lgamma(k + 1).  From there on the two
     logs cancel to much less than either, so the difference is taken as
@@ -343,19 +347,13 @@ def log_power_term(k: int, T):
     the error near eps |log(T^k/k!)| in place of eps k log k.  (Where T/k
     is below the normal doubles, log T - log k stands in for log(T/k).)
     """
-    scalar = isinstance(T, float)
-    log = math.log if scalar else np.log
     if k < _STIRLING_MIN:
-        return k * log(T) - math.lgamma(k + 1)
+        return k * math.log(T) - math.lgamma(k + 1)
     inv = 1.0 / k
     inv2 = inv * inv
     series = inv * sum(c * inv2 ** i for i, c in enumerate(_STIRLING))
     x = T * inv
-    if scalar:
-        log_x = math.log(x) if x >= _TINY else log(T) - math.log(k)
-    else:
-        with np.errstate(divide="ignore"):
-            log_x = np.where(x >= _TINY, np.log(x), np.log(T) - math.log(k))
+    log_x = math.log(x) if x >= _TINY else math.log(T) - math.log(k)
     return k * (log_x + 1.0) - 0.5 * math.log(2.0 * math.pi * k) - series
 
 
@@ -410,17 +408,12 @@ def _tail_sum(N: int, T):
     return forward, s
 
 
-def _poisson_term(N: int, T):
-    """e^-T T^N/N! for T >= N (float or array), from products up to
-    _PRODUCT_MAX_T and from logs beyond."""
-    if isinstance(T, float):
-        if T <= _PRODUCT_MAX_T:
-            return math.exp(-T) * power_term(N, T)
-        return math.exp(log_power_term(N, T) - T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(T <= _PRODUCT_MAX_T,
-                        np.exp(-T) * power_term(N, np.minimum(T, _PRODUCT_MAX_T)),
-                        np.exp(log_power_term(N, T) - T))
+def _poisson_term(N: int, T: float) -> float:
+    """e^-T T^N/N! for a float T >= N, from products up to _PRODUCT_MAX_T
+    and from logs beyond."""
+    if T <= _PRODUCT_MAX_T:
+        return math.exp(-T) * power_term(N, T)
+    return math.exp(log_power_term(N, T) - T)
 
 
 def series_tail(N: int, T):
@@ -433,18 +426,14 @@ def series_tail(N: int, T):
     return np.where(forward, power_term(N + 1, T) * s, np.exp(T) - power_term(N, T) * s)
 
 
-def log_series_tail(N: int, T):
-    """log phi_N(T) for an integer N >= 0 and T > 0 (float or array):
+def log_series_tail(N: int, T: float) -> float:
+    """log phi_N(T) for an integer N >= 0 and a float T > 0:
     log(T^(N+1)/(N+1)!) + log s forward, T + log(1 - q) otherwise, with
     q = e^-T T^N/N! s at most about 1/2 (see `_tail_sum`)."""
     forward, s = _tail_sum(N, T)
-    if isinstance(T, float):
-        if forward:
-            return log_power_term(N + 1, T) + math.log(s)
-        return T + math.log1p(-_poisson_term(N, T) * s)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the forward points' q >= 1
-        head = T + np.log1p(-_poisson_term(N, T) * s)
-    return np.where(forward, log_power_term(N + 1, T) + np.log(s), head)
+    if forward:
+        return log_power_term(N + 1, T) + math.log(s)
+    return T + math.log1p(-_poisson_term(N, T) * s)
 
 
 def term_over_tail(N: int, T: float) -> float:

@@ -202,15 +202,15 @@ class PerturbationFamily:
 
 
 def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (g(t), g'(t)) at |t|; works on scalars and arrays.
+    """Evaluate (g(t), g'(t)) at |t|; works on numbers and arrays.
 
-    A float t (np.float64 included) takes the scalar path: plain
-    comparisons pick its branch and the result is a pair of Python floats.
-    Arrays, 0-d arrays and ints pick each point's branch by masks.  Both
-    paths evaluate the same branch functions.
+    A t with no axes (a float, an int, a NumPy scalar or a 0-d array)
+    takes the scalar path: plain comparisons pick its branch and the result
+    is a pair of Python floats.  An array with at least one axis picks each
+    point's branch by masks.  Both paths evaluate the same branch functions.
     """
-    if isinstance(t, float):
-        t = abs(t)
+    if isinstance(t, float) or np.ndim(t) == 0:
+        t = abs(float(t))
         if fam.kind is FamilyKind.ZERO:
             return 0.0, 0.0
         if t == 0.0:
@@ -225,8 +225,6 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
             raise NonAdmissibleError("g(t) <= -1 encountered")
         return float(g), float(dg)
     t = np.abs(np.asarray(t, dtype=float))
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     if fam.kind is FamilyKind.ZERO:
         g = np.zeros_like(t)
         dg = np.zeros_like(t)
@@ -234,8 +232,6 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
         g, dg = _eval_power_log(fam, t)
     if np.any(g <= -1.0):
         raise NonAdmissibleError("g(t) <= -1 encountered")
-    if scalar:
-        return float(g[0]), float(dg[0])
     return g, dg
 
 
@@ -287,13 +283,13 @@ def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
 
 
 def eval_H(fam: PerturbationFamily, t) -> np.ndarray | float:
-    """H(t) = 1 + g(t) + g'(t) / (2 t), defined for t > 0.  A float t
-    takes `eval_g`'s scalar path and gives a Python float."""
-    t_arr = t if isinstance(t, float) else np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    """H(t) = 1 + g(t) + g'(t) / (2 t), defined for t > 0.  A t with no
+    axes takes `eval_g`'s scalar path and gives a Python float."""
+    t = float(t) if isinstance(t, float) or np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("eval_H requires t > 0")
-    g, dg = eval_g(fam, t_arr)
-    return 1.0 + g + dg / (2.0 * t_arr)
+    g, dg = eval_g(fam, t)
+    return 1.0 + g + dg / (2.0 * t)
 
 
 # -- exponential series tail ----------------------------------------------
@@ -307,49 +303,34 @@ def _check_order(N, least: int = 1) -> None:
         raise ValueError(f"N must be an integer >= {least} (got {N!r})")
 
 
-def log_phi_N(N: int, T) -> np.ndarray | float:
-    """log of phi_N(T) = sum_{k>N} T^k / k! (N >= 0, T >= 0; -inf at T = 0).
-
-    A float T (np.float64 included) gives a Python float from
-    `log_series_tail`'s float path; arrays, 0-d arrays and ints take its
-    array path.
-    """
+def log_phi_N(N: int, T) -> float:
+    """log of phi_N(T) = sum_{k>N} T^k / k! for a number T >= 0 of any size
+    (N >= 0; -inf at T = 0), as a Python float.  An array is refused with
+    TypeError."""
     _check_order(N, least=0)
-    if isinstance(T, float):
-        T = float(T)
-        if T < 0:
-            raise ValueError("T must be nonnegative")
-        return log_series_tail(N, T) if T > 0 else -math.inf
-    T_in = np.asarray(T, dtype=float)
-    if np.any(T_in < 0):
+    if not (isinstance(T, float) or np.ndim(T) == 0):
+        raise TypeError("log_phi_N takes a number T, not an array")
+    T = float(T)
+    if T < 0:
         raise ValueError("T must be nonnegative")
-    T_arr = np.atleast_1d(T_in)
-    out = np.full_like(T_arr, -np.inf)
-    pos = T_arr > 0
-    out[pos] = log_series_tail(N, T_arr[pos])
-    return float(out[0]) if T_in.ndim == 0 else out
+    return log_series_tail(N, T) if T > 0 else -math.inf
 
 
 def phi_N(N: int, T) -> np.ndarray | float:
-    """Tail of the exponential series, sum_{k>N} T^k / k! (N >= 0, T >= 0).
-
-    Up to T = EXP_BUDGET it is summed in doubles by `series_tail`
-    (phi_N < e^T); beyond, it is e^(log phi_N), refused with
-    ExponentBudgetError past the budget.  A float T gives a Python float.
+    """Tail of the exponential series, sum_{k>N} T^k / k! (N >= 0,
+    0 <= T <= EXP_BUDGET), summed in doubles by `series_tail` (phi_N < e^T).
+    A T past the budget is refused with ExponentBudgetError; `log_phi_N`
+    takes it.  A T with no axes gives a Python float.
     """
     _check_order(N, least=0)
-    scalar = isinstance(T, float)
-    T_arr = float(T) if scalar else np.asarray(T, dtype=float)
-    if (T_arr < 0) if scalar else np.any(T_arr < 0):
+    scalar = isinstance(T, float) or np.ndim(T) == 0
+    T = float(T) if scalar else np.asarray(T, dtype=float)
+    if (T < 0) if scalar else np.any(T < 0):
         raise ValueError("T must be nonnegative")
-    if (T_arr <= EXP_BUDGET) if scalar else np.all(T_arr <= EXP_BUDGET):
-        out = series_tail(N, T_arr)
-    else:
-        lp = log_phi_N(N, T_arr)
-        if np.any(lp > EXP_BUDGET):
-            raise ExponentBudgetError("phi_N would exceed the exponent budget; use log_phi_N")
-        out = np.exp(lp)
-    return float(out) if np.ndim(out) == 0 else out
+    if (T > EXP_BUDGET) if scalar else np.any(T > EXP_BUDGET):
+        raise ExponentBudgetError("phi_N(T) past T = EXP_BUDGET exceeds the exponent "
+                                  "budget; use log_phi_N")
+    return series_tail(N, T)
 
 
 def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
@@ -365,30 +346,28 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
 
     is evaluated in closed form; N >= 2 goes through the series tail phi_N.
 
-    A float t (np.float64 included, as an ODE solver passes it) takes the
-    scalar path of `eval_g`, `phi_N` and `math`; arrays, 0-d arrays and
-    ints take the array path.  A scalar t gives Python floats.
+    A t with no axes (the ODE solvers pass Python floats) takes the scalar
+    path of `eval_g`, `phi_N` and `math` and gives Python floats; an array
+    with at least one axis takes the array path.
     """
     _check_order(N)
-    scalar = isinstance(t, float)
-    t_arr = abs(t) if scalar else np.abs(np.asarray(t, dtype=float))
-    T = t_arr * t_arr
+    scalar = isinstance(t, float) or np.ndim(t) == 0
+    t = abs(float(t)) if scalar else np.abs(np.asarray(t, dtype=float))
+    T = t * t
     if (T > EXP_BUDGET) if scalar else np.any(T > EXP_BUDGET):
         raise ExponentBudgetError("t^2 exceeds the exponent budget")
-    g, dg = eval_g(fam, t_arr)
+    g, dg = eval_g(fam, t)
     if N == 1:
         eT = math.exp(T) if scalar else np.exp(T)
         psi = (1.0 + g) * eT
-        dpsi = (2.0 * t_arr * (1.0 + g) + dg) * eT
+        dpsi = (2.0 * t * (1.0 + g) + dg) * eT
     else:
         ph = phi_N(N, T)
         psi = (1.0 + g) * (1.0 + T + ph)
         # g'(0) = 0, so t H(t) = t + t g + g'/2 is 0 at t = 0
-        tH = t_arr + t_arr * g + dg / 2.0
-        dpsi = (2.0 * tH * ph + 2.0 * t_arr * (1.0 + power_term(N, T)) * (1.0 + g)
+        tH = t + t * g + dg / 2.0
+        dpsi = (2.0 * tH * ph + 2.0 * t * (1.0 + power_term(N, T)) * (1.0 + g)
                 + dg * (1.0 + T))
-    if scalar or np.ndim(t) == 0:
-        return float(psi), float(dpsi)
     return psi, dpsi
 
 

@@ -38,6 +38,8 @@ class StepFailureError(RuntimeError):
 
 A_CONSTANTS = (4.0 * math.pi, 4.0 * math.pi * (3.0 + math.pi**2 / 6.0), 2.0 * math.pi)
 B0_CONSTANT = math.pi**2 / 6.0 + 2.0
+# Outer radius of the profile solves unless the caller asks for another.
+R_MAX = 2000.0
 # Tolerances of the profile ODE solve, also reported by RadialProfile.metadata.
 _RTOL = 1e-10
 _ATOL = 1e-10
@@ -55,22 +57,23 @@ def t0(r):
 
 
 def _float_or_array(r):
-    """(math, r) for a float r, which then stays a Python float; else
-    (numpy, r as a float array)."""
-    return (math, r) if isinstance(r, float) else (np, np.asarray(r, dtype=float))
+    """(math, r as a Python float) for an r with no axes; else (numpy, r as
+    a float array)."""
+    scalar = isinstance(r, float) or np.ndim(r) == 0
+    return (math, float(r)) if scalar else (np, np.asarray(r, dtype=float))
 
 
 def s0_explicit(r):
     """Closed form for S0: combination of rational, log^2 and dilog terms.
-    A float r is evaluated with `math` (the profile ODE calls it one radius
-    at a time)."""
+    An r with no axes is evaluated with `math` (the profile ODE calls it one
+    radius at a time) and gives a Python float."""
     xp, r = _float_or_array(r)
     r2 = r * r
     T = xp.log1p(r2)
     val = -T + 2.0 * r2 / (1.0 + r2) - 0.5 * T * T
     # Li2(-r^2) = int_1^{1+r^2} log(t)/(1-t) dt
     val += (1.0 - r2) / (1.0 + r2) * li2_neg(r2)
-    return float(val) if np.ndim(val) == 0 else val
+    return val
 
 
 def _rhs(i: int, r):
@@ -150,7 +153,7 @@ def _richardson(seq):
     return seq[2]
 
 
-def solve_profile(i: int, r_max: float = 2000.0) -> RadialProfile:
+def solve_profile(i: int, r_max: float = R_MAX) -> RadialProfile:
     """Integrate the correction-profile ODE for i in {0, 1, 2}.
 
     The equation is singular at r=0; integration starts at r0 = 1e-6 from
@@ -167,7 +170,7 @@ def solve_profile(i: int, r_max: float = 2000.0) -> RadialProfile:
         return [dS, -dS / r - 8.0 * math.exp(-2.0 * T) * S - _rhs(i, r)]
 
     r0 = 1e-6
-    rhs0 = float(_rhs(i, 0.0))
+    rhs0 = _rhs(i, 0.0)
     y0 = [-rhs0 * r0 * r0 / 4.0, -rhs0 * r0 / 2.0]
     probe = [250.0, 500.0, 1000.0] if r_max >= 1000.0 else [r_max / 4, r_max / 2, r_max]
     grid = np.unique(np.concatenate([[0.0], np.geomspace(r0, r_max, 4000), probe]))

@@ -13,7 +13,9 @@ from mtcrit import (
     lambda_from_level,
     phi_N,
     shoot_bubble,
+    verify_expansion,
 )
+from mtcrit.bubble import _ladder_window, check_ladder
 
 
 def test_lambda_from_level():
@@ -102,8 +104,9 @@ def test_powerlog_family_shoots():
 
 
 def test_powerlog_shot_takes_the_scalar_path(monkeypatch):
-    # RK45 passes B to the right-hand side as an np.float64: each call must
-    # pick its branch by plain comparisons, never by the array masks.
+    # numerics.solve_ivp (Dormand-Prince on Python floats) passes B to the
+    # right-hand side as a float: each call must pick its branch by plain
+    # comparisons, never by the array masks.
     def no_masks(*args, **kwargs):
         raise AssertionError("the mask path of eval_g was taken")
 
@@ -114,3 +117,35 @@ def test_powerlog_shot_takes_the_scalar_path(monkeypatch):
     # into the near-zero branch, below 1/R'
     sol = shoot_bubble(fam, 1, 4.0, lambda_from_level(4.0, 0.0), y_extra=1000.0)
     assert sol.values[0] == 4.0 and sol.values[-1] < 1.0 / fam.R_prime
+
+
+@pytest.mark.parametrize("gamma,eps0,refused", [
+    (8.722451639024623, 0.75, False), (8.722451639024625, 0.75, True),
+    (7.962472532402823, 0.7, False), (7.962472532402824, 0.7, True),
+])
+def test_check_ladder_refuses_what_verify_expansion_refuses(fam0, profiles, gamma, eps0,
+                                                            refused):
+    # each pair straddles, by one float, the largest gamma whose expansion
+    # window fits in the profiles' grid (r_max = 2000): check_ladder reads
+    # the reach off the shot's own grid, so it refuses exactly the ladders
+    # on which verify_expansion raises
+    r_max = profiles[1].grid[-1]
+    cap, reach = _ladder_window([gamma], eps0)
+    sol = shoot_bubble(fam0, 1, gamma, lambda_from_level(gamma, 0.0), eps0=eps0)
+    assert reach == np.max(sol.y_grid[np.log1p(sol.y_grid ** 2) <= cap])
+    assert (reach > r_max) == refused
+    if not refused:
+        check_ladder([gamma], eps0, r_max)
+        verify_expansion(sol, profiles, t_cap=cap)
+    else:
+        with pytest.raises(ValueError, match="eps0"):
+            check_ladder([gamma], eps0, r_max)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            verify_expansion(sol, profiles, t_cap=cap)
+
+
+def test_check_ladder_refuses_gamma_past_the_budget():
+    top = math.sqrt(700.0)
+    check_ladder([3.0, top], 0.75, 2000.0)
+    with pytest.raises(ValueError, match="exponent budget"):
+        check_ladder([3.0, math.nextafter(top, 30.0)], 0.75, 2000.0)

@@ -346,6 +346,14 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     ("criterion", {"domain": {"shape": "Rectangle", "width": "2"}}, "domain", "'2'"),
     ("extremal", {"domain": {"shape": "UnitDisk", "width": "2"}}, "domain", "'2'"),
     ("criterion", {"domain": {"height": True}}, "domain", "True"),
+    ("bubble", {"gamma_ladder": [3, 3.0000001, 4]}, "gamma_ladder",
+     "3.0 and 3.0000001 would both write bubble_gamma3.csv"),
+    ("bubble", {"gamma_ladder": [4.0, 3.0, 4]}, "gamma_ladder", "4.0 and 4.0"),
+    ("extremal", {"alpha_ladder": [0.9, 0.9000001]}, "alpha_ladder",
+     "0.9 and 0.9000001 would both write extremal_alpha11.3097.csv"),
+    ("bubble", {"gamma_ladder": [9]}, "gamma_ladder", "eps0 = 0.75"),
+    ("bubble", {"gamma_ladder": [8.0], "eps0": 0.65}, "gamma_ladder", "eps0 = 0.65"),
+    ("bubble", {"gamma_ladder": [3, 27]}, "gamma_ladder", "exponent budget"),
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
         "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
@@ -356,7 +364,9 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
         "gamma-ladder-number", "r-max-huge-int",
         "N-huge-int", "gamma-ladder-huge-int", "rectangle-width-string",
-        "disk-width-string", "disk-height-bool"])
+        "disk-width-string", "disk-height-bool", "gamma-ladder-same-file",
+        "gamma-ladder-duplicate", "alpha-ladder-same-file", "gamma-ladder-window",
+        "gamma-ladder-window-eps0", "gamma-ladder-budget"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):
     solves = []
@@ -547,6 +557,38 @@ def test_bubble_within_tolerance_of_recorded(tmp_path, name):
     assert main(["bubble", "--config", cfg, "--out", str(tmp_path)]) == 0
     _assert_within(json.loads((tmp_path / "bubble.json").read_text()), want,
                    BUBBLE_TOLERANCE)
+
+
+def test_integer_ladder_writes_what_its_float_twin_does(tmp_path, capsys):
+    # the ladder is read as floats, so [3, 4, 5] takes every float path that
+    # [3.0, 4.0, 5.0] does: every byte written is the same but the config hash
+    outs = {}
+    for name, ladder in (("int", [3, 4, 5]), ("float", [3.0, 4.0, 5.0])):
+        cfg = _write(tmp_path, f"{name}.json", {"gamma_ladder": ladder})
+        assert main(["bubble", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        files["bubble.json"], hashes = re.subn(rb'"config_hash": "[0-9a-f]+"', b"",
+                                               files["bubble.json"])
+        assert hashes == 1
+        outs[name] = (files, capsys.readouterr().out)
+    assert outs["int"] == outs["float"]
+    files = outs["int"][0]
+    assert sorted(files) == ["bubble.json"] + [f"bubble_gamma{g}.csv" for g in (3, 4, 5)]
+    assert b'"gammas": [\n    3.0,\n    4.0,\n    5.0\n  ]' in files["bubble.json"]
+
+
+@pytest.mark.parametrize("payload", [
+    {"gamma_ladder": [8.7]},
+    {"gamma_ladder": [9], "eps0": 0.8},
+    {"gamma_ladder": [3, 26.4]},
+    {"gamma_ladder": [3.0, 3.00001]},
+    {"alpha_ladder": [0.9, 0.90001]},
+], ids=["window-edge", "window-larger-eps0", "budget-edge", "gamma-files-differ",
+        "alpha-files-differ"])
+def test_ladders_near_the_refusals_still_run(tmp_path, payload):
+    cmd = "extremal" if "alpha_ladder" in payload else "bubble"
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("cmd,payload", [

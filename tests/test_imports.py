@@ -211,3 +211,17 @@ def test_runtime_loads_no_scipy(tmp_path, name):
 
 def test_scipy_probe_sees_scipy(tmp_path):
     assert "scipy.special" in _scipy_modules_after("import scipy.special\n", tmp_path)
+
+
+# -- packaging ------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # setuptools' "beta" notice
+def test_distribution_is_mtcrit_at_the_package_version():
+    # pyproject.toml names the distribution and reads its version from
+    # mtcrit.__version__, so the two cannot drift; read_configuration parses
+    # the file offline, without building anything
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    project = read_configuration(SRC.parents[1] / "pyproject.toml")["project"]
+    assert (project["name"], project["version"]) == ("mtcrit", mtcrit.__version__)

@@ -1,6 +1,7 @@
 """Perturbation families, series tails, and decay data."""
 
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from mtcrit import (
     eval_psi_N,
     log_phi_N,
     phi_N,
+    s0_explicit,
     xi,
 )
 
@@ -189,9 +191,9 @@ T_MAX = math.sqrt(700.0)
 @pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
 def test_psi_1_needs_no_incomplete_gamma(monkeypatch, fam):
     # phi_N(T) = e^T P(N + 1, T), the regularized incomplete gamma, is the
-    # series tail of numerics.series_tail (and log_series_tail past the
-    # exponent budget); Psi_1 is e^T in closed form and never reaches it,
-    # while N = 2 does
+    # series tail of numerics.series_tail (log_series_tail is its log);
+    # Psi_1 is e^T in closed form and never reaches either, while N = 2
+    # reaches series_tail
     def no_tail(*args, **kwargs):
         raise AssertionError("series_tail called while evaluating Psi_1")
 
@@ -468,9 +470,77 @@ def test_phi_N_matches_mpmath_on_floats(N, T):
 
 @pytest.mark.parametrize("N", [0, 1, 2, 5, 19, 20, 21, 100, 202, 203])
 def test_phi_N_matches_mpmath_on_arrays(N):
-    log_got, got = log_phi_N(N, SERIES_GRID_T), phi_N(N, SERIES_GRID_T)
-    for T, lg, g in zip(SERIES_GRID_T, log_got, got):
-        _check_phi(N, float(T), float(lg), float(g))
+    # phi_N on the whole array; log_phi_N takes one number at a time
+    got = phi_N(N, SERIES_GRID_T)
+    for T, g in zip(SERIES_GRID_T, got):
+        _check_phi(N, float(T), log_phi_N(N, T), float(g))
+
+
+@pytest.mark.parametrize("T", [np.array([0.5, 2.0]), np.array([0.5]), [0.5],
+                               np.zeros((2, 2)), np.array([])],
+                         ids=["array", "one-element", "list", "2-d", "empty"])
+def test_log_phi_N_refuses_arrays(T):
+    with pytest.raises(TypeError, match="not an array"):
+        log_phi_N(2, T)
+
+
+@pytest.mark.parametrize("T", [800.0, math.nextafter(EXP_BUDGET, math.inf),
+                               np.array([1.0, 800.0])], ids=["800", "next-float", "array"])
+def test_phi_N_refuses_T_past_the_budget(T):
+    with pytest.raises(ExponentBudgetError):
+        phi_N(2000, T)
+    with pytest.raises(ExponentBudgetError):
+        phi_N(0, T)
+    # log_phi_N has no budget
+    with mpmath.workdps(40):
+        ref = mpmath.log(_phi_ref(2000, mpmath.mpf(800)))
+        assert abs(log_phi_N(2000, 800.0) - ref) <= 1e-13 * abs(ref)
+    assert math.isfinite(phi_N(2000, EXP_BUDGET)) and math.isfinite(phi_N(0, EXP_BUDGET))
+
+
+# -- one scalar path ----------------------------------------------------------
+#
+# An argument with no axes takes the float path, whatever its type: an int
+# (where the value is integral), np.int64, np.float64 and a 0-d array each
+# give Python floats, bit-identical to those of the float itself.
+
+SCALAR_FORMS = {"int": int, "int64": np.int64, "float64": np.float64, "0-d": np.array}
+SCALAR_CASES = {
+    "eval_g-Zero": (lambda t: eval_g(PerturbationFamily(), t), [0.0, 2.0, 0.7]),
+    # BLENDED: at 0, on its near-zero branch (t <= 1/3), on the blend and
+    # on its infinity branch (t >= 3)
+    "eval_g-PowerLog": (lambda t: eval_g(BLENDED, t), [0.0, 0.2, 1.0, 2.0, 0.7, 3.0, 5.0, 7.5]),
+    "eval_H-Zero": (lambda t: eval_H(PerturbationFamily(), t), [1.0, 0.7]),
+    "eval_H-PowerLog": (lambda t: eval_H(BLENDED, t), [0.2, 1.0, 2.0, 0.7, 5.0]),
+    "eval_psi_N-1-Zero": (lambda t: eval_psi_N(PerturbationFamily(), 1, t), [0.0, 5.0, 0.7, 26.0]),
+    "eval_psi_N-1-PowerLog": (lambda t: eval_psi_N(BLENDED, 1, t), [0.0, 0.2, 2.0, 5.0, 0.7]),
+    "eval_psi_N-2-Zero": (lambda t: eval_psi_N(PerturbationFamily(), 2, t), [0.0, 5.0, 0.7]),
+    "eval_psi_N-2-PowerLog": (lambda t: eval_psi_N(BLENDED, 2, t), [0.0, 0.2, 2.0, 5.0, 0.7]),
+    "phi_N-0": (lambda T: phi_N(0, T), [0.0, 25.0, 0.7, 700.0]),
+    "phi_N-5": (lambda T: phi_N(5, T), [0.0, 3.0, 40.0, 0.7]),
+    "log_phi_N-1": (lambda T: log_phi_N(1, T), [0.0, 5.0, 0.7, 900.0]),
+    "log_phi_N-30": (lambda T: log_phi_N(30, T), [2.0, 0.7, 100.0]),
+    "s0_explicit": (s0_explicit, [0.0, 1.0, 5.0, 0.3, 2000.0]),
+}
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("form", SCALAR_FORMS)
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_every_number_with_no_axes_takes_the_float_path(case, form):
+    fn, values = SCALAR_CASES[case]
+    for v in values:
+        if form in ("int", "int64") and not v.is_integer():
+            continue
+        got, want = fn(SCALAR_FORMS[form](v)), fn(v)
+        if not isinstance(want, tuple):
+            got, want = (got,), (want,)
+        for x, y in zip(got, want, strict=True):
+            assert type(x) is float and type(y) is float, (v, type(x), type(y))
+            assert _bits(x) == _bits(y), (v, x, y)
 
 
 @given(N=st.integers(min_value=1, max_value=204),
