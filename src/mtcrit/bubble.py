@@ -21,7 +21,7 @@ from .csvout import write_csv
 from .numerics import solve_ivp
 from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
                            eval_psi_N, log_phi_N, xi)
-from .profiles import StepFailureError, laplacian_profile, s0_explicit
+from .profiles import StepFailureError, laplacian_profile, s0_explicit, t0
 
 __all__ = [
     "BlowDownError",
@@ -59,7 +59,7 @@ class BubbleSolution:
     """Shot radial bubble with its scaling data.
 
     The profile is stored in the rescaled variable y = r/mu (so values
-    near the core are well-separated); call `B(r)` for physical radii.
+    near the core are well-separated).
     """
 
     fam: PerturbationFamily
@@ -73,16 +73,10 @@ class BubbleSolution:
     values: np.ndarray
     derivs: np.ndarray  # dB/dy
 
-    def B(self, r):
-        y = np.asarray(r, dtype=float) / self.mu
-        out = np.interp(y, self.y_grid, self.values)
-        return float(out) if out.ndim == 0 else out
-
     def t(self, r):
-        """Concentration variable t(r) = log(1 + r^2/mu^2)."""
-        y = np.asarray(r, dtype=float) / self.mu
-        out = np.log1p(y * y)
-        return float(out) if out.ndim == 0 else out
+        """Concentration variable t(r) = log(1 + r^2/mu^2); an r with no
+        axes gives a float."""
+        return t0(np.divide(r, self.mu))
 
     def to_csv(self, path: str) -> None:
         write_csv(path, ["r", "B", "dB_dr", "t"],
@@ -204,7 +198,7 @@ def verify_source_expansion(sol: BubbleSolution, profiles: dict,
 
     On {t <= t_cap} the right side is the leading source 4 e^{-2t} /
     (mu^2 gamma) times a bracket of relative corrections e^{2t} Lap(S_i)/4
-    (Lap read off the profile ODEs; the e^{2t}/4 factor undoes the source
+    (Lap read off the profile equations; the e^{2t}/4 factor undoes the source
     weight each Lap(S_i) carries, which is what the expansion of Psi'
     around gamma produces order by order).  The sup residual is weighted
     by zeta e^{_DELTA0_TILDE t} relative to the local source size; the
@@ -236,32 +230,42 @@ def verify_source_expansion(sol: BubbleSolution, profiles: dict,
                            r0_gap=r0_gap, details={"zeta": zeta, "A": A, "xi": x})
 
 
-def _ladder_window(gammas, eps0: float) -> tuple[float, float]:
+def _ladder_window(gammas, eps0: float) -> tuple[float, list]:
     """The window t <= 0.8 (1 - eps0) gamma_min^2 common to a ladder's
-    expansion checks, and the largest y = r/mu at which they read S1 and S2
-    in it: the last node of any shot's grid inside."""
+    expansion checks, and for each gamma the largest y = r/mu at which they
+    read the shot and the profiles S1, S2 in it: the last node of the shot's
+    grid inside."""
     cap = 0.8 * (1.0 - eps0) * min(gammas) ** 2
-    reach = 0.0
+    ends = []
     for g in gammas:
         y = _shot_grid(g, eps0)[1]
         # t = log1p(y^2) rises along the grid, so the window is a prefix of it
-        reach = max(reach, float(y[np.searchsorted(np.log1p(y * y), cap, side="right") - 1]))
-    return cap, reach
+        ends.append(float(y[np.searchsorted(np.log1p(y * y), cap, side="right") - 1]))
+    return cap, ends
 
 
-def check_ladder(gammas, eps0: float, r_max: float) -> None:
+def check_ladder(fam: PerturbationFamily, gammas, eps0: float, r_max: float) -> None:
     """Refuse with ValueError, before any solve, a ladder that
     `ladder_reports` cannot finish on profiles solved out to r_max: a
-    gamma^2 past EXP_BUDGET (eval_psi_N refuses it), or an expansion window
+    gamma^2 past EXP_BUDGET (eval_psi_N refuses it), a gamma <= 1 where the
+    family's decay coefficient A(gamma) has no value, an expansion window
+    with no node at y >= _Y_FLOOR (its sups would be over nothing), or one
     that reads the profiles past r_max (verify_expansion refuses it)."""
-    top = max(gammas)
+    top, low = max(gammas), min(gammas)
     if top * top > EXP_BUDGET:
         raise ValueError(f"gamma = {top:g} is past the exponent budget of Psi_N "
                          f"(gamma^2 <= {EXP_BUDGET:g})")
-    _, reach = _ladder_window(gammas, eps0)
-    if reach > r_max:
+    if asymptotic_data(fam).A_pieces and low <= 1.0:
+        raise ValueError(f"gamma = {low:g}: the decay coefficient A(gamma) of this "
+                         f"family, a sum of power-log pieces, is defined only for gamma > 1")
+    cap, ends = _ladder_window(gammas, eps0)
+    if min(ends) < _Y_FLOOR:
+        raise ValueError(f"with eps0 = {eps0:g} the expansion window t <= {cap:.6g} of "
+                         f"gamma = {low:g} holds no node at y = r/mu >= {_Y_FLOOR:g}, "
+                         f"where the sups are taken; raise the smallest gamma or lower eps0")
+    if max(ends) > r_max:
         raise ValueError(f"with eps0 = {eps0:g} the expansion window of gamma = "
-                         f"{min(gammas):g} reads the profiles out to {reach:.10g}, past "
+                         f"{low:g} reads the profiles out to {max(ends):.10g}, past "
                          f"their r_max = {r_max:g}; lower the smallest gamma or raise eps0")
 
 

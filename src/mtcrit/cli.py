@@ -3,7 +3,7 @@ emit machine-readable reports and plot data.
 
 Subcommands
     criterion   existence verdict for a (domain, family) scenario
-    profiles    correction-profile ODE solves, CSV curves + constants
+    profiles    correction profiles by quadrature, CSV curves + constants
     bubble      bubble gamma ladder with both expansion checks
     extremal    subcritical solver ladder and the two test functions
     verify      the invariant suite as a pass/fail table
@@ -30,7 +30,7 @@ from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
 from .domain import RETIRED_DOMAIN_KEYS, DomainModel, Shape, lambda1, robin_report
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
-from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, profile_integrals,
+from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, ode_profile, profile_integrals,
                        s0_explicit, solve_profile)
 from .bubble import check_ladder, ladder_reports
 from .variational import (height_seed, lambda_g_report, model_testfun_energy,
@@ -233,7 +233,7 @@ def cmd_bubble(cfg: dict, args) -> int:
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
         raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
     try:
-        check_ladder(gammas, eps0, R_MAX)
+        check_ladder(fam, gammas, eps0, R_MAX)
     except ValueError as exc:
         raise ConfigError(f"field 'gamma_ladder': {exc}") from None
     # both bubble checks use the explicit S0, so only S1 and S2 are solved
@@ -364,7 +364,11 @@ def _verify_rows(seed: int, tol_scale: float) -> list:
         f"{ints['I_T0sq']:.9f}")
     rprobe = np.geomspace(1e-3, 100.0, 500)
     gap = float(np.max(np.abs(profiles[0](rprobe) - s0_explicit(rprobe))))
-    row("S0 ODE vs explicit", gap < 1e-7 * tol_scale, f"sup={gap:.2e}")
+    row("S0 quadrature vs explicit", gap < 1e-7 * tol_scale, f"sup={gap:.2e}")
+    # S1 has no closed form: hold the quadrature to the ODE integrator
+    rprobe = np.geomspace(1e-3, 1000.0, 400)
+    gap = float(np.max(np.abs(profiles[1](rprobe) - ode_profile(1, rprobe)[0])))
+    row("S1 quadrature vs ODE", gap < 1e-7 * tol_scale, f"sup={gap:.2e}")
     return rows
 
 

@@ -3,11 +3,13 @@
 T0(r) = log(1 + r^2) is the standard bubble; S0, S1, S2 solve the
 linearized radial equation
 
-    S'' + S'/r + 8 exp(-2 T0) S = -RHS_i(r),    S(0) = S'(0) = 0,
+    L S = S'' + S'/r + 8 exp(-2 T0) S = -RHS_i(r),    S(0) = S'(0) = 0,
 
 (with the -d_rr - d_r/r Laplacian convention) and behave for large r like
-(A_i / 4 pi) log(1/r^2) + B_i.  S0 also has an explicit dilogarithm
-formula, used as the oracle for the integrator.
+(A_i / 4 pi) log(1/r^2) + B_i.  `solve_profile` writes S_i by variation
+of parameters over the kernel of L, which also gives A_i and B_i exactly;
+`ode_profile` integrates the equation itself, as an independent check.
+S0 also has an explicit dilogarithm formula.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .csvout import write_csv
 from .numerics import CubicHermite, gauss_legendre, li2_neg, solve_ivp
@@ -26,6 +29,7 @@ __all__ = [
     "t0",
     "s0_explicit",
     "solve_profile",
+    "ode_profile",
     "profile_integrals",
     "A_CONSTANTS",
     "B0_CONSTANT",
@@ -40,7 +44,16 @@ A_CONSTANTS = (4.0 * math.pi, 4.0 * math.pi * (3.0 + math.pi**2 / 6.0), 2.0 * ma
 B0_CONSTANT = math.pi**2 / 6.0 + 2.0
 # Outer radius of the profile solves unless the caller asks for another.
 R_MAX = 2000.0
-# Tolerances of the profile ODE solve, also reported by RadialProfile.metadata.
+# A profile grid is 0 and then _GRID_NODES geometric nodes from _R0 to r_max;
+# the ODE of ode_profile starts at _R0.
+_R0 = 1e-6
+_GRID_NODES = 4000
+# Gauss-Legendre nodes per panel of solve_profile's quadrature.  Its source
+# is evaluated at most _CHUNK nodes at a time, as in domain, so that the
+# temporaries stay small: the whole grid holds 32000 nodes.
+_VOP_ORDER = 8
+_CHUNK = 8192
+# Tolerances of ode_profile.
 _RTOL = 1e-10
 _ATOL = 1e-10
 # Gauss-Legendre nodes per panel of profile_integrals, and the tail panels
@@ -50,10 +63,9 @@ _TAIL_EDGES = np.append(0.0, 0.5 ** np.arange(40, -1, -1))
 
 
 def t0(r):
-    """Standard bubble profile log(1 + r^2)."""
-    r = np.asarray(r, dtype=float)
-    out = np.log1p(r * r)
-    return float(out) if out.ndim == 0 else out
+    """Standard bubble profile log(1 + r^2); an r with no axes gives a float."""
+    xp, r = _float_or_array(r)
+    return xp.log1p(r * r)
 
 
 def _float_or_array(r):
@@ -65,7 +77,7 @@ def _float_or_array(r):
 
 def s0_explicit(r):
     """Closed form for S0: combination of rational, log^2 and dilog terms.
-    An r with no axes is evaluated with `math` (the profile ODE calls it one
+    An r with no axes is evaluated with `math` (`ode_profile` calls it one
     radius at a time) and gives a Python float."""
     xp, r = _float_or_array(r)
     r2 = r * r
@@ -91,40 +103,37 @@ def _rhs(i: int, r):
 
 @dataclass
 class RadialProfile:
-    """Sampled radial profile with its extracted logarithmic asymptote."""
+    """Sampled radial profile S and the constants of its large-r asymptote
+    (A / 4 pi) log(1/r^2) + B."""
 
     grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
-    asym_slope: float
-    asym_intercept: float
+    A: float
+    B: float
 
     def __post_init__(self):
         self._spline = CubicHermite(self.grid, self.values, self.derivs)
 
+    def _piecewise(self, r, inside, tail):
+        """inside(r) up to the last grid node, tail(r) past it.  An r with
+        no axes takes the float path and gives a float."""
+        xp, r = _float_or_array(r)
+        r_max = self.grid[-1]
+        if xp is math:
+            return float(inside(r) if r <= r_max else tail(r))
+        past = r > r_max
+        return np.where(past, tail(np.where(past, r, r_max)), inside(np.minimum(r, r_max)))
+
     def __call__(self, r):
-        """Evaluate via the stored samples, log asymptote beyond the grid."""
-        r = np.asarray(r, dtype=float)
-        inside = self._spline(np.minimum(r, self.grid[-1]))
-        tail = self.asym_slope * np.log(np.maximum(r, 1.0) ** 2) + self.asym_intercept
-        out = np.where(r <= self.grid[-1], inside, tail)
-        return float(out) if out.ndim == 0 else out
+        """S(r): the Hermite interpolant of the samples, the log asymptote
+        past the grid."""
+        return self._piecewise(r, self._spline,
+                               lambda r: self.B - self.A / (2.0 * math.pi) * np.log(r))
 
     def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        inside = self._spline.derivative(np.minimum(r, self.grid[-1]))
-        tail = 2.0 * self.asym_slope / np.maximum(r, 1.0)
-        out = np.where(r <= self.grid[-1], inside, tail)
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def A(self) -> float:
-        """Coefficient of log(1/r^2)/(4 pi) in the tail, i.e. -4 pi slope."""
-        return -4.0 * math.pi * self.asym_slope
-
-    @property
-    def B(self) -> float:
-        return self.asym_intercept
+        return self._piecewise(r, self._spline.derivative,
+                               lambda r: -self.A / (2.0 * math.pi) / r)
 
     def to_csv(self, path: str) -> None:
         write_csv(path, ["r", "S", "dS_dr"], [self.grid, self.values, self.derivs])
@@ -134,83 +143,105 @@ class RadialProfile:
             "A": self.A,
             "B": self.B,
             "r_max": float(self.grid[-1]),
-            "rtol": _RTOL,
-            "atol": _ATOL,
+            "gl_order": _VOP_ORDER,
+            "quadrature_nodes": _VOP_ORDER * (self.grid.size + _TAIL_EDGES.size - 2),
         }
 
 
-def _richardson(seq):
-    """One geometric-extrapolation step on three values at doubling radii.
+def _kernel(r):
+    """phi1 = (1 - r^2)/(1 + r^2) and phi2 = phi1 log r + 2/(1 + r^2), the
+    kernel of L, with r (phi1 phi2' - phi1' phi2) = 1 (arrays, r > 0)."""
+    q = 1.0 / (1.0 + r * r)
+    phi1 = 2.0 * q - 1.0
+    return phi1, phi1 * np.log(r) + 2.0 * q
 
-    Assumes the error decays roughly geometrically (log-power/r^2 between
-    doubled radii); falls back to the last value when the ratio is not
-    contracting.
-    """
-    d1, d2 = seq[1] - seq[0], seq[2] - seq[1]
-    if abs(d1) > 1e-300 and abs(d2 / d1) < 1.0:
-        q = d2 / d1
-        return seq[2] + d2 * q / (1.0 - q)
-    return seq[2]
+
+def _source_moments(i: int, edges: np.ndarray, to_r) -> np.ndarray:
+    """-int (phi1, phi2) RHS_i r dr over each panel [edges[k], edges[k+1]] of
+    a variable u, with (r, dr/du) = to_r(u): _VOP_ORDER Gauss-Legendre nodes
+    a panel, evaluated at most _CHUNK nodes at a time.  Shape (2, panels)."""
+    x, w = leggauss(_VOP_ORDER)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    out = np.empty((2, lo.size))
+    step = _CHUNK // _VOP_ORDER
+    for k in range(0, lo.size, step):
+        half = 0.5 * (hi[k:k + step] - lo[k:k + step])
+        r, dr_du = to_r(lo[k:k + step] + half * (x + 1.0))
+        f = _rhs(i, r) * r * dr_du * (half * w)
+        phi1, phi2 = _kernel(r)
+        out[0, k:k + step] = -np.sum(phi1 * f, axis=1)
+        out[1, k:k + step] = -np.sum(phi2 * f, axis=1)
+    return out
 
 
 def solve_profile(i: int, r_max: float = R_MAX) -> RadialProfile:
-    """Integrate the correction-profile ODE for i in {0, 1, 2}.
+    """S_i for i in {0, 1, 2} on 0 and geomspace(_R0, r_max, _GRID_NODES).
 
-    The equation is singular at r=0; integration starts at r0 = 1e-6 from
-    the second-order Taylor seed S(r0) = -RHS_i(0) r0^2 / 4.
+    Variation of parameters over the kernel (phi1, phi2) of L: with
+    P(r) = -int_0^r phi1 RHS_i s ds and Q(r) = -int_0^r phi2 RHS_i s ds,
+    S = phi2 P - phi1 Q and S' = phi2' P - phi1' Q.  As r -> oo, phi1 -> -1
+    and phi2 = -log r + O(log r / r^2), so A_i = 2 pi P(oo) and
+    B_i = Q(oo).  P and Q are cumulative sums of Gauss-Legendre panel
+    integrals over the grid; past r_max they map to u = r_max / s on
+    _TAIL_EDGES.
     """
     if i not in (0, 1, 2):
         raise ValueError("profile index must be 0, 1 or 2")
     if r_max < 100.0:
         raise ValueError("r_max must be at least 100")
+    grid = np.concatenate([[0.0], np.geomspace(_R0, r_max, _GRID_NODES)])
+    P, Q = np.cumsum(_source_moments(i, grid, lambda r: (r, 1.0)), axis=1)
+    P_tail, Q_tail = np.sum(_source_moments(
+        i, _TAIL_EDGES, lambda u: (r_max / u, r_max / (u * u))), axis=1)
+    r = grid[1:]
+    phi1, phi2 = _kernel(r)
+    dphi1 = -4.0 * r / (1.0 + r * r) ** 2
+    dphi2 = dphi1 * (1.0 + np.log(r)) + phi1 / r
+    values = np.concatenate([[0.0], phi2 * P - phi1 * Q])
+    derivs = np.concatenate([[0.0], dphi2 * P - dphi1 * Q])
+    return RadialProfile(grid=grid, values=values, derivs=derivs,
+                         A=float(2.0 * math.pi * (P[-1] + P_tail)), B=float(Q[-1] + Q_tail))
 
-    def odes(r, y):
+
+def ode_profile(i: int, r) -> tuple[np.ndarray, np.ndarray]:
+    """S_i and S_i' at the increasing radii r >= _R0 by the Dormand-Prince
+    integrator, an independent check of `solve_profile`.
+
+    The equation is singular at r = 0; integration starts at _R0 from the
+    second-order Taylor seed S(_R0) = -RHS_i(0) _R0^2 / 4.
+    """
+    def odes(s, y):
         S, dS = y
-        T = math.log1p(r * r)
-        return [dS, -dS / r - 8.0 * math.exp(-2.0 * T) * S - _rhs(i, r)]
+        return [dS, -dS / s - 8.0 * math.exp(-2.0 * math.log1p(s * s)) * S - _rhs(i, s)]
 
-    r0 = 1e-6
     rhs0 = _rhs(i, 0.0)
-    y0 = [-rhs0 * r0 * r0 / 4.0, -rhs0 * r0 / 2.0]
-    probe = [250.0, 500.0, 1000.0] if r_max >= 1000.0 else [r_max / 4, r_max / 2, r_max]
-    grid = np.unique(np.concatenate([[0.0], np.geomspace(r0, r_max, 4000), probe]))
-    sol = solve_ivp(odes, (r0, r_max), y0, t_eval=grid[1:], rtol=_RTOL, atol=_ATOL)
+    seed = [-rhs0 * _R0 * _R0 / 4.0, -rhs0 * _R0 / 2.0]
+    sol = solve_ivp(odes, (_R0, float(r[-1])), seed, t_eval=r, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise StepFailureError(f"{sol.message} ({sol.nfev} evaluations)")
-    values = np.concatenate([[0.0], sol.y[0]])
-    derivs = np.concatenate([[0.0], sol.y[1]])
-
-    # tail: S ~ slope*log(r^2) + B with slope = -A/(4 pi); both the slope
-    # (from r S'/2) and the intercept carry log-power/r^2 contamination,
-    # so extrapolate each over the doubling probe radii
-    idx = np.searchsorted(grid, probe)
-    pv, pd = values[idx], derivs[idx]
-    slope = _richardson([0.5 * r * d for r, d in zip(probe, pd)])
-    intercept = _richardson([v - slope * math.log(r * r) for r, v in zip(probe, pv)])
-    return RadialProfile(grid=grid, values=values, derivs=derivs,
-                         asym_slope=float(slope), asym_intercept=float(intercept))
+    return sol.y[0], sol.y[1]
 
 
 def laplacian_profile(i: int, r, profile):
     """-(S_i'' + S_i'/r) evaluated from the ODE: RHS_i + 8 e^{-2T0} S_i.
 
-    `profile` is S_i itself (a solved RadialProfile, or s0_explicit for i = 0).
+    `profile` is S_i itself (a solved RadialProfile, or s0_explicit for
+    i = 0).  An r with no axes gives a float.
     """
-    r = np.asarray(r, dtype=float)
-    out = _rhs(i, r) + 8.0 * np.exp(-2.0 * np.log1p(r * r)) * profile(r)
-    return float(out) if out.ndim == 0 else out
+    xp, r = _float_or_array(r)
+    return _rhs(i, r) + 8.0 * xp.exp(-2.0 * xp.log1p(r * r)) * profile(r)
 
 
 def profile_integrals(profiles: dict) -> dict:
     """Plane integrals fixing the energy-expansion constants.
 
     `profiles` maps {0: S0, 1: S1, 2: S2} to solved profiles; the radial
-    quadrature is truncated at the shortest of their grids.  Returns
+    quadrature runs on the shortest of their grids.  Returns
     I_S0 = int e^{-2T0} S0, I_T0sq = int e^{-2T0} T0^2 and A_check[i] =
     int of the distributional Laplacian of S_i, all over R^2 (2 pi r dr
     measure).  Each interval of the shortest grid, where a solved profile
-    is one cubic, is a Gauss-Legendre panel; the tails of I_S0 and I_T0sq
-    past r_max map to s = r_max / r on panels halving toward s = 0.
+    is one cubic, is a Gauss-Legendre panel; the tails past r_max map to
+    s = r_max / r on panels halving toward s = 0.
     """
     profs = [profiles[k] for k in range(3)]
     edges = min((pr.grid for pr in profs), key=lambda g: g[-1])
@@ -226,8 +257,7 @@ def profile_integrals(profiles: dict) -> dict:
 
     I_S0 = plane(lambda r: s0_explicit(r) / (1.0 + r * r) ** 2)
     I_T0sq = plane(lambda r: np.log1p(r * r) ** 2 / (1.0 + r * r) ** 2)
-    A_check = [2.0 * math.pi * gauss_legendre(
-        lambda r, k=k, pr=pr: laplacian_profile(k, r, pr) * r, edges, _GL_ORDER)
-        for k, pr in enumerate(profs)]
+    A_check = [plane(lambda r, k=k, pr=pr: laplacian_profile(k, r, pr))
+               for k, pr in enumerate(profs)]
     return {"I_S0": I_S0, "I_T0sq": I_T0sq, "A_check": A_check,
             "B": [pr.B for pr in profs], "A": [pr.A for pr in profs]}

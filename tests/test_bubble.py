@@ -9,6 +9,7 @@ from mtcrit import perturbation
 from mtcrit import (
     BlowDownError,
     PerturbationFamily,
+    asymptotic_data,
     eval_psi_N,
     lambda_from_level,
     phi_N,
@@ -130,22 +131,54 @@ def test_check_ladder_refuses_what_verify_expansion_refuses(fam0, profiles, gamm
     # the reach off the shot's own grid, so it refuses exactly the ladders
     # on which verify_expansion raises
     r_max = profiles[1].grid[-1]
-    cap, reach = _ladder_window([gamma], eps0)
+    cap, (reach,) = _ladder_window([gamma], eps0)
     sol = shoot_bubble(fam0, 1, gamma, lambda_from_level(gamma, 0.0), eps0=eps0)
     assert reach == np.max(sol.y_grid[np.log1p(sol.y_grid ** 2) <= cap])
     assert (reach > r_max) == refused
     if not refused:
-        check_ladder([gamma], eps0, r_max)
+        check_ladder(fam0, [gamma], eps0, r_max)
         verify_expansion(sol, profiles, t_cap=cap)
     else:
         with pytest.raises(ValueError, match="eps0"):
-            check_ladder([gamma], eps0, r_max)
+            check_ladder(fam0, [gamma], eps0, r_max)
         with pytest.raises(ValueError, match="grid mismatch"):
             verify_expansion(sol, profiles, t_cap=cap)
 
 
-def test_check_ladder_refuses_gamma_past_the_budget():
+def test_check_ladder_refuses_gamma_past_the_budget(fam0):
     top = math.sqrt(700.0)
-    check_ladder([3.0, top], 0.75, 2000.0)
+    check_ladder(fam0, [3.0, top], 0.75, 2000.0)
     with pytest.raises(ValueError, match="exponent budget"):
-        check_ladder([3.0, math.nextafter(top, 30.0)], 0.75, 2000.0)
+        check_ladder(fam0, [3.0, math.nextafter(top, 30.0)], 0.75, 2000.0)
+
+
+@pytest.mark.parametrize("gamma,refused", [(0.5, True), (0.7, False)])
+def test_check_ladder_refuses_an_empty_window(fam0, profiles, gamma, refused):
+    # verify_expansion takes its sups over the window's nodes at
+    # y >= _Y_FLOOR; at gamma = 0.5 the window t <= 0.05 ends at y = 0.23
+    sol = shoot_bubble(fam0, 1, gamma, lambda_from_level(gamma, 0.0))
+    cap, _ = _ladder_window([gamma], 0.75)
+    if refused:
+        with pytest.raises(ValueError, match="holds no node"):
+            check_ladder(fam0, [gamma], 0.75, 2000.0)
+        with pytest.raises(ValueError, match="zero-size"):
+            verify_expansion(sol, profiles, t_cap=cap)
+    else:
+        check_ladder(fam0, [gamma], 0.75, 2000.0)
+        verify_expansion(sol, profiles, t_cap=cap)
+
+
+@pytest.mark.parametrize("gammas,refused", [([1.0], True), ([0.9, 2.0], True),
+                                            ([1.1, 2.0], False)])
+def test_check_ladder_refuses_gamma_where_A_has_no_value(gammas, refused):
+    # A(gamma) = c' a' gamma^-(a'+2) (log gamma)^-b' is inf at gamma = 1 and
+    # nan below it
+    fam = PerturbationFamily(kind="PowerLog", c_prime=0.5, a_prime=1.0, b_prime=0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = asymptotic_data(fam).A(np.array(gammas))
+    assert np.all(np.isfinite(A)) != refused
+    if refused:
+        with pytest.raises(ValueError, match="only for gamma > 1"):
+            check_ladder(fam, gammas, 0.75, 2000.0)
+    else:
+        check_ladder(fam, gammas, 0.75, 2000.0)

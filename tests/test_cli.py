@@ -190,7 +190,7 @@ def test_profiles_rmax_validation(tmp_path, capsys):
 def test_profiles_rmax_below_integral_bound_refused_before_solving(tmp_path, capsys,
                                                                   monkeypatch):
     # profile_integrals needs r_max >= 1000; the command must refuse such a
-    # radius up front, not after solving all three profile ODEs.
+    # radius up front, not after solving all three profiles.
     solves = []
     monkeypatch.setattr(cli, "solve_profile", lambda *a, **k: solves.append(a))
     cfg = _write(tmp_path, "cfg.json", {"r_max": 500})
@@ -302,6 +302,10 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     assert solves == []
 
 
+# A(gamma) of this family carries (log gamma)^-1/2: inf at gamma = 1, nan below
+POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_prime": 0.5}
+
+
 @pytest.mark.parametrize("cmd,payload,field,named", [
     ("bubble", {"N": 1.7}, "N", "1.7"),
     ("extremal", {"N": 1.7}, "N", "1.7"),
@@ -354,6 +358,11 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     ("bubble", {"gamma_ladder": [9]}, "gamma_ladder", "eps0 = 0.75"),
     ("bubble", {"gamma_ladder": [8.0], "eps0": 0.65}, "gamma_ladder", "eps0 = 0.65"),
     ("bubble", {"gamma_ladder": [3, 27]}, "gamma_ladder", "exponent budget"),
+    ("bubble", {"gamma_ladder": [0.5]}, "gamma_ladder", "holds no node"),
+    ("bubble", {"family": POWERLOG_NO_A_BELOW_1, "gamma_ladder": [1.0]}, "gamma_ladder",
+     "only for gamma > 1"),
+    ("bubble", {"family": POWERLOG_NO_A_BELOW_1, "gamma_ladder": [0.9, 2.0]},
+     "gamma_ladder", "gamma = 0.9"),
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
         "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
@@ -366,7 +375,8 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
         "N-huge-int", "gamma-ladder-huge-int", "rectangle-width-string",
         "disk-width-string", "disk-height-bool", "gamma-ladder-same-file",
         "gamma-ladder-duplicate", "alpha-ladder-same-file", "gamma-ladder-window",
-        "gamma-ladder-window-eps0", "gamma-ladder-budget"])
+        "gamma-ladder-window-eps0", "gamma-ladder-budget", "gamma-ladder-empty-window",
+        "gamma-ladder-A-at-one", "gamma-ladder-A-below-one"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):
     solves = []
@@ -447,7 +457,10 @@ def _assert_within(got, want, tolerances):
 # 6.5e-16 relative (Zero) and 6.9e-10 (PowerLog, whose old value was off by
 # that much against a 30-digit reference; the new one is within 4e-16).  The
 # Zero `normalized_gap` was re-recorded with the profile solves moved off
-# scipy (1.3e-13 relative).
+# scipy (1.3e-13 relative).  `normalized_gap`, `mu` and `log_inv_mu2` were
+# re-recorded when the profiles became variation-of-parameters quadratures:
+# B_1 moved from the tail fit's 27.4096 to the exact 27.3718, which moves the
+# gap by 9.8e-4 (Zero) and 9.5e-4 (PowerLog) relative.
 EXTREMAL_RECORDED = {
     "Zero": ({"kind": "Zero"}, {
         "run": {"J": 9.504416349250366, "gamma": 2.3931493233007206,
@@ -455,8 +468,8 @@ EXTREMAL_RECORDED = {
                 "iterations": 70, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.706317334575852},
-        "model_testfun": {"normalized_gap": -1.1031786952160767, "mu": 6.080700838066708e-06,
-                          "log_inv_mu2": 24.020781198420682, "I_z": 0.0027772142117486152},
+        "model_testfun": {"normalized_gap": -1.104259528340605, "mu": 6.080615060469099e-06,
+                          "log_inv_mu2": 24.020809411682578, "I_z": 0.0027772142117486152},
     }),
     "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
                   "b_prime": 0.682198}, {
@@ -465,8 +478,8 @@ EXTREMAL_RECORDED = {
                 "iterations": 69, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.823925505070326},
-        "model_testfun": {"normalized_gap": -1.141528040590746, "mu": 6.129302344668095e-06,
-                          "log_inv_mu2": 24.004859248996418, "I_z": 0.0035021576343725446},
+        "model_testfun": {"normalized_gap": -1.1426083827221947, "mu": 6.129216127670537e-06,
+                          "log_inv_mu2": 24.004887381922188, "I_z": 0.0035021576343725446},
     }),
 }
 EXTREMAL_TOLERANCE = {
@@ -522,12 +535,16 @@ def _ladder(expansion, source, A, zeta):
 # at most its tolerance, about 6-10x the drift measured when the scalar path
 # landed: expansion sup 1.8e-10 and source sup 9.7e-12 relative, leading_sup
 # 1.1e-12 relative, r0_gap 6.8e-13 (expansion) and 1.8e-16 (source) absolute.
+# Three sups were re-recorded when the profiles became variation-of-parameters
+# quadratures, which moved S1 and S2 by up to 2.6e-9: the Zero expansion sup
+# at gamma = 3 (1.3e-8 relative) and the source sups of Zero at gamma = 3
+# (1.3e-10) and PowerLog at gamma = 5 (2.7e-10).
 BUBBLE_RECORDED = {
     "Zero": ({"kind": "Zero"}, _ladder(
-        expansion=[(0.009868067341776041, 0.011684832715588279, 4.113922125440955e-05),
+        expansion=[(0.009868067474285546, 0.011684832715588279, 4.113922125440955e-05),
                    (0.005201319923001137, 0.006505698679206147, 2.852313193499195e-08),
                    (0.00327797571125979, 0.0041328318571733375, 2.7521706182222284e-10)],
-        source=[(0.1775138268408696, 0.00012340980408660697),
+        source=[(0.17751382686448544, 0.00012340980408660697),
                 (0.08519640150337586, 1.1253517452680622e-07),
                 (0.05038755176479231, 1.3887419924139958e-11)],
         A=(0.0, 0.0, 0.0), zeta=(0.012345679012345678, 0.00390625, 0.0016))),
@@ -537,7 +554,7 @@ BUBBLE_RECORDED = {
                    (0.10068523447456569, 0.004076067750578136, 3.2572624458673395e-06)],
         source=[(0.2999574793818911, 0.0001234098040858464),
                 (0.27962862153506685, 1.1253517417220217e-07),
-                (0.21695734707206782, 1.3888202109731046e-11)],
+                (0.21695734701263988, 1.3888202109731046e-11)],
         A=(0.01965526652224097, 0.004473931525130763, 0.001449886845247858),
         zeta=(0.01965526652224097, 0.004473931525130763, 0.0016))),
 }
@@ -583,8 +600,10 @@ def test_integer_ladder_writes_what_its_float_twin_does(tmp_path, capsys):
     {"gamma_ladder": [3, 26.4]},
     {"gamma_ladder": [3.0, 3.00001]},
     {"alpha_ladder": [0.9, 0.90001]},
+    {"gamma_ladder": [0.7]},
+    {"family": POWERLOG_NO_A_BELOW_1, "gamma_ladder": [1.1, 2.0]},
 ], ids=["window-edge", "window-larger-eps0", "budget-edge", "gamma-files-differ",
-        "alpha-files-differ"])
+        "alpha-files-differ", "window-floor", "A-above-one"])
 def test_ladders_near_the_refusals_still_run(tmp_path, payload):
     cmd = "extremal" if "alpha_ladder" in payload else "bubble"
     cfg = _write(tmp_path, "cfg.json", payload)

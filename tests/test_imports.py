@@ -1,6 +1,6 @@
 """Every top-level import in the package is used or re-exported, every
 definition is read, and every exported exception is raised somewhere.
-No subcommand loads scipy, which is a test dependency only.
+No subcommand loads scipy, which is a test dependency only, nor numpy.ma.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
@@ -194,9 +194,9 @@ RUNTIME_PATHS = {
 }
 
 
-def _scipy_modules_after(code: str, out_dir) -> list:
-    """Run code in a fresh interpreter; the scipy modules it left loaded."""
-    probe = code + "\nimport sys\nprint(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+def _modules_after(code: str, out_dir) -> list:
+    """Run code in a fresh interpreter; the modules it left loaded."""
+    probe = code + "\nimport sys\nprint(sorted(sys.modules))\n"
     proc = subprocess.run([sys.executable, "-c", probe, str(out_dir)],
                           env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                           capture_output=True, text=True, timeout=300, check=False)
@@ -204,13 +204,41 @@ def _scipy_modules_after(code: str, out_dir) -> list:
     return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
 
 
+def _within(modules: list, package: str) -> list:
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+@pytest.fixture(scope="module")
+def runtime_modules(tmp_path_factory):
+    """name -> the modules that RUNTIME_PATHS[name] left loaded, each path
+    run once for every test that reads it."""
+    seen = {}
+
+    def modules(name):
+        if name not in seen:
+            seen[name] = _modules_after(RUNTIME_PATHS[name], tmp_path_factory.mktemp(name))
+        return seen[name]
+
+    return modules
+
+
 @pytest.mark.parametrize("name", RUNTIME_PATHS)
-def test_runtime_loads_no_scipy(tmp_path, name):
-    assert _scipy_modules_after(RUNTIME_PATHS[name], tmp_path) == []
+def test_runtime_loads_no_scipy(runtime_modules, name):
+    assert _within(runtime_modules(name), "scipy") == []
+
+
+@pytest.mark.parametrize("name", RUNTIME_PATHS)
+def test_runtime_loads_no_numpy_ma(runtime_modules, name):
+    # np.unique imports numpy.ma; the profile grids are built sorted
+    assert _within(runtime_modules(name), "numpy.ma") == []
 
 
 def test_scipy_probe_sees_scipy(tmp_path):
-    assert "scipy.special" in _scipy_modules_after("import scipy.special\n", tmp_path)
+    assert "scipy.special" in _within(_modules_after("import scipy.special\n", tmp_path), "scipy")
+
+
+def test_numpy_ma_probe_sees_numpy_ma(tmp_path):
+    assert "numpy.ma" in _within(_modules_after("import numpy.ma\n", tmp_path), "numpy.ma")
 
 
 # -- packaging ------------------------------------------------------------------

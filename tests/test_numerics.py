@@ -48,16 +48,16 @@ def _both(monkeypatch, module, run):
 
 @pytest.mark.parametrize("i", [1, 2])
 def test_profile_ode_takes_scipys_steps(monkeypatch, i):
-    # S1 and S2 at the profiles' tolerances: the same evaluation count (so
-    # the same accepted and rejected steps), values within 1e-12 of the
+    # ode_profile for S1 and S2 on a profile grid: the same evaluation count
+    # (so the same accepted and rejected steps), values within 1e-12 of the
     # largest |S| (measured: 1.5e-15).
-    outs = _both(monkeypatch, profiles, lambda: profiles.solve_profile(i))
-    (ours, (sol,)), (ref, (ref_sol,)) = outs["ours"], outs["scipy"]
+    r = np.geomspace(1e-6, profiles.R_MAX, 4000)
+    outs = _both(monkeypatch, profiles, lambda: profiles.ode_profile(i, r))
+    ((S, dS), (sol,)), ((ref, dref), (ref_sol,)) = outs["ours"], outs["scipy"]
     assert sol.nfev == ref_sol.nfev
     assert sol.success and ref_sol.success
-    scale = np.max(np.abs(ref.values))
-    assert np.max(np.abs(ours.values - ref.values)) <= 1e-12 * scale
-    assert np.max(np.abs(ours.derivs - ref.derivs)) <= 1e-12 * np.max(np.abs(ref.derivs))
+    assert np.max(np.abs(S - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(dS - dref)) <= 1e-12 * np.max(np.abs(dref))
 
 
 @pytest.mark.parametrize("gamma", [3.0, 5.0])

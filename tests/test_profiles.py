@@ -1,4 +1,5 @@
-"""Correction profiles: ODE solves, asymptotic constants, integrals."""
+"""Correction profiles: the variation-of-parameters solves, the ODE
+check, asymptotic constants, integrals."""
 
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from mtcrit import laplacian_profile, s0_explicit, solve_profile
-from mtcrit.profiles import A_CONSTANTS, B0_CONSTANT, _rhs, profile_integrals, t0
+from mtcrit import profiles as profiles_module
+from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, _rhs, ode_profile, profile_integrals,
+                             t0)
 
 
 def test_t0_basic():
@@ -74,7 +77,7 @@ def test_s2_closed_form_solves_ode():
 
 
 def test_s2_ode_matches_closed_form(profiles):
-    # measured: 4.8e-10 on the profile, 1.4e-9 relative on A, 1.0e-8 on B
+    # measured: 1.3e-11 on the profile, 2.2e-16 relative on A, 1.4e-15 on B
     P = profiles[2]
     r = np.geomspace(1e-3, 1500.0, 4000)
     assert np.max(np.abs(P(r) - _s2_closed(r))) < 2e-9
@@ -93,6 +96,55 @@ def test_profile_constants(profiles, i):
         assert P.B == pytest.approx(0.5, abs=1e-6)
 
 
+# B1 to 30 digits, from an mpmath quadrature of Q(oo) = -int_0^oo phi2 RHS_1 s ds
+B1_REFERENCE = 27.3718139537433772041777503022
+
+
+@pytest.mark.parametrize("i,B", [(0, B0_CONSTANT), (1, B1_REFERENCE), (2, 0.5)])
+def test_profile_constants_are_exact(profiles, i, B):
+    # A_i = 2 pi P(oo) and B_i = Q(oo) come from the variation-of-parameters
+    # sums themselves, with no fit to the tail (measured: A within 1.4e-15
+    # relative, B within 1.5e-14)
+    P = profiles[i]
+    assert P.A == pytest.approx(A_CONSTANTS[i], rel=1e-12, abs=0.0)
+    assert P.B == pytest.approx(B, rel=1e-12, abs=0.0)
+
+
+def test_solve_profile_runs_no_ode(monkeypatch):
+    def no_ode(*args, **kwargs):
+        raise AssertionError("solve_profile called the ODE integrator")
+
+    monkeypatch.setattr(profiles_module, "solve_ivp", no_ode)
+    P = solve_profile(1)
+    assert P.A == pytest.approx(A_CONSTANTS[1], rel=1e-12)
+    with pytest.raises(AssertionError):
+        ode_profile(1, np.array([1e-6, 1.0]))
+
+
+def test_ode_profile_matches_the_quadrature(profiles):
+    # the `verify` row "S1 quadrature vs ODE" (measured: 1.5e-9)
+    r = np.geomspace(1e-3, 1000.0, 400)
+    for i in (1, 2):
+        S, dS = ode_profile(i, r)
+        assert np.max(np.abs(profiles[i](r) - S)) < 1e-8
+        assert np.max(np.abs(profiles[i].derivative(r) - dS)) < 1e-8
+
+
+def test_profile_evaluators_give_floats_for_numbers_with_no_axes(profiles):
+    # the one scalar rule: a number with no axes takes the float path, on
+    # either side of r_max, and gives a Python float; libm and NumPy may
+    # round the logs and exponentials apart by an ulp
+    P = profiles[1]
+    r = np.array([0.0, 0.7, 4.0, 1999.0, 2000.0, 2500.0, 1e6])
+    for f in (t0, P, P.derivative, lambda x: laplacian_profile(1, x, P)):
+        arr = f(r)
+        for k, x in enumerate(r):
+            for num in (float(x), np.float64(x), np.array(x)):
+                got = f(num)
+                assert type(got) is float
+                assert got == pytest.approx(arr[k], rel=1e-13, abs=0.0)
+
+
 def test_profile_initial_conditions(profiles):
     for P in profiles.values():
         assert abs(P(0.0)) < 1e-10
@@ -105,22 +157,25 @@ def test_profile_tail_is_logarithmic(profiles):
     # beyond the grid the log asymptote continues the stored values
     inside = P(r_max * 0.999999)
     outside = P(r_max * 1.000001)
-    # the switch-over jump is bounded by the intercept-fit accuracy (~1e-2)
+    # the switch-over jump is S1's o(1) remainder at r_max (measured: 8.4e-3)
     assert outside == pytest.approx(inside, abs=0.05)
     far = P(10.0 * r_max)
-    predicted = P.asym_slope * math.log((10.0 * r_max) ** 2) + P.asym_intercept
+    predicted = P.A / (4.0 * math.pi) * math.log(1.0 / (10.0 * r_max) ** 2) + P.B
     assert far == pytest.approx(predicted, rel=1e-12)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_laplacian_profile_consistency(profiles, i):
     # Delta S_i = RHS_i + 8 e^{-2T0} S_i must match a finite-difference
-    # Laplacian of the interpolant at moderate radii
+    # Laplacian of the interpolant at moderate radii.  S'' is the central
+    # difference of the interpolant's slope: a second difference of values
+    # loses about eps |S| / h^2 to rounding, 3e-6 at r = 4 and h = 1e-5,
+    # more than the abs bound.  (measured worst case: 1.1e-5 relative)
     P = profiles[i]
     for r in (0.5, 1.5, 4.0):
-        h = 1e-5
-        d2 = (P(r + h) - 2.0 * P(r) + P(r - h)) / h**2
-        d1 = (P(r + h) - P(r - h)) / (2.0 * h)
+        h = 1e-4
+        d2 = (P.derivative(r + h) - P.derivative(r - h)) / (2.0 * h)
+        d1 = P.derivative(r)
         fd = -(d2 + d1 / r)  # -Laplacian convention
         val = laplacian_profile(i, np.array([r]), P)[0]
         assert val == pytest.approx(fd, rel=1e-4, abs=1e-6)
@@ -144,6 +199,14 @@ def test_profile_integrals_identities(integrals):
     assert integrals["I_T0sq"] == pytest.approx(2.0 * math.pi, abs=1e-6)
     for got, want in zip(integrals["A_check"], A_CONSTANTS):
         assert got == pytest.approx(want, rel=5e-3)
+
+
+def test_A_check_integrates_past_r_max(integrals):
+    # the Laplacian integrals carry the tail past r_max that I_S0 and I_T0sq
+    # carry (measured: 5.3e-10 relative on A_1, at most 2e-11 on A_0 and A_2;
+    # 1.4e-3 on A_1 without the tail)
+    for got, want in zip(integrals["A_check"], A_CONSTANTS):
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_profile_integrals_rejects_short_range():
