@@ -270,23 +270,26 @@ def check_ladder(fam: PerturbationFamily, gammas, eps0: float, r_max: float) -> 
 
 
 def ladder_reports(fam: PerturbationFamily, N: int, gammas, profiles: dict,
-                   M: float = 0.0, eps0: float = 0.75) -> dict:
-    """Run a gamma ladder and report both verification trends.
+                   eps0: float = 0.75) -> dict:
+    """Run a gamma ladder on the unit disk and report both verification
+    trends.
 
-    profiles maps {1: S1, 2: S2}, solved once by the caller for the whole
-    ladder.  The per-gamma sups are taken over a window common to the
-    whole ladder (0.8 of the smallest bubble's range, resp. the smallest
-    gamma for the source check): the expansion residual is claimed
-    uniformly on a gamma-dependent region, and comparing sups over nested
-    regions of different sizes would conflate window growth with
-    convergence.
+    Each shot is seeded from the disk's Robin maximum M = 0; the shot in
+    y = r / mu depends on the multiplier only through lambda mu^2, so the
+    seed is a gauge.  profiles maps {1: S1, 2: S2}, solved once by the
+    caller for the whole ladder.  The per-gamma sups are taken over a
+    window common to the whole ladder (0.8 of the smallest bubble's range,
+    resp. the smallest gamma for the source check): the expansion residual
+    is claimed uniformly on a gamma-dependent region, and comparing sups
+    over nested regions of different sizes would conflate window growth
+    with convergence.
     """
     gammas = sorted(gammas)
     cap_exp, _ = _ladder_window(gammas, eps0)
     cap_src = float(gammas[0])
     out = {"gammas": list(gammas), "expansion": [], "source": [], "solutions": []}
     for g in gammas:
-        sol = shoot_bubble(fam, N, g, lambda_from_level(g, M), eps0=eps0)
+        sol = shoot_bubble(fam, N, g, lambda_from_level(g, 0.0), eps0=eps0)
         out["solutions"].append(sol)
         out["expansion"].append(verify_expansion(sol, profiles, t_cap=cap_exp))
         out["source"].append(verify_source_expansion(sol, profiles, t_cap=cap_src))

@@ -30,8 +30,8 @@ from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
 from .domain import RETIRED_DOMAIN_KEYS, DomainModel, Shape, lambda1, robin_report
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
-from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, ode_profile, profile_integrals,
-                       s0_explicit, solve_profile)
+from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, R_MAX_FLOOR, ode_profile,
+                       profile_integrals, s0_explicit, solve_profile)
 from .bubble import check_ladder, ladder_reports
 from .variational import (height_seed, lambda_g_report, model_testfun_energy,
                           solve_subcritical, step1_testfun)
@@ -43,12 +43,12 @@ class ConfigError(ValueError):
 
 # The top-level keys a scenario config may carry (README, "Command line").
 CONFIG_KEYS = frozenset({"family", "domain", "gamma_ladder", "alpha_ladder",
-                         "step1_eps", "model_gamma", "r_max", "eps0", "N",
-                         "robin_max"})
+                         "step1_eps", "model_gamma", "r_max", "eps0", "N"})
 # Keys of older configs that no longer configure anything: `extremal` ascends
-# from one start, and `criterion` checks l on the fixed LOG_GAMMA_GRID.  They
+# from one start, `criterion` checks l on the fixed LOG_GAMMA_GRID, and
+# `bubble` seeds its multipliers from the unit disk's Robin maximum 0.  They
 # are dropped on reading, so they change no report.
-RETIRED_CONFIG_KEYS = frozenset({"starts", "gamma_grid"})
+RETIRED_CONFIG_KEYS = frozenset({"starts", "gamma_grid", "robin_max"})
 # The curve file of each rung of the bubble and extremal ladders.
 _BUBBLE_CSV, _EXTREMAL_CSV = "bubble_gamma{:g}.csv", "extremal_alpha{:.4f}.csv"
 
@@ -200,9 +200,8 @@ def cmd_criterion(cfg: dict, args) -> int:
 
 def cmd_profiles(cfg: dict, args) -> int:
     r_max = _number(cfg, "r_max", R_MAX)
-    if r_max < 1000.0:
-        raise ConfigError("field 'r_max': must be >= 1000 for the Laplacian "
-                          "integral truncation")
+    if r_max < R_MAX_FLOOR:
+        raise ConfigError(f"field 'r_max': must be >= {R_MAX_FLOOR:g} (got {r_max:g})")
     profiles = {i: solve_profile(i, r_max=r_max) for i in range(3)}
     constants = {}
     for i, P in profiles.items():
@@ -229,7 +228,6 @@ def cmd_bubble(cfg: dict, args) -> int:
         raise ConfigError("field 'gamma_ladder': need >= 1 value, all > 0")
     _distinct_files("gamma_ladder", gammas, map(_BUBBLE_CSV.format, gammas))
     eps0 = _number(cfg, "eps0", 0.75)
-    M = _number(cfg, "robin_max", 0.0)
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
         raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
     try:
@@ -238,7 +236,7 @@ def cmd_bubble(cfg: dict, args) -> int:
         raise ConfigError(f"field 'gamma_ladder': {exc}") from None
     # both bubble checks use the explicit S0, so only S1 and S2 are solved
     profiles = {i: solve_profile(i) for i in (1, 2)}
-    out = ladder_reports(fam, N, gammas, profiles, M=M, eps0=eps0)
+    out = ladder_reports(fam, N, gammas, profiles, eps0=eps0)
     payload = {
         "gammas": out["gammas"],
         "expansion": [r.to_json() for r in out["expansion"]],

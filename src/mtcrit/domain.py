@@ -13,7 +13,6 @@ integral S drive the existence criterion.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,9 +20,8 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .numerics import minimize
+from .numerics import CHUNK, gauss_legendre, minimize
 
 __all__ = [
     "Shape",
@@ -103,11 +101,9 @@ class DomainModel:
         }
 
     @staticmethod
-    def from_json(obj: dict | str) -> "DomainModel":
+    def from_json(obj: dict) -> "DomainModel":
         """Read the keys of `to_json`; an absent key takes its default, a
         retired key is ignored and any other key is refused."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError("must be a JSON object")
         unknown = sorted(set(obj) - {"shape", "width", "height"} - RETIRED_DOMAIN_KEYS)
@@ -282,14 +278,12 @@ def lambda1(dom: DomainModel) -> float:
 # -- singularity-aware integration over the domain ---------------------------
 
 # Gauss nodes per angular segment and per radial panel, and the number of
-# geometric radial panels (ratio 1/2) graded toward the pole.
+# geometric radial panels (ratio 1/2) graded toward the pole.  A segment has
+# _N_THETA * (_N_PANELS + 1) * _N_R nodes, handed to the integrand in chunks
+# of numerics.CHUNK.
 _N_THETA = 48
 _N_R = 48
 _N_PANELS = 14
-# Largest number of nodes handed to the integrand at once: a segment has
-# _N_THETA * (_N_PANELS + 1) * _N_R nodes, and the integrand's temporaries
-# stay small and warm in chunks of this size.
-_CHUNK = 8192
 
 
 def _ray_lengths(dom: DomainModel, z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -324,40 +318,32 @@ def integrate_around_pole(
     """Integrate f(r, points) over the domain in polar coordinates around z.
 
     f receives radii (n,) and the corresponding points (n,2), at most
-    _CHUNK of them per call, and must be vectorized.  Radial panels are
+    CHUNK of them per call, and must be vectorized.  Radial panels are
     geometrically graded toward the pole so that log-power singularities
     of Green-type integrands are resolved.
     """
     z = np.asarray(z, dtype=float)
-    xg, wg = leggauss(_N_R)
-    tg, twg = leggauss(_N_THETA)
-    # geometric panels [R q^(k+1), R q^k], q = 1/2, the innermost one down to 0
-    edges = np.append(0.5 ** np.arange(_N_PANELS + 1), 0.0)[None, :, None]
+    # geometric panels [q^(k+1), q^k] of the unit ray, q = 1/2, the innermost
+    # one down to 0; each ray scales them to its length
+    unit_edges = np.append(0.0, 0.5 ** np.arange(_N_PANELS, -1, -1))
+    unit_r, unit_wr = gauss_legendre(unit_edges, _N_R)
+    # one angular panel per segment between corner directions
     segs = [0.0] + _corner_angles(dom, z) + [2.0 * math.pi]
-    segs = sorted(set(s % (2.0 * math.pi) if s > 0 else s for s in segs))
-    if segs[-1] < 2.0 * math.pi:
-        segs.append(2.0 * math.pi)
     total = 0.0
-    for a0, a1 in zip(segs[:-1], segs[1:]):
-        if a1 - a0 < 1e-14:
+    for thetas, wth, length in zip(*gauss_legendre(segs, _N_THETA), np.diff(segs)):
+        if length < 1e-14:
             continue
-        thetas = 0.5 * (a1 - a0) * (tg + 1.0) + a0
-        wth = 0.5 * (a1 - a0) * twg
-        R = _ray_lengths(dom, z, thetas)
-        ok = np.isfinite(R) & (R > 0)
-        thetas, wth, R = thetas[ok], wth[ok], R[ok]
         # all nodes of the segment in one array, shaped (theta, panel, r)
-        R = R[:, None, None]
-        half = 0.5 * R * (edges[:, :-1] - edges[:, 1:])
-        r = half * (xg + 1.0) + R * edges[:, 1:]
-        wr = half * wg
+        R = _ray_lengths(dom, z, thetas)[:, None, None]
+        r = R * unit_r
+        wr = R * unit_wr
         dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
         pts = (r[..., None] * dirs[:, None, None, :]).reshape(-1, 2)
         pts += z
         r_flat = r.ravel()
         vals = np.empty(r_flat.size)
-        for lo in range(0, vals.size, _CHUNK):
-            vals[lo:lo + _CHUNK] = f(r_flat[lo:lo + _CHUNK], pts[lo:lo + _CHUNK])
+        for lo in range(0, vals.size, CHUNK):
+            vals[lo:lo + CHUNK] = f(r_flat[lo:lo + CHUNK], pts[lo:lo + CHUNK])
         total += float(np.sum(wth[:, None, None] * wr * r * vals.reshape(r.shape)))
     return total
 

@@ -7,8 +7,8 @@
 * `minimize`: the Nelder-Mead simplex search of scipy.optimize.minimize
   (non-adaptive coefficients, the same initial simplex and stop rule).
 * `brentq`: Brent's bracketed root finder, as in scipy.optimize.brentq.
-* `gauss_legendre`: composite Gauss-Legendre quadrature, the integrand
-  evaluated once on the array of all nodes.
+* `gauss_legendre`: the nodes and weights of composite Gauss-Legendre
+  quadrature, one row of each per panel.
 * `series_tail`, `power_term`, their logs and `term_over_tail`:
   sum_{k>N} T^k/k!, T^k/k! and the ratio of the two, for integer orders;
   `series_tail` and `power_term` on floats and arrays, the logs and the
@@ -31,6 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
+    "CHUNK",
     "OdeResult",
     "MinimizeResult",
     "solve_ivp",
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+# Largest number of quadrature nodes handed to an integrand at once, so that
+# its temporaries stay small and warm.
+CHUNK = 8192
 
 
 # -- Dormand-Prince 5(4) ------------------------------------------------------
@@ -307,15 +311,14 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = 4.0 * _EPS,
 # -- Gauss-Legendre -------------------------------------------------------------
 
 
-def gauss_legendre(f, edges, order: int) -> float:
-    """Integral of f over [edges[0], edges[-1]]: `order` Gauss-Legendre
-    nodes on each panel [edges[i], edges[i+1]].  f is called once, on the
-    array of all nodes."""
+def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite rule with `order` Gauss-Legendre
+    nodes on each panel [edges[i], edges[i+1]], each shaped (panels, order):
+    the integral of f is the sum of weights * f(nodes)."""
     x, w = leggauss(order)
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)[:, None]
-    nodes = edges[:-1, None] + half * (x + 1.0)
-    return float(np.sum(half * w * f(nodes.ravel()).reshape(nodes.shape)))
+    return edges[:-1, None] + half * (x + 1.0), half * w
 
 
 # -- exponential series ---------------------------------------------------------

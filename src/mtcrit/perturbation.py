@@ -14,7 +14,6 @@ Large arguments are handled in log-scale with an explicit exponent budget.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -187,11 +186,9 @@ class PerturbationFamily:
         }
 
     @staticmethod
-    def from_json(obj: dict | str) -> "PerturbationFamily":
+    def from_json(obj: dict) -> "PerturbationFamily":
         """Read the keys of `to_json`; an absent key takes its default and
         an unknown key is refused."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError("must be a JSON object")
         keys = {f.name for f in fields(PerturbationFamily)} - {"_hermite"}
@@ -257,29 +254,10 @@ def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
     h0, h1, h2, c3, c4, c5 = fam._hermite
     L = 2.0 * math.log(fam.R_prime)
     x = (np.log(t) + 0.5 * L) / L
-    # Horner's rule for the quintic and its derivative, in place: the
-    # operations and their order are those of the nested expression, and on
-    # a float `+=` and `*=` just rebind
-    q = x * c5
-    q += c4
-    q *= x
-    q += c3
-    q *= x
-    q += h2
-    q *= x
-    q += h1
-    q *= x
-    q += h0
-    dq = x * (5.0 * c5)
-    dq += 4.0 * c4
-    dq *= x
-    dq += 3.0 * c3
-    dq *= x
-    dq += 2.0 * h2
-    dq *= x
-    dq += h1
-    dq /= L * t
-    return q, dq
+    # Horner's rule for the quintic and its derivative
+    q = h0 + x * (h1 + x * (h2 + x * (c3 + x * (c4 + x * c5))))
+    dq = h1 + x * (2.0 * h2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
+    return q, dq / (L * t)
 
 
 def eval_H(fam: PerturbationFamily, t) -> np.ndarray | float:

@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .csvout import write_csv
-from .numerics import CubicHermite, gauss_legendre, li2_neg, solve_ivp
+from .numerics import CHUNK, CubicHermite, gauss_legendre, li2_neg, solve_ivp
 
 __all__ = [
     "StepFailureError",
@@ -33,6 +32,7 @@ __all__ = [
     "profile_integrals",
     "A_CONSTANTS",
     "B0_CONSTANT",
+    "R_MAX_FLOOR",
 ]
 
 
@@ -42,24 +42,24 @@ class StepFailureError(RuntimeError):
 
 A_CONSTANTS = (4.0 * math.pi, 4.0 * math.pi * (3.0 + math.pi**2 / 6.0), 2.0 * math.pi)
 B0_CONSTANT = math.pi**2 / 6.0 + 2.0
-# Outer radius of the profile solves unless the caller asks for another.
+# Outer radius of the profile solves unless the caller asks for another, and
+# the least one they accept: from there on `profile_integrals` meets the
+# bounds of `verify` (measured in the README).
 R_MAX = 2000.0
+R_MAX_FLOOR = 100.0
 # A profile grid is 0 and then _GRID_NODES geometric nodes from _R0 to r_max;
 # the ODE of ode_profile starts at _R0.
 _R0 = 1e-6
 _GRID_NODES = 4000
-# Gauss-Legendre nodes per panel of solve_profile's quadrature.  Its source
-# is evaluated at most _CHUNK nodes at a time, as in domain, so that the
-# temporaries stay small: the whole grid holds 32000 nodes.
+# Gauss-Legendre nodes per panel of solve_profile and of profile_integrals,
+# and the tail panels in u = r_max / r: [0, 2^-40] and then [2^-k, 2^(1-k)]
+# up to 1.
 _VOP_ORDER = 8
-_CHUNK = 8192
+_GL_ORDER = 4
+_TAIL_EDGES = np.append(0.0, 0.5 ** np.arange(40, -1, -1))
 # Tolerances of ode_profile.
 _RTOL = 1e-10
 _ATOL = 1e-10
-# Gauss-Legendre nodes per panel of profile_integrals, and the tail panels
-# in s = r_max / r: [0, 2^-40] and then [2^-k, 2^(1-k)] up to 1.
-_GL_ORDER = 4
-_TAIL_EDGES = np.append(0.0, 0.5 ** np.arange(40, -1, -1))
 
 
 def t0(r):
@@ -156,22 +156,26 @@ def _kernel(r):
     return phi1, phi1 * np.log(r) + 2.0 * q
 
 
-def _source_moments(i: int, edges: np.ndarray, to_r) -> np.ndarray:
-    """-int (phi1, phi2) RHS_i r dr over each panel [edges[k], edges[k+1]] of
-    a variable u, with (r, dr/du) = to_r(u): _VOP_ORDER Gauss-Legendre nodes
-    a panel, evaluated at most _CHUNK nodes at a time.  Shape (2, panels)."""
-    x, w = leggauss(_VOP_ORDER)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    out = np.empty((2, lo.size))
-    step = _CHUNK // _VOP_ORDER
-    for k in range(0, lo.size, step):
-        half = 0.5 * (hi[k:k + step] - lo[k:k + step])
-        r, dr_du = to_r(lo[k:k + step] + half * (x + 1.0))
-        f = _rhs(i, r) * r * dr_du * (half * w)
-        phi1, phi2 = _kernel(r)
-        out[0, k:k + step] = -np.sum(phi1 * f, axis=1)
-        out[1, k:k + step] = -np.sum(phi2 * f, axis=1)
-    return out
+def _radial_integrals(f, edges: np.ndarray, order: int):
+    """Integrals in r over each panel [edges[k], edges[k+1]] and over the
+    tail past r_max = edges[-1], the tail by r = r_max / u on _TAIL_EDGES:
+    `order` Gauss-Legendre nodes a panel, handed to f at most CHUNK at a
+    time.  f(r, w) maps the nodes r and their weights w (in the tail, times
+    dr/du) to its integrands times w, stacked on a new first axis.  Returns
+    the panel integrals, shaped (integrands, panels), and the tail
+    integrals, shaped (integrands,)."""
+    r_max = float(edges[-1])
+    r, w = gauss_legendre(edges, order)
+    u, wu = gauss_legendre(_TAIL_EDGES, order)
+    r = np.concatenate([r, r_max / u])
+    w = np.concatenate([w, wu * r_max / (u * u)])
+    sums = []
+    step = CHUNK // order
+    for k in range(0, r.shape[0], step):
+        sums.append(np.sum(f(r[k:k + step], w[k:k + step]), axis=-1))
+    sums = np.concatenate(sums, axis=1)
+    panels = edges.size - 1
+    return sums[:, :panels], np.sum(sums[:, panels:], axis=1)
 
 
 def solve_profile(i: int, r_max: float = R_MAX) -> RadialProfile:
@@ -181,18 +185,18 @@ def solve_profile(i: int, r_max: float = R_MAX) -> RadialProfile:
     P(r) = -int_0^r phi1 RHS_i s ds and Q(r) = -int_0^r phi2 RHS_i s ds,
     S = phi2 P - phi1 Q and S' = phi2' P - phi1' Q.  As r -> oo, phi1 -> -1
     and phi2 = -log r + O(log r / r^2), so A_i = 2 pi P(oo) and
-    B_i = Q(oo).  P and Q are cumulative sums of Gauss-Legendre panel
-    integrals over the grid; past r_max they map to u = r_max / s on
-    _TAIL_EDGES.
+    B_i = Q(oo).  P and Q are cumulative sums of the panel integrals of
+    `_radial_integrals` over the grid, plus its tails past r_max at oo.
     """
     if i not in (0, 1, 2):
         raise ValueError("profile index must be 0, 1 or 2")
-    if r_max < 100.0:
-        raise ValueError("r_max must be at least 100")
+    if r_max < R_MAX_FLOOR:
+        raise ValueError(f"r_max must be at least {R_MAX_FLOOR:g}")
     grid = np.concatenate([[0.0], np.geomspace(_R0, r_max, _GRID_NODES)])
-    P, Q = np.cumsum(_source_moments(i, grid, lambda r: (r, 1.0)), axis=1)
-    P_tail, Q_tail = np.sum(_source_moments(
-        i, _TAIL_EDGES, lambda u: (r_max / u, r_max / (u * u))), axis=1)
+    panels, tails = _radial_integrals(
+        lambda r, w: np.stack(_kernel(r)) * (_rhs(i, r) * r * w), grid, _VOP_ORDER)
+    P, Q = -np.cumsum(panels, axis=1)
+    P_tail, Q_tail = -tails
     r = grid[1:]
     phi1, phi2 = _kernel(r)
     dphi1 = -4.0 * r / (1.0 + r * r) ** 2
@@ -239,25 +243,19 @@ def profile_integrals(profiles: dict) -> dict:
     quadrature runs on the shortest of their grids.  Returns
     I_S0 = int e^{-2T0} S0, I_T0sq = int e^{-2T0} T0^2 and A_check[i] =
     int of the distributional Laplacian of S_i, all over R^2 (2 pi r dr
-    measure).  Each interval of the shortest grid, where a solved profile
-    is one cubic, is a Gauss-Legendre panel; the tails past r_max map to
-    s = r_max / r on panels halving toward s = 0.
+    measure).  The five integrands share one pass of `_radial_integrals`,
+    whose panels are the intervals of the shortest grid, where each solved
+    profile is one cubic.
     """
     profs = [profiles[k] for k in range(3)]
     edges = min((pr.grid for pr in profs), key=lambda g: g[-1])
-    r_max = float(edges[-1])
-    if r_max < 1000.0:
-        raise ValueError("r_max must be at least 1000")
 
-    def plane(f):
-        """int over R^2 of the radial f, the part past r_max by r = r_max / s."""
-        return 2.0 * math.pi * (
-            gauss_legendre(lambda r: f(r) * r, edges, _GL_ORDER)
-            + gauss_legendre(lambda s: f(r_max / s) * r_max**2 / s**3, _TAIL_EDGES, _GL_ORDER))
+    def weighted(r, w):
+        q = (1.0 + r * r) ** 2
+        return np.stack([s0_explicit(r) / q, np.log1p(r * r) ** 2 / q]
+                        + [laplacian_profile(k, r, pr) for k, pr in enumerate(profs)]) * r * w
 
-    I_S0 = plane(lambda r: s0_explicit(r) / (1.0 + r * r) ** 2)
-    I_T0sq = plane(lambda r: np.log1p(r * r) ** 2 / (1.0 + r * r) ** 2)
-    A_check = [plane(lambda r, k=k, pr=pr: laplacian_profile(k, r, pr))
-               for k, pr in enumerate(profs)]
+    panels, tails = _radial_integrals(weighted, edges, _GL_ORDER)
+    I_S0, I_T0sq, *A_check = (2.0 * math.pi * (np.sum(panels, axis=1) + tails)).tolist()
     return {"I_S0": I_S0, "I_T0sq": I_T0sq, "A_check": A_check,
             "B": [pr.B for pr in profs], "A": [pr.A for pr in profs]}

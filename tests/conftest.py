@@ -53,4 +53,4 @@ def lambda_g0(fam0):
 
 @pytest.fixture(scope="session")
 def ladder0(fam0, profiles):
-    return ladder_reports(fam0, 1, [3.0, 4.0, 5.0], M=0.0, profiles=profiles)
+    return ladder_reports(fam0, 1, [3.0, 4.0, 5.0], profiles=profiles)

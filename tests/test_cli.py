@@ -157,6 +157,23 @@ def test_retired_gamma_grid_changes_no_report(tmp_path):
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+def test_retired_robin_max_changes_no_bubble_report(tmp_path):
+    # robin_max is retired: bubble seeds its multipliers from the unit disk's
+    # Robin maximum 0, and a config that still sets one, even a malformed
+    # one, writes the files of one that does not.
+    outputs = []
+    for k, M in enumerate([None, 1.5, True]):
+        payload = {"gamma_ladder": [3.0, 4.0]}
+        if M is not None:
+            payload["robin_max"] = M
+        out = tmp_path / str(k)
+        assert main(["bubble", "--config", _write(tmp_path, f"cfg{k}.json", payload),
+                     "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert set(outputs[0]) == {"bubble.json", "bubble_gamma3.csv", "bubble_gamma4.csv"}
+
+
 def test_malformed_config_names_field(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "PowerLog",
                                                    "c": 1.0, "a": -2.0}})
@@ -187,19 +204,34 @@ def test_profiles_rmax_validation(tmp_path, capsys):
     assert "r_max" in capsys.readouterr().err
 
 
-def test_profiles_rmax_below_integral_bound_refused_before_solving(tmp_path, capsys,
-                                                                  monkeypatch):
-    # profile_integrals needs r_max >= 1000; the command must refuse such a
-    # radius up front, not after solving all three profiles.
+def test_profiles_rmax_below_floor_refused_before_solving(tmp_path, capsys, monkeypatch):
+    # solve_profile refuses r_max < R_MAX_FLOOR = 100; the command must refuse
+    # such a radius up front, not after the first solve.
     solves = []
     monkeypatch.setattr(cli, "solve_profile", lambda *a, **k: solves.append(a))
-    cfg = _write(tmp_path, "cfg.json", {"r_max": 500})
+    cfg = _write(tmp_path, "cfg.json", {"r_max": 99})
     rc = main(["profiles", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "r_max" in err and "1000" in err
-    assert "ValueError" not in err
+    assert "field 'r_max'" in err and ">= 100" in err
+    assert "Error:" not in err
     assert solves == []
+
+
+@pytest.mark.parametrize("r_max", [100, 500, 999])
+def test_profiles_meet_the_verify_bounds_from_the_floor(tmp_path, r_max):
+    # The integrals carry their tails past r_max, so the bounds of verify's
+    # rows hold from r_max = 100 on (measured there: A_check within 1.5e-5
+    # relative, I_S0 within 1.2e-11, I_T0sq within 3.1e-10 of 2 pi).
+    cfg = _write(tmp_path, "cfg.json", {"r_max": r_max})
+    assert main(["profiles", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "profiles.json").read_text())
+    ints = rep["integrals"]
+    for got, want in zip(ints["A_check"], profiles_module.A_CONSTANTS):
+        assert got == pytest.approx(want, rel=5e-3)
+    assert abs(ints["I_S0"]) < 1e-6
+    assert ints["I_T0sq"] == pytest.approx(2.0 * math.pi, abs=1e-6)
+    assert all(c["r_max"] == r_max for c in rep["constants"].values())
 
 
 def test_bubble_bad_eps0(tmp_path, capsys):
@@ -327,7 +359,6 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
     ("extremal", {"domain": {"shape": "UnitDisk", "radius": 2.0}}, "domain", "'radius'"),
     ("criterion", {"domain": {"shape": "Rectangle", "widht": 3.0}}, "domain", "'widht'"),
     ("bubble", {"gamma_ladder": [3.0, math.nan]}, "gamma_ladder", "NaN or Infinity"),
-    ("bubble", {"robin_max": math.inf}, "robin_max", "NaN or Infinity"),
     ("criterion", {"family": {"kind": "PowerLog", "c_prime": -math.inf, "a_prime": 1.0}},
      "family", "NaN or Infinity"),
     ("extremal", {"model_gamma": -1.0}, "model_gamma", "> 1"),
@@ -337,7 +368,6 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
     ("extremal", {"step1_eps": 0.0}, "step1_eps", "(0, 0.2]"),
     ("extremal", {"step1_eps": 0.3}, "step1_eps", "(0, 0.2]"),
     ("bubble", {"eps0": "0.75"}, "eps0", "'0.75'"),
-    ("bubble", {"robin_max": True}, "robin_max", "True"),
     ("profiles", {"r_max": "1500"}, "r_max", "'1500'"),
     ("extremal", {"step1_eps": False}, "step1_eps", "False"),
     ("extremal", {"model_gamma": "abc"}, "model_gamma", "'abc'"),
@@ -367,9 +397,9 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
         "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
         "domain-key", "rectangle-key", "gamma-ladder-nan",
-        "robin-max-infinity", "family-minus-infinity", "model-gamma-negative",
+        "family-minus-infinity", "model-gamma-negative",
         "model-gamma-zero", "model-gamma-one", "model-gamma-27", "step1-eps-zero", "step1-eps-large",
-        "eps0-string", "robin-max-bool", "r-max-string", "step1-eps-bool",
+        "eps0-string", "r-max-string", "step1-eps-bool",
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
         "gamma-ladder-number", "r-max-huge-int",
         "N-huge-int", "gamma-ladder-huge-int", "rectangle-width-string",

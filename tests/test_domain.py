@@ -270,9 +270,9 @@ def test_integrate_around_pole_chunks_are_bit_identical(monkeypatch, data0, dom)
         return Gv * data0.F(4.0 * math.pi * Gv)
 
     chunked = integrate_around_pole(dom, z, integrand)
-    assert max(sizes) <= domain._CHUNK < sum(sizes)
+    assert max(sizes) <= domain.CHUNK < sum(sizes)
     segment = domain._N_THETA * (domain._N_PANELS + 1) * domain._N_R
-    monkeypatch.setattr(domain, "_CHUNK", segment + 1)
+    monkeypatch.setattr(domain, "CHUNK", segment + 1)
     sizes.clear()
     assert integrate_around_pole(dom, z, integrand) == chunked
     assert max(sizes) == segment

@@ -1,6 +1,7 @@
 """Every top-level import in the package is used or re-exported, every
 definition is read, and every exported exception is raised somewhere.
-No subcommand loads scipy, which is a test dependency only, nor numpy.ma.
+No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
+and only mtcrit.numerics imports the Gauss-Legendre nodes.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
@@ -60,6 +61,13 @@ def test_no_unused_top_level_imports(path):
     unused = sorted(f"{name} (line {line})"
                     for name, line in _imported_names(tree).items() if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_leggauss_is_imported_by_numerics_alone():
+    # every quadrature takes its nodes from numerics.gauss_legendre
+    importers = sorted(path.name for path in MODULES
+                       if "leggauss" in _imported_names(ast.parse(path.read_text())))
+    assert importers == ["numerics.py"]
 
 
 def test_scan_catches_an_unused_import():

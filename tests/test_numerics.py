@@ -178,6 +178,12 @@ def test_brent_refuses_a_bracket_without_sign_change():
 # -- Gauss-Legendre -------------------------------------------------------------
 
 
+def _gauss_legendre_integral(f, edges, order):
+    nodes, weights = numerics.gauss_legendre(edges, order)
+    assert nodes.shape == weights.shape == (len(edges) - 1, order)
+    return float(np.sum(weights * f(nodes)))
+
+
 def test_gauss_legendre_is_exact_on_polynomials():
     # order n integrates degree 2n - 1 exactly on each panel
     for n in (2, 4, 7):
@@ -189,7 +195,7 @@ def test_gauss_legendre_is_exact_on_polynomials():
         exact = np.polynomial.polynomial.polyval(
             2.0, np.polynomial.polynomial.polyint(coef)) - np.polynomial.polynomial.polyval(
             -1.0, np.polynomial.polynomial.polyint(coef))
-        got = numerics.gauss_legendre(poly, [-1.0, 0.5, 2.0], n)
+        got = _gauss_legendre_integral(poly, [-1.0, 0.5, 2.0], n)
         assert got == pytest.approx(exact, rel=1e-14)
 
 
@@ -204,14 +210,8 @@ def test_gauss_legendre_matches_quad(f, edges):
     # quad's own requested accuracy
     ref, err = scipy.integrate.quad(f, edges[0], edges[-1], epsabs=0.0, epsrel=1e-13,
                                     limit=200)
-    got = numerics.gauss_legendre(f, edges, 8)
+    got = _gauss_legendre_integral(f, edges, 8)
     assert got == pytest.approx(ref, rel=1e-13)
-
-
-def test_gauss_legendre_calls_the_integrand_once():
-    calls = []
-    numerics.gauss_legendre(lambda x: calls.append(x.shape) or x, [0.0, 1.0, 2.0], 5)
-    assert calls == [(10,)]
 
 
 # -- exponential series ---------------------------------------------------------

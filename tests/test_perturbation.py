@@ -275,8 +275,8 @@ def test_horner_blend_matches_power_form(fam):
 
 
 def _blend_nested(fam, t):
-    """The blend by the nested Horner expression that `_hermite_eval`
-    evaluates in place."""
+    """The blend by the nested Horner expression, written out here so that
+    a change to the operations of `_hermite_eval` or their order shows."""
     h0, h1, h2, c3, c4, c5 = fam._hermite
     L = 2.0 * math.log(fam.R_prime)
     x = (np.log(t) + 0.5 * L) / L

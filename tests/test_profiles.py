@@ -9,8 +9,7 @@ import pytest
 
 from mtcrit import laplacian_profile, s0_explicit, solve_profile
 from mtcrit import profiles as profiles_module
-from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, _rhs, ode_profile, profile_integrals,
-                             t0)
+from mtcrit.profiles import A_CONSTANTS, B0_CONSTANT, _rhs, ode_profile, t0
 
 
 def test_t0_basic():
@@ -209,10 +208,9 @@ def test_A_check_integrates_past_r_max(integrals):
         assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
-def test_profile_integrals_rejects_short_range():
-    short = {i: solve_profile(i, r_max=500.0) for i in range(3)}
-    with pytest.raises(ValueError):
-        profile_integrals(short)
+def test_solve_profile_refuses_r_max_below_the_floor():
+    with pytest.raises(ValueError, match="r_max must be at least 100"):
+        solve_profile(0, r_max=profiles_module.R_MAX_FLOOR * (1.0 - 1e-12))
 
 
 def test_solve_profile_rejects_bad_index():
