@@ -21,7 +21,7 @@ from .csvout import write_csv
 from .numerics import solve_ivp
 from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
                            eval_psi_N, log_phi_N, xi)
-from .profiles import StepFailureError, laplacian_profile, s0_explicit, t0
+from .profiles import StepFailureError, laplacian_profile, s0_explicit
 
 __all__ = [
     "BlowDownError",
@@ -72,11 +72,6 @@ class BubbleSolution:
     y_grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray  # dB/dy
-
-    def t(self, r):
-        """Concentration variable t(r) = log(1 + r^2/mu^2); an r with no
-        axes gives a float."""
-        return t0(np.divide(r, self.mu))
 
     def to_csv(self, path: str) -> None:
         write_csv(path, ["r", "B", "dB_dr", "t"],

@@ -28,10 +28,10 @@ import numpy as np
 from . import __version__
 from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
-from .domain import RETIRED_DOMAIN_KEYS, DomainModel, Shape, lambda1, robin_report
+from .domain import DomainModel, Shape, lambda1, robin_report
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
-from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, R_MAX_FLOOR, ode_profile,
-                       profile_integrals, s0_explicit, solve_profile)
+from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, R_MAX_CEILING, R_MAX_FLOOR,
+                       ode_profile, profile_integrals, s0_explicit, solve_profile)
 from .bubble import check_ladder, ladder_reports
 from .variational import (height_seed, lambda_g_report, model_testfun_energy,
                           solve_subcritical, step1_testfun)
@@ -44,11 +44,6 @@ class ConfigError(ValueError):
 # The top-level keys a scenario config may carry (README, "Command line").
 CONFIG_KEYS = frozenset({"family", "domain", "gamma_ladder", "alpha_ladder",
                          "step1_eps", "model_gamma", "r_max", "eps0", "N"})
-# Keys of older configs that no longer configure anything: `extremal` ascends
-# from one start, `criterion` checks l on the fixed LOG_GAMMA_GRID, and
-# `bubble` seeds its multipliers from the unit disk's Robin maximum 0.  They
-# are dropped on reading, so they change no report.
-RETIRED_CONFIG_KEYS = frozenset({"starts", "gamma_grid", "robin_max"})
 # The curve file of each rung of the bubble and extremal ladders.
 _BUBBLE_CSV, _EXTREMAL_CSV = "bubble_gamma{:g}.csv", "extremal_alpha{:.4f}.csv"
 
@@ -73,15 +68,9 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON ({path}): {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object ({path})")
-    unknown = sorted(set(cfg) - CONFIG_KEYS - RETIRED_CONFIG_KEYS)
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"field {', '.join(map(repr, unknown))}: unknown config key")
-    cfg = {key: value for key, value in cfg.items() if key not in RETIRED_CONFIG_KEYS}
-    if isinstance(cfg.get("domain"), dict):
-        # a domain object that held only retired keys is no domain object
-        domain = {k: v for k, v in cfg.pop("domain").items() if k not in RETIRED_DOMAIN_KEYS}
-        if domain:
-            cfg["domain"] = domain
     for key, value in cfg.items():
         # json.load reads NaN, Infinity and overflowing literals as floats, the
         # integer ones through _parse_int
@@ -200,8 +189,9 @@ def cmd_criterion(cfg: dict, args) -> int:
 
 def cmd_profiles(cfg: dict, args) -> int:
     r_max = _number(cfg, "r_max", R_MAX)
-    if r_max < R_MAX_FLOOR:
-        raise ConfigError(f"field 'r_max': must be >= {R_MAX_FLOOR:g} (got {r_max:g})")
+    if not R_MAX_FLOOR <= r_max <= R_MAX_CEILING:
+        raise ConfigError(f"field 'r_max': must be >= {R_MAX_FLOOR:g} and "
+                          f"<= {R_MAX_CEILING:g} (got {r_max:g})")
     profiles = {i: solve_profile(i, r_max=r_max) for i in range(3)}
     constants = {}
     for i, P in profiles.items():

@@ -38,11 +38,6 @@ __all__ = [
 ]
 
 
-# Keys of older configs that no longer configure anything: the quadrature
-# order and the image-layer count are fixed by the code now.
-RETIRED_DOMAIN_KEYS = frozenset({"quad_order", "image_layers"})
-
-
 class PoleCoincidenceError(ValueError):
     """Green function requested at coincident points."""
 
@@ -93,20 +88,13 @@ class DomainModel:
             return 1.0 - math.hypot(x, y)
         return min(x, self.width - x, y, self.height - y)
 
-    def to_json(self) -> dict:
-        return {
-            "shape": self.shape.value,
-            "width": self.width,
-            "height": self.height,
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "DomainModel":
-        """Read the keys of `to_json`; an absent key takes its default, a
-        retired key is ignored and any other key is refused."""
+        """Read the keys `shape` (a `Shape` value), `width` and `height`; an
+        absent key takes its default and any other key is refused."""
         if not isinstance(obj, dict):
             raise ValueError("must be a JSON object")
-        unknown = sorted(set(obj) - {"shape", "width", "height"} - RETIRED_DOMAIN_KEYS)
+        unknown = sorted(set(obj) - {"shape", "width", "height"})
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
         return DomainModel(
@@ -223,7 +211,7 @@ def green(dom: DomainModel, x, y) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     y_in = np.asarray(y, dtype=float)
     y2 = np.atleast_2d(y_in)
-    if np.any(np.sqrt(np.sum((y2 - x) ** 2, axis=1)) < 1e-14):
+    if np.any(np.sum((y2 - x) ** 2, axis=1) < 1e-28):
         raise PoleCoincidenceError("x and y coincide")
     if dom.shape is Shape.UNIT_DISK:
         out = _green_disk(x, y2)

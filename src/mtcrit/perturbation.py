@@ -172,23 +172,11 @@ class PerturbationFamily:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "c": self.c,
-            "a": self.a,
-            "b": self.b,
-            "c_prime": self.c_prime,
-            "a_prime": self.a_prime,
-            "b_prime": self.b_prime,
-            "R_prime": self.R_prime,
-            "g0": self.g0,
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "PerturbationFamily":
-        """Read the keys of `to_json`; an absent key takes its default and
-        an unknown key is refused."""
+        """Read the keys `kind` (a `FamilyKind` value), `c`, `a`, `b`,
+        `c_prime`, `a_prime`, `b_prime`, `R_prime` and `g0`; an absent key
+        takes its default and any other key is refused."""
         if not isinstance(obj, dict):
             raise ValueError("must be a JSON object")
         keys = {f.name for f in fields(PerturbationFamily)} - {"_hermite"}

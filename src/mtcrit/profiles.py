@@ -25,7 +25,6 @@ from .numerics import CHUNK, CubicHermite, gauss_legendre, li2_neg, solve_ivp
 __all__ = [
     "StepFailureError",
     "RadialProfile",
-    "t0",
     "s0_explicit",
     "solve_profile",
     "ode_profile",
@@ -33,6 +32,7 @@ __all__ = [
     "A_CONSTANTS",
     "B0_CONSTANT",
     "R_MAX_FLOOR",
+    "R_MAX_CEILING",
 ]
 
 
@@ -43,10 +43,13 @@ class StepFailureError(RuntimeError):
 A_CONSTANTS = (4.0 * math.pi, 4.0 * math.pi * (3.0 + math.pi**2 / 6.0), 2.0 * math.pi)
 B0_CONSTANT = math.pi**2 / 6.0 + 2.0
 # Outer radius of the profile solves unless the caller asks for another, and
-# the least one they accept: from there on `profile_integrals` meets the
-# bounds of `verify` (measured in the README).
+# the least and the largest they accept: between the two `profile_integrals`
+# meets the bounds of `verify` (measured in the README).  Past the ceiling
+# its tail nodes overflow (1 + r^2)^2 (from r_max ~ 1e64 on), and from
+# r_max ~ 9.9e103 on A_check is NaN.
 R_MAX = 2000.0
 R_MAX_FLOOR = 100.0
+R_MAX_CEILING = 1e60
 # A profile grid is 0 and then _GRID_NODES geometric nodes from _R0 to r_max;
 # the ODE of ode_profile starts at _R0.
 _R0 = 1e-6
@@ -60,12 +63,6 @@ _TAIL_EDGES = np.append(0.0, 0.5 ** np.arange(40, -1, -1))
 # Tolerances of ode_profile.
 _RTOL = 1e-10
 _ATOL = 1e-10
-
-
-def t0(r):
-    """Standard bubble profile log(1 + r^2); an r with no axes gives a float."""
-    xp, r = _float_or_array(r)
-    return xp.log1p(r * r)
 
 
 def _float_or_array(r):
@@ -190,8 +187,9 @@ def solve_profile(i: int, r_max: float = R_MAX) -> RadialProfile:
     """
     if i not in (0, 1, 2):
         raise ValueError("profile index must be 0, 1 or 2")
-    if r_max < R_MAX_FLOOR:
-        raise ValueError(f"r_max must be at least {R_MAX_FLOOR:g}")
+    if not R_MAX_FLOOR <= r_max <= R_MAX_CEILING:
+        raise ValueError(f"r_max must be at least {R_MAX_FLOOR:g} and at most "
+                         f"{R_MAX_CEILING:g}")
     grid = np.concatenate([[0.0], np.geomspace(_R0, r_max, _GRID_NODES)])
     panels, tails = _radial_integrals(
         lambda r, w: np.stack(_kernel(r)) * (_rhs(i, r) * r * w), grid, _VOP_ORDER)

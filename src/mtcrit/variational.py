@@ -378,21 +378,18 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     A = float(data.A(g))
     Bc = float(data.B(g))
     S0, S1v, S2v = profiles[0], profiles[1], profiles[2]
-    robin_z = 0.0  # disk center
     S_int, q_prime = _green_source(data)
-    coef_q = 4.0 * Bc / (g * g * math.exp(1.0 + robin_z))
+    coef_q = 4.0 * Bc / (g * g * math.e)
 
     def height(L):
-        # L = log(1/mu~^2); U(0) - gamma
-        mu2 = math.exp(-L)
+        # L = log(1/mu~^2); U(0) - gamma.  Bracket (*) is log(1/(r^2+mu~^2))
+        # + H~ at r = 0, H~ = log(1+mu~^2); at r = 0 each profile bracket
+        # (A_i/4pi)(L + H~_i) - B_i is -S_i(1/mu~) by the choice of H~_i.
         inv_mu = math.exp(0.5 * L)
-        # bracket (*): log(1/(r^2+mu~^2)) + H~ at r=0, H~ = log(1+mu~^2)
-        tot = (L + math.log1p(mu2)) / g
-        for i, P in ((0, S0), (1, S1v)):
-            Htil = _bracket_const(P, inv_mu, L)
-            tot += (P.A / (4.0 * math.pi) * (L + Htil) - P.B) / g ** (3 + 2 * i)
-        Htil2 = _bracket_const(S2v, inv_mu, L)
-        tot += A / g * (S2v.A / (4.0 * math.pi) * (L + Htil2) - S2v.B)
+        tot = (L + math.log1p(math.exp(-L))) / g
+        tot -= S0(inv_mu) / g**3
+        tot -= S1v(inv_mu) / g**5
+        tot -= A / g * S2v(inv_mu)
         tot += coef_q * S_int
         return tot - g
 
@@ -421,17 +418,16 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     integrand = dUdr**2 * (r2 + mu2)  # times r dr = (r^2+mu^2)/2 dt
     norm_sq = 2.0 * math.pi * 0.5 * np.trapezoid(integrand, t)
 
-    I_z = g**-4.0 + 0.5 * A + 4.0 * Bc * S_int / (g**3 * math.exp(1.0 + robin_z))
+    I_z = g**-4.0 + 0.5 * A + 4.0 * Bc * S_int / (g**3 * math.e)
     zeta_check = max(g**-4.0, abs(A), abs(Bc) / g**3)
     gap = (norm_sq / (4.0 * math.pi) - 1.0 - I_z) / zeta_check
-    L_closed = g * g - 1.0 - robin_z + math.log1p(x) if x > -1.0 else None
+    L_closed = g * g - 1.0 + math.log1p(x) if x > -1.0 else None
     # Height condition with the curvature constants (B_i terms) dropped, the
     # truncation from which the closed form above is derived; the full root
     # carries an extra B_1/gamma^4 that the closed form absorbs in O(gamma^-4).
     denom = 1.0 + S0.A / (4.0 * math.pi * g * g) + S1v.A / (4.0 * math.pi * g**4) \
         + A * S2v.A / (4.0 * math.pi)
-    L_trunc = (g * g - robin_z * (1.0 + S0.A / (4.0 * math.pi * g * g))
-               + B0_CONSTANT / (g * g) - g * coef_q * S_int) / denom
+    L_trunc = (g * g + B0_CONSTANT / (g * g) - g * coef_q * S_int) / denom
     return {"norm_sq": float(norm_sq), "I_z": I_z, "normalized_gap": float(gap),
             "log_inv_mu2": L, "log_inv_mu2_closed": L_closed,
             "log_inv_mu2_truncated": L_trunc, "mu": mu,
@@ -439,5 +435,6 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
 
 
 def _bracket_const(P: RadialProfile, inv_mu: float, L: float) -> float:
-    """Constant harmonic correction zeroing S_i(r/mu)+(A_i/4pi)(L+H)-B_i at r=1."""
+    """Constant harmonic correction zeroing S_i(r/mu)+(A_i/4pi)(L+H)-B_i at r=1,
+    reported as H_tilde."""
     return 4.0 * math.pi / P.A * (P.B - P(inv_mu)) - L

@@ -34,8 +34,9 @@ def test_shoot_basic(fam0):
     assert np.all(np.diff(sol.values) <= 0)
     assert sol.values[-1] < sol.values[0]
     assert np.all(sol.values > 0)
-    # t at rho equals (1 - eps0) gamma^2.
-    assert sol.t(sol.rho) == pytest.approx((1.0 - sol.eps0) * 25.0, rel=1e-12)
+    # t = log(1 + (r/mu)^2) at rho equals (1 - eps0) gamma^2.
+    assert math.log1p((sol.rho / sol.mu) ** 2) == pytest.approx((1.0 - sol.eps0) * 25.0,
+                                                                rel=1e-12)
 
 
 def test_scaling_relation(fam0):

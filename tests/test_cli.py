@@ -123,57 +123,6 @@ def test_criterion_wide_grid_spread_still_classifies(tmp_path, c_prime, verdict,
     assert rep["l_confidence"] == 0.0
 
 
-def test_retired_domain_keys_change_no_report(tmp_path):
-    # Retired domain keys are dropped before the config is hashed, and a
-    # domain object left empty by that is dropped with them.
-    def report(name, payload):
-        argv = ["criterion", "--out", str(tmp_path / name)]
-        if payload is not None:
-            argv += ["--config", _write(tmp_path, f"{name}.json", payload)]
-        assert main(argv) == 0
-        return (tmp_path / name / "criterion.json").read_bytes()
-
-    assert report("a", {"domain": {"quad_order": 64}}) == report("b", None)
-    disk = {"shape": "UnitDisk"}
-    assert (report("c", {"domain": {**disk, "quad_order": 64, "image_layers": 3}})
-            == report("d", {"domain": disk}))
-
-
-def test_retired_gamma_grid_changes_no_report(tmp_path):
-    # gamma_grid is retired: l is checked on the fixed LOG_GAMMA_GRID, and a
-    # config that still sets a grid, even a malformed one, writes the report
-    # of one that does not.
-    family = {"kind": "PowerLog", "c_prime": -0.7, "a_prime": 0.25, "b_prime": 0.8}
-    reports = []
-    for k, grid in enumerate([None, [7.0, 20.0, 55.0, 150.0], [1.0, "55", True, math.nan]]):
-        payload = {"family": family}
-        if grid is not None:
-            payload["gamma_grid"] = grid
-        out = tmp_path / str(k)
-        assert main(["criterion", "--config", _write(tmp_path, f"cfg{k}.json", payload),
-                     "--out", str(out)]) == 0
-        reports.append(((out / "criterion.json").read_bytes(),
-                        (out / "ratio_curve.csv").read_bytes()))
-    assert reports[1] == reports[0] and reports[2] == reports[0]
-
-
-def test_retired_robin_max_changes_no_bubble_report(tmp_path):
-    # robin_max is retired: bubble seeds its multipliers from the unit disk's
-    # Robin maximum 0, and a config that still sets one, even a malformed
-    # one, writes the files of one that does not.
-    outputs = []
-    for k, M in enumerate([None, 1.5, True]):
-        payload = {"gamma_ladder": [3.0, 4.0]}
-        if M is not None:
-            payload["robin_max"] = M
-        out = tmp_path / str(k)
-        assert main(["bubble", "--config", _write(tmp_path, f"cfg{k}.json", payload),
-                     "--out", str(out)]) == 0
-        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    assert set(outputs[0]) == {"bubble.json", "bubble_gamma3.csv", "bubble_gamma4.csv"}
-
-
 def test_malformed_config_names_field(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "PowerLog",
                                                    "c": 1.0, "a": -2.0}})
@@ -218,11 +167,12 @@ def test_profiles_rmax_below_floor_refused_before_solving(tmp_path, capsys, monk
     assert solves == []
 
 
-@pytest.mark.parametrize("r_max", [100, 500, 999])
+@pytest.mark.parametrize("r_max", [100, 500, 999, 1e60])
 def test_profiles_meet_the_verify_bounds_from_the_floor(tmp_path, r_max):
     # The integrals carry their tails past r_max, so the bounds of verify's
     # rows hold from r_max = 100 on (measured there: A_check within 1.5e-5
-    # relative, I_S0 within 1.2e-11, I_T0sq within 3.1e-10 of 2 pi).
+    # relative, I_S0 within 1.2e-11, I_T0sq within 3.1e-10 of 2 pi) up to
+    # the ceiling R_MAX_CEILING = 1e60 (A_check within 7e-9 relative).
     cfg = _write(tmp_path, "cfg.json", {"r_max": r_max})
     assert main(["profiles", "--config", cfg, "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "profiles.json").read_text())
@@ -247,22 +197,6 @@ def test_extremal_bad_alpha(tmp_path, capsys):
     rc = main(["extremal", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "alpha" in capsys.readouterr().err
-
-
-def test_extremal_empty_starts(tmp_path):
-    # `starts` is retired: every ascent runs from one start, and a config that
-    # still names starts, even none, writes the report of one that does not.
-    reports = []
-    for k, starts in enumerate([None, [], ["eigen", "bubble"]]):
-        payload = {"family": {"kind": "Zero"}, "alpha_ladder": [0.7]}
-        if starts is not None:
-            payload["starts"] = starts
-        out = tmp_path / str(k)
-        assert main(["extremal", "--config", _write(tmp_path, f"cfg{k}.json", payload),
-                     "--out", str(out)]) == 0
-        reports.append((out / "extremal.json").read_bytes())
-    assert reports[1] == reports[0] and reports[2] == reports[0]
-    assert "start" not in json.loads(reports[0])["runs"][0]
 
 
 @pytest.mark.parametrize("family,level", [
@@ -296,13 +230,11 @@ def test_extremal_closed_form_height_may_not_exist(tmp_path):
 
 
 def test_readme_lists_every_config_key():
-    # The README names each top-level key once, in its key list or as retired.
+    # The README names each top-level key once, in its key list.
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = text.split("A scenario config is a JSON object with the optional keys")[1]
     listed = listed.split(".")[0]
-    retired = text.split("The retired top-level key")[1].split(".")[0]
     assert set(re.findall(r"`(\w+)`", listed)) == cli.CONFIG_KEYS
-    assert set(re.findall(r"`(\w+)`", retired)) == cli.RETIRED_CONFIG_KEYS
 
 
 @pytest.mark.parametrize("cmd", ["criterion", "extremal"])
@@ -349,6 +281,16 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
     ("extremal", {"alpha_ladder": []}, "alpha_ladder", "alpha_ladder"),
     ("extremal", {"alpha_ladder": [0.0, 0.9]}, "alpha_ladder", "(0, 4 pi)"),
     ("criterion", {"gamma_grdi": [7.0, 20.0, 55.0, 150.0]}, "gamma_grdi", "unknown"),
+    # keys of older configs that configure nothing: extremal ascends from one
+    # start, criterion checks l on the fixed LOG_GAMMA_GRID, bubble seeds at
+    # the disk's Robin maximum 0, and the domain's quadrature order and image
+    # layers are fixed by the code
+    ("extremal", {"alpha_ladder": [0.7], "starts": ["eigen", "bubble"]}, "starts", "unknown"),
+    ("criterion", {"gamma_grid": [7.0, 20.0, 55.0, 150.0]}, "gamma_grid", "unknown"),
+    ("bubble", {"gamma_ladder": [3.0, 4.0], "robin_max": 1.5}, "robin_max", "unknown"),
+    ("criterion", {"domain": {"quad_order": 64}}, "domain", "unknown key 'quad_order'"),
+    ("extremal", {"domain": {"shape": "UnitDisk", "image_layers": 3}}, "domain",
+     "unknown key 'image_layers'"),
     ("bubble", {"family": {"kind": "PowerLog", "cprime": -1.0, "a_prime": 1.0}},
      "family", "'cprime'"),
     # test_perturbation.DIPPING: both branches pass, the blend dips to -1.23
@@ -375,6 +317,8 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
     ("bubble", {"gamma_ladder": ["3"]}, "gamma_ladder", "'3'"),
     ("bubble", {"gamma_ladder": 3.0}, "gamma_ladder", "list of numbers"),
     ("profiles", {"r_max": 10**400}, "r_max", "too large for a double"),
+    ("profiles", {"r_max": 1.000001e60}, "r_max", "<= 1e+60"),
+    ("profiles", {"r_max": 9.9e103}, "r_max", "<= 1e+60"),
     ("extremal", {"N": 10**400}, "N", "too large for a double"),
     ("bubble", {"gamma_ladder": [10**400]}, "gamma_ladder", "too large for a double"),
     ("criterion", {"domain": {"shape": "Rectangle", "width": "2"}}, "domain", "'2'"),
@@ -395,13 +339,15 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
      "gamma_ladder", "gamma = 0.9"),
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
-        "alpha-ladder-zero", "top-level-key", "family-key", "family-blend-dips",
+        "alpha-ladder-zero", "top-level-key", "starts", "gamma-grid", "robin-max",
+        "domain-quad-order", "domain-image-layers", "family-key", "family-blend-dips",
         "domain-key", "rectangle-key", "gamma-ladder-nan",
         "family-minus-infinity", "model-gamma-negative",
         "model-gamma-zero", "model-gamma-one", "model-gamma-27", "step1-eps-zero", "step1-eps-large",
         "eps0-string", "r-max-string", "step1-eps-bool",
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
-        "gamma-ladder-number", "r-max-huge-int",
+        "gamma-ladder-number", "r-max-huge-int", "r-max-above-ceiling",
+        "r-max-nan-integrals",
         "N-huge-int", "gamma-ladder-huge-int", "rectangle-width-string",
         "disk-width-string", "disk-height-bool", "gamma-ladder-same-file",
         "gamma-ladder-duplicate", "alpha-ladder-same-file", "gamma-ladder-window",

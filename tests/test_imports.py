@@ -8,7 +8,9 @@ from creeping back: a name bound by a module-level import must be read
 somewhere in the module or be listed in its ``__all__``; a function,
 class, method or annotated class field must be read somewhere in the
 package or be listed in an ``__all__``; and an exception class in
-``mtcrit.__all__`` must appear in a ``raise``.
+``mtcrit.__all__`` must appear in a ``raise``.  Every key of
+``cli.CONFIG_KEYS`` must be read by some subcommand, so that a key that
+configures nothing cannot come back.
 """
 
 import ast
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import mtcrit
+from mtcrit import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mtcrit"
 MODULES = sorted(SRC.glob("*.py"))
@@ -160,6 +163,60 @@ def test_raise_scan_reads_every_form():
     tree = ast.parse("raise A\nraise B('x')\nraise m.C('y') from None\n"
                      "try:\n    pass\nexcept D:\n    raise\n")
     assert _raised_names(tree) == {"A", "B", "C"}
+
+
+def _config_keys_read(tree: ast.Module) -> set:
+    """The config keys that the module's cmd_* functions read, directly or
+    through the module functions they call: the string in `cfg.get("k")` or
+    `cfg["k"]`, and the string passed as the `key` parameter of a function
+    that also takes `cfg`."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    params = {name: [a.arg for a in fn.args.args] for name, fn in funcs.items()}
+    keys, seen = set(), set()
+    todo = [name for name in funcs if name.startswith("cmd_")]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "cfg":
+                arg = node.slice
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "cfg" \
+                    and node.func.attr == "get" and node.args:
+                arg = node.args[0]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in funcs:
+                todo.append(node.func.id)
+                callee = params[node.func.id]
+                if "cfg" not in callee or "key" not in callee:
+                    continue
+                k = callee.index("key")
+                arg = node.args[k] if k < len(node.args) else next(
+                    (kw.value for kw in node.keywords if kw.arg == "key"), None)
+            else:
+                continue
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                keys.add(arg.value)
+    return keys
+
+
+def test_every_config_key_is_read_by_a_subcommand():
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    unread = sorted(cli.CONFIG_KEYS - _config_keys_read(tree))
+    assert not unread, f"config keys no subcommand reads: {unread}"
+
+
+def test_config_key_scan_catches_an_unread_key():
+    tree = ast.parse(
+        "def _number(cfg, key, default): return cfg.get(key, default)\n"
+        "def _domain(cfg, command): return cfg.get('domain', command)\n"
+        "def _dead(cfg): return cfg['orphan']\n"
+        "def cmd_a(cfg, args): return _number(cfg, 'r_max', 1.0), _domain(cfg, 'a')\n"
+        "def cmd_b(cfg, args): return cfg['family'], _number(cfg, key='eps0')\n")
+    assert _config_keys_read(tree) == {"r_max", "domain", "family", "eps0"}
 
 
 # -- scipy stays out of the runtime -------------------------------------------

@@ -72,8 +72,11 @@ def test_exponent_set_validation(kwargs):
 
 def test_json_round_trip():
     fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=0.1, a=2.0, b=1.0,
-                             c_prime=-0.3, a_prime=1.5, b_prime=0.5, g0=0.2)
-    assert PerturbationFamily.from_json(fam.to_json()) == fam
+                             c_prime=-0.3, a_prime=1.5, b_prime=0.5, R_prime=8.0, g0=0.2)
+    # from_json reads every key of the config's family object
+    assert PerturbationFamily.from_json({
+        "kind": "PowerLog", "c": 0.1, "a": 2.0, "b": 1.0, "c_prime": -0.3,
+        "a_prime": 1.5, "b_prime": 0.5, "R_prime": 8.0, "g0": 0.2}) == fam
 
 
 def test_phi_small_orders():

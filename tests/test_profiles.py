@@ -9,12 +9,7 @@ import pytest
 
 from mtcrit import laplacian_profile, s0_explicit, solve_profile
 from mtcrit import profiles as profiles_module
-from mtcrit.profiles import A_CONSTANTS, B0_CONSTANT, _rhs, ode_profile, t0
-
-
-def test_t0_basic():
-    assert t0(0.0) == 0.0
-    assert t0(1.0) == pytest.approx(math.log(2.0), rel=1e-15)
+from mtcrit.profiles import A_CONSTANTS, B0_CONSTANT, _rhs, ode_profile
 
 
 def test_s0_explicit_values():
@@ -135,7 +130,7 @@ def test_profile_evaluators_give_floats_for_numbers_with_no_axes(profiles):
     # round the logs and exponentials apart by an ulp
     P = profiles[1]
     r = np.array([0.0, 0.7, 4.0, 1999.0, 2000.0, 2500.0, 1e6])
-    for f in (t0, P, P.derivative, lambda x: laplacian_profile(1, x, P)):
+    for f in (P, P.derivative, lambda x: laplacian_profile(1, x, P)):
         arr = f(r)
         for k, x in enumerate(r):
             for num in (float(x), np.float64(x), np.array(x)):
@@ -211,6 +206,11 @@ def test_A_check_integrates_past_r_max(integrals):
 def test_solve_profile_refuses_r_max_below_the_floor():
     with pytest.raises(ValueError, match="r_max must be at least 100"):
         solve_profile(0, r_max=profiles_module.R_MAX_FLOOR * (1.0 - 1e-12))
+
+
+def test_solve_profile_refuses_r_max_above_the_ceiling():
+    with pytest.raises(ValueError, match="at most 1e\\+60"):
+        solve_profile(0, r_max=profiles_module.R_MAX_CEILING * (1.0 + 1e-12))
 
 
 def test_solve_profile_rejects_bad_index():
