@@ -14,7 +14,6 @@ from .perturbation import (
     eval_H,
     eval_psi_N,
     phi_N,
-    log_phi_N,
     xi,
 )
 from .domain import (
@@ -72,7 +71,7 @@ __version__ = "1.0.0"
 __all__ = [
     "PerturbationFamily", "FamilyKind", "AsymptoticData",
     "NonAdmissibleError", "ExponentBudgetError", "asymptotic_data",
-    "eval_g", "eval_H", "eval_psi_N", "phi_N", "log_phi_N", "xi",
+    "eval_g", "eval_H", "eval_psi_N", "phi_N", "xi",
     "DomainModel", "Shape", "RobinReport", "PoleCoincidenceError",
     "DegenerateMaxError", "first_bessel_zero", "lambda1", "robin_report",
     "RadialProfile", "StepFailureError", "solve_profile",

@@ -13,6 +13,7 @@ profiles S0, S1, S2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +21,14 @@ import numpy as np
 from .csvout import write_csv
 from .numerics import solve_ivp
 from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
-                           eval_psi_N, log_phi_N, xi)
+                           eval_psi_N, phi_N, xi)
 from .profiles import StepFailureError, laplacian_profile, s0_explicit
 
 __all__ = [
     "BlowDownError",
     "BubbleSolution",
     "ExpansionReport",
+    "OrderUnderflowError",
     "check_ladder",
     "lambda_from_level",
     "shoot_bubble",
@@ -37,6 +39,10 @@ __all__ = [
 
 class BlowDownError(RuntimeError):
     """The shot solution hit zero before the concentration radius."""
+
+
+class OrderUnderflowError(ValueError):
+    """phi_{N-1}(gamma^2) of the bubble scaling is below the normal doubles."""
 
 
 # Both expansion checks take their sups over y >= _Y_FLOOR; the source
@@ -80,12 +86,18 @@ class BubbleSolution:
 
 
 def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float, lam: float) -> float:
-    """Solve lambda H(gamma) mu^2 gamma^2 phi_{N-1}(gamma^2) = 4 for mu."""
+    """Solve lambda H(gamma) mu^2 gamma^2 phi_{N-1}(gamma^2) = 4 for mu; an N whose
+    phi_{N-1}(gamma^2) is below the normal doubles is refused (OrderUnderflowError)."""
     H = eval_H(fam, gamma)
     if H <= 0:
         raise ValueError("H(gamma) must be positive")
+    tail = phi_N(N - 1, gamma * gamma)
+    if tail < sys.float_info.min:
+        raise OrderUnderflowError(f"N = {N} is too large for gamma = {gamma:g}: phi_(N-1)"
+                                  f"(gamma^2) = {tail:.3g} is below the normal doubles; "
+                                  f"lower N or raise gamma")
     log_mu2 = (math.log(4.0) - math.log(lam) - math.log(H)
-               - 2.0 * math.log(gamma) - log_phi_N(N - 1, gamma * gamma))
+               - 2.0 * math.log(gamma) - math.log(tail))
     return math.exp(0.5 * log_mu2)
 
 
@@ -239,13 +251,14 @@ def _ladder_window(gammas, eps0: float) -> tuple[float, list]:
     return cap, ends
 
 
-def check_ladder(fam: PerturbationFamily, gammas, eps0: float, r_max: float) -> None:
+def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float, r_max: float) -> None:
     """Refuse with ValueError, before any solve, a ladder that
-    `ladder_reports` cannot finish on profiles solved out to r_max: a
-    gamma^2 past EXP_BUDGET (eval_psi_N refuses it), a gamma <= 1 where the
-    family's decay coefficient A(gamma) has no value, an expansion window
-    with no node at y >= _Y_FLOOR (its sups would be over nothing), or one
-    that reads the profiles past r_max (verify_expansion refuses it)."""
+    `ladder_reports` cannot finish at order N on profiles solved out to
+    r_max: a gamma^2 past EXP_BUDGET (eval_psi_N refuses it), a gamma <= 1
+    where the family's decay coefficient A(gamma) has no value, an
+    expansion window with no node at y >= _Y_FLOOR (its sups would be over
+    nothing), one that reads the profiles past r_max (verify_expansion
+    refuses it), or a scaling that `shoot_bubble` refuses at gamma_min."""
     top, low = max(gammas), min(gammas)
     if top * top > EXP_BUDGET:
         raise ValueError(f"gamma = {top:g} is past the exponent budget of Psi_N "
@@ -262,6 +275,7 @@ def check_ladder(fam: PerturbationFamily, gammas, eps0: float, r_max: float) -> 
         raise ValueError(f"with eps0 = {eps0:g} the expansion window of gamma = "
                          f"{low:g} reads the profiles out to {max(ends):.10g}, past "
                          f"their r_max = {r_max:g}; lower the smallest gamma or raise eps0")
+    _mu_from_scaling(fam, N, low, lambda_from_level(low, 0.0))
 
 
 def ladder_reports(fam: PerturbationFamily, N: int, gammas, profiles: dict,

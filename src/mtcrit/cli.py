@@ -32,7 +32,7 @@ from .domain import DomainModel, Shape, lambda1, robin_report
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, R_MAX_CEILING, R_MAX_FLOOR,
                        ode_profile, profile_integrals, s0_explicit, solve_profile)
-from .bubble import check_ladder, ladder_reports
+from .bubble import OrderUnderflowError, check_ladder, ladder_reports
 from .variational import (height_seed, lambda_g_report, model_testfun_energy,
                           solve_subcritical, step1_testfun)
 
@@ -221,7 +221,9 @@ def cmd_bubble(cfg: dict, args) -> int:
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
         raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
     try:
-        check_ladder(fam, gammas, eps0, R_MAX)
+        check_ladder(fam, N, gammas, eps0, R_MAX)
+    except OrderUnderflowError as exc:
+        raise ConfigError(f"field 'N': {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"field 'gamma_ladder': {exc}") from None
     # both bubble checks use the explicit S0, so only S1 and S2 are solved

@@ -147,16 +147,20 @@ def classify(M: float, S: float, lambda_g: float, l: float, l_confidence: float,
     """Assemble the existence verdict from the computed quantities.
 
     l is the grid extrapolant of limit_l and l_confidence its spread.  The
-    closed form l_closed decides the sign, and its distance to the grid
-    value widens the reported confidence.
+    closed form l_closed decides the sign; where its distance to the grid
+    value exceeds the spread, it widens the reported confidence and
+    diagnostics["l_grid_disagrees"] says so.
     lambda_gap is the reported optimization gap of the Lambda_g solve;
     comparisons within the gap are treated as undecided.  For the
     no-extremal branch the conclusion applies to the truncations of g at
     every order N large enough (the statement is asymptotic in N).
     """
     level = math.pi * math.exp(1.0 + M)
-    l_confidence = max(l_confidence, abs(l_closed - l))
     diag = dict(diagnostics or {})
+    gap = abs(l_closed - l)
+    if gap > l_confidence:
+        diag["l_grid_disagrees"] = f"|l_closed - l_grid| = {gap:.3g} > spread {l_confidence:.3g}"
+        l_confidence = gap
     if l_closed > l_confidence:
         verdict = Verdict.EXISTS_L
     elif lambda_g - lambda_gap >= level:

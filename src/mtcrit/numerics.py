@@ -9,10 +9,10 @@
 * `brentq`: Brent's bracketed root finder, as in scipy.optimize.brentq.
 * `gauss_legendre`: the nodes and weights of composite Gauss-Legendre
   quadrature, one row of each per panel.
-* `series_tail`, `power_term`, their logs and `term_over_tail`:
-  sum_{k>N} T^k/k!, T^k/k! and the ratio of the two, for integer orders;
-  `series_tail` and `power_term` on floats and arrays, the logs and the
-  ratio on floats.
+* `series_tail`, `power_term` and `term_over_tail`: sum_{k>N} T^k/k!,
+  T^k/k! and the ratio of the two, for integer orders and
+  0 <= T <= EXP_BUDGET; `series_tail` and `power_term` on floats and
+  arrays, the ratio on floats.
 * `li2_neg`: the dilogarithm Li2(-x), x >= 0.
 * `CubicHermite`: piecewise cubic Hermite interpolation and its slope.
 
@@ -24,7 +24,9 @@ tests/test_numerics.py holds each kernel to scipy or mpmath.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,7 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "CHUNK",
+    "EXP_BUDGET",
     "OdeResult",
     "MinimizeResult",
     "solve_ivp",
@@ -39,15 +42,13 @@ __all__ = [
     "brentq",
     "gauss_legendre",
     "power_term",
-    "log_power_term",
     "series_tail",
-    "log_series_tail",
     "term_over_tail",
     "li2_neg",
     "CubicHermite",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 # Largest number of quadrature nodes handed to an integrand at once, so that
 # its temporaries stay small and warm.
 CHUNK = 8192
@@ -311,11 +312,19 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = 4.0 * _EPS,
 # -- Gauss-Legendre -------------------------------------------------------------
 
 
+@functools.cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(order), built once per order and read-only."""
+    x, w = leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule with `order` Gauss-Legendre
     nodes on each panel [edges[i], edges[i+1]], each shaped (panels, order):
     the integral of f is the sum of weights * f(nodes)."""
-    x, w = leggauss(order)
+    x, w = _legendre_rule(order)
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)[:, None]
     return edges[:-1, None] + half * (x + 1.0), half * w
@@ -323,41 +332,21 @@ def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 # -- exponential series ---------------------------------------------------------
 
-# Stirling's series for lgamma(k + 1) - (k log k - k + log(2 pi k) / 2), used
-# for k >= _STIRLING_MIN, where its next term is below 1e-17
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
-_STIRLING_MIN = 20
-_TINY = np.finfo(float).tiny
-# up to this T, e^T and every partial product T^k/k! <= e^T are doubles
-_PRODUCT_MAX_T = 700.0
+# the exponent budget: up to T = EXP_BUDGET, e^T and every T^k/k! <= e^T are doubles
+EXP_BUDGET = 700.0
 
 
 def power_term(k: int, T):
-    """T^k / k! for an integer k >= 0 and 0 <= T <= _PRODUCT_MAX_T (float
-    or array): k products of T/j, each rounded once."""
-    p = 1.0 if isinstance(T, float) else np.ones_like(T)
+    """T^k / k! for an integer k >= 0 and 0 <= T <= EXP_BUDGET (float or
+    array): k products of T/j, each rounded once.  A float stops at the
+    first product that underflows to 0, which all later ones keep."""
+    scalar = isinstance(T, float)
+    p = 1.0 if scalar else np.ones_like(T)
     for j in range(1, k + 1):
         p = p * (T / j)
+        if scalar and p == 0.0:
+            break
     return p
-
-
-def log_power_term(k: int, T: float) -> float:
-    """log(T^k / k!) for an integer k >= 0 and a float T > 0.
-
-    Below _STIRLING_MIN, k log T - lgamma(k + 1).  From there on the two
-    logs cancel to much less than either, so the difference is taken as
-    k (log(T/k) + 1) - log(2 pi k)/2 minus Stirling's series, which keeps
-    the error near eps |log(T^k/k!)| in place of eps k log k.  (Where T/k
-    is below the normal doubles, log T - log k stands in for log(T/k).)
-    """
-    if k < _STIRLING_MIN:
-        return k * math.log(T) - math.lgamma(k + 1)
-    inv = 1.0 / k
-    inv2 = inv * inv
-    series = inv * sum(c * inv2 ** i for i, c in enumerate(_STIRLING))
-    x = T * inv
-    log_x = math.log(x) if x >= _TINY else math.log(T) - math.log(k)
-    return k * (log_x + 1.0) - 0.5 * math.log(2.0 * math.pi * k) - series
 
 
 def _float_tail_sum(N: int, T: float) -> tuple[bool, float, int]:
@@ -411,17 +400,9 @@ def _tail_sum(N: int, T):
     return forward, s
 
 
-def _poisson_term(N: int, T: float) -> float:
-    """e^-T T^N/N! for a float T >= N, from products up to _PRODUCT_MAX_T
-    and from logs beyond."""
-    if T <= _PRODUCT_MAX_T:
-        return math.exp(-T) * power_term(N, T)
-    return math.exp(log_power_term(N, T) - T)
-
-
 def series_tail(N: int, T):
     """phi_N(T) = sum_{k>N} T^k/k! for an integer N >= 0 and
-    0 <= T <= _PRODUCT_MAX_T (float or array): T^(N+1)/(N+1)! s forward,
+    0 <= T <= EXP_BUDGET (float or array): T^(N+1)/(N+1)! s forward,
     e^T - T^N/N! s otherwise (see `_tail_sum`)."""
     forward, s = _tail_sum(N, T)
     if isinstance(T, float):
@@ -429,24 +410,15 @@ def series_tail(N: int, T):
     return np.where(forward, power_term(N + 1, T) * s, np.exp(T) - power_term(N, T) * s)
 
 
-def log_series_tail(N: int, T: float) -> float:
-    """log phi_N(T) for an integer N >= 0 and a float T > 0:
-    log(T^(N+1)/(N+1)!) + log s forward, T + log(1 - q) otherwise, with
-    q = e^-T T^N/N! s at most about 1/2 (see `_tail_sum`)."""
-    forward, s = _tail_sum(N, T)
-    if forward:
-        return log_power_term(N + 1, T) + math.log(s)
-    return T + math.log1p(-_poisson_term(N, T) * s)
-
-
 def term_over_tail(N: int, T: float) -> float:
-    """(T^N/N!) / phi_N(T) for an integer N >= 0 and a float T > 0:
-    (N + 1)/(T s) forward, with no power of T formed at all, and
-    p/(1 - p s) with p = e^-T T^N/N! otherwise (see `_tail_sum`)."""
+    """(T^N/N!) / phi_N(T) for an integer N >= 0 and a float
+    0 < T <= EXP_BUDGET: (N + 1)/(T s) forward, with no power of T formed
+    at all, and p/(1 - p s) with p = e^-T T^N/N! otherwise (see
+    `_tail_sum`)."""
     forward, s = _tail_sum(N, T)
     if forward:
         return (N + 1) / (T * s)
-    p = _poisson_term(N, T)
+    p = math.exp(-T) * power_term(N, T)
     return p / (1.0 - p * s)
 
 

@@ -9,7 +9,7 @@ provides:
 * the derived functions H, Psi_N, phi_N and the truncation weight xi,
 * the asymptotic data (A, B, F, kappa) attached to a family.
 
-Large arguments are handled in log-scale with an explicit exponent budget.
+A T = t^2 past the exponent budget EXP_BUDGET is refused.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import log_series_tail, power_term, series_tail, term_over_tail
-
-EXP_BUDGET = 700.0
+from .numerics import EXP_BUDGET, power_term, series_tail, term_over_tail
 
 __all__ = [
     "NonAdmissibleError",
@@ -34,7 +32,6 @@ __all__ = [
     "eval_g",
     "eval_H",
     "phi_N",
-    "log_phi_N",
     "eval_psi_N",
     "xi",
     "asymptotic_data",
@@ -269,24 +266,11 @@ def _check_order(N, least: int = 1) -> None:
         raise ValueError(f"N must be an integer >= {least} (got {N!r})")
 
 
-def log_phi_N(N: int, T) -> float:
-    """log of phi_N(T) = sum_{k>N} T^k / k! for a number T >= 0 of any size
-    (N >= 0; -inf at T = 0), as a Python float.  An array is refused with
-    TypeError."""
-    _check_order(N, least=0)
-    if not (isinstance(T, float) or np.ndim(T) == 0):
-        raise TypeError("log_phi_N takes a number T, not an array")
-    T = float(T)
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    return log_series_tail(N, T) if T > 0 else -math.inf
-
-
 def phi_N(N: int, T) -> np.ndarray | float:
     """Tail of the exponential series, sum_{k>N} T^k / k! (N >= 0,
     0 <= T <= EXP_BUDGET), summed in doubles by `series_tail` (phi_N < e^T).
-    A T past the budget is refused with ExponentBudgetError; `log_phi_N`
-    takes it.  A T with no axes gives a Python float.
+    A T past the budget is refused with ExponentBudgetError.  A T with no
+    axes gives a Python float.
     """
     _check_order(N, least=0)
     scalar = isinstance(T, float) or np.ndim(T) == 0
@@ -294,8 +278,7 @@ def phi_N(N: int, T) -> np.ndarray | float:
     if (T < 0) if scalar else np.any(T < 0):
         raise ValueError("T must be nonnegative")
     if (T > EXP_BUDGET) if scalar else np.any(T > EXP_BUDGET):
-        raise ExponentBudgetError("phi_N(T) past T = EXP_BUDGET exceeds the exponent "
-                                  "budget; use log_phi_N")
+        raise ExponentBudgetError("T exceeds the exponent budget")
     return series_tail(N, T)
 
 
@@ -343,6 +326,8 @@ def xi(N: int, gamma: float) -> float:
     if gamma <= 0:
         raise ValueError("gamma > 0 required")
     T = float(gamma) * float(gamma)
+    if T > EXP_BUDGET:
+        raise ExponentBudgetError("gamma^2 exceeds the exponent budget")
     return term_over_tail(N - 1, T)
 
 

@@ -1,6 +1,7 @@
 """Tests for the bubble shooter and its expansion checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mtcrit import (
     shoot_bubble,
     verify_expansion,
 )
-from mtcrit.bubble import _ladder_window, check_ladder
+from mtcrit.bubble import OrderUnderflowError, _ladder_window, check_ladder
 
 
 def test_lambda_from_level():
@@ -137,20 +138,20 @@ def test_check_ladder_refuses_what_verify_expansion_refuses(fam0, profiles, gamm
     assert reach == np.max(sol.y_grid[np.log1p(sol.y_grid ** 2) <= cap])
     assert (reach > r_max) == refused
     if not refused:
-        check_ladder(fam0, [gamma], eps0, r_max)
+        check_ladder(fam0, 1, [gamma], eps0, r_max)
         verify_expansion(sol, profiles, t_cap=cap)
     else:
         with pytest.raises(ValueError, match="eps0"):
-            check_ladder(fam0, [gamma], eps0, r_max)
+            check_ladder(fam0, 1, [gamma], eps0, r_max)
         with pytest.raises(ValueError, match="grid mismatch"):
             verify_expansion(sol, profiles, t_cap=cap)
 
 
 def test_check_ladder_refuses_gamma_past_the_budget(fam0):
     top = math.sqrt(700.0)
-    check_ladder(fam0, [3.0, top], 0.75, 2000.0)
+    check_ladder(fam0, 1, [3.0, top], 0.75, 2000.0)
     with pytest.raises(ValueError, match="exponent budget"):
-        check_ladder(fam0, [3.0, math.nextafter(top, 30.0)], 0.75, 2000.0)
+        check_ladder(fam0, 1, [3.0, math.nextafter(top, 30.0)], 0.75, 2000.0)
 
 
 @pytest.mark.parametrize("gamma,refused", [(0.5, True), (0.7, False)])
@@ -161,11 +162,11 @@ def test_check_ladder_refuses_an_empty_window(fam0, profiles, gamma, refused):
     cap, _ = _ladder_window([gamma], 0.75)
     if refused:
         with pytest.raises(ValueError, match="holds no node"):
-            check_ladder(fam0, [gamma], 0.75, 2000.0)
+            check_ladder(fam0, 1, [gamma], 0.75, 2000.0)
         with pytest.raises(ValueError, match="zero-size"):
             verify_expansion(sol, profiles, t_cap=cap)
     else:
-        check_ladder(fam0, [gamma], 0.75, 2000.0)
+        check_ladder(fam0, 1, [gamma], 0.75, 2000.0)
         verify_expansion(sol, profiles, t_cap=cap)
 
 
@@ -180,6 +181,35 @@ def test_check_ladder_refuses_gamma_where_A_has_no_value(gammas, refused):
     assert np.all(np.isfinite(A)) != refused
     if refused:
         with pytest.raises(ValueError, match="only for gamma > 1"):
-            check_ladder(fam, gammas, 0.75, 2000.0)
+            check_ladder(fam, 1, gammas, 0.75, 2000.0)
     else:
-        check_ladder(fam, gammas, 0.75, 2000.0)
+        check_ladder(fam, 1, gammas, 0.75, 2000.0)
+
+
+# gamma_min -> the first N at which phi_{N-1}(gamma_min^2) in the bubble
+# scaling is below the normal doubles
+N_UNDERFLOW = {1.0: 171, 2.0: 231, 3.0: 287, 5.0: 399, 10.0: 722}
+
+
+@pytest.mark.parametrize("gamma", N_UNDERFLOW)
+def test_check_ladder_refuses_orders_past_the_underflow(fam0, gamma):
+    # eps0 = 0.9 keeps the expansion window of gamma = 10 inside r_max
+    N = N_UNDERFLOW[gamma]
+    assert phi_N(N - 2, gamma * gamma) >= sys.float_info.min > phi_N(N - 1, gamma * gamma)
+    check_ladder(fam0, N - 1, [gamma, 12.0], 0.9, 2000.0)
+    for order in (N, N + 5, 10**12):
+        with pytest.raises(OrderUnderflowError, match=f"N = {order} is too large"):
+            check_ladder(fam0, order, [12.0, gamma], 0.9, 2000.0)
+
+
+def test_orders_below_the_underflow_still_blow_down(fam0):
+    # N = 286 passes the check on the default ladder and its shot still
+    # hits zero before rho (Psi_N ~ (1 + g)(1 + t^2) for N >> gamma^2)
+    check_ladder(fam0, 286, [3.0, 4.0, 5.0], 0.75, 2000.0)
+    with pytest.raises(BlowDownError):
+        shoot_bubble(fam0, 286, 3.0, lambda_from_level(3.0, 0.0))
+
+
+def test_shoot_refuses_an_order_past_the_underflow(fam0):
+    with pytest.raises(ValueError, match="N = 287 is too large for gamma = 3"):
+        shoot_bubble(fam0, 287, 3.0, lambda_from_level(3.0, 0.0))

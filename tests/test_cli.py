@@ -333,6 +333,8 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
     ("bubble", {"gamma_ladder": [8.0], "eps0": 0.65}, "gamma_ladder", "eps0 = 0.65"),
     ("bubble", {"gamma_ladder": [3, 27]}, "gamma_ladder", "exponent budget"),
     ("bubble", {"gamma_ladder": [0.5]}, "gamma_ladder", "holds no node"),
+    ("bubble", {"N": 287}, "N", "N = 287 is too large for gamma = 3"),
+    ("bubble", {"N": 10**12, "gamma_ladder": [26.0], "eps0": 0.99}, "N", "below the normal"),
     ("bubble", {"family": POWERLOG_NO_A_BELOW_1, "gamma_ladder": [1.0]}, "gamma_ladder",
      "only for gamma > 1"),
     ("bubble", {"family": POWERLOG_NO_A_BELOW_1, "gamma_ladder": [0.9, 2.0]},
@@ -352,6 +354,7 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
         "disk-width-string", "disk-height-bool", "gamma-ladder-same-file",
         "gamma-ladder-duplicate", "alpha-ladder-same-file", "gamma-ladder-window",
         "gamma-ladder-window-eps0", "gamma-ladder-budget", "gamma-ladder-empty-window",
+        "N-past-underflow", "N-huge-past-underflow",
         "gamma-ladder-A-at-one", "gamma-ladder-A-below-one"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):

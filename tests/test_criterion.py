@@ -114,6 +114,19 @@ def test_classify_branches():
     assert classify(0.0, 0.5, 2.0, 0.0, 0.1, l_closed=0.0).verdict is Verdict.INCONCLUSIVE
 
 
+@pytest.mark.parametrize("l,conf,named", [(0.3, 0.1, True), (0.3, 0.5, False),
+                                           (0.3, 0.3, False)])
+def test_classify_names_a_grid_that_disagrees_with_the_closed_form(l, conf, named):
+    # l_closed = 0.5: the grid is 0.2 off it; beyond its spread, the
+    # widened confidence comes with a named reason
+    rep = classify(0.0, 0.5, 2.0, l, conf, l_closed=0.5, diagnostics={"kept": 1})
+    assert rep.l_confidence == max(conf, 0.2 if named else 0.0)
+    assert ("l_grid_disagrees" in rep.diagnostics) == named
+    assert rep.diagnostics["kept"] == 1
+    if named:
+        assert rep.diagnostics["l_grid_disagrees"] == "|l_closed - l_grid| = 0.2 > spread 0.1"
+
+
 def test_cor2_classifier():
     assert cor2_classifier(3.0, 0.0, -1.0) is Cor2Class.EXISTS
     assert cor2_classifier(1.0, 0.0, 2.0) is Cor2Class.EXISTS

@@ -1,7 +1,8 @@
 """Every top-level import in the package is used or re-exported, every
 definition is read, and every exported exception is raised somewhere.
 No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
-and only mtcrit.numerics imports the Gauss-Legendre nodes.
+and only mtcrit.numerics imports the Gauss-Legendre nodes.  Every kernel
+and constant that mtcrit.numerics exports is imported by another module.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
@@ -14,6 +15,7 @@ configures nothing cannot come back.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import mtcrit
-from mtcrit import cli
+from mtcrit import cli, numerics
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mtcrit"
 MODULES = sorted(SRC.glob("*.py"))
@@ -71,6 +73,29 @@ def test_leggauss_is_imported_by_numerics_alone():
     importers = sorted(path.name for path in MODULES
                        if "leggauss" in _imported_names(ast.parse(path.read_text())))
     assert importers == ["numerics.py"]
+
+
+def _unimported(exports, trees: dict) -> list:
+    """The names of `exports` that no module in `trees` imports."""
+    imported = set().union(*(_imported_names(t) for t in trees.values()))
+    return sorted(set(exports) - imported)
+
+
+def test_every_numerics_kernel_has_a_caller():
+    # a kernel or constant that no other module imports is kept for its
+    # tests alone; the result dataclasses come with the kernels that return
+    # them
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES if p.name != "numerics.py"}
+    kernels = [name for name in numerics.__all__
+               if not dataclasses.is_dataclass(getattr(numerics, name))]
+    unimported = _unimported(kernels, trees)
+    assert not unimported, f"numerics exports that no module imports: {unimported}"
+
+
+def test_numerics_caller_scan_catches_an_unimported_kernel():
+    trees = {"a.py": ast.parse("from .numerics import brentq\nimport numpy as np\n"),
+             "b.py": ast.parse("from .numerics import CHUNK, brentq\n")}
+    assert _unimported(["CHUNK", "brentq", "np", "solve_ivp"], trees) == ["solve_ivp"]
 
 
 def test_scan_catches_an_unused_import():

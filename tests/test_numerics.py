@@ -1,6 +1,6 @@
 """The kernels of mtcrit.numerics against their oracles: scipy for the
 integrator, Nelder-Mead, Brent's method, Gauss-Legendre and the Hermite
-spline; mpmath for the dilogarithm and the exponential-series terms.
+spline; mpmath for the dilogarithm.
 scipy and mpmath are test dependencies only."""
 
 import math
@@ -14,9 +14,10 @@ import scipy.optimize
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from mtcrit import bubble, numerics, profiles
-from mtcrit.domain import DomainModel, robin
+from mtcrit.domain import DomainModel, robin, robin_report
 from mtcrit.perturbation import PerturbationFamily
 
 EPS = np.finfo(float).eps
@@ -166,7 +167,14 @@ def test_brent_matches_scipy(case, xtol):
             numerics.brentq(f, a, b, xtol=xtol)
         return
     ours = numerics.brentq(f, a, b, xtol=xtol)
+    assert type(ours) is float
     assert abs(ours - ref) <= xtol + 4.0 * EPS * abs(ref)
+
+
+def test_brent_root_is_a_python_float():
+    # this root's last step is the tolerance itself, +-(xtol + rtol |x|)/2,
+    # which came out a NumPy scalar while the default rtol was one
+    assert type(numerics.brentq(lambda x: x ** 5 - 4.7, 0.0, 3.0, xtol=1e-12)) is float
 
 
 def test_brent_refuses_a_bracket_without_sign_change():
@@ -214,20 +222,27 @@ def test_gauss_legendre_matches_quad(f, edges):
     assert got == pytest.approx(ref, rel=1e-13)
 
 
-# -- exponential series ---------------------------------------------------------
+def test_gauss_legendre_builds_each_rule_once(monkeypatch, disk, data0):
+    # robin_report asks for the 48-node rule twice and solve_profile for the
+    # 8-node rule twice, on every call; each is built once and kept
+    built = []
 
+    def spy(order):
+        built.append(order)
+        return leggauss(order)
 
-@given(k=st.integers(0, 250), T=st.floats(1e-300, 1e3))
-@example(k=19, T=19.0)
-@example(k=20, T=20.0)
-@example(k=203, T=203.0)
-@settings(max_examples=150, deadline=None)
-def test_log_power_term_matches_mpmath(k, T):
-    # absolute in the log (relative in T^k/k!): 1e-13 plus the rounding of
-    # a log of size |ref|
-    with mpmath.workdps(40):
-        ref = k * mpmath.log(T) - mpmath.loggamma(k + 1)
-        assert abs(numerics.log_power_term(k, T) - ref) <= 1e-13 + 2 * EPS * abs(ref)
+    monkeypatch.setattr(numerics, "leggauss", spy)
+    numerics._legendre_rule.cache_clear()
+    try:
+        for _ in range(2):
+            robin_report(disk, data0.F)
+            profiles.solve_profile(1)
+        assert sorted(built) == [8, 48]
+        for order in built:
+            nodes, weights = numerics._legendre_rule(order)
+            assert not nodes.flags.writeable and not weights.flags.writeable
+    finally:
+        numerics._legendre_rule.cache_clear()
 
 
 # -- dilogarithm ----------------------------------------------------------------

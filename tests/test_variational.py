@@ -13,6 +13,7 @@ from mtcrit import (
     FamilyKind,
     GridFunction,
     PerturbationFamily,
+    asymptotic_data,
     eval_g,
     eval_psi_N,
     lambda_g_report,
@@ -187,6 +188,13 @@ def test_model_testfun_sanity(disk, fam0, data0, profiles):
     assert abs(out["H_tilde"][0]) < 1e-3
     rel = abs(out["log_inv_mu2_truncated"] - out["log_inv_mu2_closed"])
     assert rel / abs(out["log_inv_mu2_closed"]) < 2e-3
+
+
+@pytest.mark.parametrize("gamma", [3.0, 5.0])
+def test_model_testfun_reports_python_floats(disk, profiles, gamma):
+    # at gamma = 3 the height root's last Brent step is the tolerance itself
+    out = model_testfun_energy(disk, POWER_LOG, asymptotic_data(POWER_LOG), profiles, gamma)
+    assert type(out["log_inv_mu2"]) is float
 
 
 def test_level_trend(fam0):
