@@ -39,7 +39,6 @@ from .bubble import (
     ExpansionReport,
     BlowDownError,
     shoot_bubble,
-    lambda_from_level,
     verify_expansion,
     verify_source_expansion,
     ladder_reports,
@@ -77,8 +76,7 @@ __all__ = [
     "RadialProfile", "StepFailureError", "solve_profile",
     "laplacian_profile", "profile_integrals", "s0_explicit",
     "BubbleSolution", "ExpansionReport", "BlowDownError", "shoot_bubble",
-    "lambda_from_level", "verify_expansion", "verify_source_expansion",
-    "ladder_reports",
+    "verify_expansion", "verify_source_expansion", "ladder_reports",
     "CriterionReport", "Verdict", "Cor2Class",
     "ratio_value", "closed_form_l", "limit_l", "classify",
     "cor2_classifier", "ratio_curve_csv",

@@ -30,7 +30,6 @@ __all__ = [
     "ExpansionReport",
     "OrderUnderflowError",
     "check_ladder",
-    "lambda_from_level",
     "shoot_bubble",
     "verify_expansion",
     "verify_source_expansion",
@@ -53,13 +52,6 @@ _DELTA0_TILDE = 0.75
 _Y0 = 1e-8
 
 
-def lambda_from_level(gamma: float, M: float) -> float:
-    """Leading-order multiplier 4 / (gamma^2 e^{1+M}) used to seed shooting."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return 4.0 / (gamma * gamma * math.exp(1.0 + M))
-
-
 @dataclass(frozen=True)
 class BubbleSolution:
     """Shot radial bubble with its scaling data.
@@ -73,8 +65,6 @@ class BubbleSolution:
     gamma: float
     lam: float
     mu: float
-    eps0: float
-    rho: float
     y_grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray  # dB/dy
@@ -85,8 +75,9 @@ class BubbleSolution:
                    np.log1p(self.y_grid**2)])
 
 
-def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float, lam: float) -> float:
-    """Solve lambda H(gamma) mu^2 gamma^2 phi_{N-1}(gamma^2) = 4 for mu; an N whose
+def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float) -> tuple[float, float]:
+    """The unit disk's level lambda = 4 / (gamma^2 e) and the mu that solves
+    lambda H(gamma) mu^2 gamma^2 phi_{N-1}(gamma^2) = 4; an N whose
     phi_{N-1}(gamma^2) is below the normal doubles is refused (OrderUnderflowError)."""
     H = eval_H(fam, gamma)
     if H <= 0:
@@ -96,32 +87,30 @@ def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float, lam: float) 
         raise OrderUnderflowError(f"N = {N} is too large for gamma = {gamma:g}: phi_(N-1)"
                                   f"(gamma^2) = {tail:.3g} is below the normal doubles; "
                                   f"lower N or raise gamma")
+    lam = 4.0 / (gamma * gamma * math.e)
     log_mu2 = (math.log(4.0) - math.log(lam) - math.log(H)
                - 2.0 * math.log(gamma) - math.log(tail))
-    return math.exp(0.5 * log_mu2)
+    return lam, math.exp(0.5 * log_mu2)
 
 
-def _shot_grid(gamma: float, eps0: float, y_extra: float = 0.0):
-    """rho/mu and a shot's y grid: 0, then 3000 geometric nodes from _Y0 to
-    rho/mu or `y_extra`, whichever is larger."""
+def _shot_grid(gamma: float, eps0: float) -> np.ndarray:
+    """A shot's y grid: 0, then 3000 geometric nodes from _Y0 to rho/mu."""
     y_rho = math.sqrt(math.expm1((1.0 - eps0) * gamma * gamma))
-    return y_rho, np.concatenate([[0.0], np.geomspace(_Y0, max(y_rho, y_extra), 3000)])
+    return np.concatenate([[0.0], np.geomspace(_Y0, y_rho, 3000)])
 
 
-def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float, lam: float,
-                 eps0: float = 0.75, y_extra: float = 0.0) -> BubbleSolution:
-    """Integrate the bubble ODE in the core variable y = r/mu.
+def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float,
+                 eps0: float = 0.75) -> BubbleSolution:
+    """Integrate the bubble ODE in the core variable y = r/mu out to rho/mu.
 
-    The integration ends at rho/mu or at `y_extra`, whichever is larger:
-    a `y_extra` past rho/mu follows the solution beyond the concentration
-    radius.
+    The shot depends on the multiplier only through lambda mu^2 / 2 =
+    2 / (H(gamma) gamma^2 phi_{N-1}(gamma^2)), so lambda is fixed at the unit
+    disk's level; it only places r = mu y.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     if not (1.0 / math.sqrt(math.e) < eps0 < 1.0):
         raise ValueError("eps0 must lie in (1/sqrt(e), 1)")
-    mu = _mu_from_scaling(fam, N, gamma, lam)
-    y_rho, grid = _shot_grid(gamma, eps0, y_extra)
+    lam, mu = _mu_from_scaling(fam, N, gamma)
+    grid = _shot_grid(gamma, eps0)
     c = 0.5 * lam * mu * mu
 
     hit_zero = {"flag": False}
@@ -138,13 +127,13 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float, lam: float,
     seed = [gamma - c * psi_p0 * _Y0 * _Y0 / 4.0, -c * psi_p0 * _Y0 / 2.0]
     sol = solve_ivp(odes, (_Y0, grid[-1]), seed, t_eval=grid[1:], rtol=1e-11, atol=1e-12)
     if hit_zero["flag"] or np.any(sol.y[0] <= 0.0):
-        raise BlowDownError("bubble reached zero before rho; lambda too large")
+        raise BlowDownError(f"bubble at gamma = {gamma:g}, N = {N} reached zero before rho")
     if not sol.success:
         raise StepFailureError(f"{sol.message} ({sol.nfev} evaluations)")
     values = np.concatenate([[gamma], sol.y[0]])
     derivs = np.concatenate([[0.0], sol.y[1]])
-    return BubbleSolution(fam=fam, N=N, gamma=gamma, lam=lam, mu=mu, eps0=eps0,
-                          rho=mu * y_rho, y_grid=grid, values=values, derivs=derivs)
+    return BubbleSolution(fam=fam, N=N, gamma=gamma, lam=lam, mu=mu, y_grid=grid,
+                          values=values, derivs=derivs)
 
 
 @dataclass
@@ -237,18 +226,23 @@ def verify_source_expansion(sol: BubbleSolution, profiles: dict,
                            r0_gap=r0_gap, details={"zeta": zeta, "A": A, "xi": x})
 
 
-def _ladder_window(gammas, eps0: float) -> tuple[float, list]:
-    """The window t <= 0.8 (1 - eps0) gamma_min^2 common to a ladder's
-    expansion checks, and for each gamma the largest y = r/mu at which they
-    read the shot and the profiles S1, S2 in it: the last node of the shot's
-    grid inside."""
-    cap = 0.8 * (1.0 - eps0) * min(gammas) ** 2
+def _ladder_window(gammas, eps0: float) -> tuple[float, float, list]:
+    """The windows common to a ladder: t <= 0.8 (1 - eps0) gamma_min^2 for the
+    expansion checks and t <= min(gamma_min, t_end) for the source checks,
+    t_end = (1 - eps0) gamma_min^2 the end of the gamma_min shot; and for
+    each gamma the largest y = r/mu at which the expansion check reads the
+    shot and the profiles S1, S2: the last node of the shot's grid inside."""
+    low = min(gammas)
+    cap = 0.8 * (1.0 - eps0) * low ** 2
     ends = []
     for g in gammas:
-        y = _shot_grid(g, eps0)[1]
+        y = _shot_grid(g, eps0)
         # t = log1p(y^2) rises along the grid, so the window is a prefix of it
         ends.append(float(y[np.searchsorted(np.log1p(y * y), cap, side="right") - 1]))
-    return cap, ends
+    # t_end as the checks read it: np.log1p may round it one ulp past
+    # (1 - eps0) gamma_min^2, and the window keeps that last node
+    y = _shot_grid(low, eps0)
+    return cap, min(low, float(np.log1p(y * y)[-1])), ends
 
 
 def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float, r_max: float) -> None:
@@ -266,7 +260,7 @@ def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float, r_max: fl
     if asymptotic_data(fam).A_pieces and low <= 1.0:
         raise ValueError(f"gamma = {low:g}: the decay coefficient A(gamma) of this "
                          f"family, a sum of power-log pieces, is defined only for gamma > 1")
-    cap, ends = _ladder_window(gammas, eps0)
+    cap, _, ends = _ladder_window(gammas, eps0)
     if min(ends) < _Y_FLOOR:
         raise ValueError(f"with eps0 = {eps0:g} the expansion window t <= {cap:.6g} of "
                          f"gamma = {low:g} holds no node at y = r/mu >= {_Y_FLOOR:g}, "
@@ -275,7 +269,7 @@ def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float, r_max: fl
         raise ValueError(f"with eps0 = {eps0:g} the expansion window of gamma = "
                          f"{low:g} reads the profiles out to {max(ends):.10g}, past "
                          f"their r_max = {r_max:g}; lower the smallest gamma or raise eps0")
-    _mu_from_scaling(fam, N, low, lambda_from_level(low, 0.0))
+    _mu_from_scaling(fam, N, low)
 
 
 def ladder_reports(fam: PerturbationFamily, N: int, gammas, profiles: dict,
@@ -283,22 +277,18 @@ def ladder_reports(fam: PerturbationFamily, N: int, gammas, profiles: dict,
     """Run a gamma ladder on the unit disk and report both verification
     trends.
 
-    Each shot is seeded from the disk's Robin maximum M = 0; the shot in
-    y = r / mu depends on the multiplier only through lambda mu^2, so the
-    seed is a gauge.  profiles maps {1: S1, 2: S2}, solved once by the
-    caller for the whole ladder.  The per-gamma sups are taken over a
-    window common to the whole ladder (0.8 of the smallest bubble's range,
-    resp. the smallest gamma for the source check): the expansion residual
-    is claimed uniformly on a gamma-dependent region, and comparing sups
-    over nested regions of different sizes would conflate window growth
-    with convergence.
+    profiles maps {1: S1, 2: S2}, solved once by the caller for the whole
+    ladder.  The per-gamma sups are taken over the windows of
+    `_ladder_window`, common to the whole ladder: the expansion residual is
+    claimed uniformly on a gamma-dependent region, and comparing sups over
+    nested regions of different sizes would conflate window growth with
+    convergence.
     """
     gammas = sorted(gammas)
-    cap_exp, _ = _ladder_window(gammas, eps0)
-    cap_src = float(gammas[0])
+    cap_exp, cap_src, _ = _ladder_window(gammas, eps0)
     out = {"gammas": list(gammas), "expansion": [], "source": [], "solutions": []}
     for g in gammas:
-        sol = shoot_bubble(fam, N, g, lambda_from_level(g, 0.0), eps0=eps0)
+        sol = shoot_bubble(fam, N, g, eps0=eps0)
         out["solutions"].append(sol)
         out["expansion"].append(verify_expansion(sol, profiles, t_cap=cap_exp))
         out["source"].append(verify_source_expansion(sol, profiles, t_cap=cap_src))

@@ -338,13 +338,13 @@ EXP_BUDGET = 700.0
 
 def power_term(k: int, T):
     """T^k / k! for an integer k >= 0 and 0 <= T <= EXP_BUDGET (float or
-    array): k products of T/j, each rounded once.  A float stops at the
-    first product that underflows to 0, which all later ones keep."""
+    array): k products of T/j, each rounded once.  The loop stops once every
+    product has underflowed to 0, which all later ones keep."""
     scalar = isinstance(T, float)
     p = 1.0 if scalar else np.ones_like(T)
     for j in range(1, k + 1):
         p = p * (T / j)
-        if scalar and p == 0.0:
+        if (p == 0.0) if scalar else not p.any():
             break
     return p
 

@@ -12,22 +12,18 @@ from mtcrit import (
     PerturbationFamily,
     asymptotic_data,
     eval_psi_N,
-    lambda_from_level,
+    ladder_reports,
     phi_N,
     shoot_bubble,
     verify_expansion,
+    verify_source_expansion,
 )
+from mtcrit import bubble
 from mtcrit.bubble import OrderUnderflowError, _ladder_window, check_ladder
 
 
-def test_lambda_from_level():
-    assert lambda_from_level(5.0, 0.0) == pytest.approx(4.0 / (25.0 * math.e))
-    with pytest.raises(ValueError):
-        lambda_from_level(0.0, 0.0)
-
-
 def test_shoot_basic(fam0):
-    sol = shoot_bubble(fam0, 1, 5.0, lambda_from_level(5.0, 0.0))
+    sol = shoot_bubble(fam0, 1, 5.0)
     assert sol.values[0] == pytest.approx(5.0)
     assert sol.derivs[0] == 0.0
     # Monotone decreasing profile out to the concentration radius (the
@@ -36,45 +32,43 @@ def test_shoot_basic(fam0):
     assert sol.values[-1] < sol.values[0]
     assert np.all(sol.values > 0)
     # t = log(1 + (r/mu)^2) at rho equals (1 - eps0) gamma^2.
-    assert math.log1p((sol.rho / sol.mu) ** 2) == pytest.approx((1.0 - sol.eps0) * 25.0,
-                                                                rel=1e-12)
+    assert math.log1p(sol.y_grid[-1] ** 2) == pytest.approx((1.0 - 0.75) * 25.0, rel=1e-12)
 
 
 def test_scaling_relation(fam0):
     # For g = 0, H = 1 and the mu-scaling reads
-    # lam * mu^2 * gamma^2 * phi_0(gamma^2) = 4.
+    # lam * mu^2 * gamma^2 * phi_0(gamma^2) = 4, lam the unit disk's level.
     g = 4.0
-    lam = lambda_from_level(g, 0.0)
-    sol = shoot_bubble(fam0, 1, g, lam)
+    sol = shoot_bubble(fam0, 1, g)
+    assert sol.lam == 4.0 / (g * g * math.e)
     resid = abs(sol.lam * sol.mu**2 * g * g * phi_N(0, g * g) / 4.0 - 1.0)
     assert resid < 1e-12
+    with pytest.raises(ValueError, match="t > 0"):
+        shoot_bubble(fam0, 1, 0.0)
 
 
 def test_source_matches_at_origin(fam0):
     g = 5.0
-    sol = shoot_bubble(fam0, 1, g, lambda_from_level(g, 0.0))
+    sol = shoot_bubble(fam0, 1, g)
     _, psi_p0 = eval_psi_N(fam0, 1, g)
     lhs = 0.5 * sol.lam * psi_p0
     rhs = 4.0 / (sol.mu**2 * g)
     assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
 
-def test_eps0_and_lambda_validation(fam0):
+def test_eps0_validation(fam0):
     with pytest.raises(ValueError):
-        shoot_bubble(fam0, 1, 4.0, 0.1, eps0=0.3)
+        shoot_bubble(fam0, 1, 4.0, eps0=0.3)
     with pytest.raises(ValueError):
-        shoot_bubble(fam0, 1, 4.0, 0.1, eps0=1.0)
-    with pytest.raises(ValueError):
-        shoot_bubble(fam0, 1, 4.0, -1.0)
+        shoot_bubble(fam0, 1, 4.0, eps0=1.0)
 
 
 def test_blow_down(fam0):
     # The rescaled equation is multiplier-invariant, so force the failure
-    # by integrating far past the radius where B ~ gamma - t/gamma hits 0.
-    g = 2.0
-    y_zero = math.sqrt(math.expm1(g * g))
-    with pytest.raises(BlowDownError):
-        shoot_bubble(fam0, 1, g, lambda_from_level(g, 0.0), y_extra=20.0 * y_zero)
+    # by the order: at gamma = 3, N = 22 is the last order that reaches rho.
+    assert shoot_bubble(fam0, 22, 3.0).values[-1] > 0.0
+    with pytest.raises(BlowDownError, match="gamma = 3, N = 30"):
+        shoot_bubble(fam0, 30, 3.0)
 
 
 def test_ladder_trends(ladder0):
@@ -89,8 +83,32 @@ def test_ladder_trends(ladder0):
         assert rep.r0_gap < 1e-4
 
 
+def test_source_window_is_common_to_the_ladder(monkeypatch, fam0, profiles):
+    # the gamma = 3 shot ends at t = (1 - eps0) 9 = 2.25 < gamma_min, so every
+    # rung's source sup is taken over t <= 2.25; a gamma_min below that end
+    # caps the window itself
+    caps = []
+
+    def spy(sol, profiles, t_cap):
+        caps.append((sol.gamma, t_cap))
+        return verify_source_expansion(sol, profiles, t_cap)
+
+    monkeypatch.setattr(bubble, "verify_source_expansion", spy)
+    ladder_reports(fam0, 1, [5.0, 3.0, 4.0], profiles)
+    assert caps == [(3.0, 2.25), (4.0, 2.25), (5.0, 2.25)]
+    assert _ladder_window([5.0, 6.0], 0.75)[1] == 5.0
+
+
+@pytest.mark.parametrize("low", [2.77, 2.99, 3.0])
+def test_source_window_holds_the_whole_smallest_shot(low):
+    # np.log1p puts the last node of the 2.77 and 2.99 shots one ulp past
+    # (1 - eps0) gamma^2; the source window still reads it
+    y = bubble._shot_grid(low, 0.75)[1:]
+    assert np.all(np.log1p(y * y) <= _ladder_window([low, low + 1.0], 0.75)[1])
+
+
 def test_to_csv_roundtrip(tmp_path, fam0):
-    sol = shoot_bubble(fam0, 1, 3.0, lambda_from_level(3.0, 0.0))
+    sol = shoot_bubble(fam0, 1, 3.0)
     path = tmp_path / "bubble.csv"
     sol.to_csv(str(path))
     rows = path.read_text().strip().splitlines()
@@ -101,7 +119,7 @@ def test_to_csv_roundtrip(tmp_path, fam0):
 def test_powerlog_family_shoots():
     fam = PerturbationFamily(kind="PowerLog", c=0.01, a=3.0, b=0.0)
     g = 5.0
-    sol = shoot_bubble(fam, 1, g, lambda_from_level(g, 0.0))
+    sol = shoot_bubble(fam, 1, g)
     assert sol.values[0] == pytest.approx(g)
     assert np.all(sol.values > 0)
 
@@ -116,10 +134,12 @@ def test_powerlog_shot_takes_the_scalar_path(monkeypatch):
     monkeypatch.setattr(perturbation, "_eval_power_log", no_masks)
     fam = PerturbationFamily(kind="PowerLog", c=-0.3, a=0.4, b=0.7, g0=0.2,
                              c_prime=1.5, a_prime=0.5, b_prime=1.2, R_prime=3.0)
-    # past rho the shot sweeps B from gamma > R' down through the blend
-    # into the near-zero branch, below 1/R'
-    sol = shoot_bubble(fam, 1, 4.0, lambda_from_level(4.0, 0.0), y_extra=1000.0)
-    assert sol.values[0] == 4.0 and sol.values[-1] < 1.0 / fam.R_prime
+    # the shot sweeps B from gamma > R' down into the blend; the near-zero
+    # branch, below 1/R', takes a scalar call of its own
+    sol = shoot_bubble(fam, 1, 4.0)
+    assert sol.values[0] == 4.0 and sol.values[-1] < fam.R_prime
+    psi, dpsi = eval_psi_N(fam, 1, 0.5 / fam.R_prime)
+    assert type(psi) is float and type(dpsi) is float
 
 
 @pytest.mark.parametrize("gamma,eps0,refused", [
@@ -133,8 +153,8 @@ def test_check_ladder_refuses_what_verify_expansion_refuses(fam0, profiles, gamm
     # the reach off the shot's own grid, so it refuses exactly the ladders
     # on which verify_expansion raises
     r_max = profiles[1].grid[-1]
-    cap, (reach,) = _ladder_window([gamma], eps0)
-    sol = shoot_bubble(fam0, 1, gamma, lambda_from_level(gamma, 0.0), eps0=eps0)
+    cap, _, (reach,) = _ladder_window([gamma], eps0)
+    sol = shoot_bubble(fam0, 1, gamma, eps0=eps0)
     assert reach == np.max(sol.y_grid[np.log1p(sol.y_grid ** 2) <= cap])
     assert (reach > r_max) == refused
     if not refused:
@@ -158,8 +178,8 @@ def test_check_ladder_refuses_gamma_past_the_budget(fam0):
 def test_check_ladder_refuses_an_empty_window(fam0, profiles, gamma, refused):
     # verify_expansion takes its sups over the window's nodes at
     # y >= _Y_FLOOR; at gamma = 0.5 the window t <= 0.05 ends at y = 0.23
-    sol = shoot_bubble(fam0, 1, gamma, lambda_from_level(gamma, 0.0))
-    cap, _ = _ladder_window([gamma], 0.75)
+    sol = shoot_bubble(fam0, 1, gamma)
+    cap, _, _ = _ladder_window([gamma], 0.75)
     if refused:
         with pytest.raises(ValueError, match="holds no node"):
             check_ladder(fam0, 1, [gamma], 0.75, 2000.0)
@@ -207,9 +227,9 @@ def test_orders_below_the_underflow_still_blow_down(fam0):
     # hits zero before rho (Psi_N ~ (1 + g)(1 + t^2) for N >> gamma^2)
     check_ladder(fam0, 286, [3.0, 4.0, 5.0], 0.75, 2000.0)
     with pytest.raises(BlowDownError):
-        shoot_bubble(fam0, 286, 3.0, lambda_from_level(3.0, 0.0))
+        shoot_bubble(fam0, 286, 3.0)
 
 
 def test_shoot_refuses_an_order_past_the_underflow(fam0):
     with pytest.raises(ValueError, match="N = 287 is too large for gamma = 3"):
-        shoot_bubble(fam0, 287, 3.0, lambda_from_level(3.0, 0.0))
+        shoot_bubble(fam0, 287, 3.0)

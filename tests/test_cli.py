@@ -517,14 +517,17 @@ def _ladder(expansion, source, A, zeta):
 # Three sups were re-recorded when the profiles became variation-of-parameters
 # quadratures, which moved S1 and S2 by up to 2.6e-9: the Zero expansion sup
 # at gamma = 3 (1.3e-8 relative) and the source sups of Zero at gamma = 3
-# (1.3e-10) and PowerLog at gamma = 5 (2.7e-10).
+# (1.3e-10) and PowerLog at gamma = 5 (2.7e-10).  The source sup of Zero at
+# gamma = 4 was re-recorded (1.2e-3 relative lower) when the source window
+# became t <= (1 - eps0) gamma_min^2 = 2.25, where the gamma = 3 shot ends,
+# in place of t <= gamma_min = 3.
 BUBBLE_RECORDED = {
     "Zero": ({"kind": "Zero"}, _ladder(
         expansion=[(0.009868067474285546, 0.011684832715588279, 4.113922125440955e-05),
                    (0.005201319923001137, 0.006505698679206147, 2.852313193499195e-08),
                    (0.00327797571125979, 0.0041328318571733375, 2.7521706182222284e-10)],
         source=[(0.17751382686448544, 0.00012340980408660697),
-                (0.08519640150337586, 1.1253517452680622e-07),
+                (0.08509754946721039, 1.1253517452680622e-07),
                 (0.05038755176479231, 1.3887419924139958e-11)],
         A=(0.0, 0.0, 0.0), zeta=(0.012345679012345678, 0.00390625, 0.0016))),
     "PowerLog": (EXTREMAL_RECORDED["PowerLog"][0], _ladder(

@@ -8,7 +8,8 @@ No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
 somewhere in the module or be listed in its ``__all__``; a function,
 class, method or annotated class field must be read somewhere in the
-package or be listed in an ``__all__``; and an exception class in
+package (passing it as a keyword argument is no read) or be listed in
+an ``__all__``; and an exception class in
 ``mtcrit.__all__`` must appear in a ``raise``.  Every key of
 ``cli.CONFIG_KEYS`` must be read by some subcommand, so that a key that
 configures nothing cannot come back.
@@ -120,15 +121,14 @@ def _definitions(tree: ast.Module) -> list:
 
 
 def _read_names(tree: ast.Module) -> set:
-    """Names read as a variable or an attribute, or passed as a keyword."""
+    """Names read as a variable or an attribute.  A keyword argument is no
+    read: a field that is only passed to its constructor is dead."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
-        elif isinstance(node, ast.keyword) and node.arg is not None:
-            out.add(node.arg)
     return out
 
 
@@ -149,15 +149,17 @@ def test_definition_scan_catches_an_unread_name():
     tree = ast.parse(
         "__all__ = ['api']\n"
         "def api(): return helper()\n"
-        "def helper(): return Box(size=1).width\n"
+        "def helper(): return Box(size=1, rho=2).width\n"
         "def dead(): pass\n"
         "class Box:\n"
         "    size: int\n"
         "    width: int = 0\n"
         "    depth: int = 0\n"
-        "    def __init__(self, size): self.size = size\n"
+        "    rho: int = 0\n"
+        "    def __init__(self, size, **fields): self.size = size\n"
         "    def unused(self): pass\n")
-    assert _unread({"m.py": tree}) == ["m.py:4 dead", "m.py:8 depth", "m.py:10 unused"]
+    assert _unread({"m.py": tree}) == ["m.py:4 dead", "m.py:8 depth", "m.py:9 rho",
+                                       "m.py:11 unused"]
 
 
 def _raised_names(tree: ast.Module) -> set:

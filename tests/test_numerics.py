@@ -65,8 +65,7 @@ def test_profile_ode_takes_scipys_steps(monkeypatch, i):
 def test_bubble_shot_takes_scipys_steps(monkeypatch, gamma):
     fam = PerturbationFamily.from_json({"kind": "PowerLog", "c_prime": 1.256171,
                                         "a_prime": 2.593292, "b_prime": 0.682198})
-    lam = bubble.lambda_from_level(gamma, 0.0)
-    outs = _both(monkeypatch, bubble, lambda: bubble.shoot_bubble(fam, 1, gamma, lam))
+    outs = _both(monkeypatch, bubble, lambda: bubble.shoot_bubble(fam, 1, gamma))
     (ours, (sol,)), (ref, (ref_sol,)) = outs["ours"], outs["scipy"]
     assert sol.nfev == ref_sol.nfev
     np.testing.assert_allclose(ours.values, ref.values, rtol=1e-13, atol=0.0)
