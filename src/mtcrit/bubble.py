@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvout import write_csv
+from .csvout import HERMITE_STRIDE, write_csv
 from .numerics import solve_ivp
 from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
                            eval_psi_N, phi_N, xi)
@@ -72,7 +72,7 @@ class BubbleSolution:
     def to_csv(self, path: str) -> None:
         write_csv(path, ["r", "B", "dB_dr", "t"],
                   [self.y_grid * self.mu, self.values, self.derivs / self.mu,
-                   np.log1p(self.y_grid**2)])
+                   np.log1p(self.y_grid**2)], stride=HERMITE_STRIDE)
 
 
 def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float) -> tuple[float, float]:

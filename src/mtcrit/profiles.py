@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvout import write_csv
+from .csvout import HERMITE_STRIDE, write_csv
 from .numerics import CHUNK, CubicHermite, gauss_legendre, li2_neg, solve_ivp
 
 __all__ = [
@@ -133,7 +133,8 @@ class RadialProfile:
                                lambda r: -self.A / (2.0 * math.pi) / r)
 
     def to_csv(self, path: str) -> None:
-        write_csv(path, ["r", "S", "dS_dr"], [self.grid, self.values, self.derivs])
+        write_csv(path, ["r", "S", "dS_dr"], [self.grid, self.values, self.derivs],
+                  stride=HERMITE_STRIDE)
 
     def metadata(self) -> dict:
         return {

@@ -434,7 +434,10 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
             "S_int": S_int, "H_tilde": [H_m1] + H_i}
 
 
-def _bracket_const(P: RadialProfile, inv_mu: float, L: float) -> float:
+def _bracket_const(P: RadialProfile, inv_mu: float, L: float) -> float | None:
     """Constant harmonic correction zeroing S_i(r/mu)+(A_i/4pi)(L+H)-B_i at r=1,
-    reported as H_tilde."""
+    reported as H_tilde.  None where 1/mu lies past the profile's grid: there
+    S_i is its own log asymptote and the constant is the rounding of L - L."""
+    if inv_mu >= P.grid[-1]:
+        return None
     return 4.0 * math.pi / P.A * (P.B - P(inv_mu)) - L

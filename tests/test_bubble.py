@@ -1,5 +1,6 @@
 """Tests for the bubble shooter and its expansion checks."""
 
+import dataclasses
 import math
 import sys
 
@@ -20,6 +21,11 @@ from mtcrit import (
 )
 from mtcrit import bubble
 from mtcrit.bubble import OrderUnderflowError, _ladder_window, check_ladder
+from mtcrit.numerics import CubicHermite
+
+# the PowerLog family of the recorded bubble and extremal reports in test_cli
+RECORDED_POWERLOG = PerturbationFamily(kind="PowerLog", c_prime=1.256171, a_prime=2.593292,
+                                       b_prime=0.682198)
 
 
 def test_shoot_basic(fam0):
@@ -113,7 +119,39 @@ def test_to_csv_roundtrip(tmp_path, fam0):
     sol.to_csv(str(path))
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "r,B,dB_dr,t"
-    assert len(rows) == len(sol.y_grid) + 1
+    # every 5th of the 3001 nodes, the last one among them
+    assert len(sol.y_grid) == 3001 and len(rows) == 1 + 601
+
+
+@pytest.mark.parametrize("gamma", [3.0, 4.0, 5.0])
+@pytest.mark.parametrize("fam", [PerturbationFamily(), RECORDED_POWERLOG],
+                         ids=["Zero", "PowerLog"])
+def test_csv_rebuilds_the_shot_by_hermite_interpolation(tmp_path, fam, gamma):
+    # measured: at most 2.6e-9 relative on these six shots
+    sol = shoot_bubble(fam, 1, gamma)
+    path = tmp_path / "bubble.csv"
+    sol.to_csv(str(path))
+    r, B, dB_dr, _ = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    rebuilt = CubicHermite(r, B, dB_dr)(sol.y_grid * sol.mu)
+    assert np.max(np.abs(rebuilt / sol.values - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("cut", [0, 3], ids=["on-stride", "off-stride"])
+def test_csv_rows_are_the_full_files_rows(tmp_path, monkeypatch, fam0, cut):
+    # the kept rows are the bytes of the stride-1 file at nodes 0, 5, 10, ...
+    # and at the last node, also where (n - 1) % 5 != 0
+    sol = shoot_bubble(fam0, 1, 3.0)
+    n = len(sol.y_grid) - cut
+    sol = dataclasses.replace(sol, y_grid=sol.y_grid[:n], values=sol.values[:n],
+                              derivs=sol.derivs[:n])
+    sol.to_csv(str(tmp_path / "kept.csv"))
+    monkeypatch.setattr(bubble, "HERMITE_STRIDE", 1)
+    sol.to_csv(str(tmp_path / "full.csv"))
+    full = (tmp_path / "full.csv").read_bytes().split(b"\r\n")
+    kept = (tmp_path / "kept.csv").read_bytes().split(b"\r\n")
+    assert len(full) == n + 2
+    assert kept == full[:1] + [full[1 + i] for i in range(n)
+                               if i % 5 == 0 or i == n - 1] + [b""]
 
 
 def test_powerlog_family_shoots():

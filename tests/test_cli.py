@@ -576,6 +576,20 @@ def test_integer_ladder_writes_what_its_float_twin_does(tmp_path, capsys):
     assert b'"gammas": [\n    3.0,\n    4.0,\n    5.0\n  ]' in files["bubble.json"]
 
 
+@pytest.mark.parametrize("cmd,glob,budget", [
+    ("bubble", "bubble_gamma*.csv", 602),
+    ("profiles", "profile_S*.csv", 802),
+])
+def test_default_curve_files_keep_to_their_row_budget(tmp_path, cmd, glob, budget):
+    # a header and every 5th node of the 3001-node shots and 4001-node
+    # profiles: a return to full-grid writes (3002 and 4002 lines) fails here
+    assert main([cmd, "--out", str(tmp_path)]) == 0
+    files = sorted(tmp_path.glob(glob))
+    assert len(files) == 3
+    for path in files:
+        assert len(path.read_bytes().splitlines()) <= budget, path.name
+
+
 @pytest.mark.parametrize("payload", [
     {"gamma_ladder": [8.7]},
     {"gamma_ladder": [9], "eps0": 0.8},

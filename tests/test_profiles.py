@@ -9,7 +9,8 @@ import pytest
 
 from mtcrit import laplacian_profile, s0_explicit, solve_profile
 from mtcrit import profiles as profiles_module
-from mtcrit.profiles import A_CONSTANTS, B0_CONSTANT, _rhs, ode_profile
+from mtcrit.numerics import CubicHermite
+from mtcrit.profiles import A_CONSTANTS, B0_CONSTANT, RadialProfile, _rhs, ode_profile
 
 
 def test_s0_explicit_values():
@@ -223,4 +224,35 @@ def test_csv_round_trip(tmp_path, profiles):
     profiles[0].to_csv(str(path))
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "r,S,dS_dr"
-    assert len(rows) == len(profiles[0].grid) + 1
+    # every 5th of the 4001 nodes, the last one among them
+    assert len(profiles[0].grid) == 4001 and len(rows) == 1 + 801
+
+
+@pytest.mark.parametrize("r_max", [100.0, 2000.0, 4000.0])
+def test_csv_rebuilds_the_profile_by_hermite_interpolation(tmp_path, r_max):
+    # measured: at most 7.8e-8 absolute up to r_max = 4000 (S1 the largest);
+    # the error grows with r_max, to 1.9e-7 at 1e6
+    for i in range(3):
+        P = solve_profile(i, r_max=r_max)
+        path = tmp_path / f"s{i}.csv"
+        P.to_csv(str(path))
+        r, S, dS_dr = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        rebuilt = CubicHermite(r, S, dS_dr)(P.grid)
+        assert np.max(np.abs(rebuilt - P.values)) < 1e-7, i
+
+
+@pytest.mark.parametrize("cut", [0, 2], ids=["on-stride", "off-stride"])
+def test_csv_rows_are_the_full_files_rows(tmp_path, monkeypatch, profiles, cut):
+    # the kept rows are the bytes of the stride-1 file at nodes 0, 5, 10, ...
+    # and at the last node, also where (n - 1) % 5 != 0
+    P = profiles[1]
+    n = len(P.grid) - cut
+    P = RadialProfile(grid=P.grid[:n], values=P.values[:n], derivs=P.derivs[:n], A=P.A, B=P.B)
+    P.to_csv(str(tmp_path / "kept.csv"))
+    monkeypatch.setattr(profiles_module, "HERMITE_STRIDE", 1)
+    P.to_csv(str(tmp_path / "full.csv"))
+    full = (tmp_path / "full.csv").read_bytes().split(b"\r\n")
+    kept = (tmp_path / "kept.csv").read_bytes().split(b"\r\n")
+    assert len(full) == n + 2
+    assert kept == full[:1] + [full[1 + i] for i in range(n)
+                               if i % 5 == 0 or i == n - 1] + [b""]

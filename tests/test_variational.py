@@ -190,6 +190,18 @@ def test_model_testfun_sanity(disk, fam0, data0, profiles):
     assert rel / abs(out["log_inv_mu2_closed"]) < 2e-3
 
 
+def test_bracket_constants_past_the_grid_are_null(disk, fam0, data0, profiles):
+    # At gamma = 5, 1/mu~ = 1.6e5 lies past r_max = 2000, where S_i is its own
+    # log asymptote and a bracket constant would be the rounding of L - L
+    # (0.0 or 3.55e-15); at gamma = 2, 1/mu~ = 6.2 lies inside the grid.
+    far = model_testfun_energy(disk, fam0, data0, profiles, 5.0)["H_tilde"]
+    assert far[1:] == [None, None, None]
+    assert far[0] == pytest.approx(3.697387951292009e-11, rel=1e-12)
+    near = model_testfun_energy(disk, fam0, data0, profiles, 2.0)["H_tilde"]
+    assert near == [0.02596232812853888, 0.62032359479907, 2.2500000156138253,
+                    0.05159053281445125]
+
+
 @pytest.mark.parametrize("gamma", [3.0, 5.0])
 def test_model_testfun_reports_python_floats(disk, profiles, gamma):
     # at gamma = 3 the height root's last Brent step is the tolerance itself
