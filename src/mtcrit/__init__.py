@@ -57,7 +57,6 @@ from .criterion import (
 )
 from .variational import (
     ExtremalRun,
-    GridFunction,
     RootFailError,
     solve_subcritical,
     lambda_g_report,
@@ -81,7 +80,7 @@ __all__ = [
     "ratio_value", "closed_form_l", "limit_l", "classify",
     "cor2_classifier", "ratio_curve_csv",
     "LOG_GAMMA_GRID",
-    "ExtremalRun", "GridFunction", "RootFailError",
+    "ExtremalRun", "RootFailError",
     "solve_subcritical", "lambda_g_report",
     "step1_testfun", "model_testfun_energy",
     "__version__",

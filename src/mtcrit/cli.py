@@ -276,7 +276,7 @@ def cmd_extremal(cfg: dict, args) -> int:
     runs = [solve_subcritical(fam, N, a) for a in alphas]
     payload = {"runs": [r.to_json() for r in runs]}
     for r in runs:
-        r.u.to_csv(os.path.join(args.out, _EXTREMAL_CSV.format(r.alpha)))
+        r.to_csv(os.path.join(args.out, _EXTREMAL_CSV.format(r.alpha)))
         print(f"alpha={r.alpha:.4f}: J={r.J_value:.6f} saturated={r.saturated} "
               f"lambda={r.lam:.6f} el_residual={r.el_residual:.2e}")
 
@@ -296,7 +296,7 @@ def cmd_extremal(cfg: dict, args) -> int:
 # verify
 
 
-def _verify_rows(seed: int, tol_scale: float) -> list:
+def _verify_rows(seed: int) -> list:
     rng = random.Random(seed)
     rows = []
 
@@ -331,41 +331,37 @@ def _verify_rows(seed: int, tol_scale: float) -> list:
         lhs_phi = phi_N(N + k, T)
         rhs_phi = pT - sum(tT[N + 1:N + k + 1])
         worst_phi = max(worst_phi, abs(lhs_phi - rhs_phi) / max(abs(pT), 1e-300))
-    row("AlgRelat residual", worst_alg < 1e-12 * tol_scale, f"{worst_alg:.2e}")
-    row("FormulaPhi residual", worst_phi < 1e-12 * tol_scale, f"{worst_phi:.2e}")
+    row("AlgRelat residual", worst_alg < 1e-12, f"{worst_alg:.2e}")
+    row("FormulaPhi residual", worst_phi < 1e-12, f"{worst_phi:.2e}")
 
     # Domain geometry.
     dom = DomainModel(shape=Shape.UNIT_DISK)
     l1 = lambda1(dom)
-    row("lambda_1 disk", abs(l1 - 5.783185962946783) < 1e-6 * tol_scale, f"{l1:.9f}")
+    row("lambda_1 disk", abs(l1 - 5.783185962946783) < 1e-6, f"{l1:.9f}")
     data0 = asymptotic_data(PerturbationFamily())
     rr = robin_report(dom, data0.F)
-    row("Robin max disk", abs(rr.M) < 1e-8 * tol_scale, f"M={rr.M:.2e}")
-    row("Green S integral disk", abs(rr.S - 0.5) < 1e-4 * tol_scale, f"S={rr.S:.8f}")
+    row("Robin max disk", abs(rr.M) < 1e-8, f"M={rr.M:.2e}")
+    row("Green S integral disk", abs(rr.S - 0.5) < 1e-4, f"S={rr.S:.8f}")
 
     # Profile constants ("NoteSi A_i" are the Laplacian integrals).
     profiles = {i: solve_profile(i) for i in range(3)}
     ints = profile_integrals(profiles)
     for i, (got, want) in enumerate(zip(ints["A_check"], A_CONSTANTS)):
-        row(f"NoteSi A_{i}", abs(got - want) < 5e-3 * want * tol_scale,
-            f"{got:.6f} vs {want:.6f}")
-    row("I_S0 = 0", abs(ints["I_S0"]) < 1e-6 * tol_scale, f"{ints['I_S0']:.2e}")
-    row("I_T0sq = 2 pi", abs(ints["I_T0sq"] - 2 * math.pi) < 1e-6 * tol_scale,
-        f"{ints['I_T0sq']:.9f}")
+        row(f"NoteSi A_{i}", abs(got - want) < 5e-3 * want, f"{got:.6f} vs {want:.6f}")
+    row("I_S0 = 0", abs(ints["I_S0"]) < 1e-6, f"{ints['I_S0']:.2e}")
+    row("I_T0sq = 2 pi", abs(ints["I_T0sq"] - 2 * math.pi) < 1e-6, f"{ints['I_T0sq']:.9f}")
     rprobe = np.geomspace(1e-3, 100.0, 500)
     gap = float(np.max(np.abs(profiles[0](rprobe) - s0_explicit(rprobe))))
-    row("S0 quadrature vs explicit", gap < 1e-7 * tol_scale, f"sup={gap:.2e}")
+    row("S0 quadrature vs explicit", gap < 1e-7, f"sup={gap:.2e}")
     # S1 has no closed form: hold the quadrature to the ODE integrator
     rprobe = np.geomspace(1e-3, 1000.0, 400)
     gap = float(np.max(np.abs(profiles[1](rprobe) - ode_profile(1, rprobe)[0])))
-    row("S1 quadrature vs ODE", gap < 1e-7 * tol_scale, f"sup={gap:.2e}")
+    row("S1 quadrature vs ODE", gap < 1e-7, f"sup={gap:.2e}")
     return rows
 
 
 def cmd_verify(cfg: dict, args) -> int:
-    if args.tolerance_scale <= 0:
-        raise ConfigError("--tolerance-scale must be positive")
-    rows = _verify_rows(args.seed, args.tolerance_scale)
+    rows = _verify_rows(args.seed)
     width = max(len(name) for name, _, _ in rows)
     all_ok = True
     for name, ok, detail in rows:
@@ -373,8 +369,7 @@ def cmd_verify(cfg: dict, args) -> int:
         all_ok &= ok
         print(f"{name:<{width}}  {status}  {detail}")
     payload = {"rows": [{"name": n, "pass": ok, "detail": d} for n, ok, d in rows],
-               "all_pass": all_ok, "seed": args.seed,
-               "tolerance_scale": args.tolerance_scale}
+               "all_pass": all_ok, "seed": args.seed}
     _write_report(args.out, "verify.json", payload, cfg)
     return 0 if all_ok else 1
 
@@ -402,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=fn)
         if name == "verify":  # the only subcommand that draws random cases
             sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-            sp.add_argument("--tolerance-scale", type=float, default=1.0,
-                            help="multiply verification tolerances")
     return p
 
 

@@ -7,13 +7,14 @@ Dirichlet energy is the quadratic form of the radial P1 stiffness matrix
 weights 2 pi int phi_j r dr, exact for linear integrands.
 
 Both maximisations over the energy ball {E(u) <= alpha} run one
-conditional-gradient (Frank-Wolfe) ascent, `_ascend`, from one start,
-`_start`: each step moves toward the maximiser of the linearised
-functional on the ball, the H^1_0 Riesz representative of the gradient
-scaled to energy alpha.  It ends on "rtol", "no_ascent_step" or
-"max_iter"; solve_subcritical reports the reason with its run, and
-lambda_g_report widens its gap to inf unless both its ascents end on
-"rtol".
+conditional-gradient (Frank-Wolfe) ascent, `_ascend`, which alone holds
+the discretisation: its callers pass the pointwise integrand, and it
+builds the stiffness, the lumped weights and the start `_start`.  Each
+step moves toward the maximiser of the linearised functional on the
+ball, the H^1_0 Riesz representative of the gradient scaled to energy
+alpha.  It ends on "rtol", "no_ascent_step" or "max_iter";
+solve_subcritical reports the reason with its run, and lambda_g_report
+widens its gap to inf unless both its ascents end on "rtol".
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily, eval_g
 from .profiles import B0_CONSTANT, RadialProfile
 
 __all__ = [
-    "GridFunction",
     "ExtremalRun",
     "RootFailError",
     "make_grid",
@@ -103,30 +103,12 @@ def _load_weights(r: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GridFunction:
-    """Nonnegative radial profile with zero boundary value at r=1."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values[-1] != 0.0:
-            raise ValueError("boundary value u(1) must vanish")
-        self._k = _stiffness(self.grid)
-
-    def energy(self) -> float:
-        """Dirichlet energy via the trapezoid-on-gradient (stiffness) form."""
-        return _energy(self._k, self.values)
-
-    def to_csv(self, path: str) -> None:
-        write_csv(path, ["r", "u"], [self.grid, self.values])
-
-
-@dataclass
 class ExtremalRun:
+    """A subcritical ascent's result; u holds the nodal values on the grid r."""
+
     alpha: float
-    u: GridFunction
+    r: np.ndarray
+    u: np.ndarray
     J_value: float
     gamma: float
     lam: float
@@ -141,6 +123,9 @@ class ExtremalRun:
                 "saturated": self.saturated, "iterations": self.iterations,
                 "termination": self.termination}
 
+    def to_csv(self, path: str) -> None:
+        write_csv(path, ["r", "u"], [self.r, self.u])
+
 
 def _project(u: np.ndarray, k: np.ndarray, alpha: float) -> np.ndarray:
     e = _energy(k, u)
@@ -149,14 +134,22 @@ def _project(u: np.ndarray, k: np.ndarray, alpha: float) -> np.ndarray:
     return u
 
 
-def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float):
-    """Conditional-gradient (Frank-Wolfe) ascent on the H^1_0 ball of
-    radius^2 alpha.
+def _start(r: np.ndarray, k: np.ndarray, alpha: float) -> np.ndarray:
+    """The profile every ascent starts from: 1 - r^2 scaled to energy alpha
+    on the conductances k of the grid r."""
+    u = 0.3 * (1.0 - r * r)
+    return u * math.sqrt(alpha / _energy(k, u))
 
-    value_grad takes a nodal vector (boundary node fixed at 0) and returns
-    the functional and its nodal gradient from one evaluation, so every
-    trial costs one call and the accepted trial's gradient feeds the next
-    step.  Each step solves d = K^{-1} grad by `solveh_banded`;
+
+def _ascend(integrand, r: np.ndarray, alpha: float):
+    """Conditional-gradient (Frank-Wolfe) ascent of J(u) = int phi(u) on the
+    H^1_0 ball of radius^2 alpha, from `_start`.
+
+    integrand takes a nodal vector (boundary node fixed at 0) and returns
+    the nodal (phi(u), phi'(u)); with the lumped weights w, J = w . phi and
+    its nodal gradient is w phi'.  Every trial costs one call and the
+    accepted trial's gradient feeds the next step.  Each step solves
+    d = K^{-1} grad by `solveh_banded`;
     v = d sqrt(alpha / E(d)) maximises the linearised functional
     on the ball, and the trial is u + s (v - u) with s = 1, halved only
     while J does not rise (J convex along the step never falls at s = 1).
@@ -166,7 +159,13 @@ def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float):
     rise) or "max_iter".
     """
     k = _stiffness(r)
-    u = _project(u0.copy(), k, alpha)
+    w = _load_weights(r)
+
+    def value_grad(u):
+        phi, phi_p = integrand(u)
+        return float(np.dot(w, phi)), w * phi_p
+
+    u = _project(_start(r, k, alpha), k, alpha)
     J, G = value_grad(u)
     stall = 0
     it = 0
@@ -193,17 +192,6 @@ def _ascend(value_grad, u0: np.ndarray, r: np.ndarray, alpha: float):
     return u, J, G, it, "max_iter"
 
 
-def _apply_K(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K v: the net flux out of each node."""
-    return np.diff(k * (v[:-1] - v[1:]), prepend=0.0, append=0.0)
-
-
-def _start(r: np.ndarray, alpha: float) -> np.ndarray:
-    """The profile both ascents start from: 1 - r^2 scaled to energy alpha."""
-    u = 0.3 * (1.0 - r * r)
-    return u * math.sqrt(alpha / _energy(_stiffness(r), u))
-
-
 def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
                       n_grid: int = 2000) -> ExtremalRun:
     """Maximize the Moser functional over the H^1_0 ball of radius^2 alpha
@@ -218,23 +206,18 @@ def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
     if n_grid < 3:
         raise ValueError(f"n_grid must be >= 3 (got {n_grid})")
     r = make_grid(n_grid)
-    w = _load_weights(r)
-
-    def value_grad(u):
-        psi, psi_p = eval_psi_N(fam, N, u)
-        return float(np.dot(w, psi)), w * psi_p
-
-    u, J, F, it, why = _ascend(value_grad, _start(r, alpha), r, alpha)
-    gf = GridFunction(r, u)
-    e = gf.energy()
+    u, J, F, it, why = _ascend(lambda v: eval_psi_N(fam, N, v), r, alpha)
+    k = _stiffness(r)
+    e = _energy(k, u)
     # F is the nodal weak form of Psi'_N(u), i.e. 2 u H(u) e^{u^2} up to
     # truncation; <K u, u> = E(u) since u(1) = 0
     denom = float(np.dot(F[:-1], u[:-1]))
     lam = 2.0 * e / denom if denom != 0.0 else 0.0
-    Ku = _apply_K(_stiffness(r), u)
+    # K u: the net flux out of each node
+    Ku = np.diff(k * (u[:-1] - u[1:]), prepend=0.0, append=0.0)
     resid_vec = Ku[:-1] - 0.5 * lam * F[:-1]
     el_res = float(np.linalg.norm(resid_vec) / max(np.linalg.norm(Ku[:-1]), 1e-300))
-    return ExtremalRun(alpha=alpha, u=gf, J_value=J, gamma=float(np.max(u)),
+    return ExtremalRun(alpha=alpha, r=r, u=u, J_value=J, gamma=float(np.max(u)),
                        lam=lam, el_residual=el_res,
                        saturated=abs(e - alpha) < 1e-6, iterations=it,
                        termination=why)
@@ -259,20 +242,13 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
     g00, _ = eval_g(fam, 0.0)
     alpha = 4.0 * math.pi
 
-    def ascend(n):
-        r = make_grid(n)
-        w = _load_weights(r)
+    def phi(u):
+        gu, gpu = eval_g(fam, u)
+        return ((1.0 + gu) * (1.0 + u * u) - (1.0 + g00),
+                gpu * (1.0 + u * u) + 2.0 * u * (1.0 + gu))
 
-        def value_grad(u):
-            gu, gpu = eval_g(fam, u)
-            return (float(np.dot(w, (1.0 + gu) * (1.0 + u * u) - (1.0 + g00))),
-                    w * (gpu * (1.0 + u * u) + 2.0 * u * (1.0 + gu)))
-
-        _, J, _, _, why = _ascend(value_grad, _start(r, alpha), r, alpha)
-        return J, why
-
-    value, why = ascend(n_grid)
-    half, why_half = ascend(n_grid // 2)
+    _, value, _, _, why = _ascend(phi, make_grid(n_grid), alpha)
+    _, half, _, _, why_half = _ascend(phi, make_grid(n_grid // 2), alpha)
     converged = why == why_half == "rtol"
     return {"lambda_g": value, "gap": abs(value - half) if converged else math.inf,
             "termination": [why, why_half]}

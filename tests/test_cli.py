@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mtcrit import cli
@@ -482,6 +483,21 @@ def test_extremal_within_tolerance_of_recorded(tmp_path, name):
                    want, EXTREMAL_TOLERANCE)
 
 
+def test_extremal_curve_is_the_run(tmp_path):
+    # the curve file holds the run's maximiser: every grid node, u(1) = 0,
+    # its peak is the reported gamma and its energy the ball's radius^2
+    cfg = _write(tmp_path, "cfg.json", {"alpha_ladder": [0.9]})
+    assert main(["extremal", "--config", cfg, "--out", str(tmp_path)]) == 0
+    (run,) = json.loads((tmp_path / "extremal.json").read_text())["runs"]
+    header, *rows = (tmp_path / "extremal_alpha11.3097.csv").read_text().splitlines()
+    assert header == "r,u" and len(rows) == 2000
+    r, u = np.array([[float(x) for x in row.split(",")] for row in rows]).T
+    assert r[-1] == 1.0 and u[-1] == 0.0
+    assert float(np.max(u)) == run["gamma"]
+    assert variational._energy(variational._stiffness(r), u) == pytest.approx(
+        run["alpha"], rel=0.0, abs=1e-6)
+
+
 def _rung(gamma, sup, lead, gap, A, xi, extra):
     return {"gamma": gamma, "sup_normalized": sup, "leading_sup": lead, "r0_gap": gap,
             "details": {"A": A, "xi": xi, **extra}}
@@ -653,19 +669,20 @@ def test_verify(tmp_path, capsys):
     rep = json.loads((tmp_path / "verify.json").read_text())
     assert rep["all_pass"] is True
     assert rep["seed"] == 3
+    assert set(rep) == {"rows", "all_pass", "seed", "config_hash", "version"}
 
 
-def test_tolerance_scale_validation(tmp_path, capsys):
-    rc = main(["verify", "--out", str(tmp_path), "--tolerance-scale", "0"])
-    assert rc == 1
-    assert "tolerance-scale" in capsys.readouterr().err
+_OTHER_COMMANDS = ["criterion", "profiles", "bubble", "extremal"]
 
 
-@pytest.mark.parametrize("flag", [["--seed", "5"], ["--tolerance-scale", "3"]],
-                         ids=["seed", "tolerance-scale"])
-@pytest.mark.parametrize("cmd", ["criterion", "profiles", "bubble", "extremal"])
-def test_only_verify_takes_seed_and_tolerance_scale(tmp_path, capsys, cmd, flag):
-    # the other subcommands draw nothing at random and check no tolerance
+@pytest.mark.parametrize("cmd,flag", [
+    *[pytest.param(cmd, ["--seed", "5"], id=f"{cmd}-seed") for cmd in _OTHER_COMMANDS],
+    *[pytest.param(cmd, ["--tolerance-scale", "3"], id=f"{cmd}-tolerance-scale")
+      for cmd in _OTHER_COMMANDS + ["verify"]],
+])
+def test_only_verify_takes_seed(tmp_path, capsys, cmd, flag):
+    # the other subcommands draw nothing at random; no subcommand scales
+    # the verify tolerances
     with pytest.raises(SystemExit) as exc:
         main([cmd, "--out", str(tmp_path)] + flag)
     assert exc.value.code == 2

@@ -12,7 +12,9 @@ package (passing it as a keyword argument is no read) or be listed in
 an ``__all__``; and an exception class in
 ``mtcrit.__all__`` must appear in a ``raise``.  Every key of
 ``cli.CONFIG_KEYS`` must be read by some subcommand, so that a key that
-configures nothing cannot come back.
+configures nothing cannot come back.  The lumped weights and the start
+profile of the radial ascent are read inside ``_ascend`` alone, so that
+its callers pass an integrand and never discretise it themselves.
 """
 
 import ast
@@ -104,6 +106,46 @@ def test_scan_catches_an_unused_import():
                      "__all__ = ['z']\nprint(math.pi)\n")
     used = _used_names(tree) | _exported(tree)
     assert [n for n in _imported_names(tree) if n not in used] == ["json"]
+
+
+def _read_outside(tree: ast.Module, names: set, owner: str) -> list:
+    """(line, name) of each read of `names`, as a variable or an attribute,
+    outside the body of every function called `owner`."""
+    out = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == owner
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name in names and isinstance(node.ctx, ast.Load) and not inside:
+            out.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return sorted(out)
+
+
+_ASCENT_OWNED = {"_load_weights", "_start"}
+
+
+def test_only_the_ascent_discretises():
+    outside = [f"{p.name}:{line} {name}" for p in MODULES
+               for line, name in _read_outside(ast.parse(p.read_text(), filename=str(p)),
+                                               _ASCENT_OWNED, "_ascend")]
+    assert not outside, f"read outside _ascend: {outside}"
+
+
+def test_ascent_scan_catches_a_caller():
+    tree = ast.parse(
+        "def _ascend(f, r): return f(_load_weights(r), _start(r))\n"
+        "def solve(r):\n"
+        "    w = _load_weights(r)\n"
+        "    def inner(): return m._start(r)\n"
+        "    return _ascend(lambda u: u, r), inner, w\n")
+    assert _read_outside(tree, _ASCENT_OWNED, "_ascend") == [(3, "_load_weights"),
+                                                             (4, "_start")]
 
 
 def _definitions(tree: ast.Module) -> list:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import mtcrit.variational as variational
 from mtcrit import (
     FamilyKind,
-    GridFunction,
     PerturbationFamily,
     asymptotic_data,
     eval_g,
@@ -22,7 +21,7 @@ from mtcrit import (
     step1_testfun,
 )
 from mtcrit.domain import DomainModel, Shape
-from mtcrit.variational import _load_weights, _project, _start, _stiffness, make_grid
+from mtcrit.variational import _energy, _load_weights, _project, _start, _stiffness, make_grid
 
 # Infinity-branch-only PowerLog family of the disk-verdict benchmark.
 POWER_LOG = PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.256171,
@@ -30,24 +29,19 @@ POWER_LOG = PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.256171,
 
 
 def test_functional_at_zero_is_area(fam0):
-    # the discrete functional that solve_subcritical's value_grad evaluates
+    # the discrete functional that _ascend forms from solve_subcritical's integrand
     r = make_grid()
     J = float(np.dot(_load_weights(r), eval_psi_N(fam0, 1, np.zeros_like(r))[0]))
     assert J == pytest.approx(math.pi, rel=1e-10)
 
 
-def test_boundary_value_enforced():
-    r = make_grid()
-    with pytest.raises(ValueError):
-        GridFunction(r, np.ones_like(r))
-
-
 def test_start_saturates_ball():
     # Every ascent starts on the sphere E(u) = alpha, nonnegative and zero at r = 1.
     r = make_grid()
+    k = _stiffness(r)
     for alpha in (0.5, 0.9 * 4.0 * math.pi, 4.0 * math.pi):
-        u0 = _start(r, alpha)
-        assert GridFunction(r, u0).energy() == pytest.approx(alpha, rel=1e-12)
+        u0 = _start(r, k, alpha)
+        assert _energy(k, u0) == pytest.approx(alpha, rel=1e-12)
         assert np.all(u0 >= 0.0) and u0[-1] == 0.0
 
 
@@ -82,7 +76,7 @@ def test_project_shrinks_energy():
     u = 3.0 * (1.0 - r * r)
     alpha = 1.0
     v = _project(u, k, alpha)
-    assert GridFunction(r, v).energy() == pytest.approx(alpha, rel=1e-12)
+    assert _energy(k, v) == pytest.approx(alpha, rel=1e-12)
     # Already-feasible input is returned unchanged.
     w = _project(v, k, 10.0)
     assert np.array_equal(w, v)
@@ -244,25 +238,23 @@ def test_ascent_termination_reasons(monkeypatch, fam0):
     # "rtol" ends every ascent of the default ladder
     # (test_convex_runs_take_full_steps); here the other two are forced.
     r = make_grid(400)
-    w = _load_weights(r)
     alpha = 0.5 * 4.0 * math.pi
-    u0 = _start(r, alpha)
 
-    def value_grad(u):
-        psi, psi_p = eval_psi_N(fam0, 1, u)
-        return float(np.dot(w, psi)), w * psi_p
+    def integrand(u):
+        return eval_psi_N(fam0, 1, u)
 
     seen = []
 
     def never_rises(u):
         seen.append(u)
-        return (1.0 if len(seen) == 1 else 0.0), value_grad(u)[1]
+        psi, psi_p = integrand(u)
+        return (psi if len(seen) == 1 else np.zeros_like(psi)), psi_p
 
-    *_, it, why = variational._ascend(never_rises, u0, r, alpha)
+    *_, it, why = variational._ascend(never_rises, r, alpha)
     assert (it, why, len(seen)) == (1, "no_ascent_step", 41)
 
     monkeypatch.setattr(variational, "_MAX_ITER", 3)
-    *_, it, why = variational._ascend(value_grad, u0, r, alpha)
+    *_, it, why = variational._ascend(integrand, r, alpha)
     assert (it, why) == (3, "max_iter")
     run = solve_subcritical(fam0, 1, alpha, n_grid=400)
     assert (run.iterations, run.termination) == (3, "max_iter")
@@ -277,15 +269,15 @@ def test_convex_runs_take_full_steps(monkeypatch, fam):
     ascend = variational._ascend
     seen = []
 
-    def counted(value_grad, *args):
+    def counted(integrand, *args):
         evals = 0
 
-        def vg(u):
+        def counted_integrand(u):
             nonlocal evals
             evals += 1
-            return value_grad(u)
+            return integrand(u)
 
-        out = ascend(vg, *args)
+        out = ascend(counted_integrand, *args)
         seen.append((evals, out[3], out[4]))
         return out
 
@@ -294,6 +286,19 @@ def test_convex_runs_take_full_steps(monkeypatch, fam):
         solve_subcritical(fam, 1, frac * 4.0 * math.pi)
     assert len(seen) == 4
     assert all(evals == it + 1 and why == "rtol" for evals, it, why in seen), seen
+
+
+def test_each_ascent_builds_its_discretisation_once(monkeypatch, fam0):
+    # _ascend builds the stiffness and the lumped weights of its grid once;
+    # solve_subcritical builds the stiffness once more, for E(u) and K u
+    stiffness = _count_calls(monkeypatch, "_stiffness")
+    weights = _count_calls(monkeypatch, "_load_weights")
+    solve_subcritical(fam0, 1, 0.8 * 4.0 * math.pi, n_grid=400)
+    assert len(stiffness) <= 2 and len(weights) == 1
+    stiffness.clear()
+    weights.clear()
+    lambda_g_report(fam0, n_grid=400)
+    assert len(stiffness) == 2 and len(weights) == 2
 
 
 def _count_calls(monkeypatch, name):
