@@ -6,7 +6,6 @@
   1986 for the dense output).
 * `minimize`: the Nelder-Mead simplex search of scipy.optimize.minimize
   (non-adaptive coefficients, the same initial simplex and stop rule).
-* `brentq`: Brent's bracketed root finder, as in scipy.optimize.brentq.
 * `gauss_legendre`: the nodes and weights of composite Gauss-Legendre
   quadrature, one row of each per panel.
 * `series_tail`, `power_term` and `term_over_tail`: sum_{k>N} T^k/k!,
@@ -39,7 +38,6 @@ __all__ = [
     "MinimizeResult",
     "solve_ivp",
     "minimize",
-    "brentq",
     "gauss_legendre",
     "power_term",
     "series_tail",
@@ -256,57 +254,6 @@ def minimize(fun, x0, xatol: float, fatol: float, maxiter: int) -> MinimizeResul
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
     return MinimizeResult(x=sim[0], fun=float(np.min(fsim)), nit=it, nfev=nfev,
                           success=it < maxiter)
-
-
-# -- Brent's root finder ------------------------------------------------------
-
-
-def brentq(f, a: float, b: float, xtol: float, rtol: float = 4.0 * _EPS,
-           maxiter: int = 100) -> float:
-    """A root of f in [a, b] by Brent's method (inverse quadratic
-    interpolation, secant and bisection steps), to within
-    xtol + rtol |x| / 2.  f(a) and f(b) must differ in sign (ValueError);
-    RuntimeError if maxiter steps do not converge.  The iteration is that
-    of scipy.optimize.brentq.
-    """
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"no convergence in {maxiter} iterations")
 
 
 # -- Gauss-Legendre -------------------------------------------------------------

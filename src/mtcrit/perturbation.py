@@ -62,9 +62,11 @@ class PerturbationFamily:
         g(t) = c' * t^(-a') * (log t)^(-b')            for t >= R'
 
     joined on [1/R', R'] by a quintic C^1 Hermite blend (see `_blend_coeffs`).
-    A PowerLog family whose g reaches -1 on any of the three pieces is
-    refused with NonAdmissibleError.  A Zero family leaves every PowerLog
-    field at its default.
+    Each numeric field must be a finite real number, not a bool (ValueError
+    naming the field), and is kept as a float.  A PowerLog family whose g
+    reaches -1 on any of the three pieces is refused with
+    NonAdmissibleError.  A Zero family leaves every PowerLog field at its
+    default.
     """
 
     kind: FamilyKind = FamilyKind.ZERO
@@ -80,9 +82,15 @@ class PerturbationFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", FamilyKind(self.kind))
+        numeric = [f for f in fields(self) if f.name not in ("kind", "_hermite")]
+        for f in numeric:
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number (got {value!r})")
+            object.__setattr__(self, f.name, float(value))
         if self.kind is FamilyKind.ZERO:
-            given = [f.name for f in fields(self) if f.name not in ("kind", "_hermite")
-                     and getattr(self, f.name) != f.default]
+            given = [f.name for f in numeric if getattr(self, f.name) != f.default]
             if given:
                 raise ValueError(f"a Zero family takes no other field (got {', '.join(given)})")
         else:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .csvout import write_csv
 from .domain import DomainModel, Shape
-from .numerics import brentq, gauss_legendre
+from .numerics import CubicHermite, gauss_legendre
 from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily, eval_g, eval_psi_N
 from .profiles import B0_CONSTANT, RadialProfile
 
@@ -60,6 +60,20 @@ _STEP1_ORDER = 20
 # past _MAX_LOG_INV_MU2, e^-L is below the smallest normal double
 _HEIGHT_BRACKET = 5.0
 _MAX_LOG_INV_MU2 = -math.log(sys.float_info.min)
+# model_testfun_energy: ||U||^2 by _NORM_ORDER Gauss-Legendre nodes a panel in
+# t = log(1 + r^2/mu~^2), on _NORM_PANELS uniform panels up to t_u = min(
+# _NORM_UNIFORM_T, t_max/2), then _NORM_TAIL_PANELS whose ends close in on t_max
+# geometrically, to 2^-40 (t_max - t_u), and one more.  _green_source: q'/rho
+# in X = log(1/rho) at 0, at _Q_GEOMETRIC geometric nodes on [1e-12, 1] and at
+# _Q_UNIFORM uniform ones on [1, _Q_X_MAX], with _Q_ORDER nodes a panel.
+_NORM_ORDER = 20
+_NORM_PANELS = 150
+_NORM_UNIFORM_T = 30.0
+_NORM_TAIL_PANELS = 40
+_Q_GEOMETRIC = 100
+_Q_UNIFORM = 400
+_Q_X_MAX = 100.0
+_Q_ORDER = 8
 
 
 def make_grid(n: int = 2000) -> np.ndarray:
@@ -302,19 +316,23 @@ def _concentration_integral(data: AsymptoticData) -> float:
 def _green_source(data: AsymptoticData):
     """q(0) and q' for q(x) = int_Omega G_x(y) F(4 pi G_0(y)) dy, x radial.
 
-    On the disk q solves the radial Poisson problem q'' + q'/r = -F(4 pi G_0),
-    q'(0) = 0, q(1) = 0.  q(0) is `_concentration_integral`; q' is one
-    cumulative trapezoid quadrature, returned as a function of the radius,
-    because the radii where the model test function needs it depend on a
-    scale fixed by q(0).
+    On the disk q'' + q'/rho = -F(2 log(1/rho)), q'(0) = 0, q(1) = 0, and
+    q(0) is `_concentration_integral`.  With X = log(1/rho), q'/rho =
+    -e^{2X} int_X^oo F(2Y) e^{-2Y} dY = -e^{2X} Gamma(kappa + 1, 2X)/2: a
+    CubicHermite in X through cumulative Gauss-Legendre sums from _Q_X_MAX
+    down (the rest past it is its leading term F(2X) e^{-2X}/2), with slopes
+    F(2X) + 2 q'/rho from the ODE.  q' is returned as a function of the
+    radius; past _Q_X_MAX it reads the table's end.
     """
-    rr = np.geomspace(1e-10, 1.0, 4000)
-    Fsrc = data.F(2.0 * np.log(1.0 / rr))
-    # q'(rho) = -(1/rho) int_0^rho F s ds
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (Fsrc[1:] * rr[1:] + Fsrc[:-1] * rr[:-1])
-                                           * np.diff(rr))])
-    qp = -cum / rr
-    return _concentration_integral(data), lambda r: np.interp(r, rr, qp)
+    X = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, _Q_GEOMETRIC),
+                        np.linspace(1.0, _Q_X_MAX, _Q_UNIFORM)[1:]])
+    Y, W = gauss_legendre(X, _Q_ORDER)
+    panels = np.sum(W * data.F(2.0 * Y) * np.exp(-2.0 * Y), axis=1)
+    rest = np.append(np.cumsum(panels[::-1])[::-1], 0.0)  # int_X^oo F(2Y) e^{-2Y} dY
+    rest += 0.5 * data.F(2.0 * _Q_X_MAX) * math.exp(-2.0 * _Q_X_MAX)
+    w = -np.exp(2.0 * X) * rest
+    table = CubicHermite(X, w, data.F(2.0 * X) + 2.0 * w)
+    return _concentration_integral(data), lambda r: r * table(np.minimum(-np.log(r), _Q_X_MAX))
 
 
 def height_seed(data: AsymptoticData, gamma: float) -> tuple[float, float]:
@@ -338,15 +356,55 @@ def height_seed(data: AsymptoticData, gamma: float) -> tuple[float, float]:
     return x, L_seed
 
 
+def _height(data: AsymptoticData, profiles: dict, gamma: float):
+    """The height function L -> U(0) - gamma of `model_testfun_energy`,
+    with L = log(1/mu~^2).  Bracket (*) is log(1/(r^2+mu~^2)) + H~ at r = 0,
+    H~ = log(1+mu~^2); at r = 0 each profile bracket (A_i/4pi)(L + H~_i) - B_i
+    is -S_i(1/mu~) by the choice of H~_i."""
+    g = gamma
+    A = float(data.A(g))
+    centre = 4.0 * float(data.B(g)) / (g * g * math.e) * _concentration_integral(data)
+    S0, S1v, S2v = profiles[0], profiles[1], profiles[2]
+
+    def height(L):
+        inv_mu = math.exp(0.5 * L)
+        tot = (L + math.log1p(math.exp(-L))) / g
+        tot -= S0(inv_mu) / g**3
+        tot -= S1v(inv_mu) / g**5
+        tot -= A / g * S2v(inv_mu)
+        tot += centre
+        return tot - g
+
+    return height
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi]: of the two ends of the bracket, bisected down
+    to adjacent doubles, the one where |f| is smaller.  RootFailError if f(lo)
+    and f(hi) do not differ in sign."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo * f_hi <= 0.0:
+        raise RootFailError("height equation has no root in the bracket")
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        f_mid = f(mid)
+        if (f_mid <= 0.0) == (f_lo <= 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
 def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
                          data: AsymptoticData, profiles: dict, gamma: float) -> dict:
     """Energy of the model concentration profile at the disk center.
 
     Builds the four-bracket test function (log core, S0/S1 corrections,
-    A-weighted S2 correction, Green-convolution tail), solves the height
-    condition U(0) = gamma for the core scale mu~, and reports the
-    normalized energy gap (||U||^2/4pi - 1 - I_0(gamma)) / zeta-check.
-    log_inv_mu2_closed is None where its closed form has no value.
+    A-weighted S2 correction, Green-convolution tail), bisects the height
+    condition U(0) = gamma (`_height`) for the core scale mu~ in the bracket
+    L_seed -+ _HEIGHT_BRACKET down to adjacent doubles, and reports the
+    normalized energy gap (||U||^2/4pi - 1 - I_0(gamma)) / zeta-check, with
+    ||U||^2 a Gauss-Legendre sum.  log_inv_mu2_closed is None where its
+    closed form has no value.
     """
     if dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("model test function is radial at the disk center")
@@ -357,42 +415,28 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     S_int, q_prime = _green_source(data)
     coef_q = 4.0 * Bc / (g * g * math.e)
 
-    def height(L):
-        # L = log(1/mu~^2); U(0) - gamma.  Bracket (*) is log(1/(r^2+mu~^2))
-        # + H~ at r = 0, H~ = log(1+mu~^2); at r = 0 each profile bracket
-        # (A_i/4pi)(L + H~_i) - B_i is -S_i(1/mu~) by the choice of H~_i.
-        inv_mu = math.exp(0.5 * L)
-        tot = (L + math.log1p(math.exp(-L))) / g
-        tot -= S0(inv_mu) / g**3
-        tot -= S1v(inv_mu) / g**5
-        tot -= A / g * S2v(inv_mu)
-        tot += coef_q * S_int
-        return tot - g
-
     x, L_seed = height_seed(data, g)
-    try:
-        L = brentq(height, L_seed - _HEIGHT_BRACKET, L_seed + _HEIGHT_BRACKET, xtol=1e-12)
-    except ValueError as exc:
-        raise RootFailError("height equation has no root in the bracket") from exc
+    L = _bisect(_height(data, profiles, g), L_seed - _HEIGHT_BRACKET, L_seed + _HEIGHT_BRACKET)
     mu2 = math.exp(-L)
     mu = math.sqrt(mu2)
-    inv_mu = 1.0 / mu
 
     H_m1 = math.log1p(mu2)
-    H_i = [_bracket_const(P, inv_mu, L) for P in (S0, S1v, S2v)]
+    H_i = [_bracket_const(P, 1.0 / mu, L) for P in (S0, S1v, S2v)]
 
-    # ||U||^2 = 2 pi int U'(r)^2 r dr with t = log(1 + r^2/mu^2)
+    # ||U||^2 = 2 pi int U'(r)^2 r dr with t = log(1 + r^2/mu^2), r dr = (r^2+mu^2)/2 dt;
+    # a panel ends where r/mu passes a profile's last node
     t_max = math.log1p(1.0 / mu2)
-    t = np.linspace(1e-12, t_max, 6001)
-    r2 = mu2 * np.expm1(t)
-    r = np.sqrt(r2)
-    dUdr = -2.0 * r / (r2 + mu2) / g
-    dUdr += S0.derivative(r / mu) / (mu * g**3)
-    dUdr += S1v.derivative(r / mu) / (mu * g**5)
-    dUdr += A / g * S2v.derivative(r / mu) / mu
-    dUdr += coef_q * q_prime(r)
-    integrand = dUdr**2 * (r2 + mu2)  # times r dr = (r^2+mu^2)/2 dt
-    norm_sq = 2.0 * math.pi * 0.5 * np.trapezoid(integrand, t)
+    t_u = min(_NORM_UNIFORM_T, 0.5 * t_max)
+    shrink = np.exp2(-40.0 * np.arange(1, _NORM_TAIL_PANELS + 1) / _NORM_TAIL_PANELS)
+    knots = [k for k in {math.log1p(P.grid[-1] ** 2) for P in (S0, S1v, S2v)} if k < t_max]
+    edges = np.concatenate([np.linspace(0.0, t_u, _NORM_PANELS + 1),
+                            t_max - (t_max - t_u) * shrink, [t_max], knots])
+    t, w = gauss_legendre(np.sort(edges), _NORM_ORDER)
+    z = np.sqrt(np.expm1(t))  # z = r/mu; mu_dUdr = mu U'(r) and r^2 + mu^2 = mu^2 (1 + z^2)
+    mu_dUdr = (-2.0 * z / (1.0 + z * z) / g + S0.derivative(z) / g**3
+               + S1v.derivative(z) / g**5 + A / g * S2v.derivative(z)
+               + mu * coef_q * q_prime(mu * z))
+    norm_sq = math.pi * float(np.sum(w * mu_dUdr**2 * (1.0 + z * z)))
 
     I_z = g**-4.0 + 0.5 * A + 4.0 * Bc * S_int / (g**3 * math.e)
     zeta_check = max(g**-4.0, abs(A), abs(Bc) / g**3)

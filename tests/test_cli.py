@@ -267,6 +267,24 @@ def test_criterion_config_refused_before_solving(tmp_path, capsys, monkeypatch,
     assert solves == []
 
 
+# (c', a', b') = (1, 3, 1/2), with JSON integers where they are whole
+POWERLOG_3_HALF = {"kind": "PowerLog", "c_prime": 1, "a_prime": 3, "b_prime": 0.5}
+
+
+def test_family_fields_may_be_json_integers(tmp_path):
+    # "R_prime": 10 reaches the family as an int; it used to be refused with
+    # NumPy's "Integers to negative integer powers are not allowed"
+    reports = []
+    for R in (10, 10.0):
+        out = tmp_path / str(R)
+        out.mkdir()
+        cfg = _write(tmp_path, "cfg.json", {"family": {**POWERLOG_3_HALF, "R_prime": R}})
+        assert main(["criterion", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "criterion.json").read_text())
+        reports.append({k: v for k, v in rep.items() if k != "config_hash"})
+    assert reports[0] == reports[1]
+
+
 # A(gamma) of this family carries (log gamma)^-1/2: inf at gamma = 1, nan below
 POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_prime": 0.5}
 
@@ -340,6 +358,18 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
      "only for gamma > 1"),
     ("bubble", {"family": POWERLOG_NO_A_BELOW_1, "gamma_ladder": [0.9, 2.0]},
      "gamma_ladder", "gamma = 0.9"),
+    # family fields that used to run (a bool is an int to Python) or end in
+    # a bare TypeError from a comparison
+    ("criterion", {"family": {**POWERLOG_3_HALF, "c_prime": True}}, "family",
+     "c_prime must be a finite number (got True)"),
+    ("criterion", {"family": {**POWERLOG_3_HALF, "c_prime": "1"}}, "family",
+     "c_prime must be a finite number (got '1')"),
+    ("criterion", {"family": {**POWERLOG_3_HALF, "c_prime": None}}, "family",
+     "c_prime must be a finite number (got None)"),
+    ("criterion", {"family": {**POWERLOG_3_HALF, "c_prime": [1]}}, "family",
+     "c_prime must be a finite number (got [1])"),
+    ("criterion", {"family": {**POWERLOG_3_HALF, "R_prime": "10"}}, "family",
+     "R_prime must be a finite number (got '10')"),
 ], ids=["N-fraction-bubble", "N-fraction-extremal", "N-zero", "N-bool", "N-string",
         "gamma-ladder-empty", "gamma-ladder-zero", "alpha-ladder-empty",
         "alpha-ladder-zero", "top-level-key", "starts", "gamma-grid", "robin-max",
@@ -356,7 +386,9 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
         "gamma-ladder-duplicate", "alpha-ladder-same-file", "gamma-ladder-window",
         "gamma-ladder-window-eps0", "gamma-ladder-budget", "gamma-ladder-empty-window",
         "N-past-underflow", "N-huge-past-underflow",
-        "gamma-ladder-A-at-one", "gamma-ladder-A-below-one"])
+        "gamma-ladder-A-at-one", "gamma-ladder-A-below-one", "family-c-prime-bool",
+        "family-c-prime-string", "family-c-prime-null", "family-c-prime-list",
+        "family-R-prime-string"])
 def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, payload,
                                        field, named):
     solves = []
@@ -441,6 +473,11 @@ def _assert_within(got, want, tolerances):
 # re-recorded when the profiles became variation-of-parameters quadratures:
 # B_1 moved from the tail fit's 27.4096 to the exact 27.3718, which moves the
 # gap by 9.8e-4 (Zero) and 9.5e-4 (PowerLog) relative.
+# They were re-recorded again when ||U||^2 became a Gauss-Legendre sum in
+# place of a 6001-node trapezoid (the gap moved by 3.9e-5 relative for Zero
+# and 3.6e-5 for PowerLog) and the height root was bisected to adjacent
+# doubles in place of Brent's method to 1e-12 (mu moved by 1.8e-15 relative
+# and log_inv_mu2 by one ulp).
 EXTREMAL_RECORDED = {
     "Zero": ({"kind": "Zero"}, {
         "run": {"J": 9.504416349250366, "gamma": 2.3931493233007206,
@@ -448,8 +485,8 @@ EXTREMAL_RECORDED = {
                 "iterations": 70, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.706317334575852},
-        "model_testfun": {"normalized_gap": -1.104259528340605, "mu": 6.080615060469099e-06,
-                          "log_inv_mu2": 24.020809411682578, "I_z": 0.0027772142117486152},
+        "model_testfun": {"normalized_gap": -1.1042166455159526, "mu": 6.080615060469088e-06,
+                          "log_inv_mu2": 24.02080941168258, "I_z": 0.0027772142117486152},
     }),
     "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
                   "b_prime": 0.682198}, {
@@ -458,8 +495,8 @@ EXTREMAL_RECORDED = {
                 "iterations": 69, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.823925505070326},
-        "model_testfun": {"normalized_gap": -1.1426083827221947, "mu": 6.129216127670537e-06,
-                          "log_inv_mu2": 24.004887381922188, "I_z": 0.0035021576343725446},
+        "model_testfun": {"normalized_gap": -1.142566884981673, "mu": 6.129216127670548e-06,
+                          "log_inv_mu2": 24.004887381922185, "I_z": 0.0035021576343725446},
     }),
 }
 EXTREMAL_TOLERANCE = {

@@ -1,8 +1,9 @@
 """Every top-level import in the package is used or re-exported, every
 definition is read, and every exported exception is raised somewhere.
 No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
-and only mtcrit.numerics imports the Gauss-Legendre nodes.  Every kernel
-and constant that mtcrit.numerics exports is imported by another module.
+and only mtcrit.numerics imports the Gauss-Legendre nodes; no module calls
+a trapezoid rule or linear interpolation.  Every kernel and constant that
+mtcrit.numerics exports is imported by another module.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
@@ -96,9 +97,45 @@ def test_every_numerics_kernel_has_a_caller():
 
 
 def test_numerics_caller_scan_catches_an_unimported_kernel():
-    trees = {"a.py": ast.parse("from .numerics import brentq\nimport numpy as np\n"),
-             "b.py": ast.parse("from .numerics import CHUNK, brentq\n")}
-    assert _unimported(["CHUNK", "brentq", "np", "solve_ivp"], trees) == ["solve_ivp"]
+    trees = {"a.py": ast.parse("from .numerics import minimize\nimport numpy as np\n"),
+             "b.py": ast.parse("from .numerics import CHUNK, minimize\n")}
+    assert _unimported(["CHUNK", "minimize", "np", "solve_ivp"], trees) == ["solve_ivp"]
+
+
+_NOT_GAUSS_LEGENDRE = {"trapezoid", "trapz", "interp"}
+
+
+def _trapezoid_calls(tree: ast.Module) -> list:
+    """(line, name) of each call of np.trapezoid, np.trapz or np.interp, on
+    `np` or `numpy` or as a bare name."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in ("np", "numpy"):
+            name = f.attr
+        else:
+            name = f.id if isinstance(f, ast.Name) else None
+        if name in _NOT_GAUSS_LEGENDRE:
+            out.append((node.lineno, name))
+    return out
+
+
+def test_no_trapezoid_or_linear_interpolation():
+    # quadratures take their nodes from numerics.gauss_legendre and tables
+    # are read back through numerics.CubicHermite
+    calls = [f"{p.name}:{line} {name}" for p in MODULES
+             for line, name in _trapezoid_calls(ast.parse(p.read_text(), filename=str(p)))]
+    assert not calls, f"trapezoid or linear interpolation called: {calls}"
+
+
+def test_trapezoid_scan_catches_each_form():
+    tree = ast.parse("import numpy as np\nimport numpy\nfrom numpy import interp\n"
+                     "a = np.trapezoid(y, x)\nb = numpy.trapz(y)\nc = interp(x, xp, fp)\n"
+                     "d = np.interp\ne = table.interp(x)\nf = gauss_legendre(edges, 8)\n")
+    assert _trapezoid_calls(tree) == [(4, "trapezoid"), (5, "trapz"), (6, "interp")]
 
 
 def test_scan_catches_an_unused_import():

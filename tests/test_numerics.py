@@ -1,7 +1,6 @@
 """The kernels of mtcrit.numerics against their oracles: scipy for the
-integrator, Nelder-Mead, Brent's method, Gauss-Legendre and the Hermite
-spline; mpmath for the dilogarithm.
-scipy and mpmath are test dependencies only."""
+integrator, Nelder-Mead, Gauss-Legendre and the Hermite spline; mpmath
+for the dilogarithm.  scipy and mpmath are test dependencies only."""
 
 import math
 
@@ -138,48 +137,6 @@ def test_nelder_mead_on_rosenbrock_matches_scipy(x0, maxiter):
     assert ours.nfev == ref.nfev and ours.nit == ref.nit
     assert ours.success == ref.success == (maxiter == 400)
     assert np.max(np.abs(ours.x - ref.x)) <= 1e-12
-
-
-# -- Brent ----------------------------------------------------------------------
-
-BRENT_CASES = [
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: math.exp(x) - 1e5, 0.0, 50.0),
-    (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 2.0),
-    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
-    (lambda x: (x - 1.0) ** 5, 0.0, 3.0),  # 100 iterations do not converge
-]
-
-
-@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
-@pytest.mark.parametrize("xtol", [1e-12, 1e-6])
-def test_brent_matches_scipy(case, xtol):
-    # both stop within xtol + 4 eps |x| of a root; the iterations are the
-    # same, so the two roots agree to that bound as well, and a case that
-    # does not converge in 100 iterations fails in both
-    f, a, b = BRENT_CASES[case]
-    try:
-        ref = scipy.optimize.brentq(f, a, b, xtol=xtol)
-    except RuntimeError:
-        with pytest.raises(RuntimeError, match="no convergence in 100 iterations"):
-            numerics.brentq(f, a, b, xtol=xtol)
-        return
-    ours = numerics.brentq(f, a, b, xtol=xtol)
-    assert type(ours) is float
-    assert abs(ours - ref) <= xtol + 4.0 * EPS * abs(ref)
-
-
-def test_brent_root_is_a_python_float():
-    # this root's last step is the tolerance itself, +-(xtol + rtol |x|)/2,
-    # which came out a NumPy scalar while the default rtol was one
-    assert type(numerics.brentq(lambda x: x ** 5 - 4.7, 0.0, 3.0, xtol=1e-12)) is float
-
-
-def test_brent_refuses_a_bracket_without_sign_change():
-    with pytest.raises(ValueError, match="different signs"):
-        numerics.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
-    assert numerics.brentq(lambda x: x, 0.0, 1.0, xtol=1e-12) == 0.0
 
 
 # -- Gauss-Legendre -------------------------------------------------------------

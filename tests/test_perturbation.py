@@ -71,6 +71,30 @@ def test_exponent_set_validation(kwargs):
         PerturbationFamily(kind=FamilyKind.POWER_LOG, **kwargs)
 
 
+NUMERIC_FIELDS = ["c", "a", "b", "c_prime", "a_prime", "b_prime", "R_prime", "g0"]
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+@pytest.mark.parametrize("value", [True, False, "1", None, [1], math.nan, math.inf, -math.inf],
+                         ids=["true", "false", "string", "none", "list", "nan", "inf", "-inf"])
+def test_numeric_fields_must_be_finite_real_numbers(kind, name, value):
+    # a bool is an int to Python but no number in a config; a string, None
+    # or a list used to end in a bare TypeError from a comparison
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number \\(got "):
+        PerturbationFamily(kind=kind, **{name: value})
+
+
+def test_numeric_fields_are_kept_as_floats():
+    # a JSON integer R_prime = 10 used to reach the blend as an integer array,
+    # which NumPy refuses to raise to a negative integer power
+    fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=np.float64(1.0), a_prime=3,
+                             b_prime=0.5, R_prime=10)
+    assert fam == PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.0, a_prime=3.0,
+                                     b_prime=0.5)
+    assert all(type(getattr(fam, name)) is float for name in NUMERIC_FIELDS)
+
+
 def test_json_round_trip():
     fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=0.1, a=2.0, b=1.0,
                              c_prime=-0.3, a_prime=1.5, b_prime=0.5, R_prime=8.0, g0=0.2)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +22,7 @@ from mtcrit import (
     step1_testfun,
 )
 from mtcrit.domain import DomainModel, Shape
+from mtcrit.perturbation import AsymptoticData
 from mtcrit.variational import _energy, _load_weights, _project, _start, _stiffness, make_grid
 
 # Infinity-branch-only PowerLog family of the disk-verdict benchmark.
@@ -191,16 +193,94 @@ def test_bracket_constants_past_the_grid_are_null(disk, fam0, data0, profiles):
     far = model_testfun_energy(disk, fam0, data0, profiles, 5.0)["H_tilde"]
     assert far[1:] == [None, None, None]
     assert far[0] == pytest.approx(3.697387951292009e-11, rel=1e-12)
+    # (recorded with the height root bisected to adjacent doubles)
     near = model_testfun_energy(disk, fam0, data0, profiles, 2.0)["H_tilde"]
-    assert near == [0.02596232812853888, 0.62032359479907, 2.2500000156138253,
-                    0.05159053281445125]
+    assert near == [0.025962328128538652, 0.6203235947990664, 2.2500000156138174,
+                    0.05159053281445036]
 
 
 @pytest.mark.parametrize("gamma", [3.0, 5.0])
 def test_model_testfun_reports_python_floats(disk, profiles, gamma):
-    # at gamma = 3 the height root's last Brent step is the tolerance itself
     out = model_testfun_energy(disk, POWER_LOG, asymptotic_data(POWER_LOG), profiles, gamma)
     assert type(out["log_inv_mu2"]) is float
+
+
+# (c', a', b') = (1, 3, 1/2), the PowerLog family of the gap table below
+POWER_LOG_3_HALF = PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.0, a_prime=3.0,
+                                      b_prime=0.5)
+HEIGHT_FAMILIES = {"Zero": PerturbationFamily(), "PowerLog": POWER_LOG_3_HALF}
+
+
+@pytest.mark.parametrize("kappa,rel", [(1.0, 1e-12), (0.25, 1e-5), (0.4, 1e-5)])
+def test_green_source_matches_the_incomplete_gamma(kappa, rel):
+    # q'(rho) = -Gamma(kappa + 1, 2 log(1/rho)) / (2 rho) and q(0) = Gamma(2 + kappa)/4
+    data = AsymptoticData(A_pieces=(), B_pieces=((1.0, 1.0, 0.0),), kappa=kappa)
+    q0, q_prime = variational._green_source(data)
+    assert q0 == math.gamma(2.0 + kappa) / 4.0
+    rho = np.geomspace(1e-30, 1.0, 301)[:-1]
+    got = q_prime(rho)
+    with mpmath.workdps(30):
+        want = [float(-mpmath.gammainc(kappa + 1.0, 2.0 * mpmath.log(1.0 / mpmath.mpf(r)))
+                      / (2.0 * mpmath.mpf(r))) for r in rho]
+    assert np.max(np.abs(got / want - 1.0)) <= rel
+
+
+@pytest.mark.parametrize("name", HEIGHT_FAMILIES)
+@pytest.mark.parametrize("gamma", [1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 26.0])
+def test_bisected_root_puts_U0_at_gamma(disk, profiles, name, gamma):
+    fam = HEIGHT_FAMILIES[name]
+    data = asymptotic_data(fam)
+    L = model_testfun_energy(disk, fam, data, profiles, gamma)["log_inv_mu2"]
+    assert type(L) is float
+    # U(0) - gamma at the root
+    assert abs(variational._height(data, profiles, gamma)(L)) <= 1e-14 * gamma
+
+
+def test_bisection_ends_on_adjacent_doubles():
+    root = variational._bisect(lambda x: math.cos(x) - x, 0.0, 1.0)
+    assert type(root) is float
+    # cos x - x falls through 0 between root and one of its neighbours
+    lo, hi = math.nextafter(root, -math.inf), math.nextafter(root, math.inf)
+    assert math.cos(lo) - lo >= 0.0 >= math.cos(hi) - hi
+    assert variational._bisect(lambda x: x - 0.25, 0.0, 1.0) == 0.25
+    assert variational._bisect(lambda x: 0.25 - x, 0.0, 1.0) == 0.25
+
+
+def test_height_bracket_without_a_sign_change_raises(monkeypatch, disk, fam0, data0, profiles):
+    # at gamma = 5 the root lies 0.051 above L_seed
+    monkeypatch.setattr(variational, "_HEIGHT_BRACKET", 1e-3)
+    with pytest.raises(variational.RootFailError, match="no root in the bracket"):
+        model_testfun_energy(disk, fam0, data0, profiles, 5.0)
+    with pytest.raises(variational.RootFailError):
+        variational._bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+GAP_GAMMAS = [3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0]
+# the converged normalized gap at gamma = 5, 10, 15, 20, 25
+GAP_CONVERGED = {"Zero": [-1.10422, -0.27289, -0.12098, -0.06795, -0.04343],
+                 "PowerLog": [-1.12423, -0.27489, -0.12153, -0.06817, -0.04354]}
+
+
+def _gaps(disk, fam, profiles):
+    data = asymptotic_data(fam)
+    return [model_testfun_energy(disk, fam, data, profiles, g)["normalized_gap"]
+            for g in GAP_GAMMAS]
+
+
+@pytest.mark.parametrize("name", HEIGHT_FAMILIES)
+def test_model_gap_converges_along_gamma(monkeypatch, disk, profiles, name):
+    # the paper's expansion ||U||^2 = 4 pi (1 + I(gamma) + o(zeta)): the gap
+    # falls toward 0, where 6001 trapezoid nodes turned it up past gamma ~ 15
+    fam = HEIGHT_FAMILIES[name]
+    gaps = _gaps(disk, fam, profiles)
+    magnitudes = [abs(v) for v in gaps]
+    assert all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
+    at = [gaps[GAP_GAMMAS.index(g)] for g in (5.0, 10.0, 15.0, 20.0, 25.0)]
+    assert at == pytest.approx(GAP_CONVERGED[name], abs=1e-4)
+    # the same rule with 4 times the panels and table nodes
+    for const in ("_NORM_PANELS", "_NORM_TAIL_PANELS", "_Q_GEOMETRIC", "_Q_UNIFORM"):
+        monkeypatch.setattr(variational, const, 4 * getattr(variational, const))
+    assert _gaps(disk, fam, profiles) == pytest.approx(gaps, rel=0.0, abs=1e-5)
 
 
 def test_level_trend(fam0):
