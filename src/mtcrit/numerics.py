@@ -13,7 +13,8 @@
   0 <= T <= EXP_BUDGET; `series_tail` and `power_term` on floats and
   arrays, the ratio on floats.
 * `li2_neg`: the dilogarithm Li2(-x), x >= 0.
-* `CubicHermite`: piecewise cubic Hermite interpolation and its slope.
+* `CubicHermite`: piecewise cubic Hermite interpolation and its slope,
+  on arrays and, without NumPy scalars, on Python floats.
 
 A kernel takes a float or an array with at least one axis; callers make
 any other number with no axes a float first.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,12 @@ _DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 # error estimate: fifth-order minus embedded fourth-order weights, over all
 # seven stages (the seventh is f at the new point)
 _DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# the tableau by name, for the written-out stages of `solve_ivp`
+_C2, _C3, _C4, _C5, _C6 = _DP_C
+((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65)) = _DP_A
+_B1, _B2, _B3, _B4, _B5, _B6 = _DP_B
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 # dense output: y(t_old + x h) = y_old + h sum_k K_k (P_k . (x, x^2, x^3, x^4))
 _DP_P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
@@ -91,7 +99,7 @@ class OdeResult:
 
 
 def _rms(v) -> float:
-    return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
+    return math.sqrt(sum([x * x for x in v])) / len(v) ** 0.5
 
 
 def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> OdeResult:
@@ -102,28 +110,33 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> OdeResult:
     floats.  Steps, their acceptance and the first step size follow scipy's
     RK45; each accepted step keeps its stages, and y at t_eval comes from
     the dense output of the step that covers it (a point on a step's end
-    belongs to that step).
+    belongs to that step).  A t_eval outside t_span, or not increasing, is
+    refused with ValueError (scipy's messages) before fun is called.
+
+    Each stage is written out: its sum is formed from 0.0 on, term by term
+    in the order of the tableau, zero weights included, as Python's sum
+    over the stages would form it.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     if not t_end > t:
         raise ValueError("t_span must be increasing")
+    t_eval = np.asarray(t_eval, dtype=float)
+    if np.any(t_eval < t) or np.any(t_eval > t_end):
+        raise ValueError("Values in `t_eval` are not within `t_span`.")
+    if np.any(np.diff(t_eval) <= 0):
+        raise ValueError("Values in `t_eval` are not properly sorted.")
     y = [float(v) for v in y0]
     n = len(y)
-    nfev = 0
 
-    def f(tt, yy):
-        nonlocal nfev
-        nfev += 1
-        return fun(tt, yy)
-
-    fy = f(t, y)
+    fy = fun(t, y)
     # initial step (Hairer-Norsett-Wanner II.4, as scipy's select_initial_step)
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _rms([v / s for v, s in zip(y, scale)])
     d1 = _rms([v / s for v, s in zip(fy, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end - t)
-    f1 = f(t + h0, [v + h0 * d for v, d in zip(y, fy)])
+    f1 = fun(t + h0, [v + h0 * d for v, d in zip(y, fy)])
+    nfev = 2
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, fy, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -145,15 +158,27 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> OdeResult:
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            K = [fy]
-            for a, c in zip(_DP_A, _DP_C):
-                K.append(f(t + c * h, [y[i] + sum(K[j][i] * a[j] for j in range(len(a))) * h
-                                       for i in range(n)]))
-            y_new = [y[i] + h * sum(K[j][i] * _DP_B[j] for j in range(6)) for i in range(n)]
-            f_new = f(t + h, y_new)
-            K.append(f_new)
-            err = _rms([sum(K[j][i] * _DP_E[j] for j in range(7)) * h
-                        / (atol + max(abs(y[i]), abs(y_new[i])) * rtol) for i in range(n)])
+            k1 = fy
+            k2 = fun(t + _C2 * h, [v + (0.0 + s1 * _A21) * h for v, s1 in zip(y, k1)])
+            k3 = fun(t + _C3 * h, [v + (0.0 + s1 * _A31 + s2 * _A32) * h
+                                   for v, s1, s2 in zip(y, k1, k2)])
+            k4 = fun(t + _C4 * h, [v + (0.0 + s1 * _A41 + s2 * _A42 + s3 * _A43) * h
+                                   for v, s1, s2, s3 in zip(y, k1, k2, k3)])
+            k5 = fun(t + _C5 * h, [v + (0.0 + s1 * _A51 + s2 * _A52 + s3 * _A53
+                                        + s4 * _A54) * h
+                                   for v, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
+            k6 = fun(t + _C6 * h, [v + (0.0 + s1 * _A61 + s2 * _A62 + s3 * _A63
+                                        + s4 * _A64 + s5 * _A65) * h
+                                   for v, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (0.0 + s1 * _B1 + s2 * _B2 + s3 * _B3 + s4 * _B4 + s5 * _B5
+                              + s6 * _B6)
+                     for v, s1, s2, s3, s4, s5, s6 in zip(y, k1, k2, k3, k4, k5, k6)]
+            k7 = fun(t + h, y_new)
+            nfev += 6
+            err = _rms([(0.0 + s1 * _E1 + s2 * _E2 + s3 * _E3 + s4 * _E4 + s5 * _E5
+                         + s6 * _E6 + s7 * _E7) * h / (atol + max(abs(v), abs(w)) * rtol)
+                        for v, w, s1, s2, s3, s4, s5, s6, s7
+                        in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)])
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0
                           else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
@@ -163,10 +188,9 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> OdeResult:
             rejected = True
         if not success:
             break
-        steps.append((t, t_new, h, y, K))
-        t, y, fy = t_new, y_new, f_new
+        steps.append((t, t_new, h, y, (k1, k2, k3, k4, k5, k6, k7)))
+        t, y, fy = t_new, y_new, k7
 
-    t_eval = np.asarray(t_eval, dtype=float)
     t_eval = t_eval[:np.searchsorted(t_eval, t, side="right")]
     if not steps:
         return OdeResult(y=np.empty((n, 0)), nfev=nfev, success=success, message=message)
@@ -381,10 +405,12 @@ _LI2_HORNER = tuple(_BERNOULLI.get(n, 0.0) / math.factorial(n + 1) for n in rang
 
 
 def _li2_unit(u):
-    """Li2(1 - e^u) for 0 <= u <= log 2, i.e. Li2(w) on [-1, 0]."""
+    """Li2(1 - e^u) for 0 <= u <= log 2, i.e. Li2(w) on [-1, 0]; an array
+    is summed in place."""
     acc = 0.0 * u
     for c in _LI2_HORNER:
-        acc = acc * u + c
+        acc *= u
+        acc += c
     return -acc * u
 
 
@@ -392,7 +418,8 @@ def li2_neg(x):
     """Li2(-x) for x >= 0 (float or array), within a few ulp.
 
     On [0, 1] by the series in u = log(1 + x); beyond, by the inversion
-    Li2(-x) = -pi^2/6 - log(x)^2/2 - Li2(-1/x).
+    Li2(-x) = -pi^2/6 - log(x)^2/2 - Li2(-1/x).  An array evaluates each
+    branch on its own points only.
     """
     if isinstance(x, float):
         if x <= 1.0:
@@ -400,11 +427,14 @@ def li2_neg(x):
         lx = math.log(x)
         return -math.pi ** 2 / 6.0 - 0.5 * lx * lx - _li2_unit(math.log1p(1.0 / x))
     x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
     big = x > 1.0
-    xb = np.where(big, x, 1.0)
+    small = ~big
+    out[small] = _li2_unit(np.log1p(x[small]))
+    xb = x[big]
     lx = np.log(xb)
-    inverted = -math.pi ** 2 / 6.0 - 0.5 * lx * lx - _li2_unit(np.log1p(1.0 / xb))
-    return np.where(big, inverted, _li2_unit(np.log1p(np.where(big, 0.0, x))))
+    out[big] = -math.pi ** 2 / 6.0 - 0.5 * lx * lx - _li2_unit(np.log1p(1.0 / xb))
+    return out
 
 
 # -- cubic Hermite interpolation ------------------------------------------------
@@ -414,7 +444,12 @@ class CubicHermite:
     """The piecewise cubic with values y and slopes dydx at the increasing
     knots x; outside [x[0], x[-1]] the end cubics are extended.  The
     coefficients and the evaluation order are those of scipy's
-    CubicHermiteSpline."""
+    CubicHermiteSpline.
+
+    A Python float is evaluated on Python floats: `bisect_right` on list
+    copies of the knots and of each interval's coefficients, made on the
+    first such call, with the array path's operations in its order.
+    """
 
     def __init__(self, x, y, dydx):
         self.x = np.asarray(x, dtype=float)
@@ -424,18 +459,33 @@ class CubicHermite:
         slope = np.diff(y) / dx
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
         self.c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
+        self._knots = self._rows = None
 
     def _local(self, r):
         i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, len(self.x) - 2)
         return i, r - self.x[i]
 
+    def _float_local(self, r: float):
+        """(c0, c1, c2, c3) of the interval of r and r less its left knot."""
+        if self._knots is None:
+            self._knots = self.x.tolist()
+            self._rows = list(zip(*(c.tolist() for c in self.c)))
+        i = min(max(bisect_right(self._knots, r) - 1, 0), len(self._knots) - 2)
+        return self._rows[i], r - self._knots[i]
+
     def __call__(self, r):
-        i, s = self._local(r)
-        c0, c1, c2, c3 = (c[i] for c in self.c)
+        if type(r) is float:
+            (c0, c1, c2, c3), s = self._float_local(r)
+        else:
+            i, s = self._local(r)
+            c0, c1, c2, c3 = (c[i] for c in self.c)
         s2 = s * s
         return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
     def derivative(self, r):
-        i, s = self._local(r)
-        c0, c1, c2, _ = (c[i] for c in self.c)
+        if type(r) is float:
+            (c0, c1, c2, _), s = self._float_local(r)
+        else:
+            i, s = self._local(r)
+            c0, c1, c2, _ = (c[i] for c in self.c)
         return c2 + (2 * c1) * s + (3 * c0) * (s * s)

@@ -102,10 +102,17 @@ class PerturbationFamily:
             ):
                 if cc != 0.0 and (aa < 0 or (aa == 0 and bb <= 0)):
                     raise ValueError(f"{tag} must lie in E: a >= 0 and b > 0 if a = 0")
+            # the near-zero knot 1/R' and the blend's width 2 log R' in log t
+            object.__setattr__(self, "_t1", 1.0 / self.R_prime)
+            object.__setattr__(self, "_log_span", 2.0 * math.log(self.R_prime))
             object.__setattr__(self, "_hermite", self._blend_coeffs())
             self._check_admissible()
 
     # -- PowerLog branches ------------------------------------------------
+    #
+    # Each piece takes an array or a Python float; on a float it runs on
+    # Python floats after its log (`_log`), with the array's operations in
+    # its order.
 
     def _g_zero_branch(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Near-zero branch and derivative, valid for 0 < t < 1.  With
@@ -113,14 +120,14 @@ class PerturbationFamily:
         if self.c == 0.0:
             return self.g0 + 0.0 * t, 0.0 * t
         p = self.a + 1.0
-        L = np.log(1.0 / t)
+        L = _log(1.0 / t)
         val = self.g0 + self.c * t**p * L ** (-self.b)
         dval = self.c * t ** (p - 1.0) * (p * L ** (-self.b) + self.b * L ** (-self.b - 1.0))
         return val, dval
 
     def _g_inf_branch(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Infinity branch and derivative, valid for t > 1."""
-        ell = np.log(t)
+        ell = _log(t)
         val = self.c_prime * t ** (-self.a_prime) * ell ** (-self.b_prime)
         dval = (
             -self.c_prime
@@ -166,7 +173,7 @@ class PerturbationFamily:
             # x = log t: dg/dx = t g', d2g/dx2 = t g' + t^2 g''
             jet.extend([float(v), float(t * d), float(t * d + t * t * dd)])
         v1, d1, s1, v2, d2, s2 = jet
-        L = 2.0 * math.log(self.R_prime)  # x2 - x1 for the knots x = -+log R'
+        L = self._log_span  # x2 - x1 for the knots x = -+log R'
         h0, h1, h2 = v1, d1 * L, s1 * L * L / 2.0
         A = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
         rhs = np.array(
@@ -205,10 +212,12 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
             return 0.0, 0.0
         if t == 0.0:
             g, dg = fam.g0, 0.0
-        elif t <= 1.0 / fam.R_prime:
-            g, dg = fam._g_zero_branch(t)
-        elif t >= fam.R_prime:
-            g, dg = fam._g_inf_branch(t)
+        elif t <= fam._t1 or t >= fam.R_prime:
+            branch = fam._g_zero_branch if t <= fam._t1 else fam._g_inf_branch
+            try:
+                g, dg = branch(t)
+            except OverflowError:  # a power past the doubles: NumPy's gives inf
+                g, dg = branch(np.float64(t))
         else:
             g, dg = _hermite_eval(fam, t)
         if g <= -1.0:
@@ -230,7 +239,7 @@ def _eval_power_log(fam: PerturbationFamily, t: np.ndarray):
     path makes the same choice by comparisons."""
     g = np.empty_like(t)
     dg = np.empty_like(t)
-    t1, t2 = 1.0 / fam.R_prime, fam.R_prime
+    t1, t2 = fam._t1, fam.R_prime
     low = t <= t1
     high = t >= t2
     mid = ~(low | high)
@@ -243,10 +252,18 @@ def _eval_power_log(fam: PerturbationFamily, t: np.ndarray):
     return g, dg
 
 
+def _log(x):
+    """np.log(x), made a Python float for a Python float x: math.log may
+    round it apart from np.log, which the array path takes."""
+    v = np.log(x)
+    return float(v) if type(x) is float else v
+
+
 def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
+    """The blend and its derivative at an array or a Python float t."""
     h0, h1, h2, c3, c4, c5 = fam._hermite
-    L = 2.0 * math.log(fam.R_prime)
-    x = (np.log(t) + 0.5 * L) / L
+    L = fam._log_span
+    x = (_log(t) + 0.5 * L) / L
     # Horner's rule for the quintic and its derivative
     q = h0 + x * (h1 + x * (h2 + x * (c3 + x * (c4 + x * c5))))
     dq = h1 + x * (2.0 * h2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))

@@ -208,7 +208,8 @@ def solve_profile(i: int, r_max: float = R_MAX) -> RadialProfile:
 
 def ode_profile(i: int, r) -> tuple[np.ndarray, np.ndarray]:
     """S_i and S_i' at the increasing radii r >= _R0 by the Dormand-Prince
-    integrator, an independent check of `solve_profile`.
+    integrator, an independent check of `solve_profile`; `solve_ivp`
+    refuses other radii with ValueError.
 
     The equation is singular at r = 0; integration starts at _R0 from the
     second-order Taylor seed S(_R0) = -RHS_i(0) _R0^2 / 4.

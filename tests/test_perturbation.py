@@ -434,6 +434,96 @@ def test_scalar_and_array_refuse_alike(make, dipping):
         eval_psi_N(BLENDED, 1, make(-1.001 * math.sqrt(EXP_BUDGET)))
 
 
+# -- the float path against its NumPy-scalar form ----------------------------
+
+
+def _numpy_scalar_g(fam, t):
+    """(g, g') at a float t > 0 of a PowerLog family with t and every log a
+    NumPy scalar, each piece written out here: the float path computes this
+    on Python floats, so a change of its operations or their order shows."""
+    t = np.float64(t)
+    if t <= 1.0 / fam.R_prime:
+        if fam.c == 0.0:
+            return fam.g0 + 0.0 * t, 0.0 * t
+        p, L = fam.a + 1.0, np.log(1.0 / t)
+        return (fam.g0 + fam.c * t**p * L ** (-fam.b),
+                fam.c * t ** (p - 1.0) * (p * L ** (-fam.b) + fam.b * L ** (-fam.b - 1.0)))
+    if t >= fam.R_prime:
+        ell = np.log(t)
+        return (fam.c_prime * t ** (-fam.a_prime) * ell ** (-fam.b_prime),
+                -fam.c_prime * t ** (-fam.a_prime - 1.0) * ell ** (-fam.b_prime - 1.0)
+                * (fam.a_prime * ell + fam.b_prime))
+    return _blend_nested(fam, t)
+
+
+FLOAT_PATH_FAMILIES = {
+    "both-branches": BLENDED,
+    "constant-near-zero": PerturbationFamily(kind=FamilyKind.POWER_LOG, g0=0.3, c_prime=-0.7,
+                                             a_prime=0.3, b_prime=1.1, R_prime=5.0),
+    "infinity-only": PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.256171,
+                                        a_prime=2.593292, b_prime=0.682198),
+}
+
+
+# floats t where math.log(t) (or, below 1/5, math.log(1/t)) and np.log
+# round apart on an x86-64 host with AVX-512 (NumPy 2.4)
+LOG_SPLITS = [0.14212958956789928, 0.1754404840982988, 0.32069666626412835,
+              0.49388284691479994, 0.8030591086132346, 0.9876181561423292,
+              1.0033059377500269, 1.206892877376344, 2.161932491586887, 4.18512072271823,
+              4.631518410694437]
+
+
+def _piece_points(fam, top):
+    """About 200 floats on each piece of fam, (0, 1/R'], (1/R', R') and
+    [R', top], and the LOG_SPLITS on it."""
+    r = fam.R_prime
+    t = np.concatenate([np.geomspace(1e-300, 1.0 / r, 200), np.geomspace(1.0 / r, r, 202)[1:-1],
+                        np.geomspace(r, top, 200), LOG_SPLITS]).tolist()
+    return {"near-zero": [v for v in t if v <= 1.0 / r],
+            "blend": [v for v in t if 1.0 / r < v < r],
+            "infinity": [v for v in t if r <= v <= top]}
+
+
+def _as_floats(fam, t):
+    return tuple(float(v) for v in _numpy_scalar_g(fam, t))
+
+
+@pytest.mark.parametrize("fam", FLOAT_PATH_FAMILIES.values(), ids=FLOAT_PATH_FAMILIES)
+@pytest.mark.parametrize("piece", ["near-zero", "blend", "infinity"])
+def test_float_path_of_eval_g_is_its_numpy_scalar_form(fam, piece):
+    for t in _piece_points(fam, 1e300)[piece]:
+        got = eval_g(fam, t)
+        assert all(type(v) is float for v in got)
+        assert [_bits(v) for v in got] == [_bits(v) for v in _as_floats(fam, t)], t
+
+
+@pytest.mark.parametrize("fam", FLOAT_PATH_FAMILIES.values(), ids=FLOAT_PATH_FAMILIES)
+@pytest.mark.parametrize("piece", ["near-zero", "blend", "infinity"])
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_float_path_of_psi_N_is_its_numpy_scalar_form(monkeypatch, fam, piece, N):
+    ts = _piece_points(fam, T_MAX)[piece]
+    got = [eval_psi_N(fam, N, t) for t in ts]
+    monkeypatch.setattr(perturbation, "eval_g", _as_floats)
+    want = [eval_psi_N(fam, N, t) for t in ts]
+    assert [tuple(map(_bits, v)) for v in got] == [tuple(map(_bits, v)) for v in want]
+
+
+@pytest.mark.parametrize("kwargs,t", [
+    ({"c": 1.0, "a": 1.0, "b": -120.0}, 1e-200),
+    ({"c_prime": 1.0, "a_prime": 1.0, "b_prime": -120.0}, 1e300),
+], ids=["near-zero", "infinity"])
+def test_a_power_past_the_doubles_is_not_an_error_on_the_float_path(kwargs, t):
+    # log(1/t)^120 and (log t)^120 pass the largest double: Python's ** raises
+    # OverflowError where NumPy's gives inf, so the float path falls back to
+    # NumPy scalars and gives what an array gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, **kwargs)
+        got = eval_g(fam, t)
+        g, dg = eval_g(fam, np.array([t]))
+    assert not all(math.isfinite(v) for v in got)
+    assert np.array_equal(got, [g[0], dg[0]], equal_nan=True)
+
+
 @pytest.mark.parametrize("fn", [
     lambda N: eval_psi_N(BLENDED, N, 0.5),
     lambda N: xi(N, 3.0),

@@ -125,6 +125,13 @@ def test_ode_profile_matches_the_quadrature(profiles):
         assert np.max(np.abs(profiles[i].derivative(r) - dS)) < 1e-8
 
 
+def test_ode_profile_refuses_radii_before_its_start():
+    # the ODE starts at _R0 = 1e-6; S1(1e-7) used to be the first step's
+    # cubic extrapolated backwards (-4.55e-30, where S1 ~ 7e-40 there)
+    with pytest.raises(ValueError, match="not within"):
+        ode_profile(1, [1e-7, 1e-6, 1.0])
+
+
 def test_profile_evaluators_give_floats_for_numbers_with_no_axes(profiles):
     # the one scalar rule: a number with no axes takes the float path, on
     # either side of r_max, and gives a Python float; libm and NumPy may
