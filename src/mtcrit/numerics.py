@@ -13,8 +13,7 @@
   0 <= T <= EXP_BUDGET; `series_tail` and `power_term` on floats and
   arrays, the ratio on floats.
 * `li2_neg`: the dilogarithm Li2(-x), x >= 0.
-* `CubicHermite`: piecewise cubic Hermite interpolation and its slope,
-  on arrays and, without NumPy scalars, on Python floats.
+* `CubicHermite`: piecewise cubic Hermite interpolation and its slope.
 
 A kernel takes a float or an array with at least one axis; callers make
 any other number with no axes a float first.
@@ -27,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +112,10 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> OdeResult:
     refused with ValueError (scipy's messages) before fun is called.
 
     Each stage is written out: its sum is formed from 0.0 on, term by term
-    in the order of the tableau, zero weights included, as Python's sum
-    over the stages would form it.
+    left to right in the order of the tableau, zero weights included, on
+    every Python version.  That is how `sum` adds floats up to Python 3.11;
+    from 3.12 on `sum` compensates its additions, so the stages are not
+    what `sum` over them would give there.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     if not t_end > t:
@@ -444,12 +444,7 @@ class CubicHermite:
     """The piecewise cubic with values y and slopes dydx at the increasing
     knots x; outside [x[0], x[-1]] the end cubics are extended.  The
     coefficients and the evaluation order are those of scipy's
-    CubicHermiteSpline.
-
-    A Python float is evaluated on Python floats: `bisect_right` on list
-    copies of the knots and of each interval's coefficients, made on the
-    first such call, with the array path's operations in its order.
-    """
+    CubicHermiteSpline."""
 
     def __init__(self, x, y, dydx):
         self.x = np.asarray(x, dtype=float)
@@ -459,33 +454,18 @@ class CubicHermite:
         slope = np.diff(y) / dx
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
         self.c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
-        self._knots = self._rows = None
 
     def _local(self, r):
         i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, len(self.x) - 2)
         return i, r - self.x[i]
 
-    def _float_local(self, r: float):
-        """(c0, c1, c2, c3) of the interval of r and r less its left knot."""
-        if self._knots is None:
-            self._knots = self.x.tolist()
-            self._rows = list(zip(*(c.tolist() for c in self.c)))
-        i = min(max(bisect_right(self._knots, r) - 1, 0), len(self._knots) - 2)
-        return self._rows[i], r - self._knots[i]
-
     def __call__(self, r):
-        if type(r) is float:
-            (c0, c1, c2, c3), s = self._float_local(r)
-        else:
-            i, s = self._local(r)
-            c0, c1, c2, c3 = (c[i] for c in self.c)
+        i, s = self._local(r)
+        c0, c1, c2, c3 = (c[i] for c in self.c)
         s2 = s * s
         return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
     def derivative(self, r):
-        if type(r) is float:
-            (c0, c1, c2, _), s = self._float_local(r)
-        else:
-            i, s = self._local(r)
-            c0, c1, c2, _ = (c[i] for c in self.c)
+        i, s = self._local(r)
+        c0, c1, c2, _ = (c[i] for c in self.c)
         return c2 + (2 * c1) * s + (3 * c0) * (s * s)

@@ -460,21 +460,6 @@ def test_hermite_matches_scipy_spline():
     assert np.max(np.abs(ours.derivative(r) - slope)) <= 2 * EPS * np.max(np.abs(slope))
 
 
-def test_hermite_float_path_is_the_array_path():
-    # a Python float takes bisect on lists; the result is the array path's
-    # bit for bit: on 5000 log-spaced points, on every knot and the next
-    # doubles around it, and outside the knots on both sides
-    x = np.concatenate([[0.0], np.geomspace(1e-6, 2000.0, 4000)])
-    y, dy = np.sin(x) * np.log1p(x), np.cos(x) * np.log1p(x) + np.sin(x) / (1.0 + x)
-    spline = numerics.CubicHermite(x, y, dy)
-    r = np.concatenate([np.geomspace(1e-9, 3000.0, 5000), x, np.nextafter(x, -1.0),
-                        np.nextafter(x, 3000.0), [-1.0, -0.0, 2001.0, 1e6]])
-    for fn in (spline, spline.derivative):
-        on_floats = [fn(v) for v in r.tolist()]
-        assert all(type(v) is float for v in on_floats)
-        assert _same_bits(np.array(on_floats), fn(r))
-
-
 def test_profile_float_path_is_the_array_path():
     prof = profiles.solve_profile(1)
     r = np.concatenate([np.geomspace(1e-9, 1e5, 5000), prof.grid])
