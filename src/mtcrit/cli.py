@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
+from .csvout import write_csv_on_grid
 from .domain import DomainModel, Shape, lambda1, robin_report
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, R_MAX_CEILING, R_MAX_FLOOR,
@@ -275,8 +276,12 @@ def cmd_extremal(cfg: dict, args) -> int:
 
     runs = [solve_subcritical(fam, N, a) for a in alphas]
     payload = {"runs": [r.to_json() for r in runs]}
+    grid = runs[0].r
+    if not all(np.array_equal(r.r, grid) for r in runs):
+        raise RuntimeError("the rungs of the ladder do not share one grid")
+    write_csv_on_grid([os.path.join(args.out, _EXTREMAL_CSV.format(r.alpha)) for r in runs],
+                      ["r", "u"], grid, [r.u for r in runs])
     for r in runs:
-        r.to_csv(os.path.join(args.out, _EXTREMAL_CSV.format(r.alpha)))
         print(f"alpha={r.alpha:.4f}: J={r.J_value:.6f} saturated={r.saturated} "
               f"lambda={r.lam:.6f} el_residual={r.el_residual:.2e}")
 

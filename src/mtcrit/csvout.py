@@ -1,4 +1,5 @@
-"""The one CSV writer behind every curve file the toolkit emits."""
+"""The one CSV writer behind every curve file the toolkit emits: `write_csv`
+for one file, `write_csv_on_grid` for a ladder of curves on a common grid."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["HERMITE_STRIDE", "write_csv"]
+__all__ = ["HERMITE_STRIDE", "write_csv", "write_csv_on_grid"]
 
 # A curve written with its derivative column keeps every HERMITE_STRIDE-th
 # node of its grid and the last one: cubic Hermite interpolation of the kept
@@ -36,3 +37,29 @@ def write_csv(path: str, header: Sequence[str], columns: Sequence, stride: int =
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.write("".join(row % values for values in zip(*lists)))
+
+
+def write_csv_on_grid(paths: Sequence[str], header: Sequence[str], grid, columns: Sequence) -> None:
+    """Write each column next to the common grid column, one file per path.
+
+    Each file holds the bytes of `write_csv(path, header, [grid, column])`;
+    the grid is formatted once, into a row template whose second cell is
+    each file's `%.17g`.  A column whose length is not the grid's, a count of
+    paths that is not the count of columns, or a header of other than two
+    names is refused (ValueError) before any file is written.
+    """
+    grid = np.asarray(grid, dtype=float).tolist()
+    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
+    for c in lists:
+        if len(c) != len(grid):
+            raise ValueError(f"columns differ in length: {[len(grid), len(c)]}")
+    if len(paths) != len(lists):
+        raise ValueError(f"{len(paths)} paths for {len(lists)} columns")
+    if len(header) != 2:
+        raise ValueError(f"header has {len(header)} names for 2 columns")
+    # no "%.17g" text holds a "%", so the grid cells pass through the template
+    rows = "".join(["%.17g,%%.17g\r\n" % x for x in grid])
+    for path, c in zip(paths, lists):
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\r\n")
+            fh.write(rows % tuple(c))

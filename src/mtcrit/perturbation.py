@@ -5,7 +5,8 @@ is an even C^1 perturbation with g > -1 and g -> 0 at infinity.  This module
 provides:
 
 * the perturbation families (zero, power-log branches), refused when g
-  dips to -1 or below on either branch or on the blend between them,
+  dips to -1 or below, or g or g' is not finite, on either branch or on
+  the blend between them,
 * the derived functions H, Psi_N, phi_N and the truncation weight xi,
 * the asymptotic data (A, B, F, kappa) attached to a family.
 
@@ -64,9 +65,9 @@ class PerturbationFamily:
     joined on [1/R', R'] by a quintic C^1 Hermite blend (see `_blend_coeffs`).
     Each numeric field must be a finite real number, not a bool (ValueError
     naming the field), and is kept as a float.  A PowerLog family whose g
-    reaches -1 on any of the three pieces is refused with
-    NonAdmissibleError.  A Zero family leaves every PowerLog field at its
-    default.
+    reaches -1, or whose g or g' is not finite, on any of the three pieces
+    is refused with NonAdmissibleError.  A Zero family leaves every PowerLog
+    field at its default.
     """
 
     kind: FamilyKind = FamilyKind.ZERO
@@ -105,7 +106,8 @@ class PerturbationFamily:
             # the near-zero knot 1/R' and the blend's width 2 log R' in log t
             object.__setattr__(self, "_t1", 1.0 / self.R_prime)
             object.__setattr__(self, "_log_span", 2.0 * math.log(self.R_prime))
-            object.__setattr__(self, "_hermite", self._blend_coeffs())
+            with np.errstate(all="ignore"):  # _check_admissible refuses an inf or nan
+                object.__setattr__(self, "_hermite", self._blend_coeffs())
             self._check_admissible()
 
     # -- PowerLog branches ------------------------------------------------
@@ -138,17 +140,30 @@ class PerturbationFamily:
         return val, dval
 
     def _check_admissible(self) -> None:
-        """Refuse g <= -1 (with a 1e-9 margin) on 4096 log-spaced samples of
-        each piece: both branches and the blend between them."""
+        """Refuse a non-finite blend coefficient, then a non-finite g or g',
+        or g <= -1 (with a 1e-9 margin), on log-spaced samples of each piece.
+        The near-zero branch takes 4096 on [1e-12, 1/R'], the blend 4096 on
+        [1/R', R'] and the infinity branch 4096 on [R', 1e6 R']; each branch
+        takes 256 more from its knot out to 1e-307 or 1e308, near the ends of
+        the normal doubles, where a power of its log can overflow.  The
+        blend's coefficients come from the branches' jets at the knots and
+        may already be inf or nan."""
+        if not all(map(math.isfinite, self._hermite)):
+            raise NonAdmissibleError("Hermite blend has a non-finite coefficient")
         r = self.R_prime
-        for name, piece, lo, hi in (
-            ("infinity branch", self._g_inf_branch, r, r * 1e6),
-            ("near-zero branch", self._g_zero_branch, 1e-12, 1.0 / r),
-            ("Hermite blend", lambda t: _hermite_eval(self, t), 1.0 / r, r),
+        for name, piece, samples in (
+            ("infinity branch", self._g_inf_branch, ((r, r * 1e6, 4096), (r, 1e308, 256))),
+            ("near-zero branch", self._g_zero_branch,
+             ((1e-12, 1.0 / r, 4096), (1e-307, 1.0 / r, 256))),
+            ("Hermite blend", lambda t: _hermite_eval(self, t), ((1.0 / r, r, 4096),)),
         ):
-            g, _ = piece(np.geomspace(lo, hi, 4096))
-            if np.min(g) <= -1.0 + 1e-9:
-                raise NonAdmissibleError(f"{name} dips to g <= -1")
+            for lo, hi, n in samples:
+                with np.errstate(all="ignore"):
+                    g, dg = piece(np.geomspace(lo, hi, n))
+                if not (np.isfinite(g).all() and np.isfinite(dg).all()):
+                    raise NonAdmissibleError(f"{name} is not finite")
+                if g.min() <= -1.0 + 1e-9:
+                    raise NonAdmissibleError(f"{name} dips to g <= -1")
 
     def _blend_coeffs(self) -> tuple[float, ...]:
         """Quintic Hermite coefficients for the blend region [1/R', R'].
@@ -225,30 +240,30 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
         return float(g), float(dg)
     t = np.abs(np.asarray(t, dtype=float))
     if fam.kind is FamilyKind.ZERO:
-        g = np.zeros_like(t)
-        dg = np.zeros_like(t)
-    else:
-        g, dg = _eval_power_log(fam, t)
-    if np.any(g <= -1.0):
+        return np.zeros(t.shape), np.zeros(t.shape)
+    g, dg = _eval_power_log(fam, t)
+    if (g <= -1.0).any():
         raise NonAdmissibleError("g(t) <= -1 encountered")
     return g, dg
 
 
 def _eval_power_log(fam: PerturbationFamily, t: np.ndarray):
-    """Each branch is evaluated on its own points only; `eval_g`'s scalar
-    path makes the same choice by comparisons."""
-    g = np.empty_like(t)
-    dg = np.empty_like(t)
-    t1, t2 = fam._t1, fam.R_prime
-    low = t <= t1
-    high = t >= t2
-    mid = ~(low | high)
-    at0 = t == 0.0
-    g[at0], dg[at0] = fam.g0, 0.0
-    for mask, branch in ((low & ~at0, fam._g_zero_branch), (high, fam._g_inf_branch),
-                         (mid, lambda tm: _hermite_eval(fam, tm))):
-        if mask.any():
-            g[mask], dg[mask] = branch(t[mask])
+    """The blend is evaluated on every point, 1.0 (inside it) standing in at
+    the branch points, and each branch then overwrites its own points; each
+    point takes the operations of the branch that `eval_g`'s scalar path
+    picks for it by comparisons.  This pays where most points lie inside
+    the blend, as in the ascents on the default R' = 10; an array mostly
+    on the branches pays for the blend on points it then overwrites."""
+    low = t <= fam._t1
+    high = t >= fam.R_prime
+    ends = low | high
+    g, dg = _hermite_eval(fam, np.where(ends, 1.0, t))
+    if ends.any():
+        at0 = t == 0.0  # inside low, so low ^ at0 is low without it
+        for mask, branch in ((low ^ at0, fam._g_zero_branch), (high, fam._g_inf_branch)):
+            if mask.any():
+                g[mask], dg[mask] = branch(t[mask])
+        g[at0], dg[at0] = fam.g0, 0.0
     return g, dg
 
 
@@ -328,21 +343,18 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
     scalar = isinstance(t, float) or np.ndim(t) == 0
     t = abs(float(t)) if scalar else np.abs(np.asarray(t, dtype=float))
     T = t * t
-    if (T > EXP_BUDGET) if scalar else np.any(T > EXP_BUDGET):
+    if (T > EXP_BUDGET) if scalar else (T > EXP_BUDGET).any():
         raise ExponentBudgetError("t^2 exceeds the exponent budget")
     g, dg = eval_g(fam, t)
+    g1 = 1.0 + g
     if N == 1:
         eT = math.exp(T) if scalar else np.exp(T)
-        psi = (1.0 + g) * eT
-        dpsi = (2.0 * t * (1.0 + g) + dg) * eT
-    else:
-        ph = phi_N(N, T)
-        psi = (1.0 + g) * (1.0 + T + ph)
-        # g'(0) = 0, so t H(t) = t + t g + g'/2 is 0 at t = 0
-        tH = t + t * g + dg / 2.0
-        dpsi = (2.0 * tH * ph + 2.0 * t * (1.0 + power_term(N, T)) * (1.0 + g)
-                + dg * (1.0 + T))
-    return psi, dpsi
+        return g1 * eT, (2.0 * t * g1 + dg) * eT
+    ph = phi_N(N, T)
+    # g'(0) = 0, so t H(t) = t + t g + g'/2 is 0 at t = 0
+    tH = t + t * g + dg / 2.0
+    return (g1 * (1.0 + T + ph),
+            2.0 * tH * ph + 2.0 * t * (1.0 + power_term(N, T)) * g1 + dg * (1.0 + T))
 
 
 def xi(N: int, gamma: float) -> float:

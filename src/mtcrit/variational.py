@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvout import write_csv
 from .domain import DomainModel, Shape
 from .numerics import CubicHermite, gauss_legendre
 from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily, eval_g, eval_psi_N
@@ -93,7 +92,7 @@ def _stiffness(r: np.ndarray) -> np.ndarray:
 
 def _energy(k: np.ndarray, u: np.ndarray) -> float:
     """Dirichlet energy of nodal values u on the chain of conductances k."""
-    return float(np.sum(k * (u[1:] - u[:-1]) ** 2))
+    return float((k * (u[1:] - u[:-1]) ** 2).sum())
 
 
 def solveh_banded(k: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,8 +102,8 @@ def solveh_banded(k: np.ndarray, b: np.ndarray) -> np.ndarray:
     fluxes and a reverse one the values.  A NaN or Inf in b raises
     ValueError, as in scipy.linalg.solveh_banded.  The name is the binding
     perfbench/tracing.py counts as one Riesz solve."""
-    flux = np.cumsum(np.asarray_chkfinite(b))
-    return np.cumsum((flux / k)[::-1])[::-1]
+    flux = np.asarray_chkfinite(b).cumsum()
+    return (flux / k)[::-1].cumsum()[::-1]
 
 
 def _load_weights(r: np.ndarray) -> np.ndarray:
@@ -136,9 +135,6 @@ class ExtremalRun:
                 "lambda": self.lam, "el_residual": self.el_residual,
                 "saturated": self.saturated, "iterations": self.iterations,
                 "termination": self.termination}
-
-    def to_csv(self, path: str) -> None:
-        write_csv(path, ["r", "u"], [self.r, self.u])
 
 
 def _project(u: np.ndarray, k: np.ndarray, alpha: float) -> np.ndarray:
@@ -181,15 +177,17 @@ def _ascend(integrand, r: np.ndarray, alpha: float):
 
     u = _project(_start(r, k, alpha), k, alpha)
     J, G = value_grad(u)
+    d = np.zeros_like(u)  # Dirichlet: the boundary node stays 0
     stall = 0
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        d = np.zeros_like(G)
-        d[:-1] = solveh_banded(k, G[:-1])  # Dirichlet: the boundary node stays 0
-        v = d * math.sqrt(alpha / max(_energy(k, d), 1e-300))
+        d[:-1] = solveh_banded(k, G[:-1])
+        step = d * math.sqrt(alpha / max(_energy(k, d), 1e-300))
+        step -= u  # v - u
         s = 1.0
         for _ in range(40):
-            u_try = _project(np.maximum(u + s * (v - u), 0.0), k, alpha)
+            u_try = u + step if s == 1.0 else u + s * step
+            u_try = _project(np.maximum(u_try, 0.0, out=u_try), k, alpha)
             J_try, G_try = value_grad(u_try)
             if J_try > J:
                 break
@@ -258,8 +256,8 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
 
     def phi(u):
         gu, gpu = eval_g(fam, u)
-        return ((1.0 + gu) * (1.0 + u * u) - (1.0 + g00),
-                gpu * (1.0 + u * u) + 2.0 * u * (1.0 + gu))
+        g1, u1 = 1.0 + gu, 1.0 + u * u
+        return g1 * u1 - (1.0 + g00), gpu * u1 + 2.0 * u * g1
 
     _, value, _, _, why = _ascend(phi, make_grid(n_grid), alpha)
     _, half, _, _, why_half = _ascend(phi, make_grid(n_grid // 2), alpha)

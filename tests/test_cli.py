@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtcrit import cli
+from mtcrit import PerturbationFamily, cli
 from mtcrit import profiles as profiles_module
 from mtcrit import variational
 from mtcrit.cli import main
+from mtcrit.csvout import write_csv
 
 
 def _write(tmp_path, name, payload):
@@ -214,6 +215,37 @@ def test_extremal_reports_the_blowup_level(tmp_path, capsys, family, level):
     g0 = family.get("g0", 0.0)
     assert step1["blowup_level"] == pytest.approx((1.0 + g0) * math.pi + math.pi * math.e,
                                                   rel=1e-15)
+
+
+def test_extremal_curve_files_hold_the_bytes_of_write_csv(tmp_path):
+    # the default ladder's curve files, written with their common grid
+    # formatted once, hold what write_csv writes for each run
+    out = tmp_path / "out"
+    assert main(["extremal", "--out", str(out)]) == 0
+    names = []
+    for frac in (0.7, 0.8, 0.9, 0.95):
+        run = variational.solve_subcritical(PerturbationFamily(), 1, frac * 4.0 * math.pi)
+        write_csv(str(tmp_path / "ref.csv"), ["r", "u"], [run.r, run.u])
+        names.append(cli._EXTREMAL_CSV.format(run.alpha))
+        assert (out / names[-1]).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(names)
+
+
+def test_extremal_refuses_rungs_on_different_grids(tmp_path, monkeypatch, capsys):
+    # the ladder's files share one formatted grid column, so a rung on a grid
+    # of the same size but other nodes must stop the command, not write the
+    # first rung's r beside its u
+    def solve(fam, N, alpha, n_grid=64):
+        run = variational.solve_subcritical(fam, N, alpha, n_grid)
+        if alpha > 0.9 * 4.0 * math.pi:
+            run.r = run.r ** 2
+        return run
+
+    monkeypatch.setattr(cli, "solve_subcritical", solve)
+    out = tmp_path / "out"
+    assert main(["extremal", "--out", str(out)]) == 1
+    assert "do not share one grid" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_extremal_closed_form_height_may_not_exist(tmp_path):

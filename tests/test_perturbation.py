@@ -415,6 +415,22 @@ def test_dipping_blend_is_refused():
         PerturbationFamily(**DIPPING)
 
 
+# Three families whose pieces pass the largest double where no sample of the
+# g <= -1 check looked: log(1/t)^120 makes g(1e-200) nan, (log t)^120 makes
+# (g, g') at 1e300 (inf, nan), and (log t)^-200 next to R' = 1.01 makes the
+# blend's coefficients nan.  None may warn on the way to its refusal.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kwargs,piece", [
+    ({"c": 1.0, "a": 1.0, "b": -120.0}, "near-zero branch is not finite"),
+    ({"c_prime": 1.0, "a_prime": 1.0, "b_prime": -120.0}, "infinity branch is not finite"),
+    ({"c_prime": 1.0, "a_prime": 1.0, "b_prime": 200.0, "R_prime": 1.01},
+     "Hermite blend has a non-finite coefficient"),
+], ids=["near-zero", "infinity", "blend"])
+def test_non_finite_families_are_refused(kwargs, piece):
+    with pytest.raises(NonAdmissibleError, match=piece):
+        PerturbationFamily(kind=FamilyKind.POWER_LOG, **kwargs)
+
+
 @pytest.fixture
 def dipping(monkeypatch):
     """DIPPING built with the admissibility check switched off, so that
@@ -432,6 +448,71 @@ def test_scalar_and_array_refuse_alike(make, dipping):
         eval_psi_N(dipping, 1, make(0.8))
     with pytest.raises(ExponentBudgetError):
         eval_psi_N(BLENDED, 1, make(-1.001 * math.sqrt(EXP_BUDGET)))
+
+
+# -- the array path against a plain masked reference -----------------------
+
+
+def _plain_g(fam, t):
+    """(g, g') of an array by masks, each piece written out here and run on
+    its own points only: what the array path of eval_g, which runs the blend
+    on every point and the branches over it, must equal bit for bit."""
+    t = np.abs(t)
+    g, dg = np.zeros_like(t), np.zeros_like(t)
+    if fam.kind is FamilyKind.ZERO:
+        return g, dg
+    R = fam.R_prime
+    at0 = t == 0.0
+    low = (t <= 1.0 / R) & ~at0
+    high = t >= R
+    mid = ~(low | high | at0)
+    g[at0] = fam.g0
+    tl, th = t[low], t[high]
+    if fam.c == 0.0:
+        g[low], dg[low] = fam.g0 + 0.0 * tl, 0.0 * tl
+    else:
+        p, L = fam.a + 1.0, np.log(1.0 / tl)
+        g[low] = fam.g0 + fam.c * tl**p * L ** (-fam.b)
+        dg[low] = fam.c * tl ** (p - 1.0) * (p * L ** (-fam.b) + fam.b * L ** (-fam.b - 1.0))
+    ell = np.log(th)
+    g[high] = fam.c_prime * th ** (-fam.a_prime) * ell ** (-fam.b_prime)
+    dg[high] = (-fam.c_prime * th ** (-fam.a_prime - 1.0) * ell ** (-fam.b_prime - 1.0)
+                * (fam.a_prime * ell + fam.b_prime))
+    g[mid], dg[mid] = _blend_nested(fam, t[mid])
+    return g, dg
+
+
+def _plain_psi(fam, N, t):
+    """Psi_N and Psi_N' by the formulas of eval_psi_N on _plain_g, with
+    1 + g and g' kept for Zero too."""
+    g, dg = _plain_g(fam, t)
+    t = np.abs(t)
+    T = t * t
+    if N == 1:
+        eT = np.exp(T)
+        return (1.0 + g) * eT, (2.0 * t * (1.0 + g) + dg) * eT
+    ph = phi_N(N, T)
+    tH = t + t * g + dg / 2.0
+    return ((1.0 + g) * (1.0 + T + ph),
+            2.0 * tH * ph + 2.0 * t * (1.0 + numerics.power_term(N, T)) * (1.0 + g)
+            + dg * (1.0 + T))
+
+
+@pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
+def test_array_path_equals_plain_masks_bit_for_bit(fam):
+    # one array through every case: t = 0, both knots exactly and one float
+    # inside each, points on each of the three pieces, and negative t
+    R = fam.R_prime
+    t = np.array([0.0, 1.0 / R, R, math.nextafter(1.0 / R, R), math.nextafter(R, 0.0),
+                  1e-300, 0.05, 0.2, 0.6, 1.0, 2.1, 4.0, 9.5, 25.0,
+                  -0.1, -1.0 / R, -1.7, -R, -12.0])
+    g, dg = eval_g(fam, t)
+    g_ref, dg_ref = _plain_g(fam, t)
+    assert np.array_equal(g, g_ref) and np.array_equal(dg, dg_ref)
+    for N in (1, 3):
+        psi, dpsi = eval_psi_N(fam, N, t)
+        psi_ref, dpsi_ref = _plain_psi(fam, N, t)
+        assert np.array_equal(psi, psi_ref) and np.array_equal(dpsi, dpsi_ref), N
 
 
 # -- the float path against its NumPy-scalar form ----------------------------
@@ -512,10 +593,13 @@ def test_float_path_of_psi_N_is_its_numpy_scalar_form(monkeypatch, fam, piece, N
     ({"c": 1.0, "a": 1.0, "b": -120.0}, 1e-200),
     ({"c_prime": 1.0, "a_prime": 1.0, "b_prime": -120.0}, 1e300),
 ], ids=["near-zero", "infinity"])
-def test_a_power_past_the_doubles_is_not_an_error_on_the_float_path(kwargs, t):
+def test_a_power_past_the_doubles_is_not_an_error_on_the_float_path(monkeypatch, kwargs, t):
     # log(1/t)^120 and (log t)^120 pass the largest double: Python's ** raises
     # OverflowError where NumPy's gives inf, so the float path falls back to
-    # NumPy scalars and gives what an array gives
+    # NumPy scalars and gives what an array gives.  Both families are refused
+    # as not finite (test_non_finite_families_are_refused), so they are built
+    # with the check off, as `dipping` is.
+    monkeypatch.setattr(PerturbationFamily, "_check_admissible", lambda self: None)
     with np.errstate(over="ignore", invalid="ignore"):
         fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, **kwargs)
         got = eval_g(fam, t)

@@ -65,6 +65,12 @@ def test_riesz_solve_matches_scipy(n_grid, seed, scale, bad):
     b = rng.standard_normal(n_grid - 1) * 10.0**scale
     x, want = variational.solveh_banded(k, b), scipy.linalg.solveh_banded(ab, b)
     assert np.max(np.abs(x - want)) <= 1e-9 * np.max(np.abs(want))
+    # an integer load, and an integer u in the energy, count as their float
+    # copies, as scipy promotes them
+    bi = rng.integers(-5, 6, n_grid - 1)
+    assert np.array_equal(variational.solveh_banded(k, bi),
+                          variational.solveh_banded(k, bi.astype(float)))
+    assert _energy(k, np.append(bi, 0)) == _energy(k, np.append(bi, 0.0))
     b[rng.integers(n_grid - 1)] = bad
     with pytest.raises(ValueError):
         scipy.linalg.solveh_banded(ab, b)
@@ -296,14 +302,20 @@ def test_level_trend(fam0):
 # `==`.  Against the projected Barzilai-Borwein ascent it replaced (`J_bb`,
 # 127 iterations, `lam_g_bb`), `J` may only rise and by at most 1e-11
 # relative, the iterations must be fewer and Lambda_g must agree to 1e-12
-# relative.
-@pytest.mark.parametrize("fam,J,J_bb,iterations,lam_g,lam_g_bb", [
+# relative.  `ladder` pins (alpha / 4 pi, J, iterations) of every rung of the
+# default extremal ladder, recorded before the ascent's step and the array
+# path of eval_g were made leaner.
+@pytest.mark.parametrize("fam,J,J_bb,iterations,lam_g,lam_g_bb,ladder", [
     (PerturbationFamily(), 9.504416349250366, 9.504416349231686, 70,
-     2.1729163833204135, 2.1729163833204144),
+     2.1729163833204135, 2.1729163833204144,
+     [(0.7, 6.340744301057761, 30), (0.8, 7.552026584080762, 42),
+      (0.9, 9.504416349250366, 70), (0.95, 11.094635893251752, 112)]),
     (POWER_LOG, 9.586747468271156, 9.58674746825234, 69,
-     2.2139101101297127, 2.2139101101297127),
+     2.2139101101297127, 2.2139101101297127,
+     [(0.7, 6.387320915375908, 30), (0.8, 7.612639386122465, 42),
+      (0.9, 9.586747468271156, 69), (0.95, 11.193546978224674, 112)]),
 ], ids=["Zero", "PowerLog"])
-def test_ascent_golden_values(fam, J, J_bb, iterations, lam_g, lam_g_bb):
+def test_ascent_golden_values(fam, J, J_bb, iterations, lam_g, lam_g_bb, ladder):
     run = solve_subcritical(fam, 1, 0.9 * 4.0 * math.pi)
     assert run.J_value == J
     assert J_bb <= run.J_value <= J_bb * (1.0 + 1e-11)
@@ -312,6 +324,17 @@ def test_ascent_golden_values(fam, J, J_bb, iterations, lam_g, lam_g_bb):
     assert rep["lambda_g"] == lam_g
     assert rep["lambda_g"] == pytest.approx(lam_g_bb, rel=1e-12, abs=0.0)
     assert set(rep) == {"lambda_g", "gap", "termination"}
+    runs = [solve_subcritical(fam, 1, frac * 4.0 * math.pi) for frac, _, _ in ladder]
+    assert [(frac, r.J_value, r.iterations) for (frac, _, _), r in zip(ladder, runs)] == ladder
+
+
+def test_lambda_g_golden_value_through_the_near_zero_branch():
+    # c != 0 and g0 != 0 (BLENDED[1], R' = 3): the ascent's u runs from 0 at
+    # the boundary through the near-zero branch (u <= 1/R') into the blend
+    # (up to about 1.56); pinned as above
+    rep = lambda_g_report(BLENDED[1])
+    assert rep == {"lambda_g": 5.846282615734376, "gap": 9.726014985389497e-06,
+                   "termination": ["rtol", "rtol"]}
 
 
 def test_ascent_termination_reasons(monkeypatch, fam0):
