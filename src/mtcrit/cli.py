@@ -30,6 +30,7 @@ from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
 from .csvout import write_csv_on_grid
 from .domain import DomainModel, Shape, lambda1, robin_report
+from .numerics import left_sum
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, R_MAX_CEILING, R_MAX_FLOOR,
                        ode_profile, profile_integrals, s0_explicit, solve_profile)
@@ -122,7 +123,7 @@ def _distinct_files(key: str, values: list, names) -> None:
 def _family(cfg: dict) -> PerturbationFamily:
     try:
         return PerturbationFamily.from_json(cfg.get("family", {}))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"field 'family': {exc}") from exc
 
 
@@ -139,7 +140,7 @@ def _disk_domain(cfg: dict, command: str) -> DomainModel:
     the subcritical solver and the test functions are radial."""
     try:
         dom = DomainModel.from_json(cfg.get("domain", {}))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"field 'domain': {exc}") from exc
     if dom.shape is not Shape.UNIT_DISK:
         raise ConfigError(f"field 'domain': {command} supports only the unit disk "
@@ -327,14 +328,14 @@ def _verify_rows(seed: int) -> list:
         shift = math.exp(G - T)
         lhs = pG - pT * shift
         tG, tT = series_terms(G, N), series_terms(T, N + 3)
-        ssum = sum(a - b * shift for a, b in zip(tG, tT))
+        ssum = left_sum(a - b * shift for a, b in zip(tG, tT))
         # backward-error scale: the largest magnitude appearing in the
         # identity (the tails can be exponentially smaller than the sums)
         scale = max(abs(pG), abs(pT) * shift, max(tG), max(tT) * shift, 1.0)
         worst_alg = max(worst_alg, abs(lhs + ssum) / scale)
         k = rng.randint(0, 3)
         lhs_phi = phi_N(N + k, T)
-        rhs_phi = pT - sum(tT[N + 1:N + k + 1])
+        rhs_phi = pT - left_sum(tT[N + 1:N + k + 1])
         worst_phi = max(worst_phi, abs(lhs_phi - rhs_phi) / max(abs(pT), 1e-300))
     row("AlgRelat residual", worst_alg < 1e-12, f"{worst_alg:.2e}")
     row("FormulaPhi residual", worst_phi < 1e-12, f"{worst_phi:.2e}")

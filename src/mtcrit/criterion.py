@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .csvout import write_csv
+from .numerics import left_sum
 from .perturbation import AsymptoticData, PerturbationFamily, asymptotic_data
 
 __all__ = [
@@ -64,7 +65,7 @@ def ratio_value(data: AsymptoticData, M: float, S: float, k: float) -> float:
     m = min(p * k + q * logk for _, p, q in g4 + data.A_pieces + B)
 
     def total(pieces):
-        return sum(coef * math.exp(m - p * k - q * logk) for coef, p, q in pieces)
+        return left_sum(coef * math.exp(m - p * k - q * logk) for coef, p, q in pieces)
 
     s4, sA, sB = total(g4), total(data.A_pieces), total(B)
     num = s4 + 0.5 * sA + 4.0 * S * math.exp(-1.0 - M) * sB
@@ -95,8 +96,8 @@ def closed_form_l(fam: PerturbationFamily, M: float, S: float) -> float:
              (cS, _merged((coef, p + 3.0, q) for coef, p, q in data.B_pieces)),
              (0.5, _merged(data.A_pieces))]
     key = min(min(pieces) for _, pieces in terms if pieces)
-    num = sum(w * pieces[key] for w, pieces in terms if key in pieces)
-    den = sum(abs(pieces[key]) for _, pieces in terms if key in pieces)
+    num = left_sum(w * pieces[key] for w, pieces in terms if key in pieces)
+    den = left_sum(abs(pieces[key]) for _, pieces in terms if key in pieces)
     return num / den
 
 

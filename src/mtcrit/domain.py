@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable
 
@@ -54,7 +54,12 @@ class Shape(str, Enum):
 
 @dataclass(frozen=True)
 class DomainModel:
-    """Unit disk or axis-aligned rectangle [0,w] x [0,h]."""
+    """Unit disk or axis-aligned rectangle [0,w] x [0,h].
+
+    Each side must be a finite real number, not a bool (ValueError naming
+    the side), and is kept as a float.  A unit disk leaves both sides at
+    their default; a rectangle's sides must be positive.
+    """
 
     shape: Shape = Shape.UNIT_DISK
     width: float = 1.0
@@ -62,12 +67,19 @@ class DomainModel:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", Shape(self.shape))
-        for name in ("width", "height"):
-            side = getattr(self, name)
+        sides = [f for f in fields(self) if f.name != "shape"]
+        for f in sides:
+            side = getattr(self, f.name)
             if (isinstance(side, bool) or not isinstance(side, numbers.Real)
                     or not math.isfinite(side)):
-                raise ValueError(f"{name} must be a finite number (got {side!r})")
-        if self.shape is Shape.RECTANGLE and (self.width <= 0 or self.height <= 0):
+                raise ValueError(f"{f.name} must be a finite number (got {side!r})")
+            object.__setattr__(self, f.name, float(side))
+        if self.shape is Shape.UNIT_DISK:
+            given = [f"{f.name} = {getattr(self, f.name)!r}" for f in sides
+                     if getattr(self, f.name) != f.default]
+            if given:
+                raise ValueError(f"a unit disk takes no side (got {', '.join(given)})")
+        elif self.width <= 0 or self.height <= 0:
             raise ValueError("rectangle sides must be positive")
 
     def contains(self, p) -> bool:
@@ -90,18 +102,14 @@ class DomainModel:
 
     @staticmethod
     def from_json(obj: dict) -> "DomainModel":
-        """Read the keys `shape` (a `Shape` value), `width` and `height`; an
-        absent key takes its default and any other key is refused."""
+        """Read one key per field; an absent key takes the field's default
+        and any other key is refused."""
         if not isinstance(obj, dict):
             raise ValueError("must be a JSON object")
-        unknown = sorted(set(obj) - {"shape", "width", "height"})
+        unknown = sorted(set(obj) - {f.name for f in fields(DomainModel)})
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
-        return DomainModel(
-            shape=obj.get("shape", "UnitDisk"),
-            width=obj.get("width", 1.0),
-            height=obj.get("height", 1.0),
-        )
+        return DomainModel(**obj)
 
 
 # -- Green and Robin functions ----------------------------------------------
@@ -324,7 +332,6 @@ def integrate_around_pole(
         # all nodes of the segment in one array, shaped (theta, panel, r)
         R = _ray_lengths(dom, z, thetas)[:, None, None]
         r = R * unit_r
-        wr = R * unit_wr
         dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
         pts = (r[..., None] * dirs[:, None, None, :]).reshape(-1, 2)
         pts += z
@@ -332,7 +339,13 @@ def integrate_around_pole(
         vals = np.empty(r_flat.size)
         for lo in range(0, vals.size, CHUNK):
             vals[lo:lo + CHUNK] = f(r_flat[lo:lo + CHUNK], pts[lo:lo + CHUNK])
-        total += float(np.sum(wth[:, None, None] * wr * r * vals.reshape(r.shape)))
+        # the weights take the points' place, so the segment's peak holds one
+        # node array less; in place, in the order wth * wr * r * vals
+        del pts
+        w = wth[:, None, None] * (R * unit_wr)
+        w *= r
+        w *= vals.reshape(r.shape)
+        total += float(np.sum(w))
     return total
 
 

@@ -14,6 +14,8 @@
   arrays, the ratio on floats.
 * `li2_neg`: the dilogarithm Li2(-x), x >= 0.
 * `CubicHermite`: piecewise cubic Hermite interpolation and its slope.
+* `left_sum`: a sum added left to right, the one float reduction of the
+  toolkit in place of the builtin `sum`.
 
 A kernel takes a float or an array with at least one axis; callers make
 any other number with no axes a float first.
@@ -44,6 +46,7 @@ __all__ = [
     "term_over_tail",
     "li2_neg",
     "CubicHermite",
+    "left_sum",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -96,8 +99,20 @@ class OdeResult:
     message: str
 
 
+def left_sum(terms, start=0.0):
+    """start + terms[0] + terms[1] + ..., added left to right.
+
+    This is what the builtin `sum` gives on floats up to Python 3.11; from
+    3.12 on `sum` compensates float additions, so its result depends on
+    the interpreter and the toolkit does not call it."""
+    total = start
+    for term in terms:
+        total = total + term
+    return total
+
+
 def _rms(v) -> float:
-    return math.sqrt(sum([x * x for x in v])) / len(v) ** 0.5
+    return math.sqrt(left_sum([x * x for x in v])) / len(v) ** 0.5
 
 
 def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> OdeResult:
@@ -112,10 +127,9 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> OdeResult:
     refused with ValueError (scipy's messages) before fun is called.
 
     Each stage is written out: its sum is formed from 0.0 on, term by term
-    left to right in the order of the tableau, zero weights included, on
-    every Python version.  That is how `sum` adds floats up to Python 3.11;
-    from 3.12 on `sum` compensates its additions, so the stages are not
-    what `sum` over them would give there.
+    left to right in the order of the tableau, zero weights included.  The
+    error norm sums its squares by `left_sum`, the same left fold.  So no
+    float sum depends on the Python version.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     if not t_end > t:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .numerics import EXP_BUDGET, power_term, series_tail, term_over_tail
+from .numerics import EXP_BUDGET, left_sum, power_term, series_tail, term_over_tail
 
 __all__ = [
     "NonAdmissibleError",
@@ -79,11 +79,10 @@ class PerturbationFamily:
     b_prime: float = 0.0
     R_prime: float = 10.0
     g0: float = 0.0
-    _hermite: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", FamilyKind(self.kind))
-        numeric = [f for f in fields(self) if f.name not in ("kind", "_hermite")]
+        numeric = [f for f in fields(self) if f.name != "kind"]
         for f in numeric:
             value = getattr(self, f.name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
@@ -112,24 +111,29 @@ class PerturbationFamily:
 
     # -- PowerLog branches ------------------------------------------------
     #
-    # Each piece takes an array or a Python float; on a float it runs on
-    # Python floats after its log (`_log`), with the array's operations in
-    # its order.
+    # Each branch takes an array or a NumPy scalar (`eval_g`'s scalar path
+    # passes np.float64(t)), so a float meets the array's operations.
 
     def _g_zero_branch(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Near-zero branch and derivative, valid for 0 < t < 1.  With
-        c = 0 the branch is the constant g0, and t**p and log are skipped."""
+        c = 0 the branch is the constant g0, and t**p and log are skipped.
+        Below about 5.6e-309, where 1/t overflows, log(1/t) is taken as
+        -log t."""
         if self.c == 0.0:
             return self.g0 + 0.0 * t, 0.0 * t
         p = self.a + 1.0
-        L = _log(1.0 / t)
+        with np.errstate(over="ignore"):
+            inv = 1.0 / t
+        # [()] makes where's 0-d result for a NumPy scalar t a scalar again:
+        # a 0-d array's powers may round apart from a scalar's
+        L = np.where(np.isinf(inv), -np.log(t), np.log(inv))[()]
         val = self.g0 + self.c * t**p * L ** (-self.b)
         dval = self.c * t ** (p - 1.0) * (p * L ** (-self.b) + self.b * L ** (-self.b - 1.0))
         return val, dval
 
     def _g_inf_branch(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Infinity branch and derivative, valid for t > 1."""
-        ell = _log(t)
+        ell = np.log(t)
         val = self.c_prime * t ** (-self.a_prime) * ell ** (-self.b_prime)
         dval = (
             -self.c_prime
@@ -144,8 +148,8 @@ class PerturbationFamily:
         or g <= -1 (with a 1e-9 margin), on log-spaced samples of each piece.
         The near-zero branch takes 4096 on [1e-12, 1/R'], the blend 4096 on
         [1/R', R'] and the infinity branch 4096 on [R', 1e6 R']; each branch
-        takes 256 more from its knot out to 1e-307 or 1e308, near the ends of
-        the normal doubles, where a power of its log can overflow.  The
+        takes 256 more from its knot out to 5e-324 (the least subnormal) or
+        1e308, where a power of its log can overflow.  The
         blend's coefficients come from the branches' jets at the knots and
         may already be inf or nan."""
         if not all(map(math.isfinite, self._hermite)):
@@ -154,7 +158,7 @@ class PerturbationFamily:
         for name, piece, samples in (
             ("infinity branch", self._g_inf_branch, ((r, r * 1e6, 4096), (r, 1e308, 256))),
             ("near-zero branch", self._g_zero_branch,
-             ((1e-12, 1.0 / r, 4096), (1e-307, 1.0 / r, 256))),
+             ((1e-12, 1.0 / r, 4096), (5e-324, 1.0 / r, 256))),
             ("Hermite blend", lambda t: _hermite_eval(self, t), ((1.0 / r, r, 4096),)),
         ):
             for lo, hi, n in samples:
@@ -206,7 +210,7 @@ class PerturbationFamily:
         takes its default and any other key is refused."""
         if not isinstance(obj, dict):
             raise ValueError("must be a JSON object")
-        keys = {f.name for f in fields(PerturbationFamily)} - {"_hermite"}
+        keys = {f.name for f in fields(PerturbationFamily)}
         unknown = sorted(set(obj) - keys)
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
@@ -229,10 +233,7 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
             g, dg = fam.g0, 0.0
         elif t <= fam._t1 or t >= fam.R_prime:
             branch = fam._g_zero_branch if t <= fam._t1 else fam._g_inf_branch
-            try:
-                g, dg = branch(t)
-            except OverflowError:  # a power past the doubles: NumPy's gives inf
-                g, dg = branch(np.float64(t))
+            g, dg = branch(np.float64(t))
         else:
             g, dg = _hermite_eval(fam, t)
         if g <= -1.0:
@@ -267,18 +268,12 @@ def _eval_power_log(fam: PerturbationFamily, t: np.ndarray):
     return g, dg
 
 
-def _log(x):
-    """np.log(x), made a Python float for a Python float x: math.log may
-    round it apart from np.log, which the array path takes."""
-    v = np.log(x)
-    return float(v) if type(x) is float else v
-
-
 def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
-    """The blend and its derivative at an array or a Python float t."""
+    """The blend and its derivative at an array or a Python float t; a
+    float runs on Python floats after np.log (math.log may round apart)."""
     h0, h1, h2, c3, c4, c5 = fam._hermite
     L = fam._log_span
-    x = (_log(t) + 0.5 * L) / L
+    x = ((float(np.log(t)) if type(t) is float else np.log(t)) + 0.5 * L) / L
     # Horner's rule for the quintic and its derivative
     q = h0 + x * (h1 + x * (h2 + x * (c3 + x * (c4 + x * c5))))
     dq = h1 + x * (2.0 * h2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
@@ -377,8 +372,8 @@ Piece = tuple[float, float, float]
 def _eval_pieces(pieces: tuple[Piece, ...], gam):
     """Sum of the pieces at gamma > 1, in their order."""
     gam = np.asarray(gam, dtype=float)
-    return sum((coef * gam ** (-p) * np.log(gam) ** (-q) for coef, p, q in pieces),
-               np.zeros_like(gam))
+    return left_sum((coef * gam ** (-p) * np.log(gam) ** (-q) for coef, p, q in pieces),
+                    np.zeros_like(gam))
 
 
 @dataclass(frozen=True)

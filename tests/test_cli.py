@@ -375,6 +375,8 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
     ("criterion", {"domain": {"shape": "Rectangle", "width": "2"}}, "domain", "'2'"),
     ("extremal", {"domain": {"shape": "UnitDisk", "width": "2"}}, "domain", "'2'"),
     ("criterion", {"domain": {"height": True}}, "domain", "True"),
+    ("criterion", {"domain": {"shape": "UnitDisk", "width": 3.0}}, "domain",
+     "a unit disk takes no side (got width = 3.0)"),
     ("bubble", {"gamma_ladder": [3, 3.0000001, 4]}, "gamma_ladder",
      "3.0 and 3.0000001 would both write bubble_gamma3.csv"),
     ("bubble", {"gamma_ladder": [4.0, 3.0, 4]}, "gamma_ladder", "4.0 and 4.0"),
@@ -414,7 +416,8 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
         "gamma-ladder-number", "r-max-huge-int", "r-max-above-ceiling",
         "r-max-nan-integrals",
         "N-huge-int", "gamma-ladder-huge-int", "rectangle-width-string",
-        "disk-width-string", "disk-height-bool", "gamma-ladder-same-file",
+        "disk-width-string", "disk-height-bool", "disk-width-three",
+        "gamma-ladder-same-file",
         "gamma-ladder-duplicate", "alpha-ladder-same-file", "gamma-ladder-window",
         "gamma-ladder-window-eps0", "gamma-ladder-budget", "gamma-ladder-empty-window",
         "N-past-underflow", "N-huge-past-underflow",

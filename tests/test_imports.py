@@ -2,8 +2,8 @@
 definition is read, and every exported exception is raised somewhere.
 No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
 and only mtcrit.numerics imports the Gauss-Legendre nodes; no module calls
-a trapezoid rule or linear interpolation.  Every kernel and constant that
-mtcrit.numerics exports is imported by another module.
+a trapezoid rule, linear interpolation or the builtin sum.  Every kernel
+and constant that mtcrit.numerics exports is imported by another module.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
@@ -136,6 +136,37 @@ def test_trapezoid_scan_catches_each_form():
                      "a = np.trapezoid(y, x)\nb = numpy.trapz(y)\nc = interp(x, xp, fp)\n"
                      "d = np.interp\ne = table.interp(x)\nf = gauss_legendre(edges, 8)\n")
     assert _trapezoid_calls(tree) == [(4, "trapezoid"), (5, "trapz"), (6, "interp")]
+
+
+def _builtin_sum_calls(tree: ast.Module) -> list:
+    """Lines of each call of the builtin sum, by its bare name or as
+    builtins.sum; np.sum and a method named sum are other functions."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id == "sum") or (
+                isinstance(f, ast.Attribute) and f.attr == "sum"
+                and isinstance(f.value, ast.Name) and f.value.id == "builtins"):
+            out.append(node.lineno)
+    return out
+
+
+def test_no_builtin_sum():
+    # from Python 3.12 on the builtin sum compensates float additions, so a
+    # result would depend on the interpreter; float sums go through
+    # numerics.left_sum, added left to right on every version
+    calls = [f"{p.name}:{line}" for p in MODULES
+             for line in _builtin_sum_calls(ast.parse(p.read_text(), filename=str(p)))]
+    assert not calls, f"builtin sum called: {calls}"
+
+
+def test_sum_scan_catches_each_form():
+    tree = ast.parse("import builtins\nimport numpy as np\n"
+                     "a = sum(x)\nb = builtins.sum(x, 0.0)\nc = np.sum(x)\n"
+                     "d = arr.sum()\ne = left_sum(x)\nf = sum\n")
+    assert _builtin_sum_calls(tree) == [3, 4]
 
 
 def test_scan_catches_an_unused_import():

@@ -289,6 +289,20 @@ def test_written_out_stages_are_the_stage_loop(y0, fun):
     assert ours_calls == ref_calls
 
 
+def test_left_sum_adds_left_to_right_from_zero():
+    # no compensation: 1e16 + 1 rounds back to 1e16 and the 1 is lost, where
+    # math.fsum (and the builtin sum from Python 3.12 on) keeps it
+    terms = [1e16, 1.0, -1e16]
+    assert numerics.left_sum(terms) == 0.0 and math.fsum(terms) == 1.0
+    assert numerics.left_sum(iter([0.1, 0.2, 0.3])) == (0.0 + 0.1 + 0.2) + 0.3
+    # the start is the first operand: 0.0 + -0.0 is +0.0, and an empty sum 0.0
+    assert math.copysign(1.0, numerics.left_sum([-0.0])) == 1.0
+    assert type(numerics.left_sum([])) is float
+    gam = np.array([2.0, 3.0])
+    out = numerics.left_sum((gam**-k for k in range(3)), np.zeros_like(gam))
+    assert _same_bits(out, ((np.zeros(2) + gam**0) + gam**-1) + gam**-2)
+
+
 # -- Nelder-Mead against scipy --------------------------------------------------
 
 

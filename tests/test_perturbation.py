@@ -418,14 +418,17 @@ def test_dipping_blend_is_refused():
 # Three families whose pieces pass the largest double where no sample of the
 # g <= -1 check looked: log(1/t)^120 makes g(1e-200) nan, (log t)^120 makes
 # (g, g') at 1e300 (inf, nan), and (log t)^-200 next to R' = 1.01 makes the
-# blend's coefficients nan.  None may warn on the way to its refusal.
+# blend's coefficients nan.  log(1/t)^107.8 is finite down to 1e-307 and
+# passes the largest double only in the subnormals, where g(5e-324) is nan.
+# None may warn on the way to its refusal.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kwargs,piece", [
     ({"c": 1.0, "a": 1.0, "b": -120.0}, "near-zero branch is not finite"),
     ({"c_prime": 1.0, "a_prime": 1.0, "b_prime": -120.0}, "infinity branch is not finite"),
     ({"c_prime": 1.0, "a_prime": 1.0, "b_prime": 200.0, "R_prime": 1.01},
      "Hermite blend has a non-finite coefficient"),
-], ids=["near-zero", "infinity", "blend"])
+    ({"c": 1.0, "a": 1.0, "b": -107.8}, "near-zero branch is not finite"),
+], ids=["near-zero", "infinity", "blend", "near-zero-subnormal"])
 def test_non_finite_families_are_refused(kwargs, piece):
     with pytest.raises(NonAdmissibleError, match=piece):
         PerturbationFamily(kind=FamilyKind.POWER_LOG, **kwargs)
@@ -594,11 +597,11 @@ def test_float_path_of_psi_N_is_its_numpy_scalar_form(monkeypatch, fam, piece, N
     ({"c_prime": 1.0, "a_prime": 1.0, "b_prime": -120.0}, 1e300),
 ], ids=["near-zero", "infinity"])
 def test_a_power_past_the_doubles_is_not_an_error_on_the_float_path(monkeypatch, kwargs, t):
-    # log(1/t)^120 and (log t)^120 pass the largest double: Python's ** raises
-    # OverflowError where NumPy's gives inf, so the float path falls back to
-    # NumPy scalars and gives what an array gives.  Both families are refused
-    # as not finite (test_non_finite_families_are_refused), so they are built
-    # with the check off, as `dipping` is.
+    # log(1/t)^120 and (log t)^120 pass the largest double: the float path
+    # runs the branch on a NumPy scalar, whose ** gives inf where Python's
+    # raises OverflowError, and gives what an array gives.  Both families
+    # are refused as not finite (test_non_finite_families_are_refused), so
+    # they are built with the check off, as `dipping` is.
     monkeypatch.setattr(PerturbationFamily, "_check_admissible", lambda self: None)
     with np.errstate(over="ignore", invalid="ignore"):
         fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, **kwargs)
@@ -606,6 +609,39 @@ def test_a_power_past_the_doubles_is_not_an_error_on_the_float_path(monkeypatch,
         g, dg = eval_g(fam, np.array([t]))
     assert not all(math.isfinite(v) for v in got)
     assert np.array_equal(got, [g[0], dg[0]], equal_nan=True)
+
+
+# Near-zero branches that tend to g0 at 0, one growing in log(1/t) and one
+# decaying; 1/t overflows below about 5.6e-309, at the first two points.
+SUBNORMAL_FAMILIES = {"log-growing": {"c": 1.0, "a": 1.0, "b": -0.5},
+                      "log-decaying": {"c": 1.0, "a": 0.0, "b": 0.5}}
+
+
+def _near_zero_ref(kwargs, t):
+    """g and g' of the near-zero branch at t in 40 digits."""
+    c, a, b = kwargs["c"], kwargs["a"], kwargs["b"]
+    with mpmath.workdps(40):
+        tm = mpmath.mpf(t)
+        L, p = mpmath.log(1 / tm), a + 1.0
+        return (float(c * tm**p * L**-b),
+                float(c * tm**a * (p * L**-b + b * L**(-b - 1))))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kwargs", SUBNORMAL_FAMILIES.values(), ids=SUBNORMAL_FAMILIES)
+@pytest.mark.parametrize("t", [5e-324, 1e-310, sys.float_info.min])
+def test_near_zero_branch_is_finite_at_subnormal_t(kwargs, t):
+    # log(1/t) is -log t where 1/t overflows, so g and g' stay finite and
+    # match 40 digits to a few ulp, on floats and arrays; g' of the decaying
+    # family is about 0.037 there, not 0
+    fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, **kwargs)
+    want = _near_zero_ref(kwargs, t)
+    g, dg = eval_g(fam, np.array([t, 0.5]))
+    for got in (eval_g(fam, t), (g[0], dg[0])):
+        for v, ref in zip(got, want):
+            assert abs(v - ref) <= 4.0 * math.ulp(ref)
+    psi, dpsi = eval_psi_N(fam, 1, t)
+    assert psi == 1.0 + want[0] and math.isfinite(dpsi)
 
 
 @pytest.mark.parametrize("fn", [
