@@ -70,7 +70,7 @@ class BubbleSolution:
     derivs: np.ndarray  # dB/dy
 
     def to_csv(self, path: str) -> None:
-        write_csv(path, ["r", "B", "dB_dr", "t"],
+        write_csv([path], ["r", "B", "dB_dr", "t"],
                   [self.y_grid * self.mu, self.values, self.derivs / self.mu,
                    np.log1p(self.y_grid**2)], stride=HERMITE_STRIDE)
 

@@ -28,15 +28,15 @@ import numpy as np
 from . import __version__
 from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
-from .csvout import write_csv_on_grid
+from .csvout import write_csv
 from .domain import DomainModel, Shape, lambda1, robin_report
 from .numerics import left_sum
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, R_MAX_CEILING, R_MAX_FLOOR,
                        ode_profile, profile_integrals, s0_explicit, solve_profile)
 from .bubble import OrderUnderflowError, check_ladder, ladder_reports
-from .variational import (height_seed, lambda_g_report, model_testfun_energy,
-                          solve_subcritical, step1_testfun)
+from .variational import (STEP1_EPS_MIN, height_seed, lambda_g_report,
+                          model_testfun_energy, solve_subcritical, step1_testfun)
 
 
 class ConfigError(ValueError):
@@ -152,10 +152,11 @@ def _write_report(out_dir: str, name: str, payload: dict, cfg: dict) -> str:
     payload = dict(payload)
     payload["config_hash"] = _config_hash(cfg)
     payload["version"] = __version__
+    # serialised before the file is opened, so a report is whole or absent
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
-        fh.write("\n")
+        fh.write(text)
     return path
 
 
@@ -264,8 +265,9 @@ def cmd_extremal(cfg: dict, args) -> int:
                           "in (0, 4 pi)")
     _distinct_files("alpha_ladder", fracs, map(_EXTREMAL_CSV.format, alphas))
     eps = _number(cfg, "step1_eps", 0.005)
-    if not 0.0 < eps <= 0.2:
-        raise ConfigError(f"field 'step1_eps': must lie in (0, 0.2] (got {eps!r})")
+    if not STEP1_EPS_MIN <= eps <= 0.2:
+        raise ConfigError(f"field 'step1_eps': must lie in (0, 0.2] and be >= "
+                          f"{STEP1_EPS_MIN!r}, where eps^2 is a normal double (got {eps!r})")
     gam = _number(cfg, "model_gamma", 5.0)
     if gam <= 1.0:  # A and B carry log(gamma)
         raise ConfigError(f"field 'model_gamma': must be > 1 (got {gam!r})")
@@ -280,8 +282,8 @@ def cmd_extremal(cfg: dict, args) -> int:
     grid = runs[0].r
     if not all(np.array_equal(r.r, grid) for r in runs):
         raise RuntimeError("the rungs of the ladder do not share one grid")
-    write_csv_on_grid([os.path.join(args.out, _EXTREMAL_CSV.format(r.alpha)) for r in runs],
-                      ["r", "u"], grid, [r.u for r in runs])
+    write_csv([os.path.join(args.out, _EXTREMAL_CSV.format(r.alpha)) for r in runs],
+              ["r", "u"], [grid] + [r.u for r in runs])
     for r in runs:
         print(f"alpha={r.alpha:.4f}: J={r.J_value:.6f} saturated={r.saturated} "
               f"lambda={r.lam:.6f} el_residual={r.el_residual:.2e}")

@@ -197,5 +197,5 @@ def cor2_classifier(a_prime: float, b_prime: float, c_prime: float) -> Cor2Class
 
 def ratio_curve_csv(path: str, data: AsymptoticData, M: float, S: float) -> None:
     """Emit the (log gamma, ratio) curve on LOG_GAMMA_GRID for plotting."""
-    write_csv(path, ["log_gamma", "ratio"],
+    write_csv([path], ["log_gamma", "ratio"],
               [LOG_GAMMA_GRID, [ratio_value(data, M, S, k) for k in LOG_GAMMA_GRID]])

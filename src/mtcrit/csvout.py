@@ -1,5 +1,4 @@
-"""The one CSV writer behind every curve file the toolkit emits: `write_csv`
-for one file, `write_csv_on_grid` for a ladder of curves on a common grid."""
+"""The one CSV writer behind every curve file the toolkit emits."""
 
 from __future__ import annotations
 
@@ -7,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["HERMITE_STRIDE", "write_csv", "write_csv_on_grid"]
+__all__ = ["HERMITE_STRIDE", "write_csv"]
 
 # A curve written with its derivative column keeps every HERMITE_STRIDE-th
 # node of its grid and the last one: cubic Hermite interpolation of the kept
@@ -15,51 +14,42 @@ __all__ = ["HERMITE_STRIDE", "write_csv", "write_csv_on_grid"]
 HERMITE_STRIDE = 5
 
 
-def write_csv(path: str, header: Sequence[str], columns: Sequence, stride: int = 1) -> None:
-    """Write equal-length numeric columns under a header row.
+def write_csv(paths: Sequence[str], header: Sequence[str], columns: Sequence,
+              stride: int = 1) -> None:
+    """Write one file per path: the header row, then one row per kept node.
 
-    Each value is written with 17 significant digits (`%.17g`, which
-    round-trips a double) and each row ends in CRLF, the layout of the
-    standard library's `csv.writer`.  With `stride` k > 1 only the rows at
+    The first cell of every row comes from `columns[0]`, which all the files
+    share; the other cells come from the path's own block of
+    `len(header) - 1` columns, taken in order from `columns[1:]`.  Each value
+    is written with 17 significant digits (`%.17g`, which round-trips a
+    double) and each row ends in CRLF, the layout of the standard library's
+    `csv.writer`; the first column is formatted once, into a row template
+    that each file's cells fill in.  With `stride` k > 1 only the rows at
     nodes 0, k, 2k, ... and the last node are written, each the same bytes
     as at stride 1; the bubble and profile curves, which carry a derivative
-    column, pass HERMITE_STRIDE.  Columns of unequal length, or a header
-    whose width is not the number of columns, are refused (ValueError).
+    column, pass HERMITE_STRIDE.  Columns of unequal length, a header of
+    fewer than two names, or a count of columns that is not one block per
+    path are refused (ValueError) before any file is written.
     """
-    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
-    lengths = [len(c) for c in lists]
+    arrays = [np.asarray(c, dtype=float) for c in columns]
+    lengths = [len(a) for a in arrays]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
-    if len(header) != len(lists):
-        raise ValueError(f"header has {len(header)} names for {len(lists)} columns")
-    lists = [c[::stride] + c[-1:] if (len(c) - 1) % stride else c[::stride] for c in lists]
-    row = ",".join(["%.17g"] * len(lists)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write("".join(row % values for values in zip(*lists)))
+    width = len(header) - 1
+    if width < 1:
+        raise ValueError(f"header has {len(header)} names; it needs at least 2")
+    if len(arrays) != 1 + width * len(paths):
+        raise ValueError(f"{len(arrays)} columns are not one shared column and a block "
+                         f"of {width} for each of {len(paths)} paths")
 
+    def kept(a):  # the rows at nodes 0, k, 2k, ... and the last, flattened row by row
+        return np.append(a[::stride], a[-1:] if (len(a) - 1) % stride else a[:0])
 
-def write_csv_on_grid(paths: Sequence[str], header: Sequence[str], grid, columns: Sequence) -> None:
-    """Write each column next to the common grid column, one file per path.
-
-    Each file holds the bytes of `write_csv(path, header, [grid, column])`;
-    the grid is formatted once, into a row template whose second cell is
-    each file's `%.17g`.  A column whose length is not the grid's, a count of
-    paths that is not the count of columns, or a header of other than two
-    names is refused (ValueError) before any file is written.
-    """
-    grid = np.asarray(grid, dtype=float).tolist()
-    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
-    for c in lists:
-        if len(c) != len(grid):
-            raise ValueError(f"columns differ in length: {[len(grid), len(c)]}")
-    if len(paths) != len(lists):
-        raise ValueError(f"{len(paths)} paths for {len(lists)} columns")
-    if len(header) != 2:
-        raise ValueError(f"header has {len(header)} names for 2 columns")
-    # no "%.17g" text holds a "%", so the grid cells pass through the template
-    rows = "".join(["%.17g,%%.17g\r\n" % x for x in grid])
-    for path, c in zip(paths, lists):
+    # no "%.17g" text holds a "%", so the first column's cells pass through the template
+    row = "%.17g" + ",%%.17g" * width + "\r\n"
+    rows = "".join([row % x for x in kept(arrays[0]).tolist()])
+    for i, path in enumerate(paths):
+        block = np.column_stack(arrays[1 + i * width:1 + (i + 1) * width])
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            fh.write(rows % tuple(c))
+            fh.write(rows % tuple(kept(block).tolist()))

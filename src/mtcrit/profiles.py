@@ -133,7 +133,7 @@ class RadialProfile:
                                lambda r: -self.A / (2.0 * math.pi) / r)
 
     def to_csv(self, path: str) -> None:
-        write_csv(path, ["r", "S", "dS_dr"], [self.grid, self.values, self.derivs],
+        write_csv([path], ["r", "S", "dS_dr"], [self.grid, self.values, self.derivs],
                   stride=HERMITE_STRIDE)
 
     def metadata(self) -> dict:

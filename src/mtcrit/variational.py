@@ -52,9 +52,12 @@ _GRID_KAPPA = 3.0
 # accepted steps in a row, changes J by less than _RTOL relative
 _MAX_ITER = 4000
 _RTOL = 1e-12
-# step1_testfun: Gauss-Legendre panels between the knots of g, nodes per panel
+# step1_testfun: Gauss-Legendre panels between the knots of g, nodes per panel.
+# Below STEP1_EPS_MIN, eps^2 is not a normal double, and from eps = 7.5e-155
+# down 1/eps^2 overflows and ||v||^2 comes out infinite
 _STEP1_PANELS = 8
 _STEP1_ORDER = 20
+STEP1_EPS_MIN = math.sqrt(sys.float_info.min)
 # model_testfun_energy brackets L = log(1/mu~^2) by L_seed -+ _HEIGHT_BRACKET;
 # past _MAX_LOG_INV_MU2, e^-L is below the smallest normal double
 _HEIGHT_BRACKET = 5.0
@@ -279,8 +282,9 @@ def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict
     """
     if dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("step1_testfun is radial at the disk center")
-    if not 0.0 < eps <= 0.2:
-        raise ValueError("eps must lie in (0, 0.2]")
+    if not STEP1_EPS_MIN <= eps <= 0.2:
+        raise ValueError(f"eps must lie in (0, 0.2] and be >= {STEP1_EPS_MIN!r}, "
+                         f"where eps^2 is a normal double (got {eps!r})")
     e2 = eps * eps
     # ||v||^2 = 2 pi int (2r/(e2+r^2))^2 r dr, analytic
     norm_sq = 4.0 * math.pi * (math.log1p(1.0 / e2) - 1.0 / (1.0 + e2))

@@ -1,19 +1,26 @@
 """End-to-end tests of the command-line front end (mtcrit.cli.main)."""
 
+import contextlib
+import csv
 import inspect
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtcrit import PerturbationFamily, cli
+from mtcrit import PerturbationFamily, bubble, cli
 from mtcrit import profiles as profiles_module
 from mtcrit import variational
 from mtcrit.cli import main
-from mtcrit.csvout import write_csv
+from mtcrit.numerics import EXP_BUDGET
+from mtcrit.profiles import R_MAX_CEILING, R_MAX_FLOOR
 
 
 def _write(tmp_path, name, payload):
@@ -217,17 +224,22 @@ def test_extremal_reports_the_blowup_level(tmp_path, capsys, family, level):
                                                   rel=1e-15)
 
 
-def test_extremal_curve_files_hold_the_bytes_of_write_csv(tmp_path):
+def test_extremal_curve_files_hold_the_bytes_of_csv_writer(tmp_path):
     # the default ladder's curve files, written with their common grid
-    # formatted once, hold what write_csv writes for each run
+    # formatted once, hold what the standard library's csv.writer writes
+    # for each run's rows of %.17g cells
     out = tmp_path / "out"
     assert main(["extremal", "--out", str(out)]) == 0
     names = []
     for frac in (0.7, 0.8, 0.9, 0.95):
         run = variational.solve_subcritical(PerturbationFamily(), 1, frac * 4.0 * math.pi)
-        write_csv(str(tmp_path / "ref.csv"), ["r", "u"], [run.r, run.u])
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(["r", "u"])
+        writer.writerows(["%.17g" % r, "%.17g" % u]
+                         for r, u in zip(run.r.tolist(), run.u.tolist()))
         names.append(cli._EXTREMAL_CSV.format(run.alpha))
-        assert (out / names[-1]).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (out / names[-1]).read_bytes() == buf.getvalue().encode()
     assert sorted(p.name for p in out.glob("*.csv")) == sorted(names)
 
 
@@ -360,6 +372,10 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
     ("extremal", {"model_gamma": 27.0}, "model_gamma", "underflows"),
     ("extremal", {"step1_eps": 0.0}, "step1_eps", "(0, 0.2]"),
     ("extremal", {"step1_eps": 0.3}, "step1_eps", "(0, 0.2]"),
+    # 1/eps^2 overflows from 7.5e-155 down, and the norm of the test
+    # function with it; eps^2 must be a normal double
+    ("extremal", {"step1_eps": 1e-160}, "step1_eps", ">= 1.4916681462400413e-154"),
+    ("extremal", {"step1_eps": 1e-300}, "step1_eps", ">= 1.4916681462400413e-154"),
     ("bubble", {"eps0": "0.75"}, "eps0", "'0.75'"),
     ("profiles", {"r_max": "1500"}, "r_max", "'1500'"),
     ("extremal", {"step1_eps": False}, "step1_eps", "False"),
@@ -411,6 +427,7 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
         "domain-key", "rectangle-key", "gamma-ladder-nan",
         "family-minus-infinity", "model-gamma-negative",
         "model-gamma-zero", "model-gamma-one", "model-gamma-27", "step1-eps-zero", "step1-eps-large",
+        "step1-eps-1e-160", "step1-eps-1e-300",
         "eps0-string", "r-max-string", "step1-eps-bool",
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
         "gamma-ladder-number", "r-max-huge-int", "r-max-above-ceiling",
@@ -436,12 +453,100 @@ def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, paylo
     assert f"field '{field}'" in err and named in err
     assert "Error:" not in err  # a ConfigError message, not a bare exception
     assert solves == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_config_must_be_an_object(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", [{"family": {"kind": "Zero"}}])
     assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_a_report_with_a_non_finite_value_is_not_written(tmp_path):
+    # the report is serialised before its file is opened: whole or absent
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_report(str(tmp_path), "extremal.json", {"step1": {"norm_sq": math.inf}}, {})
+    assert list(tmp_path.iterdir()) == []
+
+
+def _near(bounds, typical, low=None):
+    """Floats biased to the bounds of a field: each bound and one ulp either
+    side of it, subnormals and zero, the field's typical values, and now and
+    then a finite double, at least `low` if given."""
+    edges = [5e-324, 1e-310, -5e-324, 0.0, *typical]
+    for b in bounds:
+        edges += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+    return st.sampled_from(edges) | st.floats(min_value=low, allow_nan=False,
+                                              allow_infinity=False)
+
+
+def _ladder(values):
+    return st.lists(values, min_size=1, max_size=2)
+
+
+# the Zero family's height bracket passes the least normal double at about
+# gamma = sqrt(_MAX_LOG_INV_MU2 - _HEIGHT_BRACKET + 1)
+_MODEL_GAMMA_TOP = math.sqrt(variational._MAX_LOG_INV_MU2 - variational._HEIGHT_BRACKET + 1.0)
+_SWEEP_FIELDS = {
+    "extremal": {"step1_eps": _near([variational.STEP1_EPS_MIN, 0.2], [0.005, 7.5e-155]),
+                 "model_gamma": _near([1.0, _MODEL_GAMMA_TOP], [5.0]),
+                 "alpha_ladder": _ladder(_near([0.0, 1.0], [0.7, 0.95])),
+                 "N": st.sampled_from([1, 2])},
+    # below about 0.86 the Zero family's N = 2 shot blows down, which no
+    # check refuses before the solve yet: the ladders' free draws start at
+    # 0.9, and their edges at 1 - 1 ulp pass the shot
+    "bubble": {"gamma_ladder": _ladder(_near([1.0, math.sqrt(EXP_BUDGET)], [3.0, 5.0], 0.9)),
+               "eps0": _near([math.sqrt(1.0 / math.e), 1.0], [0.75]),
+               "N": st.sampled_from([1, 2])},
+    "profiles": {"r_max": _near([R_MAX_FLOOR, R_MAX_CEILING], [2000.0])},
+}
+
+
+@st.composite
+def _sweep_configs(draw):
+    cmd = draw(st.sampled_from(sorted(_SWEEP_FIELDS)))
+    fields = _SWEEP_FIELDS[cmd]
+    keys = draw(st.lists(st.sampled_from(sorted(fields)), unique=True))
+    return cmd, {key: draw(fields[key]) for key in keys}
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite {name} in a report")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(_sweep_configs())
+def test_config_sweep_runs_or_is_refused_before_solving(case):
+    # Each config either runs to exit 0 with a finite report, or is refused
+    # with exit 1 naming a config field before the first solve and before
+    # any file is written.  The spies record each solve and call through.
+    cmd, cfg = case
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        mp.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        spy(cli, "solve_profile")
+        spy(bubble, "shoot_bubble")
+        spy(variational, "_ascend")
+        path = Path(out) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([cmd, "--config", str(path), "--out", out])
+        reports = sorted(Path(out).glob(f"{cmd}.json"))
+        if code == 0:
+            assert len(reports) == 1 and calls
+            json.loads(reports[0].read_text(), parse_constant=_no_constant)
+        else:
+            assert code == 1, err.getvalue()
+            # a refusal may name a default that the drawn fields make fail
+            assert any(f"field '{key}'" in err.getvalue() for key in cli.CONFIG_KEYS), \
+                err.getvalue()
+            assert calls == [], (calls, err.getvalue())
+            assert [p.name for p in Path(out).iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("gamma", [26, 27, 1000])

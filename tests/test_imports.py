@@ -2,7 +2,8 @@
 definition is read, and every exported exception is raised somewhere.
 No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
 and only mtcrit.numerics imports the Gauss-Legendre nodes; no module calls
-a trapezoid rule, linear interpolation or the builtin sum.  Every kernel
+a trapezoid rule, linear interpolation or the builtin sum, and only
+csvout.write_csv and cli._write_report open a file for writing.  Every kernel
 and constant that mtcrit.numerics exports is imported by another module.
 
 No linter ships with the toolkit, so these AST scans keep dead names
@@ -167,6 +168,54 @@ def test_sum_scan_catches_each_form():
                      "a = sum(x)\nb = builtins.sum(x, 0.0)\nc = np.sum(x)\n"
                      "d = arr.sum()\ne = left_sum(x)\nf = sum\n")
     assert _builtin_sum_calls(tree) == [3, 4]
+
+
+def _writing_opens(tree: ast.Module) -> list:
+    """(line, enclosing function) of each call of open, bare or as io.open or
+    builtins.open, whose mode writes: a mode holding w, a, x or +, or one
+    that is not a string literal.  The function is None at module level."""
+    out = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "open") or (
+                    isinstance(f, ast.Attribute) and f.attr == "open"
+                    and isinstance(f.value, ast.Name) and f.value.id in ("io", "builtins")):
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    out.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+# the CSV writer and the JSON report writer are the only places a file is written
+_WRITERS = {("csvout.py", "write_csv"), ("cli.py", "_write_report")}
+
+
+def test_files_are_written_by_the_two_writers_alone():
+    opens = [f"{p.name}:{line} {owner}" for p in MODULES
+             for line, owner in _writing_opens(ast.parse(p.read_text(), filename=str(p)))
+             if (p.name, owner) not in _WRITERS]
+    assert not opens, f"a file opened for writing outside the two writers: {opens}"
+
+
+def test_open_scan_catches_each_writing_mode():
+    tree = ast.parse("import io\n"
+                     "def write_csv(p):\n    open(p, 'w')\n"
+                     "def load(p):\n    open(p)\n    open(p, 'rb')\n    open(p, mode='r')\n"
+                     "def leak(p, m):\n    open(p, 'w')\n    open(p, mode='a')\n"
+                     "    io.open(p, 'r+')\n    open(p, m)\n    path.open('w')\n"
+                     "open('log', 'x')\n")
+    assert _writing_opens(tree) == [(3, "write_csv"), (9, "leak"), (10, "leak"),
+                                    (11, "leak"), (12, "leak"), (14, None)]
 
 
 def test_scan_catches_an_unused_import():

@@ -1,6 +1,7 @@
 """Tests for the constrained-maximization solvers and test functions."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -179,6 +180,18 @@ def test_step1_testfun(disk, fam0):
         step1_testfun(disk, fam0, 0.5)
     with pytest.raises(NotImplementedError):
         step1_testfun(DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0), fam0, 0.01)
+
+
+def test_step1_eps_whose_square_is_subnormal_is_refused(disk, fam0):
+    # from eps = 7.5e-155 down 1/eps^2 overflows and norm_sq was inf, with J
+    # the value of f = 0; eps^2 must be a normal double
+    assert variational.STEP1_EPS_MIN**2 >= sys.float_info.min
+    assert math.nextafter(variational.STEP1_EPS_MIN, 0.0)**2 < sys.float_info.min
+    out = step1_testfun(disk, fam0, 1.5e-154)
+    assert math.isfinite(out["norm_sq"]) and math.isfinite(out["J"])
+    for eps in (1.49e-154, 1e-160, 1e-300):
+        with pytest.raises(ValueError, match="eps\\^2 is a normal double"):
+            step1_testfun(disk, fam0, eps)
 
 
 def test_model_testfun_sanity(disk, fam0, data0, profiles):
