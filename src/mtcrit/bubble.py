@@ -260,8 +260,12 @@ def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float, r_max: fl
     if asymptotic_data(fam).A_pieces and low <= 1.0:
         raise ValueError(f"gamma = {low:g}: the decay coefficient A(gamma) of this "
                          f"family, a sum of power-log pieces, is defined only for gamma > 1")
-    cap, _, ends = _ladder_window(gammas, eps0)
-    if min(ends) < _Y_FLOOR:
+    # A window t <= cap below t(_Y_FLOOR) holds no node at y >= _Y_FLOOR on any
+    # grid, so it is refused before the grids are built: one too small for
+    # (1 - eps0) gamma^2 to be a positive double has none to build.
+    cap = 0.8 * (1.0 - eps0) * low ** 2
+    ends = [] if cap < np.log1p(_Y_FLOOR * _Y_FLOOR) else _ladder_window(gammas, eps0)[2]
+    if not ends or min(ends) < _Y_FLOOR:
         raise ValueError(f"with eps0 = {eps0:g} the expansion window t <= {cap:.6g} of "
                          f"gamma = {low:g} holds no node at y = r/mu >= {_Y_FLOOR:g}, "
                          f"where the sups are taken; raise the smallest gamma or lower eps0")

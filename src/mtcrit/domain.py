@@ -8,7 +8,9 @@ function is written
 
 with H_x harmonic and equal to -log(1/|x-.|^2) on the boundary.  The Robin
 function is x -> H_x(x); its maximum M, its maximizer K and the associated
-integral S drive the existence criterion.
+integral S drive the existence criterion.  On a rectangle they come from the
+Taylor series of the Schwarz-Christoffel map of the unit disk onto it; on
+the disk, from a Robin search and a quadrature around the pole.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import CHUNK, gauss_legendre, minimize
+from .numerics import CHUNK, gauss_legendre, left_sum, minimize
 
 __all__ = [
     "Shape",
@@ -366,20 +368,163 @@ class RobinReport:
         return {"M": self.M, "K": [list(map(float, p)) for p in self.K], "S": self.S}
 
 
+# -- rectangle: the Schwarz-Christoffel series ---------------------------------
+#
+# Let a <= b be the sides.  The map of the unit disk onto the rectangle that
+# sends 0 to the centre has f'(w) = C (1 - 2 x w^2 + w^4)^(-1/2), so by the
+# Legendre generating function its Taylor coefficients are
+# c_{2n+1} = C P_n(x) / (2n + 1), c_even = 0.  Here x = 1 - 2m, where m is the
+# elliptic parameter of the nome q = e^(-pi b / a) <= e^(-pi) and C = a / K(m).
+# Then M = 2 log C (twice the log of the conformal radius), and since
+# G(f(w), f(0)) = log(1/|w|^2) / 4 pi, S pulls back to
+#
+#     S = sum_k k^2 |c_k|^2 I_k = C^2 sum_n P_n(x)^2 I_{2n+1},
+#     I_k = int_0^inf s F(2s) e^(-2ks) ds,
+#
+# the disk's radial moments (Flucher, Comment. Math. Helv. 1992; Bandle and
+# Flucher, SIAM Rev. 1996).
+
+_SERIES_TERMS = 4000
+"""Terms n < K = _SERIES_TERMS of the series for S; theta = arccos x.
+
+Where K theta < 1, P_n(x) is still close to 1 at the cut, so the terms left
+out are added as the strip's tail: the series with P_n = 1, whose sum is
+C^2 int_0^inf s F(2s) e^(-2 k0 s) / (1 - e^(-4s)) ds, k0 = 2K + 1.
+
+Truncation bound for F(t) = t^kappa, 0 < kappa <= 1 (every family's
+profile).  Then I_k = Gamma(kappa + 2) / (4 k^(kappa + 2)) and S >= C^2 I_1, so
+
+    |Delta S| / S <= (2K)^(-1-kappa) / (2 (1 + kappa)) * rho,
+    rho = min(1, 1 / (K theta))                            if K theta >= 1,
+    rho = min(1, (1 + kappa) K theta / (sqrt(2) kappa))    if K theta < 1.
+
+Without the tail the terms left out have P_n^2 <= 2 / (pi n sin theta)
+(Bernstein).  With it the error is the sum of (1 - P_n^2) I_k over n >= K,
+where 0 <= 1 - P_n^2 <= min(1, n (n + 1) theta^2 / 2).  At K = 4000, kappa = 1
+reads 6.2e-13 on the square and 2.8e-12 at 2:1, 3.9e-9 at worst (K theta
+about 1, sides about 7:1) and 2.7e-11 at 10:1.  At worst kappa = 1/2 reads
+4.7e-7, and kappa = 1/4 reads 5.3e-6.  Against 2e6 terms, kappa = 1 measured
+2.2e-13 on the square, 6.0e-13 at 2:1, 1.4e-9 at 7:1, 5e-13 at 10:1 and 2e-15
+at 50:1; kappa = 1/4 measured 2.2e-6 at 7:1.  The moments I_k add 6e-14
+relative (`_moment_rule`).
+"""
+
+# Terms of each theta series: for q <= e^(-pi) the first left out is below
+# 1e-21 of the sum.
+_THETA_TERMS = 4
+# The moment rule: Gauss-Legendre nodes per panel, and geometric panels
+# (ratio 1/2) from _MOMENT_CUT down toward 0, the innermost one down to 0.
+# It integrates y^(1+kappa) e^(-y) over [0, inf) to 6e-14 relative for every
+# kappa in [0.01, 1].
+_MOMENT_ORDER = 10
+_MOMENT_PANELS = 18
+_MOMENT_CUT = 40.0
+
+
+def _rect_modulus(a: float, b: float) -> float:
+    """The elliptic parameter m = (theta_2(q) / theta_3(q))^4 at the nome
+    q = e^(-pi b / a), for sides a <= b: m <= 1/2, so 1 - m has no
+    cancellation.  q^(1/4) is taken directly; it underflows later than q."""
+    q4 = math.exp(-math.pi * b / (4.0 * a))
+    q = q4**4
+    theta2 = 2.0 * q4 * left_sum([q ** (n * (n + 1)) for n in range(_THETA_TERMS)])
+    theta3 = left_sum([2.0 * q ** (n * n) for n in range(1, _THETA_TERMS)], 1.0)
+    return (theta2 / theta3) ** 4
+
+
+def _ellipk(m: float) -> float:
+    """Complete elliptic integral K(m) = pi / (2 AGM(1, sqrt(1 - m))) for
+    0 <= m <= 1/2.  The gap of the mean squares each step, from at most 0.3:
+    five steps put it below the last bit."""
+    a, b = 1.0, math.sqrt(1.0 - m)
+    for _ in range(5):
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return math.pi / (2.0 * a)
+
+
+def _legendre_squares(x: float) -> np.ndarray:
+    """P_n(x)^2 for n < _SERIES_TERMS, from the recurrence
+    (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}, its two ratios taken first."""
+    n = np.arange(1.0, _SERIES_TERMS - 1)
+    values = [1.0, x]
+    p_prev, p = 1.0, x
+    for up, down in zip(((2.0 * n + 1.0) / (n + 1.0)).tolist(), (n / (n + 1.0)).tolist()):
+        p_prev, p = p, up * x * p - down * p_prev
+        values.append(p)
+    values = np.array(values)
+    return values * values
+
+
+def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights v with sum_j v_j h(y_j) = int_0^inf y e^(-y) h(y) dy / 4.
+
+    The panels are graded toward 0, as `integrate_around_pole` grades its
+    radii, for the power singularity of F at 0."""
+    edges = np.append(0.0, _MOMENT_CUT * 0.5 ** np.arange(_MOMENT_PANELS - 1, -1, -1))
+    y, w = gauss_legendre(edges, _MOMENT_ORDER)
+    y = y.ravel()
+    return y, 0.25 * w.ravel() * y * np.exp(-y)
+
+
+def _radial_moments(F: Callable[[np.ndarray], np.ndarray], ks: np.ndarray) -> np.ndarray:
+    """I_k = int_0^inf s F(2s) e^(-2ks) ds for each k of ks.
+
+    In y = 2ks, I_k = int_0^inf y F(y/k) e^(-y) dy / (4 k^2), so one rule
+    serves every k.  F gets the nodes y/k of whole rows of k, at most CHUNK
+    values per call."""
+    y, v = _moment_rule()
+    rows = CHUNK // y.size
+    out = np.empty(ks.size)
+    for lo in range(0, ks.size, rows):
+        t = (y / ks[lo:lo + rows, None]).ravel()
+        out[lo:lo + rows] = np.asarray(F(t)).reshape(-1, y.size) @ v
+    return out / (ks * ks)
+
+
+def _strip_tail(F: Callable[[np.ndarray], np.ndarray], k0: float) -> float:
+    """sum of I_k over k = k0, k0 + 2, ...: int_0^inf s F(2s) e^(-2 k0 s) /
+    (1 - e^(-4s)) ds, on the moment rule in y = 2 k0 s."""
+    y, v = _moment_rule()
+    return float((np.asarray(F(y / k0)) / -np.expm1(-2.0 * y / k0)) @ v) / (k0 * k0)
+
+
+def _rect_robin_report(dom: DomainModel, F: Callable[[np.ndarray], np.ndarray]) -> RobinReport:
+    """M, K and S of a rectangle from its Schwarz-Christoffel series.
+
+    K is the centre exactly: the symmetry gives c_2 = 0, and the Robin
+    function of a convex domain has one critical point
+    (Caffarelli-Friedman, Duke Math. J. 1985)."""
+    a, b = sorted((dom.width, dom.height))
+    m = _rect_modulus(a, b)
+    C = a / _ellipk(m)
+    ks = 2.0 * np.arange(_SERIES_TERMS) + 1.0
+    S = float(_legendre_squares(1.0 - 2.0 * m) @ _radial_moments(F, ks))
+    theta = 2.0 * math.asin(math.sqrt(m))
+    if _SERIES_TERMS * theta < 1.0:
+        S += _strip_tail(F, 2.0 * _SERIES_TERMS + 1.0)
+    return RobinReport(M=2.0 * math.log(C), K=[tuple(map(float, dom.centre()))],
+                       S=C * C * S)
+
+
 def robin_report(
     dom: DomainModel,
     F: Callable[[np.ndarray], np.ndarray],
 ) -> RobinReport:
-    """Maximize the Robin function and evaluate the concentration integral.
+    """The Robin maximum M, its maximizer set K and the concentration
+    integral S = int_Omega G_z F(4 pi G_z), z the maximizer.
 
-    One Nelder-Mead search starts at the centre of symmetry.  On a convex
-    domain the Robin function has one critical point (Caffarelli-Friedman,
-    Duke Math. J. 1985), so by symmetry the maximizer is the centre.
-    Returns M = max Robin, K = [the maximizer z] and S = int_Omega G_z
-    F(4 pi G_z).  Raises DegenerateMaxError if the search does not converge
-    in 400 iterations, or if z lies closer to the boundary than half the
-    margin fraction of the centre's distance.
+    A rectangle reads all three off its Schwarz-Christoffel series
+    (`_rect_robin_report`, truncation bound at `_SERIES_TERMS`).  On the
+    disk one Nelder-Mead search starts at the centre of symmetry.  On a
+    convex domain the Robin function has one critical point
+    (Caffarelli-Friedman, Duke Math. J. 1985), so by symmetry the maximizer
+    is the centre.  The disk raises DegenerateMaxError if the search does
+    not converge in 400 iterations, or if z lies closer to the boundary than
+    half the margin fraction of the centre's distance; S is then a
+    quadrature around z.
     """
+    if dom.shape is Shape.RECTANGLE:
+        return _rect_robin_report(dom, F)
     centre = dom.centre()
     res = minimize(lambda q: -robin(dom, q), centre, xatol=1e-10, fatol=1e-12, maxiter=400)
     if not res.success:

@@ -1,11 +1,13 @@
 """Green/Robin geometry on the disk and the rectangle."""
 
+import functools
 import math
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from mtcrit import (
     DomainModel,
@@ -294,16 +296,30 @@ def test_integrate_around_pole_chunks_are_bit_identical(monkeypatch, data0, dom)
     assert max(sizes) == segment
 
 
+def _pole_S(dom, F):
+    """S by the quadrature around the centre of the Green function: the
+    reflection formula on the disk, the image sum on a rectangle."""
+    z = dom.centre()
+
+    def integrand(r, pts):
+        Gv = np.asarray(green(dom, z, pts))
+        return Gv * np.asarray(F(4.0 * math.pi * Gv))
+
+    return integrate_around_pole(dom, z, integrand)
+
+
 def test_rect_robin_report_peak_memory(data0):
-    # allocation sizes are deterministic; the per-segment image sums of the
-    # unchunked kernel peaked at 3.38 MB here
+    # allocation sizes are deterministic: the series path peaked at 0.45 MB
+    # here (0.15 MB margin), most of it the Legendre recurrence's lists; one
+    # unchunked array of the 4000 x 180 moment nodes alone is 5.8 MB, and the
+    # image-sum path this replaced peaked at 1.81 MB
     tracemalloc.start()
     try:
         robin_report(RECT, data0.F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.0e6
+    assert peak < 0.6e6
 
 
 @pytest.mark.parametrize("dom,bound", [(DomainModel(), 1.5e6), (RECT, 2.0e6)],
@@ -311,10 +327,15 @@ def test_rect_robin_report_peak_memory(data0):
 def test_pole_quadrature_frees_its_points_before_the_weights(data0, dom, bound):
     # the points (twice the size of one node array) are freed before the node
     # weights are formed in place: 1.75 MB (disk) and 2.35 MB (2x1) when the
-    # weights were a chain of temporaries beside them, 1.39 and 1.81 MB now
+    # weights were a chain of temporaries beside them, 1.39 and 1.81 MB now.
+    # The disk reaches the quadrature through robin_report, the rectangle
+    # (whose report reads a series) directly, with the same integrand.
     tracemalloc.start()
     try:
-        robin_report(dom, data0.F)
+        if dom.shape is Shape.UNIT_DISK:
+            robin_report(dom, data0.F)
+        else:
+            _pole_S(dom, data0.F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -326,25 +347,76 @@ def rect_reports(data0):
     return {name: robin_report(RECTS[name], data0.F) for name in ("2x1", "1x2", "1x1")}
 
 
+# (M, S) of the 2x1 rectangle and the unit square, Zero family, from the
+# image sums at commit 9bf5d06 (perfbench's RECT_REF, which holds the
+# square's M in closed form)
+IMAGE_SUM_REF = {"2x1": (-0.918077123062379, 0.20764606956280546),
+                 "1x1": (-1.2347714907031282, 0.14578045201541348)}
+
+
+@pytest.mark.parametrize("name", list(IMAGE_SUM_REF))
+def test_rect_series_matches_the_image_sum_record(rect_reports, name):
+    M_ref, S_ref = IMAGE_SUM_REF[name]
+    rep = rect_reports[name]
+    assert rep.M == pytest.approx(M_ref, rel=0.0, abs=1e-12)
+    assert rep.S == pytest.approx(S_ref, rel=0.0, abs=1e-12)
+
+
 def test_square_robin_max_closed_form(rect_reports):
     rep = rect_reports["1x1"]
     M_ref = 2 * mpmath.log(4 * mpmath.sqrt(mpmath.pi) / mpmath.gamma(0.25) ** 2)
-    assert rep.M == pytest.approx(float(M_ref), abs=1e-10)
-    assert len(rep.K) == 1
-    assert rep.K[0] == pytest.approx((0.5, 0.5), abs=1e-6)
+    assert rep.M == pytest.approx(float(M_ref), rel=0.0, abs=1e-14)
+    assert rep.K == [(0.5, 0.5)]
 
 
 def test_rect_report_invariant_under_transpose(rect_reports):
     wide, tall = rect_reports["2x1"], rect_reports["1x2"]
-    assert wide.M == pytest.approx(tall.M, abs=1e-12)
-    assert wide.S == pytest.approx(tall.S, rel=1e-10)
-    assert len(wide.K) == len(tall.K) == 1
-    assert wide.K[0] == pytest.approx((1.0, 0.5), abs=1e-6)
-    assert wide.K[0] == pytest.approx(tall.K[0][::-1], abs=1e-6)
+    assert (wide.M, wide.S) == (tall.M, tall.S)
+    assert wide.K == [(1.0, 0.5)] and tall.K == [(0.5, 1.0)]
 
 
-@pytest.mark.parametrize("w,h", [(3.0, 1.0), (6.0, 1.0), (1.0, 6.0), (10.0, 1.0)],
-                         ids=["3x1", "6x1", "1x6", "10x1"])
+@pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("name", ["2x1", "1x2", "1x1"])
+def test_rect_series_matches_the_image_sum_path(name, kappa):
+    # the image-sum Green function integrated around the centre, for profiles
+    # F(t) = t^kappa whose series converge more slowly as kappa falls
+    dom = RECTS[name]
+
+    def F(t):
+        return np.asarray(t) ** kappa
+
+    rep = robin_report(dom, F)
+    assert rep.M == pytest.approx(robin(dom, dom.centre()), rel=0.0, abs=1e-12)
+    assert rep.S == pytest.approx(_pole_S(dom, F), rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [0.01, 0.25, 0.5, 1.0])
+def test_radial_moments_match_their_closed_form(kappa):
+    # I_k = int_0^inf s (2s)^kappa e^{-2ks} ds = Gamma(kappa + 2) / (4 k^(kappa + 2))
+    ks = 2.0 * np.array([0, 1, 2, 50, 1999, domain._SERIES_TERMS - 1]) + 1.0
+    got = domain._radial_moments(lambda t: t**kappa, ks)
+    for k, I_k in zip(ks, got):
+        want = mpmath.gamma(kappa + 2) / (4 * mpmath.mpf(k) ** (kappa + 2))
+        assert I_k == pytest.approx(float(want), rel=1e-13)
+
+
+def test_rect_series_hands_F_at_most_a_chunk(data0):
+    sizes = []
+
+    def F(t):
+        sizes.append(np.size(t))
+        return data0.F(t)
+
+    for dom in (RECTS["2x1"], DomainModel(shape=Shape.RECTANGLE, width=50.0, height=1.0)):
+        robin_report(dom, F)
+    assert 0 < max(sizes) <= domain.CHUNK
+    assert math.fsum(sizes) > domain.CHUNK
+
+
+ELONGATED = [(3.0, 1.0), (6.0, 1.0), (1.0, 6.0), (10.0, 1.0)]
+
+
+@pytest.mark.parametrize("w,h", ELONGATED, ids=["3x1", "6x1", "1x6", "10x1"])
 def test_elongated_rect_has_one_maximizer(data0, w, h):
     # The Robin function of a convex domain has one critical point, here the
     # centre.  Along the long axis it is flat to rounding, so a search that
@@ -374,8 +446,11 @@ def _scan_max(dom):
     return float(np.max(_robin_array(dom, grid)))
 
 
-@pytest.mark.parametrize("w,h", [(None, None), (1.0, 0.02), (0.04, 0.04), (2.0, 0.049),
-                                 (0.001, 0.002), (50.0, 1.0), (1000.0, 500.0)],
+SCANNED = [(1.0, 0.02), (0.04, 0.04), (2.0, 0.049), (0.001, 0.002), (50.0, 1.0),
+           (1000.0, 500.0)]
+
+
+@pytest.mark.parametrize("w,h", [(None, None)] + SCANNED,
                          ids=["disk", "1x0.02", "0.04x0.04", "2x0.049", "0.001x0.002",
                               "50x1", "1000x500"])
 def test_robin_report_matches_scan_oracle(data0, w, h):
@@ -397,3 +472,66 @@ def test_integrate_around_pole_measures_rect_area(name):
     z = np.array([0.3 * dom.width, 0.7 * dom.height])
     val = integrate_around_pole(dom, z, lambda r, pts: np.ones_like(r))
     assert val == pytest.approx(dom.width * dom.height, rel=1e-12)
+
+
+# -- the rectangle series against an independent reference ------------------
+
+# every rectangle this module builds
+BUILT = sorted({(d.width, d.height) for d in RECTS.values()} | set(ELONGATED)
+               | set(SCANNED))
+REF_TERMS = 2_000_000
+
+
+@functools.cache
+def _series_reference(ratio):
+    """(2 log(1/K(m)), S/C^2, theta) for F(t) = t of a rectangle with sides
+    1 x ratio, ratio >= 1: m from mpmath's theta functions and K(m) from its
+    ellipk; REF_TERMS terms P_n(x)^2 / (2 (2n+1)^3) from scipy's Legendre
+    values, added by math.fsum.  The terms left out are below 2e-14 of the
+    sum for every x."""
+    with mpmath.workdps(30):
+        q = mpmath.exp(-mpmath.pi * ratio)
+        m = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
+        log_scale = float(-2 * mpmath.log(mpmath.ellipk(m)))
+        x = float(1 - 2 * m)
+        theta = float(2 * mpmath.asin(mpmath.sqrt(m)))
+    terms = scipy.special.legendre_p_all(REF_TERMS - 1, x)[0]
+    terms *= terms
+    k = np.arange(1.0, 2.0 * REF_TERMS, 2.0)
+    k **= 3
+    terms /= k
+    return log_scale, 0.5 * math.fsum(terms), theta
+
+
+def _truncation_bound(kappa, theta):
+    """The relative bound of S stated at domain._SERIES_TERMS."""
+    K = domain._SERIES_TERMS
+    if K * theta >= 1.0:
+        rho = min(1.0, 1.0 / (K * theta))
+    else:
+        rho = min(1.0, (1.0 + kappa) * K * theta / (math.sqrt(2.0) * kappa))
+    return (2.0 * K) ** (-1.0 - kappa) / (2.0 * (1.0 + kappa)) * rho
+
+
+@pytest.mark.parametrize("w,h", BUILT, ids=[f"{w:g}x{h:g}" for w, h in BUILT])
+def test_rect_series_within_its_bound_of_a_long_reference(data0, w, h):
+    # M to 1e-14 relative; S within the stated truncation bound, plus 1e-13
+    # for the moment rule (6e-14) and rounding
+    a, b = sorted((w, h))
+    log_scale, S_norm, theta = _series_reference(b / a)
+    rep = robin_report(DomainModel(shape=Shape.RECTANGLE, width=w, height=h), data0.F)
+    assert rep.M == pytest.approx(2.0 * math.log(a) + log_scale, rel=1e-14, abs=1e-14)
+    S_ref = math.exp(rep.M) * S_norm
+    assert abs(rep.S - S_ref) <= (_truncation_bound(1.0, theta) + 1e-13) * S_ref
+
+
+@pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0])
+def test_rect_series_is_above_the_disk(kappa):
+    # e^{-M} S = sum_k |c_k / c_1|^2 k^2 I_k >= I_1 = Gamma(kappa + 2) / 4,
+    # with equality only on the disk (ROADMAP item 12)
+    def F(t):
+        return np.asarray(t) ** kappa
+
+    for w, h in BUILT:
+        rep = robin_report(DomainModel(shape=Shape.RECTANGLE, width=w, height=h), F)
+        assert math.exp(-rep.M) * rep.S >= math.gamma(kappa + 2) / 4
