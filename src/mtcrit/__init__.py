@@ -25,6 +25,7 @@ from .domain import (
     first_bessel_zero,
     lambda1,
     robin_report,
+    robin_search,
 )
 from .profiles import (
     RadialProfile,
@@ -71,7 +72,7 @@ __all__ = [
     "NonAdmissibleError", "ExponentBudgetError", "asymptotic_data",
     "eval_g", "eval_H", "eval_psi_N", "phi_N", "xi",
     "DomainModel", "Shape", "RobinReport", "PoleCoincidenceError",
-    "DegenerateMaxError", "first_bessel_zero", "lambda1", "robin_report",
+    "DegenerateMaxError", "first_bessel_zero", "lambda1", "robin_report", "robin_search",
     "RadialProfile", "StepFailureError", "solve_profile",
     "laplacian_profile", "profile_integrals", "s0_explicit",
     "BubbleSolution", "ExpansionReport", "BlowDownError", "shoot_bubble",

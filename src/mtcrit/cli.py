@@ -29,7 +29,7 @@ from . import __version__
 from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
 from .csvout import write_csv
-from .domain import DomainModel, Shape, lambda1, robin_report
+from .domain import DomainModel, Shape, lambda1, robin_report, robin_search
 from .numerics import left_sum
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, R_MAX_CEILING, R_MAX_FLOOR,
@@ -347,9 +347,14 @@ def _verify_rows(seed: int) -> list:
     l1 = lambda1(dom)
     row("lambda_1 disk", abs(l1 - 5.783185962946783) < 1e-6, f"{l1:.9f}")
     data0 = asymptotic_data(PerturbationFamily())
-    rr = robin_report(dom, data0.F)
-    row("Robin max disk", abs(rr.M) < 1e-8, f"M={rr.M:.2e}")
-    row("Green S integral disk", abs(rr.S - 0.5) < 1e-4, f"S={rr.S:.8f}")
+    # the series report held to the search and the pole quadrature
+    rr, found = robin_report(dom, data0.F), robin_search(dom, data0.F)
+    gap_M = abs(found.M - rr.M)
+    gap_K = math.dist(found.K[0], rr.K[0])
+    row("Robin max disk", gap_M <= 1e-12 and gap_K <= 1e-6,
+        f"M={rr.M:.2e} search gap {gap_M:.1e}, maximizer {gap_K:.1e}")
+    gap_S = abs(found.S - rr.S)
+    row("Green S integral disk", gap_S <= 1e-10, f"S={rr.S:.15f} quadrature gap {gap_S:.1e}")
 
     # Profile constants ("NoteSi A_i" are the Laplacian integrals).
     profiles = {i: solve_profile(i) for i in range(3)}

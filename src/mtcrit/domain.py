@@ -8,9 +8,10 @@ function is written
 
 with H_x harmonic and equal to -log(1/|x-.|^2) on the boundary.  The Robin
 function is x -> H_x(x); its maximum M, its maximizer K and the associated
-integral S drive the existence criterion.  On a rectangle they come from the
-Taylor series of the Schwarz-Christoffel map of the unit disk onto it; on
-the disk, from a Robin search and a quadrature around the pole.
+integral S drive the existence criterion.  They come from the Taylor series
+of the conformal map of the unit disk onto the domain: the identity on the
+disk, the Schwarz-Christoffel map on a rectangle.  A Robin search and a
+quadrature around the pole find them independently.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "green",
     "robin",
     "robin_report",
+    "robin_search",
     "lambda1",
     "first_bessel_zero",
     "integrate_around_pole",
@@ -477,7 +479,9 @@ def _radial_moments(F: Callable[[np.ndarray], np.ndarray], ks: np.ndarray) -> np
     out = np.empty(ks.size)
     for lo in range(0, ks.size, rows):
         t = (y / ks[lo:lo + rows, None]).ravel()
-        out[lo:lo + rows] = np.asarray(F(t)).reshape(-1, y.size) @ v
+        # np.dot rather than @: the same bits, from code that verify's other
+        # rows have paged in already (@ added 64 KB resident to a verify run)
+        out[lo:lo + rows] = np.dot(np.asarray(F(t)).reshape(-1, y.size), v)
     return out / (ks * ks)
 
 
@@ -506,25 +510,15 @@ def _rect_robin_report(dom: DomainModel, F: Callable[[np.ndarray], np.ndarray]) 
                        S=C * C * S)
 
 
-def robin_report(
+def robin_search(
     dom: DomainModel,
     F: Callable[[np.ndarray], np.ndarray],
 ) -> RobinReport:
-    """The Robin maximum M, its maximizer set K and the concentration
-    integral S = int_Omega G_z F(4 pi G_z), z the maximizer.
-
-    A rectangle reads all three off its Schwarz-Christoffel series
-    (`_rect_robin_report`, truncation bound at `_SERIES_TERMS`).  On the
-    disk one Nelder-Mead search starts at the centre of symmetry.  On a
-    convex domain the Robin function has one critical point
-    (Caffarelli-Friedman, Duke Math. J. 1985), so by symmetry the maximizer
-    is the centre.  The disk raises DegenerateMaxError if the search does
-    not converge in 400 iterations, or if z lies closer to the boundary than
-    half the margin fraction of the centre's distance; S is then a
-    quadrature around z.
+    """M, K and S without the series: one Nelder-Mead search from the centre,
+    then the quadrature around its maximizer z.  Raises DegenerateMaxError
+    if the search does not converge in 400 iterations, or if z lies closer
+    to the boundary than half the margin fraction of the centre's distance.
     """
-    if dom.shape is Shape.RECTANGLE:
-        return _rect_robin_report(dom, F)
     centre = dom.centre()
     res = minimize(lambda q: -robin(dom, q), centre, xatol=1e-10, fatol=1e-12, maxiter=400)
     if not res.success:
@@ -540,3 +534,24 @@ def robin_report(
 
     S = integrate_around_pole(dom, z, integrand)
     return RobinReport(M=float(-res.fun), K=[tuple(map(float, z))], S=float(S))
+
+
+def robin_report(
+    dom: DomainModel,
+    F: Callable[[np.ndarray], np.ndarray],
+) -> RobinReport:
+    """The Robin maximum M, its maximizer set K and the concentration
+    integral S = int_Omega G_z F(4 pi G_z), z the maximizer, read off the
+    Taylor series of the conformal map of the unit disk onto the domain.
+
+    K is the centre: on a convex domain the Robin function has one critical
+    point (Caffarelli-Friedman, Duke Math. J. 1985).  The disk's map is the
+    identity, c_1 = 1, so M = 0 and S = I_1; a rectangle's series is
+    `_rect_robin_report`'s.  Nothing is searched, so DegenerateMaxError is
+    never raised.
+    """
+    if dom.shape is Shape.RECTANGLE:
+        return _rect_robin_report(dom, F)
+    centre = dom.centre()
+    return RobinReport(M=robin(dom, centre), K=[tuple(map(float, centre))],
+                       S=float(_radial_moments(F, np.ones(1))[0]))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcrit import PerturbationFamily, bubble, cli
+from mtcrit import PerturbationFamily, bubble, cli, domain
 from mtcrit import profiles as profiles_module
 from mtcrit import variational
 from mtcrit.cli import main
@@ -850,6 +850,32 @@ def test_verify(tmp_path, capsys):
     assert rep["all_pass"] is True
     assert rep["seed"] == 3
     assert set(rep) == {"rows", "all_pass", "seed", "config_hash", "version"}
+
+
+@pytest.mark.parametrize("cmd,expected", [
+    ("criterion", {}),
+    ("verify", {"minimize": 1, "integrate_around_pole": 1}),
+])
+def test_only_verify_searches_the_disk(tmp_path, monkeypatch, cmd, expected):
+    # criterion reads the disk's series; verify holds it to one Robin
+    # search and one pole quadrature
+    calls = {}
+
+    def spy(name):
+        real = getattr(domain, name)
+
+        def counting(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(domain, name, counting)
+
+    for name in ("minimize", "integrate_around_pole", "green"):
+        spy(name)
+    assert main([cmd, "--out", str(tmp_path)]) == 0
+    if cmd == "verify":
+        assert calls.pop("green") > 0
+    assert calls == expected
 
 
 _OTHER_COMMANDS = ["criterion", "profiles", "bubble", "extremal"]

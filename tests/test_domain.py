@@ -18,7 +18,8 @@ from mtcrit import (
     robin_report,
 )
 import mtcrit.domain as domain
-from mtcrit.domain import _image_layers, _robin_array, green, integrate_around_pole, robin
+from mtcrit.domain import (_image_layers, _robin_array, green, integrate_around_pole, robin,
+                           robin_search)
 
 RECT = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
 RECTS = {f"{w:g}x{h:g}": DomainModel(shape=Shape.RECTANGLE, width=w, height=h)
@@ -112,10 +113,22 @@ def test_integrate_around_pole_log_kernel(disk):
     assert val == pytest.approx(0.25, rel=1e-8)
 
 
-def test_robin_report_disk(robin0):
-    assert robin0.M == pytest.approx(0.0, abs=1e-8)
-    assert all(np.hypot(*p) < 1e-4 for p in robin0.K)
-    assert robin0.S == pytest.approx(0.5, abs=1e-4)
+def test_robin_report_disk(disk, robin0):
+    # c_1 = 1: the maximizer is the centre exactly and M the Robin function
+    # there, with no search
+    assert robin0.K == [(0.0, 0.0)]
+    assert robin0.M == robin(disk, disk.centre())
+    assert robin0.S == pytest.approx(0.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("kappa", [0.01, 0.25, 0.5, 1.0])
+def test_disk_series_S_is_the_first_moment(disk, kappa):
+    # S = I_1 = Gamma(kappa + 2) / 4, and e^{-M} S meets the rectangle's
+    # lower bound with equality (ROADMAP item 12)
+    rep = robin_report(disk, lambda t: np.asarray(t) ** kappa)
+    want = math.gamma(kappa + 2) / 4
+    assert rep.S == pytest.approx(want, rel=1e-13)
+    assert math.exp(-rep.M) * rep.S == pytest.approx(want, rel=1e-13)
 
 
 def test_domain_json_round_trip():
@@ -328,12 +341,12 @@ def test_pole_quadrature_frees_its_points_before_the_weights(data0, dom, bound):
     # the points (twice the size of one node array) are freed before the node
     # weights are formed in place: 1.75 MB (disk) and 2.35 MB (2x1) when the
     # weights were a chain of temporaries beside them, 1.39 and 1.81 MB now.
-    # The disk reaches the quadrature through robin_report, the rectangle
-    # (whose report reads a series) directly, with the same integrand.
+    # The disk reaches the quadrature through robin_search, the rectangle
+    # directly, with the same integrand; both reports read a series.
     tracemalloc.start()
     try:
         if dom.shape is Shape.UNIT_DISK:
-            robin_report(dom, data0.F)
+            robin_search(dom, data0.F)
         else:
             _pole_S(dom, data0.F)
         peak = tracemalloc.get_traced_memory()[1]

@@ -378,7 +378,7 @@ def test_gauss_legendre_matches_quad(f, edges):
 
 
 def test_gauss_legendre_builds_each_rule_once(monkeypatch, disk, data0):
-    # robin_report asks for the 48-node rule twice and solve_profile for the
+    # robin_report asks for the 10-node moment rule and solve_profile for the
     # 8-node rule twice, on every call; each is built once and kept
     built = []
 
@@ -392,7 +392,7 @@ def test_gauss_legendre_builds_each_rule_once(monkeypatch, disk, data0):
         for _ in range(2):
             robin_report(disk, data0.F)
             profiles.solve_profile(1)
-        assert sorted(built) == [8, 48]
+        assert sorted(built) == [8, 10]
         for order in built:
             nodes, weights = numerics._legendre_rule(order)
             assert not nodes.flags.writeable and not weights.flags.writeable

@@ -19,6 +19,7 @@ from mtcrit import (
     eval_psi_N,
     lambda_g_report,
     model_testfun_energy,
+    robin_report,
     solve_subcritical,
     step1_testfun,
 )
@@ -228,6 +229,19 @@ def test_model_testfun_reports_python_floats(disk, profiles, gamma):
 POWER_LOG_3_HALF = PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.0, a_prime=3.0,
                                       b_prime=0.5)
 HEIGHT_FAMILIES = {"Zero": PerturbationFamily(), "PowerLog": POWER_LOG_3_HALF}
+
+
+@pytest.mark.parametrize("fam", [
+    PerturbationFamily(),
+    PerturbationFamily(kind=FamilyKind.POWER_LOG, c=-0.5, a=0.5, b=0.5),
+], ids=["Zero", "PowerLog-kappa-half"])
+def test_concentration_integral_is_the_disk_report_S(disk, fam):
+    # the closed form and the disk's series are two forms of one S, at
+    # kappa = 1 and, with c != 0, at kappa = a = 1/2
+    data = asymptotic_data(fam)
+    assert data.kappa == (1.0 if fam.c == 0.0 else 0.5)
+    assert variational._concentration_integral(data) == pytest.approx(
+        robin_report(disk, data.F).S, rel=1e-13)
 
 
 @pytest.mark.parametrize("kappa,rel", [(1.0, 1e-12), (0.25, 1e-5), (0.4, 1e-5)])
