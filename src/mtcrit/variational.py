@@ -12,7 +12,11 @@ the discretisation: its callers pass the pointwise integrand, and it
 builds the stiffness, the lumped weights and the start `_start`.  Each
 step moves toward the maximiser of the linearised functional on the
 ball, the H^1_0 Riesz representative of the gradient scaled to energy
-alpha.  It ends on "rtol", "no_ascent_step" or "max_iter";
+alpha.  That full step is a fixed-point map that converges only
+linearly, more slowly as alpha -> 4 pi, so each iteration first tries an
+Anderson step mixed from the last three (Walker & Ni 2011), taken only if
+it raises J; the plain step and its line search are the fallback.  It ends
+on "rtol", "no_ascent_step" or "max_iter";
 solve_subcritical reports the reason with its run, and lambda_g_report
 widens its gap to inf unless both its ascents end on "rtol".
 """
@@ -52,6 +56,8 @@ _GRID_KAPPA = 3.0
 # accepted steps in a row, changes J by less than _RTOL relative
 _MAX_ITER = 4000
 _RTOL = 1e-12
+# _ascend's Anderson step mixes the changes of the last _AA_DEPTH iterations
+_AA_DEPTH = 3
 # step1_testfun: Gauss-Legendre panels between the knots of g, nodes per panel.
 # Below STEP1_EPS_MIN, eps^2 is not a normal double, and from eps = 7.5e-155
 # down 1/eps^2 overflows and ||v||^2 comes out infinite
@@ -140,9 +146,11 @@ class ExtremalRun:
                 "termination": self.termination}
 
 
-def _project(u: np.ndarray, k: np.ndarray, alpha: float) -> np.ndarray:
+def _project(u: np.ndarray, k: np.ndarray, alpha: float, sphere: bool = False) -> np.ndarray:
+    """u scaled into the ball E(u) <= alpha of the conductances k, or with
+    sphere onto its boundary E(u) = alpha; u = 0 stays 0."""
     e = _energy(k, u)
-    if e > alpha:
+    if e > alpha or (sphere and e > 0.0):
         u = u * math.sqrt(alpha / e)
     return u
 
@@ -154,18 +162,53 @@ def _start(r: np.ndarray, k: np.ndarray, alpha: float) -> np.ndarray:
     return u * math.sqrt(alpha / _energy(k, u))
 
 
+def _solve_small(a: list, b: list) -> list | None:
+    """Solve the symmetric positive definite m x m system a x = b
+    (m <= _AA_DEPTH) in place on Python floats by Gaussian elimination;
+    None if a pivot is not positive or the solution is not finite."""
+    m = len(b)
+    for c in range(m):
+        if not a[c][c] > 0.0:
+            return None
+        for i in range(c + 1, m):
+            q = a[i][c] / a[c][c]
+            for j in range(c + 1, m):
+                a[i][j] -= q * a[c][j]
+            b[i] -= q * b[c]
+    for c in reversed(range(m)):
+        for j in range(c + 1, m):
+            b[c] -= a[c][j] * b[j]
+        b[c] /= a[c][c]
+    return b if all(map(math.isfinite, b)) else None
+
+
 def _ascend(integrand, r: np.ndarray, alpha: float):
     """Conditional-gradient (Frank-Wolfe) ascent of J(u) = int phi(u) on the
-    H^1_0 ball of radius^2 alpha, from `_start`.
+    H^1_0 ball of radius^2 alpha, from `_start`, with a safeguarded Anderson
+    step.
 
     integrand takes a nodal vector (boundary node fixed at 0) and returns
     the nodal (phi(u), phi'(u)); with the lumped weights w, J = w . phi and
     its nodal gradient is w phi'.  Every trial costs one call and the
     accepted trial's gradient feeds the next step.  Each step solves
-    d = K^{-1} grad by `solveh_banded`;
-    v = d sqrt(alpha / E(d)) maximises the linearised functional
-    on the ball, and the trial is u + s (v - u) with s = 1, halved only
+    d = K^{-1} grad by `solveh_banded`; v = d sqrt(alpha / E(d)) maximises
+    the linearised functional on the ball, and f = v - u is the full
+    Frank-Wolfe step, the residual of the fixed-point map u -> v.
+
+    From the second iteration on, the changes dX = u - u_prev and
+    dF = f - f_prev of the last _AA_DEPTH iterations give the Anderson
+    candidate u + f - sum_i gamma_i (dX_i + dF_i), gamma solving the normal
+    equations (dF dF^T) gamma = dF . f (Walker & Ni, SIAM J. Numer. Anal. 49,
+    2011).  It is clipped at 0, scaled onto the sphere E = alpha, where every
+    maximiser lies and from which the extrapolation drifts, and evaluated
+    once; if J rises it is the step.  A singular or non-finite system gives
+    no candidate.  Otherwise the trial is u + s f with s = 1, halved only
     while J does not rise (J convex along the step never falls at s = 1).
+    The history is two preallocated (_AA_DEPTH, n) arrays updated in place,
+    the Gram entries are 1-D dots and `_solve_small` solves the system on
+    Python floats: no 2-D matmul and no LAPACK call, each of which pages in
+    memory that a fresh process touches nowhere else.
+
     Returns (u, J, grad at u, iterations, termination), where termination
     is "rtol" (a full step changed J by less than _RTOL relative, or three
     accepted steps in a row did), "no_ascent_step" (40 halvings found no
@@ -181,24 +224,46 @@ def _ascend(integrand, r: np.ndarray, alpha: float):
     u = _project(_start(r, k, alpha), k, alpha)
     J, G = value_grad(u)
     d = np.zeros_like(u)  # Dirichlet: the boundary node stays 0
+    dX = np.empty((_AA_DEPTH, u.size))
+    dF = np.empty((_AA_DEPTH, u.size))
+    u_prev = np.empty_like(u)
+    f_prev = np.empty_like(u)
     stall = 0
     it = 0
     for it in range(1, _MAX_ITER + 1):
         d[:-1] = solveh_banded(k, G[:-1])
         step = d * math.sqrt(alpha / max(_energy(k, d), 1e-300))
-        step -= u  # v - u
-        s = 1.0
-        for _ in range(40):
-            u_try = u + step if s == 1.0 else u + s * step
-            u_try = _project(np.maximum(u_try, 0.0, out=u_try), k, alpha)
-            J_try, G_try = value_grad(u_try)
-            if J_try > J:
-                break
-            if s == 1.0 and J - J_try <= _RTOL * abs(J):
-                return u, J, G, it, "rtol"  # the full step sits on roundoff
-            s *= 0.5
-        else:
-            return u, J, G, it, "no_ascent_step"
+        step -= u  # f = v - u
+        J_try = -math.inf
+        if it > 1:
+            slot = (it - 2) % _AA_DEPTH
+            np.subtract(u, u_prev, out=dX[slot])
+            np.subtract(step, f_prev, out=dF[slot])
+            rows = range(min(it - 1, _AA_DEPTH))
+            gamma = _solve_small([[float(np.dot(dF[i], dF[j])) for j in rows] for i in rows],
+                                 [float(np.dot(dF[i], step)) for i in rows])
+            if gamma is not None:
+                u_try = u + step
+                for i, g in zip(rows, gamma):
+                    u_try -= g * dX[i]
+                    u_try -= g * dF[i]
+                u_try = _project(np.maximum(u_try, 0.0, out=u_try), k, alpha, sphere=True)
+                J_try, G_try = value_grad(u_try)
+        u_prev[:] = u
+        f_prev[:] = step
+        if not J_try > J:
+            s = 1.0
+            for _ in range(40):
+                u_try = u + step if s == 1.0 else u + s * step
+                u_try = _project(np.maximum(u_try, 0.0, out=u_try), k, alpha)
+                J_try, G_try = value_grad(u_try)
+                if J_try > J:
+                    break
+                if s == 1.0 and J - J_try <= _RTOL * abs(J):
+                    return u, J, G, it, "rtol"  # the full step sits on roundoff
+                s *= 0.5
+            else:
+                return u, J, G, it, "no_ascent_step"
         rel = (J_try - J) / max(abs(J_try), 1e-300)
         u, J, G = u_try, J_try, G_try
         stall = stall + 1 if rel < _RTOL else 0

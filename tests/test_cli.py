@@ -621,11 +621,17 @@ def _assert_within(got, want, tolerances):
 # and 3.6e-5 for PowerLog) and the height root was bisected to adjacent
 # doubles in place of Brent's method to 1e-12 (mu moved by 1.8e-15 relative
 # and log_inv_mu2 by one ulp).
+# The `run` blocks were re-recorded when the ascent took an Anderson step;
+# EXTREMAL_FRANK_WOLFE keeps the plain ascent's runs, against which J may
+# only rise, by at most 1e-11 relative, the iterations must be fewer and
+# the Euler-Lagrange residual must fall.  gamma moved by 7.4e-7 (Zero) and
+# 8.5e-7 (PowerLog) relative and lambda by 1.2e-6 and 1.3e-6: the plain
+# ascent's maximiser was the less converged one.
 EXTREMAL_RECORDED = {
     "Zero": ({"kind": "Zero"}, {
-        "run": {"J": 9.504416349250366, "gamma": 2.3931493233007206,
-                "lambda": 0.4833434601937889, "el_residual": 7.267327531899832e-07,
-                "iterations": 70, "saturated": True,
+        "run": {"J": 9.504416349257959, "gamma": 2.393151084978575,
+                "lambda": 0.48334290233197164, "el_residual": 5.42518653926928e-09,
+                "iterations": 15, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.706317334575852},
         "model_testfun": {"normalized_gap": -1.1042166455159526, "mu": 6.080615060469088e-06,
@@ -633,14 +639,18 @@ EXTREMAL_RECORDED = {
     }),
     "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
                   "b_prime": 0.682198}, {
-        "run": {"J": 9.586747468271152, "gamma": 2.3920245235186464,
-                "lambda": 0.4781810309219897, "el_residual": 8.4938289548419e-07,
-                "iterations": 69, "saturated": True,
+        "run": {"J": 9.586747468281626, "gamma": 2.3920265790032396,
+                "lambda": 0.47818038719001743, "el_residual": 1.6034166063111846e-08,
+                "iterations": 14, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.823925505070326},
         "model_testfun": {"normalized_gap": -1.142566884981673, "mu": 6.129216127670548e-06,
                           "log_inv_mu2": 24.004887381922185, "I_z": 0.0035021576343725446},
     }),
+}
+EXTREMAL_FRANK_WOLFE = {
+    "Zero": {"J": 9.504416349250366, "iterations": 70, "el_residual": 7.267317376516364e-07},
+    "PowerLog": {"J": 9.586747468271156, "iterations": 69, "el_residual": 8.493828785304586e-07},
 }
 EXTREMAL_TOLERANCE = {
     "run.J": {"rel": 1e-15, "abs": 0.0}, "run.gamma": {"rel": 1e-15, "abs": 0.0},
@@ -661,6 +671,9 @@ def test_extremal_within_tolerance_of_recorded(tmp_path, name):
     assert run["alpha"] == 0.9 * 4.0 * math.pi
     _assert_within({"run": run, "step1": rep["step1"], "model_testfun": rep["model_testfun"]},
                    want, EXTREMAL_TOLERANCE)
+    fw = EXTREMAL_FRANK_WOLFE[name]
+    assert fw["J"] <= run["J"] <= fw["J"] * (1.0 + 1e-11)
+    assert run["iterations"] < fw["iterations"] and run["el_residual"] < fw["el_residual"]
 
 
 def test_extremal_curve_is_the_run(tmp_path):

@@ -16,7 +16,9 @@ an ``__all__``; and an exception class in
 ``cli.CONFIG_KEYS`` must be read by some subcommand, so that a key that
 configures nothing cannot come back.  The lumped weights and the start
 profile of the radial ascent are read inside ``_ascend`` alone, so that
-its callers pass an integrand and never discretise it themselves.
+its callers pass an integrand and never discretise it themselves, and
+neither ``_ascend`` nor any module function it reaches uses ``@``,
+``linalg``, ``stack`` or ``lstsq``.
 """
 
 import ast
@@ -263,6 +265,62 @@ def test_ascent_scan_catches_a_caller():
         "    return _ascend(lambda u: u, r), inner, w\n")
     assert _read_outside(tree, _ASCENT_OWNED, "_ascend") == [(3, "_load_weights"),
                                                              (4, "_start")]
+
+
+def _reachable(tree: ast.Module, root: str) -> list:
+    """The module-level functions that `root` calls by name, directly or
+    through each other, `root` first."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = [], [root]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in funcs:
+            continue
+        seen.append(name)
+        todo.extend(sorted(_read_names(funcs[name]), reverse=True))
+    return [funcs[name] for name in seen]
+
+
+_NOT_IN_THE_ASCENT = {"linalg", "stack", "lstsq"}
+
+
+def _dense_algebra(tree: ast.Module, root: str) -> list:
+    """(function, line, what) of each `@` and each `.linalg`, `.stack` or
+    `.lstsq` in `root` and the module functions it reaches."""
+    out = []
+    for fn in _reachable(tree, root):
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                out.append((fn.name, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in _NOT_IN_THE_ASCENT:
+                out.append((fn.name, node.lineno, node.attr))
+    return out
+
+
+def test_the_ascent_calls_no_dense_linear_algebra():
+    # In a fresh process, after `import mtcrit.cli`, the first 2-D matmul
+    # raises the peak resident memory by 0.27 MB and the first 3x3
+    # np.linalg.solve by 0.31 MB more.  A form of the Anderson step built
+    # on np.stack, @ and np.linalg.solve read 0.17 MB more peak RSS on
+    # disk-verdict than the plain ascent in 6 of 6 benchmark pairs, one on
+    # lstsq 0.6 MB more.  So its Gram entries are 1-D dots and its
+    # system is solved on Python floats.
+    tree = ast.parse((SRC / "variational.py").read_text(), filename="variational.py")
+    assert {fn.name for fn in _reachable(tree, "_ascend")} >= {
+        "_ascend", "_solve_small", "_project", "_energy", "solveh_banded"}
+    assert _dense_algebra(tree, "_ascend") == []
+
+
+def test_dense_algebra_scan_catches_each_form():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def _ascend(a, b):\n    return helper(a) @ b, np.stack([a, b])\n"
+        "def helper(a):\n    a @= a\n    return np.linalg.solve(a, a), deeper(a)\n"
+        "def deeper(a):\n    return np.linalg.lstsq(a, a)\n"
+        "def unreached(a):\n    return a @ a\n")
+    assert sorted(_dense_algebra(tree, "_ascend")) == [
+        ("_ascend", 3, "@"), ("_ascend", 3, "stack"), ("deeper", 8, "linalg"),
+        ("deeper", 8, "lstsq"), ("helper", 5, "@"), ("helper", 6, "linalg")]
 
 
 def _definitions(tree: ast.Module) -> list:

@@ -324,44 +324,51 @@ def test_level_trend(fam0):
     assert all(v - math.pi < math.pi * math.e + 0.6 for v in vals)
 
 
-# Golden values of the conditional-gradient ascent at the default grid,
+# Golden values of the Anderson-accelerated ascent at the default grid,
 # pinned float for float: `J`, iterations and Lambda_g are compared with
-# `==`.  Against the projected Barzilai-Borwein ascent it replaced (`J_bb`,
-# 127 iterations, `lam_g_bb`), `J` may only rise and by at most 1e-11
-# relative, the iterations must be fewer and Lambda_g must agree to 1e-12
-# relative.  `ladder` pins (alpha / 4 pi, J, iterations) of every rung of the
-# default extremal ladder, recorded before the ascent's step and the array
-# path of eval_g were made leaner.
-@pytest.mark.parametrize("fam,J,J_bb,iterations,lam_g,lam_g_bb,ladder", [
-    (PerturbationFamily(), 9.504416349250366, 9.504416349231686, 70,
-     2.1729163833204135, 2.1729163833204144,
-     [(0.7, 6.340744301057761, 30), (0.8, 7.552026584080762, 42),
-      (0.9, 9.504416349250366, 70), (0.95, 11.094635893251752, 112)]),
-    (POWER_LOG, 9.586747468271156, 9.58674746825234, 69,
-     2.2139101101297127, 2.2139101101297127,
-     [(0.7, 6.387320915375908, 30), (0.8, 7.612639386122465, 42),
-      (0.9, 9.586747468271156, 69), (0.95, 11.193546978224674, 112)]),
+# `==`.  Beside them stand the values of the plain conditional-gradient
+# (Frank-Wolfe) ascent it replaced (`J_fw`, `iterations_fw`, `lam_g_fw`,
+# `el_fw`), which were held by the same rule against the projected
+# Barzilai-Borwein ascent before it: `J` may only rise and by at most 1e-11
+# relative, the iterations must be fewer, Lambda_g must agree to 1e-15
+# relative and the Euler-Lagrange residual must fall.  `ladder` pins
+# (alpha / 4 pi, J, iterations, J_fw, iterations_fw, el_fw) of every rung of
+# the default extremal ladder.
+@pytest.mark.parametrize("fam,lam_g,lam_g_fw,ladder", [
+    (PerturbationFamily(), 2.172916383320414, 2.1729163833204135,
+     [(0.7, 6.340744301058274, 10, 6.340744301057761, 30, 4.462957331150667e-07),
+      (0.8, 7.552026584082037, 12, 7.552026584080762, 42, 4.933447096368075e-07),
+      (0.9, 9.504416349257959, 15, 9.504416349250366, 70, 7.267317376516364e-07),
+      (0.95, 11.0946358932794, 16, 11.094635893251752, 112, 9.209085562187425e-07)]),
+    (POWER_LOG, 2.213910110129713, 2.2139101101297127,
+     [(0.7, 6.387320915376412, 10, 6.387320915375908, 30, 4.3944153673869143e-07),
+      (0.8, 7.61263938612371, 11, 7.612639386122465, 42, 4.851272407829381e-07),
+      (0.9, 9.586747468281626, 14, 9.586747468271156, 69, 8.493828785304586e-07),
+      (0.95, 11.193546978250126, 16, 11.193546978224674, 112, 8.807998989877934e-07)]),
 ], ids=["Zero", "PowerLog"])
-def test_ascent_golden_values(fam, J, J_bb, iterations, lam_g, lam_g_bb, ladder):
-    run = solve_subcritical(fam, 1, 0.9 * 4.0 * math.pi)
-    assert run.J_value == J
-    assert J_bb <= run.J_value <= J_bb * (1.0 + 1e-11)
-    assert run.iterations == iterations < 127
+def test_ascent_golden_values(fam, lam_g, lam_g_fw, ladder):
     rep = lambda_g_report(fam)
     assert rep["lambda_g"] == lam_g
-    assert rep["lambda_g"] == pytest.approx(lam_g_bb, rel=1e-12, abs=0.0)
+    assert rep["lambda_g"] == pytest.approx(lam_g_fw, rel=1e-15, abs=0.0)
     assert set(rep) == {"lambda_g", "gap", "termination"}
-    runs = [solve_subcritical(fam, 1, frac * 4.0 * math.pi) for frac, _, _ in ladder]
-    assert [(frac, r.J_value, r.iterations) for (frac, _, _), r in zip(ladder, runs)] == ladder
+    for frac, J, iterations, J_fw, iterations_fw, el_fw in ladder:
+        run = solve_subcritical(fam, 1, frac * 4.0 * math.pi)
+        assert (run.J_value, run.iterations) == (J, iterations), frac
+        assert J_fw <= run.J_value <= J_fw * (1.0 + 1e-11)
+        assert run.iterations < iterations_fw
+        assert run.el_residual < el_fw
 
 
 def test_lambda_g_golden_value_through_the_near_zero_branch():
     # c != 0 and g0 != 0 (BLENDED[1], R' = 3): the ascent's u runs from 0 at
     # the boundary through the near-zero branch (u <= 1/R') into the blend
-    # (up to about 1.56); pinned as above
+    # (up to about 1.56); pinned as above, beside the Frank-Wolfe ascent's
+    # 5.846282615734376 and gap 9.726014985389497e-06
     rep = lambda_g_report(BLENDED[1])
-    assert rep == {"lambda_g": 5.846282615734376, "gap": 9.726014985389497e-06,
+    assert rep == {"lambda_g": 5.846282615734376, "gap": 9.726014987165854e-06,
                    "termination": ["rtol", "rtol"]}
+    assert rep["lambda_g"] == pytest.approx(5.846282615734376, rel=1e-15, abs=0.0)
+    assert rep["gap"] == pytest.approx(9.726014985389497e-06, rel=0.0, abs=2e-15)
 
 
 def test_ascent_termination_reasons(monkeypatch, fam0):
@@ -394,28 +401,34 @@ def test_ascent_termination_reasons(monkeypatch, fam0):
 @pytest.mark.parametrize("fam", [PerturbationFamily(), POWER_LOG], ids=["Zero", "PowerLog"])
 def test_convex_runs_take_full_steps(monkeypatch, fam):
     # J is convex along these families' steps, so no conditional-gradient
-    # step needs a halving: one evaluation per iteration plus one at the
-    # start, and every ascent ends on "rtol".
-    ascend = variational._ascend
-    seen = []
+    # step needs a halving: each iteration (one Riesz solve) makes at most
+    # one Anderson trial (projected onto the sphere) and at most one plain
+    # trial, which is then the full step s = 1; every ascent ends on "rtol".
+    events = []
+    project, solve = variational._project, variational.solveh_banded
 
-    def counted(integrand, *args):
-        evals = 0
+    def spied_project(u, k, alpha, sphere=False):
+        events.append("anderson" if sphere else "plain")
+        return project(u, k, alpha, sphere=sphere)
 
-        def counted_integrand(u):
-            nonlocal evals
-            evals += 1
-            return integrand(u)
+    def spied_solve(k, b):
+        events.append("solve")
+        return solve(k, b)
 
-        out = ascend(counted_integrand, *args)
-        seen.append((evals, out[3], out[4]))
-        return out
-
-    monkeypatch.setattr(variational, "_ascend", counted)
+    monkeypatch.setattr(variational, "_project", spied_project)
+    monkeypatch.setattr(variational, "solveh_banded", spied_solve)
     for frac in (0.7, 0.8, 0.9, 0.95):  # the extremal default ladder
-        solve_subcritical(fam, 1, frac * 4.0 * math.pi)
-    assert len(seen) == 4
-    assert all(evals == it + 1 and why == "rtol" for evals, it, why in seen), seen
+        events.clear()
+        run = solve_subcritical(fam, 1, frac * 4.0 * math.pi)
+        assert run.termination == "rtol"
+        start, *iterations = " ".join(events).split("solve")
+        assert start.split() == ["plain"] and len(iterations) == run.iterations
+        for trials in iterations:
+            trials = trials.split()
+            assert trials.count("anderson") <= 1 and trials.count("plain") <= 1, (frac, trials)
+        # no Gram system on the default grid is singular: every iteration
+        # after the first tries one Anderson candidate
+        assert events.count("anderson") == run.iterations - 1
 
 
 def test_each_ascent_builds_its_discretisation_once(monkeypatch, fam0):
@@ -487,3 +500,139 @@ def test_hermite_blend_is_c1_at_knots(fam):
         blend_g, blend_dg = eval_g(fam, math.nextafter(knot, inward))
         assert blend_g == pytest.approx(branch_g, rel=1e-9)
         assert blend_dg == pytest.approx(branch_dg, rel=1e-9)
+
+
+def _frank_wolfe_reference(integrand, r, alpha):
+    """The plain conditional-gradient ascent that the Anderson step
+    accelerates: `_ascend` as it was before, with the same start, Riesz
+    solve, line search and exits.  Returns (J, iterations, termination)."""
+    k = _stiffness(r)
+    w = _load_weights(r)
+
+    def value_grad(u):
+        phi, phi_p = integrand(u)
+        return float(np.dot(w, phi)), w * phi_p
+
+    u = _project(_start(r, k, alpha), k, alpha)
+    J, G = value_grad(u)
+    d = np.zeros_like(u)
+    stall = 0
+    for it in range(1, variational._MAX_ITER + 1):
+        d[:-1] = variational.solveh_banded(k, G[:-1])
+        step = d * math.sqrt(alpha / max(_energy(k, d), 1e-300))
+        step -= u
+        s = 1.0
+        for _ in range(40):
+            u_try = u + step if s == 1.0 else u + s * step
+            u_try = _project(np.maximum(u_try, 0.0, out=u_try), k, alpha)
+            J_try, G_try = value_grad(u_try)
+            if J_try > J:
+                break
+            if s == 1.0 and J - J_try <= variational._RTOL * abs(J):
+                return J, it, "rtol"
+            s *= 0.5
+        else:
+            return J, it, "no_ascent_step"
+        rel = (J_try - J) / max(abs(J_try), 1e-300)
+        u, J, G = u_try, J_try, G_try
+        stall = stall + 1 if rel < variational._RTOL else 0
+        if stall >= 3:
+            return J, it, "rtol"
+    return J, it, "max_iter"
+
+
+def _counted(fam, N):
+    calls = []
+
+    def integrand(u):
+        calls.append(1)
+        return eval_psi_N(fam, N, u)
+
+    return integrand, calls
+
+
+SWEEP_FAMILIES = {"Zero": PerturbationFamily(), "PowerLog": POWER_LOG,
+                  "Blended0": BLENDED[0], "Blended1": BLENDED[1]}
+
+
+@pytest.mark.parametrize("n_grid", [3, 4, 6, 2000])
+@pytest.mark.parametrize("name", SWEEP_FAMILIES)
+def test_anderson_ascent_against_the_frank_wolfe_reference(name, n_grid):
+    # Every run of both ascents ends on "rtol", and the accelerated one finds
+    # J at least the reference's to roundoff.  On the default grid it takes
+    # no more integrand evaluations in any run.  On 3 to 6 nodes the ball's
+    # sphere leaves 1 to 4 free directions and the reference ends in 6 to 24
+    # iterations; there a run may take a few more evaluations (up to 6 more,
+    # candidates tried early and at roundoff that do not raise J).
+    fam = SWEEP_FAMILIES[name]
+    r = make_grid(n_grid)
+    for N in (1, 2, 3):
+        for frac in (0.5, 0.95, 0.99):
+            alpha = frac * 4.0 * math.pi
+            integrand, calls = _counted(fam, N)
+            _, J, _, _, why = variational._ascend(integrand, r, alpha)
+            ref_integrand, ref_calls = _counted(fam, N)
+            J_ref, _, why_ref = _frank_wolfe_reference(ref_integrand, r, alpha)
+            case = (N, frac, J, J_ref, len(calls), len(ref_calls))
+            assert why == why_ref == "rtol", case
+            assert J >= J_ref * (1.0 - 1e-13), case
+            if n_grid == 2000:
+                assert len(calls) <= len(ref_calls), case
+
+
+def test_singular_gram_system_takes_the_plain_step(monkeypatch, fam0):
+    # On 3 nodes three changes lie in a 2-D space: a Gram system comes out
+    # exactly singular, that iteration tries no candidate, and the run ends
+    # on "rtol" at the reference's J
+    r, alpha = make_grid(3), 0.5 * 4.0 * math.pi
+    solve = variational._solve_small
+    singular, anderson = [], []
+
+    def spied_solve(a, b):
+        gamma = solve(a, b)
+        singular.append(gamma is None)
+        return gamma
+
+    project = variational._project
+
+    def spied_project(u, k, alpha, sphere=False):
+        anderson.append(sphere)
+        return project(u, k, alpha, sphere=sphere)
+
+    monkeypatch.setattr(variational, "_solve_small", spied_solve)
+    monkeypatch.setattr(variational, "_project", spied_project)
+    _, J, _, _, why = variational._ascend(lambda u: eval_psi_N(fam0, 1, u), r, alpha)
+    J_ref, _, _ = _frank_wolfe_reference(lambda u: eval_psi_N(fam0, 1, u), r, alpha)
+    assert why == "rtol" and J >= J_ref * (1.0 - 1e-13)
+    assert any(singular) and anderson.count(True) == singular.count(False)
+    # with every system singular the ascent is the reference, bit for bit
+    monkeypatch.setattr(variational, "_solve_small", lambda a, b: None)
+    r = make_grid(400)
+    for N, frac in ((1, 0.5), (2, 0.95), (3, 0.99)):
+        alpha = frac * 4.0 * math.pi
+        integrand, calls = _counted(POWER_LOG, N)
+        _, J, _, it, why = variational._ascend(integrand, r, alpha)
+        ref_integrand, ref_calls = _counted(POWER_LOG, N)
+        J_ref, it_ref, why_ref = _frank_wolfe_reference(ref_integrand, r, alpha)
+        assert (J, it, why, len(calls)) == (J_ref, it_ref, why_ref, len(ref_calls))
+
+
+def test_solve_small_against_lapack():
+    # Gaussian elimination on Python floats of a symmetric positive definite
+    # system, against LAPACK; a system with a pivot that is not positive
+    # (singular, indefinite or NaN) or a non-finite solution has none
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3):
+        rows = rng.standard_normal((m, 50))
+        a = np.array([[float(np.dot(x, y)) for y in rows] for x in rows])
+        b = rng.standard_normal(m)
+        x = variational._solve_small(a.tolist(), b.tolist())
+        assert all(type(v) is float for v in x)
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
+    assert variational._solve_small([[4.0, 2.0], [2.0, 5.0]], [2.0, 1.0]) == [0.5, 0.0]
+    for a, b in (([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]),
+                 ([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0]),
+                 ([[0.0]], [1.0]),
+                 ([[math.nan]], [1.0]),
+                 ([[1e-300, 0.0], [0.0, 1.0]], [1e10, 1.0])):
+        assert variational._solve_small(a, b) is None
