@@ -22,7 +22,7 @@ from .csvout import HERMITE_STRIDE, write_csv
 from .numerics import solve_ivp
 from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
                            eval_psi_N, phi_N, xi)
-from .profiles import StepFailureError, laplacian_profile, s0_explicit
+from .profiles import R_MAX, StepFailureError, laplacian_profile, s0_explicit
 
 __all__ = [
     "BlowDownError",
@@ -245,13 +245,13 @@ def _ladder_window(gammas, eps0: float) -> tuple[float, float, list]:
     return cap, min(low, float(np.log1p(y * y)[-1])), ends
 
 
-def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float, r_max: float) -> None:
+def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float) -> None:
     """Refuse with ValueError, before any solve, a ladder that
     `ladder_reports` cannot finish at order N on profiles solved out to
-    r_max: a gamma^2 past EXP_BUDGET (eval_psi_N refuses it), a gamma <= 1
+    R_MAX: a gamma^2 past EXP_BUDGET (eval_psi_N refuses it), a gamma <= 1
     where the family's decay coefficient A(gamma) has no value, an
     expansion window with no node at y >= _Y_FLOOR (its sups would be over
-    nothing), one that reads the profiles past r_max (verify_expansion
+    nothing), one that reads the profiles past R_MAX (verify_expansion
     refuses it), or a scaling that `shoot_bubble` refuses at gamma_min."""
     top, low = max(gammas), min(gammas)
     if top * top > EXP_BUDGET:
@@ -269,10 +269,10 @@ def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float, r_max: fl
         raise ValueError(f"with eps0 = {eps0:g} the expansion window t <= {cap:.6g} of "
                          f"gamma = {low:g} holds no node at y = r/mu >= {_Y_FLOOR:g}, "
                          f"where the sups are taken; raise the smallest gamma or lower eps0")
-    if max(ends) > r_max:
+    if max(ends) > R_MAX:
         raise ValueError(f"with eps0 = {eps0:g} the expansion window of gamma = "
                          f"{low:g} reads the profiles out to {max(ends):.10g}, past "
-                         f"their r_max = {r_max:g}; lower the smallest gamma or raise eps0")
+                         f"their r_max = {R_MAX:g}; lower the smallest gamma or raise eps0")
     _mu_from_scaling(fam, N, low)
 
 

@@ -224,7 +224,7 @@ def cmd_bubble(cfg: dict, args) -> int:
     if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
         raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
     try:
-        check_ladder(fam, N, gammas, eps0, R_MAX)
+        check_ladder(fam, N, gammas, eps0)
     except OrderUnderflowError as exc:
         raise ConfigError(f"field 'N': {exc}") from None
     except ValueError as exc:

@@ -1,5 +1,6 @@
-"""Planar domain models: Green function, Robin function, first Dirichlet
-eigenvalue and singularity-aware quadrature.
+"""Planar domain models: Robin data from the conformal series, first
+Dirichlet eigenvalue, and on the unit disk the Green and Robin functions
+and a singularity-aware quadrature.
 
 Sign convention throughout: the Laplacian is -d_xx - d_yy, so the Green
 function is written
@@ -8,10 +9,12 @@ function is written
 
 with H_x harmonic and equal to -log(1/|x-.|^2) on the boundary.  The Robin
 function is x -> H_x(x); its maximum M, its maximizer K and the associated
-integral S drive the existence criterion.  They come from the Taylor series
-of the conformal map of the unit disk onto the domain: the identity on the
-disk, the Schwarz-Christoffel map on a rectangle.  A Robin search and a
-quadrature around the pole find them independently.
+integral S drive the existence criterion.  `robin_report` reads them, on
+either shape, off the Taylor series of the conformal map of the unit disk
+onto the domain: the identity on the disk, the Schwarz-Christoffel map on a
+rectangle.  On the disk a Robin search and a quadrature around the pole
+(`robin_search`) find them independently; `green`, `robin`,
+`integrate_around_pole` and `robin_search` refuse a rectangle.
 """
 
 from __future__ import annotations
@@ -86,23 +89,11 @@ class DomainModel:
         elif self.width <= 0 or self.height <= 0:
             raise ValueError("rectangle sides must be positive")
 
-    def contains(self, p) -> bool:
-        x, y = float(p[0]), float(p[1])
-        if self.shape is Shape.UNIT_DISK:
-            return math.hypot(x, y) < 1.0
-        return 0.0 < x < self.width and 0.0 < y < self.height
-
     def centre(self) -> np.ndarray:
         """The centre of symmetry."""
         if self.shape is Shape.UNIT_DISK:
             return np.zeros(2)
         return np.array([self.width / 2.0, self.height / 2.0])
-
-    def boundary_distance(self, p) -> float:
-        x, y = float(p[0]), float(p[1])
-        if self.shape is Shape.UNIT_DISK:
-            return 1.0 - math.hypot(x, y)
-        return min(x, self.width - x, y, self.height - y)
 
     @staticmethod
     def from_json(obj: dict) -> "DomainModel":
@@ -116,150 +107,39 @@ class DomainModel:
         return DomainModel(**obj)
 
 
-# -- Green and Robin functions ----------------------------------------------
+# -- Green and Robin functions on the unit disk -------------------------------
 
 
-def _green_disk(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact reflection formula on the unit disk, vectorized over y rows."""
-    x = np.asarray(x, dtype=float)
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    d2 = np.sum((y - x) ** 2, axis=1)
-    r2 = float(np.dot(x, x))
-    if r2 == 0.0:
-        num = 1.0
-    else:
-        ystar = x / r2
-        num = r2 * np.sum((y - ystar) ** 2, axis=1)
-    return (1.0 / (4.0 * math.pi)) * np.log(num / d2)
-
-
-# Images with |dv| >= _CLIP contribute ~exp(-_CLIP) relative to the nearest
-# ones: below double precision long before cosh overflows.  The strip
-# kernel makes them exactly 0.0, which also bounds the image sum.
-_CLIP = 35.0
-
-
-def _strip_green4pi(dv: np.ndarray, cp, cm, tmp: np.ndarray) -> np.ndarray | None:
-    """4 pi times the Green function of the strip 0 < u < a (Dirichlet),
-    computed in place.
-
-    Closed form obtained by summing the image lattice in the u-direction:
-    the images at 2ma +/- u0 collapse to the cosh/cos kernel
-
-        log((cosh dv - cos(pi (u + u0) / a)) / (cosh dv - cos(pi (u - u0) / a))),
-
-    with dv = pi (v - v0) / a.  dv is overwritten with the kernel and
-    returned; cp and cm are the two cosines, which do not depend on v0, and
-    tmp is a scratch array shaped like dv.  Returns None, leaving dv as it
-    is, when every |dv| >= _CLIP: those terms are exactly 0.0.  Only when
-    some terms are clipped and some are not does the kernel need a mask.
-    """
-    lo, hi = dv.min(), dv.max()
-    if lo >= _CLIP or hi <= -_CLIP:
-        return None
-    keep = True if -_CLIP < lo and hi < _CLIP else np.abs(dv) < _CLIP
-    np.cosh(dv, out=dv, where=keep)
-    np.subtract(dv, cm, out=tmp, where=keep)
-    np.subtract(dv, cp, out=dv, where=keep)
-    np.divide(dv, tmp, out=dv, where=keep)
-    np.log(dv, out=dv, where=keep)
-    if keep is not True:
-        dv[~keep] = 0.0
-    return dv
-
-
-def _strip_frame(dom: DomainModel, p: np.ndarray):
-    """Strip width a, period half-length b and strip coordinates (u, v) of
-    the points p (..., 2).
-
-    The strip runs across the shorter side (a <= b), so each reflection
-    across the far walls gains a factor exp(-2 pi b / a).
-    """
-    if dom.width <= dom.height:
-        return dom.width, dom.height, p[..., 0], p[..., 1]
-    return dom.height, dom.width, p[..., 1], p[..., 0]
-
-
-def _image_layers(a: float, b: float) -> int:
-    """Reflection layers that can be nonzero anywhere in the rectangle.
-
-    Every image of layer n lies at least (2|n| - 2) b away in v from every
-    point with 0 <= v <= b, so |dv| >= pi (2|n| - 2) b / a.  Beyond the
-    bound below (one layer spare for rounding) all image terms reach
-    _CLIP and are exactly 0.0, so summing more layers changes nothing.
-    """
-    return int(_CLIP * a / (2.0 * math.pi * b)) + 2
-
-
-def _rect_green4pi(dom: DomainModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """4 pi G_x(y) on the rectangle for y (n,2): the strip kernel reflected
-    across the far walls.
-
-    Layers are summed one at a time, each vectorized over the points, in
-    two buffers reused across layers, so that memory stays linear in the
-    number of points.
-    """
-    a, b, u0, v0 = _strip_frame(dom, x)
-    _, _, u, v = _strip_frame(dom, y)
-    cp = np.cos(math.pi * (u + u0) / a)
-    cm = np.cos(math.pi * (u - u0) / a)
-    dv = np.empty(u.shape[0])
-    tmp = np.empty_like(dv)
-    layers = _image_layers(a, b)
-    total = np.zeros(u.shape[0])
-    for n in range(-layers, layers + 1):
-        for centre, accumulate in ((v0 + 2.0 * n * b, np.add), (-v0 + 2.0 * n * b, np.subtract)):
-            np.subtract(v, centre, out=dv)
-            dv *= math.pi
-            dv /= a
-            term = _strip_green4pi(dv, cp, cm, tmp)
-            if term is not None:
-                accumulate(total, term, out=total)
-    return total
+def _disk_only(dom: DomainModel, name: str) -> None:
+    if dom.shape is not Shape.UNIT_DISK:
+        raise ValueError(f"{name} serves the unit disk only, not a {dom.shape.value} "
+                         f"(robin_report serves both shapes)")
 
 
 def green(dom: DomainModel, x, y) -> np.ndarray | float:
-    """Dirichlet Green function G_x(y); y may be an (n,2) array."""
+    """Dirichlet Green function G_x(y) of the unit disk by the reflection
+    formula; y may be an (n,2) array."""
+    _disk_only(dom, "green")
     x = np.asarray(x, dtype=float)
     y_in = np.asarray(y, dtype=float)
     y2 = np.atleast_2d(y_in)
-    if np.any(np.sum((y2 - x) ** 2, axis=1) < 1e-28):
+    d2 = np.sum((y2 - x) ** 2, axis=1)
+    if np.any(d2 < 1e-28):
         raise PoleCoincidenceError("x and y coincide")
-    if dom.shape is Shape.UNIT_DISK:
-        out = _green_disk(x, y2)
-    else:
-        out = _rect_green4pi(dom, x, y2) / (4.0 * math.pi)
+    r2 = float(np.dot(x, x))
+    num = 1.0 if r2 == 0.0 else r2 * np.sum((y2 - x / r2) ** 2, axis=1)
+    out = (1.0 / (4.0 * math.pi)) * np.log(num / d2)
     return float(out[0]) if y_in.ndim == 1 else out
 
 
-def _robin_array(dom: DomainModel, p: np.ndarray) -> np.ndarray:
-    """Robin function at interior points p (n,2), broadcast over layers x points."""
-    if dom.shape is Shape.UNIT_DISK:
-        return 2.0 * np.log1p(-np.sum(p * p, axis=1))
-    # diagonal limit of 4 pi G + log|x-y|^2: the n=0 source strip term
-    # contributes its regular part in closed form, every image term is
-    # evaluated directly at y = x
-    a, b, u0, v0 = _strip_frame(dom, p)
-    layers = _image_layers(a, b)
-    n = np.arange(-layers, layers + 1)
-    shift = 2.0 * b * n[:, None]
-    cp = np.cos(math.pi * (u0 + u0) / a)
-    cm = np.cos(math.pi * (u0 - u0) / a)
-    total = np.log((1.0 - np.cos(2.0 * math.pi * u0 / a)) * 2.0 * a * a / math.pi**2)
-    for centres, accumulate in ((v0 + shift[n != 0], np.add), (-v0 + shift, np.subtract)):
-        dv = math.pi * (v0 - centres) / a
-        term = _strip_green4pi(dv, cp, cm, np.empty_like(dv))
-        if term is not None:
-            accumulate(total, np.sum(term, axis=0), out=total)
-    return total
-
-
 def robin(dom: DomainModel, x) -> float:
-    """Robin function H_x(x): regular part of 4 pi G on the diagonal."""
+    """Robin function H_x(x) = 2 log(1 - |x|^2) of the unit disk: the
+    regular part of 4 pi G on the diagonal."""
+    _disk_only(dom, "robin")
     x = np.asarray(x, dtype=float)
-    if not dom.contains(x):
+    if not math.hypot(float(x[0]), float(x[1])) < 1.0:
         raise ValueError("x must be interior")
-    return float(_robin_array(dom, x[None, :])[0])
+    return float(2.0 * np.log1p(-np.sum(x * x)))
 
 
 def first_bessel_zero() -> float:
@@ -275,39 +155,15 @@ def lambda1(dom: DomainModel) -> float:
     return math.pi**2 * (1.0 / dom.width**2 + 1.0 / dom.height**2)
 
 
-# -- singularity-aware integration over the domain ---------------------------
+# -- singularity-aware integration over the unit disk -------------------------
 
-# Gauss nodes per angular segment and per radial panel, and the number of
-# geometric radial panels (ratio 1/2) graded toward the pole.  A segment has
-# _N_THETA * (_N_PANELS + 1) * _N_R nodes, handed to the integrand in chunks
-# of numerics.CHUNK.
+# Gauss nodes on the angular panel [0, 2 pi] and per radial panel, and the
+# number of geometric radial panels (ratio 1/2) graded toward the pole.  The
+# _N_THETA * (_N_PANELS + 1) * _N_R nodes are handed to the integrand in
+# chunks of numerics.CHUNK.
 _N_THETA = 48
 _N_R = 48
 _N_PANELS = 14
-
-
-def _ray_lengths(dom: DomainModel, z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Distances from z to the boundary along the directions thetas."""
-    c, s = np.cos(thetas), np.sin(thetas)
-    if dom.shape is Shape.UNIT_DISK:
-        b = z[0] * c + z[1] * s
-        return -b + np.sqrt(b * b + 1.0 - z[0] ** 2 - z[1] ** 2)
-    best = np.full(thetas.shape, math.inf)
-    with np.errstate(divide="ignore"):
-        for comp, d, lim in ((z[0], c, dom.width), (z[1], s, dom.height)):
-            best = np.minimum(best, np.where(d > 1e-15, (lim - comp) / d, math.inf))
-            best = np.minimum(best, np.where(d < -1e-15, -comp / d, math.inf))
-    return best
-
-
-def _corner_angles(dom: DomainModel, z: np.ndarray) -> list[float]:
-    if dom.shape is Shape.UNIT_DISK:
-        return []
-    out = []
-    for cx in (0.0, dom.width):
-        for cy in (0.0, dom.height):
-            out.append(math.atan2(cy - z[1], cx - z[0]) % (2.0 * math.pi))
-    return sorted(out)
 
 
 def integrate_around_pole(
@@ -315,48 +171,46 @@ def integrate_around_pole(
     z,
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> float:
-    """Integrate f(r, points) over the domain in polar coordinates around z.
+    """Integrate f(r, points) over the unit disk in polar coordinates around z.
 
     f receives radii (n,) and the corresponding points (n,2), at most
     CHUNK of them per call, and must be vectorized.  Radial panels are
     geometrically graded toward the pole so that log-power singularities
     of Green-type integrands are resolved.
     """
+    _disk_only(dom, "integrate_around_pole")
     z = np.asarray(z, dtype=float)
     # geometric panels [q^(k+1), q^k] of the unit ray, q = 1/2, the innermost
     # one down to 0; each ray scales them to its length
     unit_edges = np.append(0.0, 0.5 ** np.arange(_N_PANELS, -1, -1))
     unit_r, unit_wr = gauss_legendre(unit_edges, _N_R)
-    # one angular panel per segment between corner directions
-    segs = [0.0] + _corner_angles(dom, z) + [2.0 * math.pi]
-    total = 0.0
-    for thetas, wth, length in zip(*gauss_legendre(segs, _N_THETA), np.diff(segs)):
-        if length < 1e-14:
-            continue
-        # all nodes of the segment in one array, shaped (theta, panel, r)
-        R = _ray_lengths(dom, z, thetas)[:, None, None]
-        r = R * unit_r
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-        pts = (r[..., None] * dirs[:, None, None, :]).reshape(-1, 2)
-        pts += z
-        r_flat = r.ravel()
-        vals = np.empty(r_flat.size)
-        for lo in range(0, vals.size, CHUNK):
-            vals[lo:lo + CHUNK] = f(r_flat[lo:lo + CHUNK], pts[lo:lo + CHUNK])
-        # the weights take the points' place, so the segment's peak holds one
-        # node array less; in place, in the order wth * wr * r * vals
-        del pts
-        w = wth[:, None, None] * (R * unit_wr)
-        w *= r
-        w *= vals.reshape(r.shape)
-        total += float(np.sum(w))
-    return total
+    (thetas,), (wth,) = gauss_legendre([0.0, 2.0 * math.pi], _N_THETA)
+    # all nodes in one array, shaped (theta, panel, r); each ray runs to the
+    # unit circle
+    c, s = np.cos(thetas), np.sin(thetas)
+    b = z[0] * c + z[1] * s
+    R = (-b + np.sqrt(b * b + 1.0 - z[0] ** 2 - z[1] ** 2))[:, None, None]
+    r = R * unit_r
+    dirs = np.stack([c, s], axis=-1)
+    pts = (r[..., None] * dirs[:, None, None, :]).reshape(-1, 2)
+    pts += z
+    r_flat = r.ravel()
+    vals = np.empty(r_flat.size)
+    for lo in range(0, vals.size, CHUNK):
+        vals[lo:lo + CHUNK] = f(r_flat[lo:lo + CHUNK], pts[lo:lo + CHUNK])
+    # the weights take the points' place, so the peak holds one node array
+    # less; in place, in the order wth * wr * r * vals
+    del pts
+    w = wth[:, None, None] * (R * unit_wr)
+    w *= r
+    w *= vals.reshape(r.shape)
+    return float(np.sum(w))
 
 
 # -- Robin report -------------------------------------------------------------
 
-# A maximizer closer to the boundary than half this fraction of the centre's
-# boundary distance is refused.
+# A maximizer of the Robin search closer to the boundary than half this
+# fraction of the centre's boundary distance (1 on the unit disk) is refused.
 _BOUNDARY_MARGIN = 0.05
 
 
@@ -514,18 +368,20 @@ def robin_search(
     dom: DomainModel,
     F: Callable[[np.ndarray], np.ndarray],
 ) -> RobinReport:
-    """M, K and S without the series: one Nelder-Mead search from the centre,
-    then the quadrature around its maximizer z.  Raises DegenerateMaxError
-    if the search does not converge in 400 iterations, or if z lies closer
-    to the boundary than half the margin fraction of the centre's distance.
+    """M, K and S of the unit disk without the series: one Nelder-Mead
+    search from the centre, then the quadrature around its maximizer z.
+    Raises DegenerateMaxError if the search does not converge in 400
+    iterations, or if z lies closer to the boundary than half the margin
+    fraction of the centre's distance, 1.
     """
+    _disk_only(dom, "robin_search")
     centre = dom.centre()
     res = minimize(lambda q: -robin(dom, q), centre, xatol=1e-10, fatol=1e-12, maxiter=400)
     if not res.success:
         raise DegenerateMaxError(f"Robin search did not converge in {res.nit} iterations "
                                  f"({res.nfev} evaluations)")
     z = res.x
-    if dom.boundary_distance(z) < 0.5 * _BOUNDARY_MARGIN * dom.boundary_distance(centre):
+    if 1.0 - math.hypot(float(z[0]), float(z[1])) < 0.5 * _BOUNDARY_MARGIN:
         raise DegenerateMaxError("Robin maximizer hit the boundary margin")
 
     def integrand(r, pts):

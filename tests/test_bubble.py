@@ -196,20 +196,20 @@ def test_check_ladder_refuses_what_verify_expansion_refuses(fam0, profiles, gamm
     assert reach == np.max(sol.y_grid[np.log1p(sol.y_grid ** 2) <= cap])
     assert (reach > r_max) == refused
     if not refused:
-        check_ladder(fam0, 1, [gamma], eps0, r_max)
+        check_ladder(fam0, 1, [gamma], eps0)
         verify_expansion(sol, profiles, t_cap=cap)
     else:
         with pytest.raises(ValueError, match="eps0"):
-            check_ladder(fam0, 1, [gamma], eps0, r_max)
+            check_ladder(fam0, 1, [gamma], eps0)
         with pytest.raises(ValueError, match="grid mismatch"):
             verify_expansion(sol, profiles, t_cap=cap)
 
 
 def test_check_ladder_refuses_gamma_past_the_budget(fam0):
     top = math.sqrt(700.0)
-    check_ladder(fam0, 1, [3.0, top], 0.75, 2000.0)
+    check_ladder(fam0, 1, [3.0, top], 0.75)
     with pytest.raises(ValueError, match="exponent budget"):
-        check_ladder(fam0, 1, [3.0, math.nextafter(top, 30.0)], 0.75, 2000.0)
+        check_ladder(fam0, 1, [3.0, math.nextafter(top, 30.0)], 0.75)
 
 
 @pytest.mark.parametrize("gamma,refused", [(0.5, True), (0.7, False)])
@@ -220,11 +220,11 @@ def test_check_ladder_refuses_an_empty_window(fam0, profiles, gamma, refused):
     cap, _, _ = _ladder_window([gamma], 0.75)
     if refused:
         with pytest.raises(ValueError, match="holds no node"):
-            check_ladder(fam0, 1, [gamma], 0.75, 2000.0)
+            check_ladder(fam0, 1, [gamma], 0.75)
         with pytest.raises(ValueError, match="zero-size"):
             verify_expansion(sol, profiles, t_cap=cap)
     else:
-        check_ladder(fam0, 1, [gamma], 0.75, 2000.0)
+        check_ladder(fam0, 1, [gamma], 0.75)
         verify_expansion(sol, profiles, t_cap=cap)
 
 
@@ -239,9 +239,9 @@ def test_check_ladder_refuses_gamma_where_A_has_no_value(gammas, refused):
     assert np.all(np.isfinite(A)) != refused
     if refused:
         with pytest.raises(ValueError, match="only for gamma > 1"):
-            check_ladder(fam, 1, gammas, 0.75, 2000.0)
+            check_ladder(fam, 1, gammas, 0.75)
     else:
-        check_ladder(fam, 1, gammas, 0.75, 2000.0)
+        check_ladder(fam, 1, gammas, 0.75)
 
 
 # gamma_min -> the first N at which phi_{N-1}(gamma_min^2) in the bubble
@@ -254,16 +254,16 @@ def test_check_ladder_refuses_orders_past_the_underflow(fam0, gamma):
     # eps0 = 0.9 keeps the expansion window of gamma = 10 inside r_max
     N = N_UNDERFLOW[gamma]
     assert phi_N(N - 2, gamma * gamma) >= sys.float_info.min > phi_N(N - 1, gamma * gamma)
-    check_ladder(fam0, N - 1, [gamma, 12.0], 0.9, 2000.0)
+    check_ladder(fam0, N - 1, [gamma, 12.0], 0.9)
     for order in (N, N + 5, 10**12):
         with pytest.raises(OrderUnderflowError, match=f"N = {order} is too large"):
-            check_ladder(fam0, order, [12.0, gamma], 0.9, 2000.0)
+            check_ladder(fam0, order, [12.0, gamma], 0.9)
 
 
 def test_orders_below_the_underflow_still_blow_down(fam0):
     # N = 286 passes the check on the default ladder and its shot still
     # hits zero before rho (Psi_N ~ (1 + g)(1 + t^2) for N >> gamma^2)
-    check_ladder(fam0, 286, [3.0, 4.0, 5.0], 0.75, 2000.0)
+    check_ladder(fam0, 286, [3.0, 4.0, 5.0], 0.75)
     with pytest.raises(BlowDownError):
         shoot_bubble(fam0, 286, 3.0)
 

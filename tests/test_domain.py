@@ -1,4 +1,5 @@
-"""Green/Robin geometry on the disk and the rectangle."""
+"""Robin data on the disk and the rectangle; Green and Robin functions and
+the pole quadrature on the disk."""
 
 import functools
 import math
@@ -18,21 +19,18 @@ from mtcrit import (
     robin_report,
 )
 import mtcrit.domain as domain
-from mtcrit.domain import (_image_layers, _robin_array, green, integrate_around_pole, robin,
-                           robin_search)
+from mtcrit.domain import green, integrate_around_pole, robin, robin_search
 
 RECT = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
 RECTS = {f"{w:g}x{h:g}": DomainModel(shape=Shape.RECTANGLE, width=w, height=h)
          for w, h in ((2.0, 1.0), (1.0, 2.0), (1.0, 1.0), (6.0, 1.0))}
 
 
-def _random_interior(dom, rng):
+def _random_interior(rng):
+    """A point of the unit disk at least 0.02 from its boundary."""
     while True:
-        if dom.shape is Shape.UNIT_DISK:
-            p = rng.uniform(-0.95, 0.95, size=2)
-        else:
-            p = rng.uniform(0.05, 0.95, size=2) * [dom.width, dom.height]
-        if dom.boundary_distance(p) > 0.02:
+        p = rng.uniform(-0.95, 0.95, size=2)
+        if math.hypot(*p) < 0.98:
             return p
 
 
@@ -46,12 +44,12 @@ def test_lambda1_disk(disk):
     assert lambda1(disk) == pytest.approx(5.783185962946783, abs=1e-9)
 
 
-@pytest.mark.parametrize("dom", [DomainModel(), RECT], ids=["disk", "rect"])
+@pytest.mark.parametrize("dom", [DomainModel()], ids=["disk"])
 def test_green_symmetry(dom):
     rng = np.random.default_rng(3)
     for _ in range(12):
-        x = _random_interior(dom, rng)
-        y = _random_interior(dom, rng)
+        x = _random_interior(rng)
+        y = _random_interior(rng)
         if np.hypot(*(x - y)) < 1e-3:
             continue
         assert green(dom, x, y) == pytest.approx(green(dom, y, x),
@@ -62,9 +60,6 @@ def test_green_boundary_decay():
     disk = DomainModel()
     val = green(disk, np.zeros(2), np.array([1.0 - 1e-6, 0.0]))
     assert 0.0 <= val < 4e-7
-    center = np.array([1.0, 0.5])
-    val_r = green(RECT, center, np.array([2.0 - 1e-6, 0.5]))
-    assert 0.0 <= val_r < 4e-6
 
 
 def test_green_pole_coincidence(disk):
@@ -88,22 +83,13 @@ def test_robin_disk_formula(disk):
             2.0 * math.log1p(-r * r), abs=1e-13)
 
 
-@pytest.mark.parametrize("dom,x", [
-    (DomainModel(), np.array([0.15, -0.2])),
-    (RECT, np.array([0.8, 0.45])),
-], ids=["disk", "rect"])
+@pytest.mark.parametrize("dom,x", [(DomainModel(), np.array([0.15, -0.2]))], ids=["disk"])
 def test_robin_is_green_diagonal_limit(dom, x):
     eps = 1e-5  # small enough for the limit, large enough for cosh-cos
     y = x + np.array([eps, 0.0])
     # 4 pi G = log(1/|x-y|^2) + H_x(y); H continuous on the diagonal
     H_near = 4.0 * math.pi * green(dom, x, y) - math.log(1.0 / eps**2)
     assert H_near == pytest.approx(robin(dom, x), abs=1e-4)
-
-
-def test_rectangle_robin_maximized_at_center():
-    c = robin(RECT, np.array([1.0, 0.5]))
-    for p in ([1.5, 0.5], [1.0, 0.75], [0.4, 0.3]):
-        assert robin(RECT, np.array(p)) < c
 
 
 def test_integrate_around_pole_log_kernel(disk):
@@ -181,7 +167,52 @@ def test_domain_refuses_an_unknown_shape(shape):
         DomainModel(shape=shape)
 
 
-# -- rectangle image sums against a plain per-layer reference ---------------
+# -- the disk-only functions refuse a rectangle -------------------------------
+
+
+@pytest.mark.parametrize("name", ["green", "robin", "integrate_around_pole", "robin_search"])
+def test_disk_only_functions_refuse_a_rectangle(monkeypatch, name):
+    # each refuses up front: no F, no integrand and no search is called
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+
+    monkeypatch.setattr(domain, "minimize", spy)
+    x = RECT.centre()
+    call = {"green": lambda: green(RECT, x, [0.5, 0.5]),
+            "robin": lambda: robin(RECT, x),
+            "integrate_around_pole": lambda: integrate_around_pole(RECT, x, spy),
+            "robin_search": lambda: robin_search(RECT, spy)}[name]
+    with pytest.raises(ValueError, match=f"^{name} serves the unit disk only, not a Rectangle"):
+        call()
+    assert seen == []
+
+
+def test_rect_report_calls_no_disk_path(monkeypatch, data0):
+    # a rectangle's report reads its series alone, which is all the
+    # rect-robin workload runs; the disk's calls robin once, for its M
+    calls = []
+
+    def spy(name):
+        real = getattr(domain, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(domain, name, counting)
+
+    for name in ("green", "robin", "minimize", "integrate_around_pole"):
+        spy(name)
+    for name in ("2x1", "1x1"):
+        robin_report(RECTS[name], data0.F)
+    assert calls == []
+    robin_report(DomainModel(), data0.F)
+    assert calls == ["robin"]
+
+
+# -- the rectangle's Robin function by a plain image sum, the tests' oracle ---
 
 
 def _plain_strip4pi(a, u, v, u0, v0):
@@ -196,39 +227,19 @@ def _plain_strip4pi(a, u, v, u0, v0):
     return np.where(safe, np.log(np.where(safe, num, 1.0) / den), 0.0)
 
 
-def _strip_coords(dom, p):
+def _plain_robin(dom, p):
+    """The Robin function of a rectangle at points p (n,2): the diagonal
+    limit of 4 pi G + log|x-y|^2, summed over 64 reflection layers each way
+    across the strip 0 < u < a that runs across the shorter side.  The
+    source's own strip term adds its regular part in closed form; every
+    image term is evaluated at y = x, each sign's layers in one broadcast
+    array summed by np.sum.  Past a few layers every term is masked to 0.0."""
     p = np.asarray(p, dtype=float)
     if dom.width <= dom.height:
-        return dom.width, dom.height, p[..., 0], p[..., 1]
-    return dom.height, dom.width, p[..., 1], p[..., 0]
-
-
-def _plain_green4pi(dom, x, y, layers):
-    a, b, u0, v0 = _strip_coords(dom, x)
-    _, _, u, v = _strip_coords(dom, y)
-    total = np.zeros(len(u))
-    for n in range(-layers, layers + 1):
-        total += _plain_strip4pi(a, u, v, u0, v0 + 2.0 * n * b)
-        total -= _plain_strip4pi(a, u, v, u0, -v0 + 2.0 * n * b)
-    return total
-
-
-def _robin_64(dom, x):
-    a, b, u0, v0 = _strip_coords(dom, x)
-    total = math.log((1.0 - math.cos(2.0 * math.pi * u0 / a)) * 2.0 * a * a / math.pi**2)
-    for n in range(-64, 65):
-        if n != 0:
-            total += float(_plain_strip4pi(a, u0, v0, u0, v0 + 2.0 * n * b))
-        total -= float(_plain_strip4pi(a, u0, v0, u0, -v0 + 2.0 * n * b))
-    return total
-
-
-def _plain_robin(dom, p):
-    """The Robin function with every layer of one sign in one broadcast
-    array, summed over the layers by np.sum."""
-    a, b, u0, v0 = _strip_coords(dom, p)
-    layers = _image_layers(a, b)
-    n = np.arange(-layers, layers + 1)
+        a, b, u0, v0 = dom.width, dom.height, p[:, 0], p[:, 1]
+    else:
+        a, b, u0, v0 = dom.height, dom.width, p[:, 1], p[:, 0]
+    n = np.arange(-64, 65)
     shift = 2.0 * b * n[:, None]
     total = np.log((1.0 - np.cos(2.0 * math.pi * u0 / a)) * 2.0 * a * a / math.pi**2)
     total += np.sum(_plain_strip4pi(a, u0, v0, u0, v0 + shift[n != 0]), axis=0)
@@ -236,60 +247,25 @@ def _plain_robin(dom, p):
     return total
 
 
-def _probe_points(dom, rng):
-    """Random interior points plus points 1e-3 from each wall and corner."""
-    w, h, d = dom.width, dom.height, 1e-3
-    inner = rng.uniform(0.02, 0.98, size=(20, 2)) * [w, h]
-    walls = [[d, h / 3], [w - d, h / 2], [w / 4, d], [w / 2, h - d],
-             [d, d], [w - d, d], [d, h - d], [w - d, h - d]]
-    return np.vstack([inner, walls])
+def _robin_oracle(dom, p):
+    """The Robin function at points p (n,2): 2 log(1 - |p|^2) on the disk,
+    the plain image sum on a rectangle."""
+    if dom.shape is Shape.UNIT_DISK:
+        return 2.0 * np.log1p(-np.sum(p * p, axis=1))
+    return _plain_robin(dom, p)
 
 
-@pytest.mark.parametrize("name", list(RECTS))
-def test_rect_image_sum_matches_64_layers(name):
-    dom = RECTS[name]
-    rng = np.random.default_rng(11)
-    pts = _probe_points(dom, rng)
-    for x in pts[::3]:
-        ys = pts[np.hypot(*(pts - x).T) > 1e-9]
-        # layers past _image_layers add exact zeros, so the sums agree to the bit
-        want = _plain_green4pi(dom, x, ys, 64) / (4.0 * math.pi)
-        assert np.array_equal(green(dom, x, ys), want)
-    for p in pts:
-        # summed in another order than _robin_array's np.sum over layers
-        assert robin(dom, p) == pytest.approx(_robin_64(dom, p), rel=1e-14, abs=1e-14)
+def _wall_distance(dom, p):
+    x, y = p
+    if dom.shape is Shape.UNIT_DISK:
+        return 1.0 - math.hypot(x, y)
+    return min(x, dom.width - x, y, dom.height - y)
 
 
-def test_rect_kernel_is_bit_identical_to_plain_layer_sum(monkeypatch):
-    # the in-place kernel with its three branches (every term clipped, none
-    # clipped, some clipped) against the masked kernel on every layer
-    branches = set()
-    kernel = domain._strip_green4pi
-
-    def spy(dv, cp, cm, tmp):
-        lo, hi = dv.min(), dv.max()
-        branches.add("clipped" if lo >= 35.0 or hi <= -35.0 else
-                     "inside" if -35.0 < lo and hi < 35.0 else "mixed")
-        return kernel(dv, cp, cm, tmp)
-
-    monkeypatch.setattr(domain, "_strip_green4pi", spy)
-    rng = np.random.default_rng(23)
-    for w, h in ((2.0, 1.0), (1.0, 1.0), (50.0, 1.0), (0.04, 0.04)):
-        dom = DomainModel(shape=Shape.RECTANGLE, width=w, height=h)
-        a, b, _, _ = _strip_coords(dom, np.zeros(2))
-        pts = _probe_points(dom, rng)
-        for x in pts[::4]:
-            ys = pts[np.hypot(*(pts - x).T) > 1e-9]
-            want = _plain_green4pi(dom, x, ys, _image_layers(a, b)) / (4.0 * math.pi)
-            assert np.array_equal(green(dom, x, ys), want)
-            assert green(dom, x, ys[0]) == want[0]
-        assert np.array_equal(_robin_array(dom, pts), _plain_robin(dom, pts))
-        for p in pts[::5]:
-            assert _robin_array(dom, p[None, :])[0] == _plain_robin(dom, p[None, :])[0]
-    assert branches == {"clipped", "inside", "mixed"}
+# -- the pole quadrature on the disk ------------------------------------------
 
 
-@pytest.mark.parametrize("dom", [DomainModel(), RECT], ids=["disk", "2x1"])
+@pytest.mark.parametrize("dom", [DomainModel()], ids=["disk"])
 def test_integrate_around_pole_chunks_are_bit_identical(monkeypatch, data0, dom):
     z = dom.centre()
     sizes = []
@@ -302,23 +278,17 @@ def test_integrate_around_pole_chunks_are_bit_identical(monkeypatch, data0, dom)
 
     chunked = integrate_around_pole(dom, z, integrand)
     assert max(sizes) <= domain.CHUNK < sum(sizes)
-    segment = domain._N_THETA * (domain._N_PANELS + 1) * domain._N_R
-    monkeypatch.setattr(domain, "CHUNK", segment + 1)
+    nodes = domain._N_THETA * (domain._N_PANELS + 1) * domain._N_R
+    monkeypatch.setattr(domain, "CHUNK", nodes + 1)
     sizes.clear()
     assert integrate_around_pole(dom, z, integrand) == chunked
-    assert max(sizes) == segment
+    assert max(sizes) == nodes
 
 
-def _pole_S(dom, F):
-    """S by the quadrature around the centre of the Green function: the
-    reflection formula on the disk, the image sum on a rectangle."""
-    z = dom.centre()
-
-    def integrand(r, pts):
-        Gv = np.asarray(green(dom, z, pts))
-        return Gv * np.asarray(F(4.0 * math.pi * Gv))
-
-    return integrate_around_pole(dom, z, integrand)
+def test_integrate_around_pole_measures_disk_area(disk):
+    # every ray from an off-centre pole has its own length
+    val = integrate_around_pole(disk, np.array([0.3, -0.4]), lambda r, pts: np.ones_like(r))
+    assert val == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_rect_robin_report_peak_memory(data0):
@@ -335,20 +305,15 @@ def test_rect_robin_report_peak_memory(data0):
     assert peak < 0.6e6
 
 
-@pytest.mark.parametrize("dom,bound", [(DomainModel(), 1.5e6), (RECT, 2.0e6)],
-                         ids=["disk", "2x1"])
+@pytest.mark.parametrize("dom,bound", [(DomainModel(), 1.5e6)], ids=["disk"])
 def test_pole_quadrature_frees_its_points_before_the_weights(data0, dom, bound):
     # the points (twice the size of one node array) are freed before the node
-    # weights are formed in place: 1.75 MB (disk) and 2.35 MB (2x1) when the
-    # weights were a chain of temporaries beside them, 1.39 and 1.81 MB now.
-    # The disk reaches the quadrature through robin_search, the rectangle
-    # directly, with the same integrand; both reports read a series.
+    # weights are formed in place: 1.75 MB when the weights were a chain of
+    # temporaries beside them, 1.39 MB now.  The quadrature is reached
+    # through robin_search; the disk's report reads its series.
     tracemalloc.start()
     try:
-        if dom.shape is Shape.UNIT_DISK:
-            robin_search(dom, data0.F)
-        else:
-            _pole_S(dom, data0.F)
+        robin_search(dom, data0.F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -360,11 +325,17 @@ def rect_reports(data0):
     return {name: robin_report(RECTS[name], data0.F) for name in ("2x1", "1x2", "1x1")}
 
 
-# (M, S) of the 2x1 rectangle and the unit square, Zero family, from the
-# image sums at commit 9bf5d06 (perfbench's RECT_REF, which holds the
-# square's M in closed form)
-IMAGE_SUM_REF = {"2x1": (-0.918077123062379, 0.20764606956280546),
-                 "1x1": (-1.2347714907031282, 0.14578045201541348)}
+# (M, {kappa: S}) of the 2x1 rectangle and the unit square for profiles
+# F(t) = t^kappa, from the image-sum Green function integrated around the
+# centre: kappa = 1, the Zero family, at commit 9bf5d06 (perfbench's
+# RECT_REF, which holds the square's M in closed form), kappa = 1/4 and 1/2
+# at commit a5790e8, the last to hold the image sums
+IMAGE_SUM_REF = {"2x1": (-0.918077123062379, {1.0: 0.20764606956280546,
+                                              0.25: 0.12461028689348835,
+                                              0.5: 0.14253997961185058}),
+                 "1x1": (-1.2347714907031282, {1.0: 0.14578045201541348,
+                                               0.25: 0.08308244379990463,
+                                               0.5: 0.09719424082420214})}
 
 
 @pytest.mark.parametrize("name", list(IMAGE_SUM_REF))
@@ -372,7 +343,7 @@ def test_rect_series_matches_the_image_sum_record(rect_reports, name):
     M_ref, S_ref = IMAGE_SUM_REF[name]
     rep = rect_reports[name]
     assert rep.M == pytest.approx(M_ref, rel=0.0, abs=1e-12)
-    assert rep.S == pytest.approx(S_ref, rel=0.0, abs=1e-12)
+    assert rep.S == pytest.approx(S_ref[1.0], rel=0.0, abs=1e-12)
 
 
 def test_square_robin_max_closed_form(rect_reports):
@@ -391,16 +362,13 @@ def test_rect_report_invariant_under_transpose(rect_reports):
 @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0])
 @pytest.mark.parametrize("name", ["2x1", "1x2", "1x1"])
 def test_rect_series_matches_the_image_sum_path(name, kappa):
-    # the image-sum Green function integrated around the centre, for profiles
-    # F(t) = t^kappa whose series converge more slowly as kappa falls
-    dom = RECTS[name]
-
-    def F(t):
-        return np.asarray(t) ** kappa
-
-    rep = robin_report(dom, F)
-    assert rep.M == pytest.approx(robin(dom, dom.centre()), rel=0.0, abs=1e-12)
-    assert rep.S == pytest.approx(_pole_S(dom, F), rel=0.0, abs=1e-9)
+    # the recorded image-sum values, for profiles F(t) = t^kappa whose series
+    # converge more slowly as kappa falls; the transpose 1x2 reads the 2x1
+    # record (the series is exactly invariant, the quadrature was within 1e-14)
+    M_ref, S_ref = IMAGE_SUM_REF[name.replace("1x2", "2x1")]
+    rep = robin_report(RECTS[name], lambda t: np.asarray(t) ** kappa)
+    assert rep.M == pytest.approx(M_ref, rel=0.0, abs=1e-12)
+    assert rep.S == pytest.approx(S_ref[kappa], rel=0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("kappa", [0.01, 0.25, 0.5, 1.0])
@@ -439,7 +407,7 @@ def test_elongated_rect_has_one_maximizer(data0, w, h):
     centre = np.array([w / 2, h / 2])
     assert len(rep.K) == 1
     assert np.hypot(*(np.array(rep.K[0]) - centre)) < 1e-6
-    assert rep.M == pytest.approx(robin(dom, centre), rel=0.0, abs=1e-12)
+    assert rep.M == pytest.approx(_plain_robin(dom, centre[None, :])[0], rel=0.0, abs=1e-12)
 
 
 def _scan_max(dom):
@@ -454,9 +422,9 @@ def _scan_max(dom):
         ys = np.linspace(m * dom.height, (1 - m) * dom.height, 41)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     grid = np.column_stack([X.ravel(), Y.ravel()])
-    inradius = dom.boundary_distance(dom.centre())
-    grid = grid[[dom.boundary_distance(p) > 0.5 * m * inradius for p in grid]]
-    return float(np.max(_robin_array(dom, grid)))
+    inradius = _wall_distance(dom, dom.centre())
+    grid = grid[[_wall_distance(dom, p) > 0.5 * m * inradius for p in grid]]
+    return float(np.max(_robin_oracle(dom, grid)))
 
 
 SCANNED = [(1.0, 0.02), (0.04, 0.04), (2.0, 0.049), (0.001, 0.002), (50.0, 1.0),
@@ -475,16 +443,8 @@ def test_robin_report_matches_scan_oracle(data0, w, h):
     centre = dom.centre()
     assert rep.M >= _scan_max(dom)
     assert len(rep.K) == 1
-    assert np.hypot(*(np.array(rep.K[0]) - centre)) <= 1e-6 * dom.boundary_distance(centre)
-    assert rep.M == pytest.approx(robin(dom, centre), rel=0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("name", list(RECTS))
-def test_integrate_around_pole_measures_rect_area(name):
-    dom = RECTS[name]
-    z = np.array([0.3 * dom.width, 0.7 * dom.height])
-    val = integrate_around_pole(dom, z, lambda r, pts: np.ones_like(r))
-    assert val == pytest.approx(dom.width * dom.height, rel=1e-12)
+    assert np.hypot(*(np.array(rep.K[0]) - centre)) <= 1e-6 * _wall_distance(dom, centre)
+    assert rep.M == pytest.approx(_robin_oracle(dom, centre[None, :])[0], rel=0.0, abs=1e-12)
 
 
 # -- the rectangle series against an independent reference ------------------
@@ -496,12 +456,13 @@ REF_TERMS = 2_000_000
 
 
 @functools.cache
-def _series_reference(ratio):
-    """(2 log(1/K(m)), S/C^2, theta) for F(t) = t of a rectangle with sides
-    1 x ratio, ratio >= 1: m from mpmath's theta functions and K(m) from its
-    ellipk; REF_TERMS terms P_n(x)^2 / (2 (2n+1)^3) from scipy's Legendre
-    values, added by math.fsum.  The terms left out are below 2e-14 of the
-    sum for every x."""
+def _series_reference(ratio, kappa=1.0):
+    """(2 log(1/K(m)), S/C^2, theta) for F(t) = t^kappa of a rectangle with
+    sides 1 x ratio, ratio >= 1: m from mpmath's theta functions and K(m)
+    from its ellipk; REF_TERMS terms P_n(x)^2 Gamma(kappa + 2) /
+    (4 (2n+1)^(2+kappa)) from scipy's Legendre values, added by math.fsum.
+    The terms left out are below 2e-14 of the sum for every x at kappa = 1,
+    and below the bound at _SERIES_TERMS for kappa >= 1/4."""
     with mpmath.workdps(30):
         q = mpmath.exp(-mpmath.pi * ratio)
         m = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
@@ -510,10 +471,8 @@ def _series_reference(ratio):
         theta = float(2 * mpmath.asin(mpmath.sqrt(m)))
     terms = scipy.special.legendre_p_all(REF_TERMS - 1, x)[0]
     terms *= terms
-    k = np.arange(1.0, 2.0 * REF_TERMS, 2.0)
-    k **= 3
-    terms /= k
-    return log_scale, 0.5 * math.fsum(terms), theta
+    terms /= np.arange(1.0, 2.0 * REF_TERMS, 2.0) ** (2.0 + kappa)
+    return log_scale, math.gamma(kappa + 2.0) / 4.0 * math.fsum(terms), theta
 
 
 def _truncation_bound(kappa, theta):
@@ -536,6 +495,19 @@ def test_rect_series_within_its_bound_of_a_long_reference(data0, w, h):
     assert rep.M == pytest.approx(2.0 * math.log(a) + log_scale, rel=1e-14, abs=1e-14)
     S_ref = math.exp(rep.M) * S_norm
     assert abs(rep.S - S_ref) <= (_truncation_bound(1.0, theta) + 1e-13) * S_ref
+
+
+@pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("name", ["2x1", "1x2", "1x1"])
+def test_rect_series_within_its_bound_over_kappa(name, kappa):
+    # profiles F(t) = t^kappa, whose series converge more slowly as kappa
+    # falls: S within the stated truncation bound, plus 1e-13
+    dom = RECTS[name]
+    a, b = sorted((dom.width, dom.height))
+    _, S_norm, theta = _series_reference(b / a, kappa)
+    rep = robin_report(dom, lambda t: np.asarray(t) ** kappa)
+    S_ref = math.exp(rep.M) * S_norm
+    assert abs(rep.S - S_ref) <= (_truncation_bound(kappa, theta) + 1e-13) * S_ref
 
 
 @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0])
