@@ -285,9 +285,11 @@ def test_integrate_around_pole_chunks_are_bit_identical(monkeypatch, data0, dom)
     assert max(sizes) == nodes
 
 
-def test_integrate_around_pole_measures_disk_area(disk):
+@pytest.mark.parametrize("z", [(0.0, 0.0), (0.3, -0.4), (-0.6, 0.2), (-0.7, -0.3)],
+                         ids=["centre", "r050", "r063", "r076"])
+def test_integrate_around_pole_measures_disk_area(disk, z):
     # every ray from an off-centre pole has its own length
-    val = integrate_around_pole(disk, np.array([0.3, -0.4]), lambda r, pts: np.ones_like(r))
+    val = integrate_around_pole(disk, np.array(z), lambda r, pts: np.ones_like(r))
     assert val == pytest.approx(math.pi, rel=1e-12)
 
 
