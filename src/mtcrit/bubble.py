@@ -22,7 +22,7 @@ from .csvout import HERMITE_STRIDE, write_csv
 from .numerics import solve_ivp
 from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
                            eval_psi_N, phi_N, xi)
-from .profiles import R_MAX, StepFailureError, laplacian_profile, s0_explicit
+from .profiles import StepFailureError, laplacian_profile, s0_explicit
 
 __all__ = [
     "BlowDownError",
@@ -44,9 +44,11 @@ class OrderUnderflowError(ValueError):
     """phi_{N-1}(gamma^2) of the bubble scaling is below the normal doubles."""
 
 
-# Both expansion checks take their sups over y >= _Y_FLOOR; the source
-# check weights its residual by e^{_DELTA0_TILDE t}.
+# Both expansion checks take their sups over y >= _Y_FLOOR, and the
+# expansion check its r0_gap over _Y_CORE <= y < _Y_FLOOR; the source check
+# weights its residual by e^{_DELTA0_TILDE t}.
 _Y_FLOOR = 0.25
+_Y_CORE = 0.01
 _DELTA0_TILDE = 0.75
 # Every shot starts from its series seed at y = _Y0.
 _Y0 = 1e-8
@@ -169,20 +171,20 @@ def verify_expansion(sol: BubbleSolution, profiles: dict, t_cap: float) -> Expan
     """
     g = sol.gamma
     y = sol.y_grid[1:]
-    t_all = np.log1p(y * y)
-    mask = t_all <= t_cap
-    if profiles[1].grid[-1] < y[mask][-1] or profiles[2].grid[-1] < y[mask][-1]:
-        raise ValueError("profile range is short for this bubble (grid mismatch)")
+    t = np.log1p(y * y)
+    # the sups read the nodes t <= t_cap at y >= _Y_CORE, so the model is
+    # evaluated on those alone
+    read = (t <= t_cap) & (y >= _Y_CORE)
+    y, t, B = y[read], t[read], sol.values[1:][read]
     A, x = _A_and_xi(sol)
-    B = sol.values[1:]
-    model = (g - t_all / g + s0_explicit(y) / g**3 + profiles[1](y) / g**5
+    model = (g - t / g + s0_explicit(y) / g**3 + profiles[1](y) / g**5
              + (A - 2.0 * x) * profiles[2](y) / g)
     R = B - model
-    m = mask & (y >= _Y_FLOOR)
-    norm = t_all[m] * (g**-5 + (abs(A) + x) / g)
+    m = y >= _Y_FLOOR
+    norm = t[m] * (g**-5 + (abs(A) + x) / g)
     sup_norm = float(np.max(np.abs(R[m]) / norm))
-    lead = float(np.max(np.abs(B[m] - (g - t_all[m] / g)) * g / t_all[m]))
-    core = mask & (y >= 0.01) & (y < _Y_FLOOR)
+    lead = float(np.max(np.abs(B[m] - (g - t[m] / g)) * g / t[m]))
+    core = ~m
     near0 = float(np.max(np.abs(R[core]) / y[core] ** 2)) if np.any(core) else 0.0
     return ExpansionReport(gamma=g, sup_normalized=sup_norm, leading_sup=lead,
                            r0_gap=near0, details={"A": A, "xi": x, "t_cap": t_cap})
@@ -247,12 +249,11 @@ def _ladder_window(gammas, eps0: float) -> tuple[float, float, list]:
 
 def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float) -> None:
     """Refuse with ValueError, before any solve, a ladder that
-    `ladder_reports` cannot finish at order N on profiles solved out to
-    R_MAX: a gamma^2 past EXP_BUDGET (eval_psi_N refuses it), a gamma <= 1
-    where the family's decay coefficient A(gamma) has no value, an
-    expansion window with no node at y >= _Y_FLOOR (its sups would be over
-    nothing), one that reads the profiles past R_MAX (verify_expansion
-    refuses it), or a scaling that `shoot_bubble` refuses at gamma_min."""
+    `ladder_reports` cannot finish at order N: a gamma^2 past EXP_BUDGET
+    (eval_psi_N refuses it), a gamma <= 1 where the family's decay
+    coefficient A(gamma) has no value, an expansion window with no node at
+    y >= _Y_FLOOR (its sups would be over nothing), or a scaling that
+    `shoot_bubble` refuses at gamma_min."""
     top, low = max(gammas), min(gammas)
     if top * top > EXP_BUDGET:
         raise ValueError(f"gamma = {top:g} is past the exponent budget of Psi_N "
@@ -269,10 +270,6 @@ def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float) -> None:
         raise ValueError(f"with eps0 = {eps0:g} the expansion window t <= {cap:.6g} of "
                          f"gamma = {low:g} holds no node at y = r/mu >= {_Y_FLOOR:g}, "
                          f"where the sups are taken; raise the smallest gamma or lower eps0")
-    if max(ends) > R_MAX:
-        raise ValueError(f"with eps0 = {eps0:g} the expansion window of gamma = "
-                         f"{low:g} reads the profiles out to {max(ends):.10g}, past "
-                         f"their r_max = {R_MAX:g}; lower the smallest gamma or raise eps0")
     _mu_from_scaling(fam, N, low)
 
 

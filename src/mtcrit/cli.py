@@ -32,8 +32,8 @@ from .csvout import write_csv
 from .domain import DomainModel, Shape, lambda1, robin_report, robin_search
 from .numerics import left_sum
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
-from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, R_MAX_CEILING, R_MAX_FLOOR,
-                       ode_profile, profile_integrals, s0_explicit, solve_profile)
+from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, csv_grid, ode_profile,
+                       profile_integrals, s0_explicit, solve_profile)
 from .bubble import OrderUnderflowError, check_ladder, ladder_reports
 from .variational import (STEP1_EPS_MIN, height_seed, lambda_g_report,
                           model_testfun_energy, solve_subcritical, step1_testfun)
@@ -191,15 +191,17 @@ def cmd_criterion(cfg: dict, args) -> int:
 
 
 def cmd_profiles(cfg: dict, args) -> int:
+    # r_max is the extent of the curve files alone: the profiles reach oo
     r_max = _number(cfg, "r_max", R_MAX)
-    if not R_MAX_FLOOR <= r_max <= R_MAX_CEILING:
-        raise ConfigError(f"field 'r_max': must be >= {R_MAX_FLOOR:g} and "
-                          f"<= {R_MAX_CEILING:g} (got {r_max:g})")
-    profiles = {i: solve_profile(i, r_max=r_max) for i in range(3)}
+    try:
+        csv_grid(r_max)
+    except ValueError as exc:
+        raise ConfigError(f"field 'r_max': {exc}") from None
+    profiles = {i: solve_profile(i) for i in range(3)}
     constants = {}
     for i, P in profiles.items():
-        P.to_csv(os.path.join(args.out, f"profile_S{i}.csv"))
-        constants[f"S{i}"] = P.metadata()
+        P.to_csv(os.path.join(args.out, f"profile_S{i}.csv"), r_max)
+        constants[f"S{i}"] = {**P.metadata(), "r_max": r_max}
     ints = profile_integrals(profiles)
     payload = {"constants": constants, "integrals": ints,
                "reference": {"A": list(A_CONSTANTS), "B0": B0_CONSTANT}}

@@ -7,20 +7,22 @@ linearized radial equation
 
 (with the -d_rr - d_r/r Laplacian convention) and behave for large r like
 (A_i / 4 pi) log(1/r^2) + B_i.  `solve_profile` writes S_i by variation
-of parameters over the kernel of L, which also gives A_i and B_i exactly;
+of parameters over the kernel of L, on panels in y = log r that reach
+both ends of the doubles, which also gives A_i and B_i exactly;
 `ode_profile` integrates the equation itself, as an independent check.
 S0 also has an explicit dilogarithm formula.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvout import HERMITE_STRIDE, write_csv
-from .numerics import CHUNK, CubicHermite, gauss_legendre, li2_neg, solve_ivp
+from .numerics import _legendre_rule, gauss_legendre, li2_neg, solve_ivp
 
 __all__ = [
     "StepFailureError",
@@ -29,10 +31,10 @@ __all__ = [
     "solve_profile",
     "ode_profile",
     "profile_integrals",
+    "linear_combination",
+    "csv_grid",
     "A_CONSTANTS",
     "B0_CONSTANT",
-    "R_MAX_FLOOR",
-    "R_MAX_CEILING",
 ]
 
 
@@ -42,24 +44,25 @@ class StepFailureError(RuntimeError):
 
 A_CONSTANTS = (4.0 * math.pi, 4.0 * math.pi * (3.0 + math.pi**2 / 6.0), 2.0 * math.pi)
 B0_CONSTANT = math.pi**2 / 6.0 + 2.0
-# Outer radius of the profile solves unless the caller asks for another, and
-# the least and the largest they accept: between the two `profile_integrals`
-# meets the bounds of `verify` (measured in the README).  Past the ceiling
-# its tail nodes overflow (1 + r^2)^2 (from r_max ~ 1e64 on), and from
-# r_max ~ 9.9e103 on A_check is NaN.
-R_MAX = 2000.0
-R_MAX_FLOOR = 100.0
-R_MAX_CEILING = 1e60
-# A profile grid is 0 and then _GRID_NODES geometric nodes from _R0 to r_max;
+# Outer radius of the profile curve files unless the caller asks for another.
+# A curve file is 0 and then _CSV_NODES geometric nodes from _R0 to r_max;
 # the ODE of ode_profile starts at _R0.
+R_MAX = 2000.0
 _R0 = 1e-6
-_GRID_NODES = 4000
-# Gauss-Legendre nodes per panel of solve_profile and of profile_integrals,
-# and the tail panels in u = r_max / r: [0, 2^-40] and then [2^-k, 2^(1-k)]
-# up to 1.
-_VOP_ORDER = 8
-_GL_ORDER = 4
-_TAIL_EDGES = np.append(0.0, 0.5 ** np.arange(40, -1, -1))
+_CSV_NODES = 4000
+# The panels of solve_profile and profile_integrals: width _PANEL_WIDTH in
+# y = log r from _Y_LOW to _Y_HIGH (r from 1.5e-8 to 2.4e17), _ORDER
+# Gauss-Legendre nodes each.  The sources vanish like r^2 at 0 and their
+# integrands in y decay like y^5 e^(-2y) as y -> oo, so the parts of P and Q
+# (see solve_profile) outside the window are below 1e-24 of P(oo) and Q(oo):
+# P and Q are 0 before it and constant after it, in doubles.
+_Y_LOW, _Y_HIGH = -18.0, 40.0
+_PANEL_WIDTH = 0.5
+_PANELS = round((_Y_HIGH - _Y_LOW) / _PANEL_WIDTH)
+_ORDER = 12
+_EDGES = _Y_LOW + _PANEL_WIDTH * np.arange(_PANELS + 1)
+# A RadialProfile reads any r below _R_LOW, before the window, as _R_LOW.
+_R_LOW = math.exp(_Y_LOW - 1.0)
 # Tolerances of ode_profile.
 _RTOL = 1e-10
 _ATOL = 1e-10
@@ -98,112 +101,193 @@ def _rhs(i: int, r):
     return 4.0 * w * (S0 + 2.0 * S0 * S0 - 4.0 * T * S0 + 2.0 * S0 * T * T - T**3 + 0.5 * T**4)
 
 
+def _kernel(xp, r, log_r):
+    """phi1 = (1 - r^2)/(1 + r^2), phi2 = phi1 log r + 2/(1 + r^2) (the kernel
+    of L, with r (phi1 phi2' - phi1' phi2) = 1) and their slopes, at r > 0.
+    Past r ~ 1e154, where r^2 overflows, the 2/(1 + r^2) terms are 0."""
+    if xp is math:
+        q = 1.0 / (1.0 + r * r)
+    else:
+        with np.errstate(over="ignore"):
+            q = 1.0 / (1.0 + r * r)
+    phi1 = 2.0 * q - 1.0
+    dphi1 = -4.0 * q * (r * q)
+    return phi1, phi1 * log_r + 2.0 * q, dphi1, dphi1 * (1.0 + log_r) + phi1 / r
+
+
+@functools.cache
+def _antiderivative_map() -> np.ndarray:
+    """M, shaped (_ORDER + 1, _ORDER): the Legendre coefficients of the
+    antiderivative int_{-1}^x f of the degree-(_ORDER - 1) interpolant of
+    f at the Gauss nodes x_j are d_m = sum_j M[m, j] f(x_j).
+
+    The interpolant's coefficients come from discrete orthogonality,
+    c_n = (2n + 1)/2 sum_j w_j P_n(x_j) f(x_j), and the antiderivative from
+    int_{-1}^x P_0 = P_0 + P_1 and int_{-1}^x P_n = (P_{n+1} - P_{n-1})/(2n + 1)."""
+    x, w = _legendre_rule(_ORDER)
+    legendre = [np.ones_like(x), x]
+    for n in range(1, _ORDER - 1):
+        legendre.append(((2 * n + 1) * x * legendre[n] - n * legendre[n - 1]) / (n + 1))
+    M = np.zeros((_ORDER + 1, _ORDER))
+    M[0] = M[1] = 0.5 * w
+    for n in range(1, _ORDER):
+        M[n + 1] += 0.5 * w * legendre[n]
+        M[n - 1] -= 0.5 * w * legendre[n]
+    M.flags.writeable = False
+    return M
+
+
+# The Legendre recurrence P_{m+1} = (2m+1)/(m+1) x P_m - m/(m+1) P_{m-1},
+# backwards for Clenshaw's sum sum_m d_m P_m(x) = d_0 + x b_1 - b_2 / 2, with
+# b_m = d_m + (2m+1)/(m+1) x b_{m+1} - (m+1)/(m+2) b_{m+2}: the steps
+# m, (2m+1)/(m+1) and (m+1)/(m+2).  Both paths of RadialProfile round each
+# step as d_m + ((2m+1)/(m+1) x) b_{m+1} - ((m+1)/(m+2)) b_{m+2}.
+_CLENSHAW_STEPS = [(m, (2 * m + 1) / (m + 1), (m + 1) / (m + 2)) for m in range(_ORDER, 0, -1)]
+
+
 @dataclass
 class RadialProfile:
-    """Sampled radial profile S and the constants of its large-r asymptote
-    (A / 4 pi) log(1/r^2) + B."""
+    """S = phi2 P - phi1 Q on [0, oo), with P and Q Legendre series on the
+    panels of y = log r (see solve_profile), and the constants of its
+    large-r asymptote (A / 4 pi) log(1/r^2) + B.
 
-    grid: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
+    `coefs[:, :, k]` and `starts[:, k]` hold P and Q on panel k - 1 as
+    starts + (_PANEL_WIDTH / 2) sum_m coefs[m] P_m(x), x in [-1, 1]; the
+    first and last columns are the constant panels before and after the
+    window: 0, and P(oo) and Q(oo)."""
+
+    coefs: np.ndarray
+    starts: np.ndarray
     A: float
     B: float
 
-    def __post_init__(self):
-        self._spline = CubicHermite(self.grid, self.values, self.derivs)
+    def _float_pq(self, y: float) -> tuple[float, float]:
+        """P and Q at y = log r on Python floats: one panel's Clenshaw sums."""
+        u = (y - _Y_LOW) / _PANEL_WIDTH
+        k = min(max(math.floor(u) + 1, 0), _PANELS + 1)
+        (cP, cQ), (sP, sQ) = self.coefs[:, :, k].T.tolist(), self.starts[:, k].tolist()
+        x = min(max(2.0 * (u - (k - 1)) - 1.0, -1.0), 1.0)
+        bP1 = bP2 = bQ1 = bQ2 = 0.0
+        for m, a, b in _CLENSHAW_STEPS:
+            ax = a * x
+            bP1, bP2 = cP[m] + ax * bP1 - b * bP2, bP1
+            bQ1, bQ2 = cQ[m] + ax * bQ1 - b * bQ2, bQ1
+        h = 0.5 * _PANEL_WIDTH
+        return (sP + h * (cP[0] + x * bP1 - 0.5 * bP2),
+                sQ + h * (cQ[0] + x * bQ1 - 0.5 * bQ2))
 
-    def _piecewise(self, r, inside, tail):
-        """inside(r) up to the last grid node, tail(r) past it.  An r with
-        no axes takes the float path and gives a float."""
+    def _array_pq(self, y: np.ndarray) -> np.ndarray:
+        """P and Q at y = log r, stacked: each node's panel's Clenshaw sums."""
+        u = (y - _Y_LOW) / _PANEL_WIDTH
+        k = np.clip(np.floor(u) + 1, 0, _PANELS + 1).astype(np.intp)
+        # the constant panels hold no coefficients, so any x in [-1, 1] will do
+        x = np.clip(2.0 * (u - (k - 1)) - 1.0, -1.0, 1.0)
+        d = self.coefs[:, :, k]
+        b1, b2, ax_b1 = np.zeros((3, 2) + x.shape)
+        for m, a, b in _CLENSHAW_STEPS:  # in place: b1, b2 = d[m] + a x b1 - b b2, b1
+            np.multiply(a * x, b1, out=ax_b1)
+            ax_b1 += d[m]
+            b2 *= b
+            ax_b1 -= b2
+            b1, b2, ax_b1 = ax_b1, b1, b2
+        return self.starts[:, k] + 0.5 * _PANEL_WIDTH * (d[0] + x * b1 - 0.5 * b2)
+
+    def _evaluate(self, r):
+        """S(r) and S'(r) = phi2' P - phi1' Q.  An r with no axes takes the
+        float path and gives floats."""
         xp, r = _float_or_array(r)
-        r_max = self.grid[-1]
         if xp is math:
-            return float(inside(r) if r <= r_max else tail(r))
-        past = r > r_max
-        return np.where(past, tail(np.where(past, r, r_max)), inside(np.minimum(r, r_max)))
+            r = max(r, _R_LOW)
+            # NumPy's log, which libm's rounds apart from now and then, so
+            # that the float path gives the array path's bits
+            log_r = float(np.log(r))
+            P, Q = self._float_pq(log_r)
+        else:
+            r = np.maximum(r, _R_LOW)
+            log_r = np.log(r)
+            P, Q = self._array_pq(log_r)
+        phi1, phi2, dphi1, dphi2 = _kernel(xp, r, log_r)
+        return phi2 * P - phi1 * Q, dphi2 * P - dphi1 * Q
 
     def __call__(self, r):
-        """S(r): the Hermite interpolant of the samples, the log asymptote
-        past the grid."""
-        return self._piecewise(r, self._spline,
-                               lambda r: self.B - self.A / (2.0 * math.pi) * np.log(r))
+        """S(r)."""
+        return self._evaluate(r)[0]
 
     def derivative(self, r):
-        return self._piecewise(r, self._spline.derivative,
-                               lambda r: -self.A / (2.0 * math.pi) / r)
+        return self._evaluate(r)[1]
 
-    def to_csv(self, path: str) -> None:
-        write_csv([path], ["r", "S", "dS_dr"], [self.grid, self.values, self.derivs],
+    def to_csv(self, path: str, r_max: float = R_MAX) -> None:
+        """r, S and S' at the nodes of `csv_grid(r_max)`."""
+        grid = csv_grid(r_max)
+        write_csv([path], ["r", "S", "dS_dr"], [grid, *self._evaluate(grid)],
                   stride=HERMITE_STRIDE)
 
     def metadata(self) -> dict:
-        return {
-            "A": self.A,
-            "B": self.B,
-            "r_max": float(self.grid[-1]),
-            "gl_order": _VOP_ORDER,
-            "quadrature_nodes": _VOP_ORDER * (self.grid.size + _TAIL_EDGES.size - 2),
-        }
+        return {"A": self.A, "B": self.B, "gl_order": _ORDER,
+                "quadrature_nodes": _ORDER * _PANELS}
 
 
-def _kernel(r):
-    """phi1 = (1 - r^2)/(1 + r^2) and phi2 = phi1 log r + 2/(1 + r^2), the
-    kernel of L, with r (phi1 phi2' - phi1' phi2) = 1 (arrays, r > 0)."""
-    q = 1.0 / (1.0 + r * r)
-    phi1 = 2.0 * q - 1.0
-    return phi1, phi1 * np.log(r) + 2.0 * q
+def linear_combination(terms) -> RadialProfile:
+    """sum_i c_i S_i for the pairs (c_i, S_i) in `terms`, as one profile:
+    each S_i is phi2 P_i - phi1 Q_i on the same panels, so the sum is the
+    profile of sum_i c_i P_i and sum_i c_i Q_i, evaluated at the cost of one."""
+    (c, first), *rest = terms
+    coefs, starts, A, B = c * first.coefs, c * first.starts, c * first.A, c * first.B
+    for c, P in rest:
+        coefs, starts, A, B = coefs + c * P.coefs, starts + c * P.starts, A + c * P.A, B + c * P.B
+    return RadialProfile(coefs=coefs, starts=starts, A=A, B=B)
 
 
-def _radial_integrals(f, edges: np.ndarray, order: int):
-    """Integrals in r over each panel [edges[k], edges[k+1]] and over the
-    tail past r_max = edges[-1], the tail by r = r_max / u on _TAIL_EDGES:
-    `order` Gauss-Legendre nodes a panel, handed to f at most CHUNK at a
-    time.  f(r, w) maps the nodes r and their weights w (in the tail, times
-    dr/du) to its integrands times w, stacked on a new first axis.  Returns
-    the panel integrals, shaped (integrands, panels), and the tail
-    integrals, shaped (integrands,)."""
-    r_max = float(edges[-1])
-    r, w = gauss_legendre(edges, order)
-    u, wu = gauss_legendre(_TAIL_EDGES, order)
-    r = np.concatenate([r, r_max / u])
-    w = np.concatenate([w, wu * r_max / (u * u)])
-    sums = []
-    step = CHUNK // order
-    for k in range(0, r.shape[0], step):
-        sums.append(np.sum(f(r[k:k + step], w[k:k + step]), axis=-1))
-    sums = np.concatenate(sums, axis=1)
-    panels = edges.size - 1
-    return sums[:, :panels], np.sum(sums[:, panels:], axis=1)
+def csv_grid(r_max: float) -> np.ndarray:
+    """0 and then _CSV_NODES geometric nodes from _R0 to r_max, the nodes of
+    a profile's curve file; ValueError unless they increase strictly."""
+    if not r_max > _R0:
+        raise ValueError(f"must exceed {_R0:g}, where the curve files' geometric "
+                         f"grid starts (got {r_max!r})")
+    grid = np.concatenate([[0.0], np.geomspace(_R0, r_max, _CSV_NODES)])
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError(f"{r_max!r} is too close to {_R0:g} for {_CSV_NODES} distinct "
+                         f"geometric nodes")
+    return grid
 
 
-def solve_profile(i: int, r_max: float = R_MAX) -> RadialProfile:
-    """S_i for i in {0, 1, 2} on 0 and geomspace(_R0, r_max, _GRID_NODES).
+def _panel_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes y, the radii r = e^y and the weights dy of the window's
+    Gauss-Legendre rule, each shaped (_PANELS, _ORDER)."""
+    y, w = gauss_legendre(_EDGES, _ORDER)
+    return y, np.exp(y), w
+
+
+def solve_profile(i: int) -> RadialProfile:
+    """S_i for i in {0, 1, 2} on [0, oo).
 
     Variation of parameters over the kernel (phi1, phi2) of L: with
     P(r) = -int_0^r phi1 RHS_i s ds and Q(r) = -int_0^r phi2 RHS_i s ds,
     S = phi2 P - phi1 Q and S' = phi2' P - phi1' Q.  As r -> oo, phi1 -> -1
     and phi2 = -log r + O(log r / r^2), so A_i = 2 pi P(oo) and
-    B_i = Q(oo).  P and Q are cumulative sums of the panel integrals of
-    `_radial_integrals` over the grid, plus its tails past r_max at oo.
+    B_i = Q(oo).  In y = log r each panel's integrands of P and Q, times
+    r^2 = dr/dy, become Legendre series interpolating them at the panel's
+    Gauss nodes, and P and Q their antiderivatives, in closed form; P(oo)
+    and Q(oo) are the correctly rounded sums of the panels' Gauss sums.
     """
     if i not in (0, 1, 2):
         raise ValueError("profile index must be 0, 1 or 2")
-    if not R_MAX_FLOOR <= r_max <= R_MAX_CEILING:
-        raise ValueError(f"r_max must be at least {R_MAX_FLOOR:g} and at most "
-                         f"{R_MAX_CEILING:g}")
-    grid = np.concatenate([[0.0], np.geomspace(_R0, r_max, _GRID_NODES)])
-    panels, tails = _radial_integrals(
-        lambda r, w: np.stack(_kernel(r)) * (_rhs(i, r) * r * w), grid, _VOP_ORDER)
-    P, Q = -np.cumsum(panels, axis=1)
-    P_tail, Q_tail = -tails
-    r = grid[1:]
-    phi1, phi2 = _kernel(r)
-    dphi1 = -4.0 * r / (1.0 + r * r) ** 2
-    dphi2 = dphi1 * (1.0 + np.log(r)) + phi1 / r
-    values = np.concatenate([[0.0], phi2 * P - phi1 * Q])
-    derivs = np.concatenate([[0.0], dphi2 * P - dphi1 * Q])
-    return RadialProfile(grid=grid, values=values, derivs=derivs,
-                         A=float(2.0 * math.pi * (P[-1] + P_tail)), B=float(Q[-1] + Q_tail))
+    y, r, w = _panel_nodes()
+    phi1, phi2, _, _ = _kernel(np, r, y)
+    source = -_rhs(i, r) * r * r
+    integrands = np.array([phi1 * source, phi2 * source])
+    totals = np.sum(w * integrands, axis=-1)
+    starts = np.zeros((2, _PANELS + 2))
+    starts[:, 2:_PANELS + 1] = np.cumsum(totals[:, :-1], axis=1)
+    P_oo, Q_oo = math.fsum(totals[0].tolist()), math.fsum(totals[1].tolist())
+    starts[:, -1] = P_oo, Q_oo
+    # one node's column of the map at a time: element-wise products, which
+    # (unlike a first matmul or einsum) leave the peak resident memory alone
+    coefs = np.zeros((_ORDER + 1, 2, _PANELS + 2))
+    M = _antiderivative_map()
+    for j in range(_ORDER):
+        coefs[:, :, 1:-1] += M[:, j, None, None] * integrands[:, :, j]
+    return RadialProfile(coefs=coefs, starts=starts, A=2.0 * math.pi * P_oo, B=Q_oo)
 
 
 def ode_profile(i: int, r) -> tuple[np.ndarray, np.ndarray]:
@@ -239,23 +323,18 @@ def laplacian_profile(i: int, r, profile):
 def profile_integrals(profiles: dict) -> dict:
     """Plane integrals fixing the energy-expansion constants.
 
-    `profiles` maps {0: S0, 1: S1, 2: S2} to solved profiles; the radial
-    quadrature runs on the shortest of their grids.  Returns
+    `profiles` maps {0: S0, 1: S1, 2: S2} to solved profiles.  Returns
     I_S0 = int e^{-2T0} S0, I_T0sq = int e^{-2T0} T0^2 and A_check[i] =
     int of the distributional Laplacian of S_i, all over R^2 (2 pi r dr
-    measure).  The five integrands share one pass of `_radial_integrals`,
-    whose panels are the intervals of the shortest grid, where each solved
-    profile is one cubic.
+    measure), on the panels of `solve_profile` in y = log r, which carry
+    each integrand to both ends of the doubles.
     """
     profs = [profiles[k] for k in range(3)]
-    edges = min((pr.grid for pr in profs), key=lambda g: g[-1])
-
-    def weighted(r, w):
-        q = (1.0 + r * r) ** 2
-        return np.stack([s0_explicit(r) / q, np.log1p(r * r) ** 2 / q]
-                        + [laplacian_profile(k, r, pr) for k, pr in enumerate(profs)]) * r * w
-
-    panels, tails = _radial_integrals(weighted, edges, _GL_ORDER)
-    I_S0, I_T0sq, *A_check = (2.0 * math.pi * (np.sum(panels, axis=1) + tails)).tolist()
+    _, r, w = _panel_nodes()
+    r, w = r.ravel(), w.ravel() * r.ravel() ** 2
+    q = (1.0 + r * r) ** 2
+    integrands = np.array([s0_explicit(r) / q, np.log1p(r * r) ** 2 / q] + [
+        laplacian_profile(k, r, pr) for k, pr in enumerate(profs)])
+    I_S0, I_T0sq, *A_check = (2.0 * math.pi * np.sum(integrands * w, axis=1)).tolist()
     return {"I_S0": I_S0, "I_T0sq": I_T0sq, "A_check": A_check,
             "B": [pr.B for pr in profs], "A": [pr.A for pr in profs]}

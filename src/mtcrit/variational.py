@@ -32,7 +32,7 @@ import numpy as np
 from .domain import DomainModel, Shape
 from .numerics import CubicHermite, gauss_legendre
 from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily, eval_g, eval_psi_N
-from .profiles import B0_CONSTANT, RadialProfile
+from .profiles import B0_CONSTANT, RadialProfile, linear_combination
 
 __all__ = [
     "ExtremalRun",
@@ -423,22 +423,27 @@ def height_seed(data: AsymptoticData, gamma: float) -> tuple[float, float]:
     return x, L_seed
 
 
+def _profile_brackets(profiles: dict, gamma: float, A: float) -> RadialProfile:
+    """S0 / gamma^3 + S1 / gamma^5 + (A / gamma) S2, the profile part of the
+    model test function, as one profile."""
+    g = gamma
+    return linear_combination([(g**-3.0, profiles[0]), (g**-5.0, profiles[1]),
+                               (A / g, profiles[2])])
+
+
 def _height(data: AsymptoticData, profiles: dict, gamma: float):
     """The height function L -> U(0) - gamma of `model_testfun_energy`,
     with L = log(1/mu~^2).  Bracket (*) is log(1/(r^2+mu~^2)) + H~ at r = 0,
     H~ = log(1+mu~^2); at r = 0 each profile bracket (A_i/4pi)(L + H~_i) - B_i
     is -S_i(1/mu~) by the choice of H~_i."""
     g = gamma
-    A = float(data.A(g))
     centre = 4.0 * float(data.B(g)) / (g * g * math.e) * _concentration_integral(data)
-    S0, S1v, S2v = profiles[0], profiles[1], profiles[2]
+    brackets = _profile_brackets(profiles, g, float(data.A(g)))
 
     def height(L):
         inv_mu = math.exp(0.5 * L)
         tot = (L + math.log1p(math.exp(-L))) / g
-        tot -= S0(inv_mu) / g**3
-        tot -= S1v(inv_mu) / g**5
-        tot -= A / g * S2v(inv_mu)
+        tot -= brackets(inv_mu)
         tot += centre
         return tot - g
 
@@ -490,18 +495,15 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     H_m1 = math.log1p(mu2)
     H_i = [_bracket_const(P, 1.0 / mu, L) for P in (S0, S1v, S2v)]
 
-    # ||U||^2 = 2 pi int U'(r)^2 r dr with t = log(1 + r^2/mu^2), r dr = (r^2+mu^2)/2 dt;
-    # a panel ends where r/mu passes a profile's last node
+    # ||U||^2 = 2 pi int U'(r)^2 r dr with t = log(1 + r^2/mu^2), r dr = (r^2+mu^2)/2 dt
     t_max = math.log1p(1.0 / mu2)
     t_u = min(_NORM_UNIFORM_T, 0.5 * t_max)
     shrink = np.exp2(-40.0 * np.arange(1, _NORM_TAIL_PANELS + 1) / _NORM_TAIL_PANELS)
-    knots = [k for k in {math.log1p(P.grid[-1] ** 2) for P in (S0, S1v, S2v)} if k < t_max]
     edges = np.concatenate([np.linspace(0.0, t_u, _NORM_PANELS + 1),
-                            t_max - (t_max - t_u) * shrink, [t_max], knots])
-    t, w = gauss_legendre(np.sort(edges), _NORM_ORDER)
+                            t_max - (t_max - t_u) * shrink, [t_max]])
+    t, w = gauss_legendre(edges, _NORM_ORDER)
     z = np.sqrt(np.expm1(t))  # z = r/mu; mu_dUdr = mu U'(r) and r^2 + mu^2 = mu^2 (1 + z^2)
-    mu_dUdr = (-2.0 * z / (1.0 + z * z) / g + S0.derivative(z) / g**3
-               + S1v.derivative(z) / g**5 + A / g * S2v.derivative(z)
+    mu_dUdr = (-2.0 * z / (1.0 + z * z) / g + _profile_brackets(profiles, g, A).derivative(z)
                + mu * coef_q * q_prime(mu * z))
     norm_sq = math.pi * float(np.sum(w * mu_dUdr**2 * (1.0 + z * z)))
 
@@ -521,10 +523,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
             "S_int": S_int, "H_tilde": [H_m1] + H_i}
 
 
-def _bracket_const(P: RadialProfile, inv_mu: float, L: float) -> float | None:
+def _bracket_const(P: RadialProfile, inv_mu: float, L: float) -> float:
     """Constant harmonic correction zeroing S_i(r/mu)+(A_i/4pi)(L+H)-B_i at r=1,
-    reported as H_tilde.  None where 1/mu lies past the profile's grid: there
-    S_i is its own log asymptote and the constant is the rounding of L - L."""
-    if inv_mu >= P.grid[-1]:
-        return None
+    reported as H_tilde."""
     return 4.0 * math.pi / P.A * (P.B - P(inv_mu)) - L

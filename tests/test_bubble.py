@@ -180,29 +180,40 @@ def test_powerlog_shot_takes_the_scalar_path(monkeypatch):
     assert type(psi) is float and type(dpsi) is float
 
 
-@pytest.mark.parametrize("gamma,eps0,refused", [
+@pytest.mark.parametrize("gamma,eps0,past_old_r_max", [
     (8.722451639024623, 0.75, False), (8.722451639024625, 0.75, True),
     (7.962472532402823, 0.7, False), (7.962472532402824, 0.7, True),
 ])
 def test_check_ladder_refuses_what_verify_expansion_refuses(fam0, profiles, gamma, eps0,
-                                                            refused):
+                                                            past_old_r_max):
     # each pair straddles, by one float, the largest gamma whose expansion
-    # window fits in the profiles' grid (r_max = 2000): check_ladder reads
-    # the reach off the shot's own grid, so it refuses exactly the ladders
-    # on which verify_expansion raises
-    r_max = profiles[1].grid[-1]
+    # window fits inside r = 2000, where the profiles used to end and both
+    # refused the larger of the two; the profiles now reach oo, so both take
+    # each ladder, and the window's reach is still read off the shot's grid
     cap, _, (reach,) = _ladder_window([gamma], eps0)
     sol = shoot_bubble(fam0, 1, gamma, eps0=eps0)
     assert reach == np.max(sol.y_grid[np.log1p(sol.y_grid ** 2) <= cap])
-    assert (reach > r_max) == refused
-    if not refused:
-        check_ladder(fam0, 1, [gamma], eps0)
-        verify_expansion(sol, profiles, t_cap=cap)
-    else:
-        with pytest.raises(ValueError, match="eps0"):
-            check_ladder(fam0, 1, [gamma], eps0)
-        with pytest.raises(ValueError, match="grid mismatch"):
-            verify_expansion(sol, profiles, t_cap=cap)
+    assert (reach > 2000.0) == past_old_r_max
+    check_ladder(fam0, 1, [gamma], eps0)
+    rep = verify_expansion(sol, profiles, t_cap=cap)
+    assert np.isfinite(rep.sup_normalized) and np.isfinite(rep.r0_gap)
+
+
+def test_expansion_check_evaluates_the_profiles_where_its_sups_read(fam0, profiles):
+    # the model is built only on the nodes t <= t_cap at y >= 0.01, about 750
+    # of the 3001 at gamma = 5, and not on the whole shot
+    sol = shoot_bubble(fam0, 1, 5.0)
+    cap = _ladder_window([3.0, 4.0, 5.0], 0.75)[0]
+    sizes = []
+
+    def counting(P):
+        return lambda r: sizes.append(np.size(r)) or P(r)
+
+    rep = verify_expansion(sol, {i: counting(profiles[i]) for i in (1, 2)}, t_cap=cap)
+    y = sol.y_grid[1:]
+    read = np.count_nonzero((np.log1p(y * y) <= cap) & (y >= 0.01))
+    assert 700 < read < 800 and sizes == [read, read]
+    assert rep.sup_normalized == verify_expansion(sol, profiles, t_cap=cap).sup_normalized
 
 
 def test_check_ladder_refuses_gamma_past_the_budget(fam0):

@@ -20,7 +20,6 @@ from mtcrit import profiles as profiles_module
 from mtcrit import variational
 from mtcrit.cli import main
 from mtcrit.numerics import EXP_BUDGET
-from mtcrit.profiles import R_MAX_CEILING, R_MAX_FLOOR
 
 
 def _write(tmp_path, name, payload):
@@ -156,32 +155,33 @@ def test_missing_config(tmp_path, capsys):
 
 
 def test_profiles_rmax_validation(tmp_path, capsys):
-    cfg = _write(tmp_path, "cfg.json", {"r_max": 10})
+    # the curve files' geometric grid starts at 1e-6, so r_max must pass it
+    cfg = _write(tmp_path, "cfg.json", {"r_max": 1e-6})
     rc = main(["profiles", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     assert "r_max" in capsys.readouterr().err
 
 
 def test_profiles_rmax_below_floor_refused_before_solving(tmp_path, capsys, monkeypatch):
-    # solve_profile refuses r_max < R_MAX_FLOOR = 100; the command must refuse
-    # such a radius up front, not after the first solve.
+    # an r_max below the curve files' first geometric node, 1e-6, cannot
+    # carry their grid; the command refuses it up front, not after a solve
     solves = []
     monkeypatch.setattr(cli, "solve_profile", lambda *a, **k: solves.append(a))
-    cfg = _write(tmp_path, "cfg.json", {"r_max": 99})
+    cfg = _write(tmp_path, "cfg.json", {"r_max": 5e-7})
     rc = main(["profiles", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "field 'r_max'" in err and ">= 100" in err
+    assert "field 'r_max'" in err and "must exceed 1e-06" in err
     assert "Error:" not in err
     assert solves == []
 
 
 @pytest.mark.parametrize("r_max", [100, 500, 999, 1e60])
 def test_profiles_meet_the_verify_bounds_from_the_floor(tmp_path, r_max):
-    # The integrals carry their tails past r_max, so the bounds of verify's
-    # rows hold from r_max = 100 on (measured there: A_check within 1.5e-5
-    # relative, I_S0 within 1.2e-11, I_T0sq within 3.1e-10 of 2 pi) up to
-    # the ceiling R_MAX_CEILING = 1e60 (A_check within 7e-9 relative).
+    # r_max sets the extent of the curve files alone: the profiles and their
+    # integrals reach e^40 = 2.4e17 whatever it is, so the bounds of verify's
+    # rows hold for every r_max (measured: A_check within 3.3e-16 relative,
+    # I_S0 within 2.8e-17, I_T0sq equal to 2 pi in doubles)
     cfg = _write(tmp_path, "cfg.json", {"r_max": r_max})
     assert main(["profiles", "--config", cfg, "--out", str(tmp_path)]) == 0
     rep = json.loads((tmp_path / "profiles.json").read_text())
@@ -191,6 +191,34 @@ def test_profiles_meet_the_verify_bounds_from_the_floor(tmp_path, r_max):
     assert abs(ints["I_S0"]) < 1e-6
     assert ints["I_T0sq"] == pytest.approx(2.0 * math.pi, abs=1e-6)
     assert all(c["r_max"] == r_max for c in rep["constants"].values())
+
+
+@pytest.mark.parametrize("r_max", [100, 1000, 1e6])
+def test_profiles_A_check_is_A_at_every_r_max(tmp_path, r_max):
+    # at r_max = 100 the integrals used to stop 1.5e-5 short (relative)
+    cfg = _write(tmp_path, "cfg.json", {"r_max": r_max})
+    assert main(["profiles", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "profiles.json").read_text())
+    for i, got in enumerate(rep["integrals"]["A_check"]):
+        assert got == pytest.approx(rep["constants"][f"S{i}"]["A"], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r_max", [1e-3, 1e300])
+def test_profiles_r_max_sets_only_the_curve_files(tmp_path, r_max):
+    # the constants and integrals are the same at every r_max; the files run
+    # from 0 to r_max, finite where r^2 overflows
+    reports = []
+    for extent in (2000.0, r_max):
+        out = tmp_path / str(extent)
+        cfg = _write(tmp_path, "cfg.json", {"r_max": extent})
+        assert main(["profiles", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "profiles.json").read_text())
+        reports.append({k: rep[k] for k in ("integrals", "reference")})
+        for i in range(3):
+            rows = np.loadtxt(out / f"profile_S{i}.csv", delimiter=",", skiprows=1)
+            assert rows[0, 0] == 0.0 and rows[-1, 0] == extent
+            assert np.all(np.isfinite(rows))
+    assert reports[0] == reports[1]
 
 
 def test_bubble_bad_eps0(tmp_path, capsys):
@@ -384,8 +412,9 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
     ("bubble", {"gamma_ladder": ["3"]}, "gamma_ladder", "'3'"),
     ("bubble", {"gamma_ladder": 3.0}, "gamma_ladder", "list of numbers"),
     ("profiles", {"r_max": 10**400}, "r_max", "too large for a double"),
-    ("profiles", {"r_max": 1.000001e60}, "r_max", "<= 1e+60"),
-    ("profiles", {"r_max": 9.9e103}, "r_max", "<= 1e+60"),
+    ("profiles", {"r_max": 1e-6}, "r_max", "must exceed 1e-06"),
+    ("profiles", {"r_max": -2000}, "r_max", "must exceed 1e-06"),
+    ("profiles", {"r_max": 1.0000000000001e-06}, "r_max", "too close to 1e-06"),
     ("extremal", {"N": 10**400}, "N", "too large for a double"),
     ("bubble", {"gamma_ladder": [10**400]}, "gamma_ladder", "too large for a double"),
     ("criterion", {"domain": {"shape": "Rectangle", "width": "2"}}, "domain", "'2'"),
@@ -398,8 +427,9 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
     ("bubble", {"gamma_ladder": [4.0, 3.0, 4]}, "gamma_ladder", "4.0 and 4.0"),
     ("extremal", {"alpha_ladder": [0.9, 0.9000001]}, "alpha_ladder",
      "0.9 and 0.9000001 would both write extremal_alpha11.3097.csv"),
-    ("bubble", {"gamma_ladder": [9]}, "gamma_ladder", "eps0 = 0.75"),
-    ("bubble", {"gamma_ladder": [8.0], "eps0": 0.65}, "gamma_ladder", "eps0 = 0.65"),
+    # windows with no node at y >= 0.25, where the sups are taken
+    ("bubble", {"gamma_ladder": [0.5, 3.0]}, "gamma_ladder", "eps0 = 0.75"),
+    ("bubble", {"gamma_ladder": [0.8], "eps0": 0.9}, "gamma_ladder", "eps0 = 0.9"),
     ("bubble", {"gamma_ladder": [3, 27]}, "gamma_ladder", "exponent budget"),
     ("bubble", {"gamma_ladder": [0.5]}, "gamma_ladder", "holds no node"),
     # (1 - eps0) gamma^2 underflows to 0.0: no grid to look for a node on
@@ -432,8 +462,8 @@ POWERLOG_NO_A_BELOW_1 = {"kind": "PowerLog", "c_prime": 0.5, "a_prime": 1.0, "b_
         "step1-eps-1e-160", "step1-eps-1e-300",
         "eps0-string", "r-max-string", "step1-eps-bool",
         "model-gamma-string", "alpha-ladder-string", "gamma-ladder-string",
-        "gamma-ladder-number", "r-max-huge-int", "r-max-above-ceiling",
-        "r-max-nan-integrals",
+        "gamma-ladder-number", "r-max-huge-int", "r-max-at-the-grid-start",
+        "r-max-negative", "r-max-crowds-the-grid",
         "N-huge-int", "gamma-ladder-huge-int", "rectangle-width-string",
         "disk-width-string", "disk-height-bool", "disk-width-three",
         "gamma-ladder-same-file",
@@ -501,7 +531,7 @@ _SWEEP_FIELDS = {
     "bubble": {"gamma_ladder": _ladder(_near([1.0, math.sqrt(EXP_BUDGET)], [3.0, 5.0], 0.9)),
                "eps0": _near([math.sqrt(1.0 / math.e), 1.0], [0.75]),
                "N": st.sampled_from([1, 2])},
-    "profiles": {"r_max": _near([R_MAX_FLOOR, R_MAX_CEILING], [2000.0])},
+    "profiles": {"r_max": _near([1e-6], [2000.0, 1e60, 1.7e308])},
 }
 
 
@@ -621,6 +651,10 @@ def _assert_within(got, want, tolerances):
 # and 3.6e-5 for PowerLog) and the height root was bisected to adjacent
 # doubles in place of Brent's method to 1e-12 (mu moved by 1.8e-15 relative
 # and log_inv_mu2 by one ulp).
+# `normalized_gap`, `mu` and `log_inv_mu2` were re-recorded when the profiles
+# came to reach oo in place of their log asymptote past r = 2000, where ||U||^2
+# reads S_i' out to 1/mu~ = 1.6e5: the gap moved by 7.6e-4 (Zero) and 7.3e-4
+# (PowerLog) relative, mu by 5.8e-9 and log_inv_mu2 by 4.8e-10.
 # The `run` blocks were re-recorded when the ascent took an Anderson step;
 # EXTREMAL_FRANK_WOLFE keeps the plain ascent's runs, against which J may
 # only rise, by at most 1e-11 relative, the iterations must be fewer and
@@ -634,8 +668,8 @@ EXTREMAL_RECORDED = {
                 "iterations": 15, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.706317334575852},
-        "model_testfun": {"normalized_gap": -1.1042166455159526, "mu": 6.080615060469088e-06,
-                          "log_inv_mu2": 24.02080941168258, "I_z": 0.0027772142117486152},
+        "model_testfun": {"normalized_gap": -1.1050505898883995, "mu": 6.080615095405954e-06,
+                          "log_inv_mu2": 24.020809400191354, "I_z": 0.0027772142117486152},
     }),
     "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
                   "b_prime": 0.682198}, {
@@ -644,8 +678,8 @@ EXTREMAL_RECORDED = {
                 "iterations": 14, "saturated": True,
                 "termination": "rtol"},
         "step1": {"J": 13.823925505070326},
-        "model_testfun": {"normalized_gap": -1.142566884981673, "mu": 6.129216127670548e-06,
-                          "log_inv_mu2": 24.004887381922185, "I_z": 0.0035021576343725446},
+        "model_testfun": {"normalized_gap": -1.1434014196096034, "mu": 6.129216163339681e-06,
+                          "log_inv_mu2": 24.004887370283132, "I_z": 0.0035021576343725446},
     }),
 }
 EXTREMAL_FRANK_WOLFE = {
@@ -729,15 +763,20 @@ def _ladder(expansion, source, A, zeta):
 # (1.3e-10) and PowerLog at gamma = 5 (2.7e-10).  The source sup of Zero at
 # gamma = 4 was re-recorded (1.2e-3 relative lower) when the source window
 # became t <= (1 - eps0) gamma_min^2 = 2.25, where the gamma = 3 shot ends,
-# in place of t <= gamma_min = 3.
+# in place of t <= gamma_min = 3.  The Zero expansion sups at gamma = 4 and 5
+# were re-recorded when the profiles became Legendre series on panels in
+# log r, in place of cubic Hermite interpolation on 4000 nodes (1.2e-9 and
+# 1.4e-9 relative; S1 moved by up to 1.2e-10, the old interpolation error),
+# and so was the Zero source sup at gamma = 5, which moved by 1.0e-10
+# relative, 1.8e-10 from the value recorded before.
 BUBBLE_RECORDED = {
     "Zero": ({"kind": "Zero"}, _ladder(
         expansion=[(0.009868067474285546, 0.011684832715588279, 4.113922125440955e-05),
-                   (0.005201319923001137, 0.006505698679206147, 2.852313193499195e-08),
-                   (0.00327797571125979, 0.0041328318571733375, 2.7521706182222284e-10)],
+                   (0.0052013199138797326, 0.006505698679206147, 2.852313193499195e-08),
+                   (0.0032779757066078, 0.0041328318571733375, 2.7521706182222284e-10)],
         source=[(0.17751382686448544, 0.00012340980408660697),
                 (0.08509754946721039, 1.1253517452680622e-07),
-                (0.05038755176479231, 1.3887419924139958e-11)],
+                (0.05038755177366736, 1.3887419924139958e-11)],
         A=(0.0, 0.0, 0.0), zeta=(0.012345679012345678, 0.00390625, 0.0016))),
     "PowerLog": (EXTREMAL_RECORDED["PowerLog"][0], _ladder(
         expansion=[(0.1598791091835029, 0.011596713262062585, 5.208059875488158e-05),
@@ -843,7 +882,7 @@ def test_each_profile_is_solved_once(tmp_path, monkeypatch, cmd, payload, expect
     def counting(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        solves.append((bound.arguments["i"], bound.arguments["r_max"]))
+        solves.append(bound.arguments["i"])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_profile", counting)
@@ -852,6 +891,68 @@ def test_each_profile_is_solved_once(tmp_path, monkeypatch, cmd, payload, expect
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(solves) == expected, solves
     assert len(set(solves)) == len(solves), solves
+
+
+@pytest.mark.parametrize("payload", [{"gamma_ladder": [9]},
+                                     {"gamma_ladder": [8.0], "eps0": 0.65}])
+def test_bubble_reads_the_profiles_past_the_old_r_max(tmp_path, payload):
+    # the expansion windows of these ladders read S1 and S2 out to
+    # y = r/mu = 3287 and 7769, past r = 2000, where the profiles used to end
+    # and the ladders were refused; the profiles now reach oo
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main(["bubble", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "bubble.json").read_text())
+    sups = [r["sup_normalized"] for key in ("expansion", "source") for r in rep[key]]
+    assert len(sups) == 2 and all(math.isfinite(v) and v > 0.0 for v in sups)
+
+
+def test_default_extremal_writes_every_bracket_constant(tmp_path):
+    # at model_gamma = 5, 1/mu~ = 1.6e5 lies past r = 2000, where the profiles
+    # used to end and the report wrote null for H~_0, H~_1 and H~_2
+    assert main(["extremal", "--out", str(tmp_path)]) == 0
+    H = json.loads((tmp_path / "extremal.json").read_text())["model_testfun"]["H_tilde"]
+    assert len(H) == 4 and all(type(h) is float and math.isfinite(h) for h in H)
+
+
+def test_a_bubble_run_evaluates_the_sources_on_the_panels_and_the_checks_alone(
+        tmp_path, monkeypatch):
+    # Work pinned with no timing noise: the default ladder solves S1 and S2,
+    # each from its source at the panels' quadrature nodes, reads the
+    # sources again only at the source checks' nodes, and integrates an ODE
+    # only for its three shots.
+    real_solve, real_rhs, real_shot = (profiles_module.solve_profile, profiles_module._rhs,
+                                       bubble.solve_ivp)
+    panel_nodes = real_solve(1).metadata()["quadrature_nodes"]
+    solving, nodes, shots = [], {"solve": 0, "check": 0}, []
+
+    def solve(i):
+        solving.append(i)
+        try:
+            return real_solve(i)
+        finally:
+            solving.pop()
+
+    def rhs(i, r):
+        nodes["solve" if solving else "check"] += np.size(r)
+        return real_rhs(i, r)
+
+    def no_ode(*args, **kwargs):
+        raise AssertionError("a profile was integrated as an ODE")
+
+    monkeypatch.setattr(cli, "solve_profile", solve)
+    monkeypatch.setattr(profiles_module, "_rhs", rhs)
+    monkeypatch.setattr(profiles_module, "solve_ivp", no_ode)
+    monkeypatch.setattr(bubble, "solve_ivp", lambda *a, **k: shots.append(a) or real_shot(*a, **k))
+    assert main(["bubble", "--out", str(tmp_path)]) == 0
+    assert nodes["solve"] == 2 * panel_nodes
+    # S0, S1 and S2's Laplacians at each rung's source window
+    cap = bubble._ladder_window([3.0, 4.0, 5.0], 0.75)[1]
+    windows = 0
+    for g in (3.0, 4.0, 5.0):
+        y = bubble._shot_grid(g, 0.75)[1:]
+        windows += np.count_nonzero((np.log1p(y * y) <= cap) & (y >= bubble._Y_FLOOR))
+    assert nodes["check"] == 3 * windows
+    assert len(shots) == 3
 
 
 def test_verify(tmp_path, capsys):

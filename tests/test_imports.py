@@ -18,7 +18,9 @@ configures nothing cannot come back.  The lumped weights and the start
 profile of the radial ascent are read inside ``_ascend`` alone, so that
 its callers pass an integrand and never discretise it themselves, and
 neither ``_ascend`` nor any module function it reaches uses ``@``,
-``linalg``, ``stack`` or ``lstsq``.
+``linalg``, ``stack`` or ``lstsq``; nor does any line of
+``mtcrit.profiles``, which also uses no ``polynomial``, ``matmul`` or
+``dot``.
 """
 
 import ast
@@ -282,19 +284,32 @@ def _reachable(tree: ast.Module, root: str) -> list:
 
 
 _NOT_IN_THE_ASCENT = {"linalg", "stack", "lstsq"}
+# the profile solves and their evaluation: no dense linear algebra, and no
+# polynomial basis beyond the Gauss-Legendre rule of numerics._legendre_rule
+_NOT_IN_THE_PROFILES = _NOT_IN_THE_ASCENT | {"polynomial", "matmul", "dot"}
+
+
+def _dense_forms(tree: ast.AST, names: set) -> list:
+    """(line, what) of each `@`, each attribute in `names` and each import
+    of a module or name in `names` anywhere in `tree`."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            out.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts = [] if not isinstance(node, ast.ImportFrom) else (node.module or "").split(".")
+            parts += [p for alias in node.names for p in alias.name.split(".")]
+            out += [(node.lineno, p) for p in parts if p in names]
+    return out
 
 
 def _dense_algebra(tree: ast.Module, root: str) -> list:
     """(function, line, what) of each `@` and each `.linalg`, `.stack` or
     `.lstsq` in `root` and the module functions it reaches."""
-    out = []
-    for fn in _reachable(tree, root):
-        for node in ast.walk(fn):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                out.append((fn.name, node.lineno, "@"))
-            elif isinstance(node, ast.Attribute) and node.attr in _NOT_IN_THE_ASCENT:
-                out.append((fn.name, node.lineno, node.attr))
-    return out
+    return [(fn.name, line, what) for fn in _reachable(tree, root)
+            for line, what in _dense_forms(fn, _NOT_IN_THE_ASCENT)]
 
 
 def test_the_ascent_calls_no_dense_linear_algebra():
@@ -321,6 +336,33 @@ def test_dense_algebra_scan_catches_each_form():
     assert sorted(_dense_algebra(tree, "_ascend")) == [
         ("_ascend", 3, "@"), ("_ascend", 3, "stack"), ("deeper", 8, "linalg"),
         ("deeper", 8, "lstsq"), ("helper", 5, "@"), ("helper", 6, "linalg")]
+
+
+def test_the_profiles_call_no_dense_linear_algebra():
+    # The panel coefficients come from discrete orthogonality, summed by
+    # einsum: in a fresh process, after `import mtcrit.cli`, a first 2-D
+    # matmul raises the peak resident memory by 256 KB and einsum by nothing.
+    tree = ast.parse((SRC / "profiles.py").read_text(), filename="profiles.py")
+    assert _dense_forms(tree, _NOT_IN_THE_PROFILES) == []
+
+
+def test_profile_scan_catches_each_form():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "import numpy.polynomial.legendre as leg\n"
+        "from numpy import linalg\n"
+        "from numpy.polynomial import legendre\n"
+        "class P:\n"
+        "    def m(self, a):\n"
+        "        return a @ a, np.dot(a, a), a.dot(a)\n"
+        "def f(a):\n"
+        "    a @= a\n"
+        "    return np.linalg.solve(a, a), np.matmul(a, a), np.stack([a, a])\n"
+        "def g(c, x):\n"
+        "    return np.polynomial.legendre.legval(x, c), np.einsum('ij,j->i', c, x)\n")
+    assert sorted(_dense_forms(tree, _NOT_IN_THE_PROFILES)) == [
+        (2, "polynomial"), (3, "linalg"), (4, "polynomial"), (7, "@"), (7, "dot"), (7, "dot"),
+        (9, "@"), (10, "linalg"), (10, "matmul"), (10, "stack"), (12, "polynomial")]
 
 
 def _definitions(tree: ast.Module) -> list:

@@ -377,7 +377,7 @@ def test_gauss_legendre_matches_quad(f, edges):
 
 def test_gauss_legendre_builds_each_rule_once(monkeypatch, disk, data0):
     # robin_report asks for the 10-node moment rule and solve_profile for the
-    # 8-node rule twice, on every call; each is built once and kept
+    # 12-node rule, on every call; each is built once and kept
     built = []
 
     def spy(order):
@@ -390,7 +390,7 @@ def test_gauss_legendre_builds_each_rule_once(monkeypatch, disk, data0):
         for _ in range(2):
             robin_report(disk, data0.F)
             profiles.solve_profile(1)
-        assert sorted(built) == [8, 10]
+        assert sorted(built) == [10, 12]
         for order in built:
             nodes, weights = numerics._legendre_rule(order)
             assert not nodes.flags.writeable and not weights.flags.writeable
@@ -474,6 +474,7 @@ def test_hermite_matches_scipy_spline():
 
 def test_profile_float_path_is_the_array_path():
     prof = profiles.solve_profile(1)
-    r = np.concatenate([np.geomspace(1e-9, 1e5, 5000), prof.grid])
+    r = np.concatenate([np.geomspace(1e-9, 1e5, 5000), profiles.csv_grid(2000.0),
+                        [1e18, 1e300]])
     for fn in (prof, prof.derivative):
         assert _same_bits(np.array([fn(v) for v in r.tolist()]), fn(r))

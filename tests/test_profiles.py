@@ -10,7 +10,8 @@ import pytest
 from mtcrit import laplacian_profile, s0_explicit, solve_profile
 from mtcrit import profiles as profiles_module
 from mtcrit.numerics import CubicHermite
-from mtcrit.profiles import A_CONSTANTS, B0_CONSTANT, RadialProfile, _rhs, ode_profile
+from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, _rhs, csv_grid, linear_combination,
+                             ode_profile)
 
 
 def test_s0_explicit_values():
@@ -72,12 +73,23 @@ def test_s2_closed_form_solves_ode():
 
 
 def test_s2_ode_matches_closed_form(profiles):
-    # measured: 1.3e-11 on the profile, 2.2e-16 relative on A, 1.4e-15 on B
+    # measured: 6.8e-14 on the profile, 1.4e-16 relative on A, 5.6e-17 on B
     P = profiles[2]
     r = np.geomspace(1e-3, 1500.0, 4000)
-    assert np.max(np.abs(P(r) - _s2_closed(r))) < 2e-9
-    assert P.A == pytest.approx(2.0 * math.pi, rel=6e-9)
-    assert P.B == pytest.approx(0.5, abs=4e-8)
+    assert np.max(np.abs(P(r) - _s2_closed(r))) < 1e-12
+    assert P.A == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert P.B == pytest.approx(0.5, abs=1e-15)
+
+
+def test_s0_and_s2_match_their_closed_forms_to_the_end_of_the_doubles(profiles):
+    # the panels reach r = 2.4e17 and P, Q are constant past them, so S is
+    # exact on [0, oo) with no interpolation grid and no tail fit (measured,
+    # relative to 1 + |S|: 1.6e-13 for S0, 6.5e-14 for S2 and 1.0e-13 for S2')
+    r = np.geomspace(1e-6, 1e15, 20000)
+    for P, S in ((profiles[0], s0_explicit(r)), (profiles[2], _s2_closed(r))):
+        assert np.max(np.abs(P(r) - S) / (1.0 + np.abs(S))) < 1e-12
+    dS2 = r / (1.0 + r * r) ** 2 - r / (1.0 + r * r)
+    assert np.max(np.abs(profiles[2].derivative(r) - dS2) / (1.0 + np.abs(dS2))) < 1e-12
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
@@ -98,11 +110,33 @@ B1_REFERENCE = 27.3718139537433772041777503022
 @pytest.mark.parametrize("i,B", [(0, B0_CONSTANT), (1, B1_REFERENCE), (2, 0.5)])
 def test_profile_constants_are_exact(profiles, i, B):
     # A_i = 2 pi P(oo) and B_i = Q(oo) come from the variation-of-parameters
-    # sums themselves, with no fit to the tail (measured: A within 1.4e-15
-    # relative, B within 1.5e-14)
+    # sums themselves, with no fit to the tail (measured: A within 2.5e-16
+    # relative, B within 3.6e-15)
     P = profiles[i]
-    assert P.A == pytest.approx(A_CONSTANTS[i], rel=1e-12, abs=0.0)
-    assert P.B == pytest.approx(B, rel=1e-12, abs=0.0)
+    assert P.A == pytest.approx(A_CONSTANTS[i], rel=1e-13, abs=0.0)
+    assert P.B == pytest.approx(B, rel=0.0, abs=1e-14)
+
+
+def test_quadrature_nodes_are_the_panels():
+    # 116 panels of width 1/2 in y = log r over [-18, 40], 12 nodes each
+    meta = solve_profile(1).metadata()
+    assert meta["gl_order"] == 12 and meta["quadrature_nodes"] == 116 * 12
+    assert set(meta) == {"A", "B", "gl_order", "quadrature_nodes"}
+
+
+def test_solve_profile_evaluates_its_source_on_the_panel_nodes_alone(monkeypatch):
+    nodes = []
+    real = profiles_module._rhs
+
+    def counting(i, r):
+        nodes.append(np.size(r))
+        return real(i, r)
+
+    monkeypatch.setattr(profiles_module, "_rhs", counting)
+    for i in range(3):
+        nodes.clear()
+        P = solve_profile(i)
+        assert nodes == [P.metadata()["quadrature_nodes"]]
 
 
 def test_solve_profile_runs_no_ode(monkeypatch):
@@ -133,11 +167,11 @@ def test_ode_profile_refuses_radii_before_its_start():
 
 
 def test_profile_evaluators_give_floats_for_numbers_with_no_axes(profiles):
-    # the one scalar rule: a number with no axes takes the float path, on
-    # either side of r_max, and gives a Python float; libm and NumPy may
-    # round the logs and exponentials apart by an ulp
+    # the one scalar rule: a number with no axes takes the float path, before,
+    # inside and past the panels, and gives a Python float; libm and NumPy
+    # may round the logs and exponentials apart by an ulp
     P = profiles[1]
-    r = np.array([0.0, 0.7, 4.0, 1999.0, 2000.0, 2500.0, 1e6])
+    r = np.array([0.0, 1e-9, 0.7, 4.0, 1999.0, 2000.0, 2500.0, 1e6, 1e18])
     for f in (P, P.derivative, lambda x: laplacian_profile(1, x, P)):
         arr = f(r)
         for k, x in enumerate(r):
@@ -154,16 +188,19 @@ def test_profile_initial_conditions(profiles):
 
 
 def test_profile_tail_is_logarithmic(profiles):
+    # past the panels' end e^40 = 2.4e17, P and Q are P(oo) = A / 2 pi and
+    # Q(oo) = B, and S = phi2 P(oo) - phi1 Q(oo) is the log asymptote up to
+    # its O(log r / r^2) remainder, below an ulp there
     P = profiles[1]
-    r_max = P.grid[-1]
-    # beyond the grid the log asymptote continues the stored values
-    inside = P(r_max * 0.999999)
-    outside = P(r_max * 1.000001)
-    # the switch-over jump is S1's o(1) remainder at r_max (measured: 8.4e-3)
-    assert outside == pytest.approx(inside, abs=0.05)
-    far = P(10.0 * r_max)
-    predicted = P.A / (4.0 * math.pi) * math.log(1.0 / (10.0 * r_max) ** 2) + P.B
-    assert far == pytest.approx(predicted, rel=1e-12)
+    end = math.exp(40.0)
+    assert P(end * (1.0 + 1e-12)) == pytest.approx(P(end * (1.0 - 1e-12)), rel=1e-13, abs=0.0)
+    for r in (1e18, 1e30, 1e100, 1e300):
+        predicted = -P.A / (2.0 * math.pi) * math.log(r) + P.B
+        assert P(r) == pytest.approx(predicted, rel=1e-15, abs=0.0)
+        assert P.derivative(r) == pytest.approx(-P.A / (2.0 * math.pi) / r, rel=1e-15, abs=0.0)
+    # r^2 overflows from 1.3e154 on; S and S' stay finite to the largest double
+    S, dS = P(np.array([1e200, 1.7e308])), P.derivative(np.array([1e200, 1.7e308]))
+    assert np.all(np.isfinite(S)) and np.all(np.isfinite(dS))
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
@@ -181,6 +218,22 @@ def test_laplacian_profile_consistency(profiles, i):
         fd = -(d2 + d1 / r)  # -Laplacian convention
         val = laplacian_profile(i, np.array([r]), P)[0]
         assert val == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+def test_linear_combination_is_the_sum_of_its_profiles(profiles):
+    # the model test function's brackets S0/5^3 + S1/5^5 - 0.37 S2/5, read as
+    # one profile (measured: within 5.2e-14 of the largest term from r = 1e-6
+    # on, and within 2.4e-35 below it, where each S_i ~ r^4)
+    terms = [(5.0**-3, profiles[0]), (5.0**-5, profiles[1]), (-0.37 / 5.0, profiles[2])]
+    S = linear_combination(terms)
+    r = np.concatenate([[0.0], np.geomspace(1e-9, 1e20, 3000)])
+    for got, parts in ((S(r), [c * P(r) for c, P in terms]),
+                       (S.derivative(r), [c * P.derivative(r) for c, P in terms])):
+        scale = np.max(np.abs(parts), axis=0)
+        assert np.all(np.abs(got - np.sum(parts, axis=0)) <= 1e-13 * scale + 1e-30)
+    assert S.A == pytest.approx(sum(c * P.A for c, P in terms), rel=1e-15, abs=0.0)
+    assert S.B == pytest.approx(sum(c * P.B for c, P in terms), rel=1e-15, abs=0.0)
+    assert S(3.0) == S(np.array([3.0]))[0]
 
 
 def test_laplacian_profile_requires_profile():
@@ -204,21 +257,26 @@ def test_profile_integrals_identities(integrals):
 
 
 def test_A_check_integrates_past_r_max(integrals):
-    # the Laplacian integrals carry the tail past r_max that I_S0 and I_T0sq
-    # carry (measured: 5.3e-10 relative on A_1, at most 2e-11 on A_0 and A_2;
-    # 1.4e-3 on A_1 without the tail)
+    # the Laplacian integrals run on the profiles' panels out to e^40, where
+    # the integrands are below 1e-24 (measured: within 3.3e-16 relative)
     for got, want in zip(integrals["A_check"], A_CONSTANTS):
-        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def test_solve_profile_refuses_r_max_below_the_floor():
-    with pytest.raises(ValueError, match="r_max must be at least 100"):
-        solve_profile(0, r_max=profiles_module.R_MAX_FLOOR * (1.0 - 1e-12))
+@pytest.mark.parametrize("r_max,named", [
+    (1e-6, "must exceed 1e-06"), (0.0, "must exceed"), (-5.0, "must exceed"),
+    (math.nextafter(1e-6, 1.0), "too close to 1e-06"), (1e-6 * (1.0 + 1e-13), "too close"),
+])
+def test_csv_grid_refuses_r_max_that_cannot_carry_it(r_max, named):
+    with pytest.raises(ValueError, match=named):
+        csv_grid(r_max)
 
 
-def test_solve_profile_refuses_r_max_above_the_ceiling():
-    with pytest.raises(ValueError, match="at most 1e\\+60"):
-        solve_profile(0, r_max=profiles_module.R_MAX_CEILING * (1.0 + 1e-12))
+@pytest.mark.parametrize("r_max", [1e-6 * (1.0 + 1e-9), 1e-3, 2000.0, 1.7e308])
+def test_csv_grid_runs_from_0_to_r_max(r_max):
+    grid = csv_grid(r_max)
+    assert grid[0] == 0.0 and grid[1] == 1e-6 and grid[-1] == r_max
+    assert grid.size == 4001 and np.all(np.diff(grid) > 0.0)
 
 
 def test_solve_profile_rejects_bad_index():
@@ -231,21 +289,23 @@ def test_csv_round_trip(tmp_path, profiles):
     profiles[0].to_csv(str(path))
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "r,S,dS_dr"
-    # every 5th of the 4001 nodes, the last one among them
-    assert len(profiles[0].grid) == 4001 and len(rows) == 1 + 801
+    # every 5th of the 4001 nodes of csv_grid(2000), the last one among them
+    assert len(rows) == 1 + 801
+    assert [float(x) for x in rows[-1].split(",")] == [
+        2000.0, profiles[0](2000.0), profiles[0].derivative(2000.0)]
 
 
 @pytest.mark.parametrize("r_max", [100.0, 2000.0, 4000.0])
-def test_csv_rebuilds_the_profile_by_hermite_interpolation(tmp_path, r_max):
+def test_csv_rebuilds_the_profile_by_hermite_interpolation(tmp_path, profiles, r_max):
     # measured: at most 7.8e-8 absolute up to r_max = 4000 (S1 the largest);
     # the error grows with r_max, to 1.9e-7 at 1e6
+    grid = csv_grid(r_max)
     for i in range(3):
-        P = solve_profile(i, r_max=r_max)
         path = tmp_path / f"s{i}.csv"
-        P.to_csv(str(path))
+        profiles[i].to_csv(str(path), r_max)
         r, S, dS_dr = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-        rebuilt = CubicHermite(r, S, dS_dr)(P.grid)
-        assert np.max(np.abs(rebuilt - P.values)) < 1e-7, i
+        rebuilt = CubicHermite(r, S, dS_dr)(grid)
+        assert np.max(np.abs(rebuilt - profiles[i](grid))) < 1e-7, i
 
 
 @pytest.mark.parametrize("cut", [0, 2], ids=["on-stride", "off-stride"])
@@ -253,8 +313,8 @@ def test_csv_rows_are_the_full_files_rows(tmp_path, monkeypatch, profiles, cut):
     # the kept rows are the bytes of the stride-1 file at nodes 0, 5, 10, ...
     # and at the last node, also where (n - 1) % 5 != 0
     P = profiles[1]
-    n = len(P.grid) - cut
-    P = RadialProfile(grid=P.grid[:n], values=P.values[:n], derivs=P.derivs[:n], A=P.A, B=P.B)
+    monkeypatch.setattr(profiles_module, "_CSV_NODES", 4000 - cut)
+    n = 4001 - cut
     P.to_csv(str(tmp_path / "kept.csv"))
     monkeypatch.setattr(profiles_module, "HERMITE_STRIDE", 1)
     P.to_csv(str(tmp_path / "full.csv"))

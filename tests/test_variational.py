@@ -206,17 +206,32 @@ def test_model_testfun_sanity(disk, fam0, data0, profiles):
     assert rel / abs(out["log_inv_mu2_closed"]) < 2e-3
 
 
-def test_bracket_constants_past_the_grid_are_null(disk, fam0, data0, profiles):
-    # At gamma = 5, 1/mu~ = 1.6e5 lies past r_max = 2000, where S_i is its own
-    # log asymptote and a bracket constant would be the rounding of L - L
-    # (0.0 or 3.55e-15); at gamma = 2, 1/mu~ = 6.2 lies inside the grid.
-    far = model_testfun_energy(disk, fam0, data0, profiles, 5.0)["H_tilde"]
-    assert far[1:] == [None, None, None]
-    assert far[0] == pytest.approx(3.697387951292009e-11, rel=1e-12)
-    # (recorded with the height root bisected to adjacent doubles)
+def test_bracket_constants_past_the_old_grid_are_numbers(disk, fam0, data0, profiles):
+    # At gamma = 5, 1/mu~ = 1.6e5 lies past r_max = 2000, where the profiles
+    # used to end in their own log asymptote and the report wrote null for
+    # each bracket constant.  The profiles now reach oo, so H~_i is S_i's
+    # o(1) remainder at 1/mu~ (measured: 2.2e-8, 1.5e-6 and 7.4e-11), held
+    # here to the closed forms of S0 and S2 in 40 digits.  B_i - S_i(1/mu~)
+    # and L = 24.02 cancel to these remainders, so each is good to a few ulp
+    # of L (measured: 2.9e-15 and 5.5e-15 absolute).
+    out = model_testfun_energy(disk, fam0, data0, profiles, 5.0)
+    H = out["H_tilde"]
+    assert all(type(h) is float and 0.0 < h < 1e-5 for h in H)
+    mpmath.mp.dps = 40
+    L = mpmath.mpf(out["log_inv_mu2"])
+    z2 = mpmath.exp(L)  # (1/mu~)^2
+    T = mpmath.log1p(z2)
+    S0 = -T + 2 * z2 / (1 + z2) - T * T / 2 + (1 - z2) / (1 + z2) * mpmath.polylog(2, -z2)
+    assert H[1] == pytest.approx(float(mpmath.pi ** 2 / 6 + 2 - S0 - L), rel=0.0, abs=1e-14)
+    assert H[3] == pytest.approx(float(1 / (1 + z2) + mpmath.log1p(1 / z2)), rel=0.0,
+                                 abs=1e-14)
+    assert H[0] == pytest.approx(3.697387993779522e-11, rel=1e-12, abs=0.0)
+    # at gamma = 2, 1/mu~ = 6.2 (recorded with the height root bisected to
+    # adjacent doubles, and again on the panel profiles: moved by at most
+    # 2.4e-10 relative)
     near = model_testfun_energy(disk, fam0, data0, profiles, 2.0)["H_tilde"]
-    assert near == [0.025962328128538652, 0.6203235947990664, 2.2500000156138174,
-                    0.05159053281445036]
+    assert near == [0.02596232812862712, 0.6203235948111301, 2.2500000156214286,
+                    0.05159053280232584]
 
 
 @pytest.mark.parametrize("gamma", [3.0, 5.0])
@@ -289,9 +304,12 @@ def test_height_bracket_without_a_sign_change_raises(monkeypatch, disk, fam0, da
 
 
 GAP_GAMMAS = [3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0]
-# the converged normalized gap at gamma = 5, 10, 15, 20, 25
-GAP_CONVERGED = {"Zero": [-1.10422, -0.27289, -0.12098, -0.06795, -0.04343],
-                 "PowerLog": [-1.12423, -0.27489, -0.12153, -0.06817, -0.04354]}
+# the converged normalized gap at gamma = 5, 10, 15, 20, 25, re-recorded when
+# the profiles came to reach oo; on profiles that ended in their log asymptote
+# past r = 2000 they were -1.10422, -0.27289, -0.12098, -0.06795, -0.04343
+# (Zero) and -1.12423, -0.27489, -0.12153, -0.06817, -0.04354 (PowerLog)
+GAP_CONVERGED = {"Zero": [-1.10505, -0.27319, -0.12119, -0.06812, -0.04358],
+                 "PowerLog": [-1.12506, -0.27519, -0.12173, -0.06834, -0.04369]}
 
 
 def _gaps(disk, fam, profiles):
