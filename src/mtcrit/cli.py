@@ -362,16 +362,16 @@ def _verify_rows(seed: int) -> list:
     profiles = {i: solve_profile(i) for i in range(3)}
     ints = profile_integrals(profiles)
     for i, (got, want) in enumerate(zip(ints["A_check"], A_CONSTANTS)):
-        row(f"NoteSi A_{i}", abs(got - want) < 5e-3 * want, f"{got:.6f} vs {want:.6f}")
-    row("I_S0 = 0", abs(ints["I_S0"]) < 1e-6, f"{ints['I_S0']:.2e}")
-    row("I_T0sq = 2 pi", abs(ints["I_T0sq"] - 2 * math.pi) < 1e-6, f"{ints['I_T0sq']:.9f}")
+        row(f"NoteSi A_{i}", abs(got - want) < 1e-13 * want, f"{got:.6f} vs {want:.6f}")
+    row("I_S0 = 0", abs(ints["I_S0"]) < 1e-14, f"{ints['I_S0']:.2e}")
+    row("I_T0sq = 2 pi", abs(ints["I_T0sq"] - 2 * math.pi) < 1e-13, f"{ints['I_T0sq']:.9f}")
     rprobe = np.geomspace(1e-3, 100.0, 500)
     gap = float(np.max(np.abs(profiles[0](rprobe) - s0_explicit(rprobe))))
-    row("S0 quadrature vs explicit", gap < 1e-7, f"sup={gap:.2e}")
+    row("S0 quadrature vs explicit", gap < 1e-12, f"sup={gap:.2e}")
     # S1 has no closed form: hold the quadrature to the ODE integrator
     rprobe = np.geomspace(1e-3, 1000.0, 400)
     gap = float(np.max(np.abs(profiles[1](rprobe) - ode_profile(1, rprobe)[0])))
-    row("S1 quadrature vs ODE", gap < 1e-7, f"sup={gap:.2e}")
+    row("S1 quadrature vs ODE", gap < 1e-8, f"sup={gap:.2e}")
     return rows
 
 

@@ -13,7 +13,6 @@
   0 <= T <= EXP_BUDGET; `series_tail` and `power_term` on floats and
   arrays, the ratio on floats.
 * `li2_neg`: the dilogarithm Li2(-x), x >= 0.
-* `CubicHermite`: piecewise cubic Hermite interpolation and its slope.
 * `left_sum`: a sum added left to right, the one float reduction of the
   toolkit in place of the builtin `sum`.
 
@@ -45,7 +44,6 @@ __all__ = [
     "series_tail",
     "term_over_tail",
     "li2_neg",
-    "CubicHermite",
     "left_sum",
 ]
 
@@ -450,36 +448,3 @@ def li2_neg(x):
     out[big] = -math.pi ** 2 / 6.0 - 0.5 * lx * lx - _li2_unit(np.log1p(1.0 / xb))
     return out
 
-
-# -- cubic Hermite interpolation ------------------------------------------------
-
-
-class CubicHermite:
-    """The piecewise cubic with values y and slopes dydx at the increasing
-    knots x; outside [x[0], x[-1]] the end cubics are extended.  The
-    coefficients and the evaluation order are those of scipy's
-    CubicHermiteSpline."""
-
-    def __init__(self, x, y, dydx):
-        self.x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        dydx = np.asarray(dydx, dtype=float)
-        dx = np.diff(self.x)
-        slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        self.c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
-
-    def _local(self, r):
-        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, len(self.x) - 2)
-        return i, r - self.x[i]
-
-    def __call__(self, r):
-        i, s = self._local(r)
-        c0, c1, c2, c3 = (c[i] for c in self.c)
-        s2 = s * s
-        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
-
-    def derivative(self, r):
-        i, s = self._local(r)
-        c0, c1, c2, _ = (c[i] for c in self.c)
-        return c2 + (2 * c1) * s + (3 * c0) * (s * s)

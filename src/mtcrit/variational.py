@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainModel, Shape
-from .numerics import CubicHermite, gauss_legendre
+from .numerics import CHUNK, gauss_legendre
 from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily, eval_g, eval_psi_N
 from .profiles import B0_CONSTANT, RadialProfile, linear_combination
 
@@ -71,17 +71,14 @@ _MAX_LOG_INV_MU2 = -math.log(sys.float_info.min)
 # model_testfun_energy: ||U||^2 by _NORM_ORDER Gauss-Legendre nodes a panel in
 # t = log(1 + r^2/mu~^2), on _NORM_PANELS uniform panels up to t_u = min(
 # _NORM_UNIFORM_T, t_max/2), then _NORM_TAIL_PANELS whose ends close in on t_max
-# geometrically, to 2^-40 (t_max - t_u), and one more.  _green_source: q'/rho
-# in X = log(1/rho) at 0, at _Q_GEOMETRIC geometric nodes on [1e-12, 1] and at
-# _Q_UNIFORM uniform ones on [1, _Q_X_MAX], with _Q_ORDER nodes a panel.
+# geometrically, to 2^-40 (t_max - t_u), and one more.  _q_prime: _Q_ORDER
+# nodes a panel in X = log(1/rho), between those nodes and on _Q_TAIL past them.
 _NORM_ORDER = 20
 _NORM_PANELS = 150
 _NORM_UNIFORM_T = 30.0
 _NORM_TAIL_PANELS = 40
-_Q_GEOMETRIC = 100
-_Q_UNIFORM = 400
-_Q_X_MAX = 100.0
 _Q_ORDER = 8
+_Q_TAIL = 20
 
 
 def make_grid(n: int = 2000) -> np.ndarray:
@@ -380,26 +377,24 @@ def _concentration_integral(data: AsymptoticData) -> float:
     return math.gamma(2.0 + data.kappa) / 4.0
 
 
-def _green_source(data: AsymptoticData):
-    """q(0) and q' for q(x) = int_Omega G_x(y) F(4 pi G_0(y)) dy, x radial.
-
-    On the disk q'' + q'/rho = -F(2 log(1/rho)), q'(0) = 0, q(1) = 0, and
-    q(0) is `_concentration_integral`.  With X = log(1/rho), q'/rho =
-    -e^{2X} int_X^oo F(2Y) e^{-2Y} dY = -e^{2X} Gamma(kappa + 1, 2X)/2: a
-    CubicHermite in X through cumulative Gauss-Legendre sums from _Q_X_MAX
-    down (the rest past it is its leading term F(2X) e^{-2X}/2), with slopes
-    F(2X) + 2 q'/rho from the ODE.  q' is returned as a function of the
-    radius; past _Q_X_MAX it reads the table's end.
+def _q_prime(data: AsymptoticData, rho: np.ndarray) -> np.ndarray:
+    """q' at the increasing radii rho in (0, 1) of the Green convolution
+    q(x) = int_Omega G_x(y) F(4 pi G_0(y)) dy, x radial.  On the disk
+    q'' + q'/rho = -F(2 log(1/rho)) and q'(0) = 0, so with X = log(1/rho),
+    q' = -(1/rho) int_X^oo F(2Y) e^{-2Y} dY = -Gamma(kappa + 1, 2X)/(2 rho).
+    The integral is a reverse cumulative sum of _Q_ORDER-node Gauss-Legendre
+    panels between consecutive X and _Q_TAIL unit panels past the largest,
+    beyond which e^{-2Y} has fallen by e^-40; F gets at most CHUNK nodes a call.
     """
-    X = np.concatenate([[0.0], np.geomspace(1e-12, 1.0, _Q_GEOMETRIC),
-                        np.linspace(1.0, _Q_X_MAX, _Q_UNIFORM)[1:]])
-    Y, W = gauss_legendre(X, _Q_ORDER)
-    panels = np.sum(W * data.F(2.0 * Y) * np.exp(-2.0 * Y), axis=1)
-    rest = np.append(np.cumsum(panels[::-1])[::-1], 0.0)  # int_X^oo F(2Y) e^{-2Y} dY
-    rest += 0.5 * data.F(2.0 * _Q_X_MAX) * math.exp(-2.0 * _Q_X_MAX)
-    w = -np.exp(2.0 * X) * rest
-    table = CubicHermite(X, w, data.F(2.0 * X) + 2.0 * w)
-    return _concentration_integral(data), lambda r: r * table(np.minimum(-np.log(r), _Q_X_MAX))
+    X = -np.log(rho[::-1])
+    edges = np.concatenate([X, X[-1] + np.arange(1.0, _Q_TAIL + 1.0)])
+    rows = CHUNK // _Q_ORDER
+    rules = (gauss_legendre(edges[lo:lo + rows + 1], _Q_ORDER)
+             for lo in range(0, edges.size - 1, rows))
+    panels = np.concatenate([np.sum(W * data.F(2.0 * Y) * np.exp(-2.0 * Y), axis=1)
+                             for Y, W in rules])
+    rest = np.cumsum(panels[::-1])[-rho.size:]  # int_X^oo F(2Y) e^{-2Y} dY, X falling
+    return -rest / rho
 
 
 def height_seed(data: AsymptoticData, gamma: float) -> tuple[float, float]:
@@ -484,7 +479,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     A = float(data.A(g))
     Bc = float(data.B(g))
     S0, S1v, S2v = profiles[0], profiles[1], profiles[2]
-    S_int, q_prime = _green_source(data)
+    S_int = _concentration_integral(data)
     coef_q = 4.0 * Bc / (g * g * math.e)
 
     x, L_seed = height_seed(data, g)
@@ -504,7 +499,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     t, w = gauss_legendre(edges, _NORM_ORDER)
     z = np.sqrt(np.expm1(t))  # z = r/mu; mu_dUdr = mu U'(r) and r^2 + mu^2 = mu^2 (1 + z^2)
     mu_dUdr = (-2.0 * z / (1.0 + z * z) / g + _profile_brackets(profiles, g, A).derivative(z)
-               + mu * coef_q * q_prime(mu * z))
+               + mu * coef_q * _q_prime(data, mu * z.ravel()).reshape(z.shape))
     norm_sq = math.pi * float(np.sum(w * mu_dUdr**2 * (1.0 + z * z)))
 
     I_z = g**-4.0 + 0.5 * A + 4.0 * Bc * S_int / (g**3 * math.e)

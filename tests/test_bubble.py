@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from mtcrit import perturbation
 from mtcrit import (
@@ -21,7 +22,6 @@ from mtcrit import (
 )
 from mtcrit import bubble
 from mtcrit.bubble import OrderUnderflowError, _ladder_window, check_ladder
-from mtcrit.numerics import CubicHermite
 
 # the PowerLog family of the recorded bubble and extremal reports in test_cli
 RECORDED_POWERLOG = PerturbationFamily(kind="PowerLog", c_prime=1.256171, a_prime=2.593292,
@@ -132,7 +132,7 @@ def test_csv_rebuilds_the_shot_by_hermite_interpolation(tmp_path, fam, gamma):
     path = tmp_path / "bubble.csv"
     sol.to_csv(str(path))
     r, B, dB_dr, _ = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-    rebuilt = CubicHermite(r, B, dB_dr)(sol.y_grid * sol.mu)
+    rebuilt = CubicHermiteSpline(r, B, dB_dr)(sol.y_grid * sol.mu)
     assert np.max(np.abs(rebuilt / sol.values - 1.0)) < 1e-8
 
 

@@ -19,7 +19,7 @@ from mtcrit import PerturbationFamily, bubble, cli, domain
 from mtcrit import profiles as profiles_module
 from mtcrit import variational
 from mtcrit.cli import main
-from mtcrit.numerics import EXP_BUDGET
+from mtcrit.numerics import CHUNK, EXP_BUDGET
 
 
 def _write(tmp_path, name, payload):
@@ -187,9 +187,9 @@ def test_profiles_meet_the_verify_bounds_from_the_floor(tmp_path, r_max):
     rep = json.loads((tmp_path / "profiles.json").read_text())
     ints = rep["integrals"]
     for got, want in zip(ints["A_check"], profiles_module.A_CONSTANTS):
-        assert got == pytest.approx(want, rel=5e-3)
-    assert abs(ints["I_S0"]) < 1e-6
-    assert ints["I_T0sq"] == pytest.approx(2.0 * math.pi, abs=1e-6)
+        assert got == pytest.approx(want, rel=1e-13)
+    assert abs(ints["I_S0"]) < 1e-14
+    assert ints["I_T0sq"] == pytest.approx(2.0 * math.pi, abs=1e-13)
     assert all(c["r_max"] == r_max for c in rep["constants"].values())
 
 
@@ -964,6 +964,51 @@ def test_verify(tmp_path, capsys):
     assert rep["all_pass"] is True
     assert rep["seed"] == 3
     assert set(rep) == {"rows", "all_pass", "seed", "config_hash", "version"}
+
+
+def test_verify_fails_profiles_off_by_a_part_in_1e10(tmp_path, monkeypatch, capsys):
+    # The profile rows hold the profiles to their measured accuracy (A_check
+    # within 2.8e-16 relative, S0 within 1.75e-13 of its closed form), so
+    # profiles scaled by 1 + 1e-10 fail where bounds of 5e-3 and 1e-7 passed
+    # them.  A_0 stays, its integral being 8 I_S0 = 0 in doubles, and so does
+    # S1, held to the ODE integrator's 1e-8.
+    real = cli.solve_profile
+    monkeypatch.setattr(cli, "solve_profile", lambda i: profiles_module.linear_combination(
+        [(1.0 + 1e-10, real(i))]))
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    failed = ["NoteSi A_1", "NoteSi A_2", "S0 quadrature vs explicit"]
+    rep = json.loads((tmp_path / "verify.json").read_text())
+    assert [r["name"] for r in rep["rows"] if not r["pass"]] == failed
+    out = capsys.readouterr().out
+    assert out.count(" FAIL ") == len(failed)
+    assert all(re.search(rf"^{re.escape(name)} +FAIL ", out, re.M) for name in failed)
+
+
+def test_an_extremal_run_sums_q_prime_at_the_norm_nodes(tmp_path, monkeypatch):
+    # Work pinned with no timing noise: the model test function takes q' at
+    # its (150 + 40 + 1) * 20 = 3820 norm nodes, from F on the 8 nodes of
+    # each of the 3819 panels between them and of the 20 unit panels past
+    # them, at most CHUNK nodes a call.
+    real = variational._q_prime
+    radii, nodes = [], []
+
+    class Counting:
+        def __init__(self, data):
+            self.data = data
+
+        def F(self, t):
+            nodes.append(np.size(t))
+            return self.data.F(t)
+
+    def q_prime(data, rho):
+        radii.append(rho.size)
+        return real(Counting(data), rho)
+
+    monkeypatch.setattr(variational, "_q_prime", q_prime)
+    assert main(["extremal", "--out", str(tmp_path)]) == 0
+    assert radii == [3820]
+    assert sum(nodes) == 8 * 3839 == 30712
+    assert max(nodes) <= CHUNK
 
 
 @pytest.mark.parametrize("cmd,expected", [

@@ -1,6 +1,6 @@
 """The kernels of mtcrit.numerics against their oracles: scipy for the
-integrator, Nelder-Mead, Gauss-Legendre and the Hermite spline; mpmath
-for the dilogarithm.  scipy and mpmath are test dependencies only."""
+integrator, Nelder-Mead and Gauss-Legendre; mpmath for the dilogarithm.
+scipy and mpmath are test dependencies only."""
 
 import math
 import re
@@ -9,7 +9,6 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.interpolate
 import scipy.optimize
 import scipy.special
 from hypothesis import example, given, settings
@@ -455,21 +454,7 @@ def test_li2_branches_on_their_own_points_are_the_where_form(x):
     assert _same_bits(numerics.li2_neg(x), _li2_neg_where(x))
 
 
-# -- cubic Hermite --------------------------------------------------------------
-
-
-def test_hermite_matches_scipy_spline():
-    # values and slopes within 2 ulp of the largest |value| and |slope|
-    # (measured: bit-identical, with the same operations in the same order)
-    rng = np.random.default_rng(5)
-    x = np.unique(np.concatenate([[0.0], np.geomspace(1e-6, 2000.0, 4000)]))
-    y, dy = np.sin(x) * np.log1p(x), np.cos(x) * np.log1p(x) + np.sin(x) / (1.0 + x)
-    ours = numerics.CubicHermite(x, y, dy)
-    ref = scipy.interpolate.CubicHermiteSpline(x, y, dy)
-    r = np.concatenate([rng.uniform(0.0, 2000.0, 5000), x, [-1.0, 2001.0]])
-    assert np.max(np.abs(ours(r) - ref(r))) <= 2 * EPS * np.max(np.abs(y))
-    slope = ref.derivative()(r)
-    assert np.max(np.abs(ours.derivative(r) - slope)) <= 2 * EPS * np.max(np.abs(slope))
+# -- profiles on floats and arrays ---------------------------------------------
 
 
 def test_profile_float_path_is_the_array_path():

@@ -6,10 +6,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 from mtcrit import laplacian_profile, s0_explicit, solve_profile
 from mtcrit import profiles as profiles_module
-from mtcrit.numerics import CubicHermite
 from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, _rhs, csv_grid, linear_combination,
                              ode_profile)
 
@@ -304,7 +304,7 @@ def test_csv_rebuilds_the_profile_by_hermite_interpolation(tmp_path, profiles, r
         path = tmp_path / f"s{i}.csv"
         profiles[i].to_csv(str(path), r_max)
         r, S, dS_dr = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-        rebuilt = CubicHermite(r, S, dS_dr)(grid)
+        rebuilt = CubicHermiteSpline(r, S, dS_dr)(grid)
         assert np.max(np.abs(rebuilt - profiles[i](grid))) < 1e-7, i
 
 
