@@ -7,7 +7,9 @@
 * `minimize`: the Nelder-Mead simplex search of scipy.optimize.minimize
   (non-adaptive coefficients, the same initial simplex and stop rule).
 * `gauss_legendre`: the nodes and weights of composite Gauss-Legendre
-  quadrature, one row of each per panel.
+  quadrature, one row of each per panel, for the orders 8, 10, 12, 20
+  and 48, whose rules are held as correctly rounded literals (no
+  eigenvalue solve, so no LAPACK call and no numpy.polynomial).
 * `series_tail`, `power_term` and `term_over_tail`: sum_{k>N} T^k/k!,
   T^k/k! and the ratio of the two, for integer orders and
   0 <= T <= EXP_BUDGET; `series_tail` and `power_term` on floats and
@@ -30,7 +32,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "CHUNK",
@@ -295,10 +296,85 @@ def minimize(fun, x0, xatol: float, fatol: float, maxiter: int) -> MinimizeResul
 # -- Gauss-Legendre -------------------------------------------------------------
 
 
+# The half-rules of the n-node Gauss-Legendre rules the toolkit uses: the
+# positive nodes x, ascending, each with its weight 2 / ((1 - x^2) P_n'(x)^2).
+# Each literal is the double nearest the true value, from Newton's method on
+# P_n in 50-digit mpmath; tests/test_numerics.py holds each to 0.5 ulp.  Every
+# n is even and the rules are symmetric, so a half holds the whole rule.
+_HALF_RULES = {
+    8: (
+        (0.1834346424956498, 0.362683783378362),
+        (0.525532409916329, 0.31370664587788727),
+        (0.7966664774136267, 0.22238103445337448),
+        (0.9602898564975363, 0.10122853629037626),
+    ),
+    10: (
+        (0.14887433898163122, 0.29552422471475287),
+        (0.4333953941292472, 0.26926671930999635),
+        (0.6794095682990244, 0.21908636251598204),
+        (0.8650633666889845, 0.1494513491505806),
+        (0.9739065285171717, 0.06667134430868814),
+    ),
+    12: (
+        (0.1252334085114689, 0.24914704581340277),
+        (0.3678314989981802, 0.2334925365383548),
+        (0.5873179542866175, 0.20316742672306592),
+        (0.7699026741943047, 0.16007832854334622),
+        (0.9041172563704749, 0.10693932599531843),
+        (0.9815606342467192, 0.04717533638651183),
+    ),
+    20: (
+        (0.07652652113349734, 0.15275338713072584),
+        (0.22778585114164507, 0.14917298647260374),
+        (0.37370608871541955, 0.14209610931838204),
+        (0.5108670019508271, 0.13168863844917664),
+        (0.636053680726515, 0.11819453196151841),
+        (0.7463319064601508, 0.10193011981724044),
+        (0.8391169718222188, 0.08327674157670475),
+        (0.912234428251326, 0.06267204833410907),
+        (0.9639719272779138, 0.04060142980038694),
+        (0.9931285991850949, 0.017614007139152118),
+    ),
+    48: (
+        (0.03238017096286936, 0.06473769681268392),
+        (0.0970046992094627, 0.06446616443595009),
+        (0.1612223560688917, 0.06392423858464819),
+        (0.22476379039468905, 0.06311419228625402),
+        (0.28736248735545555, 0.062039423159892665),
+        (0.34875588629216075, 0.06070443916589388),
+        (0.4086864819907167, 0.059114839698395635),
+        (0.4669029047509584, 0.057277292100403214),
+        (0.523160974722233, 0.055199503699984165),
+        (0.5772247260839727, 0.05289018948519367),
+        (0.6288673967765136, 0.05035903555385447),
+        (0.6778723796326639, 0.04761665849249048),
+        (0.7240341309238146, 0.04467456085669428),
+        (0.7671590325157404, 0.04154508294346475),
+        (0.8070662040294426, 0.03824135106583071),
+        (0.8435882616243935, 0.03477722256477044),
+        (0.8765720202742479, 0.03116722783279809),
+        (0.9058791367155696, 0.027426509708356948),
+        (0.9313866907065543, 0.02357076083932438),
+        (0.9529877031604309, 0.01961616045735553),
+        (0.9705915925462473, 0.015579315722943849),
+        (0.9841245837228269, 0.01147723457923454),
+        (0.9935301722663508, 0.0073275539012762625),
+        (0.9987710072524261, 0.0031533460523058385),
+    ),
+}
+
+
 @functools.cache
 def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """leggauss(order), built once per order and read-only."""
-    x, w = leggauss(order)
+    """The `order`-node Gauss-Legendre rule on [-1, 1], nodes ascending,
+    mirrored from its half-rule once per order and read-only.  An order
+    with no half-rule is refused with ValueError."""
+    if order not in _HALF_RULES:
+        raise ValueError(f"no {order}-node Gauss-Legendre rule is tabulated "
+                         f"(orders {sorted(_HALF_RULES)})")
+    x, w = np.array(_HALF_RULES[order]).T
+    x = np.concatenate([-x[::-1], x])
+    w = np.concatenate([w[::-1], w])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -306,7 +382,8 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite rule with `order` Gauss-Legendre
     nodes on each panel [edges[i], edges[i+1]], each shaped (panels, order):
-    the integral of f is the sum of weights * f(nodes)."""
+    the integral of f is the sum of weights * f(nodes).  An order with no
+    tabulated rule is refused with ValueError."""
     x, w = _legendre_rule(order)
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)[:, None]

@@ -179,7 +179,8 @@ class PerturbationFamily:
         two knots; this is the smoothstep construction applied to the C^2
         jet data and keeps the blend C^2.  Returns h0, h1, h2, c3, c4, c5,
         the coefficients of x^0..x^5 in the unit variable
-        (log t + log R') / (2 log R').
+        (log t + log R') / (2 log R'): h0, h1, h2 from the left knot's jet
+        and c3, c4, c5 from `_blend_tail`, with no linear solve.
         """
         t1, t2 = 1.0 / self.R_prime, self.R_prime
         h = 1e-6
@@ -194,11 +195,8 @@ class PerturbationFamily:
         v1, d1, s1, v2, d2, s2 = jet
         L = self._log_span  # x2 - x1 for the knots x = -+log R'
         h0, h1, h2 = v1, d1 * L, s1 * L * L / 2.0
-        A = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
-        rhs = np.array(
-            [v2 - (h0 + h1 + h2), d2 * L - (h1 + 2 * h2), s2 * L * L - 2 * h2]
-        )
-        c3, c4, c5 = (float(c) for c in np.linalg.solve(A, rhs))
+        c3, c4, c5 = _blend_tail(v2 - (h0 + h1 + h2), d2 * L - (h1 + 2 * h2),
+                                 s2 * L * L - 2 * h2)
         return (h0, h1, h2, c3, c4, c5)
 
     # -- serialization ----------------------------------------------------
@@ -215,6 +213,17 @@ class PerturbationFamily:
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
         return PerturbationFamily(**obj)
+
+
+def _blend_tail(r0: float, r1: float, r2: float) -> tuple[float, float, float]:
+    """c3, c4, c5 with c3 + c4 + c5 = r0, 3 c3 + 4 c4 + 5 c5 = r1 and
+    6 c3 + 12 c4 + 20 c5 = r2: the value, slope and curvature that the
+    quintic's top three terms add at x = 1.  The system's inverse is
+    [[10, -4, 1/2], [-15, 7, -1], [6, -3, 1/2]], applied on floats, so no
+    LAPACK solve runs."""
+    return (10.0 * r0 - 4.0 * r1 + 0.5 * r2,
+            -15.0 * r0 + 7.0 * r1 - r2,
+            6.0 * r0 - 3.0 * r1 + 0.5 * r2)
 
 
 def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +248,11 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
         if g <= -1.0:
             raise NonAdmissibleError("g(t) <= -1 encountered")
         return float(g), float(dg)
-    t = np.abs(np.asarray(t, dtype=float))
+    return _eval_g_array(fam, np.abs(np.asarray(t, dtype=float)))
+
+
+def _eval_g_array(fam: PerturbationFamily, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`eval_g`'s array path, on a float array t >= 0."""
     if fam.kind is FamilyKind.ZERO:
         return np.zeros(t.shape), np.zeros(t.shape)
     g, dg = _eval_power_log(fam, t)
@@ -332,7 +345,7 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
 
     A t with no axes (the ODE solvers pass Python floats) takes the scalar
     path of `eval_g`, `phi_N` and `math` and gives Python floats; an array
-    with at least one axis takes the array path.
+    with at least one axis takes the array path, on |t| taken once.
     """
     _check_order(N)
     scalar = isinstance(t, float) or np.ndim(t) == 0
@@ -340,7 +353,7 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
     T = t * t
     if (T > EXP_BUDGET) if scalar else (T > EXP_BUDGET).any():
         raise ExponentBudgetError("t^2 exceeds the exponent budget")
-    g, dg = eval_g(fam, t)
+    g, dg = eval_g(fam, t) if scalar else _eval_g_array(fam, t)
     g1 = 1.0 + g
     if N == 1:
         eT = math.exp(T) if scalar else np.exp(T)

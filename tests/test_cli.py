@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcrit import PerturbationFamily, bubble, cli, domain
+from mtcrit import PerturbationFamily, asymptotic_data, bubble, cli, domain, numerics
 from mtcrit import profiles as profiles_module
 from mtcrit import variational
 from mtcrit.cli import main
@@ -661,23 +661,32 @@ def _assert_within(got, want, tolerances):
 # the Euler-Lagrange residual must fall.  gamma moved by 7.4e-7 (Zero) and
 # 8.5e-7 (PowerLog) relative and lambda by 1.2e-6 and 1.3e-6: the plain
 # ascent's maximiser was the less converged one.
+# `step1.J` and the Zero `normalized_gap` were re-recorded when the
+# Gauss-Legendre rules became correctly rounded literals in place of
+# leggauss, and the PowerLog `run` block when the blend's 3x3 system came to
+# be solved by its exact inverse in place of np.linalg.solve.  The replaced
+# values: step1.J 13.706317334575852 (Zero, 3.9e-16 relative) and
+# 13.823925505070326 (PowerLog, 3.9e-16), Zero normalized_gap
+# -1.1050505898883995 (1.3e-13), and PowerLog J 9.586747468281626 (1.9e-16),
+# gamma 2.3920265790032396 (1.3e-15), lambda 0.47818038719001743 (2.1e-15)
+# and el_residual 1.6034166063111846e-08 (1.2e-14 absolute).
 EXTREMAL_RECORDED = {
     "Zero": ({"kind": "Zero"}, {
         "run": {"J": 9.504416349257959, "gamma": 2.393151084978575,
                 "lambda": 0.48334290233197164, "el_residual": 5.42518653926928e-09,
                 "iterations": 15, "saturated": True,
                 "termination": "rtol"},
-        "step1": {"J": 13.706317334575852},
-        "model_testfun": {"normalized_gap": -1.1050505898883995, "mu": 6.080615095405954e-06,
+        "step1": {"J": 13.706317334575857},
+        "model_testfun": {"normalized_gap": -1.1050505898885383, "mu": 6.080615095405954e-06,
                           "log_inv_mu2": 24.020809400191354, "I_z": 0.0027772142117486152},
     }),
     "PowerLog": ({"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
                   "b_prime": 0.682198}, {
-        "run": {"J": 9.586747468281626, "gamma": 2.3920265790032396,
-                "lambda": 0.47818038719001743, "el_residual": 1.6034166063111846e-08,
+        "run": {"J": 9.586747468281628, "gamma": 2.3920265790032427,
+                "lambda": 0.47818038719001643, "el_residual": 1.603415450331182e-08,
                 "iterations": 14, "saturated": True,
                 "termination": "rtol"},
-        "step1": {"J": 13.823925505070326},
+        "step1": {"J": 13.823925505070331},
         "model_testfun": {"normalized_gap": -1.1434014196096034, "mu": 6.129216163339681e-06,
                           "log_inv_mu2": 24.004887370283132, "I_z": 0.0035021576343725446},
     }),
@@ -1059,3 +1068,34 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "mtcrit" in capsys.readouterr().out
+
+
+_LAPACK = ("solve", "eigvalsh", "eigh", "eig", "lstsq", "inv")
+
+
+def test_no_lapack_call_at_run_time(tmp_path, monkeypatch):
+    # After `import mtcrit.cli`, a process's first LAPACK call raises its
+    # peak resident memory: leggauss's eigvalsh by about 0.7 MB and the
+    # blend's 3x3 np.linalg.solve by about 0.3 MB more.  Each of these
+    # np.linalg functions raises while a PowerLog criterion, extremal and
+    # bubble, a verify and a rectangle's robin_report run, with the rules
+    # rebuilt; np.linalg.norm of a vector calls no LAPACK and stays.
+    called = []
+    for name in _LAPACK:
+        def refuse(*args, name=name, **kwargs):
+            called.append(name)
+            raise AssertionError(f"np.linalg.{name} called")
+
+        monkeypatch.setattr(np.linalg, name, refuse)
+    numerics._legendre_rule.cache_clear()
+    try:
+        family = EXTREMAL_RECORDED["PowerLog"][0]
+        for cmd in ("criterion", "extremal", "bubble"):
+            cfg = _write(tmp_path, f"{cmd}.json", {"family": family})
+            assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 0, cmd
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        rect = domain.DomainModel(shape="Rectangle", width=2.0, height=1.0)
+        domain.robin_report(rect, asymptotic_data(PerturbationFamily()).F)
+    finally:
+        numerics._legendre_rule.cache_clear()
+    assert called == []

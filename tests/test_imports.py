@@ -1,9 +1,11 @@
 """Every top-level import in the package is used or re-exported, every
 definition is read, and every exported exception is raised somewhere.
-No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
-and only mtcrit.numerics imports the Gauss-Legendre nodes; no module calls
-a trapezoid rule, linear interpolation or the builtin sum, and only
-csvout.write_csv and cli._write_report open a file for writing.  Every kernel
+No subcommand loads scipy, which is a test dependency only, nor numpy.ma
+or numpy.polynomial; no module uses numpy.polynomial or any np.linalg
+function but norm, and every Gauss-Legendre order a module asks for is one
+that mtcrit.numerics tabulates; no module calls a trapezoid rule, linear
+interpolation or the builtin sum, and only csvout.write_csv and
+cli._write_report open a file for writing.  Every kernel
 and constant that mtcrit.numerics exports is imported by another module.
 
 No linter ships with the toolkit, so these AST scans keep dead names
@@ -77,11 +79,118 @@ def test_no_unused_top_level_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-def test_leggauss_is_imported_by_numerics_alone():
-    # every quadrature takes its nodes from numerics.gauss_legendre
-    importers = sorted(path.name for path in MODULES
-                       if "leggauss" in _imported_names(ast.parse(path.read_text())))
-    assert importers == ["numerics.py"]
+def _polynomial_uses(tree: ast.Module) -> list:
+    """(line, what) of each import of numpy.polynomial or leggauss and each
+    attribute named polynomial or leggauss."""
+    return [(line, what) for line, what in _dense_forms(tree, {"polynomial", "leggauss"})
+            if what != "@"]
+
+
+def test_no_module_uses_numpy_polynomial():
+    # the Gauss-Legendre rules are literals in numerics: leggauss computed
+    # them by LAPACK's eigvalsh, and importing numpy.polynomial took about
+    # 4 ms of `import mtcrit.cli`
+    uses = [f"{p.name}:{line} {what}" for p in MODULES
+            for line, what in _polynomial_uses(ast.parse(p.read_text(), filename=str(p)))]
+    assert not uses, f"numpy.polynomial used: {uses}"
+
+
+def test_polynomial_scan_catches_each_form():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy.polynomial.legendre import leggauss\n"
+                     "import numpy.polynomial\n"
+                     "x = np.polynomial.legendre.leggauss(4)\n"
+                     "y = a @ b\n")
+    assert sorted(_polynomial_uses(tree)) == [
+        (2, "leggauss"), (2, "polynomial"), (3, "polynomial"), (4, "leggauss"),
+        (4, "polynomial")]
+
+
+def _linalg_uses(tree: ast.Module) -> list:
+    """Lines of each `.linalg` but the one in `np.linalg.norm`, and of each
+    import of linalg."""
+    norms = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "norm"}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg" and id(node) not in norms:
+            out.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "linalg" in name.split(".")
+                for name in [a.name for a in node.names] + [getattr(node, "module", "") or ""]):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_no_linalg_but_norm():
+    # no LAPACK call on the run-time path: the blend's 3x3 system is solved
+    # by its exact inverse and the Gauss-Legendre rules are literals.  The
+    # Euler-Lagrange residual's np.linalg.norm of a vector calls no LAPACK.
+    uses = [f"{p.name}:{line}" for p in MODULES
+            for line in _linalg_uses(ast.parse(p.read_text(), filename=str(p)))]
+    assert not uses, f"np.linalg used beyond norm: {uses}"
+
+
+def test_linalg_scan_catches_each_form():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy import linalg\n"
+                     "import numpy.linalg as la\n"
+                     "a = np.linalg.norm(x) / np.linalg.norm(y)\n"
+                     "b = np.linalg.norm(x) + np.linalg.solve(A, r)\n"
+                     "c = np.linalg\n"
+                     "d = numpy.linalg.eigvalsh(m)\n")
+    assert _linalg_uses(tree) == [2, 3, 5, 6, 7]
+
+
+_RULE_CALLS = {"gauss_legendre": 1, "_legendre_rule": 0}  # name -> position of `order`
+
+
+def _rule_orders(tree: ast.Module) -> list:
+    """(line, order) of each call of gauss_legendre or _legendre_rule: an
+    int literal, or a module-level constant bound to one; None for any
+    other argument."""
+    constants = {t.id: node.value.value for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                 for t in node.targets if isinstance(t, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        if name not in _RULE_CALLS:
+            continue
+        k = _RULE_CALLS[name]
+        arg = node.args[k] if k < len(node.args) else next(
+            (kw.value for kw in node.keywords if kw.arg == "order"), None)
+        value = (arg.value if isinstance(arg, ast.Constant) else
+                 constants.get(arg.id) if isinstance(arg, ast.Name) else None)
+        out.append((node.lineno, value if type(value) is int else None))
+    return out
+
+
+def test_every_gauss_legendre_order_is_tabulated():
+    # numerics refuses an order it holds no literals for; this finds such an
+    # order before a run does.  numerics itself only passes `order` on.
+    orders = {f"{p.name}:{line}": order for p in MODULES if p.name != "numerics.py"
+              for line, order in _rule_orders(ast.parse(p.read_text(), filename=str(p)))}
+    untabulated = {at: order for at, order in orders.items()
+                   if order not in numerics._HALF_RULES}
+    assert not untabulated, f"orders with no tabulated rule: {untabulated}"
+    assert set(orders.values()) == {8, 10, 12, 20, 48}  # _N_R and _N_THETA are 48
+
+
+def test_rule_order_scan_reads_each_form():
+    tree = ast.parse("from .numerics import _legendre_rule, gauss_legendre\n"
+                     "from . import numerics\n"
+                     "_N_R = 48\n"
+                     "_NAME = 'x'\n"
+                     "a = gauss_legendre(edges, _N_R)\n"
+                     "b = numerics.gauss_legendre(edges, order=7)\n"
+                     "c = _legendre_rule(12)\n"
+                     "def f(n):\n"
+                     "    return gauss_legendre(edges, n), _legendre_rule(_NAME)\n")
+    assert _rule_orders(tree) == [(5, 48), (6, 7), (7, 12), (9, None), (9, None)]
 
 
 def _unimported(exports, trees: dict) -> list:
@@ -585,12 +694,23 @@ def test_runtime_loads_no_numpy_ma(runtime_modules, name):
     assert _within(runtime_modules(name), "numpy.ma") == []
 
 
+@pytest.mark.parametrize("name", RUNTIME_PATHS)
+def test_runtime_loads_no_numpy_polynomial(runtime_modules, name):
+    # the Gauss-Legendre rules are literals, with no leggauss behind them
+    assert _within(runtime_modules(name), "numpy.polynomial") == []
+
+
 def test_scipy_probe_sees_scipy(tmp_path):
     assert "scipy.special" in _within(_modules_after("import scipy.special\n", tmp_path), "scipy")
 
 
 def test_numpy_ma_probe_sees_numpy_ma(tmp_path):
     assert "numpy.ma" in _within(_modules_after("import numpy.ma\n", tmp_path), "numpy.ma")
+
+
+def test_numpy_polynomial_probe_sees_numpy_polynomial(tmp_path):
+    modules = _modules_after("from numpy.polynomial.legendre import leggauss\n", tmp_path)
+    assert "numpy.polynomial.legendre" in _within(modules, "numpy.polynomial")
 
 
 # -- packaging ------------------------------------------------------------------

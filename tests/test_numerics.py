@@ -13,7 +13,6 @@ import scipy.optimize
 import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.legendre import leggauss
 
 from mtcrit import bubble, numerics, profiles
 from mtcrit.domain import DomainModel, robin, robin_report
@@ -345,8 +344,9 @@ def _gauss_legendre_integral(f, edges, order):
 
 
 def test_gauss_legendre_is_exact_on_polynomials():
-    # order n integrates degree 2n - 1 exactly on each panel
-    for n in (2, 4, 7):
+    # order n integrates degree 2n - 1 exactly on each panel, for every
+    # tabulated n
+    for n in sorted(numerics._HALF_RULES):
         coef = np.arange(1.0, 2 * n + 1.0)
 
         def poly(x, coef=coef):
@@ -356,7 +356,51 @@ def test_gauss_legendre_is_exact_on_polynomials():
             2.0, np.polynomial.polynomial.polyint(coef)) - np.polynomial.polynomial.polyval(
             -1.0, np.polynomial.polynomial.polyint(coef))
         got = _gauss_legendre_integral(poly, [-1.0, 0.5, 2.0], n)
-        assert got == pytest.approx(exact, rel=1e-14)
+        assert got == pytest.approx(exact, rel=1e-14), n
+
+
+def _newton_legendre(n: int) -> list:
+    """(x, w) of the positive nodes of the n-node rule, ascending: Newton's
+    method on P_n in the current mpmath precision, from Tricomi's first
+    guess cos(pi (k - 1/4)/(n + 1/2)), and w = 2/((1 - x^2) P_n'(x)^2)."""
+    out = []
+    for k in range(n // 2, 0, -1):
+        x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+        for _ in range(60):
+            dp = n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+            step = mpmath.legendre(n, x) / dp
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** (-mpmath.mp.dps + 3):
+                break
+        dp = n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+        out.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return out
+
+
+@pytest.mark.parametrize("order", sorted(numerics._HALF_RULES))
+def test_gauss_legendre_literals_are_correctly_rounded(order):
+    # each tabulated node and weight is the double nearest its 40-digit
+    # value, within 0.5 ulp; leggauss's weights were off by up to 58, 7, 60,
+    # 353 and 9230 ulp at orders 8, 10, 12, 20 and 48
+    with mpmath.workdps(40):
+        ref = _newton_legendre(order)
+        half = numerics._HALF_RULES[order]
+        assert len(half) == len(ref) == order // 2
+        for got, want in zip((v for pair in half for v in pair),
+                             (v for pair in ref for v in pair)):
+            assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(math.ulp(got)) / 2, (got, want)
+    x, w = numerics._legendre_rule(order)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert x[order // 2:].tolist() == [p[0] for p in numerics._HALF_RULES[order]]
+
+
+def test_gauss_legendre_refuses_an_untabulated_order():
+    numerics._legendre_rule.cache_clear()
+    for call in (lambda: numerics._legendre_rule(7),
+                 lambda: numerics.gauss_legendre([0.0, 1.0], 7)):
+        with pytest.raises(ValueError, match=r"\bno 7-node Gauss-Legendre rule"):
+            call()
 
 
 @pytest.mark.parametrize("f,edges", [
@@ -379,11 +423,12 @@ def test_gauss_legendre_builds_each_rule_once(monkeypatch, disk, data0):
     # 12-node rule, on every call; each is built once and kept
     built = []
 
-    def spy(order):
-        built.append(order)
-        return leggauss(order)
+    class Spy(dict):
+        def __getitem__(self, order):
+            built.append(order)
+            return dict.__getitem__(self, order)
 
-    monkeypatch.setattr(numerics, "leggauss", spy)
+    monkeypatch.setattr(numerics, "_HALF_RULES", Spy(numerics._HALF_RULES))
     numerics._legendre_rule.cache_clear()
     try:
         for _ in range(2):

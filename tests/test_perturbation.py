@@ -1,9 +1,11 @@
 """Perturbation families, series tails, and decay data."""
 
+import dataclasses
 import math
 import struct
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -26,6 +28,8 @@ from mtcrit import (
     s0_explicit,
     xi,
 )
+
+EPS = sys.float_info.epsilon
 
 
 def test_zero_family_is_zero():
@@ -307,6 +311,90 @@ def test_horner_blend_matches_power_form(fam):
     q, dq, q_scale, dq_scale = _blend_power_form(fam, t)
     assert np.all(np.abs(g - q) <= 1e-13 * q_scale)
     assert np.all(np.abs(dg - dq) <= 1e-13 * dq_scale)
+
+
+# PowerLog families whose blends run from each kind of near-zero branch
+# (c != 0 with g0 != 0, c = 0, b = 0) into each kind of infinity branch
+BLEND_FAMILIES = [
+    BLENDED,
+    PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.256171, a_prime=2.593292,
+                       b_prime=0.682198),
+    PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=1.2, a_prime=0.8, b_prime=0.7),
+    PerturbationFamily(kind=FamilyKind.POWER_LOG, c=0.5, a=1.0, b=0.0, c_prime=-0.25,
+                       a_prime=2.0, b_prime=0.0),
+]
+_BLEND_SYSTEM = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
+_BLEND_INVERSE = ((10, -4, Fraction(1, 2)), (-15, 7, -1), (6, -3, Fraction(1, 2)))
+
+
+def _check_blend_tail(r):
+    """Hold _blend_tail(r) to the exact solution, within 2 eps, and to
+    np.linalg.solve, within 32 eps, of the scale |A^-1| |r| of each
+    component's rounding."""
+    got = np.array(perturbation._blend_tail(*r))
+    scale = np.abs(np.array(_BLEND_INVERSE, dtype=float)) @ np.abs(r)
+    exact = np.array([float(sum(m * Fraction(v) for m, v in zip(row, r)))
+                      for row in _BLEND_INVERSE])
+    assert np.all(np.abs(got - exact) <= 2.0 * EPS * scale)
+    solved = np.linalg.solve(_BLEND_SYSTEM, np.array(r))
+    assert np.all(np.abs(got - solved) <= 32.0 * EPS * scale)
+
+
+# each r_i in [-1e6, 1e6], with no subnormal result: tiny values become 0
+@given(st.lists(st.floats(-1e6, 1e6).map(lambda v: v if abs(v) > 1e-280 else 0.0),
+                min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_blend_tail_solves_the_blend_system(r):
+    # the exact inverse on floats, where np.linalg.solve's LU was: measured
+    # within 1.0 eps of the exact solution and 18 eps of the LU solve, in
+    # units of |A^-1| |r|
+    _check_blend_tail(r)
+
+
+def test_blend_tail_of_each_family_solves_the_blend_system(monkeypatch):
+    # on the right-hand sides the families build: measured within 0.84 eps
+    # of the exact solution and 10.8 eps of the LU solve
+    seen = []
+    real = perturbation._blend_tail
+    with monkeypatch.context() as m:
+        m.setattr(perturbation, "_blend_tail", lambda *r: seen.append(r) or real(*r))
+        for fam in BLEND_FAMILIES:
+            PerturbationFamily(**{f.name: getattr(fam, f.name) for f in dataclasses.fields(fam)})
+    assert len(seen) == len(BLEND_FAMILIES)
+    for r in seen:
+        _check_blend_tail(r)
+
+
+def _blend_jet(fam, u):
+    """The blend's value and first two derivatives in x = log t at the
+    unit variable u, summed exactly from its coefficients and rounded
+    once, with the sum of the terms' magnitudes."""
+    coefs = [Fraction(c) for c in fam._hermite]
+    L = Fraction(fam._log_span)
+    out = []
+    for n in range(3):
+        terms = [c * Fraction(u) ** k for k, c in enumerate(coefs)]
+        out.append((float(sum(terms) / L ** n), float(sum(map(abs, terms)) / L ** n)))
+        coefs = [k * c for k, c in enumerate(coefs)][1:]
+    return out
+
+
+@pytest.mark.parametrize("fam", BLEND_FAMILIES, ids=["both-branches", "infinity-branch",
+                                                     "infinity-branch-a'<1", "b=0"])
+def test_blend_meets_each_branch_to_second_order_at_its_knot(fam):
+    # value, slope and curvature in x = log t against the branches in
+    # 30-digit mpmath.  The value and slope are held to 1e-14 of the blend's
+    # term scale, as its coefficients are rounded; the curvature comes from
+    # a central difference with step 1e-6 in t, so to 1e-9 (measured: at
+    # most 4e-11 relative)
+    near = lambda x: fam.g0 + fam.c * mpmath.exp((fam.a + 1) * x) * (-x) ** (-fam.b)
+    far = lambda x: fam.c_prime * mpmath.exp(-fam.a_prime * x) * x ** (-fam.b_prime)
+    log_r = mpmath.log(fam.R_prime)
+    with mpmath.workdps(30):
+        for u, branch, x in ((0, near, -log_r), (1, far, log_r)):
+            for n, ((got, scale), tol) in enumerate(zip(_blend_jet(fam, u), (1e-14, 1e-14, 1e-9))):
+                want = float(mpmath.diff(branch, x, n))
+                assert abs(got - want) <= tol * max(scale, abs(want)), (u, n, got, want)
 
 
 def _blend_nested(fam, t):

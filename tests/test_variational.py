@@ -1,5 +1,6 @@
 """Tests for the constrained-maximization solvers and test functions."""
 
+import dataclasses
 import math
 import sys
 
@@ -20,6 +21,7 @@ from mtcrit import (
     eval_psi_N,
     lambda_g_report,
     model_testfun_energy,
+    perturbation,
     robin_report,
     solve_subcritical,
     step1_testfun,
@@ -229,10 +231,12 @@ def test_bracket_constants_past_the_old_grid_are_numbers(disk, fam0, data0, prof
     assert H[0] == pytest.approx(3.697387993779522e-11, rel=1e-12, abs=0.0)
     # at gamma = 2, 1/mu~ = 6.2 (recorded with the height root bisected to
     # adjacent doubles, and again on the panel profiles: moved by at most
-    # 2.4e-10 relative)
+    # 2.4e-10 relative; and again with correctly rounded Gauss-Legendre
+    # weights: H~_1 and H~_3 moved from 0.6203235948111301 and
+    # 0.05159053280232584, by 1.4e-15 and 8.6e-15 relative)
     near = model_testfun_energy(disk, fam0, data0, profiles, 2.0)["H_tilde"]
-    assert near == [0.02596232812862712, 0.6203235948111301, 2.2500000156214286,
-                    0.05159053280232584]
+    assert near == [0.02596232812862712, 0.6203235948111292, 2.2500000156214286,
+                    0.051590532802325395]
 
 
 @pytest.mark.parametrize("gamma", [3.0, 5.0])
@@ -382,18 +386,25 @@ def test_level_trend(fam0):
 # relative, the iterations must be fewer, Lambda_g must agree to 1e-15
 # relative and the Euler-Lagrange residual must fall.  `ladder` pins
 # (alpha / 4 pi, J, iterations, J_fw, iterations_fw, el_fw) of every rung of
-# the default extremal ladder.
+# the default extremal ladder.  PowerLog's rungs at 0.8, 0.9 and 0.95 were
+# re-recorded when the blend's 3x3 system came to be solved by its exact
+# inverse in place of np.linalg.solve: `POWER_LOG_LU_LADDER` keeps the
+# replaced values, which `test_lu_blend_gives_the_replaced_goldens` still
+# reproduces with the LU solve patched back in.
+POWER_LOG_LADDER = [
+    (0.7, 6.387320915376412, 10, 6.387320915375908, 30, 4.3944153673869143e-07),
+    (0.8, 7.6126393861237105, 12, 7.612639386122465, 42, 4.851272407829381e-07),
+    (0.9, 9.586747468281628, 14, 9.586747468271156, 69, 8.493828785304586e-07),
+    (0.95, 11.19354697825013, 16, 11.193546978224674, 112, 8.807998989877934e-07)]
+
+
 @pytest.mark.parametrize("fam,lam_g,lam_g_fw,ladder", [
     (PerturbationFamily(), 2.172916383320414, 2.1729163833204135,
      [(0.7, 6.340744301058274, 10, 6.340744301057761, 30, 4.462957331150667e-07),
       (0.8, 7.552026584082037, 12, 7.552026584080762, 42, 4.933447096368075e-07),
       (0.9, 9.504416349257959, 15, 9.504416349250366, 70, 7.267317376516364e-07),
       (0.95, 11.0946358932794, 16, 11.094635893251752, 112, 9.209085562187425e-07)]),
-    (POWER_LOG, 2.213910110129713, 2.2139101101297127,
-     [(0.7, 6.387320915376412, 10, 6.387320915375908, 30, 4.3944153673869143e-07),
-      (0.8, 7.61263938612371, 11, 7.612639386122465, 42, 4.851272407829381e-07),
-      (0.9, 9.586747468281626, 14, 9.586747468271156, 69, 8.493828785304586e-07),
-      (0.95, 11.193546978250126, 16, 11.193546978224674, 112, 8.807998989877934e-07)]),
+    (POWER_LOG, 2.213910110129713, 2.2139101101297127, POWER_LOG_LADDER),
 ], ids=["Zero", "PowerLog"])
 def test_ascent_golden_values(fam, lam_g, lam_g_fw, ladder):
     rep = lambda_g_report(fam)
@@ -411,13 +422,45 @@ def test_ascent_golden_values(fam, lam_g, lam_g_fw, ladder):
 def test_lambda_g_golden_value_through_the_near_zero_branch():
     # c != 0 and g0 != 0 (BLENDED[1], R' = 3): the ascent's u runs from 0 at
     # the boundary through the near-zero branch (u <= 1/R') into the blend
-    # (up to about 1.56); pinned as above, beside the Frank-Wolfe ascent's
-    # 5.846282615734376 and gap 9.726014985389497e-06
+    # (up to about 1.56); pinned as above, and the gap beside the
+    # Frank-Wolfe ascent's 9.726014985389497e-06.  Re-recorded with the
+    # blend's exact inverse: the LU-solved blend gave 5.846282615734376 and
+    # gap 9.726014987165854e-06 (1.2e-15 relative and 8.9e-16 absolute
+    # away); test_lu_blend_gives_the_replaced_goldens holds that Lambda_g
+    # to the Frank-Wolfe ascent's, which was run on the LU-solved blend
     rep = lambda_g_report(BLENDED[1])
+    assert rep == {"lambda_g": 5.846282615734383, "gap": 9.726014986277676e-06,
+                   "termination": ["rtol", "rtol"]}
+    assert rep["gap"] == pytest.approx(9.726014985389497e-06, rel=0.0, abs=2e-15)
+
+
+# (alpha / 4 pi, J, iterations) of PowerLog's default ladder with the blend's
+# 3x3 system solved by np.linalg.solve, as recorded before the exact inverse
+POWER_LOG_LU_LADDER = [(0.7, 6.387320915376412, 10), (0.8, 7.61263938612371, 11),
+                       (0.9, 9.586747468281626, 14), (0.95, 11.193546978250126, 16)]
+
+
+def test_lu_blend_gives_the_replaced_goldens(monkeypatch):
+    # With the LU solve patched back into the blend, the ascents give the
+    # replaced golden values float for float, so the exact inverse alone
+    # moved them; Lambda_g of BLENDED[1] then agrees with the Frank-Wolfe
+    # ascent's 5.846282615734376 (gap 9.726014985389497e-06) to 1e-15, as
+    # before.  The exact inverse moved each J by at most 3.2e-16 relative.
+    system = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 5.0], [6.0, 12.0, 20.0]])
+    monkeypatch.setattr(perturbation, "_blend_tail", lambda *r: tuple(
+        float(c) for c in np.linalg.solve(system, np.array(r))))
+    rep = lambda_g_report(dataclasses.replace(BLENDED[1]))
     assert rep == {"lambda_g": 5.846282615734376, "gap": 9.726014987165854e-06,
                    "termination": ["rtol", "rtol"]}
     assert rep["lambda_g"] == pytest.approx(5.846282615734376, rel=1e-15, abs=0.0)
     assert rep["gap"] == pytest.approx(9.726014985389497e-06, rel=0.0, abs=2e-15)
+    fam = dataclasses.replace(POWER_LOG)
+    assert lambda_g_report(fam)["lambda_g"] == 2.213910110129713
+    new = {frac: J for frac, J, *_ in POWER_LOG_LADDER}
+    for frac, J, iterations in POWER_LOG_LU_LADDER:
+        run = solve_subcritical(fam, 1, frac * 4.0 * math.pi)
+        assert (run.J_value, run.iterations) == (J, iterations), frac
+        assert new[frac] == pytest.approx(J, rel=4e-16, abs=0.0)
 
 
 def test_ascent_termination_reasons(monkeypatch, fam0):
