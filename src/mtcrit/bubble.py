@@ -22,7 +22,7 @@ from .csvout import HERMITE_STRIDE, write_csv
 from .numerics import solve_ivp
 from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
                            eval_psi_N, phi_N, xi)
-from .profiles import StepFailureError, laplacian_profile, s0_explicit
+from .profiles import StepFailureError, s0_explicit, source_laplacians
 
 __all__ = [
     "BlowDownError",
@@ -213,11 +213,11 @@ def verify_source_expansion(sol: BubbleSolution, profiles: dict,
 
     _, psi_p = eval_psi_N(sol.fam, sol.N, B)
     lhs = 0.5 * sol.lam * psi_p
-    base = 4.0 * np.exp(-2.0 * t) / (sol.mu**2 * g)
+    weight = np.exp(-2.0 * t)
+    base = 4.0 * weight / (sol.mu**2 * g)
     w = 0.25 * np.exp(2.0 * t)
-    rhs = base * (1.0 + w * laplacian_profile(0, y, s0_explicit) / g**2
-                  + w * laplacian_profile(1, y, profiles[1]) / g**4
-                  + (A - 2.0 * x) * w * laplacian_profile(2, y, profiles[2]))
+    _, (lap0, lap1, lap2) = source_laplacians(y, t, weight, profiles[1], profiles[2])
+    rhs = base * (1.0 + w * lap0 / g**2 + w * lap1 / g**4 + (A - 2.0 * x) * w * lap2)
     weighted = float(np.max(np.abs(lhs - rhs) / (base * zeta * np.exp(_DELTA0_TILDE * t))))
 
     _, psi_p0 = eval_psi_N(sol.fam, sol.N, g)

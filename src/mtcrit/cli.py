@@ -8,14 +8,14 @@ Subcommands
     extremal    subcritical solver ladder and the two test functions
     verify      the invariant suite as a pass/fail table
 
-Exit codes: 0 ok, 1 error, 2 inconclusive verdict.  Reports are JSON
-(with the config hash and tool version embedded) next to CSV curve
-files; identical config + seed give byte-identical JSON.
+Exit codes: 0 ok; 1 error; 2 an inconclusive verdict, or a usage error on
+the command line, which runs nothing.  Reports are JSON (with the config
+hash and tool version embedded) next to CSV curve files; identical
+config + seed give byte-identical JSON.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -35,6 +35,7 @@ from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, csv_grid, ode_profile,
                        profile_integrals, s0_explicit, solve_profile)
 from .bubble import OrderUnderflowError, check_ladder, ladder_reports
+from .cmdline import parse_args
 from .variational import (STEP1_EPS_MIN, height_seed, lambda_g_report,
                           model_testfun_energy, solve_subcritical, step1_testfun)
 
@@ -164,7 +165,7 @@ def _write_report(out_dir: str, name: str, payload: dict, cfg: dict) -> str:
 # criterion
 
 
-def cmd_criterion(cfg: dict, args) -> int:
+def cmd_criterion(cfg: dict, out: str) -> int:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "criterion")
     data = asymptotic_data(fam)
@@ -177,9 +178,9 @@ def cmd_criterion(cfg: dict, args) -> int:
                       l_closed=l_closed, lambda_gap=lam_rep["gap"],
                       diagnostics={"log_gamma_grid": list(LOG_GAMMA_GRID),
                                    "lambda_1": lambda1(dom)})
-    _write_report(args.out, "criterion.json",
+    _write_report(out, "criterion.json",
                   {**report.to_json(), "lambda_termination": lam_rep["termination"]}, cfg)
-    ratio_curve_csv(os.path.join(args.out, "ratio_curve.csv"),
+    ratio_curve_csv(os.path.join(out, "ratio_curve.csv"),
                     data, rep_robin.M, rep_robin.S)
     print(f"verdict: {report.verdict.value}  l_grid={l_grid:.6f} "
           f"(+-{report.l_confidence:.2g})  Lambda_g={lam_rep['lambda_g']:.6f}")
@@ -190,7 +191,7 @@ def cmd_criterion(cfg: dict, args) -> int:
 # profiles
 
 
-def cmd_profiles(cfg: dict, args) -> int:
+def cmd_profiles(cfg: dict, out: str) -> int:
     # r_max is the extent of the curve files alone: the profiles reach oo
     r_max = _number(cfg, "r_max", R_MAX)
     try:
@@ -200,12 +201,12 @@ def cmd_profiles(cfg: dict, args) -> int:
     profiles = {i: solve_profile(i) for i in range(3)}
     constants = {}
     for i, P in profiles.items():
-        P.to_csv(os.path.join(args.out, f"profile_S{i}.csv"), r_max)
+        P.to_csv(os.path.join(out, f"profile_S{i}.csv"), r_max)
         constants[f"S{i}"] = {**P.metadata(), "r_max": r_max}
     ints = profile_integrals(profiles)
     payload = {"constants": constants, "integrals": ints,
                "reference": {"A": list(A_CONSTANTS), "B0": B0_CONSTANT}}
-    _write_report(args.out, "profiles.json", payload, cfg)
+    _write_report(out, "profiles.json", payload, cfg)
     for i in profiles:
         print(f"S{i}: A={constants[f'S{i}']['A']:.8f} B={constants[f'S{i}']['B']:.8f}")
     return 0
@@ -215,7 +216,7 @@ def cmd_profiles(cfg: dict, args) -> int:
 # bubble
 
 
-def cmd_bubble(cfg: dict, args) -> int:
+def cmd_bubble(cfg: dict, out: str) -> int:
     fam = _family(cfg)
     N = _order(cfg)
     gammas = _numbers(cfg, "gamma_ladder", [3.0, 4.0, 5.0])
@@ -233,22 +234,22 @@ def cmd_bubble(cfg: dict, args) -> int:
         raise ConfigError(f"field 'gamma_ladder': {exc}") from None
     # both bubble checks use the explicit S0, so only S1 and S2 are solved
     profiles = {i: solve_profile(i) for i in (1, 2)}
-    out = ladder_reports(fam, N, gammas, profiles, eps0=eps0)
+    ladder = ladder_reports(fam, N, gammas, profiles, eps0=eps0)
     payload = {
-        "gammas": out["gammas"],
-        "expansion": [r.to_json() for r in out["expansion"]],
-        "source": [r.to_json() for r in out["source"]],
-        "expansion_nonincreasing": out["expansion_nonincreasing"],
-        "source_nonincreasing": out["source_nonincreasing"],
+        "gammas": ladder["gammas"],
+        "expansion": [r.to_json() for r in ladder["expansion"]],
+        "source": [r.to_json() for r in ladder["source"]],
+        "expansion_nonincreasing": ladder["expansion_nonincreasing"],
+        "source_nonincreasing": ladder["source_nonincreasing"],
     }
-    _write_report(args.out, "bubble.json", payload, cfg)
-    for sol in out["solutions"]:
-        sol.to_csv(os.path.join(args.out, _BUBBLE_CSV.format(sol.gamma)))
-    for g, e, s in zip(out["gammas"], out["expansion"], out["source"]):
+    _write_report(out, "bubble.json", payload, cfg)
+    for sol in ladder["solutions"]:
+        sol.to_csv(os.path.join(out, _BUBBLE_CSV.format(sol.gamma)))
+    for g, e, s in zip(ladder["gammas"], ladder["expansion"], ladder["source"]):
         print(f"gamma={g:g}: expansion sup={e.sup_normalized:.6f} "
               f"source sup={s.sup_normalized:.6f}")
-    print(f"trends: expansion nonincreasing={out['expansion_nonincreasing']} "
-          f"source nonincreasing={out['source_nonincreasing']}")
+    print(f"trends: expansion nonincreasing={ladder['expansion_nonincreasing']} "
+          f"source nonincreasing={ladder['source_nonincreasing']}")
     return 0
 
 
@@ -256,7 +257,7 @@ def cmd_bubble(cfg: dict, args) -> int:
 # extremal
 
 
-def cmd_extremal(cfg: dict, args) -> int:
+def cmd_extremal(cfg: dict, out: str) -> int:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "extremal")
     N = _order(cfg)
@@ -284,7 +285,7 @@ def cmd_extremal(cfg: dict, args) -> int:
     grid = runs[0].r
     if not all(np.array_equal(r.r, grid) for r in runs):
         raise RuntimeError("the rungs of the ladder do not share one grid")
-    write_csv([os.path.join(args.out, _EXTREMAL_CSV.format(r.alpha)) for r in runs],
+    write_csv([os.path.join(out, _EXTREMAL_CSV.format(r.alpha)) for r in runs],
               ["r", "u"], [grid] + [r.u for r in runs])
     for r in runs:
         print(f"alpha={r.alpha:.4f}: J={r.J_value:.6f} saturated={r.saturated} "
@@ -298,7 +299,7 @@ def cmd_extremal(cfg: dict, args) -> int:
     mt = model_testfun_energy(dom, fam, data, profiles, gam)
     payload["model_testfun"] = mt
     print(f"model gamma={gam:g}: normalized gap={mt['normalized_gap']:+.4f}")
-    _write_report(args.out, "extremal.json", payload, cfg)
+    _write_report(out, "extremal.json", payload, cfg)
     return 0
 
 
@@ -375,8 +376,8 @@ def _verify_rows(seed: int) -> list:
     return rows
 
 
-def cmd_verify(cfg: dict, args) -> int:
-    rows = _verify_rows(args.seed)
+def cmd_verify(cfg: dict, out: str, seed: int) -> int:
+    rows = _verify_rows(seed)
     width = max(len(name) for name, _, _ in rows)
     all_ok = True
     for name, ok, detail in rows:
@@ -384,43 +385,34 @@ def cmd_verify(cfg: dict, args) -> int:
         all_ok &= ok
         print(f"{name:<{width}}  {status}  {detail}")
     payload = {"rows": [{"name": n, "pass": ok, "detail": d} for n, ok, d in rows],
-               "all_pass": all_ok, "seed": args.seed}
-    _write_report(args.out, "verify.json", payload, cfg)
+               "all_pass": all_ok, "seed": seed}
+    _write_report(out, "verify.json", payload, cfg)
     return 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="mtcrit",
-        description="Existence criterion toolkit for perturbed "
-                    "Moser-Trudinger extremals")
-    p.add_argument("--version", action="version", version=f"mtcrit {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, fn, help_ in [
-        ("criterion", cmd_criterion, "existence verdict for a scenario"),
-        ("profiles", cmd_profiles, "solve the correction profiles"),
-        ("bubble", cmd_bubble, "bubble gamma ladder with expansion checks"),
-        ("extremal", cmd_extremal, "subcritical solver + test functions"),
-        ("verify", cmd_verify, "run the invariant suite"),
-    ]:
-        sp = sub.add_parser(name, help=help_)
-        sp.add_argument("--config", default=None, help="JSON scenario file")
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.set_defaults(func=fn)
-        if name == "verify":  # the only subcommand that draws random cases
-            sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    return p
+# name -> (the function that runs the subcommand, its line in `mtcrit -h`,
+# its options), read by cmdline.parse_args.  An option maps to its default
+# and its line in `mtcrit COMMAND -h`; --seed belongs to verify alone, the
+# only subcommand that draws random cases.
+_OPTIONS = {"--config": (None, "JSON scenario file"), "--out": (".", "output directory")}
+_COMMANDS = {
+    "criterion": (cmd_criterion, "existence verdict for a scenario", _OPTIONS),
+    "profiles": (cmd_profiles, "solve the correction profiles", _OPTIONS),
+    "bubble": (cmd_bubble, "bubble gamma ladder with expansion checks", _OPTIONS),
+    "extremal": (cmd_extremal, "subcritical solver + test functions", _OPTIONS),
+    "verify": (cmd_verify, "run the invariant suite", {**_OPTIONS, "--seed": (0, "RNG seed")}),
+}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    command, options = parse_args(sys.argv[1:] if argv is None else argv, _COMMANDS)
     try:
-        cfg = _load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
-        return args.func(cfg, args)
+        cfg = _load_config(options.pop("config"))
+        os.makedirs(options["out"], exist_ok=True)
+        return _COMMANDS[command][0](cfg, **options)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

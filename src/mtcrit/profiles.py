@@ -31,6 +31,7 @@ __all__ = [
     "solve_profile",
     "ode_profile",
     "profile_integrals",
+    "source_laplacians",
     "linear_combination",
     "csv_grid",
     "A_CONSTANTS",
@@ -75,29 +76,35 @@ def _float_or_array(r):
     return (math, float(r)) if scalar else (np, np.asarray(r, dtype=float))
 
 
+def _t0(xp, r):
+    """T0 = log(1 + r^2) and e^{-2 T0}, the weight that every source carries."""
+    T = xp.log1p(r * r)
+    return T, xp.exp(-2.0 * T)
+
+
 def s0_explicit(r):
     """Closed form for S0: combination of rational, log^2 and dilog terms.
     An r with no axes is evaluated with `math` (`ode_profile` calls it one
     radius at a time) and gives a Python float."""
     xp, r = _float_or_array(r)
     r2 = r * r
-    T = xp.log1p(r2)
+    return _s0(r2, xp.log1p(r2))
+
+
+def _s0(r2, T):
+    """S0 from r^2 and T0 = log(1 + r^2)."""
     val = -T + 2.0 * r2 / (1.0 + r2) - 0.5 * T * T
     # Li2(-r^2) = int_1^{1+r^2} log(t)/(1-t) dt
-    val += (1.0 - r2) / (1.0 + r2) * li2_neg(r2)
-    return val
+    return val + (1.0 - r2) / (1.0 + r2) * li2_neg(r2)
 
 
-def _rhs(i: int, r):
-    """Source terms of the linearized equation (all carry exp(-2 T0))."""
-    xp, r = _float_or_array(r)
-    T = xp.log1p(r * r)
-    w = xp.exp(-2.0 * T)
+def _rhs(i: int, T, w, S0):
+    """Source term RHS_i of the linearized equation from T0, its weight
+    w = e^{-2 T0} and S0 (read for i = 1 alone), all at the same radii."""
     if i == 0:
         return 4.0 * w * (T * T - T)
     if i == 2:
         return 4.0 * w * T
-    S0 = s0_explicit(r)
     return 4.0 * w * (S0 + 2.0 * S0 * S0 - 4.0 * T * S0 + 2.0 * S0 * T * T - T**3 + 0.5 * T**4)
 
 
@@ -274,7 +281,8 @@ def solve_profile(i: int) -> RadialProfile:
         raise ValueError("profile index must be 0, 1 or 2")
     y, r, w = _panel_nodes()
     phi1, phi2, _, _ = _kernel(np, r, y)
-    source = -_rhs(i, r) * r * r
+    T, weight = _t0(np, r)
+    source = -_rhs(i, T, weight, _s0(r * r, T) if i == 1 else None) * r * r
     integrands = np.array([phi1 * source, phi2 * source])
     totals = np.sum(w * integrands, axis=-1)
     starts = np.zeros((2, _PANELS + 2))
@@ -298,11 +306,17 @@ def ode_profile(i: int, r) -> tuple[np.ndarray, np.ndarray]:
     The equation is singular at r = 0; integration starts at _R0 from the
     second-order Taylor seed S(_R0) = -RHS_i(0) _R0^2 / 4.
     """
+    def source(s):
+        """e^{-2 T0} and RHS_i at the radius s."""
+        T, w = _t0(math, s)
+        return w, _rhs(i, T, w, _s0(s * s, T) if i == 1 else None)
+
     def odes(s, y):
         S, dS = y
-        return [dS, -dS / s - 8.0 * math.exp(-2.0 * math.log1p(s * s)) * S - _rhs(i, s)]
+        w, rhs = source(s)
+        return [dS, -dS / s - 8.0 * w * S - rhs]
 
-    rhs0 = _rhs(i, 0.0)
+    rhs0 = source(0.0)[1]
     seed = [-rhs0 * _R0 * _R0 / 4.0, -rhs0 * _R0 / 2.0]
     sol = solve_ivp(odes, (_R0, float(r[-1])), seed, t_eval=r, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
@@ -317,7 +331,20 @@ def laplacian_profile(i: int, r, profile):
     i = 0).  An r with no axes gives a float.
     """
     xp, r = _float_or_array(r)
-    return _rhs(i, r) + 8.0 * xp.exp(-2.0 * xp.log1p(r * r)) * profile(r)
+    T, w = _t0(xp, r)
+    return _rhs(i, T, w, _s0(r * r, T) if i == 1 else None) + 8.0 * w * profile(r)
+
+
+def source_laplacians(r, T, w, S1, S2, S0=None) -> tuple:
+    """The explicit S0 and the Laplacians -(S_i'' + S_i'/r) = RHS_i +
+    8 e^{-2T0} S_i for i = 0, 1, 2 at the radii r, given T0 = log(1 + r^2)
+    and w = e^{-2T0} there, so that each node's T0, weight and S0 are
+    evaluated once.  S1 and S2 are solved profiles; S0, if given, is a
+    solved S0 whose Laplacian is taken instead of the explicit S0's.
+    """
+    explicit = _s0(r * r, T)
+    S = [explicit if S0 is None else S0(r), S1(r), S2(r)]
+    return explicit, [_rhs(i, T, w, explicit) + 8.0 * w * S_i for i, S_i in enumerate(S)]
 
 
 def profile_integrals(profiles: dict) -> dict:
@@ -333,8 +360,9 @@ def profile_integrals(profiles: dict) -> dict:
     _, r, w = _panel_nodes()
     r, w = r.ravel(), w.ravel() * r.ravel() ** 2
     q = (1.0 + r * r) ** 2
-    integrands = np.array([s0_explicit(r) / q, np.log1p(r * r) ** 2 / q] + [
-        laplacian_profile(k, r, pr) for k, pr in enumerate(profs)])
+    T, weight = _t0(np, r)
+    S0, laplacians = source_laplacians(r, T, weight, profs[1], profs[2], S0=profs[0])
+    integrands = np.array([S0 / q, T ** 2 / q] + laplacians)
     I_S0, I_T0sq, *A_check = (2.0 * math.pi * np.sum(integrands * w, axis=1)).tolist()
     return {"I_S0": I_S0, "I_T0sq": I_T0sq, "A_check": A_check,
             "B": [pr.B for pr in profs], "A": [pr.A for pr in profs]}

@@ -21,6 +21,7 @@ from mtcrit import (
     verify_source_expansion,
 )
 from mtcrit import bubble
+from mtcrit import profiles as profiles_module
 from mtcrit.bubble import OrderUnderflowError, _ladder_window, check_ladder
 
 # the PowerLog family of the recorded bubble and extremal reports in test_cli
@@ -214,6 +215,32 @@ def test_expansion_check_evaluates_the_profiles_where_its_sups_read(fam0, profil
     read = np.count_nonzero((np.log1p(y * y) <= cap) & (y >= 0.01))
     assert 700 < read < 800 and sizes == [read, read]
     assert rep.sup_normalized == verify_expansion(sol, profiles, t_cap=cap).sup_normalized
+
+
+def test_source_check_evaluates_each_node_once(monkeypatch, fam0, profiles):
+    # the three Laplacians share the check's T0 = t, its e^{-2t} and one
+    # explicit S0 (one dilogarithm) at each node of the window; S1 and S2
+    # are read there once each
+    sol = shoot_bubble(fam0, 1, 5.0)
+    cap = _ladder_window([3.0, 4.0, 5.0], 0.75)[1]
+    dilogs, sizes = [], []
+    real_li2 = profiles_module.li2_neg
+
+    def counting(P):
+        return lambda r: sizes.append(np.size(r)) or P(r)
+
+    def refuse(*args):
+        raise AssertionError("the source check recomputed T0")
+
+    monkeypatch.setattr(profiles_module, "li2_neg", lambda x: dilogs.append(np.size(x))
+                        or real_li2(x))
+    monkeypatch.setattr(profiles_module, "_t0", refuse)
+    rep = verify_source_expansion(sol, {i: counting(profiles[i]) for i in (1, 2)}, cap)
+    y = sol.y_grid[1:]
+    window = np.count_nonzero((np.log1p(y * y) <= cap) & (y >= bubble._Y_FLOOR))
+    assert window > 100 and dilogs == [window] and sizes == [window, window]
+    monkeypatch.undo()
+    assert rep == verify_source_expansion(sol, profiles, cap)
 
 
 def test_check_ladder_refuses_gamma_past_the_budget(fam0):

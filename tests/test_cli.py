@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line front end (mtcrit.cli.main)."""
 
+import argparse
 import contextlib
 import csv
 import inspect
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from mtcrit import PerturbationFamily, asymptotic_data, bubble, cli, domain, num
 from mtcrit import profiles as profiles_module
 from mtcrit import variational
 from mtcrit.cli import main
+from mtcrit.cmdline import parse_args
 from mtcrit.numerics import CHUNK, EXP_BUDGET
 
 
@@ -941,9 +946,9 @@ def test_a_bubble_run_evaluates_the_sources_on_the_panels_and_the_checks_alone(
         finally:
             solving.pop()
 
-    def rhs(i, r):
-        nodes["solve" if solving else "check"] += np.size(r)
-        return real_rhs(i, r)
+    def rhs(i, T, w, S0):
+        nodes["solve" if solving else "check"] += np.size(T)
+        return real_rhs(i, T, w, S0)
 
     def no_ode(*args, **kwargs):
         raise AssertionError("a profile was integrated as an ODE")
@@ -1067,7 +1072,187 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert "mtcrit" in capsys.readouterr().out
+    assert capsys.readouterr().out == "mtcrit 1.0.0\n"
+
+
+# -- the command line, held to the argparse parser it replaced -----------------
+
+
+def _argparse_reference() -> argparse.ArgumentParser:
+    """The argparse parser that mtcrit's command line was read with before
+    it was parsed directly: the reference of the direct parser."""
+    p = argparse.ArgumentParser(
+        prog="mtcrit",
+        description="Existence criterion toolkit for perturbed "
+                    "Moser-Trudinger extremals")
+    p.add_argument("--version", action="version", version="mtcrit 1.0.0")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, help_ in [
+        ("criterion", "existence verdict for a scenario"),
+        ("profiles", "solve the correction profiles"),
+        ("bubble", "bubble gamma ladder with expansion checks"),
+        ("extremal", "subcritical solver + test functions"),
+        ("verify", "run the invariant suite"),
+    ]:
+        sp = sub.add_parser(name, help=help_)
+        sp.add_argument("--config", default=None, help="JSON scenario file")
+        sp.add_argument("--out", default=".", help="output directory")
+        if name == "verify":
+            sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    return p
+
+
+def _read_with_reference(argv):
+    ns = _argparse_reference().parse_args(argv)
+    return ns.command, ns.config, ns.out, getattr(ns, "seed", None)
+
+
+def _read_directly(argv):
+    command, options = parse_args(argv, cli._COMMANDS)
+    return command, options["config"], options["out"], options.get("seed")
+
+
+def _exit(read, argv, capsys):
+    """(exit code, stdout, stderr) of a read of argv that exits."""
+    with pytest.raises(SystemExit) as exc:
+        read(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+_COMMAND_NAMES = _OTHER_COMMANDS + ["verify"]
+_VALID_ARGV = [
+    *[[cmd] for cmd in _COMMAND_NAMES],
+    *[[cmd, "--config", "a.json", "--out", "res"] for cmd in _COMMAND_NAMES],
+    *[[cmd, "--out=res", "--config=a.json"] for cmd in _COMMAND_NAMES],
+    ["criterion", "--out", "a", "--config", "c.json", "--out", "b"],
+    ["verify", "--seed", "1", "--seed=2"],
+    ["verify", "--seed", "-3"],
+    ["verify", "--seed", "1_000"],
+    ["verify", "--seed", " 7 ", "--out", "res"],
+    ["profiles", "--out", "-3"],
+    ["profiles", "--out", "-.5"],
+    ["bubble", "--out", "a b"],
+    ["extremal", "--out", "-"],
+    ["extremal", "--out="],
+    ["criterion", "--config=--out"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV, ids=" ".join)
+def test_command_line_reads_as_argparse_read_it(argv):
+    assert _read_directly(argv) == _read_with_reference(argv)
+
+
+_INVALID_ARGV = [
+    ([], "the following arguments are required: command"),
+    (["--bogus"], "the following arguments are required: command"),
+    (["foo"], "argument command: invalid choice: 'foo'"),
+    (["-", "criterion"], "argument command: invalid choice: '-'"),
+    *[([cmd, "--seed", "5"], "unrecognized arguments: --seed 5") for cmd in _OTHER_COMMANDS],
+    *[([cmd, "--seed=5"], "unrecognized arguments: --seed=5") for cmd in _OTHER_COMMANDS],
+    (["criterion", "--tolerance-scale", "3"], "unrecognized arguments: --tolerance-scale 3"),
+    (["criterion", "--out"], "argument --out: expected one argument"),
+    (["verify", "--seed"], "argument --seed: expected one argument"),
+    (["criterion", "--out", "--config", "x"], "argument --out: expected one argument"),
+    (["profiles", "--config", "-x"], "argument --config: expected one argument"),
+    (["verify", "--seed", "-1_000"], "argument --seed: expected one argument"),
+    (["verify", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["verify", "--seed", "abc", "-h"], "argument --seed: invalid int value: 'abc'"),
+    (["verify", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+    (["criterion", "extra"], "unrecognized arguments: extra"),
+    (["bubble", "--out", "res", "x", "--config", "c.json", "y"], "unrecognized arguments: x y"),
+    (["--bogus", "criterion"], "unrecognized arguments: --bogus"),
+    (["criterion", "--version"], "unrecognized arguments: --version"),
+    (["criterion", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["--version=x"], "argument --version: ignored explicit argument 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv,fragment", _INVALID_ARGV, ids=[" ".join(a) or "(none)"
+                                                              for a, _ in _INVALID_ARGV])
+def test_usage_errors_read_as_argparse_read_them(capsys, argv, fragment):
+    # exit 2 with a usage line and "mtcrit[ COMMAND]: error: ..." on stderr
+    ref_code, _, ref_err = _exit(_read_with_reference, argv, capsys)
+    code, out, err = _exit(_read_directly, argv, capsys)
+    assert (code, out) == (ref_code, "") == (2, "")
+    assert fragment in ref_err and fragment in err
+    ref_lines, lines = ref_err.splitlines(), err.splitlines()
+    assert lines[0] == ref_lines[0] and lines[0].startswith("usage: mtcrit ")
+    assert lines[-1].split(": error: ")[0] == ref_lines[-1].split(": error: ")[0]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--version"], ["--bogus", "-h"],
+                                  *[[cmd, "-h"] for cmd in _COMMAND_NAMES],
+                                  ["verify", "--seed", "3", "--bogus", "--help"]], ids=" ".join)
+def test_help_and_version_print_what_argparse_printed(capsys, argv):
+    assert _exit(_read_directly, argv, capsys) == _exit(_read_with_reference, argv, capsys)
+
+
+@pytest.mark.parametrize("argv,reference,unrecognized", [
+    (["criterion", "--conf", "x"], ("criterion", "x", ".", None), "--conf x"),
+    (["verify", "--se", "4"], ("verify", None, ".", 4), "--se 4"),
+    (["profiles", "--c=a.json"], ("profiles", "a.json", ".", None), "--c=a.json"),
+    # argparse read -hx as -h grouped with a flag -x, and refused it
+    (["criterion", "-hx"], None, "-hx"),
+], ids=["--conf", "--se", "--c=", "-hx"])
+def test_the_declared_difference_no_option_is_abbreviated(capsys, argv, reference,
+                                                          unrecognized):
+    # argparse read a prefix of an option as that option; the direct parser
+    # reads it as no option at all
+    if reference is None:
+        assert _exit(_read_with_reference, argv, capsys)[0] == 2
+    else:
+        assert _read_with_reference(argv) == reference
+    code, _, err = _exit(_read_directly, argv, capsys)
+    assert code == 2 and f"unrecognized arguments: {unrecognized}" in err
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _entry_point(*args, cwd=None):
+    """`python -m mtcrit.cli ARGS`, the program as a console script runs it."""
+    return subprocess.run([sys.executable, "-m", "mtcrit.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=str(_SRC)), cwd=cwd,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
+def test_entry_point_prints_the_version():
+    proc = _entry_point("--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "mtcrit 1.0.0\n", "")
+
+
+def test_entry_point_lists_every_subcommand():
+    proc = _entry_point("-h")
+    assert proc.returncode == 0
+    listed = re.findall(r"^    (\w+) +(.+)$", proc.stdout, flags=re.M)
+    assert listed == [("criterion", "existence verdict for a scenario"),
+                      ("profiles", "solve the correction profiles"),
+                      ("bubble", "bubble gamma ladder with expansion checks"),
+                      ("extremal", "subcritical solver + test functions"),
+                      ("verify", "run the invariant suite")]
+
+
+def test_entry_point_lists_a_subcommands_options():
+    proc = _entry_point("bubble", "-h")
+    assert proc.returncode == 0
+    assert "--config CONFIG" in proc.stdout and "--out OUT" in proc.stdout
+    assert "--seed" not in proc.stdout
+
+
+def test_entry_point_without_arguments_is_a_usage_error():
+    proc = _entry_point()
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "the following arguments are required: command" in proc.stderr
+
+
+def test_entry_point_runs_a_subcommand(tmp_path):
+    proc = _entry_point("criterion", "--out", "res", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("verdict: ExtremalExists_l")
+    assert json.loads((tmp_path / "res" / "criterion.json").read_text())["verdict"] \
+        == "ExtremalExists_l"
 
 
 _LAPACK = ("solve", "eigvalsh", "eigh", "eig", "lstsq", "inv")

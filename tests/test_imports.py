@@ -1,7 +1,7 @@
 """Every top-level import in the package is used or re-exported, every
 definition is read, and every exported exception is raised somewhere.
-No subcommand loads scipy, which is a test dependency only, nor numpy.ma
-or numpy.polynomial; no module uses numpy.polynomial or any np.linalg
+No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
+numpy.polynomial or argparse; no module uses numpy.polynomial or any np.linalg
 function but norm, and every Gauss-Legendre order a module asks for is one
 that mtcrit.numerics tabulates; no module calls a trapezoid rule, linear
 interpolation or the builtin sum, and only csvout.write_csv and
@@ -698,6 +698,19 @@ def test_runtime_loads_no_numpy_ma(runtime_modules, name):
 def test_runtime_loads_no_numpy_polynomial(runtime_modules, name):
     # the Gauss-Legendre rules are literals, with no leggauss behind them
     assert _within(runtime_modules(name), "numpy.polynomial") == []
+
+
+@pytest.mark.parametrize("name", RUNTIME_PATHS)
+def test_runtime_loads_no_argparse(runtime_modules, name):
+    # the command line is parsed directly: argparse, and the gettext and
+    # locale it loaded, took about 6 ms of every run
+    assert {"argparse", "gettext", "locale"}.isdisjoint(runtime_modules(name))
+
+
+def test_argparse_probe_sees_argparse(tmp_path):
+    modules = _modules_after("import argparse\nargparse.ArgumentParser().parse_args([])\n",
+                             tmp_path)
+    assert {"argparse", "gettext", "locale"} <= set(modules)
 
 
 def test_scipy_probe_sees_scipy(tmp_path):

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from mtcrit import laplacian_profile, s0_explicit, solve_profile
+from mtcrit import laplacian_profile, profile_integrals, s0_explicit, solve_profile
 from mtcrit import profiles as profiles_module
-from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, _rhs, csv_grid, linear_combination,
-                             ode_profile)
+from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, _rhs, _t0, csv_grid,
+                             linear_combination, ode_profile)
 
 
 def test_s0_explicit_values():
@@ -128,15 +128,31 @@ def test_solve_profile_evaluates_its_source_on_the_panel_nodes_alone(monkeypatch
     nodes = []
     real = profiles_module._rhs
 
-    def counting(i, r):
-        nodes.append(np.size(r))
-        return real(i, r)
+    def counting(i, T, w, S0):
+        nodes.append(np.size(T))
+        return real(i, T, w, S0)
 
     monkeypatch.setattr(profiles_module, "_rhs", counting)
     for i in range(3):
         nodes.clear()
         P = solve_profile(i)
         assert nodes == [P.metadata()["quadrature_nodes"]]
+
+
+def test_profile_integrals_evaluate_each_node_once(monkeypatch, profiles):
+    # T0, e^{-2T0} and the explicit S0 (one dilogarithm) once per panel
+    # node, shared by I_S0, I_T0sq and the three Laplacians
+    t0_nodes, dilogs = [], []
+    real_t0, real_li2 = profiles_module._t0, profiles_module.li2_neg
+    monkeypatch.setattr(profiles_module, "_t0", lambda xp, r: t0_nodes.append(np.size(r))
+                        or real_t0(xp, r))
+    monkeypatch.setattr(profiles_module, "li2_neg", lambda x: dilogs.append(np.size(x))
+                        or real_li2(x))
+    got = profile_integrals(profiles)
+    nodes = profiles[1].metadata()["quadrature_nodes"]
+    assert t0_nodes == [nodes] and dilogs == [nodes]
+    monkeypatch.undo()
+    assert got == profile_integrals(profiles)
 
 
 def test_solve_profile_runs_no_ode(monkeypatch):
@@ -244,9 +260,12 @@ def test_laplacian_profile_requires_profile():
 
 def test_rhs_signs():
     # RHS0 = 4 e^{-2T0}(T^2 - T) is negative for small r (T < 1), positive later
-    assert float(_rhs(0, np.array([0.5]))[0]) < 0.0
-    assert float(_rhs(0, np.array([5.0]))[0]) > 0.0
-    assert float(_rhs(2, np.array([1.0]))[0]) > 0.0
+    def rhs(i, r):
+        return float(_rhs(i, *_t0(np, np.array([r])), None)[0])
+
+    assert rhs(0, 0.5) < 0.0
+    assert rhs(0, 5.0) > 0.0
+    assert rhs(2, 1.0) > 0.0
 
 
 def test_profile_integrals_identities(integrals):
