@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvout import HERMITE_STRIDE, write_csv
-from .numerics import solve_ivp
+from .ode import solve_ivp
 from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
                            eval_psi_N, phi_N, xi)
 from .profiles import StepFailureError, s0_explicit, source_laplacians
@@ -115,21 +115,19 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float,
     grid = _shot_grid(gamma, eps0)
     c = 0.5 * lam * mu * mu
 
-    hit_zero = {"flag": False}
+    blown_down = f"bubble at gamma = {gamma:g}, N = {N} reached zero before rho"
 
-    def odes(y, u):
-        B, dB = u
+    def accel(y, B, dB):
+        # the shot has blown down at its first probe with B <= 0
         if B <= 0.0:
-            hit_zero["flag"] = True
-            return [dB, 0.0]
-        _, psi_p = eval_psi_N(fam, N, B)
-        return [dB, -dB / y - c * psi_p]
+            raise BlowDownError(blown_down)
+        return -dB / y - c * eval_psi_N(fam, N, B)[1]
 
     _, psi_p0 = eval_psi_N(fam, N, gamma)
-    seed = [gamma - c * psi_p0 * _Y0 * _Y0 / 4.0, -c * psi_p0 * _Y0 / 2.0]
-    sol = solve_ivp(odes, (_Y0, grid[-1]), seed, t_eval=grid[1:], rtol=1e-11, atol=1e-12)
-    if hit_zero["flag"] or np.any(sol.y[0] <= 0.0):
-        raise BlowDownError(f"bubble at gamma = {gamma:g}, N = {N} reached zero before rho")
+    seed = (gamma - c * psi_p0 * _Y0 * _Y0 / 4.0, -c * psi_p0 * _Y0 / 2.0)
+    sol = solve_ivp(accel, (_Y0, grid[-1]), seed, t_eval=grid[1:], rtol=1e-11, atol=1e-12)
+    if np.any(sol.y[0] <= 0.0):
+        raise BlowDownError(blown_down)
     if not sol.success:
         raise StepFailureError(f"{sol.message} ({sol.nfev} evaluations)")
     values = np.concatenate([[gamma], sol.y[0]])

@@ -1,9 +1,5 @@
 """Small numerical kernels, so that the toolkit needs NumPy alone.
 
-* `solve_ivp`: Dormand-Prince 5(4) on Python floats, with the initial
-  step, step control and 4th-order dense output of scipy's RK45
-  (Hairer, Norsett, Wanner, Solving ODEs I, II.4; Shampine, Math. Comp.
-  1986 for the dense output).
 * `minimize`: the Nelder-Mead simplex search of scipy.optimize.minimize
   (non-adaptive coefficients, the same initial simplex and stop rule).
 * `gauss_legendre`: the nodes and weights of composite Gauss-Legendre
@@ -21,7 +17,10 @@
 A kernel takes a float or an array with at least one axis; callers make
 any other number with no axes a float first.
 
-tests/test_numerics.py holds each kernel to scipy or mpmath.
+tests/test_numerics.py holds each kernel to scipy or mpmath, and the
+Dormand-Prince integrator `mtcrit.ode.solve_ivp` to scipy's RK45.  That
+integrator is a module apart: a process that compiles the package from
+source reaches its peak memory compiling the largest module.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ import numpy as np
 __all__ = [
     "CHUNK",
     "EXP_BUDGET",
-    "OdeResult",
     "MinimizeResult",
-    "solve_ivp",
     "minimize",
     "gauss_legendre",
     "power_term",
@@ -54,48 +51,7 @@ _EPS = sys.float_info.epsilon
 CHUNK = 8192
 
 
-# -- Dormand-Prince 5(4) ------------------------------------------------------
-
-_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = ((1 / 5,),
-         (3 / 40, 9 / 40),
-         (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-# error estimate: fifth-order minus embedded fourth-order weights, over all
-# seven stages (the seventh is f at the new point)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-# the tableau by name, for the written-out stages of `solve_ivp`
-_C2, _C3, _C4, _C5, _C6 = _DP_C
-((_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
- (_A61, _A62, _A63, _A64, _A65)) = _DP_A
-_B1, _B2, _B3, _B4, _B5, _B6 = _DP_B
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
-# dense output: y(t_old + x h) = y_old + h sum_k K_k (P_k . (x, x^2, x^3, x^4))
-_DP_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / 5.0
-
-
-@dataclass
-class OdeResult:
-    """y[i, j] is component i at t_eval[j]; on failure, only the t_eval
-    points the integration reached are filled in."""
-
-    y: np.ndarray
-    nfev: int
-    success: bool
-    message: str
+# -- left-to-right sum ----------------------------------------------------------
 
 
 def left_sum(terms, start=0.0):
@@ -108,112 +64,6 @@ def left_sum(terms, start=0.0):
     for term in terms:
         total = total + term
     return total
-
-
-def _rms(v) -> float:
-    return math.sqrt(left_sum([x * x for x in v])) / len(v) ** 0.5
-
-
-def solve_ivp(fun, t_span, y0, t_eval, rtol: float, atol: float) -> OdeResult:
-    """Integrate y' = fun(t, y) forward over t_span, reporting y at the
-    increasing points t_eval inside it.
-
-    fun takes a float t and a list of floats y and returns a sequence of
-    floats.  Steps, their acceptance and the first step size follow scipy's
-    RK45; each accepted step keeps its stages, and y at t_eval comes from
-    the dense output of the step that covers it (a point on a step's end
-    belongs to that step).  A t_eval outside t_span, or not increasing, is
-    refused with ValueError (scipy's messages) before fun is called.
-
-    Each stage is written out: its sum is formed from 0.0 on, term by term
-    left to right in the order of the tableau, zero weights included.  The
-    error norm sums its squares by `left_sum`, the same left fold.  So no
-    float sum depends on the Python version.
-    """
-    t, t_end = float(t_span[0]), float(t_span[1])
-    if not t_end > t:
-        raise ValueError("t_span must be increasing")
-    t_eval = np.asarray(t_eval, dtype=float)
-    if np.any(t_eval < t) or np.any(t_eval > t_end):
-        raise ValueError("Values in `t_eval` are not within `t_span`.")
-    if np.any(np.diff(t_eval) <= 0):
-        raise ValueError("Values in `t_eval` are not properly sorted.")
-    y = [float(v) for v in y0]
-    n = len(y)
-
-    fy = fun(t, y)
-    # initial step (Hairer-Norsett-Wanner II.4, as scipy's select_initial_step)
-    scale = [atol + abs(v) * rtol for v in y]
-    d0 = _rms([v / s for v, s in zip(y, scale)])
-    d1 = _rms([v / s for v, s in zip(fy, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end - t)
-    f1 = fun(t + h0, [v + h0 * d for v, d in zip(y, fy)])
-    nfev = 2
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, fy, scale)]) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 5.0)
-    h_abs = min(100.0 * h0, h1, t_end - t)
-
-    steps = []  # (t_old, t_new, h, y_old, stages) of each accepted step
-    success, message = True, "The solver successfully reached the end of the interval."
-    while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # NaN too: scipy's RK45 would loop forever
-                success = False
-                message = "Required step size is less than spacing between numbers."
-                break
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = abs(h)
-            k1 = fy
-            k2 = fun(t + _C2 * h, [v + (0.0 + s1 * _A21) * h for v, s1 in zip(y, k1)])
-            k3 = fun(t + _C3 * h, [v + (0.0 + s1 * _A31 + s2 * _A32) * h
-                                   for v, s1, s2 in zip(y, k1, k2)])
-            k4 = fun(t + _C4 * h, [v + (0.0 + s1 * _A41 + s2 * _A42 + s3 * _A43) * h
-                                   for v, s1, s2, s3 in zip(y, k1, k2, k3)])
-            k5 = fun(t + _C5 * h, [v + (0.0 + s1 * _A51 + s2 * _A52 + s3 * _A53
-                                        + s4 * _A54) * h
-                                   for v, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
-            k6 = fun(t + _C6 * h, [v + (0.0 + s1 * _A61 + s2 * _A62 + s3 * _A63
-                                        + s4 * _A64 + s5 * _A65) * h
-                                   for v, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (0.0 + s1 * _B1 + s2 * _B2 + s3 * _B3 + s4 * _B4 + s5 * _B5
-                              + s6 * _B6)
-                     for v, s1, s2, s3, s4, s5, s6 in zip(y, k1, k2, k3, k4, k5, k6)]
-            k7 = fun(t + h, y_new)
-            nfev += 6
-            err = _rms([(0.0 + s1 * _E1 + s2 * _E2 + s3 * _E3 + s4 * _E4 + s5 * _E5
-                         + s6 * _E6 + s7 * _E7) * h / (atol + max(abs(v), abs(w)) * rtol)
-                        for v, w, s1, s2, s3, s4, s5, s6, s7
-                        in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)])
-            if err < 1.0:
-                factor = (_MAX_FACTOR if err == 0.0
-                          else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
-            rejected = True
-        if not success:
-            break
-        steps.append((t, t_new, h, y, (k1, k2, k3, k4, k5, k6, k7)))
-        t, y, fy = t_new, y_new, k7
-
-    t_eval = t_eval[:np.searchsorted(t_eval, t, side="right")]
-    if not steps:
-        return OdeResult(y=np.empty((n, 0)), nfev=nfev, success=success, message=message)
-    t_old, t_new, h, y_old, stages = (np.array(v) for v in zip(*steps))
-    step = np.searchsorted(t_new, t_eval, side="left")
-    x = (t_eval - t_old[step]) / h[step]
-    powers = np.cumprod(np.tile(x, (4, 1)), axis=0)                # (4, m)
-    Q = np.einsum("skn,kj->snj", stages, _DP_P)[step]              # (m, n, 4)
-    out = h[step] * np.einsum("mnj,jm->nm", Q, powers) + y_old[step].T
-    return OdeResult(y=out, nfev=nfev, success=success, message=message)
 
 
 # -- Nelder-Mead ----------------------------------------------------------------

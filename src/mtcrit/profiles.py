@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvout import HERMITE_STRIDE, write_csv
-from .numerics import _legendre_rule, gauss_legendre, li2_neg, solve_ivp
+from .numerics import _legendre_rule, gauss_legendre, li2_neg
+from .ode import solve_ivp
 
 __all__ = [
     "StepFailureError",
@@ -311,14 +312,13 @@ def ode_profile(i: int, r) -> tuple[np.ndarray, np.ndarray]:
         T, w = _t0(math, s)
         return w, _rhs(i, T, w, _s0(s * s, T) if i == 1 else None)
 
-    def odes(s, y):
-        S, dS = y
+    def accel(s, S, dS):
         w, rhs = source(s)
-        return [dS, -dS / s - 8.0 * w * S - rhs]
+        return -dS / s - 8.0 * w * S - rhs
 
     rhs0 = source(0.0)[1]
-    seed = [-rhs0 * _R0 * _R0 / 4.0, -rhs0 * _R0 / 2.0]
-    sol = solve_ivp(odes, (_R0, float(r[-1])), seed, t_eval=r, rtol=_RTOL, atol=_ATOL)
+    seed = (-rhs0 * _R0 * _R0 / 4.0, -rhs0 * _R0 / 2.0)
+    sol = solve_ivp(accel, (_R0, float(r[-1])), seed, t_eval=r, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise StepFailureError(f"{sol.message} ({sol.nfev} evaluations)")
     return sol.y[0], sol.y[1]

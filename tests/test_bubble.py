@@ -20,7 +20,7 @@ from mtcrit import (
     verify_expansion,
     verify_source_expansion,
 )
-from mtcrit import bubble
+from mtcrit import bubble, cli
 from mtcrit import profiles as profiles_module
 from mtcrit.bubble import OrderUnderflowError, _ladder_window, check_ladder
 
@@ -76,6 +76,28 @@ def test_blow_down(fam0):
     assert shoot_bubble(fam0, 22, 3.0).values[-1] > 0.0
     with pytest.raises(BlowDownError, match="gamma = 3, N = 30"):
         shoot_bubble(fam0, 30, 3.0)
+
+
+def test_a_blown_down_shot_stops_at_its_first_probe_below_zero(tmp_path, capsys, monkeypatch):
+    # at gamma = 3, N = 23 the shot blows down; it stops at the first stage
+    # whose B is <= 0 (the shot integrated on to rho, 277 evaluations more)
+    probes = []
+
+    def recording(accel, *args, **kwargs):
+        def probed(y, B, dB):
+            probes.append(B)
+            return accel(y, B, dB)
+
+        return real(probed, *args, **kwargs)
+
+    real = bubble.solve_ivp
+    monkeypatch.setattr(bubble, "solve_ivp", recording)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"N": 23}')
+    assert cli.main(["bubble", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("error: BlowDownError: bubble at gamma = 3, N = 23 "
+                                       "reached zero before rho\n")
+    assert probes[-1] <= 0.0 < min(probes[:-1])
 
 
 def test_ladder_trends(ladder0):
@@ -164,8 +186,8 @@ def test_powerlog_family_shoots():
 
 
 def test_powerlog_shot_takes_the_scalar_path(monkeypatch):
-    # numerics.solve_ivp (Dormand-Prince on Python floats) passes B to the
-    # right-hand side as a float: each call must pick its branch by plain
+    # ode.solve_ivp (Dormand-Prince on two Python floats) passes B to the
+    # shot's acceleration as a float: each call must pick its branch by plain
     # comparisons, never by the array masks.
     def no_masks(*args, **kwargs):
         raise AssertionError("the mask path of eval_g was taken")

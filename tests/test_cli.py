@@ -950,13 +950,17 @@ def test_a_bubble_run_evaluates_the_sources_on_the_panels_and_the_checks_alone(
         nodes["solve" if solving else "check"] += np.size(T)
         return real_rhs(i, T, w, S0)
 
-    def no_ode(*args, **kwargs):
+    def no_ode(accel, t_span, y0, **kwargs):
         raise AssertionError("a profile was integrated as an ODE")
+
+    def shot(accel, t_span, y0, **kwargs):
+        shots.append(y0)
+        return real_shot(accel, t_span, y0, **kwargs)
 
     monkeypatch.setattr(cli, "solve_profile", solve)
     monkeypatch.setattr(profiles_module, "_rhs", rhs)
     monkeypatch.setattr(profiles_module, "solve_ivp", no_ode)
-    monkeypatch.setattr(bubble, "solve_ivp", lambda *a, **k: shots.append(a) or real_shot(*a, **k))
+    monkeypatch.setattr(bubble, "solve_ivp", shot)
     assert main(["bubble", "--out", str(tmp_path)]) == 0
     assert nodes["solve"] == 2 * panel_nodes
     # S0, S1 and S2's Laplacians at each rung's source window
@@ -966,7 +970,9 @@ def test_a_bubble_run_evaluates_the_sources_on_the_panels_and_the_checks_alone(
         y = bubble._shot_grid(g, 0.75)[1:]
         windows += np.count_nonzero((np.log1p(y * y) <= cap) & (y >= bubble._Y_FLOOR))
     assert nodes["check"] == 3 * windows
-    assert len(shots) == 3
+    # each shot starts from its series seed (B, B'), two floats
+    assert len(shots) == 3 and all(len(y0) == 2 and {type(v) for v in y0} == {float}
+                                   for y0 in shots)
 
 
 def test_verify(tmp_path, capsys):

@@ -7,6 +7,8 @@ that mtcrit.numerics tabulates; no module calls a trapezoid rule, linear
 interpolation or the builtin sum, and only csvout.write_csv and
 cli._write_report open a file for writing.  Every kernel
 and constant that mtcrit.numerics exports is imported by another module.
+No module compiles with a larger memory peak than the largest module had
+before the ODE integrator moved from mtcrit.numerics to mtcrit.ode.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
@@ -724,6 +726,57 @@ def test_numpy_ma_probe_sees_numpy_ma(tmp_path):
 def test_numpy_polynomial_probe_sees_numpy_polynomial(tmp_path):
     modules = _modules_after("from numpy.polynomial.legendre import leggauss\n", tmp_path)
     assert "numpy.polynomial.legendre" in _within(modules, "numpy.polynomial")
+
+
+# -- compile memory -------------------------------------------------------------
+
+# A process that compiles the package from source (no cached bytecode)
+# reaches its peak memory compiling the largest module, so no module may
+# compile with a larger peak than the largest one before the integrator
+# left mtcrit.numerics: numerics.py's, measured by _compile_peaks on
+# CPython 3.11.7.  The peaks are the same from run to run on one
+# interpreter, but not across versions, and each depends on the strings
+# that earlier compiles interned, so all modules are compiled in one fresh
+# interpreter in a fixed order.
+COMPILE_PEAK_BOUND = 1_366_668
+_BOUND_INTERPRETER = sys.implementation.name == "cpython" and sys.version_info[:3] == (3, 11, 7)
+_COMPILE_PROBE = """
+import pathlib, sys, tracemalloc
+peaks = {}
+for path in sys.argv[1:]:
+    source = pathlib.Path(path).read_text()
+    tracemalloc.start()
+    compile(source, pathlib.Path(path).name, "exec")
+    peaks[pathlib.Path(path).name] = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+print(peaks)
+"""
+
+
+def _compile_peaks(paths) -> dict:
+    """file name -> the tracemalloc peak of compiling it, the paths compiled
+    one after the other in a fresh isolated interpreter."""
+    proc = subprocess.run([sys.executable, "-I", "-c", _COMPILE_PROBE, *map(str, paths)],
+                          capture_output=True, text=True, timeout=300, check=True)
+    return ast.literal_eval(proc.stdout)
+
+
+@pytest.mark.skipif(not _BOUND_INTERPRETER, reason="the bound was measured on CPython 3.11.7")
+def test_no_module_compiles_past_the_largest_peak_before_the_split():
+    peaks = _compile_peaks(MODULES)
+    assert set(peaks) == {p.name for p in MODULES}
+    over = {name: peak for name, peak in peaks.items() if peak > COMPILE_PEAK_BOUND}
+    assert not over, f"compile peaks over {COMPILE_PEAK_BOUND} B: {over}"
+
+
+@pytest.mark.skipif(not _BOUND_INTERPRETER, reason="the bound was measured on CPython 3.11.7")
+def test_compile_probe_sees_a_module_past_the_bound(tmp_path):
+    # the integrator back in numerics: numerics.py and ode.py as one module
+    merged = tmp_path / "numerics.py"
+    integrator = (SRC / "ode.py").read_text().replace("from __future__ import annotations", "")
+    merged.write_text((SRC / "numerics.py").read_text() + integrator)
+    assert _compile_peaks(MODULES[:MODULES.index(SRC / "numerics.py")] + [merged])[
+        "numerics.py"] > COMPILE_PEAK_BOUND
 
 
 # -- packaging ------------------------------------------------------------------

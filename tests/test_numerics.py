@@ -1,6 +1,6 @@
-"""The kernels of mtcrit.numerics against their oracles: scipy for the
-integrator, Nelder-Mead and Gauss-Legendre; mpmath for the dilogarithm.
-scipy and mpmath are test dependencies only."""
+"""The kernels of mtcrit.numerics, and the integrator of mtcrit.ode, against
+their oracles: scipy for the integrator, Nelder-Mead and Gauss-Legendre;
+mpmath for the dilogarithm.  scipy and mpmath are test dependencies only."""
 
 import math
 import re
@@ -14,7 +14,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtcrit import bubble, numerics, profiles
+from mtcrit import bubble, cli, numerics, ode, profiles
 from mtcrit.domain import DomainModel, robin, robin_report
 from mtcrit.perturbation import PerturbationFamily
 
@@ -24,16 +24,25 @@ EPS = np.finfo(float).eps
 # -- Dormand-Prince against scipy's RK45 --------------------------------------
 
 
-def _scipy_rk45(fun, t_span, y0, t_eval, rtol, atol):
-    return scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", t_eval=t_eval,
-                                     rtol=rtol, atol=atol)
+def _first_order(accel):
+    """u'' = accel(t, u, u') as the system (u, u')' = (u', accel) that the
+    references integrate."""
+    def fun(t, y):
+        return [y[1], accel(t, y[0], y[1])]
+
+    return fun
+
+
+def _scipy_rk45(accel, t_span, y0, t_eval, rtol, atol):
+    return scipy.integrate.solve_ivp(_first_order(accel), t_span, y0, method="RK45",
+                                     t_eval=t_eval, rtol=rtol, atol=atol)
 
 
 def _both(monkeypatch, module, run):
     """run() once with the module's own integrator and once with scipy's
     RK45 bound in its place; returns both results and both solver outputs."""
     outs = {}
-    for name, solver in (("ours", numerics.solve_ivp), ("scipy", _scipy_rk45)):
+    for name, solver in (("ours", ode.solve_ivp), ("scipy", _scipy_rk45)):
         seen = []
 
         def recording(*args, solver=solver, seen=seen, **kwargs):
@@ -45,11 +54,11 @@ def _both(monkeypatch, module, run):
     return outs
 
 
-@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("i", [0, 1, 2])
 def test_profile_ode_takes_scipys_steps(monkeypatch, i):
-    # ode_profile for S1 and S2 on a profile grid: the same evaluation count
-    # (so the same accepted and rejected steps), values within 1e-12 of the
-    # largest |S| (measured: 1.5e-15).
+    # ode_profile for S0, S1 and S2 on a profile grid: the same evaluation
+    # count (so the same accepted and rejected steps), values within 1e-12
+    # of the largest |S| (measured: 1.5e-15).
     r = np.geomspace(1e-6, profiles.R_MAX, 4000)
     outs = _both(monkeypatch, profiles, lambda: profiles.ode_profile(i, r))
     ((S, dS), (sol,)), ((ref, dref), (ref_sol,)) = outs["ours"], outs["scipy"]
@@ -70,55 +79,57 @@ def test_bubble_shot_takes_scipys_steps(monkeypatch, gamma):
 
 
 def test_dense_output_and_evaluation_count_on_a_linear_system():
-    # y'' = -y from (1, 0): t_eval on step ends and inside steps alike
-    def fun(t, y):
-        return [y[1], -y[0]]
+    # u'' = -u from (1, 0): t_eval on step ends and inside steps alike
+    def accel(t, u, du):
+        return -u
 
     t_eval = np.linspace(0.0, 10.0, 57)
-    ours = numerics.solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], t_eval, 1e-8, 1e-10)
-    ref = _scipy_rk45(fun, (0.0, 10.0), [1.0, 0.0], t_eval, 1e-8, 1e-10)
+    ours = ode.solve_ivp(accel, (0.0, 10.0), (1.0, 0.0), t_eval, 1e-8, 1e-10)
+    ref = _scipy_rk45(accel, (0.0, 10.0), [1.0, 0.0], t_eval, 1e-8, 1e-10)
     assert ours.nfev == ref.nfev and ours.success
     np.testing.assert_allclose(ours.y, ref.y, rtol=0.0, atol=1e-14)
     assert np.max(np.abs(ours.y[0] - np.cos(t_eval))) < 1e-7
 
 
 def test_failed_integration_says_so():
-    # a right-hand side that turns NaN past t = 0.5 rejects every step from
+    # an acceleration that turns NaN past t = 0.5 rejects every step from
     # there until the step size passes below the spacing of the doubles, as
     # in scipy; the points before the failure are reported.  The evaluation
-    # counts differ here: y' = -y makes the error estimate a sum that cancels
-    # to 1e-8 of its terms, whose order (BLAS in scipy) moves the step sizes
-    # by 1e-9 relative and with them the number of halvings down to 0.5.
-    def fun(t, y):
-        return [math.nan if t > 0.5 else -y[0]]
+    # counts differ here (434 and 482): u'' = -u makes the error estimate a
+    # sum that cancels to a small part of its terms, whose order (BLAS in
+    # scipy) moves the step sizes and with them the number of halvings down
+    # to 0.5.
+    def accel(t, u, du):
+        return math.nan if t > 0.5 else -u
 
     t_eval = [0.1, 0.3, 0.9]
-    ours = numerics.solve_ivp(fun, (0.0, 1.0), [1.0], t_eval, 1e-6, 1e-9)
-    ref = _scipy_rk45(fun, (0.0, 1.0), [1.0], t_eval, 1e-6, 1e-9)
+    ours = ode.solve_ivp(accel, (0.0, 1.0), (1.0, 0.0), t_eval, 1e-6, 1e-9)
+    ref = _scipy_rk45(accel, (0.0, 1.0), [1.0, 0.0], t_eval, 1e-6, 1e-9)
     assert not ours.success and ref.status == -1
     assert ours.message == ref.message
     np.testing.assert_allclose(ours.y, ref.y, rtol=1e-12, atol=0.0)
     # NaN from the start fails at once (scipy's RK45 would never end)
-    bad = numerics.solve_ivp(lambda t, y: [math.nan], (0.0, 1.0), [1.0], t_eval, 1e-6, 1e-9)
-    assert not bad.success and bad.y.shape == (1, 0)
+    bad = ode.solve_ivp(lambda t, u, du: math.nan, (0.0, 1.0), (1.0, 0.0), t_eval,
+                        1e-6, 1e-9)
+    assert not bad.success and bad.y.shape == (2, 0)
 
 
 @pytest.mark.parametrize("t_eval", [[-0.5, 1.0], [0.5, 10.5], [1.0, 0.5], [0.5, 0.5]],
                          ids=["before", "past", "decreasing", "repeated"])
 def test_t_eval_outside_the_span_or_unsorted_is_refused(t_eval):
     # the dense output would extrapolate the first or last step and report
-    # success; refused as scipy refuses it, before fun is ever called
+    # success; refused as scipy refuses it, before accel is ever called
     calls = []
 
-    def fun(t, y):
+    def accel(t, u, du):
         calls.append(t)
-        return [y[1], -y[0]]
+        return -u
 
     with pytest.raises(ValueError) as ref:
-        _scipy_rk45(fun, (0.0, 10.0), [1.0, 0.0], t_eval, 1e-8, 1e-10)
+        _scipy_rk45(accel, (0.0, 10.0), [1.0, 0.0], t_eval, 1e-8, 1e-10)
     calls.clear()
     with pytest.raises(ValueError, match=re.escape(str(ref.value))):
-        numerics.solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], t_eval, 1e-8, 1e-10)
+        ode.solve_ivp(accel, (0.0, 10.0), (1.0, 0.0), t_eval, 1e-8, 1e-10)
     assert calls == []
 
 
@@ -134,9 +145,14 @@ def _left_sum(terms):
     return acc
 
 
+def _rms(v):
+    return math.sqrt(_left_sum(x * x for x in v)) / len(v) ** 0.5
+
+
 def _stage_loop_solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
-    """Dormand-Prince with every stage a sum over its row of the tableau:
-    the form numerics.solve_ivp writes out stage by stage."""
+    """Dormand-Prince on y' = fun(t, y) with n components, every stage a
+    sum over its row of the tableau: the form ode.solve_ivp writes out
+    stage by stage for n = 2."""
     t, t_end = float(t_span[0]), float(t_span[1])
     y = [float(v) for v in y0]
     n = len(y)
@@ -149,12 +165,12 @@ def _stage_loop_solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
 
     fy = f(t, y)
     scale = [atol + abs(v) * rtol for v in y]
-    d0 = numerics._rms([v / s for v, s in zip(y, scale)])
-    d1 = numerics._rms([v / s for v, s in zip(fy, scale)])
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(fy, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end - t)
     f1 = f(t + h0, [v + h0 * d for v, d in zip(y, fy)])
-    d2 = numerics._rms([(a - b) / s for a, b, s in zip(f1, fy, scale)]) / h0
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, fy, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -175,23 +191,22 @@ def _stage_loop_solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
             h = t_new - t
             h_abs = abs(h)
             K = [fy]
-            for a, c in zip(numerics._DP_A, numerics._DP_C):
+            for a, c in zip(ode._DP_A, ode._DP_C):
                 K.append(f(t + c * h, [y[i] + _left_sum(K[j][i] * a[j] for j in range(len(a))) * h
                                        for i in range(n)]))
-            y_new = [y[i] + h * _left_sum(K[j][i] * numerics._DP_B[j] for j in range(6))
+            y_new = [y[i] + h * _left_sum(K[j][i] * ode._DP_B[j] for j in range(6))
                      for i in range(n)]
             f_new = f(t + h, y_new)
             K.append(f_new)
-            err = numerics._rms([_left_sum(K[j][i] * numerics._DP_E[j] for j in range(7)) * h
-                                 / (atol + max(abs(y[i]), abs(y_new[i])) * rtol)
-                                 for i in range(n)])
+            err = _rms([_left_sum(K[j][i] * ode._DP_E[j] for j in range(7)) * h
+                        / (atol + max(abs(y[i]), abs(y_new[i])) * rtol)
+                        for i in range(n)])
             if err < 1.0:
-                factor = (numerics._MAX_FACTOR if err == 0.0
-                          else min(numerics._MAX_FACTOR,
-                                   numerics._SAFETY * err ** numerics._ERROR_EXPONENT))
+                factor = (ode._MAX_FACTOR if err == 0.0
+                          else min(ode._MAX_FACTOR, ode._SAFETY * err ** ode._ERROR_EXPONENT))
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
-            h_abs *= max(numerics._MIN_FACTOR, numerics._SAFETY * err ** numerics._ERROR_EXPONENT)
+            h_abs *= max(ode._MIN_FACTOR, ode._SAFETY * err ** ode._ERROR_EXPONENT)
             rejected = True
         if not success:
             break
@@ -200,15 +215,19 @@ def _stage_loop_solve_ivp(fun, t_span, y0, t_eval, rtol, atol):
     t_eval = np.asarray(t_eval, dtype=float)
     t_eval = t_eval[:np.searchsorted(t_eval, t, side="right")]
     if not steps:
-        return numerics.OdeResult(y=np.empty((n, 0)), nfev=nfev, success=success,
-                                  message=message)
+        return ode.OdeResult(y=np.empty((n, 0)), nfev=nfev, success=success, message=message)
     t_old, t_new, h, y_old, stages = (np.array(v) for v in zip(*steps))
     step = np.searchsorted(t_new, t_eval, side="left")
     x = (t_eval - t_old[step]) / h[step]
     powers = np.cumprod(np.tile(x, (4, 1)), axis=0)
-    Q = np.einsum("skn,kj->snj", stages, numerics._DP_P)[step]
+    Q = np.einsum("skn,kj->snj", stages, ode._DP_P)[step]
     out = h[step] * np.einsum("mnj,jm->nm", Q, powers) + y_old[step].T
-    return numerics.OdeResult(y=out, nfev=nfev, success=success, message=message)
+    return ode.OdeResult(y=out, nfev=nfev, success=success, message=message)
+
+
+def _stage_loop(accel, *args, **kwargs):
+    """The stage loop on u'' = accel(t, u, u'), as the system (u, u')."""
+    return _stage_loop_solve_ivp(_first_order(accel), *args, **kwargs)
 
 
 def _same_bits(a, b) -> bool:
@@ -219,17 +238,17 @@ def _same_bits(a, b) -> bool:
 def _stage_forms(monkeypatch, module, run):
     """run() with the written-out integrator and with the stage loop bound
     as module.solve_ivp; each gives run()'s result, the solver results and
-    the number of calls of fun in each solve."""
+    the number of calls of accel in each solve."""
     outs = {}
-    for name, solver in (("written", numerics.solve_ivp), ("loop", _stage_loop_solve_ivp)):
+    for name, solver in (("written", ode.solve_ivp), ("loop", _stage_loop)):
         seen = []
 
-        def recording(fun, *args, solver=solver, seen=seen, **kwargs):
+        def recording(accel, *args, solver=solver, seen=seen, **kwargs):
             calls = []
 
-            def counted(t, y):
+            def counted(t, u, du):
                 calls.append(t)
-                return fun(t, y)
+                return accel(t, u, du)
 
             seen.append((solver(counted, *args, **kwargs), len(calls)))
             return seen[-1][0]
@@ -247,20 +266,29 @@ def _assert_same_solves(written, loop):
         assert sol.success == ref.success and sol.message == ref.message
 
 
-SHOT_FAMILIES = {"Zero": PerturbationFamily(), "PowerLog": PerturbationFamily.from_json(
-    {"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292, "b_prime": 0.682198})}
+SHOT_FAMILIES = {
+    "Zero": PerturbationFamily(),
+    "PowerLog": PerturbationFamily.from_json(
+        {"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292, "b_prime": 0.682198}),
+    # a blend from gamma > R' down past 1/R', whose near-zero branch the
+    # shot reaches
+    "PowerLog-blend": PerturbationFamily(kind="PowerLog", c=-0.3, a=0.4, b=0.7, g0=0.2,
+                                         c_prime=1.5, a_prime=0.5, b_prime=1.2,
+                                         R_prime=3.0),
+}
 
 
 @pytest.mark.parametrize("fam", SHOT_FAMILIES)
-@pytest.mark.parametrize("gamma", [3.0, 5.0])
+@pytest.mark.parametrize("gamma", [3.0, 4.0, 5.0])
 def test_bubble_shot_is_bit_identical_to_the_stage_loop(monkeypatch, fam, gamma):
-    (ours, written), (ref, loop) = _stage_forms(
-        monkeypatch, bubble, lambda: bubble.shoot_bubble(SHOT_FAMILIES[fam], 1, gamma))
-    _assert_same_solves(written, loop)
-    assert _same_bits(ours.values, ref.values) and _same_bits(ours.derivs, ref.derivs)
+    for N in (1, 2):
+        (ours, written), (ref, loop) = _stage_forms(
+            monkeypatch, bubble, lambda: bubble.shoot_bubble(SHOT_FAMILIES[fam], N, gamma))
+        _assert_same_solves(written, loop)
+        assert _same_bits(ours.values, ref.values) and _same_bits(ours.derivs, ref.derivs)
 
 
-@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("i", [0, 1, 2])
 def test_profile_ode_is_bit_identical_to_the_stage_loop(monkeypatch, i):
     r = np.geomspace(1e-6, profiles.R_MAX, 4000)
     (ours, written), (ref, loop) = _stage_forms(monkeypatch, profiles,
@@ -269,22 +297,53 @@ def test_profile_ode_is_bit_identical_to_the_stage_loop(monkeypatch, i):
     assert all(_same_bits(a, b) for a, b in zip(ours, ref, strict=True))
 
 
-@pytest.mark.parametrize("y0,fun", [
-    ([1.0, 0.0], lambda t, y: [y[1], -y[0]]),
-    # y' = 1 from y = +0.0 on, -0.0 at y = -0.0: the second stage's sum
-    # -0.0 * a21 turns +0.0 by its leading 0, which moves y off -0.0 (a
-    # stage sum without it keeps y at -0.0 through the first step)
-    ([-0.0], lambda t, y: [1.0 if math.copysign(1.0, y[0]) > 0 else -0.0]),
+@pytest.mark.parametrize("y0,accel", [
+    ((1.0, 0.0), lambda t, u, du: -u),
+    # u'' = 1 from u' = +0.0 on, -0.0 at u' = -0.0: the second stage's sum
+    # -0.0 * a21 turns +0.0 by its leading 0, which moves u' off -0.0 (a
+    # stage sum without it keeps u' at -0.0 through the first step)
+    ((0.0, -0.0), lambda t, u, du: 1.0 if math.copysign(1.0, du) > 0 else -0.0),
 ], ids=["linear", "signed-zero"])
-def test_written_out_stages_are_the_stage_loop(y0, fun):
+def test_written_out_stages_are_the_stage_loop(y0, accel):
     t_eval = np.linspace(0.0, 10.0, 57)
     ours_calls, ref_calls = [], []
-    ours = numerics.solve_ivp(lambda t, y: ours_calls.append(t) or fun(t, y), (0.0, 10.0),
-                              y0, t_eval, 1e-8, 1e-10)
-    ref = _stage_loop_solve_ivp(lambda t, y: ref_calls.append(t) or fun(t, y), (0.0, 10.0),
-                                y0, t_eval, 1e-8, 1e-10)
+    ours = ode.solve_ivp(lambda t, u, du: ours_calls.append(t) or accel(t, u, du),
+                         (0.0, 10.0), y0, t_eval, 1e-8, 1e-10)
+    ref = _stage_loop(lambda t, u, du: ref_calls.append(t) or accel(t, u, du), (0.0, 10.0),
+                      y0, t_eval, 1e-8, 1e-10)
     _assert_same_solves([(ours, len(ours_calls))], [(ref, len(ref_calls))])
     assert ours_calls == ref_calls
+
+
+def _counting(monkeypatch, module) -> list:
+    """The evaluation count of each solve of module.solve_ivp, from now on."""
+    counts = []
+
+    def counting(*args, **kwargs):
+        sol = ode.solve_ivp(*args, **kwargs)
+        counts.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(module, "solve_ivp", counting)
+    return counts
+
+
+# Work pinned with no timing noise: the evaluation counts of the default
+# ladder's shots and of verify's "S1 quadrature vs ODE" row, as the
+# n-component integrator took them before the integrator was written for
+# u'' = accel alone.
+@pytest.mark.parametrize("fam", ["Zero", "PowerLog"])
+def test_the_default_ladder_shots_take_pinned_evaluation_counts(monkeypatch, fam):
+    counts = _counting(monkeypatch, bubble)
+    for gamma in (3.0, 4.0, 5.0):
+        bubble.shoot_bubble(SHOT_FAMILIES[fam], 1, gamma)
+    assert counts == [668, 872, 1088]
+
+
+def test_verify_integrates_s1_in_a_pinned_evaluation_count(monkeypatch, tmp_path):
+    counts = _counting(monkeypatch, profiles)
+    assert cli.main(["verify", "--out", str(tmp_path), "--seed", "3"]) == 0
+    assert counts == [1448]
 
 
 def test_left_sum_adds_left_to_right_from_zero():
