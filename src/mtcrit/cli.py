@@ -16,12 +16,21 @@ config + seed give byte-identical JSON.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import random
 import sys
+
+# CPython's built-in SHA-256 (_sha2 from 3.12 on, _sha256 before): hashlib
+# loads OpenSSL's libcrypto, about 3.4 MB of peak memory, for one short hash
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -56,7 +65,7 @@ def _canonical(obj) -> str:
 
 
 def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(_canonical(cfg).encode()).hexdigest()[:16]
+    return sha256(_canonical(cfg).encode()).hexdigest()[:16]
 
 
 def _load_config(path: str | None) -> dict:

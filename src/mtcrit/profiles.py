@@ -190,15 +190,19 @@ class RadialProfile:
         k = np.clip(np.floor(u) + 1, 0, _PANELS + 1).astype(np.intp)
         # the constant panels hold no coefficients, so any x in [-1, 1] will do
         x = np.clip(2.0 * (u - (k - 1)) - 1.0, -1.0, 1.0)
-        d = self.coefs[:, :, k]
+        # each step gathers its own two rows, P's and Q's, from the flat view
+        # of the C-contiguous coefs: coefs[m, :, k] is c[m].take(kk), and no
+        # (_ORDER + 1, 2) + k.shape gather of every row is ever held
+        c = self.coefs.reshape(_ORDER + 1, -1)
+        kk = np.add.outer((0, _PANELS + 2), k)
         b1, b2, ax_b1 = np.zeros((3, 2) + x.shape)
-        for m, a, b in _CLENSHAW_STEPS:  # in place: b1, b2 = d[m] + a x b1 - b b2, b1
+        for m, a, b in _CLENSHAW_STEPS:  # in place: b1, b2 = d_m + a x b1 - b b2, b1
             np.multiply(a * x, b1, out=ax_b1)
-            ax_b1 += d[m]
+            ax_b1 += c[m].take(kk)
             b2 *= b
             ax_b1 -= b2
             b1, b2, ax_b1 = ax_b1, b1, b2
-        return self.starts[:, k] + 0.5 * _PANEL_WIDTH * (d[0] + x * b1 - 0.5 * b2)
+        return self.starts[:, k] + 0.5 * _PANEL_WIDTH * (c[0].take(kk) + x * b1 - 0.5 * b2)
 
     def _evaluate(self, r):
         """S(r) and S'(r) = phi2' P - phi1' Q.  An r with no axes takes the

@@ -203,6 +203,26 @@ def test_powerlog_shot_takes_the_scalar_path(monkeypatch):
     assert type(psi) is float and type(dpsi) is float
 
 
+def test_every_psi_evaluation_of_the_ladder_calls_the_bubble_binding(monkeypatch, fam0,
+                                                                      profiles):
+    # perfbench/tracing.py counts bubble.psi_evals by wrapping
+    # mtcrit.bubble.eval_psi_N: a shot calls it once per evaluation of its
+    # acceleration, once for its seed and twice in its source check, so a
+    # path around the binding would leave the count low
+    calls, nfev = [], []
+    real_psi, real_solve = bubble.eval_psi_N, bubble.solve_ivp
+
+    def counting_solve(*args, **kwargs):
+        sol = real_solve(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(bubble, "eval_psi_N", lambda *args: calls.append(args) or real_psi(*args))
+    monkeypatch.setattr(bubble, "solve_ivp", counting_solve)
+    ladder_reports(fam0, 1, [3.0, 4.0, 5.0], profiles=profiles)
+    assert len(nfev) == 3 and len(calls) == sum(nfev) + 3 * 3
+
+
 @pytest.mark.parametrize("gamma,eps0,past_old_r_max", [
     (8.722451639024623, 0.75, False), (8.722451639024625, 0.75, True),
     (7.962472532402823, 0.7, False), (7.962472532402824, 0.7, True),

@@ -1,7 +1,8 @@
 """Every top-level import in the package is used or re-exported, every
 definition is read, and every exported exception is raised somewhere.
 No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
-numpy.polynomial or argparse; no module uses numpy.polynomial or any np.linalg
+numpy.polynomial, argparse or OpenSSL, and config_hash is hashlib's SHA-256
+without it; no module uses numpy.polynomial or any np.linalg
 function but norm, and every Gauss-Legendre order a module asks for is one
 that mtcrit.numerics tabulates; no module calls a trapezoid rule, linear
 interpolation or the builtin sum, and only csvout.write_csv and
@@ -29,6 +30,7 @@ neither ``_ascend`` nor any module function it reaches uses ``@``,
 
 import ast
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -713,6 +715,33 @@ def test_argparse_probe_sees_argparse(tmp_path):
     modules = _modules_after("import argparse\nargparse.ArgumentParser().parse_args([])\n",
                              tmp_path)
     assert {"argparse", "gettext", "locale"} <= set(modules)
+
+
+@pytest.mark.parametrize("name", RUNTIME_PATHS)
+def test_runtime_loads_no_openssl(runtime_modules, name):
+    # cli._config_hash takes CPython's built-in SHA-256: hashlib loaded
+    # OpenSSL's libcrypto through _hashlib, about 3.4 MB of every run's peak
+    # memory, for one hash of about 100 bytes
+    assert {"_hashlib", "ssl"}.isdisjoint(runtime_modules(name))
+
+
+def test_openssl_probe_sees_hashlib(tmp_path):
+    assert "_hashlib" in _modules_after("import hashlib\n", tmp_path)
+
+
+@pytest.mark.parametrize("cfg", [
+    {},
+    {"N": 2, "model_gamma": 5.0},
+    {"family": {"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
+                "b_prime": 0.682198}, "gamma_ladder": [3.0, 4.0, 5.0],
+     "domain": {"shape": "Rectangle", "width": 2.0, "height": 1.0}},
+    {"family": {"kind": "Zero"}, "domain": {"shape": "UnitDisk", "note": "Ω ∂Ω, μ ≥ 1"}},
+], ids=["empty", "flat", "nested", "non-ASCII"])
+def test_config_hash_is_hashlib_sha256(cfg):
+    import hashlib
+
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    assert cli._config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def test_scipy_probe_sees_scipy(tmp_path):
