@@ -31,7 +31,6 @@ from .profiles import (
     RadialProfile,
     StepFailureError,
     solve_profile,
-    laplacian_profile,
     profile_integrals,
     s0_explicit,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "DomainModel", "Shape", "RobinReport", "PoleCoincidenceError",
     "DegenerateMaxError", "first_bessel_zero", "lambda1", "robin_report", "robin_search",
     "RadialProfile", "StepFailureError", "solve_profile",
-    "laplacian_profile", "profile_integrals", "s0_explicit",
+    "profile_integrals", "s0_explicit",
     "BubbleSolution", "ExpansionReport", "BlowDownError", "shoot_bubble",
     "verify_expansion", "verify_source_expansion", "ladder_reports",
     "CriterionReport", "Verdict", "Cor2Class",

@@ -328,17 +328,6 @@ def ode_profile(i: int, r) -> tuple[np.ndarray, np.ndarray]:
     return sol.y[0], sol.y[1]
 
 
-def laplacian_profile(i: int, r, profile):
-    """-(S_i'' + S_i'/r) evaluated from the ODE: RHS_i + 8 e^{-2T0} S_i.
-
-    `profile` is S_i itself (a solved RadialProfile, or s0_explicit for
-    i = 0).  An r with no axes gives a float.
-    """
-    xp, r = _float_or_array(r)
-    T, w = _t0(xp, r)
-    return _rhs(i, T, w, _s0(r * r, T) if i == 1 else None) + 8.0 * w * profile(r)
-
-
 def source_laplacians(r, T, w, S1, S2, S0=None) -> tuple:
     """The explicit S0 and the Laplacians -(S_i'' + S_i'/r) = RHS_i +
     8 e^{-2T0} S_i for i = 0, 1, 2 at the radii r, given T0 = log(1 + r^2)

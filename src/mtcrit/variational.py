@@ -32,7 +32,7 @@ import numpy as np
 from .domain import DomainModel, Shape
 from .numerics import CHUNK, gauss_legendre
 from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily, eval_g, eval_psi_N
-from .profiles import B0_CONSTANT, RadialProfile, linear_combination
+from .profiles import B0_CONSTANT, linear_combination
 
 __all__ = [
     "ExtremalRun",
@@ -418,33 +418,6 @@ def height_seed(data: AsymptoticData, gamma: float) -> tuple[float, float]:
     return x, L_seed
 
 
-def _profile_brackets(profiles: dict, gamma: float, A: float) -> RadialProfile:
-    """S0 / gamma^3 + S1 / gamma^5 + (A / gamma) S2, the profile part of the
-    model test function, as one profile."""
-    g = gamma
-    return linear_combination([(g**-3.0, profiles[0]), (g**-5.0, profiles[1]),
-                               (A / g, profiles[2])])
-
-
-def _height(data: AsymptoticData, profiles: dict, gamma: float):
-    """The height function L -> U(0) - gamma of `model_testfun_energy`,
-    with L = log(1/mu~^2).  Bracket (*) is log(1/(r^2+mu~^2)) + H~ at r = 0,
-    H~ = log(1+mu~^2); at r = 0 each profile bracket (A_i/4pi)(L + H~_i) - B_i
-    is -S_i(1/mu~) by the choice of H~_i."""
-    g = gamma
-    centre = 4.0 * float(data.B(g)) / (g * g * math.e) * _concentration_integral(data)
-    brackets = _profile_brackets(profiles, g, float(data.A(g)))
-
-    def height(L):
-        inv_mu = math.exp(0.5 * L)
-        tot = (L + math.log1p(math.exp(-L))) / g
-        tot -= brackets(inv_mu)
-        tot += centre
-        return tot - g
-
-    return height
-
-
 def _bisect(f, lo: float, hi: float) -> float:
     """A root of f in [lo, hi]: of the two ends of the bracket, bisected down
     to adjacent doubles, the one where |f| is smaller.  RootFailError if f(lo)
@@ -466,12 +439,14 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     """Energy of the model concentration profile at the disk center.
 
     Builds the four-bracket test function (log core, S0/S1 corrections,
-    A-weighted S2 correction, Green-convolution tail), bisects the height
-    condition U(0) = gamma (`_height`) for the core scale mu~ in the bracket
-    L_seed -+ _HEIGHT_BRACKET down to adjacent doubles, and reports the
-    normalized energy gap (||U||^2/4pi - 1 - I_0(gamma)) / zeta-check, with
-    ||U||^2 a Gauss-Legendre sum.  log_inv_mu2_closed is None where its
-    closed form has no value.
+    A-weighted S2 correction, Green-convolution tail), bisects its height
+    function `height`, L -> U(0) - gamma with L = log(1/mu~^2), for the core
+    scale mu~ in the bracket L_seed -+ _HEIGHT_BRACKET down to adjacent
+    doubles, and reports the normalized energy gap
+    (||U||^2/4pi - 1 - I_0(gamma)) / zeta-check, with ||U||^2 a
+    Gauss-Legendre sum.  log_inv_mu2_closed is None where its closed form
+    has no value.  fam is accepted for the signature the acceptance gate
+    calls and is not read.
     """
     if dom.shape is not Shape.UNIT_DISK:
         raise NotImplementedError("model test function is radial at the disk center")
@@ -481,14 +456,27 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     S0, S1v, S2v = profiles[0], profiles[1], profiles[2]
     S_int = _concentration_integral(data)
     coef_q = 4.0 * Bc / (g * g * math.e)
+    centre = coef_q * S_int
+    # the profile part S0 / gamma^3 + S1 / gamma^5 + (A / gamma) S2, as one profile
+    brackets = linear_combination([(g**-3.0, S0), (g**-5.0, S1v), (A / g, S2v)])
+
+    def height(L):
+        """U(0) - gamma.  Bracket (*) is log(1/(r^2+mu~^2)) + H~ at r = 0,
+        H~ = log(1+mu~^2); at r = 0 each profile bracket (A_i/4pi)(L + H~_i)
+        - B_i is -S_i(1/mu~) by the choice of H~_i."""
+        tot = (L + math.log1p(math.exp(-L))) / g
+        tot -= brackets(math.exp(0.5 * L))
+        tot += centre
+        return tot - g
 
     x, L_seed = height_seed(data, g)
-    L = _bisect(_height(data, profiles, g), L_seed - _HEIGHT_BRACKET, L_seed + _HEIGHT_BRACKET)
+    L = _bisect(height, L_seed - _HEIGHT_BRACKET, L_seed + _HEIGHT_BRACKET)
     mu2 = math.exp(-L)
     mu = math.sqrt(mu2)
 
+    # H~_i zeroes S_i(r/mu~) + (A_i/4pi)(L + H~_i) - B_i at r = 1
     H_m1 = math.log1p(mu2)
-    H_i = [_bracket_const(P, 1.0 / mu, L) for P in (S0, S1v, S2v)]
+    H_i = [4.0 * math.pi / P.A * (P.B - P(1.0 / mu)) - L for P in (S0, S1v, S2v)]
 
     # ||U||^2 = 2 pi int U'(r)^2 r dr with t = log(1 + r^2/mu^2), r dr = (r^2+mu^2)/2 dt
     t_max = math.log1p(1.0 / mu2)
@@ -498,7 +486,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
                             t_max - (t_max - t_u) * shrink, [t_max]])
     t, w = gauss_legendre(edges, _NORM_ORDER)
     z = np.sqrt(np.expm1(t))  # z = r/mu; mu_dUdr = mu U'(r) and r^2 + mu^2 = mu^2 (1 + z^2)
-    mu_dUdr = (-2.0 * z / (1.0 + z * z) / g + _profile_brackets(profiles, g, A).derivative(z)
+    mu_dUdr = (-2.0 * z / (1.0 + z * z) / g + brackets.derivative(z)
                + mu * coef_q * _q_prime(data, mu * z.ravel()).reshape(z.shape))
     norm_sq = math.pi * float(np.sum(w * mu_dUdr**2 * (1.0 + z * z)))
 
@@ -516,9 +504,3 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
             "log_inv_mu2": L, "log_inv_mu2_closed": L_closed,
             "log_inv_mu2_truncated": L_trunc, "mu": mu,
             "S_int": S_int, "H_tilde": [H_m1] + H_i}
-
-
-def _bracket_const(P: RadialProfile, inv_mu: float, L: float) -> float:
-    """Constant harmonic correction zeroing S_i(r/mu)+(A_i/4pi)(L+H)-B_i at r=1,
-    reported as H_tilde."""
-    return 4.0 * math.pi / P.A * (P.B - P(inv_mu)) - L

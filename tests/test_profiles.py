@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from mtcrit import laplacian_profile, profile_integrals, s0_explicit, solve_profile
+from mtcrit import profile_integrals, s0_explicit, solve_profile
 from mtcrit import profiles as profiles_module
-from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, _rhs, _t0, csv_grid,
-                             linear_combination, ode_profile)
+from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, _float_or_array, _rhs, _t0, csv_grid,
+                             linear_combination, ode_profile, source_laplacians)
 
 
 def test_s0_explicit_values():
@@ -189,7 +189,12 @@ def test_profile_evaluators_give_floats_for_numbers_with_no_axes(profiles):
     # may round the logs and exponentials apart by an ulp
     P = profiles[1]
     r = np.array([0.0, 1e-9, 0.7, 4.0, 1999.0, 2000.0, 2500.0, 1e6, 1e18])
-    for f in (P, P.derivative, lambda x: laplacian_profile(1, x, P)):
+
+    def laplacian(x):
+        xp, x = _float_or_array(x)
+        return source_laplacians(x, *_t0(xp, x), P, profiles[2])[1][1]
+
+    for f in (P, P.derivative, laplacian):
         arr = f(r)
         for k, x in enumerate(r):
             for num in (float(x), np.float64(x), np.array(x)):
@@ -233,8 +238,10 @@ def test_laplacian_profile_consistency(profiles, i):
         d2 = (P.derivative(r + h) - P.derivative(r - h)) / (2.0 * h)
         d1 = P.derivative(r)
         fd = -(d2 + d1 / r)  # -Laplacian convention
-        val = laplacian_profile(i, np.array([r]), P)[0]
-        assert val == pytest.approx(fd, rel=1e-4, abs=1e-6)
+        nodes = np.array([r])
+        _, laplacians = source_laplacians(nodes, *_t0(np, nodes), profiles[1], profiles[2],
+                                          S0=profiles[0])
+        assert laplacians[i][0] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 def test_linear_combination_is_the_sum_of_its_profiles(profiles):
@@ -303,12 +310,6 @@ def test_profiles_gather_their_coefficients_one_step_at_a_time(profiles):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] < 0.5 * peaks[1]
-
-
-def test_laplacian_profile_requires_profile():
-    # The profile is passed in; laplacian_profile never solves one itself.
-    with pytest.raises(TypeError):
-        laplacian_profile(1, np.array([1.0]))
 
 
 def test_rhs_signs():

@@ -309,13 +309,37 @@ def test_model_gap_at_kappa_below_one_is_the_incomplete_gamma_gap(monkeypatch, d
 
 @pytest.mark.parametrize("name", HEIGHT_FAMILIES)
 @pytest.mark.parametrize("gamma", [1.01, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 26.0])
-def test_bisected_root_puts_U0_at_gamma(disk, profiles, name, gamma):
+def test_bisected_root_puts_U0_at_gamma(monkeypatch, disk, profiles, name, gamma):
     fam = HEIGHT_FAMILIES[name]
     data = asymptotic_data(fam)
+    heights = []
+    bisect = variational._bisect
+
+    def spy(f, lo, hi):
+        heights.append(f)
+        return bisect(f, lo, hi)
+
+    monkeypatch.setattr(variational, "_bisect", spy)
     L = model_testfun_energy(disk, fam, data, profiles, gamma)["log_inv_mu2"]
     assert type(L) is float
-    # U(0) - gamma at the root
-    assert abs(variational._height(data, profiles, gamma)(L)) <= 1e-14 * gamma
+    # U(0) - gamma at the root, by the height function that was bisected
+    (height,) = heights
+    assert abs(height(L)) <= 1e-14 * gamma
+
+
+def test_the_model_builds_its_bracket_profile_once(monkeypatch, disk, fam0, data0, profiles):
+    # one profile S0/gamma^3 + S1/gamma^5 + (A/gamma) S2 serves both the
+    # height function and the slope in ||U||^2
+    calls = []
+    combine = variational.linear_combination
+
+    def counted(terms):
+        calls.append(terms)
+        return combine(terms)
+
+    monkeypatch.setattr(variational, "linear_combination", counted)
+    model_testfun_energy(disk, fam0, data0, profiles, 4.0)
+    assert len(calls) == 1
 
 
 def test_bisection_ends_on_adjacent_doubles():
