@@ -12,6 +12,7 @@ profiles S0, S1, S2.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -95,10 +96,15 @@ def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float) -> tuple[flo
     return lam, math.exp(0.5 * log_mu2)
 
 
+@functools.lru_cache(maxsize=8)
 def _shot_grid(gamma: float, eps0: float) -> np.ndarray:
-    """A shot's y grid: 0, then 3000 geometric nodes from _Y0 to rho/mu."""
+    """A shot's y grid: 0, then 3000 geometric nodes from _Y0 to rho/mu.
+    Read-only, and built once per rung: `check_ladder`, `ladder_reports`
+    and the shot all read the same grid."""
     y_rho = math.sqrt(math.expm1((1.0 - eps0) * gamma * gamma))
-    return np.concatenate([[0.0], np.geomspace(_Y0, y_rho, 3000)])
+    grid = np.concatenate([[0.0], np.geomspace(_Y0, y_rho, 3000)])
+    grid.flags.writeable = False
+    return grid
 
 
 def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float,

@@ -38,7 +38,7 @@ from . import __version__
 from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
 from .csvout import write_csv
-from .domain import DomainModel, Shape, lambda1, robin_report, robin_search
+from .domain import DomainModel, Shape, lambda1, robin_report
 from .numerics import left_sum
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, csv_grid, ode_profile,
@@ -358,15 +358,14 @@ def _verify_rows(seed: int) -> list:
     dom = DomainModel(shape=Shape.UNIT_DISK)
     l1 = lambda1(dom)
     row("lambda_1 disk", abs(l1 - 5.783185962946783) < 1e-6, f"{l1:.9f}")
-    data0 = asymptotic_data(PerturbationFamily())
-    # the series report held to the search and the pole quadrature
-    rr, found = robin_report(dom, data0.F), robin_search(dom, data0.F)
-    gap_M = abs(found.M - rr.M)
-    gap_K = math.dist(found.K[0], rr.K[0])
+    # the series report held to the disk's closed forms: M = 0 at the centre,
+    # and S = I_1 = Gamma(kappa + 2) / 4 with kappa = 1 for g = 0
+    rr = robin_report(dom, asymptotic_data(PerturbationFamily()).F)
+    gap_M, gap_K = abs(rr.M), math.dist(rr.K[0], dom.centre())
     row("Robin max disk", gap_M <= 1e-12 and gap_K <= 1e-6,
-        f"M={rr.M:.2e} search gap {gap_M:.1e}, maximizer {gap_K:.1e}")
-    gap_S = abs(found.S - rr.S)
-    row("Green S integral disk", gap_S <= 1e-10, f"S={rr.S:.15f} quadrature gap {gap_S:.1e}")
+        f"M={rr.M:.2e} closed-form gap {gap_M:.1e}, maximizer {gap_K:.1e}")
+    gap_S = abs(rr.S - math.gamma(3.0) / 4)
+    row("Green S integral disk", gap_S <= 1e-10, f"S={rr.S:.15f} closed-form gap {gap_S:.1e}")
 
     # Profile constants ("NoteSi A_i" are the Laplacian integrals).
     profiles = {i: solve_profile(i) for i in range(3)}

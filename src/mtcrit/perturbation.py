@@ -93,6 +93,7 @@ class PerturbationFamily:
             given = [f.name for f in numeric if getattr(self, f.name) != f.default]
             if given:
                 raise ValueError(f"a Zero family takes no other field (got {', '.join(given)})")
+            object.__setattr__(self, "_g_float", lambda t: (0.0, 0.0))
         else:
             if self.R_prime <= 1.0:
                 raise ValueError("R_prime must exceed 1")
@@ -108,10 +109,11 @@ class PerturbationFamily:
             with np.errstate(all="ignore"):  # _check_admissible refuses an inf or nan
                 object.__setattr__(self, "_hermite", self._blend_coeffs())
             self._check_admissible()
+            object.__setattr__(self, "_g_float", self._float_evaluator())
 
     # -- PowerLog branches ------------------------------------------------
     #
-    # Each branch takes an array or a NumPy scalar (`eval_g`'s scalar path
+    # Each branch takes an array or a NumPy scalar (the float evaluator
     # passes np.float64(t)), so a float meets the array's operations.
 
     def _g_zero_branch(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +144,36 @@ class PerturbationFamily:
             * (self.a_prime * ell + self.b_prime)
         )
         return val, dval
+
+    def _float_evaluator(self):
+        """(g(t), g'(t)) as Python floats at a float t >= 0, built once per
+        family and stored as `_g_float`: plain comparisons pick the branch,
+        and the blend runs `_hermite_eval`'s operations in its order on
+        Python floats after np.log (math.log may round apart)."""
+        t1, r, g0 = self._t1, self.R_prime, self.g0
+        h0, h1, h2, c3, c4, c5 = self._hermite
+        h2_2, c3_3, c4_4, c5_5 = 2.0 * h2, 3.0 * c3, 4.0 * c4, 5.0 * c5
+        L = self._log_span
+        half_L = 0.5 * L
+        zero_branch, inf_branch = self._g_zero_branch, self._g_inf_branch
+        log, f64 = np.log, np.float64
+
+        def g_float(t: float) -> tuple[float, float]:
+            if t == 0.0:
+                g, dg = g0, 0.0
+            elif t <= t1:
+                g, dg = zero_branch(f64(t))
+            elif t >= r:
+                g, dg = inf_branch(f64(t))
+            else:
+                x = (float(log(t)) + half_L) / L
+                g = h0 + x * (h1 + x * (h2 + x * (c3 + x * (c4 + x * c5))))
+                dg = (h1 + x * (h2_2 + x * (c3_3 + x * (c4_4 + x * c5_5)))) / (L * t)
+            if g <= -1.0:
+                raise NonAdmissibleError("g(t) <= -1 encountered")
+            return float(g), float(dg)
+
+        return g_float
 
     def _check_admissible(self) -> None:
         """Refuse a non-finite blend coefficient, then a non-finite g or g',
@@ -230,24 +262,13 @@ def eval_g(fam: PerturbationFamily, t) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate (g(t), g'(t)) at |t|; works on numbers and arrays.
 
     A t with no axes (a float, an int, a NumPy scalar or a 0-d array)
-    takes the scalar path: plain comparisons pick its branch and the result
-    is a pair of Python floats.  An array with at least one axis picks each
-    point's branch by masks.  Both paths evaluate the same branch functions.
+    takes the family's float evaluator: plain comparisons pick its branch
+    and the result is a pair of Python floats.  An array with at least one
+    axis picks each point's branch by masks.  Both paths evaluate the same
+    branch functions.
     """
     if isinstance(t, float) or np.ndim(t) == 0:
-        t = abs(float(t))
-        if fam.kind is FamilyKind.ZERO:
-            return 0.0, 0.0
-        if t == 0.0:
-            g, dg = fam.g0, 0.0
-        elif t <= fam._t1 or t >= fam.R_prime:
-            branch = fam._g_zero_branch if t <= fam._t1 else fam._g_inf_branch
-            g, dg = branch(np.float64(t))
-        else:
-            g, dg = _hermite_eval(fam, t)
-        if g <= -1.0:
-            raise NonAdmissibleError("g(t) <= -1 encountered")
-        return float(g), float(dg)
+        return fam._g_float(abs(float(t)))
     return _eval_g_array(fam, np.abs(np.asarray(t, dtype=float)))
 
 
@@ -282,11 +303,11 @@ def _eval_power_log(fam: PerturbationFamily, t: np.ndarray):
 
 
 def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
-    """The blend and its derivative at an array or a Python float t; a
-    float runs on Python floats after np.log (math.log may round apart)."""
+    """The blend and its derivative at an array t; the family's float
+    evaluator runs the same operations on a float."""
     h0, h1, h2, c3, c4, c5 = fam._hermite
     L = fam._log_span
-    x = ((float(np.log(t)) if type(t) is float else np.log(t)) + 0.5 * L) / L
+    x = (np.log(t) + 0.5 * L) / L
     # Horner's rule for the quintic and its derivative
     q = h0 + x * (h1 + x * (h2 + x * (c3 + x * (c4 + x * c5))))
     dq = h1 + x * (2.0 * h2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
@@ -343,22 +364,25 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
 
     is evaluated in closed form; N >= 2 goes through the series tail phi_N.
 
-    A t with no axes (the ODE solvers pass Python floats) takes the scalar
-    path of `eval_g`, `phi_N` and `math` and gives Python floats; an array
-    with at least one axis takes the array path, on |t| taken once.
+    A t with no axes (the ODE solvers pass Python floats) takes the family's
+    float evaluator, `series_tail` and `math` and gives Python floats; an
+    array with at least one axis takes the array path, on |t| taken once.
+    A plain int N >= 1 is taken without `_check_order`'s tests.
     """
-    _check_order(N)
+    if type(N) is not int or N < 1:
+        _check_order(N)
     scalar = isinstance(t, float) or np.ndim(t) == 0
     t = abs(float(t)) if scalar else np.abs(np.asarray(t, dtype=float))
     T = t * t
     if (T > EXP_BUDGET) if scalar else (T > EXP_BUDGET).any():
         raise ExponentBudgetError("t^2 exceeds the exponent budget")
-    g, dg = eval_g(fam, t) if scalar else _eval_g_array(fam, t)
+    g, dg = fam._g_float(t) if scalar else _eval_g_array(fam, t)
     g1 = 1.0 + g
     if N == 1:
         eT = math.exp(T) if scalar else np.exp(T)
         return g1 * eT, (2.0 * t * g1 + dg) * eT
-    ph = phi_N(N, T)
+    # phi_N(N, T) without its checks: N and 0 <= T <= EXP_BUDGET hold here
+    ph = series_tail(N, T)
     # g'(0) = 0, so t H(t) = t + t g + g'/2 is 0 at t = 0
     tH = t + t * g + dg / 2.0
     return (g1 * (1.0 + T + ph),

@@ -223,6 +223,19 @@ def test_every_psi_evaluation_of_the_ladder_calls_the_bubble_binding(monkeypatch
     assert len(nfev) == 3 and len(calls) == sum(nfev) + 3 * 3
 
 
+def test_a_ladder_builds_each_rung_grid_once(fam0, profiles):
+    # check_ladder's and ladder_reports' windows and the shots read one
+    # cached, read-only grid per rung: 3 built where 11 were
+    bubble._shot_grid.cache_clear()
+    gammas = [3.0, 4.0, 5.0]
+    check_ladder(fam0, 1, gammas, 0.75)
+    rep = ladder_reports(fam0, 1, gammas, profiles=profiles)
+    assert bubble._shot_grid.cache_info().misses == 3
+    for sol in rep["solutions"]:
+        assert sol.y_grid is bubble._shot_grid(sol.gamma, 0.75)
+        assert not sol.y_grid.flags.writeable
+
+
 @pytest.mark.parametrize("gamma,eps0,past_old_r_max", [
     (8.722451639024623, 0.75, False), (8.722451639024625, 0.75, True),
     (7.962472532402823, 0.7, False), (7.962472532402824, 0.7, True),

@@ -1031,13 +1031,10 @@ def test_an_extremal_run_sums_q_prime_at_the_norm_nodes(tmp_path, monkeypatch):
     assert max(nodes) <= CHUNK
 
 
-@pytest.mark.parametrize("cmd,expected", [
-    ("criterion", {}),
-    ("verify", {"minimize": 1, "integrate_around_pole": 1}),
-])
-def test_only_verify_searches_the_disk(tmp_path, monkeypatch, cmd, expected):
-    # criterion reads the disk's series; verify holds it to one Robin
-    # search and one pole quadrature
+@pytest.mark.parametrize("cmd", ["criterion", "profiles", "bubble", "extremal", "verify"])
+def test_no_subcommand_searches_the_disk(tmp_path, monkeypatch, cmd):
+    # every subcommand reads the disk's series, and verify holds it to its
+    # closed forms: no Robin search, pole quadrature or Green function runs
     calls = {}
 
     def spy(name):
@@ -1052,9 +1049,34 @@ def test_only_verify_searches_the_disk(tmp_path, monkeypatch, cmd, expected):
     for name in ("minimize", "integrate_around_pole", "green"):
         spy(name)
     assert main([cmd, "--out", str(tmp_path)]) == 0
-    if cmd == "verify":
-        assert calls.pop("green") > 0
-    assert calls == expected
+    assert calls == {}
+
+
+@pytest.mark.parametrize("moved,field,shift", [
+    ("Robin max disk", "M", 1e-11),
+    ("Robin max disk", "K", 1e-5),
+    ("Green S integral disk", "S", 1e-9),
+])
+def test_verify_fails_a_disk_report_off_its_closed_forms(tmp_path, capsys, monkeypatch,
+                                                         moved, field, shift):
+    # each shift is ten times its row's bound: M within 1e-12 of 0, K within
+    # 1e-6 of the centre and S within 1e-10 of Gamma(3) / 4
+    real = cli.robin_report
+
+    def shifted(dom, F):
+        rep = real(dom, F)
+        if field == "K":
+            (x, y), = rep.K
+            rep.K = [(x + shift, y)]
+        else:
+            setattr(rep, field, getattr(rep, field) + shift)
+        return rep
+
+    monkeypatch.setattr(cli, "robin_report", shifted)
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    rep = json.loads((tmp_path / "verify.json").read_text())
+    assert [r["name"] for r in rep["rows"] if not r["pass"]] == [moved]
+    assert re.search(rf"^{re.escape(moved)} +FAIL ", capsys.readouterr().out, re.M)
 
 
 _OTHER_COMMANDS = ["criterion", "profiles", "bubble", "extremal"]

@@ -107,6 +107,15 @@ def test_robin_report_disk(disk, robin0):
     assert robin0.S == pytest.approx(0.5, rel=1e-13)
 
 
+def test_robin_search_agrees_with_the_disk_series(disk, robin0, data0):
+    # the search and the pole quadrature find the series' M to 1e-12, its
+    # maximizer to 1e-6 and its S to 1e-10 (measured: 0, 0 and 1.8e-14)
+    found = robin_search(disk, data0.F)
+    assert abs(found.M - robin0.M) <= 1e-12
+    assert math.dist(found.K[0], robin0.K[0]) <= 1e-6
+    assert abs(found.S - robin0.S) <= 1e-10
+
+
 @pytest.mark.parametrize("kappa", [0.01, 0.25, 0.5, 1.0])
 def test_disk_series_S_is_the_first_moment(disk, kappa):
     # S = I_1 = Gamma(kappa + 2) / 4, and e^{-M} S meets the rectangle's

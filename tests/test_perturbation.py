@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import struct
 import sys
 import time
@@ -417,7 +418,8 @@ def _blend_nested(fam, t):
 @example(s=1.0)
 @settings(max_examples=100, deadline=None)
 def test_inplace_horner_equals_nested_expression(fam, s):
-    # Same operations in the same order: equal bit for bit, t = R'^s
+    # Same operations in the same order: equal bit for bit, t = R'^s, on the
+    # array blend and on the float evaluator's, at the points inside the blend
     t = fam.R_prime ** s
     grid = np.geomspace(1.0 / fam.R_prime, fam.R_prime, 97)
     for arg in (t, np.float64(t), np.array([t]), grid * fam.R_prime ** (s / 2.0)):
@@ -425,6 +427,11 @@ def test_inplace_horner_equals_nested_expression(fam, s):
         q_ref, dq_ref = _blend_nested(fam, arg)
         assert np.array_equal(q, q_ref) and np.array_equal(dq, dq_ref)
         assert np.shape(q) == np.shape(q_ref)
+    for u in map(float, np.append(grid * fam.R_prime ** (s / 2.0), t)):
+        if 1.0 / fam.R_prime < u < fam.R_prime:
+            got = fam._g_float(u)
+            assert all(type(v) is float for v in got)
+            assert got == tuple(map(float, _blend_nested(fam, u)))
 
 
 @given(g0=st.one_of(st.just(0.0), st.floats(-0.9, 2.0)), a=st.floats(0.0, 3.0),
@@ -740,6 +747,33 @@ def test_near_zero_branch_is_finite_at_subnormal_t(kwargs, t):
 def test_order_must_be_an_integer_at_least_1(fn, N):
     with pytest.raises(ValueError, match="N must be an integer >= 1"):
         fn(N)
+
+
+@pytest.mark.parametrize("fam", PSI_FAMILIES, ids=["Zero", "PowerLog"])
+def test_float_psi_goes_straight_to_the_float_evaluator(monkeypatch, fam):
+    # A float t and a plain int N take the family's float evaluator alone:
+    # no dispatch through eval_g, no order check and no array blend.  Every
+    # other order is still refused by _check_order, with its message.
+    ts = [0.0, 0.2, 1.0, 2.0, 5.0, 20.0]  # each piece of BLENDED, R' = 3
+    want = {N: [eval_psi_N(fam, N, t) for t in ts] for N in (1, 2)}
+    calls = []
+
+    def spy(name):
+        real = getattr(perturbation, name)
+        monkeypatch.setattr(perturbation, name,
+                            lambda *args: calls.append(name) or real(*args))
+
+    for name in ("eval_g", "_check_order", "_hermite_eval"):
+        spy(name)
+    for N in (1, 2):
+        got = [eval_psi_N(fam, N, t) for t in ts]
+        assert got == want[N]
+        assert all(type(v) is float for pair in got for v in pair)
+    assert calls == []
+    for N in (True, 0, 1.0, np.int64(0)):
+        with pytest.raises(ValueError, match=re.escape(f"N must be an integer >= 1 (got {N!r})")):
+            eval_psi_N(fam, N, 0.5)
+    assert calls == ["_check_order"] * 4
 
 
 @pytest.mark.parametrize("fn", [phi_N], ids=["phi_N"])
