@@ -38,7 +38,7 @@ from . import __version__
 from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
 from .csvout import write_csv
-from .domain import DomainModel, Shape, lambda1, robin_report
+from .domain import DomainModel, _disk_only, lambda1, robin_report
 from .numerics import left_sum
 from .perturbation import PerturbationFamily, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, csv_grid, ode_profile,
@@ -146,15 +146,13 @@ def _order(cfg: dict) -> int:
 
 
 def _disk_domain(cfg: dict, command: str) -> DomainModel:
-    """The scenario domain, refused unless it is the unit disk: Lambda_g,
-    the subcritical solver and the test functions are radial."""
+    """The scenario domain, refused by `_disk_only` unless it is the unit disk:
+    Lambda_g, the subcritical solver, the test functions and the shots are radial."""
     try:
         dom = DomainModel.from_json(cfg.get("domain", {}))
+        _disk_only(dom, command)
     except ValueError as exc:
         raise ConfigError(f"field 'domain': {exc}") from exc
-    if dom.shape is not Shape.UNIT_DISK:
-        raise ConfigError(f"field 'domain': {command} supports only the unit disk "
-                          f"(got {dom.shape.value})")
     return dom
 
 
@@ -227,6 +225,7 @@ def cmd_profiles(cfg: dict, out: str) -> int:
 
 def cmd_bubble(cfg: dict, out: str) -> int:
     fam = _family(cfg)
+    _disk_domain(cfg, "bubble")
     N = _order(cfg)
     gammas = _numbers(cfg, "gamma_ladder", [3.0, 4.0, 5.0])
     if not gammas or any(g <= 0 for g in gammas):
@@ -355,7 +354,7 @@ def _verify_rows(seed: int) -> list:
     row("FormulaPhi residual", worst_phi < 1e-12, f"{worst_phi:.2e}")
 
     # Domain geometry.
-    dom = DomainModel(shape=Shape.UNIT_DISK)
+    dom = DomainModel()
     l1 = lambda1(dom)
     row("lambda_1 disk", abs(l1 - 5.783185962946783) < 1e-6, f"{l1:.9f}")
     # the series report held to the disk's closed forms: M = 0 at the centre,

@@ -13,8 +13,9 @@ integral S drive the existence criterion.  `robin_report` reads them, on
 either shape, off the Taylor series of the conformal map of the unit disk
 onto the domain: the identity on the disk, the Schwarz-Christoffel map on a
 rectangle.  On the disk a Robin search and a quadrature around the pole
-(`robin_search`) find them independently; `green`, `robin`,
-`integrate_around_pole` and `robin_search` refuse a rectangle.
+(`robin_search`) find them independently.  `_disk_only` is mtcrit's one
+refusal of a rectangle: `green`, `robin`, `integrate_around_pole`,
+`robin_search`, the radial solvers and the disk-only subcommands call it.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ class DomainModel:
 
 def _disk_only(dom: DomainModel, name: str) -> None:
     if dom.shape is not Shape.UNIT_DISK:
-        raise ValueError(f"{name} serves the unit disk only, not a {dom.shape.value} "
-                         f"(robin_report serves both shapes)")
+        raise ValueError(f"{name} serves the unit disk only, not a {dom.shape.value}")
 
 
 def green(dom: DomainModel, x, y) -> np.ndarray | float:

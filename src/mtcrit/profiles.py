@@ -85,8 +85,8 @@ def _t0(xp, r):
 
 def s0_explicit(r):
     """Closed form for S0: combination of rational, log^2 and dilog terms.
-    An r with no axes is evaluated with `math` (`ode_profile` calls it one
-    radius at a time) and gives a Python float."""
+    An r with no axes is evaluated with `math` and gives a Python float; the
+    package's own callers pass arrays (`ode_profile` reads `_s0`)."""
     xp, r = _float_or_array(r)
     r2 = r * r
     return _s0(r2, xp.log1p(r2))

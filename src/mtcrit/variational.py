@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainModel, Shape
+from .domain import DomainModel, _disk_only
 from .numerics import CHUNK, gauss_legendre
 from .perturbation import AsymptoticData, FamilyKind, PerturbationFamily, eval_g, eval_psi_N
 from .profiles import B0_CONSTANT, linear_combination
@@ -300,7 +300,7 @@ def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
                        termination=why)
 
 
-def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
+def lambda_g_report(fam: PerturbationFamily, dom: DomainModel = DomainModel(),
                     n_grid: int = 2000) -> dict:
     """Maximize int ((1+g(u))(1+u^2) - (1+g(0))) over the 4 pi ball.
 
@@ -309,10 +309,9 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel | None = None,
     n_grid // 2]}.  The discretisation error is O(n_grid^-2), so the
     half-grid difference (about three times that error) bounds it.  If
     either ascent ends on anything but "rtol", its value is not a maximum
-    and the gap is inf.  Disk-radial only.
+    and the gap is inf.  Radial, so `domain._disk_only` refuses a rectangle.
     """
-    if dom is not None and dom.shape is not Shape.UNIT_DISK:
-        raise NotImplementedError("lambda_g is computed on the radial disk")
+    _disk_only(dom, "lambda_g_report")
     if n_grid // 2 < 3:
         raise ValueError(f"n_grid must be >= 6, so that its half grid has 3 nodes "
                          f"(got {n_grid})")
@@ -342,8 +341,7 @@ def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict
     along sequences concentrating at a point; on the unit disk |Omega| = pi
     and M = 0.  It is returned as "blowup_level".
     """
-    if dom.shape is not Shape.UNIT_DISK:
-        raise NotImplementedError("step1_testfun is radial at the disk center")
+    _disk_only(dom, "step1_testfun")
     if not STEP1_EPS_MIN <= eps <= 0.2:
         raise ValueError(f"eps must lie in (0, 0.2] and be >= {STEP1_EPS_MIN!r}, "
                          f"where eps^2 is a normal double (got {eps!r})")
@@ -448,8 +446,7 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     has no value.  fam is accepted for the signature the acceptance gate
     calls and is not read.
     """
-    if dom.shape is not Shape.UNIT_DISK:
-        raise NotImplementedError("model test function is radial at the disk center")
+    _disk_only(dom, "model_testfun_energy")
     g = gamma
     A = float(data.A(g))
     Bc = float(data.B(g))

@@ -315,18 +315,23 @@ def test_readme_lists_every_config_key():
     assert set(re.findall(r"`(\w+)`", listed)) == cli.CONFIG_KEYS
 
 
-@pytest.mark.parametrize("cmd", ["criterion", "extremal"])
+@pytest.mark.parametrize("cmd", ["criterion", "extremal", "bubble"])
 def test_rectangle_refused_before_solving(tmp_path, capsys, monkeypatch, cmd):
+    # bubble's shots are radial on the unit disk, as criterion's and
+    # extremal's solvers are: each refuses a rectangle through
+    # domain._disk_only before its first solve and before any file is written
     solves = []
-    for name in ("robin_report", "lambda_g_report", "solve_subcritical"):
+    for name in ("robin_report", "lambda_g_report", "solve_subcritical",
+                 "solve_profile", "ladder_reports"):
         monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: solves.append(_n))
     cfg = _write(tmp_path, "cfg.json", {"domain": {"shape": "Rectangle",
                                                    "width": 2.0, "height": 1.0}})
     rc = main([cmd, "--config", cfg, "--out", str(tmp_path)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "domain" in err and "unit disk" in err
+    assert f"field 'domain': {cmd} serves the unit disk only, not a Rectangle\n" in err
     assert solves == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("payload,field", [
@@ -525,16 +530,24 @@ def _ladder(values):
 # the Zero family's height bracket passes the least normal double at about
 # gamma = sqrt(_MAX_LOG_INV_MU2 - _HEIGHT_BRACKET + 1)
 _MODEL_GAMMA_TOP = math.sqrt(variational._MAX_LOG_INV_MU2 - variational._HEIGHT_BRACKET + 1.0)
+# the disk, given or by default, and the rectangle that every radial
+# subcommand refuses
+_DOMAINS = st.sampled_from([{}, {"shape": "UnitDisk"},
+                            {"shape": "Rectangle", "width": 2.0, "height": 1.0}])
 _SWEEP_FIELDS = {
+    # the domain alone: the family stays Zero, whose verdict is never Inconclusive
+    "criterion": {"domain": _DOMAINS},
     "extremal": {"step1_eps": _near([variational.STEP1_EPS_MIN, 0.2], [0.005, 7.5e-155]),
                  "model_gamma": _near([1.0, _MODEL_GAMMA_TOP], [5.0]),
                  "alpha_ladder": _ladder(_near([0.0, 1.0], [0.7, 0.95])),
+                 "domain": _DOMAINS,
                  "N": st.sampled_from([1, 2])},
     # below about 0.86 the Zero family's N = 2 shot blows down, which no
     # check refuses before the solve yet: the ladders' free draws start at
     # 0.9, and their edges at 1 - 1 ulp pass the shot
     "bubble": {"gamma_ladder": _ladder(_near([1.0, math.sqrt(EXP_BUDGET)], [3.0, 5.0], 0.9)),
                "eps0": _near([math.sqrt(1.0 / math.e), 1.0], [0.75]),
+               "domain": _DOMAINS,
                "N": st.sampled_from([1, 2])},
     "profiles": {"r_max": _near([1e-6], [2000.0, 1e60, 1.7e308])},
 }
@@ -552,12 +565,13 @@ def _no_constant(name):
     raise ValueError(f"non-finite {name} in a report")
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@settings(max_examples=160, derandomize=True, deadline=None, database=None)
 @given(_sweep_configs())
 def test_config_sweep_runs_or_is_refused_before_solving(case):
     # Each config either runs to exit 0 with a finite report, or is refused
     # with exit 1 naming a config field before the first solve and before
-    # any file is written.  The spies record each solve and call through.
+    # any file is written; a rectangle domain is always refused.  The spies
+    # record each solve and call through.
     cmd, cfg = case
     calls = []
 
@@ -577,6 +591,7 @@ def test_config_sweep_runs_or_is_refused_before_solving(case):
         reports = sorted(Path(out).glob(f"{cmd}.json"))
         if code == 0:
             assert len(reports) == 1 and calls
+            assert cfg.get("domain", {}).get("shape") != "Rectangle", cfg
             json.loads(reports[0].read_text(), parse_constant=_no_constant)
         else:
             assert code == 1, err.getvalue()

@@ -6,7 +6,8 @@ without it; no module uses numpy.polynomial or any np.linalg
 function but norm, and every Gauss-Legendre order a module asks for is one
 that mtcrit.numerics tabulates; no module calls a trapezoid rule, linear
 interpolation or the builtin sum, and only csvout.write_csv and
-cli._write_report open a file for writing.  Every kernel
+cli._write_report open a file for writing.  No module but mtcrit.domain
+and the package's re-export names Shape.  Every kernel
 and constant that mtcrit.numerics exports is imported by another module.
 No module compiles with a larger memory peak than the largest module had
 before the ODE integrator moved from mtcrit.numerics to mtcrit.ode.
@@ -381,6 +382,44 @@ def test_ascent_scan_catches_a_caller():
         "    return _ascend(lambda u: u, r), inner, w\n")
     assert _read_outside(tree, _ASCENT_OWNED, "_ascend") == [(3, "_load_weights"),
                                                              (4, "_start")]
+
+
+def _shape_names(tree: ast.Module) -> list:
+    """(line, form) of each name, attribute or import alias that names Shape."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "Shape":
+            out.append((node.lineno, "name"))
+        elif isinstance(node, ast.Attribute) and node.attr == "Shape":
+            out.append((node.lineno, "attribute"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(node.lineno, "import") for alias in node.names
+                    if "Shape" in (alias.name.split(".")[-1], alias.asname)]
+    return sorted(out)
+
+
+_SHAPE_OWNERS = {"domain.py", "__init__.py"}
+
+
+def test_only_domain_names_a_shape():
+    # domain._disk_only is the one refusal of a domain other than the unit
+    # disk, so no other module decides by a domain's shape
+    names = [f"{p.name}:{line} {form}" for p in MODULES if p.name not in _SHAPE_OWNERS
+             for line, form in _shape_names(ast.parse(p.read_text(), filename=str(p)))]
+    assert not names, f"Shape named outside domain: {names}"
+
+
+def test_shape_scan_catches_each_form():
+    tree = ast.parse("from .domain import Shape\n"
+                     "from .domain import DomainModel, Shape as S\n"
+                     "import mtcrit.domain as d\n"
+                     "a = d.Shape.RECTANGLE\n"
+                     "b = dom.shape is Shape.UNIT_DISK\n"
+                     "c = dom.shape is S.UNIT_DISK\n"
+                     "from mtcrit.domain import DomainModel as Shape\n")
+    assert _shape_names(tree) == [(1, "import"), (2, "import"), (4, "attribute"),
+                                  (5, "name"), (7, "import")]
+    assert _shape_names(ast.parse((SRC / "domain.py").read_text()))
 
 
 def _reachable(tree: ast.Module, root: str) -> list:

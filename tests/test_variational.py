@@ -167,10 +167,27 @@ def test_grid_too_small_refused(fam0):
     assert lambda_g_report(fam0, n_grid=6)["termination"] == ["rtol", "rtol"]
 
 
+RECT = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
+
+
 def test_lambda_g_non_disk(fam0):
-    rect = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
-    with pytest.raises(NotImplementedError):
-        lambda_g_report(fam0, rect)
+    with pytest.raises(ValueError):
+        lambda_g_report(fam0, RECT)
+
+
+@pytest.mark.parametrize("name", ["lambda_g_report", "step1_testfun", "model_testfun_energy"])
+def test_radial_functions_refuse_a_rectangle(monkeypatch, fam0, data0, name):
+    # each refuses up front, through domain._disk_only: no ascent, no
+    # quadrature rule and no height seed is computed
+    seen = []
+    for spied in ("_ascend", "gauss_legendre", "height_seed"):
+        monkeypatch.setattr(variational, spied, lambda *a, _n=spied, **k: seen.append(_n))
+    call = {"lambda_g_report": lambda: lambda_g_report(fam0, RECT),
+            "step1_testfun": lambda: step1_testfun(RECT, fam0, 0.01),
+            "model_testfun_energy": lambda: model_testfun_energy(RECT, fam0, data0, {}, 5.0)}[name]
+    with pytest.raises(ValueError, match=f"^{name} serves the unit disk only, not a Rectangle$"):
+        call()
+    assert seen == []
 
 
 def test_step1_testfun(disk, fam0):
@@ -182,8 +199,8 @@ def test_step1_testfun(disk, fam0):
     assert out["J"] > math.pi + math.pi * math.e - 0.3
     with pytest.raises(ValueError):
         step1_testfun(disk, fam0, 0.5)
-    with pytest.raises(NotImplementedError):
-        step1_testfun(DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0), fam0, 0.01)
+    with pytest.raises(ValueError):
+        step1_testfun(RECT, fam0, 0.01)
 
 
 def test_step1_eps_whose_square_is_subnormal_is_refused(disk, fam0):
