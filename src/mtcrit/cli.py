@@ -179,17 +179,16 @@ def cmd_criterion(cfg: dict, out: str) -> int:
 
     rep_robin = robin_report(dom, data.F)
     lam_rep = lambda_g_report(fam, dom)
-    l_closed = closed_form_l(fam, rep_robin.M, rep_robin.S)
-    l_grid, conf = limit_l(data, rep_robin.M, rep_robin.S)
-    report = classify(rep_robin.M, rep_robin.S, lam_rep["lambda_g"], l_grid, conf,
-                      l_closed=l_closed, lambda_gap=lam_rep["gap"],
+    l_grid = limit_l(data, rep_robin.M, rep_robin.S)[0]
+    report = classify(rep_robin.M, rep_robin.S, lam_rep["lambda_g"],
+                      closed_form_l(fam, rep_robin.M, rep_robin.S), lambda_gap=lam_rep["gap"],
                       diagnostics={"log_gamma_grid": list(LOG_GAMMA_GRID),
                                    "lambda_1": lambda1(dom)})
-    _write_report(out, "criterion.json",
-                  {**report.to_json(), "lambda_termination": lam_rep["termination"]}, cfg)
+    _write_report(out, "criterion.json", {**report.to_json(), "l_grid": l_grid,
+                                          "lambda_termination": lam_rep["termination"]}, cfg)
     ratio_curve_csv(os.path.join(out, "ratio_curve.csv"),
                     data, rep_robin.M, rep_robin.S)
-    print(f"verdict: {report.verdict.value}  l_grid={l_grid:.6f} "
+    print(f"verdict: {report.verdict.value}  l_closed={report.l_closed:.6f} "
           f"(+-{report.l_confidence:.2g})  Lambda_g={lam_rep['lambda_g']:.6f}")
     return 2 if report.verdict is Verdict.INCONCLUSIVE else 0
 

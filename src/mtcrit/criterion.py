@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .csvout import write_csv
+from .domain import MOMENT_RTOL
 from .numerics import left_sum
 from .perturbation import AsymptoticData, PerturbationFamily, asymptotic_data
 
@@ -33,8 +34,8 @@ __all__ = [
     "LOG_GAMMA_GRID",
 ]
 
-# k = log(gamma) for the grid check of l: gamma = e^65536 is no double, so
-# the ratio is evaluated in k
+# k = log(gamma) for the finite-gamma diagnostics of l: gamma = e^65536 is
+# no double, so the ratio is evaluated in k
 LOG_GAMMA_GRID = tuple(2.0**j for j in range(6, 17))
 
 
@@ -102,12 +103,11 @@ def closed_form_l(fam: PerturbationFamily, M: float, S: float) -> float:
 
 
 def limit_l(data: AsymptoticData, M: float, S: float) -> tuple[float, float]:
-    """Extrapolate the ratio over LOG_GAMMA_GRID.
+    """Extrapolate the ratio over LOG_GAMMA_GRID: a diagnostic, not the verdict's l.
 
-    Returns (l, confidence).  The grid values carry 1/log(gamma)-scale
-    corrections, so one Richardson step in 1/log(gamma) is applied and
-    the spread of the last three extrapolants, however wide, is the
-    confidence width.
+    Returns (l, spread), the spread of the last three extrapolants.  One
+    Richardson step in 1/log(gamma) removes no (log gamma)^-q piece of small
+    q, so the extrapolant can even have the other sign from the limit.
     """
     ks = LOG_GAMMA_GRID
     vals = [ratio_value(data, M, S, k) for k in ks]
@@ -126,7 +126,6 @@ class CriterionReport:
     lambda_gap: float
     pi_e_level: float
     l_closed: float
-    l_grid: float
     l_confidence: float
     verdict: Verdict
     diagnostics: dict = field(default_factory=dict)
@@ -137,20 +136,20 @@ class CriterionReport:
             # strict JSON: an ascent that did not end on rtol has an inf gap
             "lambda_gap": self.lambda_gap if math.isfinite(self.lambda_gap) else None,
             "pi_e_level": self.pi_e_level, "l_closed": self.l_closed,
-            "l_grid": self.l_grid, "l_confidence": self.l_confidence,
+            "l_confidence": self.l_confidence,
             "verdict": self.verdict.value, "diagnostics": self.diagnostics,
         }
 
 
-def classify(M: float, S: float, lambda_g: float, l: float, l_confidence: float,
-             l_closed: float, lambda_gap: float = 0.0,
-             diagnostics: dict | None = None) -> CriterionReport:
+def classify(M: float, S: float, lambda_g: float, l_closed: float,
+             lambda_gap: float = 0.0, diagnostics: dict | None = None) -> CriterionReport:
     """Assemble the existence verdict from the computed quantities.
 
-    l is the grid extrapolant of limit_l and l_confidence its spread.  The
-    closed form l_closed decides the sign; where its distance to the grid
-    value exceeds the spread, it widens the reported confidence and
-    diagnostics["l_grid_disagrees"] says so.
+    The sign of l is that of its closed form l_closed, the limit as
+    gamma -> inf, and l_confidence is l_closed's error bar, propagated from
+    M and S.  At the slowest (p, q), l = (n + 4 e^{-1-M} S b) / D with
+    |b| <= D, so the bar is 4 e^{-1-M} (dS + S dM).  criterion serves the
+    unit disk only, where dM = 0 (M is 2 log1p(0)) and dS = MOMENT_RTOL * S.
     lambda_gap is the reported optimization gap of the Lambda_g solve;
     comparisons within the gap are treated as undecided.  For the
     no-extremal branch the conclusion applies to the truncations of g at
@@ -158,10 +157,7 @@ def classify(M: float, S: float, lambda_g: float, l: float, l_confidence: float,
     """
     level = math.pi * math.exp(1.0 + M)
     diag = dict(diagnostics or {})
-    gap = abs(l_closed - l)
-    if gap > l_confidence:
-        diag["l_grid_disagrees"] = f"|l_closed - l_grid| = {gap:.3g} > spread {l_confidence:.3g}"
-        l_confidence = gap
+    l_confidence = 4.0 * math.exp(-1.0 - M) * S * MOMENT_RTOL
     if l_closed > l_confidence:
         verdict = Verdict.EXISTS_L
     elif lambda_g - lambda_gap >= level:
@@ -173,8 +169,8 @@ def classify(M: float, S: float, lambda_g: float, l: float, l_confidence: float,
     else:
         verdict = Verdict.INCONCLUSIVE
     return CriterionReport(M=M, S=S, lambda_g=lambda_g, lambda_gap=lambda_gap,
-                           pi_e_level=level, l_closed=l_closed, l_grid=l,
-                           l_confidence=l_confidence, verdict=verdict, diagnostics=diag)
+                           pi_e_level=level, l_closed=l_closed, l_confidence=l_confidence,
+                           verdict=verdict, diagnostics=diag)
 
 
 def cor2_classifier(a_prime: float, b_prime: float, c_prime: float) -> Cor2Class:
@@ -196,6 +192,6 @@ def cor2_classifier(a_prime: float, b_prime: float, c_prime: float) -> Cor2Class
 
 
 def ratio_curve_csv(path: str, data: AsymptoticData, M: float, S: float) -> None:
-    """Emit the (log gamma, ratio) curve on LOG_GAMMA_GRID for plotting."""
+    """Emit the finite-gamma (log gamma, ratio) curve on LOG_GAMMA_GRID."""
     write_csv([path], ["log_gamma", "ratio"],
               [LOG_GAMMA_GRID, [ratio_value(data, M, S, k) for k in LOG_GAMMA_GRID]])

@@ -84,10 +84,11 @@ def test_criterion_reports_the_grid_extrapolant(tmp_path, capsys):
     rep = json.loads((tmp_path / "criterion.json").read_text())
     assert rep["l_closed"] == pytest.approx(0.5 * (1 + 2 / math.e), abs=1e-12)
     assert rep["l_grid"] == pytest.approx(0.8679550, abs=1e-7)
-    assert rep["l_confidence"] >= abs(rep["l_closed"] - rep["l_grid"])
+    # the confidence is l_closed's bar, not its distance to the grid
+    assert rep["l_confidence"] == 4.0 * math.exp(-1.0 - rep["M"]) * rep["S"] * domain.MOMENT_RTOL
     assert rep["verdict"] == "ExtremalExists_l"
     out = capsys.readouterr().out
-    assert f"l_grid={rep['l_grid']:.6f} (+-{rep['l_confidence']:.2g})" in out
+    assert f"l_closed={rep['l_closed']:.6f} (+-{rep['l_confidence']:.2g})" in out
 
 
 def test_criterion_tied_B_pieces(tmp_path, capsys):
@@ -126,14 +127,15 @@ def test_criterion_unconverged_lambda_g_is_inconclusive(tmp_path, monkeypatch):
 def test_criterion_wide_grid_spread_still_classifies(tmp_path, c_prime, verdict, code):
     # a' = 0.05: A's piece decays slowest and rules the ratio from k = 2^6
     # on, so every grid value is the limit sign(c')/2 and the extrapolants do
-    # not spread.  Each verdict is Cor. 2's.
+    # not spread.  Each verdict is Cor. 2's, and l_closed's bar,
+    # 4 e^{-1} S MOMENT_RTOL with S <= 1/2, is at most 7.4e-14.
     cfg = _write(tmp_path, "cfg.json", {"family": {"kind": "PowerLog", "c_prime": c_prime,
                                                    "a_prime": 0.05, "b_prime": 1.5}})
     assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == code
     rep = json.loads((tmp_path / "criterion.json").read_text())
     assert rep["verdict"] == verdict
     assert rep["l_grid"] == rep["l_closed"] == math.copysign(0.5, c_prime)
-    assert rep["l_confidence"] == 0.0
+    assert 0.0 < rep["l_confidence"] <= 7.4e-14
 
 
 def test_malformed_config_names_field(tmp_path, capsys):
@@ -535,8 +537,14 @@ _MODEL_GAMMA_TOP = math.sqrt(variational._MAX_LOG_INV_MU2 - variational._HEIGHT_
 _DOMAINS = st.sampled_from([{}, {"shape": "UnitDisk"},
                             {"shape": "Rectangle", "width": 2.0, "height": 1.0}])
 _SWEEP_FIELDS = {
-    # the domain alone: the family stays Zero, whose verdict is never Inconclusive
-    "criterion": {"domain": _DOMAINS},
+    # the domain, and families on the corollary's border column a' = 2,
+    # b' > 0, whose l_closed is the Zero family's, so every verdict is
+    # ExtremalExists_l.  Elsewhere in the admissible set a stalled Lambda_g
+    # ascent can still end Inconclusive (exit 2).
+    "criterion": {"domain": _DOMAINS,
+                  "family": st.fixed_dictionaries({
+                      "kind": st.just("PowerLog"), "a_prime": st.just(2.0),
+                      "b_prime": st.floats(0.01, 0.5), "c_prime": st.floats(-6.0, -0.5)})},
     "extremal": {"step1_eps": _near([variational.STEP1_EPS_MIN, 0.2], [0.005, 7.5e-155]),
                  "model_gamma": _near([1.0, _MODEL_GAMMA_TOP], [5.0]),
                  "alpha_ladder": _ladder(_near([0.0, 1.0], [0.7, 0.95])),

@@ -1,6 +1,7 @@
 """Tests for the existence-criterion limit and verdict assembly."""
 
 import csv
+import json
 import math
 import random
 
@@ -12,6 +13,7 @@ from mtcrit import (
     LOG_GAMMA_GRID,
     AsymptoticData,
     Cor2Class,
+    DomainModel,
     FamilyKind,
     PerturbationFamily,
     Verdict,
@@ -22,7 +24,11 @@ from mtcrit import (
     limit_l,
     ratio_curve_csv,
     ratio_value,
+    robin_report,
 )
+from mtcrit.cli import main
+from mtcrit.domain import MOMENT_RTOL
+from mtcrit.variational import lambda_g_report
 
 M0, S0 = 0.0, 0.5
 L_ZERO = 0.5 * (1.0 + 2.0 / math.e)
@@ -94,37 +100,70 @@ def test_negative_limit_family():
     fam = PerturbationFamily(kind=FamilyKind.POWER_LOG,
                              c_prime=-1.0, a_prime=1.0, b_prime=0.0)
     assert closed_form_l(fam, M0, S0) == pytest.approx(-0.5, abs=1e-12)
-    data = asymptotic_data(fam)
-    l, conf = limit_l(data, M0, S0)
-    rep = classify(M0, S0, lambda_g=2.17, l=l, l_confidence=conf, l_closed=-0.5)
+    rep = classify(M0, S0, lambda_g=2.17, l_closed=-0.5)
     assert rep.verdict is Verdict.NO_EXTREMAL
     assert "truncated" in rep.diagnostics["note"]
 
 
 def test_classify_branches():
     level = math.pi * math.e
+    # l_closed's error bar, propagated from S: 4 e^{-1} S MOMENT_RTOL at M = 0
+    bar = 4.0 * math.exp(-1.0) * 0.5 * MOMENT_RTOL
+    assert bar <= 7.4e-14
     # l decisively positive.
-    assert classify(0.0, 0.5, 2.0, 0.8, 1e-9, l_closed=0.8).verdict is Verdict.EXISTS_L
+    rep = classify(0.0, 0.5, 2.0, 0.8, diagnostics={"kept": 1})
+    assert rep.verdict is Verdict.EXISTS_L
+    assert rep.l_confidence == bar and rep.diagnostics == {"kept": 1}
     # l negative but Lambda_g above the level.
-    assert classify(0.0, 0.5, level + 0.1, -0.5, 1e-9,
-                    l_closed=-0.5).verdict is Verdict.EXISTS_LAMBDA
+    assert classify(0.0, 0.5, level + 0.1, -0.5).verdict is Verdict.EXISTS_LAMBDA
     # l negative and Lambda_g below the level.
-    assert classify(0.0, 0.5, 2.0, -0.5, 1e-9, l_closed=-0.5).verdict is Verdict.NO_EXTREMAL
-    # l within its own confidence band and Lambda_g below: undecided.
-    assert classify(0.0, 0.5, 2.0, 0.0, 0.1, l_closed=0.0).verdict is Verdict.INCONCLUSIVE
+    assert classify(0.0, 0.5, 2.0, -0.5).verdict is Verdict.NO_EXTREMAL
+    # l within its error bar and Lambda_g below: undecided.
+    for l_closed in (0.0, bar, -bar):
+        assert classify(0.0, 0.5, 2.0, l_closed).verdict is Verdict.INCONCLUSIVE
+    # just past the bar, either way
+    assert classify(0.0, 0.5, 2.0, 2.0 * bar).verdict is Verdict.EXISTS_L
+    assert classify(0.0, 0.5, 2.0, -2.0 * bar).verdict is Verdict.NO_EXTREMAL
 
 
-@pytest.mark.parametrize("l,conf,named", [(0.3, 0.1, True), (0.3, 0.5, False),
-                                           (0.3, 0.3, False)])
-def test_classify_names_a_grid_that_disagrees_with_the_closed_form(l, conf, named):
-    # l_closed = 0.5: the grid is 0.2 off it; beyond its spread, the
-    # widened confidence comes with a named reason
-    rep = classify(0.0, 0.5, 2.0, l, conf, l_closed=0.5, diagnostics={"kept": 1})
-    assert rep.l_confidence == max(conf, 0.2 if named else 0.0)
-    assert ("l_grid_disagrees" in rep.diagnostics) == named
-    assert rep.diagnostics["kept"] == 1
-    if named:
-        assert rep.diagnostics["l_grid_disagrees"] == "|l_closed - l_grid| = 0.2 > spread 0.1"
+def _disk_verdict(fam):
+    """The verdict of `mtcrit criterion` on the unit disk, in-process."""
+    dom = DomainModel()
+    rep = robin_report(dom, asymptotic_data(fam).F)
+    lam = lambda_g_report(fam, dom)
+    return classify(rep.M, rep.S, lam["lambda_g"], closed_form_l(fam, rep.M, rep.S),
+                    lambda_gap=lam["gap"])
+
+
+BORDER_B = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5)
+BORDER_C = (-0.5, -1.0, -1.5, -2.0, -3.0, -4.0, -6.0)
+
+
+def test_border_column_exists_by_l():
+    # a' = 2, b' > 0: the A piece 2c' gamma^-4 (log gamma)^-b' decays faster
+    # than gamma^-4 by a log factor, so l is the Zero family's at every point.
+    # Their grid extrapolants at b' = 0.01 from c' = -2 down, b' = 0.05 from
+    # -4 and b' = 0.1 at -6 are far off l, and no verdict reads them.
+    for bp in BORDER_B:
+        for cp in BORDER_C:
+            fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c_prime=cp, a_prime=2.0,
+                                     b_prime=bp)
+            rep = _disk_verdict(fam)
+            assert rep.verdict is Verdict.EXISTS_L, (cp, bp)
+            assert rep.l_closed == pytest.approx(L_ZERO, abs=1e-12)
+            assert rep.l_confidence <= 7.4e-14
+
+
+def test_a_far_grid_extrapolant_leaves_the_verdict_and_its_bar():
+    # l_grid reads 0.112 against l_closed = 0.489; the bar stays l_closed's
+    fam = PerturbationFamily(kind=FamilyKind.POWER_LOG, c=1.0, a=0.5, b=0.5,
+                             c_prime=-1.0, a_prime=1.5, b_prime=0.6)
+    rep = _disk_verdict(fam)
+    assert rep.verdict is Verdict.EXISTS_L
+    assert rep.l_closed == pytest.approx(0.489037, abs=1e-6)
+    assert rep.l_confidence < 1e-12
+    l_grid, _ = limit_l(asymptotic_data(fam), rep.M, rep.S)
+    assert abs(l_grid - rep.l_closed) > 0.3
 
 
 def test_cor2_classifier():
@@ -149,17 +188,34 @@ def test_cor2_agrees_with_sign_of_l():
 
 
 
+def test_cli_decides_a_family_whose_grid_has_the_other_sign(tmp_path, capsys):
+    # (c', a', b') = (-4, 2, 0.05): at the grid's last point, log gamma =
+    # 65536, (log gamma)^-0.05 is still 0.574, so l_grid reads -0.0752
+    # against the limit l_closed = +0.8679, and Lambda_g sits far below the
+    # level.  The report keeps l_grid as a diagnostic.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": {"kind": "PowerLog", "c_prime": -4.0,
+                                          "a_prime": 2.0, "b_prime": 0.05}}))
+    assert main(["criterion", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "criterion.json").read_text())
+    assert rep["verdict"] == "ExtremalExists_l"
+    assert rep["l_closed"] == pytest.approx(L_ZERO, abs=1e-12)
+    assert rep["l_grid"] == pytest.approx(-0.0752157, abs=1e-7)
+    assert rep["lambda_g"] < 0.5 * rep["pi_e_level"]
+    assert rep["l_confidence"] == 4.0 * math.exp(-1.0 - rep["M"]) * rep["S"] * MOMENT_RTOL
+    assert sorted(rep["diagnostics"]) == ["lambda_1", "log_gamma_grid"]
+    assert capsys.readouterr().out == (f"verdict: ExtremalExists_l  l_closed=0.867879 "
+                                       f"(+-7.4e-14)  Lambda_g={rep['lambda_g']:.6f}\n")
+
+
 def test_no_limit_on_oscillation():
     # A grid that does not settle is no error: limit_l returns its spread,
-    # however wide, and classify widens l_confidence by it.  Here an A piece
-    # e^{-(4 - 1e-4)k} overtakes gamma^-4 only across the last grid points.
+    # however wide.  Here an A piece e^{-(4 - 1e-4)k} overtakes gamma^-4
+    # only across the last grid points.
     data = AsymptoticData(A_pieces=((-1.0, 4.0 - 1e-4, 0.0),),
                           B_pieces=((1.0, 1.0, 0.0),), kappa=1.0)
     l, conf = limit_l(data, M0, S0)
     assert math.isfinite(l) and conf > 0.25
-    rep = classify(M0, S0, lambda_g=2.17, l=l, l_confidence=conf, l_closed=0.0)
-    assert rep.l_confidence == max(conf, abs(l))
-    assert rep.verdict is Verdict.INCONCLUSIVE
 
 
 def test_ratio_curve_csv(tmp_path, data0):
@@ -196,16 +252,14 @@ def _scan_families():
 
 
 def test_grid_decides_every_scan_family():
-    # With the Lambda_g route off, the grid check of l leaves no family of
-    # either set undecided, and its sign is the closed form's.  On the c = 0
-    # scan the verdict is Cor. 2's.
+    # A check of the exponent bookkeeping: on both sets, where every b' is at
+    # least 0.1, the grid extrapolant has the closed form's sign, and that
+    # sign is never 0.  On the c = 0 scan it is Cor. 2's.
     scan, drawn = _scan_families()
     for fam in scan + drawn:
         l_closed = closed_form_l(fam, M0, S0)
-        l, conf = limit_l(asymptotic_data(fam), M0, S0)
-        rep = classify(M0, S0, lambda_g=0.0, l=l, l_confidence=conf, l_closed=l_closed)
-        assert rep.verdict is not Verdict.INCONCLUSIVE, fam
-        assert np.sign(l) == np.sign(l_closed), fam
+        l, _ = limit_l(asymptotic_data(fam), M0, S0)
+        assert np.sign(l) == np.sign(l_closed) != 0.0, fam
         if fam.c == 0.0:
             cor2 = cor2_classifier(fam.a_prime, fam.b_prime, fam.c_prime)
-            assert (rep.verdict is Verdict.EXISTS_L) == (cor2 is Cor2Class.EXISTS), fam
+            assert (l_closed > 0.0) == (cor2 is Cor2Class.EXISTS), fam
