@@ -96,6 +96,12 @@ def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float) -> tuple[flo
     return lam, math.exp(0.5 * log_mu2)
 
 
+def _check_eps0(eps0: float) -> None:
+    """Refuse an eps0 outside (1/sqrt(e), 1), the shot's end t = (1 - eps0) gamma^2."""
+    if not 1.0 / math.sqrt(math.e) < eps0 < 1.0:
+        raise ValueError(f"eps0 must lie in (1/sqrt(e), 1) (got {eps0!r})")
+
+
 @functools.lru_cache(maxsize=8)
 def _shot_grid(gamma: float, eps0: float) -> np.ndarray:
     """A shot's y grid: 0, then 3000 geometric nodes from _Y0 to rho/mu.
@@ -115,8 +121,7 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float,
     2 / (H(gamma) gamma^2 phi_{N-1}(gamma^2)), so lambda is fixed at the unit
     disk's level; it only places r = mu y.
     """
-    if not (1.0 / math.sqrt(math.e) < eps0 < 1.0):
-        raise ValueError("eps0 must lie in (1/sqrt(e), 1)")
+    _check_eps0(eps0)
     lam, mu = _mu_from_scaling(fam, N, gamma)
     grid = _shot_grid(gamma, eps0)
     c = 0.5 * lam * mu * mu
@@ -253,12 +258,16 @@ def _ladder_window(gammas, eps0: float) -> tuple[float, float, list]:
 
 def check_ladder(fam: PerturbationFamily, N: int, gammas, eps0: float) -> None:
     """Refuse with ValueError, before any solve, a ladder that
-    `ladder_reports` cannot finish at order N: a gamma^2 past EXP_BUDGET
-    (eval_psi_N refuses it), a gamma <= 1 where the family's decay
-    coefficient A(gamma) has no value, an expansion window with no node at
-    y >= _Y_FLOOR (its sups would be over nothing), or a scaling that
-    `shoot_bubble` refuses at gamma_min."""
-    top, low = max(gammas), min(gammas)
+    `ladder_reports` cannot finish at order N: no gamma or one <= 0, an eps0
+    that `shoot_bubble` refuses, a gamma^2 past EXP_BUDGET (eval_psi_N
+    refuses it), a gamma <= 1 where the family's A(gamma) has no value, an
+    expansion window with no node at y >= _Y_FLOOR (its sups would be over
+    nothing), or a scaling that `shoot_bubble` refuses at gamma_min."""
+    low = min(gammas, default=0.0)
+    if not low > 0.0:
+        raise ValueError(f"need at least one gamma, all > 0 (got {list(gammas)!r})")
+    _check_eps0(eps0)
+    top = max(gammas)
     if top * top > EXP_BUDGET:
         raise ValueError(f"gamma = {top:g} is past the exponent budget of Psi_N "
                          f"(gamma^2 <= {EXP_BUDGET:g})")

@@ -8,6 +8,10 @@ Subcommands
     extremal    subcritical solver ladder and the two test functions
     verify      the invariant suite as a pass/fail table
 
+This module checks a config's JSON shape, field names and curve-file
+names alone.  Every numerical condition is the check of the API function
+that needs it, which `_checked` calls before the first solve.
+
 Exit codes: 0 ok; 1 error; 2 an inconclusive verdict, or a usage error on
 the command line, which runs nothing.  Reports are JSON (with the config
 hash and tool version embedded) next to CSV curve files; identical
@@ -40,12 +44,12 @@ from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
 from .csvout import write_csv
 from .domain import DomainModel, _disk_only, lambda1, robin_report
 from .numerics import left_sum
-from .perturbation import PerturbationFamily, asymptotic_data, phi_N
+from .perturbation import PerturbationFamily, _check_order, asymptotic_data, phi_N
 from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, csv_grid, ode_profile,
                        profile_integrals, s0_explicit, solve_profile)
-from .bubble import OrderUnderflowError, check_ladder, ladder_reports
+from .bubble import OrderUnderflowError, _check_eps0, check_ladder, ladder_reports
 from .cmdline import parse_args
-from .variational import (STEP1_EPS_MIN, height_seed, lambda_g_report,
+from .variational import (_check_alpha, _check_step1_eps, height_seed, lambda_g_report,
                           model_testfun_energy, solve_subcritical, step1_testfun)
 
 
@@ -60,12 +64,9 @@ CONFIG_KEYS = frozenset({"family", "domain", "gamma_ladder", "alpha_ladder",
 _BUBBLE_CSV, _EXTREMAL_CSV = "bubble_gamma{:g}.csv", "extremal_alpha{:.4f}.csv"
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _config_hash(cfg: dict) -> str:
-    return sha256(_canonical(cfg).encode()).hexdigest()[:16]
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _load_config(path: str | None) -> dict:
@@ -114,10 +115,10 @@ def _number(cfg: dict, key: str, default: float) -> float:
 
 
 def _numbers(cfg: dict, key: str, default: list) -> list:
-    """A ladder field: a JSON list of numbers, returned as floats."""
+    """A ladder field: a non-empty JSON list of numbers, returned as floats."""
     value = cfg.get(key, default)
-    if not isinstance(value, list) or not all(map(_is_number, value)):
-        raise ConfigError(f"field '{key}': must be a list of numbers (got {value!r})")
+    if not isinstance(value, list) or not value or not all(map(_is_number, value)):
+        raise ConfigError(f"field '{key}': must be a non-empty list of numbers (got {value!r})")
     return [float(v) for v in value]
 
 
@@ -130,29 +131,25 @@ def _distinct_files(key: str, values: list, names) -> None:
         seen[name] = v
 
 
-def _family(cfg: dict) -> PerturbationFamily:
+def _checked(key: str, check, *args):
+    """check(*args), its ValueError raised as a ConfigError naming the field
+    `key`; an OrderUnderflowError names N, the order the scaling refuses."""
     try:
-        return PerturbationFamily.from_json(cfg.get("family", {}))
+        return check(*args)
     except ValueError as exc:
-        raise ConfigError(f"field 'family': {exc}") from exc
+        key = "N" if isinstance(exc, OrderUnderflowError) else key
+        raise ConfigError(f"field '{key}': {exc}") from None
 
 
-def _order(cfg: dict) -> int:
-    """The truncation order N: an integer >= 1 (N = 1 is the full exponential)."""
-    N = cfg.get("N", 1)
-    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-        raise ConfigError(f"field 'N': must be an integer >= 1 (got {N!r})")
-    return N
+def _family(cfg: dict) -> PerturbationFamily:
+    return _checked("family", PerturbationFamily.from_json, cfg.get("family", {}))
 
 
 def _disk_domain(cfg: dict, command: str) -> DomainModel:
     """The scenario domain, refused by `_disk_only` unless it is the unit disk:
     Lambda_g, the subcritical solver, the test functions and the shots are radial."""
-    try:
-        dom = DomainModel.from_json(cfg.get("domain", {}))
-        _disk_only(dom, command)
-    except ValueError as exc:
-        raise ConfigError(f"field 'domain': {exc}") from exc
+    dom = _checked("domain", DomainModel.from_json, cfg.get("domain", {}))
+    _checked("domain", _disk_only, dom, command)
     return dom
 
 
@@ -200,10 +197,7 @@ def cmd_criterion(cfg: dict, out: str) -> int:
 def cmd_profiles(cfg: dict, out: str) -> int:
     # r_max is the extent of the curve files alone: the profiles reach oo
     r_max = _number(cfg, "r_max", R_MAX)
-    try:
-        csv_grid(r_max)
-    except ValueError as exc:
-        raise ConfigError(f"field 'r_max': {exc}") from None
+    _checked("r_max", csv_grid, r_max)
     profiles = {i: solve_profile(i) for i in range(3)}
     constants = {}
     for i, P in profiles.items():
@@ -225,20 +219,13 @@ def cmd_profiles(cfg: dict, out: str) -> int:
 def cmd_bubble(cfg: dict, out: str) -> int:
     fam = _family(cfg)
     _disk_domain(cfg, "bubble")
-    N = _order(cfg)
+    N = cfg.get("N", 1)
+    _checked("N", _check_order, N)
     gammas = _numbers(cfg, "gamma_ladder", [3.0, 4.0, 5.0])
-    if not gammas or any(g <= 0 for g in gammas):
-        raise ConfigError("field 'gamma_ladder': need >= 1 value, all > 0")
     _distinct_files("gamma_ladder", gammas, map(_BUBBLE_CSV.format, gammas))
     eps0 = _number(cfg, "eps0", 0.75)
-    if not math.sqrt(1.0 / math.e) < eps0 < 1.0:
-        raise ConfigError("field 'eps0': must lie in (1/sqrt(e), 1)")
-    try:
-        check_ladder(fam, N, gammas, eps0)
-    except OrderUnderflowError as exc:
-        raise ConfigError(f"field 'N': {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"field 'gamma_ladder': {exc}") from None
+    _checked("eps0", _check_eps0, eps0)
+    _checked("gamma_ladder", check_ladder, fam, N, gammas, eps0)
     # both bubble checks use the explicit S0, so only S1 and S2 are solved
     profiles = {i: solve_profile(i) for i in (1, 2)}
     ladder = ladder_reports(fam, N, gammas, profiles, eps0=eps0)
@@ -267,25 +254,18 @@ def cmd_bubble(cfg: dict, out: str) -> int:
 def cmd_extremal(cfg: dict, out: str) -> int:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "extremal")
-    N = _order(cfg)
+    N = cfg.get("N", 1)
+    _checked("N", _check_order, N)
     fracs = _numbers(cfg, "alpha_ladder", [0.7, 0.8, 0.9, 0.95])
     alphas = [f * 4.0 * math.pi for f in fracs]
-    if not alphas or any(not 0.0 < a < 4.0 * math.pi for a in alphas):
-        raise ConfigError("field 'alpha_ladder': need >= 1 value; alpha must lie "
-                          "in (0, 4 pi)")
+    for a in alphas:
+        _checked("alpha_ladder", _check_alpha, a)
     _distinct_files("alpha_ladder", fracs, map(_EXTREMAL_CSV.format, alphas))
     eps = _number(cfg, "step1_eps", 0.005)
-    if not STEP1_EPS_MIN <= eps <= 0.2:
-        raise ConfigError(f"field 'step1_eps': must lie in (0, 0.2] and be >= "
-                          f"{STEP1_EPS_MIN!r}, where eps^2 is a normal double (got {eps!r})")
+    _checked("step1_eps", _check_step1_eps, eps)
     gam = _number(cfg, "model_gamma", 5.0)
-    if gam <= 1.0:  # A and B carry log(gamma)
-        raise ConfigError(f"field 'model_gamma': must be > 1 (got {gam!r})")
     data = asymptotic_data(fam)
-    try:
-        height_seed(data, gam)
-    except ValueError as exc:
-        raise ConfigError(f"field 'model_gamma': {exc}") from None
+    _checked("model_gamma", height_seed, data, gam)
 
     runs = [solve_subcritical(fam, N, a) for a in alphas]
     payload = {"runs": [r.to_json() for r in runs]}
@@ -419,11 +399,9 @@ def main(argv=None) -> int:
         cfg = _load_config(options.pop("config"))
         os.makedirs(options["out"], exist_ok=True)
         return _COMMANDS[command][0](cfg, **options)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # numerical failures map to exit 1 with a name
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # a refused config names its field, a failure its type
+        kind = "" if isinstance(exc, ConfigError) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
 
 

@@ -256,7 +256,9 @@ def csv_grid(r_max: float) -> np.ndarray:
     if not r_max > _R0:
         raise ValueError(f"must exceed {_R0:g}, where the curve files' geometric "
                          f"grid starts (got {r_max!r})")
-    grid = np.concatenate([[0.0], np.geomspace(_R0, r_max, _CSV_NODES)])
+    # geomspace overflows an intermediate power near the top of the doubles, not a node
+    with np.errstate(over="ignore"):
+        grid = np.concatenate([[0.0], np.geomspace(_R0, r_max, _CSV_NODES)])
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError(f"{r_max!r} is too close to {_R0:g} for {_CSV_NODES} distinct "
                          f"geometric nodes")

@@ -269,6 +269,11 @@ def _ascend(integrand, r: np.ndarray, alpha: float):
     return u, J, G, it, "max_iter"
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 4.0 * math.pi:
+        raise ValueError(f"alpha must lie in (0, 4 pi) (got {alpha!r})")
+
+
 def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
                       n_grid: int = 2000) -> ExtremalRun:
     """Maximize the Moser functional over the H^1_0 ball of radius^2 alpha
@@ -278,8 +283,7 @@ def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,
     (Rayleigh quotient at the constrained maximizer) and the relative
     discrete Euler-Lagrange residual.
     """
-    if not 0.0 < alpha < 4.0 * math.pi:
-        raise ValueError("alpha must lie in (0, 4 pi)")
+    _check_alpha(alpha)
     if n_grid < 3:
         raise ValueError(f"n_grid must be >= 3 (got {n_grid})")
     r = make_grid(n_grid)
@@ -330,6 +334,12 @@ def lambda_g_report(fam: PerturbationFamily, dom: DomainModel = DomainModel(),
             "termination": [why, why_half]}
 
 
+def _check_step1_eps(eps: float) -> None:
+    if not STEP1_EPS_MIN <= eps <= 0.2:
+        raise ValueError(f"eps must lie in (0, 0.2] and be >= {STEP1_EPS_MIN!r}, "
+                         f"where eps^2 is a normal double (got {eps!r})")
+
+
 def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict:
     """Truncated-log test function at the disk center.
 
@@ -342,9 +352,7 @@ def step1_testfun(dom: DomainModel, fam: PerturbationFamily, eps: float) -> dict
     and M = 0.  It is returned as "blowup_level".
     """
     _disk_only(dom, "step1_testfun")
-    if not STEP1_EPS_MIN <= eps <= 0.2:
-        raise ValueError(f"eps must lie in (0, 0.2] and be >= {STEP1_EPS_MIN!r}, "
-                         f"where eps^2 is a normal double (got {eps!r})")
+    _check_step1_eps(eps)
     e2 = eps * eps
     # ||v||^2 = 2 pi int (2r/(e2+r^2))^2 r dr, analytic
     norm_sq = 4.0 * math.pi * (math.log1p(1.0 / e2) - 1.0 / (1.0 + e2))
@@ -395,25 +403,28 @@ def _q_prime(data: AsymptoticData, rho: np.ndarray) -> np.ndarray:
     return -rest / rho
 
 
-def height_seed(data: AsymptoticData, gamma: float) -> tuple[float, float]:
-    """(x, L_seed) of the height equation of `model_testfun_energy` at the
-    disk centre (Robin value 0).
+def height_seed(data: AsymptoticData, gamma: float) -> tuple[float, ...]:
+    """(x, L_seed, A(gamma), B(gamma), _concentration_integral(data)) of the
+    height equation of `model_testfun_energy` at the disk centre (Robin value 0).
 
     log(1/mu~^2) = gamma^2 - 1 + log1p(x) in closed form, which has no value
     for x <= -1; L_seed is that form with x raised to at least -0.9, the
     centre of the root bracket L_seed -+ _HEIGHT_BRACKET.  Raises ValueError
-    when the bracket's top passes _MAX_LOG_INV_MU2, where mu~^2 = e^-L
-    is no longer a normal double (gamma >= 27 for the Zero family).
+    for gamma <= 1, where A and B carry log(gamma), and when the bracket's
+    top passes _MAX_LOG_INV_MU2, where mu~^2 = e^-L is no longer a normal
+    double (gamma >= 27 for the Zero family).
     """
     g = gamma
-    A, Bc = float(data.A(g)), float(data.B(g))
-    x = -g * g * A / 2.0 - 4.0 * Bc * _concentration_integral(data) / (g * math.e)
+    if not g > 1.0:
+        raise ValueError(f"gamma must be > 1, since A and B carry log(gamma) (got {g!r})")
+    A, Bc, S_int = float(data.A(g)), float(data.B(g)), _concentration_integral(data)
+    x = -g * g * A / 2.0 - 4.0 * Bc * S_int / (g * math.e)
     L_seed = g * g - 1.0 + math.log1p(max(-0.9, x))
     if L_seed + _HEIGHT_BRACKET > _MAX_LOG_INV_MU2:
         raise ValueError(f"gamma = {g:g} puts the height bracket at log(1/mu~^2) up to "
                          f"{L_seed + _HEIGHT_BRACKET:.1f}, past {_MAX_LOG_INV_MU2:.1f}, "
                          f"where mu~^2 underflows")
-    return x, L_seed
+    return x, L_seed, A, Bc, S_int
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -448,10 +459,8 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
     """
     _disk_only(dom, "model_testfun_energy")
     g = gamma
-    A = float(data.A(g))
-    Bc = float(data.B(g))
+    x, L_seed, A, Bc, S_int = height_seed(data, g)
     S0, S1v, S2v = profiles[0], profiles[1], profiles[2]
-    S_int = _concentration_integral(data)
     coef_q = 4.0 * Bc / (g * g * math.e)
     centre = coef_q * S_int
     # the profile part S0 / gamma^3 + S1 / gamma^5 + (A / gamma) S2, as one profile
@@ -466,7 +475,6 @@ def model_testfun_energy(dom: DomainModel, fam: PerturbationFamily,
         tot += centre
         return tot - g
 
-    x, L_seed = height_seed(data, g)
     L = _bisect(height, L_seed - _HEIGHT_BRACKET, L_seed + _HEIGHT_BRACKET)
     mu2 = math.exp(-L)
     mu = math.sqrt(mu2)

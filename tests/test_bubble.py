@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -303,6 +304,29 @@ def test_check_ladder_refuses_gamma_past_the_budget(fam0):
     check_ladder(fam0, 1, [3.0, top], 0.75)
     with pytest.raises(ValueError, match="exponent budget"):
         check_ladder(fam0, 1, [3.0, math.nextafter(top, 30.0)], 0.75)
+
+
+@pytest.mark.parametrize("gammas", [[], [0.0], [-3.0], [3.0, -0.0], [5e-324, -1.0]])
+def test_check_ladder_refuses_an_empty_or_non_positive_ladder(monkeypatch, fam0, gammas):
+    # refused by its own condition before any grid or scaling is built: []
+    # used to end in max()'s "empty sequence" and [-3.0] in eval_H's "t > 0"
+    seen = []
+    for name in ("_shot_grid", "_mu_from_scaling", "asymptotic_data"):
+        monkeypatch.setattr(bubble, name, lambda *a, _n=name, **k: seen.append(_n))
+    with pytest.raises(ValueError, match=r"^need at least one gamma, all > 0 \(got "
+                                         + re.escape(repr(gammas)) + r"\)$"):
+        check_ladder(fam0, 1, gammas, 0.75)
+    assert seen == []
+
+
+def test_check_ladder_refuses_the_eps0_of_shoot_bubble(fam0):
+    for eps0 in (1.0 / math.sqrt(math.e), 1.0, 0.5):
+        with pytest.raises(ValueError, match=re.escape(f"(got {eps0!r})")) as shot:
+            shoot_bubble(fam0, 1, 3.0, eps0=eps0)
+        with pytest.raises(ValueError) as ladder:
+            check_ladder(fam0, 1, [3.0], eps0)
+        assert str(ladder.value) == str(shot.value)
+    check_ladder(fam0, 1, [3.0], math.nextafter(1.0 / math.sqrt(math.e), 1.0))
 
 
 @pytest.mark.parametrize("gamma,refused", [(0.5, True), (0.7, False)])

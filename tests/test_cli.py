@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtcrit import PerturbationFamily, asymptotic_data, bubble, cli, domain, numerics
+from mtcrit import PerturbationFamily, asymptotic_data, bubble, cli, domain, eval_psi_N, numerics
 from mtcrit import profiles as profiles_module
 from mtcrit import variational
 from mtcrit.cli import main
@@ -226,6 +226,16 @@ def test_profiles_r_max_sets_only_the_curve_files(tmp_path, r_max):
             assert rows[0, 0] == 0.0 and rows[-1, 0] == extent
             assert np.all(np.isfinite(rows))
     assert reports[0] == reports[1]
+
+
+def test_profiles_at_the_largest_double_run_without_a_warning(tmp_path):
+    # geomspace's overflowing intermediate power used to print numpy's
+    # RuntimeWarning on stderr
+    cfg = _write(tmp_path, "cfg.json", {"r_max": sys.float_info.max})
+    proc = _entry_point("profiles", "--config", cfg, "--out", str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = np.loadtxt(tmp_path / "profile_S0.csv", delimiter=",", skiprows=1)
+    assert rows[-1, 0] == sys.float_info.max and np.all(np.isfinite(rows))
 
 
 def test_bubble_bad_eps0(tmp_path, capsys):
@@ -501,6 +511,40 @@ def test_config_refused_before_solving(tmp_path, capsys, monkeypatch, cmd, paylo
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+_FAM0, _DISK = PerturbationFamily(), domain.DomainModel()
+# field -> (subcommand, config, a call of the API function whose own check
+# refuses the field's value): the command line states no condition itself
+_OWNED_REFUSALS = {
+    "N": ("bubble", {"N": 0}, lambda: eval_psi_N(_FAM0, 0, 1.0)),
+    "eps0": ("bubble", {"eps0": 0.5}, lambda: bubble.shoot_bubble(_FAM0, 1, 3.0, eps0=0.5)),
+    "gamma_ladder": ("bubble", {"gamma_ladder": [3.0, -1.0]},
+                     lambda: bubble.check_ladder(_FAM0, 1, [3.0, -1.0], 0.75)),
+    "alpha_ladder": ("extremal", {"alpha_ladder": [0.7, 1.5]},
+                     lambda: variational.solve_subcritical(_FAM0, 1, 1.5 * 4.0 * math.pi)),
+    "step1_eps": ("extremal", {"step1_eps": 0.3},
+                  lambda: variational.step1_testfun(_DISK, _FAM0, 0.3)),
+    "model_gamma": ("extremal", {"model_gamma": 1.0},
+                    lambda: variational.model_testfun_energy(_DISK, _FAM0,
+                                                             asymptotic_data(_FAM0), {}, 1.0)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_OWNED_REFUSALS))
+def test_each_condition_is_the_api_check_that_owns_it(tmp_path, capsys, monkeypatch, key):
+    cmd, payload, api_call = _OWNED_REFUSALS[key]
+    with pytest.raises(ValueError) as refused:
+        api_call()
+    solves = []
+    for name in ("robin_report", "lambda_g_report", "solve_profile", "solve_subcritical",
+                 "ladder_reports", "step1_testfun", "model_testfun_energy"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: solves.append(_n))
+    cfg = _write(tmp_path, "cfg.json", payload)
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: field '{key}': {refused.value}\n"
+    assert solves == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", [{"family": {"kind": "Zero"}}])
     assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -557,7 +601,7 @@ _SWEEP_FIELDS = {
                "eps0": _near([math.sqrt(1.0 / math.e), 1.0], [0.75]),
                "domain": _DOMAINS,
                "N": st.sampled_from([1, 2])},
-    "profiles": {"r_max": _near([1e-6], [2000.0, 1e60, 1.7e308])},
+    "profiles": {"r_max": _near([1e-6], [2000.0, 1e60, 1.7e308, sys.float_info.max])},
 }
 
 
@@ -573,6 +617,7 @@ def _no_constant(name):
     raise ValueError(f"non-finite {name} in a report")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=160, derandomize=True, deadline=None, database=None)
 @given(_sweep_configs())
 def test_config_sweep_runs_or_is_refused_before_solving(case):

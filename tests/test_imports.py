@@ -10,7 +10,10 @@ cli._write_report open a file for writing.  No module but mtcrit.domain
 and the package's re-export names Shape.  Every kernel
 and constant that mtcrit.numerics exports is imported by another module.
 No module compiles with a larger memory peak than the largest module had
-before the ODE integrator moved from mtcrit.numerics to mtcrit.ode.
+before the ODE integrator moved from mtcrit.numerics to mtcrit.ode.  No
+subcommand of mtcrit.cli raises ConfigError or compares a value with a
+number constant: each numerical condition is the check of the API function
+that needs it.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
@@ -602,6 +605,56 @@ def test_raise_scan_reads_every_form():
     tree = ast.parse("raise A\nraise B('x')\nraise m.C('y') from None\n"
                      "try:\n    pass\nexcept D:\n    raise\n")
     assert _raised_names(tree) == {"A", "B", "C"}
+
+
+def _is_number_constant(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float, complex))
+            and not isinstance(node.value, bool))
+
+
+def _own_conditions(tree: ast.Module, prefix: str = "cmd_") -> list:
+    """(function, line, form) of each `raise ConfigError` and each comparison
+    with a number constant anywhere in its operands, in the module functions
+    whose names start with `prefix`."""
+    out = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith(prefix)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Raise) and "ConfigError" in _raised_names(node):
+                out.append((fn.name, node.lineno, "raise ConfigError"))
+            elif isinstance(node, ast.Compare) and any(
+                    _is_number_constant(sub) for operand in (node.left, *node.comparators)
+                    for sub in ast.walk(operand)):
+                out.append((fn.name, node.lineno, "compare"))
+    return sorted(out)
+
+
+def test_subcommands_state_no_condition_of_their_own():
+    # cli checks a config's JSON shape and names; each numerical condition is
+    # the check of the API function that needs it, which a subcommand calls
+    # through cli._checked, so no cmd_* refuses a value itself
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    assert _own_conditions(tree) == []
+
+
+def test_condition_scan_catches_each_form():
+    tree = ast.parse("def cmd_a(cfg):\n"
+                     "    if not 0.0 < a < 4.0 * math.pi: pass\n"
+                     "    if g <= -1: raise ConfigError('x')\n"
+                     "    raise cli.ConfigError\n"
+                     "    ok = [x for x in v if 1e-6 >= x]\n"
+                     "    return x is None, v == 'a', f is True, n == m, len(v)\n"
+                     "def _helper(cfg):\n"
+                     "    if n < 1: raise ConfigError('y')\n")
+    assert _own_conditions(tree) == [("cmd_a", 2, "compare"), ("cmd_a", 3, "compare"),
+                                     ("cmd_a", 3, "raise ConfigError"),
+                                     ("cmd_a", 4, "raise ConfigError"),
+                                     ("cmd_a", 5, "compare")]
+    # cli's own shape checks raise ConfigError outside the subcommands
+    cli_tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    assert ("_load_config", "raise ConfigError") in {
+        (fn, form) for fn, _, form in _own_conditions(cli_tree, prefix="_")}
 
 
 def _config_keys_read(tree: ast.Module) -> set:

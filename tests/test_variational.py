@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 
 import mpmath
@@ -342,6 +343,37 @@ def test_bisected_root_puts_U0_at_gamma(monkeypatch, disk, profiles, name, gamma
     # U(0) - gamma at the root, by the height function that was bisected
     (height,) = heights
     assert abs(height(L)) <= 1e-14 * gamma
+
+
+def test_the_model_reads_its_height_data_once(monkeypatch, disk, fam0, data0, profiles):
+    # height_seed hands A(gamma), B(gamma) and S to the model, which used to
+    # evaluate each of them a second time
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    for owner, name in ((AsymptoticData, "A"), (AsymptoticData, "B"),
+                        (variational, "_concentration_integral")):
+        spy(owner, name)
+    model_testfun_energy(disk, fam0, data0, profiles, 5.0)
+    assert sorted(calls) == ["A", "B", "_concentration_integral"]
+
+
+@pytest.mark.parametrize("fam", [PerturbationFamily(), POWER_LOG], ids=["Zero", "PowerLog"])
+@pytest.mark.parametrize("gamma", [1.0, 0.5, 0.0, -2.0])
+def test_height_seed_refuses_gamma_at_most_one(disk, fam, gamma):
+    # A and B carry log(gamma): a family with log pieces used to seed the
+    # height at x = -inf (gamma = 1) or NaN (below); the model refuses it
+    # before it reads a profile
+    message = "^" + re.escape(f"gamma must be > 1, since A and B carry log(gamma) "
+                              f"(got {gamma!r})") + "$"
+    data = asymptotic_data(fam)
+    with pytest.raises(ValueError, match=message):
+        variational.height_seed(data, gamma)
+    with pytest.raises(ValueError, match=message):
+        model_testfun_energy(disk, fam, data, {}, gamma)
 
 
 def test_the_model_builds_its_bracket_profile_once(monkeypatch, disk, fam0, data0, profiles):
