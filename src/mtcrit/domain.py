@@ -12,10 +12,12 @@ function is x -> H_x(x); its maximum M, its maximizer K and the associated
 integral S drive the existence criterion.  `robin_report` reads them, on
 either shape, off the Taylor series of the conformal map of the unit disk
 onto the domain: the identity on the disk, the Schwarz-Christoffel map on a
-rectangle.  On the disk a Robin search and a quadrature around the pole
-(`robin_search`) find them independently.  `_disk_only` is mtcrit's one
-refusal of a rectangle: `green`, `robin`, `integrate_around_pole`,
-`robin_search`, the radial solvers and the disk-only subcommands call it.
+rectangle.  The profile F(t) = t^kappa gives the series' radial moments in
+closed form, so S needs no quadrature.  On the disk a Robin search and a
+quadrature around the pole (`robin_search`) find them independently.
+`_disk_only` is mtcrit's one refusal of a rectangle: `green`, `robin`,
+`integrate_around_pole`, `robin_search`, the radial solvers and the
+disk-only subcommands call it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import CHUNK, gauss_legendre, left_sum, minimize
+from .perturbation import PowerProfile
 
 __all__ = [
     "Shape",
@@ -235,20 +238,21 @@ class RobinReport:
 # G(f(w), f(0)) = log(1/|w|^2) / 4 pi, S pulls back to
 #
 #     S = sum_k k^2 |c_k|^2 I_k = C^2 sum_n P_n(x)^2 I_{2n+1},
-#     I_k = int_0^inf s F(2s) e^(-2ks) ds,
+#     I_k = int_0^inf s F(2s) e^(-2ks) ds = Gamma(kappa + 2) / (4 k^(kappa + 2)),
 #
-# the disk's radial moments (Flucher, Comment. Math. Helv. 1992; Bandle and
-# Flucher, SIAM Rev. 1996).
+# for F(t) = t^kappa, the disk's radial moments (Flucher, Comment. Math.
+# Helv. 1992; Bandle and Flucher, SIAM Rev. 1996).
 
 _SERIES_TERMS = 4000
 """Terms n < K = _SERIES_TERMS of the series for S; theta = arccos x.
 
 Where K theta < 1, P_n(x) is still close to 1 at the cut, so the terms left
 out are added as the strip's tail: the series with P_n = 1, whose sum is
-C^2 int_0^inf s F(2s) e^(-2 k0 s) / (1 - e^(-4s)) ds, k0 = 2K + 1.
+C^2 Gamma(s) / 4 sum_{n >= K} (2n + 1)^-s = C^2 Gamma(s) 2^-s zeta(s, K + 1/2) / 4,
+s = kappa + 2, a Hurwitz zeta taken by three Euler-Maclaurin terms.
 
 Truncation bound for F(t) = t^kappa, 0 < kappa <= 1 (every family's
-profile).  Then I_k = Gamma(kappa + 2) / (4 k^(kappa + 2)) and S >= C^2 I_1, so
+profile).  Then S >= C^2 I_1, so
 
     |Delta S| / S <= (2K)^(-1-kappa) / (2 (1 + kappa)) * rho,
     rho = min(1, 1 / (K theta))                            if K theta >= 1,
@@ -260,21 +264,18 @@ where 0 <= 1 - P_n^2 <= min(1, n (n + 1) theta^2 / 2).  At K = 4000, kappa = 1
 reads 6.2e-13 on the square and 2.8e-12 at 2:1, 3.9e-9 at worst (K theta
 about 1, sides about 7:1) and 2.7e-11 at 10:1.  At worst kappa = 1/2 reads
 4.7e-7, and kappa = 1/4 reads 5.3e-6.  Against 2e6 terms, kappa = 1 measured
-2.2e-13 on the square, 6.0e-13 at 2:1, 1.4e-9 at 7:1, 5e-13 at 10:1 and 2e-15
-at 50:1; kappa = 1/4 measured 2.2e-6 at 7:1.  The moments I_k add MOMENT_RTOL.
+2.1e-13 on the square, 5.9e-13 at 2:1, 1.4e-9 at 7:1, 5.1e-13 at 10:1 and
+1.5e-14 at 50:1, the reference's own truncation; kappa = 1/4 measured 2.2e-6
+at 7:1.  The rounding of the moments
+adds MOMENT_RTOL.
 """
 
 # Terms of each theta series: for q <= e^(-pi) the first left out is below
 # 1e-21 of the sum.
 _THETA_TERMS = 4
-# The moment rule: Gauss-Legendre nodes per panel, and geometric panels
-# (ratio 1/2) from _MOMENT_CUT down toward 0, the innermost one down to 0.
-_MOMENT_ORDER = 10
-_MOMENT_PANELS = 18
-_MOMENT_CUT = 40.0
-# The moment rule's relative accuracy on y^(1+kappa) e^(-y) over [0, inf), so
-# on each I_k and the disk's S, for kappa in [0, 1]: the worst measured is
-# 5.2e-14, at kappa = 0.1.
+# A bound on the relative rounding of the closed-form moments I_k, so of the
+# disk's S: against 40-digit mpmath, at most 6.8e-16 measured for kappa in
+# [0, 1] and odd k <= 7999.
 MOMENT_RTOL = 1e-13
 
 
@@ -312,43 +313,9 @@ def _legendre_squares(x: float) -> np.ndarray:
     return values * values
 
 
-def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes y and weights v with sum_j v_j h(y_j) = int_0^inf y e^(-y) h(y) dy / 4.
-
-    The panels are graded toward 0, as `integrate_around_pole` grades its
-    radii, for the power singularity of F at 0."""
-    edges = np.append(0.0, _MOMENT_CUT * 0.5 ** np.arange(_MOMENT_PANELS - 1, -1, -1))
-    y, w = gauss_legendre(edges, _MOMENT_ORDER)
-    y = y.ravel()
-    return y, 0.25 * w.ravel() * y * np.exp(-y)
-
-
-def _radial_moments(F: Callable[[np.ndarray], np.ndarray], ks: np.ndarray) -> np.ndarray:
-    """I_k = int_0^inf s F(2s) e^(-2ks) ds for each k of ks.
-
-    In y = 2ks, I_k = int_0^inf y F(y/k) e^(-y) dy / (4 k^2), so one rule
-    serves every k.  F gets the nodes y/k of whole rows of k, at most CHUNK
-    values per call."""
-    y, v = _moment_rule()
-    rows = CHUNK // y.size
-    out = np.empty(ks.size)
-    for lo in range(0, ks.size, rows):
-        t = (y / ks[lo:lo + rows, None]).ravel()
-        # np.dot rather than @: the same bits, from code that verify's other
-        # rows have paged in already (@ added 64 KB resident to a verify run)
-        out[lo:lo + rows] = np.dot(np.asarray(F(t)).reshape(-1, y.size), v)
-    return out / (ks * ks)
-
-
-def _strip_tail(F: Callable[[np.ndarray], np.ndarray], k0: float) -> float:
-    """sum of I_k over k = k0, k0 + 2, ...: int_0^inf s F(2s) e^(-2 k0 s) /
-    (1 - e^(-4s)) ds, on the moment rule in y = 2 k0 s."""
-    y, v = _moment_rule()
-    return float((np.asarray(F(y / k0)) / -np.expm1(-2.0 * y / k0)) @ v) / (k0 * k0)
-
-
-def _rect_robin_report(dom: DomainModel, F: Callable[[np.ndarray], np.ndarray]) -> RobinReport:
-    """M, K and S of a rectangle from its Schwarz-Christoffel series.
+def _rect_robin_report(dom: DomainModel, kappa: float) -> RobinReport:
+    """M, K and S of a rectangle from its Schwarz-Christoffel series, for
+    the profile F(t) = t^kappa.
 
     K is the centre exactly: the symmetry gives c_2 = 0, and the Robin
     function of a convex domain has one critical point
@@ -356,13 +323,17 @@ def _rect_robin_report(dom: DomainModel, F: Callable[[np.ndarray], np.ndarray]) 
     a, b = sorted((dom.width, dom.height))
     m = _rect_modulus(a, b)
     C = a / _ellipk(m)
+    s = kappa + 2.0
     ks = 2.0 * np.arange(_SERIES_TERMS) + 1.0
-    S = float(_legendre_squares(1.0 - 2.0 * m) @ _radial_moments(F, ks))
+    S = float(_legendre_squares(1.0 - 2.0 * m) @ ks ** -s)
     theta = 2.0 * math.asin(math.sqrt(m))
     if _SERIES_TERMS * theta < 1.0:
-        S += _strip_tail(F, 2.0 * _SERIES_TERMS + 1.0)
+        # the strip's tail, the sum of k^-s over odd k >= k0 by Euler-Maclaurin:
+        # the next term, s(s+1)(s+2) k0^(-s-3) / 90, is below 1e-15 of it
+        k0 = 2.0 * _SERIES_TERMS + 1.0
+        S += k0 ** -s * (k0 / (2.0 * (s - 1.0)) + 0.5 + s / (6.0 * k0))
     return RobinReport(M=2.0 * math.log(C), K=[tuple(map(float, dom.centre()))],
-                       S=C * C * S)
+                       S=C * C * math.gamma(s) / 4.0 * S)
 
 
 def robin_search(
@@ -393,22 +364,22 @@ def robin_search(
     return RobinReport(M=float(-res.fun), K=[tuple(map(float, z))], S=float(S))
 
 
-def robin_report(
-    dom: DomainModel,
-    F: Callable[[np.ndarray], np.ndarray],
-) -> RobinReport:
+def robin_report(dom: DomainModel, F: PowerProfile) -> RobinReport:
     """The Robin maximum M, its maximizer set K and the concentration
     integral S = int_Omega G_z F(4 pi G_z), z the maximizer, read off the
     Taylor series of the conformal map of the unit disk onto the domain.
 
-    K is the centre: on a convex domain the Robin function has one critical
-    point (Caffarelli-Friedman, Duke Math. J. 1985).  The disk's map is the
-    identity, c_1 = 1, so M = 0 and S = I_1; a rectangle's series is
+    F is the profile t^kappa and carries its exponent F.kappa: the radial
+    moments I_k are read in closed form, and F itself is never called.  K is the centre: on a convex domain
+    the Robin function has one critical point (Caffarelli-Friedman, Duke
+    Math. J. 1985).  The disk's map is the identity, c_1 = 1, so M = 0 and
+    S = I_1 = Gamma(kappa + 2) / 4; a rectangle's series is
     `_rect_robin_report`'s.  Nothing is searched, so DegenerateMaxError is
     never raised.
     """
     if dom.shape is Shape.RECTANGLE:
-        return _rect_robin_report(dom, F)
+        return _rect_robin_report(dom, F.kappa)
     centre = dom.centre()
-    return RobinReport(M=robin(dom, centre), K=[tuple(map(float, centre))],
-                       S=float(_radial_moments(F, np.ones(1))[0]))
+    # + 0.0: the centre's Robin value 2 log1p(-0.0) is -0.0
+    return RobinReport(M=robin(dom, centre) + 0.0, K=[tuple(map(float, centre))],
+                       S=math.gamma(F.kappa + 2.0) / 4.0)

@@ -3,8 +3,8 @@
 * `minimize`: the Nelder-Mead simplex search of scipy.optimize.minimize
   (non-adaptive coefficients, the same initial simplex and stop rule).
 * `gauss_legendre`: the nodes and weights of composite Gauss-Legendre
-  quadrature, one row of each per panel, for the orders 8, 10, 12, 20
-  and 48, whose rules are held as correctly rounded literals (no
+  quadrature, one row of each per panel, for the orders 8, 12, 20 and
+  48, whose rules are held as correctly rounded literals (no
   eigenvalue solve, so no LAPACK call and no numpy.polynomial).
 * `series_tail`, `power_term` and `term_over_tail`: sum_{k>N} T^k/k!,
   T^k/k! and the ratio of the two, for integer orders and
@@ -157,13 +157,6 @@ _HALF_RULES = {
         (0.525532409916329, 0.31370664587788727),
         (0.7966664774136267, 0.22238103445337448),
         (0.9602898564975363, 0.10122853629037626),
-    ),
-    10: (
-        (0.14887433898163122, 0.29552422471475287),
-        (0.4333953941292472, 0.26926671930999635),
-        (0.6794095682990244, 0.21908636251598204),
-        (0.8650633666889845, 0.1494513491505806),
-        (0.9739065285171717, 0.06667134430868814),
     ),
     12: (
         (0.1252334085114689, 0.24914704581340277),

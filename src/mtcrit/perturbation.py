@@ -30,6 +30,7 @@ __all__ = [
     "FamilyKind",
     "PerturbationFamily",
     "AsymptoticData",
+    "PowerProfile",
     "eval_g",
     "eval_H",
     "phi_N",
@@ -414,10 +415,21 @@ def _eval_pieces(pieces: tuple[Piece, ...], gam):
 
 
 @dataclass(frozen=True)
+class PowerProfile:
+    """The profile F(t) = t^kappa, a callable that carries its exponent, so
+    that `domain.robin_report` reads the radial moments in closed form."""
+
+    kappa: float
+
+    def __call__(self, t):
+        return np.asarray(t, dtype=float) ** self.kappa
+
+
+@dataclass(frozen=True)
 class AsymptoticData:
     """Closed-form decay data of a family: the infinity-side coefficient
     A(gamma) and the zero-side coefficient B(gamma), each a sum of
-    power-log pieces, and the profile F(t) = t^kappa."""
+    power-log pieces, and the profile F = PowerProfile(kappa)."""
 
     A_pieces: tuple[Piece, ...]
     B_pieces: tuple[Piece, ...]
@@ -429,8 +441,9 @@ class AsymptoticData:
     def B(self, gam):
         return _eval_pieces(self.B_pieces, gam)
 
-    def F(self, t):
-        return np.asarray(t, dtype=float) ** self.kappa
+    @property
+    def F(self) -> PowerProfile:
+        return PowerProfile(self.kappa)
 
 
 def asymptotic_data(fam: PerturbationFamily) -> AsymptoticData:

@@ -271,7 +271,8 @@ def _ascend(integrand, r: np.ndarray, alpha: float):
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 4.0 * math.pi:
-        raise ValueError(f"alpha must lie in (0, 4 pi) (got {alpha!r})")
+        raise ValueError(f"alpha must lie in (0, 4 pi) "
+                         f"(got {alpha!r} = {alpha / (4.0 * math.pi):g} * 4 pi)")
 
 
 def solve_subcritical(fam: PerturbationFamily, N: int, alpha: float,

@@ -545,6 +545,15 @@ def test_each_condition_is_the_api_check_that_owns_it(tmp_path, capsys, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("fraction", [1.5, -0.2, 0, 2, 3.7])
+def test_alpha_refusal_names_the_configured_fraction(tmp_path, capsys, fraction):
+    # the check sees alpha = 4 pi * fraction and names the fraction back
+    cfg = _write(tmp_path, "cfg.json", {"alpha_ladder": [fraction]})
+    assert main(["extremal", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"(got {4.0 * math.pi * fraction!r} = {fraction:g} * 4 pi)\n" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", [{"family": {"kind": "Zero"}}])
     assert main(["criterion", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -19,7 +19,9 @@ from mtcrit import (
     robin_report,
 )
 import mtcrit.domain as domain
+import mtcrit.numerics as numerics
 from mtcrit.domain import green, integrate_around_pole, robin, robin_search
+from mtcrit.perturbation import PowerProfile
 
 RECT = DomainModel(shape=Shape.RECTANGLE, width=2.0, height=1.0)
 RECTS = {f"{w:g}x{h:g}": DomainModel(shape=Shape.RECTANGLE, width=w, height=h)
@@ -104,7 +106,13 @@ def test_robin_report_disk(disk, robin0):
     # there, with no search
     assert robin0.K == [(0.0, 0.0)]
     assert robin0.M == robin(disk, disk.centre())
-    assert robin0.S == pytest.approx(0.5, rel=domain.MOMENT_RTOL)
+    assert robin0.S == 0.5
+
+
+def test_disk_robin_max_is_positive_zero(disk, data0):
+    # the centre's Robin value 2 log1p(-0.0) is -0.0; the report's M is 0.0,
+    # so criterion.json writes "M": 0.0 and verify prints M=0.00e+00
+    assert math.copysign(1.0, robin_report(disk, data0.F).M) == 1.0
 
 
 def test_robin_search_agrees_with_the_disk_series(disk, robin0, data0):
@@ -118,12 +126,12 @@ def test_robin_search_agrees_with_the_disk_series(disk, robin0, data0):
 
 @pytest.mark.parametrize("kappa", [0.0, 0.01, 0.1, 0.25, 0.5, 1.0])
 def test_disk_series_S_is_the_first_moment(disk, kappa):
-    # S = I_1 = Gamma(kappa + 2) / 4, and e^{-M} S meets the rectangle's
-    # lower bound with equality (ROADMAP item 12)
-    rep = robin_report(disk, lambda t: np.asarray(t) ** kappa)
+    # S = I_1 = Gamma(kappa + 2) / 4 to the bit, and e^{-M} S meets the
+    # rectangle's lower bound with equality (ROADMAP item 12)
+    rep = robin_report(disk, PowerProfile(kappa))
     want = math.gamma(kappa + 2) / 4
-    assert rep.S == pytest.approx(want, rel=domain.MOMENT_RTOL)
-    assert math.exp(-rep.M) * rep.S == pytest.approx(want, rel=domain.MOMENT_RTOL)
+    assert rep.S == want
+    assert math.exp(-rep.M) * rep.S == want
 
 
 def test_domain_json_round_trip():
@@ -304,8 +312,7 @@ def test_integrate_around_pole_measures_disk_area(disk, z):
 
 def test_rect_robin_report_peak_memory(data0):
     # allocation sizes are deterministic: the series path peaked at 0.45 MB
-    # here (0.15 MB margin), most of it the Legendre recurrence's lists; one
-    # unchunked array of the 4000 x 180 moment nodes alone is 5.8 MB, and the
+    # here (0.15 MB margin), most of it the Legendre recurrence's lists; the
     # image-sum path this replaced peaked at 1.81 MB
     tracemalloc.start()
     try:
@@ -377,33 +384,47 @@ def test_rect_series_matches_the_image_sum_path(name, kappa):
     # converge more slowly as kappa falls; the transpose 1x2 reads the 2x1
     # record (the series is exactly invariant, the quadrature was within 1e-14)
     M_ref, S_ref = IMAGE_SUM_REF[name.replace("1x2", "2x1")]
-    rep = robin_report(RECTS[name], lambda t: np.asarray(t) ** kappa)
+    rep = robin_report(RECTS[name], PowerProfile(kappa))
     assert rep.M == pytest.approx(M_ref, rel=0.0, abs=1e-12)
     assert rep.S == pytest.approx(S_ref[kappa], rel=0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.01, 0.1, 0.25, 0.5, 1.0])
-def test_radial_moments_match_their_closed_form(kappa):
+def test_radial_moments_match_their_closed_form(monkeypatch, kappa):
     # I_k = int_0^inf s (2s)^kappa e^{-2ks} ds = Gamma(kappa + 2) / (4 k^(kappa + 2)),
-    # to the rule's stated accuracy (measured: 1.4e-15 at kappa = 0, 5.2e-14 at 0.1)
-    ks = 2.0 * np.array([0, 1, 2, 50, 1999, domain._SERIES_TERMS - 1]) + 1.0
-    got = domain._radial_moments(lambda t: t**kappa, ks)
-    for k, I_k in zip(ks, got):
-        want = mpmath.gamma(kappa + 2) / (4 * mpmath.mpf(k) ** (kappa + 2))
+    # to MOMENT_RTOL (measured: at most 6.8e-16 over kappa in [0, 1]).  A
+    # one-hot P_n^2 makes the 2x1 report's S / C^2 the moment I_{2n+1} it uses.
+    a, b = 1.0, 2.0
+    C = a / domain._ellipk(domain._rect_modulus(a, b))
+    for n in (0, 1, 2, 50, 1999, domain._SERIES_TERMS - 1):
+        one_hot = np.zeros(domain._SERIES_TERMS)
+        one_hot[n] = 1.0
+        monkeypatch.setattr(domain, "_legendre_squares", lambda x, e=one_hot: e)
+        I_k = robin_report(RECTS["2x1"], PowerProfile(kappa)).S / (C * C)
+        want = mpmath.gamma(kappa + 2) / (4 * mpmath.mpf(2 * n + 1) ** (kappa + 2))
         assert I_k == pytest.approx(float(want), rel=domain.MOMENT_RTOL)
 
 
-def test_rect_series_hands_F_at_most_a_chunk(data0):
-    sizes = []
+@pytest.mark.parametrize("dom", [DomainModel(), RECTS["2x1"],
+                                 DomainModel(shape=Shape.RECTANGLE, width=50.0, height=1.0)],
+                         ids=["disk", "2x1", "50x1"])
+def test_robin_report_calls_no_F_and_no_rule(monkeypatch, data0, dom):
+    # the moments are read off F.kappa: F is never called and no quadrature
+    # rule is asked for
+    calls = []
 
-    def F(t):
-        sizes.append(np.size(t))
-        return data0.F(t)
+    class Counting(PowerProfile):
+        def __call__(self, t):
+            calls.append("F")
+            return super().__call__(t)
 
-    for dom in (RECTS["2x1"], DomainModel(shape=Shape.RECTANGLE, width=50.0, height=1.0)):
-        robin_report(dom, F)
-    assert 0 < max(sizes) <= domain.CHUNK
-    assert math.fsum(sizes) > domain.CHUNK
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature rule was asked for")
+
+    monkeypatch.setattr(domain, "gauss_legendre", refuse)
+    monkeypatch.setattr(numerics, "_legendre_rule", refuse)
+    robin_report(dom, Counting(data0.kappa))
+    assert calls == []
 
 
 ELONGATED = [(3.0, 1.0), (6.0, 1.0), (1.0, 6.0), (10.0, 1.0)]
@@ -499,8 +520,8 @@ def _truncation_bound(kappa, theta):
 
 @pytest.mark.parametrize("w,h", BUILT, ids=[f"{w:g}x{h:g}" for w, h in BUILT])
 def test_rect_series_within_its_bound_of_a_long_reference(data0, w, h):
-    # M to 1e-14 relative; S within the stated truncation bound, plus the
-    # moment rule's MOMENT_RTOL
+    # M to 1e-14 relative; S within the stated truncation bound, plus
+    # MOMENT_RTOL
     a, b = sorted((w, h))
     log_scale, S_norm, theta = _series_reference(b / a)
     rep = robin_report(DomainModel(shape=Shape.RECTANGLE, width=w, height=h), data0.F)
@@ -517,7 +538,7 @@ def test_rect_series_within_its_bound_over_kappa(name, kappa):
     dom = RECTS[name]
     a, b = sorted((dom.width, dom.height))
     _, S_norm, theta = _series_reference(b / a, kappa)
-    rep = robin_report(dom, lambda t: np.asarray(t) ** kappa)
+    rep = robin_report(dom, PowerProfile(kappa))
     S_ref = math.exp(rep.M) * S_norm
     assert abs(rep.S - S_ref) <= (_truncation_bound(kappa, theta) + domain.MOMENT_RTOL) * S_ref
 
@@ -526,9 +547,24 @@ def test_rect_series_within_its_bound_over_kappa(name, kappa):
 def test_rect_series_is_above_the_disk(kappa):
     # e^{-M} S = sum_k |c_k / c_1|^2 k^2 I_k >= I_1 = Gamma(kappa + 2) / 4,
     # with equality only on the disk (ROADMAP item 12)
-    def F(t):
-        return np.asarray(t) ** kappa
-
     for w, h in BUILT:
-        rep = robin_report(DomainModel(shape=Shape.RECTANGLE, width=w, height=h), F)
+        rep = robin_report(DomainModel(shape=Shape.RECTANGLE, width=w, height=h),
+                           PowerProfile(kappa))
         assert math.exp(-rep.M) * rep.S >= math.gamma(kappa + 2) / 4
+
+
+@pytest.mark.parametrize("kappa", [0.01, 0.1])
+def test_long_strip_S_matches_the_whole_series(kappa):
+    # At 50:1, theta is about 1e-33, so P_n(x)^2 = 1 for every n that counts
+    # and S = C^2 Gamma(s) / 4 sum over odd k of k^-s = C^2 Gamma(s) / 4
+    # (1 - 2^-s) zeta(s), s = kappa + 2: the 4000 terms and the strip's tail
+    # of the series against its whole sum, in 40-digit mpmath (measured:
+    # 3.4e-17 at kappa = 0.01 and 5.1e-16 at 0.1).
+    rep = robin_report(DomainModel(shape=Shape.RECTANGLE, width=50.0, height=1.0),
+                       PowerProfile(kappa))
+    with mpmath.workdps(40):
+        q = mpmath.exp(-50 * mpmath.pi)
+        m = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
+        s = mpmath.mpf(kappa) + 2
+        want = float(mpmath.gamma(s) / 4 * (1 - 2**-s) * mpmath.zeta(s) / mpmath.ellipk(m) ** 2)
+    assert abs(rep.S - want) <= 1e-14 * want

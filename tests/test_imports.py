@@ -3,8 +3,8 @@ definition is read, and every exported exception is raised somewhere.
 No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
 numpy.polynomial, argparse or OpenSSL, and config_hash is hashlib's SHA-256
 without it; no module uses numpy.polynomial or any np.linalg
-function but norm, and every Gauss-Legendre order a module asks for is one
-that mtcrit.numerics tabulates; no module calls a trapezoid rule, linear
+function but norm, and the Gauss-Legendre orders the modules ask for are
+exactly those that mtcrit.numerics tabulates; no module calls a trapezoid rule, linear
 interpolation or the builtin sum, and only csvout.write_csv and
 cli._write_report open a file for writing.  No module but mtcrit.domain
 and the package's re-export names Shape.  Every kernel
@@ -185,7 +185,8 @@ def test_every_gauss_legendre_order_is_tabulated():
     untabulated = {at: order for at, order in orders.items()
                    if order not in numerics._HALF_RULES}
     assert not untabulated, f"orders with no tabulated rule: {untabulated}"
-    assert set(orders.values()) == {8, 10, 12, 20, 48}  # _N_R and _N_THETA are 48
+    # and every tabulated rule is one that a module asks for
+    assert set(orders.values()) == set(numerics._HALF_RULES)
 
 
 def test_rule_order_scan_reads_each_form():

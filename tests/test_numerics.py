@@ -14,8 +14,8 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtcrit import bubble, cli, numerics, ode, profiles
-from mtcrit.domain import DomainModel, robin, robin_report
+from mtcrit import bubble, cli, numerics, ode, profiles, variational
+from mtcrit.domain import DomainModel, robin
 from mtcrit.perturbation import PerturbationFamily
 
 EPS = np.finfo(float).eps
@@ -439,8 +439,8 @@ def _newton_legendre(n: int) -> list:
 @pytest.mark.parametrize("order", sorted(numerics._HALF_RULES))
 def test_gauss_legendre_literals_are_correctly_rounded(order):
     # each tabulated node and weight is the double nearest its 40-digit
-    # value, within 0.5 ulp; leggauss's weights were off by up to 58, 7, 60,
-    # 353 and 9230 ulp at orders 8, 10, 12, 20 and 48
+    # value, within 0.5 ulp; leggauss's weights were off by up to 58, 60,
+    # 353 and 9230 ulp at orders 8, 12, 20 and 48
     with mpmath.workdps(40):
         ref = _newton_legendre(order)
         half = numerics._HALF_RULES[order]
@@ -477,9 +477,9 @@ def test_gauss_legendre_matches_quad(f, edges):
     assert got == pytest.approx(ref, rel=1e-13)
 
 
-def test_gauss_legendre_builds_each_rule_once(monkeypatch, disk, data0):
-    # robin_report asks for the 10-node moment rule and solve_profile for the
-    # 12-node rule, on every call; each is built once and kept
+def test_gauss_legendre_builds_each_rule_once(monkeypatch, disk, fam0):
+    # solve_profile asks for the 12-node rule and step1_testfun for the
+    # 20-node rule, on every call; each is built once and kept
     built = []
 
     class Spy(dict):
@@ -491,9 +491,9 @@ def test_gauss_legendre_builds_each_rule_once(monkeypatch, disk, data0):
     numerics._legendre_rule.cache_clear()
     try:
         for _ in range(2):
-            robin_report(disk, data0.F)
             profiles.solve_profile(1)
-        assert sorted(built) == [10, 12]
+            variational.step1_testfun(disk, fam0, 0.01)
+        assert sorted(built) == [12, 20]
         for order in built:
             nodes, weights = numerics._legendre_rule(order)
             assert not nodes.flags.writeable and not weights.flags.writeable
