@@ -15,13 +15,12 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .csvout import HERMITE_STRIDE, write_csv
 from .ode import solve_ivp
-from .perturbation import (EXP_BUDGET, PerturbationFamily, asymptotic_data, eval_H,
+from .perturbation import (EXP_BUDGET, PerturbationFamily, _Frozen, asymptotic_data, eval_H,
                            eval_psi_N, phi_N, xi)
 from .profiles import StepFailureError, s0_explicit, source_laplacians
 
@@ -55,12 +54,11 @@ _DELTA0_TILDE = 0.75
 _Y0 = 1e-8
 
 
-@dataclass(frozen=True)
-class BubbleSolution:
+class BubbleSolution(_Frozen):
     """Shot radial bubble with its scaling data.
 
     The profile is stored in the rescaled variable y = r/mu (so values
-    near the core are well-separated).
+    near the core are well-separated).  Its fields are set once.
     """
 
     fam: PerturbationFamily
@@ -71,6 +69,10 @@ class BubbleSolution:
     y_grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray  # dB/dy
+
+    def __init__(self, fam, N, gamma, lam, mu, y_grid, values, derivs):
+        vars(self).update(fam=fam, N=N, gamma=gamma, lam=lam, mu=mu, y_grid=y_grid,
+                          values=values, derivs=derivs)
 
     def to_csv(self, path: str) -> None:
         write_csv([path], ["r", "B", "dB_dr", "t"],
@@ -147,13 +149,19 @@ def shoot_bubble(fam: PerturbationFamily, N: int, gamma: float,
                           values=values, derivs=derivs)
 
 
-@dataclass
 class ExpansionReport:
     gamma: float
     sup_normalized: float
     leading_sup: float | None  # None on source reports, which have no leading term
     r0_gap: float
-    details: dict = field(default_factory=dict)
+    details: dict
+
+    def __init__(self, gamma, sup_normalized, leading_sup, r0_gap, details=None):
+        self.gamma = gamma
+        self.sup_normalized = sup_normalized
+        self.leading_sup = leading_sup
+        self.r0_gap = r0_gap
+        self.details = {} if details is None else details
 
     def to_json(self) -> dict:
         return {"gamma": self.gamma, "sup_normalized": self.sup_normalized,

@@ -45,7 +45,7 @@ from .csvout import write_csv
 from .domain import DomainModel, _disk_only, lambda1, robin_report
 from .numerics import left_sum
 from .perturbation import PerturbationFamily, _check_order, asymptotic_data, phi_N
-from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, csv_grid, ode_profile,
+from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, csv_grid, ode_profile, profile_csv,
                        profile_integrals, s0_explicit, solve_profile)
 from .bubble import OrderUnderflowError, _check_eps0, check_ladder, ladder_reports
 from .cmdline import parse_args
@@ -197,12 +197,11 @@ def cmd_criterion(cfg: dict, out: str) -> int:
 def cmd_profiles(cfg: dict, out: str) -> int:
     # r_max is the extent of the curve files alone: the profiles reach oo
     r_max = _number(cfg, "r_max", R_MAX)
-    _checked("r_max", csv_grid, r_max)
+    grid = _checked("r_max", csv_grid, r_max)
     profiles = {i: solve_profile(i) for i in range(3)}
-    constants = {}
-    for i, P in profiles.items():
-        P.to_csv(os.path.join(out, f"profile_S{i}.csv"), r_max)
-        constants[f"S{i}"] = {**P.metadata(), "r_max": r_max}
+    profile_csv([os.path.join(out, f"profile_S{i}.csv") for i in profiles],
+                list(profiles.values()), grid)
+    constants = {f"S{i}": {**P.metadata(), "r_max": r_max} for i, P in profiles.items()}
     ints = profile_integrals(profiles)
     payload = {"constants": constants, "integrals": ints,
                "reference": {"A": list(A_CONSTANTS), "B0": B0_CONSTANT}}

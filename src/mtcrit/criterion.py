@@ -14,7 +14,6 @@ perturbations admit no extremal when l < 0 and Lambda_g < pi e^{1+M}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .csvout import write_csv
@@ -118,7 +117,6 @@ def limit_l(data: AsymptoticData, M: float, S: float) -> tuple[float, float]:
     return tail[-1], max(tail) - min(tail)
 
 
-@dataclass
 class CriterionReport:
     M: float
     S: float
@@ -128,7 +126,19 @@ class CriterionReport:
     l_closed: float
     l_confidence: float
     verdict: Verdict
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
+
+    def __init__(self, M, S, lambda_g, lambda_gap, pi_e_level, l_closed, l_confidence, verdict,
+                 diagnostics=None):
+        self.M = M
+        self.S = S
+        self.lambda_g = lambda_g
+        self.lambda_gap = lambda_gap
+        self.pi_e_level = pi_e_level
+        self.l_closed = l_closed
+        self.l_confidence = l_confidence
+        self.verdict = verdict
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_json(self) -> dict:
         return {

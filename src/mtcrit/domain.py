@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .numerics import CHUNK, gauss_legendre, left_sum, minimize
-from .perturbation import PowerProfile
+from .perturbation import PowerProfile, _Value
 
 __all__ = [
     "Shape",
@@ -63,35 +62,36 @@ class Shape(str, Enum):
     RECTANGLE = "Rectangle"
 
 
-@dataclass(frozen=True)
-class DomainModel:
+class DomainModel(_Value):
     """Unit disk or axis-aligned rectangle [0,w] x [0,h].
 
     Each side must be a finite real number, not a bool (ValueError naming
     the side), and is kept as a float.  A unit disk leaves both sides at
-    their default; a rectangle's sides must be positive.
+    their default; a rectangle's sides must be positive.  Models are frozen
+    values: equal fields make equal models.
     """
 
-    shape: Shape = Shape.UNIT_DISK
-    width: float = 1.0
-    height: float = 1.0
+    # (name, default) of each field, in the constructor's order
+    _FIELDS = (("shape", Shape.UNIT_DISK), ("width", 1.0), ("height", 1.0))
 
-    def __post_init__(self):
-        object.__setattr__(self, "shape", Shape(self.shape))
-        sides = [f for f in fields(self) if f.name != "shape"]
-        for f in sides:
-            side = getattr(self, f.name)
+    def __init__(self, shape=Shape.UNIT_DISK, width=1.0, height=1.0):
+        object.__setattr__(self, "shape", Shape(shape))
+        sides = self._FIELDS[1:]
+        for (name, _), side in zip(sides, (width, height)):
             if (isinstance(side, bool) or not isinstance(side, numbers.Real)
                     or not math.isfinite(side)):
-                raise ValueError(f"{f.name} must be a finite number (got {side!r})")
-            object.__setattr__(self, f.name, float(side))
+                raise ValueError(f"{name} must be a finite number (got {side!r})")
+            object.__setattr__(self, name, float(side))
         if self.shape is Shape.UNIT_DISK:
-            given = [f"{f.name} = {getattr(self, f.name)!r}" for f in sides
-                     if getattr(self, f.name) != f.default]
+            given = [f"{name} = {getattr(self, name)!r}" for name, default in sides
+                     if getattr(self, name) != default]
             if given:
                 raise ValueError(f"a unit disk takes no side (got {', '.join(given)})")
         elif self.width <= 0 or self.height <= 0:
             raise ValueError("rectangle sides must be positive")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name, _ in self._FIELDS)
 
     def centre(self) -> np.ndarray:
         """The centre of symmetry."""
@@ -105,7 +105,7 @@ class DomainModel:
         and any other key is refused."""
         if not isinstance(obj, dict):
             raise ValueError("must be a JSON object")
-        unknown = sorted(set(obj) - {f.name for f in fields(DomainModel)})
+        unknown = sorted(set(obj) - {name for name, _ in DomainModel._FIELDS})
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
         return DomainModel(**obj)
@@ -217,11 +217,15 @@ def integrate_around_pole(
 _BOUNDARY_MARGIN = 0.05
 
 
-@dataclass
 class RobinReport:
     M: float
     K: list
     S: float
+
+    def __init__(self, M, K, S):
+        self.M = M
+        self.K = K
+        self.S = S
 
     def to_json(self) -> dict:
         return {"M": self.M, "K": [list(map(float, p)) for p in self.K], "S": self.S}

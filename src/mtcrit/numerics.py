@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,13 +68,19 @@ def left_sum(terms, start=0.0):
 # -- Nelder-Mead ----------------------------------------------------------------
 
 
-@dataclass
 class MinimizeResult:
     x: np.ndarray
     fun: float
     nit: int
     nfev: int
     success: bool
+
+    def __init__(self, x, fun, nit, nfev, success):
+        self.x = x
+        self.fun = fun
+        self.nit = nit
+        self.nfev = nfev
+        self.success = success
 
 
 def minimize(fun, x0, xatol: float, fatol: float, maxiter: int) -> MinimizeResult:

@@ -11,7 +11,6 @@ stage loop over the tableau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +56,6 @@ def _rms2(x: float, y: float) -> float:
     return math.sqrt(0.0 + x * x + y * y) / _ROOT2
 
 
-@dataclass
 class OdeResult:
     """y[0, j] is u and y[1, j] is u' at t_eval[j]; on failure, only the
     t_eval points the integration reached are filled in."""
@@ -66,6 +64,12 @@ class OdeResult:
     nfev: int
     success: bool
     message: str
+
+    def __init__(self, y, nfev, success, message):
+        self.y = y
+        self.nfev = nfev
+        self.success = success
+        self.message = message
 
 
 def solve_ivp(accel, t_span, y0, t_eval, rtol: float, atol: float) -> OdeResult:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -53,8 +52,31 @@ class FamilyKind(str, Enum):
     POWER_LOG = "PowerLog"
 
 
-@dataclass(frozen=True)
-class PerturbationFamily:
+class _Frozen:
+    """Fields that `__init__` sets once, by object.__setattr__ or in the
+    instance dict: any later assignment or deletion raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Value(_Frozen):
+    """A frozen value: two of one class are equal, and hash alike, when
+    their `_key()` tuples of fields are."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class PerturbationFamily(_Value):
     """An even perturbation g, evaluated at |t|.
 
     kind = Zero gives g identically 0.  kind = PowerLog uses the two
@@ -68,30 +90,26 @@ class PerturbationFamily:
     naming the field), and is kept as a float.  A PowerLog family whose g
     reaches -1, or whose g or g' is not finite, on any of the three pieces
     is refused with NonAdmissibleError.  A Zero family leaves every PowerLog
-    field at its default.
+    field at its default.  Families are frozen values: equal fields make
+    equal families.
     """
 
-    kind: FamilyKind = FamilyKind.ZERO
-    c: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
-    c_prime: float = 0.0
-    a_prime: float = 0.0
-    b_prime: float = 0.0
-    R_prime: float = 10.0
-    g0: float = 0.0
+    # (name, default) of each field, in the constructor's order
+    _FIELDS = (("kind", FamilyKind.ZERO), ("c", 0.0), ("a", 0.0), ("b", 0.0),
+               ("c_prime", 0.0), ("a_prime", 0.0), ("b_prime", 0.0), ("R_prime", 10.0),
+               ("g0", 0.0))
 
-    def __post_init__(self):
-        object.__setattr__(self, "kind", FamilyKind(self.kind))
-        numeric = [f for f in fields(self) if f.name != "kind"]
-        for f in numeric:
-            value = getattr(self, f.name)
+    def __init__(self, kind=FamilyKind.ZERO, c=0.0, a=0.0, b=0.0, c_prime=0.0, a_prime=0.0,
+                 b_prime=0.0, R_prime=10.0, g0=0.0):
+        object.__setattr__(self, "kind", FamilyKind(kind))
+        numeric = self._FIELDS[1:]
+        for (name, _), value in zip(numeric, (c, a, b, c_prime, a_prime, b_prime, R_prime, g0)):
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number (got {value!r})")
-            object.__setattr__(self, f.name, float(value))
+                raise ValueError(f"{name} must be a finite number (got {value!r})")
+            object.__setattr__(self, name, float(value))
         if self.kind is FamilyKind.ZERO:
-            given = [f.name for f in numeric if getattr(self, f.name) != f.default]
+            given = [name for name, default in numeric if getattr(self, name) != default]
             if given:
                 raise ValueError(f"a Zero family takes no other field (got {', '.join(given)})")
             object.__setattr__(self, "_g_float", lambda t: (0.0, 0.0))
@@ -111,6 +129,9 @@ class PerturbationFamily:
                 object.__setattr__(self, "_hermite", self._blend_coeffs())
             self._check_admissible()
             object.__setattr__(self, "_g_float", self._float_evaluator())
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name, _ in self._FIELDS)
 
     # -- PowerLog branches ------------------------------------------------
     #
@@ -241,7 +262,7 @@ class PerturbationFamily:
         takes its default and any other key is refused."""
         if not isinstance(obj, dict):
             raise ValueError("must be a JSON object")
-        keys = {f.name for f in fields(PerturbationFamily)}
+        keys = {name for name, _ in PerturbationFamily._FIELDS}
         unknown = sorted(set(obj) - keys)
         if unknown:
             raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
@@ -414,19 +435,23 @@ def _eval_pieces(pieces: tuple[Piece, ...], gam):
                     np.zeros_like(gam))
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(_Value):
     """The profile F(t) = t^kappa, a callable that carries its exponent, so
     that `domain.robin_report` reads the radial moments in closed form."""
 
     kappa: float
 
+    def __init__(self, kappa):
+        object.__setattr__(self, "kappa", kappa)
+
+    def _key(self) -> tuple:
+        return (self.kappa,)
+
     def __call__(self, t):
         return np.asarray(t, dtype=float) ** self.kappa
 
 
-@dataclass(frozen=True)
-class AsymptoticData:
+class AsymptoticData(_Value):
     """Closed-form decay data of a family: the infinity-side coefficient
     A(gamma) and the zero-side coefficient B(gamma), each a sum of
     power-log pieces, and the profile F = PowerProfile(kappa)."""
@@ -434,6 +459,14 @@ class AsymptoticData:
     A_pieces: tuple[Piece, ...]
     B_pieces: tuple[Piece, ...]
     kappa: float
+
+    def __init__(self, A_pieces, B_pieces, kappa):
+        object.__setattr__(self, "A_pieces", A_pieces)
+        object.__setattr__(self, "B_pieces", B_pieces)
+        object.__setattr__(self, "kappa", kappa)
+
+    def _key(self) -> tuple:
+        return (self.A_pieces, self.B_pieces, self.kappa)
 
     def A(self, gam):
         return _eval_pieces(self.A_pieces, gam)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ __all__ = [
     "source_laplacians",
     "linear_combination",
     "csv_grid",
+    "profile_csv",
     "A_CONSTANTS",
     "B0_CONSTANT",
 ]
@@ -153,7 +153,6 @@ def _antiderivative_map() -> np.ndarray:
 _CLENSHAW_STEPS = [(m, (2 * m + 1) / (m + 1), (m + 1) / (m + 2)) for m in range(_ORDER, 0, -1)]
 
 
-@dataclass
 class RadialProfile:
     """S = phi2 P - phi1 Q on [0, oo), with P and Q Legendre series on the
     panels of y = log r (see solve_profile), and the constants of its
@@ -168,6 +167,12 @@ class RadialProfile:
     starts: np.ndarray
     A: float
     B: float
+
+    def __init__(self, coefs, starts, A, B):
+        self.coefs = coefs
+        self.starts = starts
+        self.A = A
+        self.B = B
 
     def _float_pq(self, y: float) -> tuple[float, float]:
         """P and Q at y = log r on Python floats: one panel's Clenshaw sums."""
@@ -228,12 +233,6 @@ class RadialProfile:
     def derivative(self, r):
         return self._evaluate(r)[1]
 
-    def to_csv(self, path: str, r_max: float = R_MAX) -> None:
-        """r, S and S' at the nodes of `csv_grid(r_max)`."""
-        grid = csv_grid(r_max)
-        write_csv([path], ["r", "S", "dS_dr"], [grid, *self._evaluate(grid)],
-                  stride=HERMITE_STRIDE)
-
     def metadata(self) -> dict:
         return {"A": self.A, "B": self.B, "gl_order": _ORDER,
                 "quadrature_nodes": _ORDER * _PANELS}
@@ -263,6 +262,14 @@ def csv_grid(r_max: float) -> np.ndarray:
         raise ValueError(f"{r_max!r} is too close to {_R0:g} for {_CSV_NODES} distinct "
                          f"geometric nodes")
     return grid
+
+
+def profile_csv(paths: list[str], profiles: list[RadialProfile], grid: np.ndarray) -> None:
+    """r, S and S' of profiles[i] at the nodes `grid` (a `csv_grid`) into
+    paths[i], in one write_csv call, which formats the r column once."""
+    write_csv(paths, ["r", "S", "dS_dr"],
+              [grid, *(col for P in profiles for col in P._evaluate(grid))],
+              stride=HERMITE_STRIDE)
 
 
 def _panel_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

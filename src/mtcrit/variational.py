@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,7 +120,6 @@ def _load_weights(r: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass
 class ExtremalRun:
     """A subcritical ascent's result; u holds the nodal values on the grid r."""
 
@@ -133,8 +131,21 @@ class ExtremalRun:
     lam: float
     el_residual: float
     saturated: bool
-    iterations: int = 0
-    termination: str = ""
+    iterations: int
+    termination: str
+
+    def __init__(self, alpha, r, u, J_value, gamma, lam, el_residual, saturated, iterations=0,
+                 termination=""):
+        self.alpha = alpha
+        self.r = r
+        self.u = u
+        self.J_value = J_value
+        self.gamma = gamma
+        self.lam = lam
+        self.el_residual = el_residual
+        self.saturated = saturated
+        self.iterations = iterations
+        self.termination = termination
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha, "J": self.J_value, "gamma": self.gamma,

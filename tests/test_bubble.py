@@ -1,6 +1,5 @@
 """Tests for the bubble shooter and its expansion checks."""
 
-import dataclasses
 import math
 import re
 import sys
@@ -12,6 +11,7 @@ from scipy.interpolate import CubicHermiteSpline
 from mtcrit import perturbation
 from mtcrit import (
     BlowDownError,
+    BubbleSolution,
     PerturbationFamily,
     asymptotic_data,
     eval_psi_N,
@@ -166,8 +166,8 @@ def test_csv_rows_are_the_full_files_rows(tmp_path, monkeypatch, fam0, cut):
     # and at the last node, also where (n - 1) % 5 != 0
     sol = shoot_bubble(fam0, 1, 3.0)
     n = len(sol.y_grid) - cut
-    sol = dataclasses.replace(sol, y_grid=sol.y_grid[:n], values=sol.values[:n],
-                              derivs=sol.derivs[:n])
+    sol = BubbleSolution(sol.fam, sol.N, sol.gamma, sol.lam, sol.mu, sol.y_grid[:n],
+                         sol.values[:n], sol.derivs[:n])
     sol.to_csv(str(tmp_path / "kept.csv"))
     monkeypatch.setattr(bubble, "HERMITE_STRIDE", 1)
     sol.to_csv(str(tmp_path / "full.csv"))
@@ -296,7 +296,7 @@ def test_source_check_evaluates_each_node_once(monkeypatch, fam0, profiles):
     window = np.count_nonzero((np.log1p(y * y) <= cap) & (y >= bubble._Y_FLOOR))
     assert window > 100 and dilogs == [window] and sizes == [window, window]
     monkeypatch.undo()
-    assert rep == verify_source_expansion(sol, profiles, cap)
+    assert rep.to_json() == verify_source_expansion(sol, profiles, cap).to_json()
 
 
 def test_check_ladder_refuses_gamma_past_the_budget(fam0):

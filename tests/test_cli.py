@@ -929,6 +929,20 @@ def test_default_curve_files_keep_to_their_row_budget(tmp_path, cmd, glob, budge
         assert len(path.read_bytes().splitlines()) <= budget, path.name
 
 
+def test_profiles_build_the_curve_grid_once_and_write_once(tmp_path, monkeypatch):
+    # the grid that checks r_max is the three curve files' grid, and one
+    # write_csv call formats its r column once for all three
+    grids, writes = [], []
+    real_grid, real_write = profiles_module.csv_grid, profiles_module.write_csv
+    for owner in (cli, profiles_module):
+        monkeypatch.setattr(owner, "csv_grid", lambda r: grids.append(r) or real_grid(r))
+    monkeypatch.setattr(profiles_module, "write_csv", lambda paths, *args, **kw:
+                        writes.append(list(paths)) or real_write(paths, *args, **kw))
+    assert main(["profiles", "--out", str(tmp_path)]) == 0
+    assert grids == [2000.0]
+    assert writes == [[os.path.join(str(tmp_path), f"profile_S{i}.csv") for i in range(3)]]
+
+
 @pytest.mark.parametrize("payload", [
     {"gamma_ladder": [8.7]},
     {"gamma_ladder": [9], "eps0": 0.8},

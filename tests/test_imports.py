@@ -1,9 +1,9 @@
 """Every top-level import in the package is used or re-exported, every
 definition is read, and every exported exception is raised somewhere.
 No subcommand loads scipy, which is a test dependency only, nor numpy.ma,
-numpy.polynomial, argparse or OpenSSL, and config_hash is hashlib's SHA-256
-without it; no module uses numpy.polynomial or any np.linalg
-function but norm, and the Gauss-Legendre orders the modules ask for are
+numpy.polynomial, argparse, OpenSSL, dataclasses or copy, and config_hash
+is hashlib's SHA-256 without it; no module uses numpy.polynomial or any
+np.linalg function but norm, and the Gauss-Legendre orders the modules ask for are
 exactly those that mtcrit.numerics tabulates; no module calls a trapezoid rule, linear
 interpolation or the builtin sum, and only csvout.write_csv and
 cli._write_report open a file for writing.  No module but mtcrit.domain
@@ -33,7 +33,6 @@ neither ``_ascend`` nor any module function it reaches uses ``@``,
 """
 
 import ast
-import dataclasses
 import json
 import os
 import subprocess
@@ -210,11 +209,10 @@ def _unimported(exports, trees: dict) -> list:
 
 def test_every_numerics_kernel_has_a_caller():
     # a kernel or constant that no other module imports is kept for its
-    # tests alone; the result dataclasses come with the kernels that return
-    # them
+    # tests alone; the result classes come with the kernels that return them
     trees = {p.name: ast.parse(p.read_text()) for p in MODULES if p.name != "numerics.py"}
     kernels = [name for name in numerics.__all__
-               if not dataclasses.is_dataclass(getattr(numerics, name))]
+               if not isinstance(getattr(numerics, name), type)]
     unimported = _unimported(kernels, trees)
     assert not unimported, f"numerics exports that no module imports: {unimported}"
 
@@ -820,6 +818,20 @@ def test_runtime_loads_no_openssl(runtime_modules, name):
 
 def test_openssl_probe_sees_hashlib(tmp_path):
     assert "_hashlib" in _modules_after("import hashlib\n", tmp_path)
+
+
+@pytest.mark.parametrize("name", RUNTIME_PATHS)
+def test_runtime_loads_no_dataclasses(runtime_modules, name):
+    # the record classes write out their constructors: dataclasses generated
+    # and compiled the methods of twelve classes at every import, 4 to 7 ms
+    # of each process by the host's speed, and loaded copy with it
+    assert {"dataclasses", "copy"}.isdisjoint(runtime_modules(name))
+
+
+def test_dataclasses_probe_sees_dataclasses(tmp_path):
+    modules = _modules_after("import dataclasses\n\n@dataclasses.dataclass\nclass R:\n"
+                             "    x: int\n", tmp_path)
+    assert {"dataclasses", "copy"} <= set(modules)
 
 
 @pytest.mark.parametrize("cfg", [

@@ -11,8 +11,9 @@ from scipy.interpolate import CubicHermiteSpline
 
 from mtcrit import profile_integrals, s0_explicit, solve_profile
 from mtcrit import profiles as profiles_module
-from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, _float_or_array, _rhs, _t0, csv_grid,
-                             linear_combination, ode_profile, source_laplacians)
+from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, _float_or_array, _rhs, _t0,
+                             csv_grid, linear_combination, ode_profile, profile_csv,
+                             source_laplacians)
 
 
 def test_s0_explicit_values():
@@ -359,7 +360,7 @@ def test_solve_profile_rejects_bad_index():
 
 def test_csv_round_trip(tmp_path, profiles):
     path = tmp_path / "s0.csv"
-    profiles[0].to_csv(str(path))
+    profile_csv([str(path)], [profiles[0]], csv_grid(R_MAX))
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "r,S,dS_dr"
     # every 5th of the 4001 nodes of csv_grid(2000), the last one among them
@@ -373,12 +374,22 @@ def test_csv_rebuilds_the_profile_by_hermite_interpolation(tmp_path, profiles, r
     # measured: at most 7.8e-8 absolute up to r_max = 4000 (S1 the largest);
     # the error grows with r_max, to 1.9e-7 at 1e6
     grid = csv_grid(r_max)
-    for i in range(3):
-        path = tmp_path / f"s{i}.csv"
-        profiles[i].to_csv(str(path), r_max)
+    paths = [tmp_path / f"s{i}.csv" for i in range(3)]
+    profile_csv(list(map(str, paths)), [profiles[i] for i in range(3)], grid)
+    for i, path in enumerate(paths):
         r, S, dS_dr = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         rebuilt = CubicHermiteSpline(r, S, dS_dr)(grid)
         assert np.max(np.abs(rebuilt - profiles[i](grid))) < 1e-7, i
+
+
+def test_one_call_writes_each_profile_file_as_it_would_alone(tmp_path, profiles):
+    grid = csv_grid(R_MAX)
+    together = [tmp_path / f"together{i}.csv" for i in range(3)]
+    profile_csv(list(map(str, together)), [profiles[i] for i in range(3)], grid)
+    for i, path in enumerate(together):
+        alone = tmp_path / f"alone{i}.csv"
+        profile_csv([str(alone)], [profiles[i]], grid)
+        assert path.read_bytes() == alone.read_bytes(), i
 
 
 @pytest.mark.parametrize("cut", [0, 2], ids=["on-stride", "off-stride"])
@@ -388,9 +399,10 @@ def test_csv_rows_are_the_full_files_rows(tmp_path, monkeypatch, profiles, cut):
     P = profiles[1]
     monkeypatch.setattr(profiles_module, "_CSV_NODES", 4000 - cut)
     n = 4001 - cut
-    P.to_csv(str(tmp_path / "kept.csv"))
+    grid = csv_grid(R_MAX)
+    profile_csv([str(tmp_path / "kept.csv")], [P], grid)
     monkeypatch.setattr(profiles_module, "HERMITE_STRIDE", 1)
-    P.to_csv(str(tmp_path / "full.csv"))
+    profile_csv([str(tmp_path / "full.csv")], [P], grid)
     full = (tmp_path / "full.csv").read_bytes().split(b"\r\n")
     kept = (tmp_path / "kept.csv").read_bytes().split(b"\r\n")
     assert len(full) == n + 2
