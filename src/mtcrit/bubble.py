@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from .csvout import HERMITE_STRIDE, write_csv
 from .ode import solve_ivp
 from .perturbation import (EXP_BUDGET, PerturbationFamily, _Frozen, asymptotic_data, eval_H,
                            eval_psi_N, phi_N, xi)
@@ -73,11 +72,6 @@ class BubbleSolution(_Frozen):
     def __init__(self, fam, N, gamma, lam, mu, y_grid, values, derivs):
         vars(self).update(fam=fam, N=N, gamma=gamma, lam=lam, mu=mu, y_grid=y_grid,
                           values=values, derivs=derivs)
-
-    def to_csv(self, path: str) -> None:
-        write_csv([path], ["r", "B", "dB_dr", "t"],
-                  [self.y_grid * self.mu, self.values, self.derivs / self.mu,
-                   np.log1p(self.y_grid**2)], stride=HERMITE_STRIDE)
 
 
 def _mu_from_scaling(fam: PerturbationFamily, N: int, gamma: float) -> tuple[float, float]:

@@ -1,5 +1,5 @@
-"""Batch front-end: parse a scenario config, dispatch computations, and
-emit machine-readable reports and plot data.
+"""Batch front-end: parse a scenario config, run one subcommand, and write
+its machine-readable reports and plot data.
 
 Subcommands
     criterion   existence verdict for a (domain, family) scenario
@@ -12,10 +12,14 @@ This module checks a config's JSON shape, field names and curve-file
 names alone.  Every numerical condition is the check of the API function
 that needs it, which `_checked` calls before the first solve.
 
+A subcommand, `cmd_*`, computes and returns its report's payload, its
+curve files, its stdout lines and its exit code; `main` then writes the
+report, COMMAND.json, and the curves and prints the lines, so a run that
+fails writes and prints nothing.  A group of curve files that share their
+first column is (names, header, columns[, stride]), as write_csv takes it.
 Exit codes: 0 ok; 1 error; 2 an inconclusive verdict, or a usage error on
-the command line, which runs nothing.  Reports are JSON (with the config
-hash and tool version embedded) next to CSV curve files; identical
-config + seed give byte-identical JSON.
+the command line, which runs nothing.  Identical config + seed give
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -41,11 +45,11 @@ import numpy as np
 from . import __version__
 from .criterion import (classify, closed_form_l, limit_l, ratio_curve_csv,
                         LOG_GAMMA_GRID, Verdict)
-from .csvout import write_csv
+from .csvout import HERMITE_STRIDE, write_csv
 from .domain import DomainModel, _disk_only, lambda1, robin_report
 from .numerics import left_sum
 from .perturbation import PerturbationFamily, _check_order, asymptotic_data, phi_N
-from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, csv_grid, ode_profile, profile_csv,
+from .profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, csv_grid, ode_profile,
                        profile_integrals, s0_explicit, solve_profile)
 from .bubble import OrderUnderflowError, _check_eps0, check_ladder, ladder_reports
 from .cmdline import parse_args
@@ -153,23 +157,15 @@ def _disk_domain(cfg: dict, command: str) -> DomainModel:
     return dom
 
 
-def _write_report(out_dir: str, name: str, payload: dict, cfg: dict) -> str:
-    payload = dict(payload)
-    payload["config_hash"] = _config_hash(cfg)
-    payload["version"] = __version__
+def _write_report(out_dir: str, name: str, payload: dict, cfg: dict) -> None:
+    payload = {**payload, "config_hash": _config_hash(cfg), "version": __version__}
     # serialised before the file is opened, so a report is whole or absent
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text)
-    return path
 
 
-# ---------------------------------------------------------------------------
-# criterion
-
-
-def cmd_criterion(cfg: dict, out: str) -> int:
+def cmd_criterion(cfg: dict) -> tuple:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "criterion")
     data = asymptotic_data(fam)
@@ -181,41 +177,32 @@ def cmd_criterion(cfg: dict, out: str) -> int:
                       closed_form_l(fam, rep_robin.M, rep_robin.S), lambda_gap=lam_rep["gap"],
                       diagnostics={"log_gamma_grid": list(LOG_GAMMA_GRID),
                                    "lambda_1": lambda1(dom)})
-    _write_report(out, "criterion.json", {**report.to_json(), "l_grid": l_grid,
-                                          "lambda_termination": lam_rep["termination"]}, cfg)
-    ratio_curve_csv(os.path.join(out, "ratio_curve.csv"),
-                    data, rep_robin.M, rep_robin.S)
-    print(f"verdict: {report.verdict.value}  l_closed={report.l_closed:.6f} "
-          f"(+-{report.l_confidence:.2g})  Lambda_g={lam_rep['lambda_g']:.6f}")
-    return 2 if report.verdict is Verdict.INCONCLUSIVE else 0
+    payload = {**report.to_json(), "l_grid": l_grid,
+               "lambda_termination": lam_rep["termination"]}
+    curves = [(["ratio_curve.csv"], ["log_gamma", "ratio"],
+               ratio_curve_csv(data, rep_robin.M, rep_robin.S))]
+    line = (f"verdict: {report.verdict.value}  l_closed={report.l_closed:.6f} "
+            f"(+-{report.l_confidence:.2g})  Lambda_g={lam_rep['lambda_g']:.6f}")
+    return payload, curves, [line], 2 if report.verdict is Verdict.INCONCLUSIVE else 0
 
 
-# ---------------------------------------------------------------------------
-# profiles
-
-
-def cmd_profiles(cfg: dict, out: str) -> int:
+def cmd_profiles(cfg: dict) -> tuple:
     # r_max is the extent of the curve files alone: the profiles reach oo
     r_max = _number(cfg, "r_max", R_MAX)
     grid = _checked("r_max", csv_grid, r_max)
     profiles = {i: solve_profile(i) for i in range(3)}
-    profile_csv([os.path.join(out, f"profile_S{i}.csv") for i in profiles],
-                list(profiles.values()), grid)
     constants = {f"S{i}": {**P.metadata(), "r_max": r_max} for i, P in profiles.items()}
-    ints = profile_integrals(profiles)
-    payload = {"constants": constants, "integrals": ints,
+    payload = {"constants": constants, "integrals": profile_integrals(profiles),
                "reference": {"A": list(A_CONSTANTS), "B0": B0_CONSTANT}}
-    _write_report(out, "profiles.json", payload, cfg)
-    for i in profiles:
-        print(f"S{i}: A={constants[f'S{i}']['A']:.8f} B={constants[f'S{i}']['B']:.8f}")
-    return 0
+    # r, S and S' of each profile, the grid formatted once for the three files
+    curves = [([f"profile_S{i}.csv" for i in profiles], ["r", "S", "dS_dr"],
+               [grid, *(col for P in profiles.values() for col in P.evaluate(grid))],
+               HERMITE_STRIDE)]
+    lines = [f"{name}: A={c['A']:.8f} B={c['B']:.8f}" for name, c in constants.items()]
+    return payload, curves, lines, 0
 
 
-# ---------------------------------------------------------------------------
-# bubble
-
-
-def cmd_bubble(cfg: dict, out: str) -> int:
+def cmd_bubble(cfg: dict) -> tuple:
     fam = _family(cfg)
     _disk_domain(cfg, "bubble")
     N = cfg.get("N", 1)
@@ -235,22 +222,19 @@ def cmd_bubble(cfg: dict, out: str) -> int:
         "expansion_nonincreasing": ladder["expansion_nonincreasing"],
         "source_nonincreasing": ladder["source_nonincreasing"],
     }
-    _write_report(out, "bubble.json", payload, cfg)
-    for sol in ladder["solutions"]:
-        sol.to_csv(os.path.join(out, _BUBBLE_CSV.format(sol.gamma)))
-    for g, e, s in zip(ladder["gammas"], ladder["expansion"], ladder["source"]):
-        print(f"gamma={g:g}: expansion sup={e.sup_normalized:.6f} "
-              f"source sup={s.sup_normalized:.6f}")
-    print(f"trends: expansion nonincreasing={ladder['expansion_nonincreasing']} "
-          f"source nonincreasing={ladder['source_nonincreasing']}")
-    return 0
+    # each shot's r = mu y, B, dB/dr and t = log(1 + y^2)
+    curves = [([_BUBBLE_CSV.format(s.gamma)], ["r", "B", "dB_dr", "t"],
+               [s.y_grid * s.mu, s.values, s.derivs / s.mu, np.log1p(s.y_grid**2)],
+               HERMITE_STRIDE) for s in ladder["solutions"]]
+    lines = [f"gamma={g:g}: expansion sup={e.sup_normalized:.6f} "
+             f"source sup={s.sup_normalized:.6f}"
+             for g, e, s in zip(ladder["gammas"], ladder["expansion"], ladder["source"])]
+    lines.append(f"trends: expansion nonincreasing={ladder['expansion_nonincreasing']} "
+                 f"source nonincreasing={ladder['source_nonincreasing']}")
+    return payload, curves, lines, 0
 
 
-# ---------------------------------------------------------------------------
-# extremal
-
-
-def cmd_extremal(cfg: dict, out: str) -> int:
+def cmd_extremal(cfg: dict) -> tuple:
     fam = _family(cfg)
     dom = _disk_domain(cfg, "extremal")
     N = cfg.get("N", 1)
@@ -267,30 +251,21 @@ def cmd_extremal(cfg: dict, out: str) -> int:
     _checked("model_gamma", height_seed, data, gam)
 
     runs = [solve_subcritical(fam, N, a) for a in alphas]
-    payload = {"runs": [r.to_json() for r in runs]}
     grid = runs[0].r
     if not all(np.array_equal(r.r, grid) for r in runs):
         raise RuntimeError("the rungs of the ladder do not share one grid")
-    write_csv([os.path.join(out, _EXTREMAL_CSV.format(r.alpha)) for r in runs],
-              ["r", "u"], [grid] + [r.u for r in runs])
-    for r in runs:
-        print(f"alpha={r.alpha:.4f}: J={r.J_value:.6f} saturated={r.saturated} "
-              f"lambda={r.lam:.6f} el_residual={r.el_residual:.2e}")
-
     s1 = step1_testfun(dom, fam, eps)
-    payload["step1"] = {"eps": eps, **{k: float(v) for k, v in s1.items()}}
-    print(f"step1 eps={eps}: J={s1['J']:.6f} (blow-up level {s1['blowup_level']:.6f})")
-
     profiles = {i: solve_profile(i) for i in range(3)}
     mt = model_testfun_energy(dom, fam, data, profiles, gam)
-    payload["model_testfun"] = mt
-    print(f"model gamma={gam:g}: normalized gap={mt['normalized_gap']:+.4f}")
-    _write_report(out, "extremal.json", payload, cfg)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# verify
+    payload = {"runs": [r.to_json() for r in runs], "model_testfun": mt,
+               "step1": {"eps": eps, **{k: float(v) for k, v in s1.items()}}}
+    lines = [f"alpha={r.alpha:.4f}: J={r.J_value:.6f} saturated={r.saturated} "
+             f"lambda={r.lam:.6f} el_residual={r.el_residual:.2e}" for r in runs]
+    lines += [f"step1 eps={eps}: J={s1['J']:.6f} (blow-up level {s1['blowup_level']:.6f})",
+              f"model gamma={gam:g}: normalized gap={mt['normalized_gap']:+.4f}"]
+    curves = [([_EXTREMAL_CSV.format(r.alpha) for r in runs], ["r", "u"],
+               [grid] + [r.u for r in runs])]
+    return payload, curves, lines, 0
 
 
 def _verify_rows(seed: int) -> list:
@@ -361,25 +336,18 @@ def _verify_rows(seed: int) -> list:
     return rows
 
 
-def cmd_verify(cfg: dict, out: str, seed: int) -> int:
+def cmd_verify(cfg: dict, seed: int) -> tuple:
     rows = _verify_rows(seed)
     width = max(len(name) for name, _, _ in rows)
-    all_ok = True
-    for name, ok, detail in rows:
-        status = "pass" if ok else "FAIL"
-        all_ok &= ok
-        print(f"{name:<{width}}  {status}  {detail}")
+    all_ok = all(ok for _, ok, _ in rows)
     payload = {"rows": [{"name": n, "pass": ok, "detail": d} for n, ok, d in rows],
                "all_pass": all_ok, "seed": seed}
-    _write_report(out, "verify.json", payload, cfg)
-    return 0 if all_ok else 1
+    lines = [f"{n:<{width}}  {'pass' if ok else 'FAIL'}  {d}" for n, ok, d in rows]
+    return payload, [], lines, 0 if all_ok else 1
 
 
-# ---------------------------------------------------------------------------
-
-
-# name -> (the function that runs the subcommand, its line in `mtcrit -h`,
-# its options), read by cmdline.parse_args.  An option maps to its default
+# name -> (the subcommand's compute step, its line in `mtcrit -h`, its
+# options), read by cmdline.parse_args.  An option maps to its default
 # and its line in `mtcrit COMMAND -h`; --seed belongs to verify alone, the
 # only subcommand that draws random cases.
 _OPTIONS = {"--config": (None, "JSON scenario file"), "--out": (".", "output directory")}
@@ -396,8 +364,15 @@ def main(argv=None) -> int:
     command, options = parse_args(sys.argv[1:] if argv is None else argv, _COMMANDS)
     try:
         cfg = _load_config(options.pop("config"))
-        os.makedirs(options["out"], exist_ok=True)
-        return _COMMANDS[command][0](cfg, **options)
+        out = options.pop("out")
+        payload, curves, lines, code = _COMMANDS[command][0](cfg, **options)
+        # every solve has returned: the writes start only now
+        os.makedirs(out, exist_ok=True)
+        _write_report(out, f"{command}.json", payload, cfg)
+        for curve in curves:
+            write_csv(out, *curve)
+        print(*lines, sep="\n")
+        return code
     except Exception as exc:  # a refused config names its field, a failure its type
         kind = "" if isinstance(exc, ConfigError) else f"{type(exc).__name__}: "
         print(f"error: {kind}{exc}", file=sys.stderr)

@@ -88,8 +88,8 @@ def _exit_on_flag(commands: dict, command: str | None, word: str) -> None:
 
 
 def parse_args(argv, commands: dict) -> tuple[str, dict]:
-    """The subcommand that argv names and the keyword arguments of its
-    function, one for each of its options.
+    """The subcommand that argv names and the value of each of its options,
+    keyed by the option's name without its dashes.
 
     `commands` maps each subcommand to (its function, its line in
     `mtcrit -h`, its options), and the options map "--name" to (the

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .csvout import write_csv
 from .domain import MOMENT_RTOL
 from .numerics import left_sum
 from .perturbation import AsymptoticData, PerturbationFamily, asymptotic_data
@@ -201,7 +200,7 @@ def cor2_classifier(a_prime: float, b_prime: float, c_prime: float) -> Cor2Class
     return Cor2Class.BORDER
 
 
-def ratio_curve_csv(path: str, data: AsymptoticData, M: float, S: float) -> None:
-    """Emit the finite-gamma (log gamma, ratio) curve on LOG_GAMMA_GRID."""
-    write_csv([path], ["log_gamma", "ratio"],
-              [LOG_GAMMA_GRID, [ratio_value(data, M, S, k) for k in LOG_GAMMA_GRID]])
+def ratio_curve_csv(data: AsymptoticData, M: float, S: float) -> list:
+    """The columns of the finite-gamma curve file: LOG_GAMMA_GRID and the
+    ratio at each of its points."""
+    return [LOG_GAMMA_GRID, [ratio_value(data, M, S, k) for k in LOG_GAMMA_GRID]]

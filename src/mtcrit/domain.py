@@ -306,12 +306,13 @@ def _ellipk(m: float) -> float:
 
 def _legendre_squares(x: float) -> np.ndarray:
     """P_n(x)^2 for n < _SERIES_TERMS, from the recurrence
-    (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}, its two ratios taken first."""
+    (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}, its two factors (2n + 1) x / (n + 1)
+    and n / (n + 1) taken first."""
     n = np.arange(1.0, _SERIES_TERMS - 1)
     values = [1.0, x]
     p_prev, p = 1.0, x
-    for up, down in zip(((2.0 * n + 1.0) / (n + 1.0)).tolist(), (n / (n + 1.0)).tolist()):
-        p_prev, p = p, up * x * p - down * p_prev
+    for up_x, down in zip(((2.0 * n + 1.0) / (n + 1.0) * x).tolist(), (n / (n + 1.0)).tolist()):
+        p_prev, p = p, up_x * p - down * p_prev
         values.append(p)
     values = np.array(values)
     return values * values

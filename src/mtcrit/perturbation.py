@@ -330,9 +330,19 @@ def _hermite_eval(fam: PerturbationFamily, t: np.ndarray):
     h0, h1, h2, c3, c4, c5 = fam._hermite
     L = fam._log_span
     x = (np.log(t) + 0.5 * L) / L
-    # Horner's rule for the quintic and its derivative
-    q = h0 + x * (h1 + x * (h2 + x * (c3 + x * (c4 + x * c5))))
-    dq = h1 + x * (2.0 * h2 + x * (3.0 * c3 + x * (4.0 * c4 + x * (5.0 * c5))))
+    # Horner's rule for the quintic and its derivative, in place:
+    # q = h0 + x (h1 + x (h2 + x (c3 + x (c4 + x c5)))) and
+    # dq = h1 + x (2 h2 + x (3 c3 + x (4 c4 + x 5 c5)))
+    q, dq = x * c5, x * (5.0 * c5)
+    for a, da in ((c4, 4.0 * c4), (c3, 3.0 * c3), (h2, 2.0 * h2)):
+        q += a
+        q *= x
+        dq += da
+        dq *= x
+    q += h1
+    q *= x
+    q += h0
+    dq += h1
     return q, dq / (L * t)
 
 
@@ -401,8 +411,15 @@ def eval_psi_N(fam: PerturbationFamily, N: int, t) -> tuple:
     g, dg = fam._g_float(t) if scalar else _eval_g_array(fam, t)
     g1 = 1.0 + g
     if N == 1:
-        eT = math.exp(T) if scalar else np.exp(T)
-        return g1 * eT, (2.0 * t * g1 + dg) * eT
+        # (1 + g) e^T and (2 t (1 + g) + g') e^T, in place on the array path's
+        # fresh arrays; on floats the same operations give new floats
+        eT = math.exp(T) if scalar else np.exp(T, out=T)
+        dpsi = 2.0 * t
+        dpsi *= g1
+        dpsi += dg
+        dpsi *= eT
+        g1 *= eT
+        return g1, dpsi
     # phi_N(N, T) without its checks: N and 0 <= T <= EXP_BUDGET hold here
     ph = series_tail(N, T)
     # g'(0) = 0, so t H(t) = t + t g + g'/2 is 0 at t = 0

@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .csvout import HERMITE_STRIDE, write_csv
 from .numerics import _legendre_rule, gauss_legendre, li2_neg
 from .ode import solve_ivp
 
@@ -34,7 +33,6 @@ __all__ = [
     "source_laplacians",
     "linear_combination",
     "csv_grid",
-    "profile_csv",
     "A_CONSTANTS",
     "B0_CONSTANT",
 ]
@@ -209,7 +207,7 @@ class RadialProfile:
             b1, b2, ax_b1 = ax_b1, b1, b2
         return self.starts[:, k] + 0.5 * _PANEL_WIDTH * (c[0].take(kk) + x * b1 - 0.5 * b2)
 
-    def _evaluate(self, r):
+    def evaluate(self, r):
         """S(r) and S'(r) = phi2' P - phi1' Q.  An r with no axes takes the
         float path and gives floats."""
         xp, r = _float_or_array(r)
@@ -228,10 +226,10 @@ class RadialProfile:
 
     def __call__(self, r):
         """S(r)."""
-        return self._evaluate(r)[0]
+        return self.evaluate(r)[0]
 
     def derivative(self, r):
-        return self._evaluate(r)[1]
+        return self.evaluate(r)[1]
 
     def metadata(self) -> dict:
         return {"A": self.A, "B": self.B, "gl_order": _ORDER,
@@ -262,14 +260,6 @@ def csv_grid(r_max: float) -> np.ndarray:
         raise ValueError(f"{r_max!r} is too close to {_R0:g} for {_CSV_NODES} distinct "
                          f"geometric nodes")
     return grid
-
-
-def profile_csv(paths: list[str], profiles: list[RadialProfile], grid: np.ndarray) -> None:
-    """r, S and S' of profiles[i] at the nodes `grid` (a `csv_grid`) into
-    paths[i], in one write_csv call, which formats the r column once."""
-    write_csv(paths, ["r", "S", "dS_dr"],
-              [grid, *(col for P in profiles for col in P._evaluate(grid))],
-              stride=HERMITE_STRIDE)
 
 
 def _panel_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -213,9 +213,10 @@ def _ascend(integrand, r: np.ndarray, alpha: float):
     no candidate.  Otherwise the trial is u + s f with s = 1, halved only
     while J does not rise (J convex along the step never falls at s = 1).
     The history is two preallocated (_AA_DEPTH, n) arrays updated in place,
-    the Gram entries are 1-D dots and `_solve_small` solves the system on
-    Python floats: no 2-D matmul and no LAPACK call, each of which pages in
-    memory that a fresh process touches nowhere else.
+    the Gram entries are 1-D dots, kept across iterations so that each
+    iteration takes only the new slot's, and `_solve_small` solves the
+    system on Python floats: no 2-D matmul and no LAPACK call, each of which
+    pages in memory that a fresh process touches nowhere else.
 
     Returns (u, J, grad at u, iterations, termination), where termination
     is "rtol" (a full step changed J by less than _RTOL relative, or three
@@ -234,8 +235,7 @@ def _ascend(integrand, r: np.ndarray, alpha: float):
     d = np.zeros_like(u)  # Dirichlet: the boundary node stays 0
     dX = np.empty((_AA_DEPTH, u.size))
     dF = np.empty((_AA_DEPTH, u.size))
-    u_prev = np.empty_like(u)
-    f_prev = np.empty_like(u)
+    gram = [[0.0] * _AA_DEPTH for _ in range(_AA_DEPTH)]  # dF_i . dF_j
     stall = 0
     it = 0
     for it in range(1, _MAX_ITER + 1):
@@ -248,7 +248,10 @@ def _ascend(integrand, r: np.ndarray, alpha: float):
             np.subtract(u, u_prev, out=dX[slot])
             np.subtract(step, f_prev, out=dF[slot])
             rows = range(min(it - 1, _AA_DEPTH))
-            gamma = _solve_small([[float(np.dot(dF[i], dF[j])) for j in rows] for i in rows],
+            for i in rows:  # only the new slot's entries change
+                gram[slot][i] = gram[i][slot] = float(np.dot(dF[slot], dF[i]))
+            # _solve_small eliminates in place: it takes copies
+            gamma = _solve_small([gram[i][:len(rows)] for i in rows],
                                  [float(np.dot(dF[i], step)) for i in rows])
             if gamma is not None:
                 u_try = u + step
@@ -257,8 +260,7 @@ def _ascend(integrand, r: np.ndarray, alpha: float):
                     u_try -= g * dF[i]
                 u_try = _project(np.maximum(u_try, 0.0, out=u_try), k, alpha, sphere=True)
                 J_try, G_try = value_grad(u_try)
-        u_prev[:] = u
-        f_prev[:] = step
+        u_prev, f_prev = u, step  # neither array is written after it is formed
         if not J_try > J:
             s = 1.0
             for _ in range(40):

@@ -1,5 +1,7 @@
 """Tests for the bubble shooter and its expansion checks."""
 
+import functools
+import io
 import math
 import re
 import sys
@@ -11,7 +13,6 @@ from scipy.interpolate import CubicHermiteSpline
 from mtcrit import perturbation
 from mtcrit import (
     BlowDownError,
-    BubbleSolution,
     PerturbationFamily,
     asymptotic_data,
     eval_psi_N,
@@ -24,10 +25,13 @@ from mtcrit import (
 from mtcrit import bubble, cli
 from mtcrit import profiles as profiles_module
 from mtcrit.bubble import OrderUnderflowError, _ladder_window, check_ladder
+from mtcrit.csvout import HERMITE_STRIDE, csv_texts
 
-# the PowerLog family of the recorded bubble and extremal reports in test_cli
-RECORDED_POWERLOG = PerturbationFamily(kind="PowerLog", c_prime=1.256171, a_prime=2.593292,
-                                       b_prime=0.682198)
+# Zero and the PowerLog family of the recorded bubble and extremal reports in
+# test_cli, as a config names them
+CURVE_FAMILIES = {"Zero": {"kind": "Zero"},
+                  "PowerLog": {"kind": "PowerLog", "c_prime": 1.256171, "a_prime": 2.593292,
+                               "b_prime": 0.682198}}
 
 
 def test_shoot_basic(fam0):
@@ -137,42 +141,54 @@ def test_source_window_holds_the_whole_smallest_shot(low):
     assert np.all(np.log1p(y * y) <= _ladder_window([low, low + 1.0], 0.75)[1])
 
 
-def test_to_csv_roundtrip(tmp_path, fam0):
-    sol = shoot_bubble(fam0, 1, 3.0)
-    path = tmp_path / "bubble.csv"
-    sol.to_csv(str(path))
-    rows = path.read_text().strip().splitlines()
+@functools.lru_cache(maxsize=None)
+def _bubble_curves(name: str) -> dict:
+    """gamma -> the curve file spec (names, header, columns, stride) that
+    `mtcrit bubble` writes on the default ladder for CURVE_FAMILIES[name]."""
+    _, curves, _, code = cli.cmd_bubble({"family": CURVE_FAMILIES[name]})
+    assert code == 0
+    return {float(names[0][len("bubble_gamma"):-len(".csv")]): (names, header, columns, stride)
+            for names, header, columns, stride in curves}
+
+
+def _text(header, columns, stride) -> str:
+    (text,) = csv_texts(header, columns, 1, stride)
+    return text
+
+
+def test_csv_round_trip():
+    names, header, columns, stride = _bubble_curves("Zero")[3.0]
+    rows = _text(header, columns, stride).strip().splitlines()
+    assert names == ["bubble_gamma3.csv"]
     assert rows[0] == "r,B,dB_dr,t"
     # every 5th of the 3001 nodes, the last one among them
-    assert len(sol.y_grid) == 3001 and len(rows) == 1 + 601
+    assert len(columns[0]) == 3001 and len(rows) == 1 + 601
 
 
 @pytest.mark.parametrize("gamma", [3.0, 4.0, 5.0])
-@pytest.mark.parametrize("fam", [PerturbationFamily(), RECORDED_POWERLOG],
-                         ids=["Zero", "PowerLog"])
-def test_csv_rebuilds_the_shot_by_hermite_interpolation(tmp_path, fam, gamma):
+@pytest.mark.parametrize("name", list(CURVE_FAMILIES))
+def test_csv_rebuilds_the_shot_by_hermite_interpolation(name, gamma):
     # measured: at most 2.6e-9 relative on these six shots
-    sol = shoot_bubble(fam, 1, gamma)
-    path = tmp_path / "bubble.csv"
-    sol.to_csv(str(path))
-    r, B, dB_dr, _ = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    _, header, columns, stride = _bubble_curves(name)[gamma]
+    sol = shoot_bubble(PerturbationFamily.from_json(CURVE_FAMILIES[name]), 1, gamma)
+    assert np.array_equal(columns[0], sol.y_grid * sol.mu) and np.array_equal(columns[1],
+                                                                              sol.values)
+    r, B, dB_dr, _ = np.loadtxt(io.StringIO(_text(header, columns, stride)), delimiter=",",
+                                skiprows=1, unpack=True)
     rebuilt = CubicHermiteSpline(r, B, dB_dr)(sol.y_grid * sol.mu)
     assert np.max(np.abs(rebuilt / sol.values - 1.0)) < 1e-8
 
 
 @pytest.mark.parametrize("cut", [0, 3], ids=["on-stride", "off-stride"])
-def test_csv_rows_are_the_full_files_rows(tmp_path, monkeypatch, fam0, cut):
+def test_csv_rows_are_the_full_files_rows(cut):
     # the kept rows are the bytes of the stride-1 file at nodes 0, 5, 10, ...
     # and at the last node, also where (n - 1) % 5 != 0
-    sol = shoot_bubble(fam0, 1, 3.0)
-    n = len(sol.y_grid) - cut
-    sol = BubbleSolution(sol.fam, sol.N, sol.gamma, sol.lam, sol.mu, sol.y_grid[:n],
-                         sol.values[:n], sol.derivs[:n])
-    sol.to_csv(str(tmp_path / "kept.csv"))
-    monkeypatch.setattr(bubble, "HERMITE_STRIDE", 1)
-    sol.to_csv(str(tmp_path / "full.csv"))
-    full = (tmp_path / "full.csv").read_bytes().split(b"\r\n")
-    kept = (tmp_path / "kept.csv").read_bytes().split(b"\r\n")
+    _, header, columns, stride = _bubble_curves("Zero")[3.0]
+    n = len(columns[0]) - cut
+    columns = [c[:n] for c in columns]
+    assert stride == HERMITE_STRIDE == 5
+    full = _text(header, columns, 1).encode().split(b"\r\n")
+    kept = _text(header, columns, stride).encode().split(b"\r\n")
     assert len(full) == n + 2
     assert kept == full[:1] + [full[1 + i] for i in range(n)
                                if i % 5 == 0 or i == n - 1] + [b""]

@@ -560,6 +560,23 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_a_run_that_fails_late_writes_and_prints_nothing(tmp_path, monkeypatch, capsys):
+    # the model test function is the last solve of `extremal`, after the four
+    # rungs and the truncated logarithm: none of their files or lines come out
+    def fail(*args, **kwargs):
+        raise variational.RootFailError("height equation has no root in the bracket")
+
+    monkeypatch.setattr(cli, "model_testfun_energy", fail)
+    assert main(["extremal", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: RootFailError: height equation has no root in the bracket\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    # an --out that does not exist is not made
+    assert main(["extremal", "--out", str(tmp_path / "new")]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_report_with_a_non_finite_value_is_not_written(tmp_path):
     # the report is serialised before its file is opened: whole or absent
     with pytest.raises(ValueError, match="not JSON compliant"):
@@ -933,14 +950,14 @@ def test_profiles_build_the_curve_grid_once_and_write_once(tmp_path, monkeypatch
     # the grid that checks r_max is the three curve files' grid, and one
     # write_csv call formats its r column once for all three
     grids, writes = [], []
-    real_grid, real_write = profiles_module.csv_grid, profiles_module.write_csv
+    real_grid, real_write = profiles_module.csv_grid, cli.write_csv
     for owner in (cli, profiles_module):
         monkeypatch.setattr(owner, "csv_grid", lambda r: grids.append(r) or real_grid(r))
-    monkeypatch.setattr(profiles_module, "write_csv", lambda paths, *args, **kw:
-                        writes.append(list(paths)) or real_write(paths, *args, **kw))
+    monkeypatch.setattr(cli, "write_csv", lambda out, names, *args, **kw:
+                        writes.append((out, list(names))) or real_write(out, names, *args, **kw))
     assert main(["profiles", "--out", str(tmp_path)]) == 0
     assert grids == [2000.0]
-    assert writes == [[os.path.join(str(tmp_path), f"profile_S{i}.csv") for i in range(3)]]
+    assert writes == [(str(tmp_path), [f"profile_S{i}.csv" for i in range(3)])]
 
 
 @pytest.mark.parametrize("payload", [

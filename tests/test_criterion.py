@@ -26,7 +26,9 @@ from mtcrit import (
     ratio_value,
     robin_report,
 )
+from mtcrit import cli
 from mtcrit.cli import main
+from mtcrit.csvout import csv_texts
 from mtcrit.domain import MOMENT_RTOL
 from mtcrit.variational import lambda_g_report
 
@@ -218,11 +220,13 @@ def test_no_limit_on_oscillation():
     assert math.isfinite(l) and conf > 0.25
 
 
-def test_ratio_curve_csv(tmp_path, data0):
-    path = tmp_path / "curve.csv"
-    ratio_curve_csv(str(path), data0, M0, S0)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def test_ratio_curve_csv(data0):
+    # the curve file of `mtcrit criterion` on the Zero family, whose M and S are M0 and S0
+    _, ((names, header, columns),), _, _ = cli.cmd_criterion({})
+    assert names == ["ratio_curve.csv"]
+    assert columns == ratio_curve_csv(data0, M0, S0)
+    (text,) = csv_texts(header, columns, 1)
+    rows = list(csv.reader(text.splitlines()))
     assert rows[0] == ["log_gamma", "ratio"]
     assert len(rows) == 1 + len(LOG_GAMMA_GRID) == 12
     assert [float(r[0]) for r in rows[1:]] == list(LOG_GAMMA_GRID)

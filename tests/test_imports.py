@@ -6,14 +6,16 @@ is hashlib's SHA-256 without it; no module uses numpy.polynomial or any
 np.linalg function but norm, and the Gauss-Legendre orders the modules ask for are
 exactly those that mtcrit.numerics tabulates; no module calls a trapezoid rule, linear
 interpolation or the builtin sum, and only csvout.write_csv and
-cli._write_report open a file for writing.  No module but mtcrit.domain
+cli._write_report open a file for writing, and cli.main alone calls
+them.  No module but mtcrit.domain
 and the package's re-export names Shape.  Every kernel
 and constant that mtcrit.numerics exports is imported by another module.
 No module compiles with a larger memory peak than the largest module had
 before the ODE integrator moved from mtcrit.numerics to mtcrit.ode.  No
 subcommand of mtcrit.cli raises ConfigError or compares a value with a
 number constant: each numerical condition is the check of the API function
-that needs it.
+that needs it; every subcommand's compute step is a cmd_* function, so the
+scans read them all.
 
 No linter ships with the toolkit, so these AST scans keep dead names
 from creeping back: a name bound by a module-level import must be read
@@ -339,6 +341,42 @@ def test_open_scan_catches_each_writing_mode():
                                     (11, "leak"), (12, "leak"), (14, None)]
 
 
+def _writer_calls(tree: ast.Module) -> list:
+    """(enclosing function, name) of each call of write_csv or _write_report,
+    bare or as an attribute; the function is None at module level."""
+    out = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in ("write_csv", "_write_report"):
+                out.append((owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_main_alone_calls_the_writers():
+    # each cmd_* computes and returns its outputs; cli.main writes them, once
+    # the compute step has returned
+    calls = sorted((p.name, owner, name) for p in MODULES
+                   for owner, name in _writer_calls(ast.parse(p.read_text(), filename=str(p))))
+    assert calls == [("cli.py", "main", "_write_report"), ("cli.py", "main", "write_csv")]
+
+
+def test_writer_call_scan_catches_each_form():
+    tree = ast.parse("def main(o):\n    _write_report(o)\n    csvout.write_csv(o)\n"
+                     "def cmd_a(o):\n    return [write_csv(o)]\n"
+                     "write_csv(1)\nwrite_csv\n")
+    assert _writer_calls(tree) == [("main", "_write_report"), ("main", "write_csv"),
+                                   ("cmd_a", "write_csv"), (None, "write_csv")]
+
+
 def test_scan_catches_an_unused_import():
     tree = ast.parse("import json\nimport math\nfrom x import y as z\n"
                      "__all__ = ['z']\nprint(math.pi)\n")
@@ -654,6 +692,21 @@ def test_condition_scan_catches_each_form():
     cli_tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
     assert ("_load_config", "raise ConfigError") in {
         (fn, form) for fn, _, form in _own_conditions(cli_tree, prefix="_")}
+
+
+def test_the_scans_read_every_compute_step():
+    # the condition and config-key scans read the cmd_* functions; every
+    # subcommand's compute step is one, and a condition placed in any of them
+    # is reported
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    steps = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             and fn.name.startswith("cmd_")]
+    assert sorted(fn.name for fn in steps) == sorted(
+        step.__name__ for step, _, _ in cli._COMMANDS.values())
+    for fn in steps:
+        fn.body[:0] = ast.parse("if cfg.get('N', 1) > 300:\n    raise ConfigError('N')\n").body
+    assert {(fn, form) for fn, _, form in _own_conditions(tree)} == {
+        (fn.name, form) for fn in steps for form in ("compare", "raise ConfigError")}
 
 
 def _config_keys_read(tree: ast.Module) -> set:

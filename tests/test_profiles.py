@@ -1,6 +1,7 @@
 """Correction profiles: the variation-of-parameters solves, the ODE
 check, asymptotic constants, integrals."""
 
+import io
 import math
 import tracemalloc
 
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from mtcrit import profile_integrals, s0_explicit, solve_profile
+from mtcrit import cli, profile_integrals, s0_explicit, solve_profile
 from mtcrit import profiles as profiles_module
+from mtcrit.csvout import HERMITE_STRIDE, csv_texts
 from mtcrit.profiles import (A_CONSTANTS, B0_CONSTANT, R_MAX, _float_or_array, _rhs, _t0,
-                             csv_grid, linear_combination, ode_profile, profile_csv,
+                             csv_grid, linear_combination, ode_profile,
                              source_laplacians)
 
 
@@ -264,7 +266,7 @@ def test_linear_combination_is_the_sum_of_its_profiles(profiles):
 def _whole_gather(P, r):
     """S and S' at an array r with every node's coefficient rows gathered at
     once, as coefs[:, :, k], and the Clenshaw sums run on that gather with
-    the same roundings: the form that RadialProfile._evaluate must equal
+    the same roundings: the form that RadialProfile.evaluate must equal
     bit for bit while it gathers one step's rows at a time."""
     pm = profiles_module
     r = np.maximum(r, pm._R_LOW)
@@ -298,13 +300,13 @@ def test_profiles_gather_their_coefficients_one_step_at_a_time(profiles):
         assert P.coefs.flags.c_contiguous
         assert np.shares_memory(P.coefs.reshape(profiles_module._ORDER + 1, -1), P.coefs)
         for nodes in (r, r.reshape(20, -1)):
-            got, want = P._evaluate(nodes), _whole_gather(P, nodes)
+            got, want = P.evaluate(nodes), _whole_gather(P, nodes)
             assert all(g.shape == nodes.shape for g in got)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
     # the per-step gather holds no (_ORDER + 1, 2, n) array: on these 3820
     # nodes, a peak of 645 kB against the whole gather's 1439 kB
     peaks = []
-    for evaluate in (S._evaluate, lambda nodes: _whole_gather(S, nodes)):
+    for evaluate in (S.evaluate, lambda nodes: _whole_gather(S, nodes)):
         evaluate(r)
         tracemalloc.start()
         evaluate(r)
@@ -358,53 +360,58 @@ def test_solve_profile_rejects_bad_index():
         solve_profile(5)
 
 
-def test_csv_round_trip(tmp_path, profiles):
-    path = tmp_path / "s0.csv"
-    profile_csv([str(path)], [profiles[0]], csv_grid(R_MAX))
-    rows = path.read_text().strip().splitlines()
+def _curves(cfg: dict) -> tuple:
+    """The curve file spec (names, header, columns, stride) that `mtcrit
+    profiles` writes for cfg."""
+    _, (curves,), _, code = cli.cmd_profiles(cfg)
+    assert code == 0
+    return curves
+
+
+def test_csv_round_trip(profiles):
+    names, header, columns, stride = _curves({})
+    text = next(csv_texts(header, columns, len(names), stride))
+    rows = text.strip().splitlines()
+    assert names[0] == "profile_S0.csv"
     assert rows[0] == "r,S,dS_dr"
     # every 5th of the 4001 nodes of csv_grid(2000), the last one among them
-    assert len(rows) == 1 + 801
+    assert np.array_equal(columns[0], csv_grid(R_MAX)) and len(rows) == 1 + 801
     assert [float(x) for x in rows[-1].split(",")] == [
         2000.0, profiles[0](2000.0), profiles[0].derivative(2000.0)]
 
 
 @pytest.mark.parametrize("r_max", [100.0, 2000.0, 4000.0])
-def test_csv_rebuilds_the_profile_by_hermite_interpolation(tmp_path, profiles, r_max):
+def test_csv_rebuilds_the_profile_by_hermite_interpolation(profiles, r_max):
     # measured: at most 7.8e-8 absolute up to r_max = 4000 (S1 the largest);
     # the error grows with r_max, to 1.9e-7 at 1e6
     grid = csv_grid(r_max)
-    paths = [tmp_path / f"s{i}.csv" for i in range(3)]
-    profile_csv(list(map(str, paths)), [profiles[i] for i in range(3)], grid)
-    for i, path in enumerate(paths):
-        r, S, dS_dr = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    names, header, columns, stride = _curves({"r_max": r_max})
+    assert names == [f"profile_S{i}.csv" for i in range(3)]
+    for i, text in enumerate(csv_texts(header, columns, len(names), stride)):
+        r, S, dS_dr = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, unpack=True)
         rebuilt = CubicHermiteSpline(r, S, dS_dr)(grid)
         assert np.max(np.abs(rebuilt - profiles[i](grid))) < 1e-7, i
 
 
-def test_one_call_writes_each_profile_file_as_it_would_alone(tmp_path, profiles):
-    grid = csv_grid(R_MAX)
-    together = [tmp_path / f"together{i}.csv" for i in range(3)]
-    profile_csv(list(map(str, together)), [profiles[i] for i in range(3)], grid)
-    for i, path in enumerate(together):
-        alone = tmp_path / f"alone{i}.csv"
-        profile_csv([str(alone)], [profiles[i]], grid)
-        assert path.read_bytes() == alone.read_bytes(), i
+def test_one_call_writes_each_profile_file_as_it_would_alone():
+    names, header, columns, stride = _curves({})
+    together = list(csv_texts(header, columns, len(names), stride))
+    for i, text in enumerate(together):
+        (alone,) = csv_texts(header, [columns[0], *columns[1 + 2 * i:3 + 2 * i]], 1, stride)
+        assert text == alone, i
 
 
 @pytest.mark.parametrize("cut", [0, 2], ids=["on-stride", "off-stride"])
-def test_csv_rows_are_the_full_files_rows(tmp_path, monkeypatch, profiles, cut):
+def test_csv_rows_are_the_full_files_rows(monkeypatch, cut):
     # the kept rows are the bytes of the stride-1 file at nodes 0, 5, 10, ...
     # and at the last node, also where (n - 1) % 5 != 0
-    P = profiles[1]
     monkeypatch.setattr(profiles_module, "_CSV_NODES", 4000 - cut)
     n = 4001 - cut
-    grid = csv_grid(R_MAX)
-    profile_csv([str(tmp_path / "kept.csv")], [P], grid)
-    monkeypatch.setattr(profiles_module, "HERMITE_STRIDE", 1)
-    profile_csv([str(tmp_path / "full.csv")], [P], grid)
-    full = (tmp_path / "full.csv").read_bytes().split(b"\r\n")
-    kept = (tmp_path / "kept.csv").read_bytes().split(b"\r\n")
+    names, header, columns, stride = _curves({})
+    assert stride == HERMITE_STRIDE == 5
+    # S1's file
+    full, kept = (list(csv_texts(header, columns, len(names), k))[1].encode().split(b"\r\n")
+                  for k in (1, stride))
     assert len(full) == n + 2
     assert kept == full[:1] + [full[1 + i] for i in range(n)
                                if i % 5 == 0 or i == n - 1] + [b""]
