@@ -41,7 +41,7 @@ def csv_texts(header: Sequence[str], columns: Sequence, count: int, stride: int 
         raise ValueError(f"header has {len(header)} names; it needs at least 2")
     if len(arrays) != 1 + width * count:
         raise ValueError(f"{len(arrays)} columns are not one shared column and a block "
-                         f"of {width} for each of {count} paths")
+                         f"of {width} for each of {count} files")
 
     def kept(a):  # the values at nodes 0, k, 2k, ... and the last
         return np.append(a[::stride], a[-1:] if (len(a) - 1) % stride else a[:0])

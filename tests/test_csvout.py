@@ -63,7 +63,7 @@ def test_columns_of_unequal_length_are_refused(tmp_path):
 @pytest.mark.parametrize("header", [["x"], ["x", "y", "z"]])
 def test_header_of_another_width_is_refused(tmp_path, header):
     message = {1: "header has 1 names; it needs at least 2",
-               3: "2 columns are not one shared column and a block of 2 for each of 1 paths"}
+               3: "2 columns are not one shared column and a block of 2 for each of 1 files"}
     with pytest.raises(ValueError, match=message[len(header)]):
         write_csv(str(tmp_path), ["c.csv"], header, [[0.0, 1.0], [2.0, 3.0]])
     assert list(tmp_path.iterdir()) == []
@@ -73,7 +73,7 @@ def test_header_of_another_width_is_refused(tmp_path, header):
     (["r", "u"], [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 1.0]],
      r"columns differ in length: \[3, 3, 2\]"),
     (["r", "u"], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]],
-     "2 columns are not one shared column and a block of 1 for each of 2 paths"),
+     "2 columns are not one shared column and a block of 1 for each of 2 files"),
     (["r"], [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]],
      "header has 1 names; it needs at least 2"),
 ], ids=["length", "paths", "header"])
