@@ -13,8 +13,9 @@ integral S drive the existence criterion.  `robin_report` reads them, on
 either shape, off the Taylor series of the conformal map of the unit disk
 onto the domain: the identity on the disk, the Schwarz-Christoffel map on a
 rectangle.  The profile F(t) = t^kappa gives the series' radial moments in
-closed form, so S needs no quadrature.  On the disk a Robin search and a
-quadrature around the pole (`robin_search`) find them independently.
+closed form, and a rectangle's series is summed through an AGM by one
+exp-sinh rule.  On the disk a Robin search and a quadrature around the pole
+(`robin_search`) find them independently.
 `_disk_only` is mtcrit's one refusal of a rectangle: `green`, `robin`,
 `integrate_around_pole`, `robin_search`, the radial solvers and the
 disk-only subcommands call it.
@@ -245,42 +246,27 @@ class RobinReport:
 #     I_k = int_0^inf s F(2s) e^(-2ks) ds = Gamma(kappa + 2) / (4 k^(kappa + 2)),
 #
 # for F(t) = t^kappa, the disk's radial moments (Flucher, Comment. Math.
-# Helv. 1992; Bandle and Flucher, SIAM Rev. 1996).
-
-_SERIES_TERMS = 4000
-"""Terms n < K = _SERIES_TERMS of the series for S; theta = arccos x.
-
-Where K theta < 1, P_n(x) is still close to 1 at the cut, so the terms left
-out are added as the strip's tail: the series with P_n = 1, whose sum is
-C^2 Gamma(s) / 4 sum_{n >= K} (2n + 1)^-s = C^2 Gamma(s) 2^-s zeta(s, K + 1/2) / 4,
-s = kappa + 2, a Hurwitz zeta taken by three Euler-Maclaurin terms.
-
-Truncation bound for F(t) = t^kappa, 0 < kappa <= 1 (every family's
-profile).  Then S >= C^2 I_1, so
-
-    |Delta S| / S <= (2K)^(-1-kappa) / (2 (1 + kappa)) * rho,
-    rho = min(1, 1 / (K theta))                            if K theta >= 1,
-    rho = min(1, (1 + kappa) K theta / (sqrt(2) kappa))    if K theta < 1.
-
-Without the tail the terms left out have P_n^2 <= 2 / (pi n sin theta)
-(Bernstein).  With it the error is the sum of (1 - P_n^2) I_k over n >= K,
-where 0 <= 1 - P_n^2 <= min(1, n (n + 1) theta^2 / 2).  At K = 4000, kappa = 1
-reads 6.2e-13 on the square and 2.8e-12 at 2:1, 3.9e-9 at worst (K theta
-about 1, sides about 7:1) and 2.7e-11 at 10:1.  At worst kappa = 1/2 reads
-4.7e-7, and kappa = 1/4 reads 5.3e-6.  Against 2e6 terms, kappa = 1 measured
-2.1e-13 on the square, 5.9e-13 at 2:1, 1.4e-9 at 7:1, 5.1e-13 at 10:1 and
-1.5e-14 at 50:1, the reference's own truncation; kappa = 1/4 measured 2.2e-6
-at 7:1.  The rounding of the moments
-adds MOMENT_RTOL.
-"""
+# Helv. 1992; Bandle and Flucher, SIAM Rev. 1996).  Writing k^-s, s = kappa + 2,
+# as Gamma(s)^-1 int_0^inf u^(s-1) e^(-ku) du puts the sum under one integral,
+#
+#     S = C^2 / 4 int_0^inf u^(s-1) e^(-u) G(e^(-2u)) du,  G(t) = sum_n P_n(x)^2 t^n,
+#
+# with G log-singular at t = 1 (`_legendre_product_gf`).
 
 # Terms of each theta series: for q <= e^(-pi) the first left out is below
 # 1e-21 of the sum.
 _THETA_TERMS = 4
-# A bound on the relative rounding of the closed-form moments I_k, so of the
-# disk's S: against 40-digit mpmath, at most 6.8e-16 measured for kappa in
-# [0, 1] and odd k <= 7999.
+# A bound on the relative error of S on either shape: measured at most 6e-16
+# for kappa in [0, 1] against mpmath, a long sum of the series, the strip's
+# closed form and the exp-sinh rule at a finer step (README).
 MOMENT_RTOL = 1e-13
+# The exp-sinh rule (Takahasi and Mori, Publ. RIMS 9, 1974): nodes
+# u = exp(pi/2 sinh tau), tau = j step over the span, weights
+# step pi/2 cosh(tau) u; 233 nodes, u from 3e-24 to 2e11.  G(t) <= 1 / (1 - t),
+# so the integral under the first node is below 3e-24, and e^(-u) underflows
+# at the last.
+_EXP_SINH_STEP = 1.0 / 30.0
+_EXP_SINH_SPAN = (-127.0 / 30.0, 105.0 / 30.0)
 
 
 def _rect_modulus(a: float, b: float) -> float:
@@ -304,18 +290,16 @@ def _ellipk(m: float) -> float:
     return math.pi / (2.0 * a)
 
 
-def _legendre_squares(x: float) -> np.ndarray:
-    """P_n(x)^2 for n < _SERIES_TERMS, from the recurrence
-    (n + 1) P_{n+1} = (2n + 1) x P_n - n P_{n-1}, its two factors (2n + 1) x / (n + 1)
-    and n / (n + 1) taken first."""
-    n = np.arange(1.0, _SERIES_TERMS - 1)
-    values = [1.0, x]
-    p_prev, p = 1.0, x
-    for up_x, down in zip(((2.0 * n + 1.0) / (n + 1.0) * x).tolist(), (n / (n + 1.0)).tolist()):
-        p_prev, p = p, up_x * p - down * p_prev
-        values.append(p)
-    values = np.array(values)
-    return values * values
+def _legendre_product_gf(t: np.ndarray, one_minus_t: np.ndarray, sin2: float) -> np.ndarray:
+    """G(t) = sum_n P_n(cos theta)^2 t^n = 1 / AGM(1 - t, sqrt((1 - t)^2 + 4 t sin2))
+    for 0 < t < 1, sin2 = sin^2 theta (Borwein and Borwein, Pi and the AGM,
+    1987), 1 - t given without cancellation.  The AGM runs until every pair
+    agrees to 2 ulp: at most 9 steps on the exp-sinh nodes."""
+    a = one_minus_t
+    b = np.sqrt(a * a + 4.0 * sin2 * t)
+    while np.any(np.abs(a - b) > 2.0**-51 * a):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return 2.0 / (a + b)
 
 
 def _rect_robin_report(dom: DomainModel, kappa: float) -> RobinReport:
@@ -328,17 +312,16 @@ def _rect_robin_report(dom: DomainModel, kappa: float) -> RobinReport:
     a, b = sorted((dom.width, dom.height))
     m = _rect_modulus(a, b)
     C = a / _ellipk(m)
-    s = kappa + 2.0
-    ks = 2.0 * np.arange(_SERIES_TERMS) + 1.0
-    S = float(_legendre_squares(1.0 - 2.0 * m) @ ks ** -s)
-    theta = 2.0 * math.asin(math.sqrt(m))
-    if _SERIES_TERMS * theta < 1.0:
-        # the strip's tail, the sum of k^-s over odd k >= k0 by Euler-Maclaurin:
-        # the next term, s(s+1)(s+2) k0^(-s-3) / 90, is below 1e-15 of it
-        k0 = 2.0 * _SERIES_TERMS + 1.0
-        S += k0 ** -s * (k0 / (2.0 * (s - 1.0)) + 0.5 + s / (6.0 * k0))
+    h = _EXP_SINH_STEP
+    lo, hi = _EXP_SINH_SPAN
+    tau = h * np.arange(round(lo / h), round(hi / h) + 1)
+    log_u = 0.5 * math.pi * np.sinh(tau)
+    u = np.exp(log_u)
+    G = _legendre_product_gf(np.exp(-2.0 * u), -np.expm1(-2.0 * u), 4.0 * m * (1.0 - m))
+    # u^(s-1) e^(-u) times the node's weight
+    w = 0.5 * math.pi * h * np.cosh(tau) * np.exp((kappa + 2.0) * log_u - u)
     return RobinReport(M=2.0 * math.log(C), K=[tuple(map(float, dom.centre()))],
-                       S=C * C * math.gamma(s) / 4.0 * S)
+                       S=C * C / 4.0 * float(w @ G))
 
 
 def robin_search(

@@ -311,16 +311,17 @@ def test_integrate_around_pole_measures_disk_area(disk, z):
 
 
 def test_rect_robin_report_peak_memory(data0):
-    # allocation sizes are deterministic: the series path peaked at 0.45 MB
-    # here (0.15 MB margin), most of it the Legendre recurrence's lists; the
-    # image-sum path this replaced peaked at 1.81 MB
+    # allocation sizes are deterministic: the exp-sinh sum over 233 nodes
+    # peaked at 20 KB here, so no list of the series' terms fits under the
+    # bound; the 4000-term Legendre recurrence it replaced peaked at 0.45 MB,
+    # and the image-sum path before it at 1.81 MB
     tracemalloc.start()
     try:
         robin_report(RECT, data0.F)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.6e6
+    assert peak < 0.1e6
 
 
 @pytest.mark.parametrize("dom,bound", [(DomainModel(), 1.5e6)], ids=["disk"])
@@ -389,28 +390,36 @@ def test_rect_series_matches_the_image_sum_path(name, kappa):
     assert rep.S == pytest.approx(S_ref[kappa], rel=0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("kappa", [0.0, 0.01, 0.1, 0.25, 0.5, 1.0])
-def test_radial_moments_match_their_closed_form(monkeypatch, kappa):
-    # I_k = int_0^inf s (2s)^kappa e^{-2ks} ds = Gamma(kappa + 2) / (4 k^(kappa + 2)),
-    # to MOMENT_RTOL (measured: at most 6.8e-16 over kappa in [0, 1]).  A
-    # one-hot P_n^2 makes the 2x1 report's S / C^2 the moment I_{2n+1} it uses.
-    a, b = 1.0, 2.0
-    C = a / domain._ellipk(domain._rect_modulus(a, b))
-    for n in (0, 1, 2, 50, 1999, domain._SERIES_TERMS - 1):
-        one_hot = np.zeros(domain._SERIES_TERMS)
-        one_hot[n] = 1.0
-        monkeypatch.setattr(domain, "_legendre_squares", lambda x, e=one_hot: e)
-        I_k = robin_report(RECTS["2x1"], PowerProfile(kappa)).S / (C * C)
-        want = mpmath.gamma(kappa + 2) / (4 * mpmath.mpf(2 * n + 1) ** (kappa + 2))
-        assert I_k == pytest.approx(float(want), rel=domain.MOMENT_RTOL)
+KAPPAS = [0.0, 0.01, 0.1, 0.25, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_radial_moments_match_their_closed_form(disk, kappa):
+    # the disk's S is the first moment I_1 = int_0^inf s (2s)^kappa e^{-2s} ds
+    # = Gamma(kappa + 2) / 4, to MOMENT_RTOL against 40-digit mpmath
+    with mpmath.workdps(40):
+        want = float(mpmath.gamma(mpmath.mpf(kappa) + 2) / 4)
+    assert robin_report(disk, PowerProfile(kappa)).S == pytest.approx(
+        want, rel=domain.MOMENT_RTOL)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 0.94, 0.999])
+def test_product_generating_function_matches_legendre_values(x):
+    # G(t) = sum_n P_n(x)^2 t^n as 1 / AGM, against scipy's Legendre values
+    # summed by math.fsum; at t = 0.9 the terms past n = 600 are below 1e-27
+    terms = scipy.special.legendre_p_all(600, x)[0] ** 2
+    for t in (0.1, 0.5, 0.9):
+        want = math.fsum(terms * t ** np.arange(601.0))
+        got = domain._legendre_product_gf(np.array([t]), np.array([1.0 - t]), 1.0 - x * x)
+        assert float(got[0]) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("dom", [DomainModel(), RECTS["2x1"],
                                  DomainModel(shape=Shape.RECTANGLE, width=50.0, height=1.0)],
                          ids=["disk", "2x1", "50x1"])
 def test_robin_report_calls_no_F_and_no_rule(monkeypatch, data0, dom):
-    # the moments are read off F.kappa: F is never called and no quadrature
-    # rule is asked for
+    # S is read off F.kappa: F is never called, and the rectangle's exp-sinh
+    # sum forms its own nodes, so no tabulated quadrature rule is asked for
     calls = []
 
     class Counting(PowerProfile):
@@ -494,8 +503,7 @@ def _series_reference(ratio, kappa=1.0):
     sides 1 x ratio, ratio >= 1: m from mpmath's theta functions and K(m)
     from its ellipk; REF_TERMS terms P_n(x)^2 Gamma(kappa + 2) /
     (4 (2n+1)^(2+kappa)) from scipy's Legendre values, added by math.fsum.
-    The terms left out are below 2e-14 of the sum for every x at kappa = 1,
-    and below the bound at _SERIES_TERMS for kappa >= 1/4."""
+    The terms left out are within _truncation_bound of the sum."""
     with mpmath.workdps(30):
         q = mpmath.exp(-mpmath.pi * ratio)
         m = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
@@ -509,19 +517,20 @@ def _series_reference(ratio, kappa=1.0):
 
 
 def _truncation_bound(kappa, theta):
-    """The relative bound of S stated at domain._SERIES_TERMS."""
-    K = domain._SERIES_TERMS
-    if K * theta >= 1.0:
-        rho = min(1.0, 1.0 / (K * theta))
-    else:
-        rho = min(1.0, (1.0 + kappa) * K * theta / (math.sqrt(2.0) * kappa))
+    """The relative error of S cut after K terms, for F(t) = t^kappa.  S is
+    at least C^2 I_1, and a term left out has P_n^2 <= min(1, 1 / (K theta))
+    (Bernstein), so the cut loses at most
+    sum_{n >= K} (2n + 1)^-s <= (2K)^(-1-kappa) / (2 (1 + kappa)) of that
+    share: 1.6e-14 at kappa = 1 and 2.2e-9 at kappa = 1/4 where K theta <= 1."""
+    K = REF_TERMS
+    rho = 1.0 if K * theta <= 1.0 else 1.0 / (K * theta)
     return (2.0 * K) ** (-1.0 - kappa) / (2.0 * (1.0 + kappa)) * rho
 
 
 @pytest.mark.parametrize("w,h", BUILT, ids=[f"{w:g}x{h:g}" for w, h in BUILT])
 def test_rect_series_within_its_bound_of_a_long_reference(data0, w, h):
-    # M to 1e-14 relative; S within the stated truncation bound, plus
-    # MOMENT_RTOL
+    # M to 1e-14 relative; S within MOMENT_RTOL, plus the reference's own
+    # truncation bound
     a, b = sorted((w, h))
     log_scale, S_norm, theta = _series_reference(b / a)
     rep = robin_report(DomainModel(shape=Shape.RECTANGLE, width=w, height=h), data0.F)
@@ -534,7 +543,7 @@ def test_rect_series_within_its_bound_of_a_long_reference(data0, w, h):
 @pytest.mark.parametrize("name", ["2x1", "1x2", "1x1"])
 def test_rect_series_within_its_bound_over_kappa(name, kappa):
     # profiles F(t) = t^kappa, whose series converge more slowly as kappa
-    # falls: S within the stated truncation bound, plus MOMENT_RTOL
+    # falls: S within MOMENT_RTOL, plus the reference's truncation bound
     dom = RECTS[name]
     a, b = sorted((dom.width, dom.height))
     _, S_norm, theta = _series_reference(b / a, kappa)
@@ -553,13 +562,36 @@ def test_rect_series_is_above_the_disk(kappa):
         assert math.exp(-rep.M) * rep.S >= math.gamma(kappa + 2) / 4
 
 
-@pytest.mark.parametrize("kappa", [0.01, 0.1])
+@pytest.mark.parametrize("kappa", [0.25, 1.0])
+def test_rect_series_near_7_to_1(kappa):
+    # where 4000 theta is about 1, the 4000-term cut with its strip tail was
+    # off by 1.4e-9 at kappa = 1 and 2.2e-6 at kappa = 1/4; the exp-sinh sum
+    # is within 1e-14, plus the reference's own truncation bound
+    _, S_norm, theta = _series_reference(7.0, kappa)
+    rep = robin_report(DomainModel(shape=Shape.RECTANGLE, width=7.0, height=1.0),
+                       PowerProfile(kappa))
+    S_ref = math.exp(rep.M) * S_norm
+    assert abs(rep.S - S_ref) <= (_truncation_bound(kappa, theta) + 1e-14) * S_ref
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.3, 2.0, 3.0, 7.0, 20.0, 50.0])
+def test_exp_sinh_sum_holds_at_half_the_step(monkeypatch, ratio):
+    # halving the step doubles the nodes over the same span; S moves by at
+    # most 1e-15 relative for every kappa
+    dom = DomainModel(shape=Shape.RECTANGLE, width=ratio, height=1.0)
+    coarse = [robin_report(dom, PowerProfile(kappa)).S for kappa in KAPPAS]
+    monkeypatch.setattr(domain, "_EXP_SINH_STEP", domain._EXP_SINH_STEP / 2.0)
+    fine = [robin_report(dom, PowerProfile(kappa)).S for kappa in KAPPAS]
+    for S, S_fine in zip(coarse, fine):
+        assert abs(S - S_fine) <= 1e-15 * S_fine
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
 def test_long_strip_S_matches_the_whole_series(kappa):
     # At 50:1, theta is about 1e-33, so P_n(x)^2 = 1 for every n that counts
     # and S = C^2 Gamma(s) / 4 sum over odd k of k^-s = C^2 Gamma(s) / 4
-    # (1 - 2^-s) zeta(s), s = kappa + 2: the 4000 terms and the strip's tail
-    # of the series against its whole sum, in 40-digit mpmath (measured:
-    # 3.4e-17 at kappa = 0.01 and 5.1e-16 at 0.1).
+    # (1 - 2^-s) zeta(s), s = kappa + 2: the exp-sinh sum against the whole
+    # series, in 40-digit mpmath (measured: at most 2e-16)
     rep = robin_report(DomainModel(shape=Shape.RECTANGLE, width=50.0, height=1.0),
                        PowerProfile(kappa))
     with mpmath.workdps(40):
@@ -567,4 +599,4 @@ def test_long_strip_S_matches_the_whole_series(kappa):
         m = (mpmath.jtheta(2, 0, q) / mpmath.jtheta(3, 0, q)) ** 4
         s = mpmath.mpf(kappa) + 2
         want = float(mpmath.gamma(s) / 4 * (1 - 2**-s) * mpmath.zeta(s) / mpmath.ellipk(m) ** 2)
-    assert abs(rep.S - want) <= 1e-14 * want
+    assert abs(rep.S - want) <= 1e-15 * want

@@ -249,7 +249,9 @@ def _trapezoid_calls(tree: ast.Module) -> list:
 def test_no_trapezoid_or_linear_interpolation():
     # quadratures take their nodes from numerics.gauss_legendre, and nothing
     # is read back from a table: the profiles are Legendre series on their
-    # panels and model_testfun_energy sums q' at the nodes of its own rule
+    # panels and model_testfun_energy sums q' at the nodes of its own rule.
+    # The one exception is a rectangle's S in domain, an exp-sinh sum formed
+    # in place: its integrand has a log singularity at 0 and an infinite range
     calls = [f"{p.name}:{line} {name}" for p in MODULES
              for line, name in _trapezoid_calls(ast.parse(p.read_text(), filename=str(p)))]
     assert not calls, f"trapezoid or linear interpolation called: {calls}"
